@@ -82,7 +82,7 @@ fn conn_sweep_point(population: usize, broadcasts: usize) -> String {
 /// broadcast RTT per point, one machine-readable CONNSWEEP line each.
 fn conn_sweep() {
     println!("FIG3 conn-sweep: reactor transport, idle-member populations over real TCP");
-    println!("(threads = spawned by the server; O(shards + workers), not O(2 x clients))\n");
+    println!("(threads = spawned by the server; O(shards), not O(2 x clients))\n");
     let widths = [12, 10, 14, 14, 10];
     println!(
         "{}",

@@ -26,9 +26,8 @@ pub enum Statefulness {
 /// its listener on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// Sharded epoll reactor event loops: thread count stays
-    /// O(shards + fan-out workers) regardless of how many clients are
-    /// connected. The default.
+    /// Sharded epoll reactor event loops: thread count stays O(shards)
+    /// regardless of how many clients are connected. The default.
     #[default]
     Reactor,
     /// Thread-per-connection blocking I/O (two threads per client),
@@ -64,15 +63,10 @@ pub struct ServerConfig {
     /// If set, a background thread dumps the server's metric registry
     /// as one JSON line to stderr at this interval.
     pub metrics_dump_interval: Option<std::time::Duration>,
-    /// Number of fan-out worker threads. Outbound traffic is sharded
-    /// across them by connection id, so one stalled transmit queue
-    /// cannot head-of-line-block delivery to other clients (or the
-    /// dispatcher itself).
-    pub fanout_workers: usize,
     /// Per-connection transmit-queue bound (frames). A send that would
     /// exceed it fails with an explicit `Full` instead of buffering
-    /// unboundedly; the fan-out workers shed or disconnect on `Full`
-    /// per the QoS class.
+    /// unboundedly; the dispatcher sheds or disconnects on `Full` per
+    /// the QoS class.
     pub send_queue_capacity: usize,
     /// SLO latency budget and burn-rate window for the health plane
     /// (applied to per-request dispatcher handling latency).
@@ -102,7 +96,6 @@ impl ServerConfig {
             log_on_critical_path: false,
             qos: QosPolicy::default(),
             metrics_dump_interval: None,
-            fanout_workers: 4,
             send_queue_capacity: corona_transport::DEFAULT_SEND_CAPACITY,
             slo: corona_health::SloConfig::default(),
             watchdog: corona_health::WatchdogConfig::default(),
@@ -169,14 +162,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the number of fan-out worker threads (builder-style).
-    /// Clamped to at least 1.
-    #[must_use]
-    pub fn with_fanout_workers(mut self, workers: usize) -> Self {
-        self.fanout_workers = workers.max(1);
-        self
-    }
-
     /// Sets the per-connection transmit-queue bound in frames
     /// (builder-style). Clamped to at least 1.
     #[must_use]
@@ -226,7 +211,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("reduction", &self.reduction)
             .field("log_on_critical_path", &self.log_on_critical_path)
             .field("qos", &self.qos)
-            .field("fanout_workers", &self.fanout_workers)
             .field("send_queue_capacity", &self.send_queue_capacity)
             .field("transport", &self.transport)
             .field("reactor_shards", &self.reactor_shards)

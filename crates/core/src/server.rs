@@ -13,12 +13,6 @@
 //! * **dispatcher thread** — owns the [`ServerCore`] state machine;
 //!   processing commands one at a time yields the per-group total
 //!   order;
-//! * **fan-out workers** — a small pool that moves frames from the
-//!   dispatcher to the per-connection transmit queues. Traffic is
-//!   sharded by connection id, so every connection's frames flow
-//!   through exactly one worker (preserving per-connection FIFO) and
-//!   one stalled transmit queue cannot head-of-line-block the
-//!   dispatcher or delivery to other clients;
 //! * **logger thread** — executes [`LogEffect`]s against stable
 //!   storage, *in parallel with* the multicast fan-out ("state logging
 //!   ... is not in the critical path", §6). The
@@ -26,18 +20,21 @@
 //!   work inline into the dispatcher instead.
 //!
 //! A group broadcast arrives at the dispatcher as one
-//! [`Effect::Multicast`]; the payload is encoded **once** into a
-//! shared [`bytes::Bytes`] and every recipient's work item clones the
-//! handle, not the bytes. Transmit queues are bounded: a send that
-//! would exceed the cap fails with an explicit `Full`, which the
-//! workers translate into shedding (awareness traffic) or
-//! disconnection (a client too slow to take data would desynchronise
-//! anyway), so a slow client can never OOM the server.
+//! [`Effect::Multicast`]; the payload is encoded *and framed* **once**
+//! into a shared [`Frame`] and the dispatcher pushes a clone of the
+//! handle — not the bytes, not a fresh checksum — straight onto every
+//! recipient's transmit queue ([`Connection::send_frame`] never
+//! blocks). One enqueuing thread means per-connection FIFO holds by
+//! construction. Transmit queues are bounded: a send that would exceed
+//! the cap fails with an explicit `Full`, which the enqueue site turns
+//! into shedding (awareness traffic) or disconnection (a client too
+//! slow to take data would desynchronise anyway), so a slow client can
+//! never OOM the server.
 
 use crate::config::{ServerConfig, TransportKind};
 use crate::core::{Effect, LogEffect, ServerCore};
 use crate::qos::{classify, EventClass, QosPolicy};
-use corona_health::{ConnPressure, GroupHealth, HealthRegistry, WatchdogConfig, Watchdogs};
+use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
 use corona_metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use corona_statelog::{GroupStore, StableStore};
 use corona_transport::{
@@ -45,6 +42,7 @@ use corona_transport::{
     TransportError, TransportMetrics,
 };
 use corona_types::error::{CoronaError, Result};
+use corona_types::frame::Frame;
 use corona_types::id::{ClientId, GroupId};
 use corona_types::message::{ClientRequest, ServerEvent};
 use corona_types::state::Timestamp;
@@ -130,12 +128,6 @@ enum Command {
     Closed {
         conn_id: u64,
     },
-    /// A fan-out worker failed to deliver to this connection (dead
-    /// peer, or bounded queue overflow on undroppable traffic): reap
-    /// it now instead of waiting for its reader thread to notice.
-    SendFailed {
-        conn_id: u64,
-    },
     Stats(Sender<ServerStats>),
     Metrics(Sender<MetricsSnapshot>),
     /// Admin request for the health-plane snapshot (also served on the
@@ -151,7 +143,6 @@ struct ServerMetrics {
     conns_accepted: Arc<Counter>,
     conns_closed: Arc<Counter>,
     decode_errors: Arc<Counter>,
-    shed: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     stage_handle_us: Arc<Histogram>,
     stage_fanout_us: Arc<Histogram>,
@@ -172,7 +163,6 @@ impl ServerMetrics {
             conns_accepted: registry.counter("server.conns.accepted"),
             conns_closed: registry.counter("server.conns.closed"),
             decode_errors: registry.counter("server.decode_errors"),
-            shed: registry.counter("server.shed"),
             queue_depth: registry.gauge("server.queue.depth"),
             stage_handle_us: registry.histogram("server.stage.handle_us"),
             stage_fanout_us: registry.histogram("server.stage.fanout_us"),
@@ -185,10 +175,12 @@ impl ServerMetrics {
     }
 }
 
-/// Metric handles recorded by the fan-out workers. Cheap to clone —
-/// one set per worker, all pointing at the shared registry's atomics.
-#[derive(Clone)]
-struct FanoutWorkerMetrics {
+/// The enqueue site: every outbound client frame passes through
+/// [`Fanout::enqueue`], which applies the QoS shed-vs-disconnect
+/// policy against the live transmit backlog and keeps the
+/// `server.fanout.*` / health accounting.
+struct Fanout {
+    qos: QosPolicy,
     registry: Arc<Registry>,
     shed: Arc<Counter>,
     enqueues: Arc<Counter>,
@@ -198,17 +190,22 @@ struct FanoutWorkerMetrics {
     /// stays visible here.
     queue_hwm: Arc<Gauge>,
     health: Arc<HealthRegistry>,
+    /// Connections closed by a failed undroppable send, awaiting their
+    /// reap at the end of the current effects batch.
+    dead: Vec<u64>,
 }
 
-impl FanoutWorkerMetrics {
-    fn new(registry: &Arc<Registry>, health: &Arc<HealthRegistry>) -> Self {
-        FanoutWorkerMetrics {
+impl Fanout {
+    fn new(qos: QosPolicy, registry: &Arc<Registry>, health: &Arc<HealthRegistry>) -> Self {
+        Fanout {
+            qos,
             shed: registry.counter("server.shed"),
             enqueues: registry.counter("server.fanout.enqueues"),
             queue_depth: registry.histogram("server.fanout.queue_depth"),
             queue_hwm: registry.gauge("server.fanout.queue_hwm"),
             registry: Arc::clone(registry),
             health: Arc::clone(health),
+            dead: Vec::new(),
         }
     }
 
@@ -222,123 +219,47 @@ impl FanoutWorkerMetrics {
                 .inc();
         }
     }
-}
 
-/// One unit of outbound work: a pre-encoded frame bound for one
-/// connection. Multicast recipients share the same `frame` bytes.
-struct WorkItem {
-    conn_id: u64,
-    conn: Arc<Box<dyn Connection>>,
-    frame: bytes::Bytes,
-    class: EventClass,
-    /// Group for per-group shed accounting; `Some` only for multicast
-    /// fan-out items.
-    group: Option<GroupId>,
-    /// Health cell + sequence number to mark delivered once the frame
-    /// is accepted by the transmit queue; `Some` only for multicast
-    /// fan-out items.
-    delivered: Option<(Arc<GroupHealth>, u64)>,
-}
-
-/// The fan-out worker pool. All outbound client traffic goes through
-/// it, sharded by connection id, so each connection's frames are
-/// handled by exactly one worker in dispatch order (per-connection
-/// FIFO is preserved end to end).
-struct FanoutPool {
-    senders: Vec<Sender<WorkItem>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl FanoutPool {
-    fn start(
-        workers: usize,
-        cmd_tx: Sender<Command>,
-        qos: QosPolicy,
-        registry: &Arc<Registry>,
-        health: &Arc<HealthRegistry>,
-    ) -> Self {
-        let workers = workers.max(1);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = channel::unbounded::<WorkItem>();
-            let cmd_tx = cmd_tx.clone();
-            let metrics = FanoutWorkerMetrics::new(registry, health);
-            let handle = std::thread::Builder::new()
-                .name(format!("corona-fanout-{i}"))
-                .spawn(move || fanout_worker_loop(rx, cmd_tx, metrics, qos))
-                .expect("spawn fanout worker");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        FanoutPool { senders, handles }
-    }
-
-    fn dispatch(&self, item: WorkItem) {
-        let shard = (item.conn_id % self.senders.len() as u64) as usize;
-        let _ = self.senders[shard].send(item);
-    }
-
-    fn shutdown(self) {
-        drop(self.senders);
-        for handle in self.handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn fanout_worker_loop(
-    rx: Receiver<WorkItem>,
-    cmd_tx: Sender<Command>,
-    metrics: FanoutWorkerMetrics,
-    qos: QosPolicy,
-) {
-    while let Ok(item) = rx.recv() {
+    /// Pushes `frame` onto `conn`'s transmit queue; `true` if it was
+    /// accepted. `group` is `Some` for multicast fan-out (per-group
+    /// shed accounting).
+    fn enqueue(
+        &mut self,
+        conn_id: u64,
+        conn: &dyn Connection,
+        frame: Frame,
+        class: EventClass,
+        group: Option<GroupId>,
+    ) -> bool {
         // QoS-adaptive delivery (§5.3) against the *true* transmit
-        // queue depth at enqueue time, not a stale dispatcher view.
-        let backlog = item.conn.backlog();
-        metrics.queue_depth.record(backlog as u64);
-        metrics.queue_hwm.set_max(backlog as i64);
-        metrics.health.note_queue_depth(backlog as u64);
-        if !qos.should_deliver(item.class, backlog) {
-            metrics.note_shed(item.group);
-            continue;
+        // queue depth at enqueue time.
+        let backlog = conn.backlog();
+        self.queue_depth.record(backlog as u64);
+        self.queue_hwm.set_max(backlog as i64);
+        self.health.note_queue_depth(backlog as u64);
+        if !self.qos.should_deliver(class, backlog) {
+            self.note_shed(group);
+            return false;
         }
-        match item.conn.send(item.frame) {
+        match conn.send_frame(frame) {
             Ok(()) => {
-                metrics.enqueues.inc();
-                if let Some((cell, seq)) = &item.delivered {
-                    cell.note_delivered(*seq);
-                }
+                self.enqueues.inc();
+                return true;
             }
-            Err(TransportError::Full) => {
-                // Shed-vs-block policy for a bounded queue that QoS
-                // did not relieve: awareness traffic is shed;
-                // data/control cannot be dropped (a gap desynchronises
-                // the client's mirror), so a client too slow to accept
-                // it is disconnected rather than allowed to buffer
-                // unboundedly or stall the pool.
-                if item.class == EventClass::Awareness {
-                    metrics.note_shed(item.group);
-                } else {
-                    // The dispatcher closes the connection when it
-                    // processes the command; closing here first would
-                    // let the conn's reader thread race its `Closed`
-                    // in ahead and reap this as a clean disconnect.
-                    let _ = cmd_tx.send(Command::SendFailed {
-                        conn_id: item.conn_id,
-                    });
-                }
-            }
+            // A bounded queue that QoS did not relieve: awareness
+            // traffic is shed.
+            Err(TransportError::Full) if class == EventClass::Awareness => self.note_shed(group),
+            // Data/control cannot be dropped (a gap desynchronises the
+            // client's mirror), so a client too slow to accept it — or
+            // already dead — is disconnected now, before a later frame
+            // of this batch could slip past the gap, and reaped once
+            // the batch is done.
             Err(_) => {
-                // Dead connection: tell the dispatcher to reap it now
-                // rather than keep encoding and "delivering" to it
-                // until its reader thread notices.
-                let _ = cmd_tx.send(Command::SendFailed {
-                    conn_id: item.conn_id,
-                });
+                conn.close();
+                self.dead.push(conn_id);
             }
         }
+        false
     }
 }
 
@@ -497,31 +418,21 @@ impl CoronaServer {
             (None, _) => (LogSink::Disabled, None),
         };
 
-        // Dispatcher thread (it also owns the fan-out worker pool; the
-        // pool needs the command sender to report dead connections).
-        let qos = config.qos;
-        let fanout_workers = config.fanout_workers;
-        let watchdog = config.watchdog;
-        let send_queue_capacity = config.send_queue_capacity;
         let dispatcher = {
-            let cmd_rx = cmd_rx.clone();
-            let cmd_tx = cmd_tx.clone();
-            let health = Arc::clone(&health);
+            let dispatcher = Dispatcher {
+                metrics: ServerMetrics::new(Arc::clone(&registry)),
+                fanout: Fanout::new(config.qos, &registry, &health),
+                core,
+                log: log_tx,
+                health: Arc::clone(&health),
+                watchdogs: Watchdogs::new(config.watchdog),
+                send_queue_capacity: config.send_queue_capacity,
+                conns: HashMap::new(),
+                client_conn: HashMap::new(),
+            };
             std::thread::Builder::new()
                 .name("corona-dispatcher".into())
-                .spawn(move || {
-                    dispatcher_loop(DispatcherArgs {
-                        core,
-                        cmd_rx,
-                        cmd_tx,
-                        log: log_tx,
-                        qos,
-                        fanout_workers,
-                        health,
-                        watchdog,
-                        send_queue_capacity,
-                    })
-                })
+                .spawn(move || dispatcher.run(cmd_rx))
                 .expect("spawn dispatcher thread")
         };
 
@@ -812,434 +723,365 @@ fn accept_loop(
     }
 }
 
-/// Everything the dispatcher thread needs, bundled to keep the spawn
-/// site readable.
-struct DispatcherArgs {
-    core: ServerCore,
-    cmd_rx: Receiver<Command>,
-    cmd_tx: Sender<Command>,
-    log: LogSink,
-    qos: QosPolicy,
-    fanout_workers: usize,
-    health: Arc<HealthRegistry>,
-    watchdog: WatchdogConfig,
-    send_queue_capacity: usize,
-}
-
 /// How often the dispatcher polls the watchdogs (both on idle timeout
 /// and opportunistically between commands under load).
 const WATCHDOG_POLL_MS: u64 = 50;
 
-/// Builds the health snapshot: refreshes snapshot-time facts the hot
-/// path does not track (membership sizes, per-connection backpressure)
-/// and renders the registry.
-fn build_health_snapshot(
-    core: &ServerCore,
-    conns: &HashMap<u64, ConnState>,
-    health: &HealthRegistry,
-    watchdogs: &Watchdogs,
+/// The dispatcher thread's state: the protocol core, the connection
+/// table, and the enqueue site every outbound frame passes through.
+struct Dispatcher {
+    core: ServerCore,
+    log: LogSink,
+    metrics: ServerMetrics,
+    fanout: Fanout,
+    health: Arc<HealthRegistry>,
+    watchdogs: Watchdogs,
     send_queue_capacity: usize,
-) -> String {
-    for group in core.registry().group_ids() {
-        let members = core
-            .registry()
-            .get(group)
-            .map_or(0, |g| g.member_count() as u64);
-        health.group(group).set_members(members);
-    }
-    let pressure: Vec<ConnPressure> = conns
-        .iter()
-        .map(|(id, state)| {
-            let backlog = state.conn.backlog() as u64;
-            ConnPressure {
-                conn_id: *id,
-                backlog,
-                // Half the bounded queue is the pressure threshold:
-                // past it, QoS shedding is already in play.
-                backpressured: backlog * 2 >= send_queue_capacity as u64,
-            }
-        })
-        .collect();
-    health.snapshot_json(&pressure, &watchdogs.stalled_groups())
+    conns: HashMap<u64, ConnState>,
+    client_conn: HashMap<ClientId, u64>,
 }
 
-fn dispatcher_loop(args: DispatcherArgs) {
-    let DispatcherArgs {
-        mut core,
-        cmd_rx,
-        cmd_tx,
-        mut log,
-        qos,
-        fanout_workers,
-        health,
-        watchdog,
-        send_queue_capacity,
-    } = args;
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    let mut client_conn: HashMap<ClientId, u64> = HashMap::new();
-    let registry = core.metrics_registry();
-    let mut metrics = ServerMetrics::new(Arc::clone(&registry));
-    let pool = FanoutPool::start(fanout_workers, cmd_tx, qos, &registry, &health);
-    let started = Instant::now();
-    let mut snapshot_seq: u64 = 0;
-    let mut watchdogs = Watchdogs::new(watchdog);
-    let mut last_poll = Instant::now();
-    let poll_interval = std::time::Duration::from_millis(WATCHDOG_POLL_MS);
+impl Dispatcher {
+    fn run(mut self, cmd_rx: Receiver<Command>) {
+        let started = Instant::now();
+        let mut snapshot_seq: u64 = 0;
+        let mut last_poll = Instant::now();
+        let poll_interval = std::time::Duration::from_millis(WATCHDOG_POLL_MS);
 
-    loop {
-        let cmd = match cmd_rx.recv_timeout(poll_interval) {
-            Ok(cmd) => cmd,
-            Err(RecvTimeoutError::Timeout) => {
-                for event in watchdogs.poll(&health, health.uptime_ms()) {
-                    health.emit(event);
+        loop {
+            let cmd = match cmd_rx.recv_timeout(poll_interval) {
+                Ok(cmd) => Some(cmd),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            if cmd.is_none() || last_poll.elapsed() >= poll_interval {
+                // Under sustained load the recv timeout never fires,
+                // so the watchdogs are also polled between commands.
+                for event in self.watchdogs.poll(&self.health, self.health.uptime_ms()) {
+                    self.health.emit(event);
                 }
                 last_poll = Instant::now();
-                continue;
             }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if last_poll.elapsed() >= poll_interval {
-            // Under sustained load the recv timeout never fires, so
-            // the watchdogs are also polled between commands.
-            for event in watchdogs.poll(&health, health.uptime_ms()) {
-                health.emit(event);
-            }
-            last_poll = Instant::now();
-        }
-        metrics.queue_depth.set(cmd_rx.len() as i64);
-        match cmd {
-            Command::Accepted { conn_id, conn } => {
-                metrics.conns_accepted.inc();
-                conns.insert(conn_id, ConnState { conn, client: None });
-            }
-            Command::Frame { conn_id, frame } => {
-                let (request, trace) = match decode_traced::<ClientRequest>(&frame) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        // Malformed frame: drop the connection (it may
-                        // be version-skewed or hostile).
-                        metrics.decode_errors.inc();
-                        if let Some(state) = conns.get(&conn_id) {
-                            state.conn.close();
-                        }
-                        continue;
-                    }
-                };
-                if let Some(t) = trace {
-                    corona_trace::record(
-                        corona_trace::Hop::ServerIngress,
-                        corona_trace::TraceId(t.id),
-                        0,
-                        0,
-                    );
-                    health.note_trace(t.id);
+            let Some(cmd) = cmd else { continue };
+            self.metrics.queue_depth.set(cmd_rx.len() as i64);
+            match cmd {
+                Command::Accepted { conn_id, conn } => {
+                    self.metrics.conns_accepted.inc();
+                    self.conns.insert(conn_id, ConnState { conn, client: None });
                 }
-                if matches!(request, ClientRequest::GetHealth) {
-                    // Served by the runtime, not the core: the snapshot
-                    // needs the connection table and watchdog state.
-                    // Answered even before Hello so bare admin probes
-                    // work.
-                    if let Some(state) = conns.get(&conn_id) {
-                        let event = ServerEvent::Health {
-                            schema: corona_health::SCHEMA_VERSION,
-                            json: build_health_snapshot(
-                                &core,
-                                &conns,
-                                &health,
-                                &watchdogs,
-                                send_queue_capacity,
-                            ),
-                        };
-                        pool.dispatch(WorkItem {
-                            conn_id,
-                            conn: Arc::clone(&state.conn),
-                            frame: encode_event(&event),
-                            class: classify(&event),
-                            group: None,
-                            delivered: None,
-                        });
-                    }
-                    continue;
-                }
-                match &request {
-                    ClientRequest::Broadcast { group, .. } => {
-                        health.group(*group).note_submitted();
-                    }
-                    ClientRequest::Join { group, .. } => health.group(*group).note_join(),
-                    ClientRequest::Leave { group } => health.group(*group).note_leave(),
-                    _ => {}
-                }
-                let now = Timestamp::now();
-                let handle_started = Instant::now();
-                let effects = match conns.get(&conn_id).and_then(|s| s.client) {
-                    None => match request {
-                        ClientRequest::Hello {
-                            display_name,
-                            resume,
-                            ..
-                        } => {
-                            let (client, effects) = core.client_hello(display_name, resume);
-                            if let Some(state) = conns.get_mut(&conn_id) {
-                                state.client = Some(client);
-                            }
-                            client_conn.insert(client, conn_id);
-                            effects
-                        }
-                        _ => {
-                            // First message must be Hello.
-                            if let Some(state) = conns.get(&conn_id) {
-                                state.conn.close();
-                            }
-                            continue;
-                        }
-                    },
-                    Some(client) => {
-                        let goodbye = matches!(request, ClientRequest::Goodbye);
-                        let effects = core.handle_request(client, request, now);
-                        if goodbye {
-                            if let Some(state) = conns.get(&conn_id) {
-                                state.conn.close();
-                            }
-                            client_conn.remove(&client);
-                            if let Some(state) = conns.get_mut(&conn_id) {
-                                state.client = None;
-                            }
-                        }
-                        effects
-                    }
-                };
-                metrics
-                    .stage_handle_us
-                    .record_duration(handle_started.elapsed());
-                health.slo().record(
-                    handle_started.elapsed().as_micros() as u64,
-                    health.uptime_ms(),
-                );
-                if let Some(t) = trace {
-                    corona_trace::record(
-                        corona_trace::Hop::Sequence,
-                        corona_trace::TraceId(t.id),
-                        handle_started.elapsed().as_micros() as u64,
-                        0,
-                    );
-                }
-                execute_effects(
-                    effects,
-                    &conns,
-                    &client_conn,
-                    &mut log,
-                    &pool,
-                    &mut metrics,
-                    &health,
-                    trace,
-                );
-            }
-            Command::Closed { conn_id } => {
-                if let Some(state) = conns.remove(&conn_id) {
-                    metrics.conns_closed.inc();
-                    if let Some(client) = state.client {
-                        client_conn.remove(&client);
-                        let effects = core.client_disconnected(client);
-                        execute_effects(
-                            effects,
-                            &conns,
-                            &client_conn,
-                            &mut log,
-                            &pool,
-                            &mut metrics,
-                            &health,
-                            None,
-                        );
+                Command::Frame { conn_id, frame } => self.on_frame(conn_id, &frame),
+                Command::Closed { conn_id } => {
+                    if let Some(effects) = self.remove_conn(conn_id) {
+                        self.execute(effects, None);
                     }
                 }
-            }
-            Command::SendFailed { conn_id } => {
-                // Idempotent with the reader thread's `Closed` — the
-                // first of the two to arrive reaps the connection.
-                if let Some(state) = conns.remove(&conn_id) {
-                    state.conn.close();
-                    metrics.conns_closed.inc();
-                    metrics.dead_conn.inc();
-                    if let Some(client) = state.client {
-                        client_conn.remove(&client);
-                        // Emit the session-leave actions (membership
-                        // notifications, lock handoffs) exactly as for
-                        // a reader-observed disconnect.
-                        let effects = core.client_disconnected(client);
-                        execute_effects(
-                            effects,
-                            &conns,
-                            &client_conn,
-                            &mut log,
-                            &pool,
-                            &mut metrics,
-                            &health,
-                            None,
-                        );
-                    }
-                }
-            }
-            Command::Stats(reply) => {
-                let c = core.counters();
-                snapshot_seq += 1;
-                let _ = reply.send(ServerStats {
-                    broadcasts: c.broadcasts,
-                    deliveries: c.deliveries,
-                    joins: c.joins,
-                    reductions: c.reductions,
-                    shed: metrics.shed.get(),
-                    conns_accepted: metrics.conns_accepted.get(),
-                    conns_closed: metrics.conns_closed.get(),
-                    decode_errors: metrics.decode_errors.get(),
-                    dead_conns: metrics.dead_conn.get(),
-                    open_conns: conns.len(),
-                    groups: core.group_count(),
-                    clients: core.client_count(),
-                    uptime_ms: started.elapsed().as_millis() as u64,
-                    snapshot_seq,
-                });
-            }
-            Command::Metrics(reply) => {
-                let _ = reply.send(metrics.registry.snapshot());
-            }
-            Command::Health(reply) => {
-                let _ = reply.send(build_health_snapshot(
-                    &core,
-                    &conns,
-                    &health,
-                    &watchdogs,
-                    send_queue_capacity,
-                ));
-            }
-            Command::Shutdown => break,
-        }
-    }
-    // Drain and stop the fan-out workers before tearing down
-    // connections, so queued frames either flush or fail cleanly.
-    pool.shutdown();
-    // Close every connection so reader threads exit.
-    for state in conns.values() {
-        state.conn.close();
-    }
-    // Dropping `log` (LogSink::Thread) closes the logger channel; the
-    // logger thread then syncs and exits.
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_effects(
-    effects: Vec<Effect>,
-    conns: &HashMap<u64, ConnState>,
-    client_conn: &HashMap<ClientId, u64>,
-    log: &mut LogSink,
-    pool: &FanoutPool,
-    metrics: &mut ServerMetrics,
-    health: &Arc<HealthRegistry>,
-    trace: Option<TraceToken>,
-) {
-    let fanout_started = Instant::now();
-    let mut fanned = false;
-    let mut fanout_recorded = false;
-    for effect in effects {
-        match effect {
-            Effect::Send { to, event } => {
-                if let Some(state) = client_conn.get(&to).and_then(|id| conns.get(id)) {
-                    fanned = true;
-                    pool.dispatch(WorkItem {
-                        conn_id: *client_conn.get(&to).expect("resolved above"),
-                        conn: Arc::clone(&state.conn),
-                        frame: encode_event(&event),
-                        class: classify(&event),
-                        group: None,
-                        delivered: None,
+                Command::Stats(reply) => {
+                    let c = self.core.counters();
+                    snapshot_seq += 1;
+                    let _ = reply.send(ServerStats {
+                        broadcasts: c.broadcasts,
+                        deliveries: c.deliveries,
+                        joins: c.joins,
+                        reductions: c.reductions,
+                        shed: self.fanout.shed.get(),
+                        conns_accepted: self.metrics.conns_accepted.get(),
+                        conns_closed: self.metrics.conns_closed.get(),
+                        decode_errors: self.metrics.decode_errors.get(),
+                        dead_conns: self.metrics.dead_conn.get(),
+                        open_conns: self.conns.len(),
+                        groups: self.core.group_count(),
+                        clients: self.core.client_count(),
+                        uptime_ms: started.elapsed().as_millis() as u64,
+                        snapshot_seq,
                     });
                 }
+                Command::Metrics(reply) => {
+                    let _ = reply.send(self.metrics.registry.snapshot());
+                }
+                Command::Health(reply) => {
+                    let _ = reply.send(self.health_snapshot());
+                }
+                Command::Shutdown => break,
             }
-            Effect::Multicast {
-                group,
-                recipients,
-                event,
-            } => {
-                // Encode ONCE for all recipients; every work item
-                // clones the refcounted bytes, not the payload. The
-                // trace token (if any) is identical for every
-                // recipient, so the traced frame is shareable too.
-                let frame = match trace {
-                    Some(t) => {
-                        if !fanout_recorded {
-                            fanout_recorded = true;
-                            // Stamped before the first frame can hit a
-                            // transmit queue, so a client's delivery
-                            // timestamp never precedes it; the arg
-                            // carries the fan-out width.
-                            corona_trace::record(
-                                corona_trace::Hop::FanoutEnqueue,
-                                corona_trace::TraceId(t.id),
-                                0,
-                                recipients.len() as u64,
-                            );
-                        }
-                        encode_traced(&event, Some(t))
-                    }
-                    None => encode_event(&event),
-                };
-                metrics.fanout_encodes.inc();
-                let mut dispatched = 0u64;
-                let class = classify(&event);
-                // The group's health cell is resolved once per
-                // broadcast (one registry lock), then shared lock-free
-                // by every recipient's work item.
-                let health_note = if let ServerEvent::Multicast { logged, .. } = &event {
-                    let cell = health.group(group);
-                    cell.note_sequenced(logged.seq.raw());
-                    Some((cell, logged.seq.raw()))
-                } else {
-                    None
-                };
-                for to in recipients {
-                    if let Some(conn_id) = client_conn.get(&to) {
-                        if let Some(state) = conns.get(conn_id) {
-                            fanned = true;
-                            dispatched += 1;
-                            pool.dispatch(WorkItem {
-                                conn_id: *conn_id,
-                                conn: Arc::clone(&state.conn),
-                                frame: frame.clone(),
-                                class,
-                                group: Some(group),
-                                delivered: health_note.clone(),
-                            });
-                        }
-                    }
-                }
-                if dispatched > 1 {
-                    metrics
-                        .fanout_bytes_saved
-                        .add((dispatched - 1) * frame.len() as u64);
-                }
+        }
+        // Close every connection so reader threads exit.
+        for state in self.conns.values() {
+            state.conn.close();
+        }
+        // Dropping `log` (LogSink::Thread) closes the logger channel;
+        // the logger thread then syncs and exits.
+    }
+
+    fn close_conn(&self, conn_id: u64) {
+        if let Some(state) = self.conns.get(&conn_id) {
+            state.conn.close();
+        }
+    }
+
+    fn on_frame(&mut self, conn_id: u64, frame: &[u8]) {
+        let Ok((request, trace)) = decode_traced::<ClientRequest>(frame) else {
+            // Malformed frame: drop the connection (it may be
+            // version-skewed or hostile).
+            self.metrics.decode_errors.inc();
+            self.close_conn(conn_id);
+            return;
+        };
+        if let Some(t) = trace {
+            corona_trace::record(
+                corona_trace::Hop::ServerIngress,
+                corona_trace::TraceId(t.id),
+                0,
+                0,
+            );
+            self.health.note_trace(t.id);
+        }
+        if matches!(request, ClientRequest::GetHealth) {
+            // Served by the runtime, not the core: the snapshot needs
+            // the connection table and watchdog state. Answered even
+            // before Hello so bare admin probes work.
+            let event = ServerEvent::Health {
+                schema: corona_health::SCHEMA_VERSION,
+                json: self.health_snapshot(),
+            };
+            self.send_event(conn_id, &event);
+            self.reap_dead();
+            return;
+        }
+        match &request {
+            ClientRequest::Broadcast { group, .. } => {
+                self.health.group(*group).note_submitted();
             }
-            Effect::Log(log_effect) => {
-                let log_started = Instant::now();
-                let is_append = matches!(log_effect, LogEffect::Append { .. });
-                log.apply(log_effect);
-                metrics.stage_log_us.record_duration(log_started.elapsed());
-                if let (Some(t), true) = (trace, is_append) {
-                    corona_trace::record(
-                        corona_trace::Hop::LogAppend,
-                        corona_trace::TraceId(t.id),
-                        log_started.elapsed().as_micros() as u64,
-                        0,
-                    );
+            ClientRequest::Join { group, .. } => self.health.group(*group).note_join(),
+            ClientRequest::Leave { group } => self.health.group(*group).note_leave(),
+            _ => {}
+        }
+        let now = Timestamp::now();
+        let handle_started = Instant::now();
+        let effects = match self.conns.get(&conn_id).and_then(|s| s.client) {
+            None => match request {
+                ClientRequest::Hello {
+                    display_name,
+                    resume,
+                    ..
+                } => {
+                    let (client, effects) = self.core.client_hello(display_name, resume);
+                    if let Some(state) = self.conns.get_mut(&conn_id) {
+                        state.client = Some(client);
+                    }
+                    self.client_conn.insert(client, conn_id);
+                    effects
                 }
+                _ => {
+                    // First message must be Hello.
+                    self.close_conn(conn_id);
+                    return;
+                }
+            },
+            Some(client) => {
+                let goodbye = matches!(request, ClientRequest::Goodbye);
+                let effects = self.core.handle_request(client, request, now);
+                if goodbye {
+                    self.client_conn.remove(&client);
+                    if let Some(state) = self.conns.get_mut(&conn_id) {
+                        state.conn.close();
+                        state.client = None;
+                    }
+                }
+                effects
+            }
+        };
+        let handled = handle_started.elapsed();
+        self.metrics.stage_handle_us.record_duration(handled);
+        self.health
+            .slo()
+            .record(handled.as_micros() as u64, self.health.uptime_ms());
+        if let Some(t) = trace {
+            corona_trace::record(
+                corona_trace::Hop::Sequence,
+                corona_trace::TraceId(t.id),
+                handled.as_micros() as u64,
+                0,
+            );
+        }
+        self.execute(effects, trace);
+    }
+
+    /// Forgets a connection and returns its session-leave effects —
+    /// membership notifications, lock handoffs. `None` if it was
+    /// already gone: the transport's `Closed` and a send-failure reap
+    /// may both name it, and the first one wins.
+    fn remove_conn(&mut self, conn_id: u64) -> Option<Vec<Effect>> {
+        let state = self.conns.remove(&conn_id)?;
+        self.metrics.conns_closed.inc();
+        Some(match state.client {
+            Some(client) => {
+                self.client_conn.remove(&client);
+                self.core.client_disconnected(client)
+            }
+            None => Vec::new(),
+        })
+    }
+
+    /// Enqueues one unicast event; `false` if the connection is gone.
+    fn send_event(&mut self, conn_id: u64, event: &ServerEvent) -> bool {
+        let Some(state) = self.conns.get(&conn_id) else {
+            return false;
+        };
+        self.fanout.enqueue(
+            conn_id,
+            &**state.conn,
+            Frame::new(event.encode_to_bytes()),
+            classify(event),
+            None,
+        );
+        true
+    }
+
+    fn execute(&mut self, effects: Vec<Effect>, trace: Option<TraceToken>) {
+        self.apply(effects, trace);
+        self.reap_dead();
+    }
+
+    /// Reaps every connection a failed undroppable send closed — in
+    /// this same dispatcher step, not whenever its reader notices — so
+    /// nothing keeps encoding and "delivering" to a corpse. The
+    /// session-leave effects of a reap can themselves fail sends; the
+    /// loop runs until none are left.
+    fn reap_dead(&mut self) {
+        while let Some(conn_id) = self.fanout.dead.pop() {
+            if let Some(effects) = self.remove_conn(conn_id) {
+                self.metrics.dead_conn.inc();
+                self.apply(effects, None);
             }
         }
     }
-    if fanned {
-        metrics
-            .stage_fanout_us
-            .record_duration(fanout_started.elapsed());
-    }
-}
 
-fn encode_event(event: &ServerEvent) -> bytes::Bytes {
-    event.encode_to_bytes()
+    fn apply(&mut self, effects: Vec<Effect>, trace: Option<TraceToken>) {
+        let fanout_started = Instant::now();
+        let mut fanned = false;
+        let mut fanout_recorded = false;
+        for effect in effects {
+            match effect {
+                Effect::Send { to, event } => {
+                    if let Some(&conn_id) = self.client_conn.get(&to) {
+                        fanned |= self.send_event(conn_id, &event);
+                    }
+                }
+                Effect::Multicast {
+                    group,
+                    recipients,
+                    event,
+                } => {
+                    // Encode and frame ONCE for all recipients; every
+                    // transmit queue gets a clone of the refcounted
+                    // body and the already-computed header. The trace
+                    // token (if any) is identical for every recipient,
+                    // so the traced frame is shareable too.
+                    if let (Some(t), false) = (trace, fanout_recorded) {
+                        fanout_recorded = true;
+                        // Stamped before the first frame can hit a
+                        // transmit queue, so a client's delivery
+                        // timestamp never precedes it; the arg carries
+                        // the fan-out width.
+                        corona_trace::record(
+                            corona_trace::Hop::FanoutEnqueue,
+                            corona_trace::TraceId(t.id),
+                            0,
+                            recipients.len() as u64,
+                        );
+                    }
+                    let frame = Frame::new(encode_traced(&event, trace));
+                    self.metrics.fanout_encodes.inc();
+                    let mut dispatched = 0u64;
+                    let class = classify(&event);
+                    // The group's health cell is resolved once per
+                    // broadcast (one registry lock), then shared
+                    // lock-free by every recipient's enqueue.
+                    let health_note = if let ServerEvent::Multicast { logged, .. } = &event {
+                        let cell = self.health.group(group);
+                        cell.note_sequenced(logged.seq.raw());
+                        Some((cell, logged.seq.raw()))
+                    } else {
+                        None
+                    };
+                    for to in recipients {
+                        let Some(&conn_id) = self.client_conn.get(&to) else {
+                            continue;
+                        };
+                        let Some(state) = self.conns.get(&conn_id) else {
+                            continue;
+                        };
+                        fanned = true;
+                        dispatched += 1;
+                        let accepted = self.fanout.enqueue(
+                            conn_id,
+                            &**state.conn,
+                            frame.clone(),
+                            class,
+                            Some(group),
+                        );
+                        if let (true, Some((cell, seq))) = (accepted, &health_note) {
+                            cell.note_delivered(*seq);
+                        }
+                    }
+                    if dispatched > 1 {
+                        self.metrics
+                            .fanout_bytes_saved
+                            .add((dispatched - 1) * frame.body().len() as u64);
+                    }
+                }
+                Effect::Log(log_effect) => {
+                    let log_started = Instant::now();
+                    let is_append = matches!(log_effect, LogEffect::Append { .. });
+                    self.log.apply(log_effect);
+                    self.metrics
+                        .stage_log_us
+                        .record_duration(log_started.elapsed());
+                    if let (Some(t), true) = (trace, is_append) {
+                        corona_trace::record(
+                            corona_trace::Hop::LogAppend,
+                            corona_trace::TraceId(t.id),
+                            log_started.elapsed().as_micros() as u64,
+                            0,
+                        );
+                    }
+                }
+            }
+        }
+        if fanned {
+            self.metrics
+                .stage_fanout_us
+                .record_duration(fanout_started.elapsed());
+        }
+    }
+
+    /// Builds the health snapshot: refreshes snapshot-time facts the
+    /// hot path does not track (membership sizes, per-connection
+    /// backpressure) and renders the registry.
+    fn health_snapshot(&self) -> String {
+        for group in self.core.registry().group_ids() {
+            let members = self
+                .core
+                .registry()
+                .get(group)
+                .map_or(0, |g| g.member_count() as u64);
+            self.health.group(group).set_members(members);
+        }
+        let pressure: Vec<ConnPressure> = self
+            .conns
+            .iter()
+            .map(|(id, state)| {
+                let backlog = state.conn.backlog() as u64;
+                ConnPressure {
+                    conn_id: *id,
+                    backlog,
+                    // Half the bounded queue is the pressure threshold:
+                    // past it, QoS shedding is already in play.
+                    backpressured: backlog * 2 >= self.send_queue_capacity as u64,
+                }
+            })
+            .collect();
+        self.health
+            .snapshot_json(&pressure, &self.watchdogs.stalled_groups())
+    }
 }

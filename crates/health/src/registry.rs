@@ -1,7 +1,7 @@
 //! The lock-free health registry.
 //!
 //! Server runtimes publish health facts into the registry from their
-//! hot paths (dispatcher, fan-out workers) using relaxed atomics; the
+//! hot paths (the dispatcher and its fan-out) using relaxed atomics; the
 //! registry is only locked to *register* a new group cell or to cut a
 //! snapshot — mirroring the design of `corona_metrics::Registry`.
 

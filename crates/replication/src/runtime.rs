@@ -15,12 +15,13 @@ use crate::coordinator::{CoordEffect, CoordinatorCore};
 use crate::election::{ElectionCore, ElectionEffect};
 use crate::merge::{find_divergence, merge, MergeResolution, Side};
 use crate::replica::{ReplicaCore, ReplicaEffect};
-use corona_core::ServerConfig;
+use corona_core::{classify, EventClass, ServerConfig};
 use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
 use corona_metrics::{Counter, Histogram, MetricsSnapshot, Registry};
 use corona_statelog::GroupLog;
-use corona_transport::{Connection, Dialer, Listener};
+use corona_transport::{Connection, Dialer, Listener, TransportError};
 use corona_types::error::{CoronaError, ErrorCode, Result};
+use corona_types::frame::Frame;
 use corona_types::id::{ClientId, Epoch, GroupId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent};
 use corona_types::state::Timestamp;
@@ -138,8 +139,10 @@ pub struct ReplicatedServer {
 /// resolved coordinator), `repl.peer.sent` (all peer messages out),
 /// `repl.fanout.sequenced` (per-hosting-server `Sequenced` fan-out),
 /// `repl.fenced.rejects` (sequencing requests refused while the
-/// quorum lease is lost) and `repl.reconciled.groups` (group logs
-/// merged back after a heal).
+/// quorum lease is lost), `repl.reconciled.groups` (group logs
+/// merged back after a heal) and `repl.client.send_failed` (client
+/// connections closed because an undroppable frame could not be
+/// enqueued).
 struct ReplMetrics {
     heartbeats_sent: Arc<Counter>,
     heartbeats_recv: Arc<Counter>,
@@ -151,6 +154,7 @@ struct ReplMetrics {
     fanout_sequenced: Arc<Counter>,
     fenced_rejects: Arc<Counter>,
     reconciled_groups: Arc<Counter>,
+    client_send_failed: Arc<Counter>,
 }
 
 impl ReplMetrics {
@@ -166,6 +170,7 @@ impl ReplMetrics {
             fanout_sequenced: registry.counter("repl.fanout.sequenced"),
             fenced_rejects: registry.counter("repl.fenced.rejects"),
             reconciled_groups: registry.counter("repl.reconciled.groups"),
+            client_send_failed: registry.counter("repl.client.send_failed"),
         }
     }
 }
@@ -537,6 +542,7 @@ impl Dispatcher {
         while let Ok(cmd) = cmd_rx.recv() {
             match cmd {
                 Command::ClientAccepted { conn_id, conn } => {
+                    conn.set_send_capacity(self.config.server_config.send_queue_capacity);
                     self.client_conns.insert(conn_id, (conn, None));
                 }
                 Command::ClientFrame { conn_id, frame } => self.client_frame(conn_id, frame),
@@ -609,7 +615,7 @@ impl Dispatcher {
                 json: self.build_health_snapshot(),
             };
             if let Some((conn, _)) = self.client_conns.get(&conn_id) {
-                let _ = conn.send(event.encode_to_bytes());
+                self.send_to_conn(conn, Frame::new(event.encode_to_bytes()), classify(&event));
             }
             return;
         }
@@ -1126,24 +1132,24 @@ impl Dispatcher {
         match eff {
             ReplicaEffect::ToClient { to, event } => self.send_client(to, &event),
             ReplicaEffect::ToClients { recipients, event } => {
-                // Encode once; all local recipients share the
-                // refcounted frame.
+                // Encode and frame once; all local recipients share
+                // the refcounted body and its computed header.
                 let delivered = match &event {
                     ServerEvent::Multicast { group, logged } => {
                         Some((self.health.group(*group), logged.seq.raw()))
                     }
                     _ => None,
                 };
-                let frame = event.encode_to_bytes();
+                let class = classify(&event);
+                let frame = Frame::new(event.encode_to_bytes());
                 for to in recipients {
                     if let Some(conn_id) = self.client_conn_of.get(&to) {
                         if let Some((conn, _)) = self.client_conns.get(conn_id) {
-                            if conn.send(frame.clone()).is_ok() {
+                            if self.send_to_conn(conn, frame.clone(), class) {
                                 if let Some((cell, seq)) = &delivered {
                                     cell.note_delivered(*seq);
                                 }
                             }
-                            self.health.note_queue_depth(conn.backlog() as u64);
                         }
                     }
                 }
@@ -1186,12 +1192,37 @@ impl Dispatcher {
     fn send_client(&mut self, to: ClientId, event: &ServerEvent) {
         if let Some(conn_id) = self.client_conn_of.get(&to) {
             if let Some((conn, _)) = self.client_conns.get(conn_id) {
-                if conn.send(event.encode_to_bytes()).is_ok() {
+                let frame = Frame::new(event.encode_to_bytes());
+                if self.send_to_conn(conn, frame, classify(event)) {
                     if let ServerEvent::Multicast { group, logged } = event {
                         self.health.group(*group).note_delivered(logged.seq.raw());
                     }
                 }
-                self.health.note_queue_depth(conn.backlog() as u64);
+            }
+        }
+    }
+
+    /// Enqueues `frame` on a client connection; `true` if accepted.
+    /// An awareness frame meeting a full queue is shed. Any other
+    /// failure — dead peer, or a queue too full for a frame the
+    /// client cannot do without — closes the connection, so its
+    /// reader reports `ClientClosed` and the session is reaped rather
+    /// than left with a silent gap.
+    fn send_to_conn(
+        &self,
+        conn: &Arc<Box<dyn Connection>>,
+        frame: Frame,
+        class: EventClass,
+    ) -> bool {
+        let result = conn.send_frame(frame);
+        self.health.note_queue_depth(conn.backlog() as u64);
+        match result {
+            Ok(()) => true,
+            Err(TransportError::Full) if class == EventClass::Awareness => false,
+            Err(_) => {
+                conn.close();
+                self.metrics.client_send_failed.inc();
+                false
             }
         }
     }
@@ -1218,7 +1249,7 @@ impl Dispatcher {
             return;
         };
         if let Some((conn, Some(_))) = self.client_conns.get(&conn_id) {
-            let _ = conn.send(event.encode_to_bytes());
+            self.send_to_conn(conn, Frame::new(event.encode_to_bytes()), classify(&event));
         }
     }
 
@@ -1229,10 +1260,11 @@ impl Dispatcher {
         let Some(event) = self.roster_event() else {
             return;
         };
-        let frame = event.encode_to_bytes();
+        let class = classify(&event);
+        let frame = Frame::new(event.encode_to_bytes());
         for (conn, client) in self.client_conns.values() {
             if client.is_some() {
-                let _ = conn.send(frame.clone());
+                self.send_to_conn(conn, frame.clone(), class);
             }
         }
     }

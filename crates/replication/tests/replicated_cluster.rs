@@ -26,6 +26,12 @@ impl Cluster {
     /// Starts `n` servers; server ids 1..=n in startup order (so s1 is
     /// the initial coordinator).
     fn start(n: u64) -> Cluster {
+        Self::start_with(n, |config| config)
+    }
+
+    /// Like [`Cluster::start`], with every server's configuration
+    /// passed through `tune`.
+    fn start_with(n: u64, tune: fn(ServerConfig) -> ServerConfig) -> Cluster {
         let net = MemNetwork::new();
         let peers: Vec<(ServerId, String)> = (1..=n)
             .map(|i| (ServerId::new(i), format!("s{i}-peer")))
@@ -43,7 +49,7 @@ impl Cluster {
                 client_addrs: client_addrs.clone(),
                 heartbeat_ms: 30,
                 base_timeout_ms: 150,
-                server_config: ServerConfig::stateful(ServerId::new(i)),
+                server_config: tune(ServerConfig::stateful(ServerId::new(i))),
             };
             servers.push(
                 ReplicatedServer::start(
@@ -466,5 +472,110 @@ fn cascading_coordinator_failures() {
     assert!(
         text.starts_with("epoch0;"),
         "lost pre-failover state: {text}"
+    );
+}
+
+/// A client send that fails — here a capacity-1 transmit queue meeting
+/// a subscriber that stopped reading — must not be swallowed: the
+/// laggard is disconnected and reaped (a gap would desynchronise its
+/// mirror), it is counted, and the surviving subscriber's stream stays
+/// gap-free.
+#[test]
+fn laggard_client_is_dropped_and_survivors_keep_a_gap_free_stream() {
+    use corona_transport::Connection;
+    use corona_types::message::{ClientRequest, PROTOCOL_VERSION};
+    use corona_types::wire::{decode_traced, Encode};
+
+    let cluster = Cluster::start_with(2, |c| c.with_send_queue_capacity(1));
+    let sender = cluster.client("sender", 1);
+    let live = cluster.client("live", 2);
+    sender
+        .create_group(G, Persistence::Transient, SharedState::new())
+        .unwrap();
+    for c in [&sender, &live] {
+        c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+            .unwrap();
+    }
+
+    // The laggard speaks the wire protocol over a raw connection (the
+    // facade client's reader thread would keep draining the queue)
+    // and stops reading once its join completes.
+    let raw = cluster.net.dial_from("laggard", "s2-client").unwrap();
+    let expect = |what: &str, want: fn(&ServerEvent) -> bool| loop {
+        let event = decode_traced::<ServerEvent>(&raw.recv().unwrap())
+            .unwrap()
+            .0;
+        if want(&event) {
+            return event;
+        }
+        // Roster / membership pushes may interleave.
+        assert!(
+            matches!(
+                event,
+                ServerEvent::Roster { .. } | ServerEvent::MembershipChanged { .. }
+            ),
+            "waiting for {what}, got {event:?}"
+        );
+    };
+    raw.send(
+        ClientRequest::Hello {
+            version: PROTOCOL_VERSION,
+            display_name: "laggard".into(),
+            resume: None,
+        }
+        .encode_to_bytes(),
+    )
+    .unwrap();
+    let ServerEvent::Welcome {
+        client: laggard_id, ..
+    } = expect("welcome", |e| matches!(e, ServerEvent::Welcome { .. }))
+    else {
+        unreachable!()
+    };
+    raw.send(
+        ClientRequest::Join {
+            group: G,
+            role: MemberRole::Principal,
+            policy: StateTransferPolicy::None,
+            notify_membership: false,
+        }
+        .encode_to_bytes(),
+    )
+    .unwrap();
+    expect("joined", |e| matches!(e, ServerEvent::Joined { .. }));
+    let follower = &cluster.servers[1];
+    assert_eq!(follower.status().unwrap().local_clients, 2);
+
+    // First broadcast fills the laggard's queue; the second finds it
+    // full. The live subscriber reads each frame before the next send,
+    // so only the laggard can overflow.
+    let mut seqs = Vec::new();
+    for payload in [&b"one"[..], &b"two"[..], &b"three"[..]] {
+        sender
+            .bcast_update(G, O, payload, DeliveryScope::SenderExclusive)
+            .unwrap();
+        let (seq, got) = next_multicast(&live, Duration::from_secs(10));
+        assert_eq!(got, payload);
+        seqs.push(seq.raw());
+    }
+    assert!(
+        seqs.windows(2).all(|w| w[1] == w[0] + 1),
+        "survivor's stream has a gap: {seqs:?}"
+    );
+
+    // The closed connection's reader reports it; the session goes.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while follower.status().unwrap().local_clients != 1 {
+        assert!(Instant::now() < deadline, "laggard was never reaped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(raw.is_closed());
+    // At least the overflowing send; "three" may also have met the
+    // closed connection before its reader's report was processed.
+    assert!(follower.metrics().counter("repl.client.send_failed") >= 1);
+    let members = sender.membership(G).unwrap();
+    assert!(
+        members.iter().all(|m| m.client != laggard_id),
+        "reap must emit the session leave: {members:?}"
     );
 }

@@ -22,6 +22,7 @@
 use crate::nemesis::{FaultRng, LinkFaults};
 use crate::traits::{Connection, Dialer, Listener, TransportError, DEFAULT_SEND_CAPACITY};
 use bytes::Bytes;
+use corona_types::frame::Frame;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -387,7 +388,9 @@ impl MemConnection {
 }
 
 impl Connection for MemConnection {
-    fn send(&self, frame: Bytes) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
+        // No wire, no header: bodies move between queues.
+        let frame = frame.into_body();
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }

@@ -10,6 +10,7 @@
 use crate::traits::{Connection, TransportError};
 use bytes::Bytes;
 use corona_metrics::{Counter, Histogram, Registry};
+use corona_types::frame::Frame;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,9 +113,9 @@ impl MeteredConnection {
 }
 
 impl Connection for MeteredConnection {
-    fn send(&self, frame: Bytes) -> Result<(), TransportError> {
-        let n = frame.len() as u64;
-        self.inner.send(frame)?;
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
+        let n = frame.body().len() as u64;
+        self.inner.send_frame(frame)?;
         self.frames_out.fetch_add(1, Ordering::Relaxed);
         self.bytes_out.fetch_add(n, Ordering::Relaxed);
         self.shared.frames_out.inc();

@@ -32,6 +32,7 @@
 use crate::traits::{Connection, Dialer, Listener, TransportError};
 use bytes::Bytes;
 use corona_metrics::{Counter, Registry};
+use corona_types::frame::Frame;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
@@ -405,7 +406,7 @@ struct ConnShared {
     remote: Mutex<Option<String>>,
     /// One-slot reorder buffer: a held-back frame awaiting the next
     /// send (adjacent swap).
-    hold: Mutex<Option<Bytes>>,
+    hold: Mutex<Option<Frame>>,
     nem: Weak<NemesisInner>,
 }
 
@@ -416,10 +417,10 @@ pub struct NemesisConnection {
 }
 
 impl Connection for NemesisConnection {
-    fn send(&self, frame: Bytes) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
         let s = &self.shared;
         let Some(nem) = s.nem.upgrade() else {
-            return s.inner.send(frame);
+            return s.inner.send_frame(frame);
         };
         if s.inner.is_closed() {
             return Err(TransportError::Closed);
@@ -441,9 +442,9 @@ impl Connection for NemesisConnection {
             // is not stranded; it is older, so it goes first.
             let prior = s.hold.lock().take();
             if let Some(h) = prior {
-                s.inner.send(h)?;
+                s.inner.send_frame(h)?;
             }
-            return s.inner.send(frame);
+            return s.inner.send_frame(frame);
         }
         let (drop_it, dup_it, reorder_it) = {
             let mut rng = nem.rng.lock();
@@ -471,13 +472,13 @@ impl Connection for NemesisConnection {
         drop(hold);
         // The current frame goes first; a held frame follows it
         // (completing the adjacent swap).
-        s.inner.send(frame.clone())?;
+        s.inner.send_frame(frame.clone())?;
         if let Some(h) = prior {
-            let _ = s.inner.send(h);
+            let _ = s.inner.send_frame(h);
         }
         if dup_it {
             nem.metrics.duplicated.inc();
-            let _ = s.inner.send(frame);
+            let _ = s.inner.send_frame(frame);
         }
         Ok(())
     }

@@ -9,7 +9,7 @@
 //! [`corona_trace::Hop::Disconnect`] events — but multiplexes *all*
 //! connections onto `N` shard event loops driven by epoll readiness
 //! (via the offline [`mio`] shim): server thread count becomes
-//! O(shards + fan-out workers) instead of O(2 × clients).
+//! O(shards) instead of O(2 × clients).
 //!
 //! Sharding is by connection id (`conn_id % shards`): each shard owns
 //! a poller plus the read/decode and write/flush state of its
@@ -33,6 +33,13 @@
 //! released only once the frame's bytes reach the socket. Writability
 //! interest is armed only while a connection has pending output, so an
 //! idle population costs zero wakeups.
+//!
+//! The write path is built so a delivery costs at most one syscall:
+//! frames arrive pre-framed ([`Frame`], header computed once per
+//! multicast, not per copy); a flush gathers header ∥ body of every
+//! queued frame into one `writev`; the poller is only told about an
+//! interest set that actually changed; and a shard's eventfd is written
+//! once per batch of ops, not once per op.
 
 use crate::tcp::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
 use crate::traits::{
@@ -41,12 +48,11 @@ use crate::traits::{
 };
 use bytes::Bytes;
 use corona_metrics::{Counter, Gauge, Histogram, Registry};
-use corona_types::frame::{frame_header, read_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
-use crossbeam::channel::{self, Receiver, Sender};
+use corona_types::frame::{read_frame, Frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -66,16 +72,25 @@ const TOKEN_NONE: usize = usize::MAX;
 /// monopolise its shard or buffer unbounded memory.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// Max frames flushed to one socket per writability event; the rest
-/// stay queued and the still-armed write interest re-fires.
+/// Max frames flushed to one socket per writability event — and per
+/// `writev`; the rest stay queued and the armed write interest
+/// re-fires.
 const WRITE_BUDGET_FRAMES: usize = 64;
+
+/// Header + body slice per gathered frame. Linux caps one `writev` at
+/// `IOV_MAX` = 1024 entries.
+const WRITE_IOV: usize = 2 * WRITE_BUDGET_FRAMES;
+const _: () = assert!(WRITE_IOV <= 1024);
 
 /// Read chunk size (one `read(2)` call).
 const READ_CHUNK: usize = 64 * 1024;
 
-/// How often a pending pull-mode `accept` (or the push-mode accept
-/// thread) re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Token of the listening socket in a listener's [`AcceptGate`].
+const LISTENER_TOKEN: Token = Token(0);
+
+/// Back-off after a failed `accept(2)` (fd exhaustion): the socket
+/// stays readable, so without it the accept thread would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(1);
 
 /// How long a shard sleeps between [`FrameSink::ready_for_more`]
 /// checks while at least one of its connections is sink-paused.
@@ -105,9 +120,20 @@ struct ReactorMetrics {
     /// `server.reactor.write_blocked` — `WouldBlock` on a socket write
     /// (the peer's receive window is full; write interest stays armed).
     write_blocked: Arc<Counter>,
-    /// `server.reactor.shard_depth` — pending shard-op queue depth
-    /// sampled once per poll iteration.
+    /// `server.reactor.shard_depth` — shard ops drained per poll
+    /// iteration.
     shard_depth: Arc<Histogram>,
+    /// `server.reactor.write_calls` — `writev(2)` calls issued.
+    write_calls: Arc<Counter>,
+    /// `server.reactor.frames_out` — frames whose last byte reached a
+    /// socket. `write_calls / frames_out` is syscalls per frame.
+    frames_out: Arc<Counter>,
+    /// `server.reactor.interest_changes` — `epoll_ctl` calls (the
+    /// registered interest set actually changed).
+    interest_changes: Arc<Counter>,
+    /// `server.reactor.wake_writes` — eventfd writes (shard ops that
+    /// found no wake-up already pending).
+    wake_writes: Arc<Counter>,
 }
 
 impl ReactorMetrics {
@@ -121,6 +147,10 @@ impl ReactorMetrics {
             read_paused: registry.counter("server.reactor.read_paused"),
             write_blocked: registry.counter("server.reactor.write_blocked"),
             shard_depth: registry.histogram("server.reactor.shard_depth"),
+            write_calls: registry.counter("server.reactor.write_calls"),
+            frames_out: registry.counter("server.reactor.frames_out"),
+            interest_changes: registry.counter("server.reactor.interest_changes"),
+            wake_writes: registry.counter("server.reactor.wake_writes"),
         }
     }
 }
@@ -129,22 +159,14 @@ impl ReactorMetrics {
 // Connection state
 // ---------------------------------------------------------------------
 
-/// One frame mid-write: header ∥ body with a resume position, so a
-/// short write picks up exactly where the socket buffer filled.
-struct Staged {
-    header: [u8; FRAME_HEADER_LEN],
-    frame: Bytes,
-    pos: usize,
-}
-
 /// Outbound state, guarded by one mutex: senders push, the shard
-/// drains. `want_write` is the wakeup-elision flag — set by the first
-/// sender to queue into an empty pipeline (which then notifies the
-/// shard), cleared by the shard only once everything is flushed, so a
-/// wakeup can never be lost.
+/// takes batches (the socket write itself holds no lock).
+/// `want_write` is the wakeup-elision flag — set by the first sender
+/// to queue into an empty pipeline (which then notifies the shard),
+/// cleared by the shard only once everything is flushed, so a wakeup
+/// can never be lost.
 struct OutQueue {
-    queue: VecDeque<Bytes>,
-    staged: Option<Staged>,
+    queue: VecDeque<Frame>,
     want_write: bool,
 }
 
@@ -181,8 +203,7 @@ struct ConnInner {
     inbound_capacity: usize,
     /// Push-mode delivery target; `None` means pull mode.
     sink: Option<Arc<dyn FrameSink>>,
-    ops: Sender<ShardOp>,
-    waker: Arc<Waker>,
+    inbox: Arc<ShardInbox>,
 }
 
 impl fmt::Debug for ConnInner {
@@ -193,15 +214,6 @@ impl fmt::Debug for ConnInner {
             .field("closed", &self.closed.load(Ordering::Relaxed))
             .field("push_mode", &self.sink.is_some())
             .finish()
-    }
-}
-
-impl ConnInner {
-    fn notify_shard(&self, op: ShardOp) {
-        // A send error means the reactor is gone; its teardown already
-        // marked every connection closed.
-        let _ = self.ops.send(op);
-        let _ = self.waker.wake();
     }
 }
 
@@ -230,14 +242,14 @@ impl ReactorConnection {
 }
 
 impl Connection for ReactorConnection {
-    fn send(&self, frame: Bytes) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
         let inner = &self.inner;
         if inner.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
         // Reserve a slot atomically before enqueueing: the cap is
-        // exact even under concurrent senders (dispatcher replies
-        // racing fan-out workers), unlike check-then-act on a length.
+        // exact even under concurrent senders, unlike check-then-act
+        // on a length.
         let cap = inner.send_capacity.load(Ordering::Relaxed);
         if inner
             .outstanding
@@ -256,7 +268,7 @@ impl Connection for ReactorConnection {
             first
         };
         if needs_wakeup {
-            inner.notify_shard(ShardOp::Writable(Arc::clone(inner)));
+            inner.inbox.push(ShardOp::Writable(Arc::clone(inner)));
         }
         Ok(())
     }
@@ -333,7 +345,7 @@ impl Connection for ReactorConnection {
         // The shutdown surfaces as a readiness event, but a fully
         // paused connection is deregistered from the poller — the
         // explicit op guarantees teardown either way.
-        inner.notify_shard(ShardOp::Close(Arc::clone(inner)));
+        inner.inbox.push(ShardOp::Close(Arc::clone(inner)));
         inner.inbound_cv.notify_all();
     }
 
@@ -358,7 +370,7 @@ impl ReactorConnection {
             && !inner.closed.load(Ordering::Acquire)
         {
             inner.read_paused.store(false, Ordering::Release);
-            inner.notify_shard(ShardOp::ResumeRead(Arc::clone(inner)));
+            inner.inbox.push(ShardOp::ResumeRead(Arc::clone(inner)));
         }
     }
 }
@@ -388,9 +400,36 @@ enum ShardOp {
     Close(Arc<ConnInner>),
 }
 
+/// A shard's cross-thread mailbox. Connection handles push ops; the
+/// shard swaps the whole batch out once per loop iteration.
+struct ShardInbox {
+    ops: Mutex<Vec<ShardOp>>,
+    /// Wake-up coalescing: set by the first push after the shard last
+    /// drained (that push writes the eventfd), cleared by the shard
+    /// right *before* it drains. A push that finds it set skips the
+    /// eventfd — its op is already ahead of the pending drain — so a
+    /// multicast costs one wake-up per shard, not one per recipient.
+    wake_pending: AtomicBool,
+    waker: Waker,
+    metrics: Option<ReactorMetrics>,
+}
+
+impl ShardInbox {
+    fn push(&self, op: ShardOp) {
+        lock(&self.ops).push(op);
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            // An error means the reactor is gone; its teardown already
+            // marked every connection closed.
+            let _ = self.waker.wake();
+            if let Some(m) = &self.metrics {
+                m.wake_writes.inc();
+            }
+        }
+    }
+}
+
 struct ShardHandle {
-    ops: Sender<ShardOp>,
-    waker: Arc<Waker>,
+    inbox: Arc<ShardInbox>,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -401,11 +440,19 @@ struct ShardConn {
     /// Frame reassembly buffer: bytes read off the socket but not yet
     /// parsed into complete frames.
     rbuf: Vec<u8>,
-    /// Whether the fd is currently registered with the poller. A
+    /// Frames taken off `inner.out` and not yet fully on the socket.
+    wbatch: VecDeque<Frame>,
+    /// Bytes of `wbatch[0]` (header ∥ body) already written: a short
+    /// write resumes at exactly this byte.
+    wpos: usize,
+    /// The last flush left output behind (socket pushed back, or the
+    /// per-event budget ran out): keep write interest armed.
+    write_pending: bool,
+    /// Interest currently registered with the poller. `None`: a
     /// connection with reading paused and nothing to write is
     /// deregistered entirely (level-triggered epoll would otherwise
     /// spin on the readable socket).
-    registered: bool,
+    interest: Option<Interest>,
 }
 
 enum PumpEnd {
@@ -419,9 +466,7 @@ enum PumpEnd {
 
 struct ShardRt {
     poll: Poll,
-    events: Events,
-    ops_rx: Receiver<ShardOp>,
-    waker: Arc<Waker>,
+    inbox: Arc<ShardInbox>,
     stop: Arc<AtomicBool>,
     conns: HashMap<usize, ShardConn>,
     /// Tokens paused by a [`FrameSink::on_frame`] push-back, polled
@@ -434,6 +479,8 @@ struct ShardRt {
 impl ShardRt {
     fn run(&mut self) {
         let mut scratch = vec![0u8; READ_CHUNK];
+        let mut events = Events::with_capacity(1024);
+        let mut ops = Vec::new();
         loop {
             let timeout = if self.sink_paused.is_empty() {
                 None
@@ -443,21 +490,13 @@ impl ShardRt {
             if self.stop.load(Ordering::Acquire) {
                 break;
             }
-            if self.poll.poll(&mut self.events, timeout).is_err() {
+            if self.poll.poll(&mut events, timeout).is_err() {
                 break;
             }
-            if let Some(m) = &self.metrics {
-                m.polls.inc();
-                m.shard_depth.record(self.ops_rx.len() as u64);
-            }
-            let fired: Vec<(Token, bool, bool)> = self
-                .events
-                .iter()
-                .map(|e| (e.token(), e.is_readable(), e.is_writable()))
-                .collect();
-            for (token, readable, writable) in fired {
+            for event in events.iter() {
+                let token = event.token();
                 if token == WAKER_TOKEN {
-                    self.waker.drain();
+                    self.inbox.waker.drain();
                     if let Some(m) = &self.metrics {
                         m.wakeups.inc();
                     }
@@ -466,14 +505,24 @@ impl ShardRt {
                 if let Some(m) = &self.metrics {
                     m.events.inc();
                 }
-                if writable {
+                if event.is_writable() {
                     self.pump_write(token.0);
                 }
-                if readable {
+                if event.is_readable() {
                     self.pump_read(token.0, &mut scratch);
                 }
             }
-            while let Ok(op) = self.ops_rx.try_recv() {
+            // Clear the flag *before* draining: a push that still sees
+            // it set has its op in the batch taken below; one that
+            // sees it clear writes the eventfd and the next poll
+            // returns at once.
+            self.inbox.wake_pending.store(false, Ordering::SeqCst);
+            std::mem::swap(&mut ops, &mut *lock(&self.inbox.ops));
+            if let Some(m) = &self.metrics {
+                m.polls.inc();
+                m.shard_depth.record(ops.len() as u64);
+            }
+            for op in ops.drain(..) {
                 match op {
                     ShardOp::Register(inner) => self.register(inner, &mut scratch),
                     ShardOp::Writable(inner) => {
@@ -521,22 +570,27 @@ impl ShardRt {
             ShardConn {
                 inner: Arc::clone(&inner),
                 rbuf: Vec::new(),
-                registered: false,
+                wbatch: VecDeque::new(),
+                wpos: 0,
+                write_pending: false,
+                interest: None,
             },
         );
         if inner.closed.load(Ordering::Acquire) {
             self.teardown(token, true);
             return;
         }
-        self.rearm(token);
+        // Flush sends queued before activation (their `Writable` ops
+        // found no token and were dropped); this also arms interest.
+        self.pump_write(token);
         // Bytes may already be waiting (the peer sent before we
         // registered): with level-triggered epoll the registration
         // reports them, but pumping once now saves a poll round-trip.
         self.pump_read(token, scratch);
     }
 
-    /// Recomputes and applies a connection's poller interest from its
-    /// current read/write state.
+    /// Recomputes a connection's poller interest from its current
+    /// read/write state and tells the poller only if it changed.
     fn rearm(&mut self, token: usize) {
         let Some(sc) = self.conns.get_mut(&token) else {
             return;
@@ -544,40 +598,39 @@ impl ShardRt {
         let inner = &sc.inner;
         let want_read =
             !inner.read_paused.load(Ordering::Acquire) && !inner.closed.load(Ordering::Acquire);
-        let want_write = lock(&inner.out).want_write;
+        let want = match (want_read, sc.write_pending) {
+            (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
+            (true, false) => Some(Interest::READABLE),
+            (false, true) => Some(Interest::WRITABLE),
+            (false, false) => None,
+        };
+        if want == sc.interest {
+            return;
+        }
+        if let Some(m) = &self.metrics {
+            m.interest_changes.inc();
+        }
         let fd = inner.stream.as_raw_fd();
         let registry = self.poll.registry();
-        match (sc.registered, want_read || want_write) {
-            (false, false) => {}
-            (true, false) => {
+        let applied = match (sc.interest, want) {
+            (_, None) => {
                 let _ = registry.deregister(fd);
-                sc.registered = false;
+                Ok(())
             }
-            (was, true) => {
-                let interest = match (want_read, want_write) {
-                    (true, true) => Interest::READABLE | Interest::WRITABLE,
-                    (true, false) => Interest::READABLE,
-                    _ => Interest::WRITABLE,
-                };
-                let ok = if was {
-                    registry.reregister(fd, Token(token), interest)
-                } else {
-                    registry.register(fd, Token(token), interest)
-                };
-                match ok {
-                    Ok(()) => sc.registered = true,
-                    Err(_) => self.teardown(token, false),
-                }
-            }
+            (None, Some(interest)) => registry.register(fd, Token(token), interest),
+            (Some(_), Some(interest)) => registry.reregister(fd, Token(token), interest),
+        };
+        match applied {
+            Ok(()) => sc.interest = want,
+            Err(_) => self.teardown(token, false),
         }
     }
 
     fn pump_write(&mut self, token: usize) {
-        let Some(sc) = self.conns.get(&token) else {
+        let Some(sc) = self.conns.get_mut(&token) else {
             return;
         };
-        let inner = Arc::clone(&sc.inner);
-        match write_pump(&inner, self.metrics.as_ref()) {
+        match write_pump(sc, self.metrics.as_ref()) {
             PumpEnd::Keep => self.rearm(token),
             PumpEnd::PeerClosed(clean) => self.teardown(token, clean),
             PumpEnd::Error => self.teardown(token, false),
@@ -629,7 +682,7 @@ impl ShardRt {
         };
         self.sink_paused.remove(&token);
         let inner = &sc.inner;
-        if sc.registered {
+        if sc.interest.is_some() {
             let _ = self.poll.registry().deregister(inner.stream.as_raw_fd());
         }
         inner.token.store(TOKEN_NONE, Ordering::Release);
@@ -667,55 +720,101 @@ impl ShardRt {
 
 /// Flushes a connection's outbound pipeline until the socket pushes
 /// back, the queue drains, or the per-event frame budget runs out.
-fn write_pump(inner: &Arc<ConnInner>, metrics: Option<&ReactorMetrics>) -> PumpEnd {
-    let mut out = lock(&inner.out);
+/// Each pass gathers header ∥ body of every frame in hand into one
+/// `writev`, so a burst to one client is one syscall, not two per
+/// frame.
+fn write_pump(sc: &mut ShardConn, metrics: Option<&ReactorMetrics>) -> PumpEnd {
+    let inner = &sc.inner;
     let mut flushed = 0usize;
     loop {
-        if out.staged.is_none() {
-            match out.queue.pop_front() {
-                Some(frame) => {
-                    out.staged = Some(Staged {
-                        header: frame_header(&frame),
-                        frame,
-                        pos: 0,
-                    });
-                }
-                None => {
-                    out.want_write = false;
-                    return PumpEnd::Keep;
+        {
+            let mut out = lock(&inner.out);
+            while sc.wbatch.len() < WRITE_BUDGET_FRAMES {
+                match out.queue.pop_front() {
+                    Some(frame) => sc.wbatch.push_back(frame),
+                    None => break,
                 }
             }
-        }
-        let staged = out.staged.as_mut().expect("staged frame present");
-        let total = FRAME_HEADER_LEN + staged.frame.len();
-        while staged.pos < total {
-            let chunk: &[u8] = if staged.pos < FRAME_HEADER_LEN {
-                &staged.header[staged.pos..]
-            } else {
-                &staged.frame[staged.pos - FRAME_HEADER_LEN..]
-            };
-            match (&inner.stream).write(chunk) {
-                Ok(0) => return PumpEnd::Error,
-                Ok(n) => staged.pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if let Some(m) = metrics {
-                        m.write_blocked.inc();
-                    }
-                    return PumpEnd::Keep;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return PumpEnd::Error,
+            if sc.wbatch.is_empty() {
+                out.want_write = false;
+                sc.write_pending = false;
+                return PumpEnd::Keep;
             }
         }
-        out.staged = None;
-        inner.outstanding.fetch_sub(1, Ordering::AcqRel);
-        flushed += 1;
-        if flushed >= WRITE_BUDGET_FRAMES && !out.queue.is_empty() {
-            // Leave want_write armed; the still-registered write
-            // interest re-fires and the next pump continues.
+        if flushed >= WRITE_BUDGET_FRAMES {
+            // `want_write` stays set; the armed write interest
+            // re-fires and the next pump continues.
+            sc.write_pending = true;
             return PumpEnd::Keep;
         }
+        let mut iov = [IoSlice::new(&[]); WRITE_IOV];
+        let n = gather(&sc.wbatch, sc.wpos, &mut iov);
+        if let Some(m) = metrics {
+            m.write_calls.inc();
+        }
+        match (&inner.stream).write_vectored(&iov[..n]) {
+            Ok(0) => return PumpEnd::Error,
+            Ok(written) => {
+                let done = advance(&mut sc.wbatch, &mut sc.wpos, written);
+                inner.outstanding.fetch_sub(done, Ordering::AcqRel);
+                flushed += done;
+                if let Some(m) = metrics {
+                    m.frames_out.add(done as u64);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if let Some(m) = metrics {
+                    m.write_blocked.inc();
+                }
+                sc.write_pending = true;
+                return PumpEnd::Keep;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return PumpEnd::Error,
+        }
     }
+}
+
+/// Points `iov` at header ∥ body of every frame in `batch`, minus the
+/// first `done` bytes of the front frame (already on the socket).
+/// Returns how many slices were filled.
+fn gather<'a>(
+    batch: &'a VecDeque<Frame>,
+    done: usize,
+    iov: &mut [IoSlice<'a>; WRITE_IOV],
+) -> usize {
+    let mut n = 0;
+    for (i, frame) in batch.iter().enumerate() {
+        let done = if i == 0 { done } else { 0 };
+        if done < FRAME_HEADER_LEN {
+            iov[n] = IoSlice::new(&frame.header()[done..]);
+            iov[n + 1] = IoSlice::new(frame.body());
+            n += 2;
+        } else {
+            iov[n] = IoSlice::new(&frame.body()[done - FRAME_HEADER_LEN..]);
+            n += 1;
+        }
+    }
+    n
+}
+
+/// Accounts `written` bytes of a [`gather`]ed write: drops the frames
+/// it completed (returning how many) and leaves `done` at the exact
+/// byte of the new front frame where the next write resumes.
+fn advance(batch: &mut VecDeque<Frame>, done: &mut usize, mut written: usize) -> usize {
+    let mut completed = 0;
+    while let Some(front) = batch.front() {
+        let rest = front.wire_len() - *done;
+        if written < rest {
+            *done += written;
+            break;
+        }
+        written -= rest;
+        *done = 0;
+        batch.pop_front();
+        completed += 1;
+    }
+    completed
 }
 
 /// Parses complete frames out of `sc.rbuf`, delivering each to the
@@ -865,15 +964,16 @@ impl Reactor {
         let mut handles = Vec::new();
         for i in 0..shards.max(1) {
             let poll = Poll::new().map_err(TransportError::from)?;
-            let waker =
-                Arc::new(Waker::new(poll.registry(), WAKER_TOKEN).map_err(TransportError::from)?);
-            let (ops_tx, ops_rx) = channel::unbounded::<ShardOp>();
+            let inbox = Arc::new(ShardInbox {
+                ops: Mutex::new(Vec::new()),
+                wake_pending: AtomicBool::new(false),
+                waker: Waker::new(poll.registry(), WAKER_TOKEN).map_err(TransportError::from)?,
+                metrics: metrics.clone(),
+            });
             let stop = Arc::new(AtomicBool::new(false));
             let mut rt = ShardRt {
                 poll,
-                events: Events::with_capacity(1024),
-                ops_rx,
-                waker: Arc::clone(&waker),
+                inbox: Arc::clone(&inbox),
                 stop: Arc::clone(&stop),
                 conns: HashMap::new(),
                 sink_paused: HashSet::new(),
@@ -885,8 +985,7 @@ impl Reactor {
                 .spawn(move || rt.run())
                 .map_err(|e| TransportError::Io(e.to_string()))?;
             handles.push(ShardHandle {
-                ops: ops_tx,
-                waker,
+                inbox,
                 stop,
                 thread: Some(thread),
             });
@@ -936,7 +1035,6 @@ impl Reactor {
             outstanding: AtomicUsize::new(0),
             out: Mutex::new(OutQueue {
                 queue: VecDeque::new(),
-                staged: None,
                 want_write: false,
             }),
             inbound: Mutex::new(Inbound {
@@ -945,8 +1043,7 @@ impl Reactor {
             inbound_cv: Condvar::new(),
             inbound_capacity: self.inbound_capacity,
             sink,
-            ops: shard.ops.clone(),
-            waker: Arc::clone(&shard.waker),
+            inbox: Arc::clone(&shard.inbox),
         });
         if let Some(m) = &self.metrics {
             m.accepted.inc();
@@ -959,7 +1056,7 @@ impl Reactor {
     /// frames start flowing. Sends queued before activation (and a
     /// pre-activation `close()`) are honoured on registration.
     fn activate(inner: &Arc<ConnInner>) {
-        inner.notify_shard(ShardOp::Register(Arc::clone(inner)));
+        inner.inbox.push(ShardOp::Register(Arc::clone(inner)));
     }
 }
 
@@ -967,7 +1064,7 @@ impl Drop for Reactor {
     fn drop(&mut self) {
         for shard in &self.shards {
             shard.stop.store(true, Ordering::Release);
-            let _ = shard.waker.wake();
+            let _ = shard.inbox.waker.wake();
         }
         for shard in &mut self.shards {
             if let Some(thread) = shard.thread.take() {
@@ -992,8 +1089,61 @@ pub struct ReactorListener {
     listener: TcpListener,
     addr: String,
     reactor: Arc<Reactor>,
-    shutdown: Arc<AtomicBool>,
+    gate: Arc<AcceptGate>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+/// Where an accept loop sleeps between connections: a poller holding
+/// the listening socket and a shutdown waker. Blocking here instead of
+/// re-trying on a timer means an idle listener wakes nobody — a
+/// millisecond poll per listener is a thousand timer interrupts a
+/// second landing on the shard and dispatcher threads' processors.
+struct AcceptGate {
+    poll: Mutex<(Poll, Events)>,
+    waker: Waker,
+    shutdown: AtomicBool,
+}
+
+impl fmt::Debug for AcceptGate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AcceptGate")
+            .field("shutdown", &self.is_shut_down())
+            .finish()
+    }
+}
+
+impl AcceptGate {
+    fn new(listener: &TcpListener) -> io::Result<AcceptGate> {
+        let poll = Poll::new()?;
+        poll.registry()
+            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
+        Ok(AcceptGate {
+            poll: Mutex::new((poll, Events::with_capacity(2))),
+            waker,
+            shutdown: AtomicBool::new(false),
+        })
+    }
+
+    fn is_shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Blocks until a connection is pending or the listener shuts
+    /// down. Level-triggered, and the shutdown wake is never drained:
+    /// once either holds, every later call returns at once.
+    fn wait(&self) {
+        let mut guard = lock(&self.poll);
+        let (poll, events) = &mut *guard;
+        if poll.poll(events, None).is_err() {
+            std::thread::sleep(ACCEPT_RETRY);
+        }
+    }
+
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        let _ = self.waker.wake();
+    }
 }
 
 impl ReactorListener {
@@ -1020,11 +1170,12 @@ impl ReactorListener {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?.to_string();
+        let gate = Arc::new(AcceptGate::new(&listener)?);
         Ok(ReactorListener {
             listener,
             addr,
             reactor: Arc::new(Reactor::with_registry(shards, registry)?),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            gate,
             accept_thread: Mutex::new(None),
         })
     }
@@ -1049,7 +1200,7 @@ fn try_accept(listener: &TcpListener) -> Result<Option<TcpStream>, TransportErro
 impl Listener for ReactorListener {
     fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
         loop {
-            if self.shutdown.load(Ordering::Acquire) {
+            if self.gate.is_shut_down() {
                 return Err(TransportError::Closed);
             }
             match try_accept(&self.listener)? {
@@ -1058,7 +1209,7 @@ impl Listener for ReactorListener {
                     Reactor::activate(&conn.inner);
                     return Ok(Box::new(conn));
                 }
-                None => std::thread::sleep(ACCEPT_POLL),
+                None => self.gate.wait(),
             }
         }
     }
@@ -1068,7 +1219,7 @@ impl Listener for ReactorListener {
     }
 
     fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.gate.shut_down();
         if let Some(thread) = lock(&self.accept_thread).take() {
             let _ = thread.join();
         }
@@ -1076,7 +1227,7 @@ impl Listener for ReactorListener {
 
     fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool {
         let mut slot = lock(&self.accept_thread);
-        if slot.is_some() || self.shutdown.load(Ordering::Acquire) {
+        if slot.is_some() || self.gate.is_shut_down() {
             return false;
         }
         let listener = match self.listener.try_clone() {
@@ -1084,11 +1235,11 @@ impl Listener for ReactorListener {
             Err(_) => return false,
         };
         let reactor = Arc::clone(&self.reactor);
-        let shutdown = Arc::clone(&self.shutdown);
+        let gate = Arc::clone(&self.gate);
         let thread = std::thread::Builder::new()
             .name("corona-accept".to_string())
             .spawn(move || {
-                while !shutdown.load(Ordering::Acquire) {
+                while !gate.is_shut_down() {
                     match try_accept(&listener) {
                         Ok(Some(stream)) => {
                             if let Ok(conn) = reactor.attach(stream, Some(Arc::clone(&sink))) {
@@ -1102,8 +1253,8 @@ impl Listener for ReactorListener {
                                 Reactor::activate(&inner);
                             }
                         }
-                        Ok(None) => std::thread::sleep(ACCEPT_POLL),
-                        Err(_) => std::thread::sleep(ACCEPT_POLL),
+                        Ok(None) => gate.wait(),
+                        Err(_) => std::thread::sleep(ACCEPT_RETRY),
                     }
                 }
             });
@@ -1173,5 +1324,154 @@ impl Dialer for ReactorDialer {
         let conn = self.reactor.attach(stream, None)?;
         Reactor::activate(&conn.inner);
         Ok(Box::new(conn))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::fd::RawFd;
+
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    const SO_RCVBUF: i32 = 8;
+
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+
+    fn set_buf(fd: RawFd, name: i32, bytes: i32) {
+        // SAFETY: `value` points at a live `i32` and `len` is its size,
+        // which is what SO_SNDBUF / SO_RCVBUF expect; `fd` is an open
+        // socket owned by the caller for the duration of the call.
+        let rc = unsafe { setsockopt(fd, SOL_SOCKET, name, &bytes, 4) };
+        assert_eq!(rc, 0, "setsockopt: {}", io::Error::last_os_error());
+    }
+
+    /// Drains the socket in small, odd-sized reads, so the sender keeps
+    /// running into a full pipe.
+    struct Trickle {
+        stream: TcpStream,
+        turn: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            const WINDOWS: [usize; 6] = [1, 3, 7, 1021, 5, 4099];
+            self.turn += 1;
+            let cap = WINDOWS[self.turn % WINDOWS.len()].min(buf.len());
+            self.stream.read(&mut buf[..cap])
+        }
+    }
+
+    /// Every way a socket can cut a gathered write short — including
+    /// inside a header, which the kernel only does once in a long
+    /// while — must resume at the exact byte.
+    #[test]
+    fn gather_and_advance_resume_at_every_split_point() {
+        let bodies: [usize; 7] = [0, 1, 5, 300, 0, 17, 2];
+        let frames: Vec<Frame> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Frame::new(Bytes::from(vec![i as u8 + 1; len])))
+            .collect();
+        let wire: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| [&f.header()[..], &f.body()[..]].concat())
+            .collect();
+        // A socket that takes `take` bytes per call: small values stop
+        // in every header at every offset.
+        for take in 1..=wire.len() {
+            let mut batch: VecDeque<Frame> = frames.iter().cloned().collect();
+            let (mut done, mut completed) = (0, 0);
+            let mut sent = Vec::new();
+            while !batch.is_empty() {
+                let mut iov = [IoSlice::new(&[]); WRITE_IOV];
+                let n = gather(&batch, done, &mut iov);
+                let offered: Vec<u8> = iov[..n].iter().flat_map(|s| s.to_vec()).collect();
+                assert_eq!(offered, wire[sent.len()..], "take {take}");
+                let written = take.min(offered.len());
+                sent.extend_from_slice(&offered[..written]);
+                completed += advance(&mut batch, &mut done, written);
+            }
+            assert_eq!(sent, wire, "take {take}");
+            assert_eq!((completed, done), (frames.len(), 0), "take {take}");
+        }
+    }
+
+    /// Big and tiny frames interleaved through a socket that takes a
+    /// few KiB at a time, read by a peer that drains it in dribbles:
+    /// `writev` keeps coming back short or `WouldBlock`. Everything
+    /// must still arrive intact and in order, and the send cap must
+    /// hold exactly while the reader is stalled.
+    #[test]
+    fn short_vectored_writes_keep_order_and_the_exact_cap() {
+        const CAP: usize = 16;
+        const FRAMES: u32 = 400;
+        fn body(i: u32) -> Vec<u8> {
+            let len = if i % 50 == 7 {
+                256 * 1024
+            } else {
+                4 + i as usize % 5
+            };
+            let mut body = vec![i as u8; len];
+            body[..4].copy_from_slice(&i.to_le_bytes());
+            body
+        }
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // Accepted sockets inherit the listener's receive buffer.
+        set_buf(listener.as_raw_fd(), SO_RCVBUF, 2048);
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        set_buf(stream.as_raw_fd(), SO_SNDBUF, 2048);
+        let (peer, _) = listener.accept().unwrap();
+
+        let registry = Registry::new();
+        let reactor = Reactor::with_registry(1, Some(&registry)).unwrap();
+        let conn = reactor.attach(stream, None).unwrap();
+        Reactor::activate(&conn.inner);
+        conn.set_send_capacity(CAP);
+
+        // Reader stalled: the pipe fills, then the queue, then `Full`
+        // — at exactly the cap.
+        let mut next = 0u32;
+        loop {
+            match conn.send_frame(Frame::new(Bytes::from(body(next)))) {
+                Ok(()) => next += 1,
+                Err(TransportError::Full) => break,
+                Err(e) => panic!("unexpected send error: {e}"),
+            }
+            assert!(next < FRAMES, "queue never reported Full");
+        }
+        assert_eq!(conn.backlog(), CAP, "cap must be exact at Full");
+
+        let reader = std::thread::spawn(move || {
+            let mut r = Trickle {
+                stream: peer,
+                turn: 0,
+            };
+            for i in 0..FRAMES {
+                let got = read_frame(&mut r).unwrap().expect("stream ended early");
+                assert_eq!(got.as_ref(), body(i).as_slice(), "frame {i}");
+            }
+        });
+        while next < FRAMES {
+            match conn.send_frame(Frame::new(Bytes::from(body(next)))) {
+                Ok(()) => next += 1,
+                Err(TransportError::Full) => {
+                    assert!(conn.backlog() <= CAP);
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("unexpected send error: {e}"),
+            }
+        }
+        reader.join().unwrap();
+
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("server.reactor.frames_out"), u64::from(FRAMES));
+        assert!(
+            snap.counter("server.reactor.write_blocked") > 0,
+            "the socket never pushed back — the test exercised nothing"
+        );
     }
 }

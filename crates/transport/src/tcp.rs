@@ -11,7 +11,7 @@ use crate::traits::{
     Connection, Dialer, Listener, TransportError, DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
 };
 use bytes::Bytes;
-use corona_types::frame::{read_frame, write_frame};
+use corona_types::frame::{read_frame, Frame};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use std::io::{BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -29,7 +29,7 @@ pub const DISCONNECT_ERROR: u64 = 1;
 /// A TCP connection with background reader/writer threads.
 #[derive(Debug)]
 pub struct TcpConnection {
-    outbound: Sender<Bytes>,
+    outbound: Sender<Frame>,
     inbound: Receiver<Bytes>,
     closed: Arc<AtomicBool>,
     send_capacity: Arc<AtomicUsize>,
@@ -72,7 +72,7 @@ impl TcpConnection {
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".to_string());
         let closed = Arc::new(AtomicBool::new(false));
-        let (out_tx, out_rx) = channel::unbounded::<Bytes>();
+        let (out_tx, out_rx) = channel::unbounded::<Frame>();
         let (in_tx, in_rx) = channel::bounded::<Bytes>(inbound_capacity.max(1));
         let outstanding = Arc::new(AtomicUsize::new(0));
 
@@ -144,7 +144,7 @@ impl TcpConnection {
                     let mut writer = BufWriter::new(write_stream);
                     let mut write_failed = false;
                     'outer: while let Ok(frame) = out_rx.recv() {
-                        if write_frame(&mut writer, &frame).is_err() {
+                        if write_framed(&mut writer, &frame).is_err() {
                             write_failed = true;
                             break;
                         }
@@ -153,7 +153,7 @@ impl TcpConnection {
                         loop {
                             match out_rx.try_recv() {
                                 Ok(next) => {
-                                    if write_frame(&mut writer, &next).is_err() {
+                                    if write_framed(&mut writer, &next).is_err() {
                                         write_failed = true;
                                         break 'outer;
                                     }
@@ -197,14 +197,21 @@ impl TcpConnection {
     }
 }
 
+/// Writes a pre-framed message: the header computed when the frame was
+/// built, then the body — no checksum work here.
+fn write_framed<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
+    w.write_all(frame.header())?;
+    w.write_all(frame.body())
+}
+
 impl Connection for TcpConnection {
-    fn send(&self, frame: Bytes) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
         // Reserve a queue slot atomically *before* enqueueing: the cap
-        // is exact even when the dispatcher and a fan-out worker race,
-        // unlike a len()-check-then-send which can overshoot.
+        // is exact under concurrent senders, unlike a
+        // len()-check-then-send which can overshoot.
         let cap = self.send_capacity.load(Ordering::Relaxed);
         if self
             .outstanding
@@ -380,6 +387,7 @@ impl Dialer for TcpDialer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corona_types::frame::write_frame;
 
     #[test]
     fn dial_send_recv_roundtrip() {

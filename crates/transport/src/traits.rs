@@ -11,6 +11,7 @@
 //! surfaces as a closed connection, never as silent reordering.
 
 use bytes::Bytes;
+use corona_types::frame::Frame;
 use std::fmt;
 use std::time::Duration;
 
@@ -85,8 +86,10 @@ impl From<std::io::Error> for TransportError {
 /// synchronised so a connection can be shared between a reader thread
 /// and writer callers.
 pub trait Connection: Send + Sync + fmt::Debug {
-    /// Enqueues a frame for transmission. Non-blocking: transmission
-    /// happens asynchronously in send order.
+    /// Enqueues an already-framed body for transmission. Non-blocking:
+    /// transmission happens asynchronously in send order. The header
+    /// travels with the frame, so a multicast that clones one
+    /// [`Frame`] per recipient checksums the body once, not per copy.
     ///
     /// # Errors
     ///
@@ -94,7 +97,17 @@ pub trait Connection: Send + Sync + fmt::Debug {
     /// [`TransportError::Full`] if the transmit queue is at capacity
     /// (the frame is *not* enqueued — explicit backpressure, never an
     /// unbounded buffer).
-    fn send(&self, frame: Bytes) -> Result<(), TransportError>;
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError>;
+
+    /// Frames the *unframed* `body`, then [`Connection::send_frame`]s
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Connection::send_frame`].
+    fn send(&self, body: Bytes) -> Result<(), TransportError> {
+        self.send_frame(Frame::new(body))
+    }
 
     /// Caps the transmit queue at `cap` frames. Sends that would
     /// exceed the cap return [`TransportError::Full`]. Implementations
@@ -102,8 +115,7 @@ pub trait Connection: Send + Sync + fmt::Debug {
     /// it per its configuration right after accepting.
     ///
     /// The cap is **exact**: enqueue slots are reserved atomically, so
-    /// concurrent senders (dispatcher replies racing fan-out workers)
-    /// can never overshoot the configured capacity.
+    /// concurrent senders can never overshoot the configured capacity.
     fn set_send_capacity(&self, cap: usize);
 
     /// Blocks until a frame arrives.

@@ -7,12 +7,15 @@
 //! exact bounded transmit queues, and disconnect trace events. The
 //! same checks run against every (listener, dialer) pairing — the
 //! wire format is shared, so threaded and reactor endpoints must
-//! interoperate both ways.
+//! interoperate both ways. Both send entry points are covered:
+//! `send` (frames the body itself) and `send_frame` (pre-framed, the
+//! multicast path).
 
 use bytes::Bytes;
 use corona_transport::{
     Dialer, Listener, ReactorDialer, ReactorListener, TcpAcceptor, TcpDialer, TransportError,
 };
+use corona_types::frame::Frame;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,7 +56,7 @@ fn roundtrip_echo() {
         let server = std::thread::spawn(move || {
             let conn = listener.accept().unwrap();
             let frame = conn.recv().unwrap();
-            conn.send(Bytes::from([b"echo:", frame.as_ref()].concat()))
+            conn.send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())))
                 .unwrap();
             let _ = conn.recv(); // hold until the client hangs up
         });
@@ -86,7 +89,15 @@ fn many_frames_preserve_order() {
             let mut body = vec![0u8; 4 + (i as usize * 37) % 4096];
             body[..4].copy_from_slice(&i.to_le_bytes());
             loop {
-                match client.send(Bytes::from(body.clone())) {
+                // Alternate the two entry points: they share one
+                // queue, so order must hold across them.
+                let body = Bytes::from(body.clone());
+                let sent = if i % 2 == 0 {
+                    client.send(body)
+                } else {
+                    client.send_frame(Frame::new(body))
+                };
+                match sent {
                     Ok(()) => break,
                     Err(TransportError::Full) => std::thread::sleep(Duration::from_millis(1)),
                     Err(e) => panic!("{name}: send failed: {e}"),
@@ -203,10 +214,13 @@ fn bounded_send_queue_is_exact() {
         });
         let client = dialer.dial(&addr).unwrap();
         client.set_send_capacity(4);
-        let frame = Bytes::from(vec![7u8; 256 * 1024]);
+        // Framed once, cloned per send — the multicast shape. (It also
+        // keeps the sender faster than any flush path, so the cap is
+        // what stops it.)
+        let frame = Frame::new(Bytes::from(vec![7u8; 256 * 1024]));
         let mut saw_full = false;
         for _ in 0..64 {
-            match client.send(frame.clone()) {
+            match client.send_frame(frame.clone()) {
                 Ok(()) => {}
                 Err(TransportError::Full) => {
                     saw_full = true;

@@ -4,6 +4,10 @@
 //! CRC guards against corruption that slips past TCP's weak checksum
 //! and, more importantly, gives the stable-storage log (which reuses
 //! this format per record) torn-write detection.
+//!
+//! A [`Frame`] is a body with its header already computed: a multicast
+//! builds one per event and hands a clone to every recipient, so the
+//! body is checksummed once however wide the group.
 
 use crate::crc32::crc32;
 use crate::error::CodecError;
@@ -42,6 +46,47 @@ pub fn frame_header(body: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(body).to_le_bytes());
     header
+}
+
+/// A body ready for the wire: the 8-byte header computed once, the
+/// body refcounted. Cloning copies the header and bumps the body's
+/// refcount — it never touches (or re-checksums) the payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    header: [u8; FRAME_HEADER_LEN],
+    body: Bytes,
+}
+
+impl Frame {
+    /// Frames `body`, checksumming it (the only place that happens on
+    /// the send side).
+    pub fn new(body: Bytes) -> Frame {
+        Frame {
+            header: frame_header(&body),
+            body,
+        }
+    }
+
+    /// The `len ∥ crc32` header, exactly as [`write_frame`] emits it.
+    pub fn header(&self) -> &[u8; FRAME_HEADER_LEN] {
+        &self.header
+    }
+
+    /// The unframed body.
+    pub fn body(&self) -> &Bytes {
+        &self.body
+    }
+
+    /// Consumes the frame, returning the unframed body (transports
+    /// that move bodies between queues rather than bytes over a wire).
+    pub fn into_body(self) -> Bytes {
+        self.body
+    }
+
+    /// Bytes this frame occupies on the wire (header + body).
+    pub fn wire_len(&self) -> usize {
+        FRAME_HEADER_LEN + self.body.len()
+    }
 }
 
 /// Reads one frame from `r`.

@@ -3,6 +3,7 @@
 //! panic the decoder.
 
 use bytes::Bytes;
+use corona_types::frame::{read_frame, write_frame, Frame, FRAME_HEADER_LEN};
 use corona_types::id::{ClientId, Epoch, GroupId, ObjectId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent, StateTransfer};
 use corona_types::policy::{
@@ -364,5 +365,27 @@ proptest! {
             manual.apply(&u.update);
         }
         prop_assert_eq!(via_reconstruct, manual);
+    }
+
+    #[test]
+    fn frame_matches_write_frame_and_roundtrips(body in arb_bytes(2048)) {
+        // A pre-built Frame must put exactly the bytes on the wire
+        // that write_frame does — receivers cannot tell them apart.
+        let frame = Frame::new(body.clone());
+        let wire = [&frame.header()[..], &frame.body()[..]].concat();
+        let mut expected = Vec::new();
+        write_frame(&mut expected, &body).unwrap();
+        prop_assert_eq!(&wire, &expected);
+        prop_assert_eq!(frame.wire_len(), FRAME_HEADER_LEN + body.len());
+        let mut cursor = std::io::Cursor::new(wire);
+        prop_assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), body);
+        prop_assert!(read_frame(&mut cursor).unwrap().is_none());
+
+        // Clones share the body allocation (and therefore the one
+        // checksum pass): the per-recipient cost of a multicast.
+        let copy = frame.clone();
+        prop_assert_eq!(copy.body().as_ptr(), frame.body().as_ptr());
+        prop_assert_eq!(copy.header(), frame.header());
+        prop_assert_eq!(copy.into_body(), body);
     }
 }

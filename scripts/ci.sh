@@ -10,8 +10,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline --workspace"
+# Every crate's tests, not only the facade's: the transport conformance
+# battery, the protocol cores' proptests, and corona-e2e-bench's
+# 1/20-scale workloads + BENCHMARK.json name-sync check.
+cargo test -q --offline --workspace
 
 echo "==> fault matrix: supervised-client failover under fixed fault seeds"
 # 1 = kill coordinator mid-stream, 2 = kill the attached follower,
@@ -32,14 +35,6 @@ for seed in 1 2 3; do
     echo "    -- CORONA_CHAOS_SEED=$seed"
     CORONA_CHAOS_SEED=$seed cargo test -q --offline --test chaos_matrix
 done
-
-echo "==> reactor transport gate: conformance suite + full stack + C5k smoke"
-# Every Connection/Listener/Dialer contract, run against the reactor
-# in both roles (and mixed with the threaded transport), then the
-# whole server stack over the reactor backend — including the 5000-
-# member smoke test (self-skipping when ulimit -n is too low).
-cargo test -q --offline -p corona-transport --test conformance
-cargo test -q --offline --test reactor_stack
 
 echo "==> cargo build --offline --examples"
 cargo build --offline --examples

@@ -1,8 +1,10 @@
-//! Full-stack tests of the batched fan-out path: encode-once frame
-//! sharing across a wide group, and reaping of dead or hopelessly
+//! Full-stack tests of the batched fan-out path: encode-once,
+//! frame-once sharing across a wide group, at most one socket write
+//! per delivery on the reactor, and reaping of dead or hopelessly
 //! backlogged connections discovered at send time.
 
 use corona::prelude::*;
+use corona_transport::Dialer;
 use std::time::Duration;
 
 const G: GroupId = GroupId(1);
@@ -42,7 +44,7 @@ fn broadcast_to_fifty_subscribers_encodes_once() {
         })
         .collect();
 
-    // Joins are synchronous, but a worker increments its enqueue
+    // Joins are synchronous, but the dispatcher bumps its enqueue
     // counter just *after* the client can observe the frame — wait for
     // the counters to quiesce so the metric window below contains only
     // the broadcast traffic.
@@ -71,7 +73,7 @@ fn broadcast_to_fifty_subscribers_encodes_once() {
         }
     }
 
-    // All recipients saw the frame; give the last worker its beat to
+    // All recipients saw the frame; give the dispatcher its beat to
     // bump the counter, then require exact deltas.
     let want = (RECEIVERS + 1) as u64;
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -102,6 +104,105 @@ fn broadcast_to_fifty_subscribers_encodes_once() {
         saved >= (RECEIVERS as u64) * payload.len() as u64,
         "bytes_saved {saved}"
     );
+
+    for c in &receivers {
+        c.close();
+    }
+    sender.close();
+    server.shutdown();
+}
+
+/// Over the reactor, a broadcast burst to a wide group is framed once
+/// per broadcast, costs at most one socket write per delivered frame,
+/// and — the interest set of a healthy connection never changing —
+/// not a single `epoll_ctl`.
+#[test]
+fn reactor_broadcast_costs_at_most_one_write_per_delivery() {
+    const RECEIVERS: usize = 50;
+    const BURST: u64 = 10;
+    let server =
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let addr = server.local_addr();
+    let connect = |name: &str| {
+        let conn = TcpDialer.dial(&addr).unwrap();
+        CoronaClient::connect(conn, name, None).unwrap()
+    };
+
+    let sender = connect("sender");
+    sender
+        .create_group(G, Persistence::Transient, SharedState::new())
+        .unwrap();
+    sender
+        .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+        .unwrap();
+    let receivers: Vec<CoronaClient> = (0..RECEIVERS)
+        .map(|i| {
+            let c = connect(&format!("r{i}"));
+            c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+                .unwrap();
+            c
+        })
+        .collect();
+
+    // Steady state: every join reply has left its socket.
+    let registry = server.metrics_registry();
+    let before = loop {
+        let a = registry.snapshot().counter("server.reactor.frames_out");
+        std::thread::sleep(Duration::from_millis(50));
+        let b = registry.snapshot();
+        if b.counter("server.reactor.frames_out") == a {
+            break b;
+        }
+    };
+
+    let payload = vec![0x5au8; 1000];
+    for _ in 0..BURST {
+        sender
+            .bcast_update(G, DOC, payload.clone(), DeliveryScope::SenderInclusive)
+            .unwrap();
+    }
+    for client in receivers.iter().chain(std::iter::once(&sender)) {
+        for _ in 0..BURST {
+            match client.next_event_timeout(Duration::from_secs(10)).unwrap() {
+                ServerEvent::Multicast { logged, .. } => {
+                    assert_eq!(logged.update.payload.as_ref(), payload.as_slice());
+                }
+                other => panic!("expected multicast, got {other:?}"),
+            }
+        }
+    }
+
+    // Every frame was read, so every write has returned; the shard
+    // bumps `frames_out` right after.
+    let want = BURST * (RECEIVERS as u64 + 1);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let after = loop {
+        let after = registry.snapshot();
+        let delta = |name: &str| after.counter(name) - before.counter(name);
+        if delta("server.reactor.frames_out") >= want {
+            break after;
+        }
+        assert!(std::time::Instant::now() < deadline, "frames_out stuck");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("server.reactor.frames_out"), want);
+    assert_eq!(
+        delta("server.fanout.encodes"),
+        BURST,
+        "one encode per broadcast"
+    );
+    assert!(
+        delta("server.reactor.write_calls") <= want,
+        "{} writes for {want} frames",
+        delta("server.reactor.write_calls")
+    );
+    assert_eq!(
+        delta("server.reactor.interest_changes"),
+        0,
+        "steady-state delivery must not touch the poller"
+    );
+    assert_eq!(delta("server.reactor.write_blocked"), 0);
 
     for c in &receivers {
         c.close();
@@ -196,19 +297,18 @@ fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
         }
     }
 
-    // The reap happens on the fan-out worker's report; poll the
-    // dispatcher until it lands.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let stats = loop {
-        let stats = server.stats().unwrap();
-        if stats.dead_conns >= 1 {
-            break stats;
-        }
-        assert!(Instant::now() < deadline, "reap never happened: {stats:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    // The dispatcher reaps in the same step as the failed enqueue, so
+    // the very next command it answers already shows the result.
+    let stats = server.stats().unwrap();
     assert_eq!(stats.dead_conns, 1, "send failure must be counted");
     assert_eq!(stats.open_conns, 2, "dead connection must leave the map");
+    assert_eq!(
+        server
+            .metrics_registry()
+            .snapshot()
+            .counter("server.fanout.dead_conn"),
+        1
+    );
     let members = sender.membership(G).unwrap();
     assert!(
         members.iter().all(|m| m.client != dead_id),
@@ -217,8 +317,8 @@ fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
 
     // Later broadcasts are delivered to the remaining subscriber and
     // enqueue exactly one frame — nothing is addressed to the corpse.
-    // Let the worker counters quiesce first; the increment for a frame
-    // trails the client's read by a beat.
+    // Let the counters quiesce first; the increment for a frame trails
+    // the client's read by a beat.
     let registry = server.metrics_registry();
     let before = loop {
         let a = registry.snapshot().counter("server.fanout.enqueues");
