@@ -21,22 +21,6 @@ pub enum Statefulness {
     Stateless,
 }
 
-/// Which TCP backend a self-binding server
-/// ([`CoronaServer::bind`](crate::server::CoronaServer::bind)) runs
-/// its listener on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Sharded epoll reactor event loops: thread count stays O(shards)
-    /// regardless of how many clients are connected. The default.
-    #[default]
-    Reactor,
-    /// Thread-per-connection blocking I/O (two threads per client),
-    /// mirroring the original Java server's concurrency structure.
-    /// Kept selectable for A/B comparison and as the conservative
-    /// fallback.
-    Threaded,
-}
-
 /// Configuration for a [`CoronaServer`](crate::server::CoronaServer).
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -74,12 +58,8 @@ pub struct ServerConfig {
     /// Thresholds for the health-plane watchdogs (sequencing stall,
     /// transmit-queue high-watermark, election flap, reconnect storm).
     pub watchdog: corona_health::WatchdogConfig,
-    /// TCP backend used by [`CoronaServer::bind`]
-    /// (`crate::server::CoronaServer::bind`): sharded reactor event
-    /// loops (default) or thread-per-connection.
-    pub transport: TransportKind,
-    /// Number of reactor shard event loops when
-    /// [`ServerConfig::transport`] is [`TransportKind::Reactor`].
+    /// Number of reactor shard event loops behind the listener
+    /// [`CoronaServer::bind`](crate::server::CoronaServer::bind) binds.
     pub reactor_shards: usize,
 }
 
@@ -99,7 +79,6 @@ impl ServerConfig {
             send_queue_capacity: corona_transport::DEFAULT_SEND_CAPACITY,
             slo: corona_health::SloConfig::default(),
             watchdog: corona_health::WatchdogConfig::default(),
-            transport: TransportKind::default(),
             reactor_shards: 4,
         }
     }
@@ -184,16 +163,8 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the TCP backend for [`CoronaServer::bind`]
-    /// (`crate::server::CoronaServer::bind`) (builder-style).
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Sets the number of reactor shard event loops (builder-style).
-    /// Clamped to at least 1; ignored by the threaded transport.
+    /// Clamped to at least 1.
     #[must_use]
     pub fn with_reactor_shards(mut self, shards: usize) -> Self {
         self.reactor_shards = shards.max(1);
@@ -212,7 +183,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("log_on_critical_path", &self.log_on_critical_path)
             .field("qos", &self.qos)
             .field("send_queue_capacity", &self.send_queue_capacity)
-            .field("transport", &self.transport)
             .field("reactor_shards", &self.reactor_shards)
             .finish_non_exhaustive()
     }

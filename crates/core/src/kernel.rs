@@ -1,0 +1,812 @@
+//! The one server runtime kernel: accept → decode → dispatch → fan-out.
+//!
+//! Every Corona server process — the single
+//! [`CoronaServer`](crate::server::CoronaServer) and each replica of the
+//! replicated service — is this kernel around a [`Protocol`]. A replica
+//! is, as §4.1 of the paper has it, a Corona server plus a peer
+//! protocol: the same client plane, and three optional hooks (peer
+//! frame, peer closed, tick) for the rest.
+//!
+//! Thread structure (the multi-threaded design of §5.1, modernised):
+//!
+//! * **transport threads** — [`corona_transport::serve()`] feeds the
+//!   kernel's [`FrameSink`] from each listener: O(shards) reactor event
+//!   loops in push mode, or an accept thread plus a reader per
+//!   connection for listeners that can only be pulled and for the peer
+//!   links a replica dials. Either way per-connection frame order is
+//!   preserved, giving sender-FIFO;
+//! * **dispatcher thread** — owns the protocol and the connection
+//!   table; processing commands one at a time yields the per-group
+//!   total order. Watchdogs and the protocol's tick run off its receive
+//!   timeout — there is no timer thread.
+//!
+//! A group broadcast is encoded *and framed* **once** into a shared
+//! [`Frame`]; the dispatcher pushes a clone of the handle — not the
+//! bytes, not a fresh checksum — straight onto every recipient's
+//! bounded transmit queue ([`Connection::send_frame`] never blocks).
+//! One enqueuing thread means per-connection FIFO by construction; a
+//! full queue is shed or disconnected at the enqueue site, so a slow
+//! client can never OOM the server.
+
+use crate::config::ServerConfig;
+use crate::qos::{classify, EventClass, QosPolicy};
+use bytes::Bytes;
+use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
+use corona_metrics::{Counter, Gauge, Histogram, Registry};
+use corona_trace::{record, Hop, TraceId};
+use corona_transport::{
+    pump, serve, Connection, FrameSink, Listener, MeteredConnection, TransportError,
+    TransportMetrics,
+};
+use corona_types::error::{CoronaError, Result};
+use corona_types::frame::Frame;
+use corona_types::id::{ClientId, GroupId};
+use corona_types::message::{ClientRequest, ServerEvent};
+use corona_types::state::Timestamp;
+use corona_types::wire::{decode_traced, encode_traced, Encode, TraceToken};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// A sans-I/O protocol state machine the kernel can drive. The three
+/// client-plane methods are the entry points `ServerCore` and
+/// `ReplicaCore` share name for name; the effects they return come back
+/// through [`Protocol::execute`] once the connection table reflects the
+/// request (a `Welcome` needs its client bound to the connection).
+pub trait Protocol: Send + 'static {
+    /// What the state machine asks its runtime to do.
+    type Effect;
+
+    /// A client's `Hello`: the id it now goes by, and the effects.
+    fn client_hello(
+        &mut self,
+        display_name: String,
+        resume: Option<ClientId>,
+    ) -> (ClientId, Vec<Self::Effect>);
+
+    /// One decoded request from an authenticated client.
+    fn handle_request(
+        &mut self,
+        client: ClientId,
+        request: ClientRequest,
+        now: Timestamp,
+    ) -> Vec<Self::Effect>;
+
+    /// The client's connection is gone (closed, or reaped).
+    fn client_disconnected(&mut self, client: ClientId) -> Vec<Self::Effect>;
+
+    /// Carries out one step's effects, in order, through `io`.
+    fn execute(&mut self, effects: Vec<Self::Effect>, io: &mut Io);
+
+    /// Publishes the facts only a snapshot needs (membership sizes,
+    /// standby tails) into the health cells.
+    fn refresh_health(&self, health: &HealthRegistry);
+
+    /// How often [`Protocol::tick`] runs, right after the watchdog
+    /// poll. `None`: no tick; the watchdogs are polled every 50 ms.
+    fn tick_every(&self) -> Option<Duration> {
+        None
+    }
+
+    /// Periodic work.
+    fn tick(&mut self, _io: &mut Io) {}
+
+    /// A frame arrived on peer connection `conn_id`.
+    fn peer_frame(&mut self, _conn_id: u64, _frame: &[u8], _io: &mut Io) {}
+
+    /// Peer connection `conn_id` closed and left the table.
+    fn peer_closed(&mut self, _conn_id: u64, _io: &mut Io) {}
+}
+
+/// How often the watchdogs are polled when the protocol has no tick.
+const WATCHDOG_POLL: Duration = Duration::from_millis(50);
+
+/// Dispatcher-queue high-water mark: past it the sink asks the transport
+/// to stop reading — TCP flow control then throttles the peers — until
+/// the queue drains below half the mark.
+const SINK_QUEUE_HWM: usize = 8192;
+
+/// Dialled peer links are numbered from here, clear of listener ids.
+const DIALLED_BASE: u64 = 1 << 48;
+
+/// Which listener a connection came in on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plane {
+    Client,
+    Peer,
+}
+
+/// An admin query: any closure, run between two protocol steps.
+type Query<P> = Box<dyn FnOnce(&mut P, &mut Io) + Send>;
+
+enum Command<P> {
+    Accepted(Plane, u64, Box<dyn Connection>),
+    Frame(Plane, u64, Bytes),
+    Closed(Plane, u64),
+    Call(Query<P>),
+    Shutdown,
+}
+
+/// Adapts the [`FrameSink`] calls of one listener (or of the dialled
+/// peer readers) onto the dispatcher command queue.
+struct Sink<P> {
+    cmd_tx: Sender<Command<P>>,
+    plane: Plane,
+    transport_metrics: TransportMetrics,
+    send_queue_capacity: usize,
+}
+
+impl<P: Protocol> FrameSink for Sink<P> {
+    fn on_accept(&self, conn_id: u64, mut conn: Box<dyn Connection>) {
+        // Metered, and bounded per the configuration. Peer messages
+        // cannot be shed: peer links keep the transport's own bound.
+        if self.plane == Plane::Client {
+            conn.set_send_capacity(self.send_queue_capacity);
+            conn = Box::new(MeteredConnection::new(conn, self.transport_metrics.clone()));
+        }
+        let _ = self
+            .cmd_tx
+            .send(Command::Accepted(self.plane, conn_id, conn));
+    }
+
+    fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
+        if self.plane == Plane::Client {
+            // The sink path bypasses `MeteredConnection::recv`.
+            self.transport_metrics.record_frame_in(frame.len());
+        }
+        let _ = self.cmd_tx.send(Command::Frame(self.plane, conn_id, frame));
+        self.cmd_tx.len() < SINK_QUEUE_HWM
+    }
+
+    fn ready_for_more(&self) -> bool {
+        self.cmd_tx.len() < SINK_QUEUE_HWM / 2
+    }
+
+    fn on_closed(&self, conn_id: u64, _clean: bool) {
+        let _ = self.cmd_tx.send(Command::Closed(self.plane, conn_id));
+    }
+}
+
+struct ConnState {
+    conn: Box<dyn Connection>,
+    client: Option<ClientId>,
+}
+
+struct PeerLink {
+    conn: Box<dyn Connection>,
+    /// The pump reader, if the link was dialled.
+    reader: Option<JoinHandle<()>>,
+}
+
+/// The kernel's I/O half, lent to the [`Protocol`] during a step: the
+/// connection table, the send path, the health plane and the peer
+/// links. Stage histograms record microseconds.
+pub struct Io {
+    /// The metric registry shared by kernel, transports and protocol.
+    pub registry: Arc<Registry>,
+    /// The server's health registry.
+    pub health: Arc<HealthRegistry>,
+    /// Health-plane watchdogs: polled by the kernel, fed by protocols.
+    pub watchdogs: Watchdogs,
+    name: String,
+    qos: QosPolicy,
+    send_queue_capacity: usize,
+    conns: HashMap<u64, ConnState>,
+    client_conn: HashMap<ClientId, u64>,
+    /// Connections closed by a failed undroppable send, awaiting their
+    /// reap at the end of the current dispatcher step.
+    dead: Vec<u64>,
+    peers: HashMap<u64, PeerLink>,
+    peer_sink: Arc<dyn FrameSink>,
+    dialled: u64,
+    /// The trace token of the client frame being handled, if any.
+    trace: Option<TraceToken>,
+    fanned: bool,
+    fanout_traced: bool,
+    conns_accepted: Arc<Counter>,
+    conns_closed: Arc<Counter>,
+    decode_errors: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    stage_handle_us: Arc<Histogram>,
+    stage_fanout_us: Arc<Histogram>,
+    /// Multicast payload encodes — exactly one per group broadcast,
+    /// however many recipients.
+    fanout_encodes: Arc<Counter>,
+    /// Payload bytes *not* re-encoded thanks to frame sharing:
+    /// (recipients − 1) × frame length per broadcast.
+    fanout_bytes_saved: Arc<Counter>,
+    /// Connections reaped on send failure / queue overflow.
+    dead_conn: Arc<Counter>,
+    shed: Arc<Counter>,
+    enqueues: Arc<Counter>,
+    fanout_queue_depth: Arc<Histogram>,
+    /// High-watermark of observed transmit-queue depths — unlike the
+    /// instantaneous histogram, transient saturation between scrapes
+    /// stays visible here.
+    fanout_queue_hwm: Arc<Gauge>,
+}
+
+impl Io {
+    /// Enqueues one event for `to`, if it is connected here.
+    pub fn send(&mut self, to: ClientId, event: &ServerEvent) {
+        if let Some(&conn_id) = self.client_conn.get(&to) {
+            self.send_on(conn_id, event);
+        }
+    }
+
+    fn send_on(&mut self, conn_id: u64, event: &ServerEvent) {
+        let frame = Frame::new(event.encode_to_bytes());
+        let accepted = self.enqueue(conn_id, frame, classify(event), None);
+        if let (true, ServerEvent::Multicast { group, logged }) = (accepted, event) {
+            self.health.group(*group).note_delivered(logged.seq.raw());
+        }
+    }
+
+    /// Fans one event out to every recipient connected here, encoded
+    /// and framed ONCE: each transmit queue gets a clone of the
+    /// refcounted body and its computed header. The step's trace token
+    /// is the same for every recipient, so the traced frame is shared
+    /// too. `group` selects per-group shed accounting.
+    pub fn multicast(
+        &mut self,
+        group: Option<GroupId>,
+        recipients: &[ClientId],
+        event: &ServerEvent,
+    ) {
+        if let (Some(t), false) = (self.trace, self.fanout_traced) {
+            self.fanout_traced = true;
+            // Stamped before the first frame can hit a transmit queue,
+            // so a client's delivery timestamp never precedes it; the
+            // arg carries the fan-out width.
+            let width = recipients.len() as u64;
+            record(Hop::FanoutEnqueue, TraceId(t.id), 0, width);
+        }
+        let frame = Frame::new(encode_traced(event, self.trace));
+        self.fanout_encodes.inc();
+        let class = classify(event);
+        // The group's health cell is resolved once per broadcast (one
+        // registry lock), then shared lock-free by every enqueue.
+        let delivered = match event {
+            ServerEvent::Multicast { group, logged } => {
+                Some((self.health.group(*group), logged.seq.raw()))
+            }
+            _ => None,
+        };
+        let mut dispatched = 0u64;
+        for to in recipients {
+            let Some(&conn_id) = self.client_conn.get(to) else {
+                continue;
+            };
+            dispatched += 1;
+            let accepted = self.enqueue(conn_id, frame.clone(), class, group);
+            if let (true, Some((cell, seq))) = (accepted, &delivered) {
+                cell.note_delivered(*seq);
+            }
+        }
+        if dispatched > 1 {
+            self.fanout_bytes_saved
+                .add((dispatched - 1) * frame.body().len() as u64);
+        }
+    }
+
+    /// The enqueue site every outbound client frame passes: applies the
+    /// QoS shed-vs-disconnect policy against the live backlog and keeps
+    /// the `server.fanout.*` / health accounting. `true` if accepted.
+    fn enqueue(
+        &mut self,
+        conn_id: u64,
+        frame: Frame,
+        class: EventClass,
+        group: Option<GroupId>,
+    ) -> bool {
+        let Some(state) = self.conns.get(&conn_id) else {
+            return false;
+        };
+        self.fanned = true;
+        // QoS-adaptive delivery (§5.3) against the *true* transmit
+        // queue depth at enqueue time.
+        let backlog = state.conn.backlog();
+        self.fanout_queue_depth.record(backlog as u64);
+        self.fanout_queue_hwm.set_max(backlog as i64);
+        self.health.note_queue_depth(backlog as u64);
+        let sent = if self.qos.should_deliver(class, backlog) {
+            state.conn.send_frame(frame)
+        } else {
+            Err(TransportError::Full)
+        };
+        match sent {
+            Ok(()) => {
+                self.enqueues.inc();
+                return true;
+            }
+            // QoS said shed, or a bounded queue it did not relieve:
+            // awareness traffic is dropped and counted.
+            Err(TransportError::Full) if class == EventClass::Awareness => {
+                self.shed.inc();
+                if let Some(group) = group {
+                    // Shedding is rare (only slow clients); the registry
+                    // lock here is off the common path.
+                    let name = format!("server.group.{group}.shed");
+                    self.registry.counter(&name).inc();
+                }
+            }
+            // The peer hung up first: an ordinary disconnect, which the
+            // transport's own close report — already on its way — reaps.
+            Err(TransportError::Closed) => {}
+            // Data/control cannot be dropped (a gap desynchronises the
+            // client's mirror), so a client too slow to accept it is
+            // disconnected now, before a later frame of this step could
+            // slip past the gap, and reaped once the step is done.
+            Err(_) => {
+                state.conn.close();
+                self.dead.push(conn_id);
+            }
+        }
+        false
+    }
+
+    /// Every client authenticated on this server.
+    pub fn clients(&self) -> Vec<ClientId> {
+        self.client_conn.keys().copied().collect()
+    }
+
+    /// Connections in the client table, authenticated or not.
+    pub fn open_conns(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// The trace token of the client frame being handled, if any.
+    pub fn trace(&self) -> Option<TraceToken> {
+        self.trace
+    }
+
+    /// Milliseconds since the server started — the one clock the
+    /// watchdogs and protocol timers share.
+    pub fn now_ms(&self) -> u64 {
+        self.health.uptime_ms()
+    }
+
+    /// Takes a dialled connection into the peer table and starts its
+    /// reader; its frames and close reach the peer hooks under this id.
+    pub fn adopt_peer(&mut self, conn: Box<dyn Connection>) -> u64 {
+        self.dialled += 1;
+        let conn_id = DIALLED_BASE + self.dialled;
+        let (conn, reader) = pump(&self.name, conn_id, conn, Arc::clone(&self.peer_sink));
+        let reader = Some(reader);
+        self.peers.insert(conn_id, PeerLink { conn, reader });
+        conn_id
+    }
+
+    /// Sends on a peer link; `false` if it is gone or refused.
+    pub fn send_peer(&mut self, conn_id: u64, body: Bytes) -> bool {
+        let link = self.peers.get(&conn_id);
+        link.is_some_and(|link| link.conn.send(body).is_ok())
+    }
+
+    /// Closes a peer link; [`Protocol::peer_closed`] follows once the
+    /// transport reports it.
+    pub fn close_peer(&mut self, conn_id: u64) {
+        if let Some(link) = self.peers.get(&conn_id) {
+            link.conn.close();
+        }
+    }
+
+    fn close_conn(&self, conn_id: u64) {
+        if let Some(state) = self.conns.get(&conn_id) {
+            state.conn.close();
+        }
+    }
+}
+
+/// Builds the health snapshot: refreshes the facts the hot path does
+/// not track (membership sizes, backpressure), renders the registry.
+fn health_snapshot<P: Protocol>(proto: &P, io: &Io) -> String {
+    proto.refresh_health(&io.health);
+    let pressure: Vec<ConnPressure> = io
+        .conns
+        .iter()
+        .map(|(id, state)| {
+            let backlog = state.conn.backlog() as u64;
+            ConnPressure {
+                conn_id: *id,
+                backlog,
+                // Half the bounded queue is the pressure threshold:
+                // past it, QoS shedding is already in play.
+                backpressured: backlog * 2 >= io.send_queue_capacity as u64,
+            }
+        })
+        .collect();
+    io.health
+        .snapshot_json(&pressure, &io.watchdogs.stalled_groups())
+}
+
+/// The dispatcher thread's state: the protocol and the I/O half.
+struct Dispatcher<P> {
+    proto: P,
+    io: Io,
+}
+
+impl<P: Protocol> Dispatcher<P> {
+    fn run(mut self, cmd_rx: Receiver<Command<P>>) {
+        let tick_every = self.proto.tick_every().unwrap_or(WATCHDOG_POLL);
+        let mut next_tick = Instant::now() + tick_every;
+        loop {
+            // Under sustained load the receive never times out, so the
+            // deadline is also checked between commands.
+            let now = Instant::now();
+            if now >= next_tick {
+                next_tick = now + tick_every;
+                for event in self.io.watchdogs.poll(&self.io.health, self.io.now_ms()) {
+                    self.io.health.emit(event);
+                }
+                self.step(None, |proto, io| proto.tick(io));
+            }
+            let cmd = match cmd_rx.recv_timeout(next_tick.saturating_duration_since(now)) {
+                Ok(cmd) => cmd,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            self.io.queue_depth.set(cmd_rx.len() as i64);
+            match cmd {
+                Command::Accepted(Plane::Client, conn_id, conn) => {
+                    self.io.conns_accepted.inc();
+                    self.io
+                        .conns
+                        .insert(conn_id, ConnState { conn, client: None });
+                }
+                Command::Accepted(Plane::Peer, conn_id, conn) => {
+                    self.io
+                        .peers
+                        .insert(conn_id, PeerLink { conn, reader: None });
+                }
+                Command::Frame(Plane::Client, conn_id, frame) => self.client_frame(conn_id, &frame),
+                Command::Frame(Plane::Peer, conn_id, frame) => {
+                    self.step(None, |proto, io| proto.peer_frame(conn_id, &frame, io));
+                }
+                Command::Closed(Plane::Client, conn_id) => {
+                    if let Some(effects) = self.remove_conn(conn_id) {
+                        self.execute(effects, None);
+                    }
+                }
+                Command::Closed(Plane::Peer, conn_id) => {
+                    if let Some(link) = self.io.peers.remove(&conn_id) {
+                        join_reader(link);
+                        self.step(None, |proto, io| proto.peer_closed(conn_id, io));
+                    }
+                }
+                Command::Call(query) => self.step(None, |proto, io| query(proto, io)),
+                Command::Shutdown => break,
+            }
+        }
+        // Closing every connection lets pull-mode readers exit; one
+        // still queued behind the `Shutdown` closes when `cmd_rx` drops.
+        for state in self.io.conns.values() {
+            state.conn.close();
+        }
+        for (_, link) in self.io.peers.drain() {
+            join_reader(link);
+        }
+    }
+
+    /// Runs one protocol hook that sends through `io`, then reaps
+    /// whatever its sends killed. `trace` is the step's trace token.
+    fn step(&mut self, trace: Option<TraceToken>, hook: impl FnOnce(&mut P, &mut Io)) {
+        self.io.trace = trace;
+        self.io.fanned = false;
+        self.io.fanout_traced = false;
+        let started = Instant::now();
+        hook(&mut self.proto, &mut self.io);
+        if self.io.fanned {
+            self.io.stage_fanout_us.record_duration(started.elapsed());
+        }
+        self.io.trace = None;
+        self.reap_dead();
+    }
+
+    fn execute(&mut self, effects: Vec<P::Effect>, trace: Option<TraceToken>) {
+        self.step(trace, |proto, io| proto.execute(effects, io));
+    }
+
+    /// Reaps every connection a failed undroppable send closed — in
+    /// this same dispatcher step, not whenever its reader notices — so
+    /// nothing keeps encoding and "delivering" to a corpse. The
+    /// session-leave effects of a reap can themselves fail sends: their
+    /// own step reaps those in turn.
+    fn reap_dead(&mut self) {
+        while let Some(conn_id) = self.io.dead.pop() {
+            if let Some(effects) = self.remove_conn(conn_id) {
+                self.io.dead_conn.inc();
+                self.execute(effects, None);
+            }
+        }
+    }
+
+    /// Forgets a connection and returns its session-leave effects —
+    /// membership notifications, lock handoffs. `None` if it was
+    /// already gone: the transport's `Closed` and a send-failure reap
+    /// may both name it, and the first one wins.
+    fn remove_conn(&mut self, conn_id: u64) -> Option<Vec<P::Effect>> {
+        let state = self.io.conns.remove(&conn_id)?;
+        self.io.conns_closed.inc();
+        Some(match state.client {
+            Some(client) => {
+                self.io.client_conn.remove(&client);
+                self.proto.client_disconnected(client)
+            }
+            None => Vec::new(),
+        })
+    }
+
+    fn client_frame(&mut self, conn_id: u64, frame: &[u8]) {
+        let Ok((request, trace)) = decode_traced::<ClientRequest>(frame) else {
+            // Malformed frame: drop the connection (it may be
+            // version-skewed or hostile).
+            self.io.decode_errors.inc();
+            self.io.close_conn(conn_id);
+            return;
+        };
+        if let Some(t) = trace {
+            record(Hop::ServerIngress, TraceId(t.id), 0, 0);
+            self.io.health.note_trace(t.id);
+        }
+        if matches!(request, ClientRequest::GetHealth) {
+            // Served by the kernel, not the protocol: the snapshot
+            // needs the connection table and watchdog state. Answered
+            // even before Hello so bare admin probes work.
+            let event = ServerEvent::Health {
+                schema: corona_health::SCHEMA_VERSION,
+                json: health_snapshot(&self.proto, &self.io),
+            };
+            self.step(None, |_, io| io.send_on(conn_id, &event));
+            return;
+        }
+        match &request {
+            ClientRequest::Broadcast { group, .. } => {
+                self.io.health.group(*group).note_submitted();
+            }
+            ClientRequest::Join { group, .. } => self.io.health.group(*group).note_join(),
+            ClientRequest::Leave { group } => self.io.health.group(*group).note_leave(),
+            _ => {}
+        }
+        let now = Timestamp::now();
+        let handle_started = Instant::now();
+        let effects = match self.io.conns.get(&conn_id).and_then(|s| s.client) {
+            None => match request {
+                ClientRequest::Hello {
+                    display_name,
+                    resume,
+                    ..
+                } => {
+                    if resume.is_some() {
+                        self.io.health.note_reconnect();
+                        let now_ms = self.io.now_ms();
+                        if let Some(event) = self.io.watchdogs.note_reconnect(now_ms) {
+                            self.io.health.emit(event);
+                        }
+                    }
+                    let (client, effects) = self.proto.client_hello(display_name, resume);
+                    if let Some(state) = self.io.conns.get_mut(&conn_id) {
+                        state.client = Some(client);
+                    }
+                    self.io.client_conn.insert(client, conn_id);
+                    effects
+                }
+                _ => {
+                    // First message must be Hello.
+                    self.io.close_conn(conn_id);
+                    return;
+                }
+            },
+            Some(client) => {
+                let goodbye = matches!(request, ClientRequest::Goodbye);
+                let effects = self.proto.handle_request(client, request, now);
+                if goodbye {
+                    self.io.client_conn.remove(&client);
+                    if let Some(state) = self.io.conns.get_mut(&conn_id) {
+                        state.conn.close();
+                        state.client = None;
+                    }
+                }
+                effects
+            }
+        };
+        let handled = handle_started.elapsed();
+        self.io.stage_handle_us.record_duration(handled);
+        let slo = self.io.health.slo();
+        slo.record(handled.as_micros() as u64, self.io.now_ms());
+        if let Some(t) = trace {
+            record(Hop::Sequence, TraceId(t.id), handled.as_micros() as u64, 0);
+        }
+        self.execute(effects, trace);
+    }
+}
+
+/// Closes a peer link (which ends its reader) and joins the reader.
+fn join_reader(link: PeerLink) {
+    link.conn.close();
+    if let Some(reader) = link.reader {
+        let _ = reader.join();
+    }
+}
+
+/// Spawns a named runtime thread.
+pub(crate) fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn server thread")
+}
+
+/// A running kernel: the handle a server type wraps. Dropping it shuts
+/// the kernel down.
+pub struct Kernel<P> {
+    /// The metric registry shared by kernel, transports and protocol.
+    /// Live handle — snapshots taken here race the dispatcher.
+    pub registry: Arc<Registry>,
+    /// The live health registry (watchdog trips, per-group cells).
+    pub health: Arc<HealthRegistry>,
+    cmd_tx: Sender<Command<P>>,
+    listeners: Vec<Arc<dyn Listener>>,
+    /// Joined in order at shutdown: the dispatcher, accept threads, the
+    /// metrics dump, whatever [`Kernel::join_after`] added.
+    threads: Vec<JoinHandle<()>>,
+    dump_stop: Option<Sender<()>>,
+}
+
+impl<P: Protocol> Kernel<P> {
+    /// Starts the dispatcher around `proto` and begins serving
+    /// `client_listener` and, for a protocol with a peer plane,
+    /// `peer_listener`. `name` prefixes the thread names; `config`
+    /// supplies the QoS policy, queue bound, SLO, watchdog thresholds
+    /// and metrics-dump interval.
+    pub fn start(
+        name: &str,
+        config: &ServerConfig,
+        registry: Arc<Registry>,
+        proto: P,
+        client_listener: Box<dyn Listener>,
+        peer_listener: Option<Box<dyn Listener>>,
+    ) -> Kernel<P> {
+        let health = HealthRegistry::new(config.slo);
+        health.set_queue_capacity(config.send_queue_capacity as u64);
+        let (cmd_tx, cmd_rx) = channel::unbounded::<Command<P>>();
+        let sink = |plane| -> Arc<dyn FrameSink> {
+            Arc::new(Sink {
+                cmd_tx: cmd_tx.clone(),
+                plane,
+                transport_metrics: TransportMetrics::new(&registry),
+                send_queue_capacity: config.send_queue_capacity,
+            })
+        };
+        let io = Io {
+            registry: Arc::clone(&registry),
+            health: Arc::clone(&health),
+            watchdogs: Watchdogs::new(config.watchdog),
+            name: name.to_string(),
+            qos: config.qos,
+            send_queue_capacity: config.send_queue_capacity,
+            conns: HashMap::new(),
+            client_conn: HashMap::new(),
+            dead: Vec::new(),
+            peers: HashMap::new(),
+            peer_sink: sink(Plane::Peer),
+            dialled: 0,
+            trace: None,
+            fanned: false,
+            fanout_traced: false,
+            conns_accepted: registry.counter("server.conns.accepted"),
+            conns_closed: registry.counter("server.conns.closed"),
+            decode_errors: registry.counter("server.decode_errors"),
+            queue_depth: registry.gauge("server.queue.depth"),
+            stage_handle_us: registry.histogram("server.stage.handle_us"),
+            stage_fanout_us: registry.histogram("server.stage.fanout_us"),
+            fanout_encodes: registry.counter("server.fanout.encodes"),
+            fanout_bytes_saved: registry.counter("server.fanout.bytes_saved"),
+            dead_conn: registry.counter("server.fanout.dead_conn"),
+            shed: registry.counter("server.shed"),
+            enqueues: registry.counter("server.fanout.enqueues"),
+            fanout_queue_depth: registry.histogram("server.fanout.queue_depth"),
+            fanout_queue_hwm: registry.gauge("server.fanout.queue_hwm"),
+        };
+        let run = move || Dispatcher { proto, io }.run(cmd_rx);
+        let mut threads = vec![spawn(format!("{name}-dispatcher"), run)];
+
+        let mut listeners: Vec<Arc<dyn Listener>> = Vec::new();
+        let planes = [
+            (Plane::Client, Some(client_listener)),
+            (Plane::Peer, peer_listener),
+        ];
+        for (plane, listener) in planes {
+            let Some(listener) = listener else { continue };
+            let listener: Arc<dyn Listener> = Arc::from(listener);
+            threads.extend(serve(name, Arc::clone(&listener), sink(plane)));
+            listeners.push(listener);
+        }
+
+        // Periodic metrics dump (one JSON line to stderr) until the
+        // stop channel disconnects.
+        let dump_stop = config.metrics_dump_interval.map(|interval| {
+            let (stop_tx, stop_rx) = channel::bounded::<()>(1);
+            let registry = Arc::clone(&registry);
+            let addr = listeners[0].local_addr();
+            threads.push(spawn(format!("{name}-metrics-dump"), move || {
+                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+                    let json = registry.snapshot().render_json();
+                    eprintln!("corona-metrics {addr} {json}");
+                }
+            }));
+            stop_tx
+        });
+
+        Kernel {
+            registry,
+            health,
+            cmd_tx,
+            listeners,
+            threads,
+            dump_stop,
+        }
+    }
+
+    /// Runs `query` on the dispatcher, between two protocol steps, so
+    /// everything it reads is mutually consistent.
+    ///
+    /// # Errors
+    ///
+    /// [`CoronaError::Closed`] if the kernel has shut down, or its
+    /// dispatcher is wedged (no answer within five seconds).
+    pub fn call<R: Send + 'static>(
+        &self,
+        query: impl FnOnce(&mut P, &mut Io) -> R + Send + 'static,
+    ) -> Result<R> {
+        let (tx, rx) = channel::bounded(1);
+        let query = move |proto: &mut P, io: &mut Io| {
+            let _ = tx.send(query(proto, io));
+        };
+        self.cmd_tx
+            .send(Command::Call(Box::new(query)))
+            .map_err(|_| CoronaError::Closed)?;
+        rx.recv_timeout(Duration::from_secs(5))
+            .map_err(|_| CoronaError::Closed)
+    }
+
+    /// Has shutdown also join `thread` — one that ends once the
+    /// protocol is dropped, like a logger fed by it.
+    pub fn join_after(&mut self, thread: JoinHandle<()>) {
+        self.threads.push(thread);
+    }
+
+    /// The health-plane snapshot as one versioned JSON object (the
+    /// payload `GetHealth` serves on the wire).
+    ///
+    /// # Errors
+    ///
+    /// [`CoronaError::Closed`] if the kernel has shut down.
+    pub fn health_json(&self) -> Result<String> {
+        self.call(|proto, io| health_snapshot(proto, io))
+    }
+}
+
+impl<P> std::fmt::Debug for Kernel<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let addrs: Vec<String> = self.listeners.iter().map(|l| l.local_addr()).collect();
+        f.debug_struct("Kernel").field("listeners", &addrs).finish()
+    }
+}
+
+/// Orderly shutdown: stop accepting, close every connection (which
+/// drops the protocol), join every thread.
+impl<P> Drop for Kernel<P> {
+    fn drop(&mut self) {
+        for listener in &self.listeners {
+            listener.shutdown();
+        }
+        let _ = self.cmd_tx.send(Command::Shutdown);
+        self.dump_stop.take();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}

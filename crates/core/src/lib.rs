@@ -17,9 +17,10 @@
 //!   critical path.
 //!
 //! The protocol logic lives in the I/O-free [`ServerCore`] state
-//! machine; [`server::CoronaServer`] wraps it in the threaded runtime,
-//! and the `corona-sim` crate drives the same core under virtual time
-//! to reproduce the paper's experiments deterministically.
+//! machine; [`server::CoronaServer`] wraps it in the runtime
+//! [`kernel`] (which the replicated service's servers run too), and the
+//! `corona-sim` crate drives the same core under virtual time to
+//! reproduce the paper's experiments deterministically.
 //!
 //! ## Quickstart
 //!
@@ -62,14 +63,16 @@
 pub mod client;
 pub mod config;
 pub mod core;
+pub mod kernel;
 pub mod mirror;
 pub mod qos;
 pub mod rawwire;
 pub mod server;
 
 pub use client::{CoronaClient, FailoverConfig, LockResult, RosterView, SharedMirror};
-pub use config::{ServerConfig, Statefulness, TransportKind};
+pub use config::{ServerConfig, Statefulness};
 pub use core::{CoreCounters, Effect, LogEffect, ServerCore};
+pub use kernel::{Io, Kernel, Protocol};
 pub use mirror::{ApplyOutcome, GroupMirror};
 pub use qos::{classify, EventClass, QosPolicy};
 pub use rawwire::RawMember;

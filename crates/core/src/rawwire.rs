@@ -5,9 +5,9 @@
 //! failover machinery. That makes it cheap enough to hold *thousands*
 //! of live members in a single test or benchmark process, which is
 //! exactly what the reactor transport's scale tests (C5k smoke,
-//! connection-count sweeps) need: a full [`CoronaClient`]
-//! (`crate::client::CoronaClient`) spawns reader threads per
-//! connection and would hit thread limits long before the server
+//! connection-count sweeps) need: a full
+//! [`CoronaClient`](crate::client::CoronaClient) spawns reader threads
+//! per connection and would hit thread limits long before the server
 //! under test breaks a sweat.
 //!
 //! Not a public-API replacement for the real client: no locks, no

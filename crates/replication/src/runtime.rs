@@ -1,4 +1,5 @@
-//! Threaded runtime for the replicated Corona service.
+//! The replicated Corona server: the runtime kernel plus a peer
+//! protocol.
 //!
 //! Each process runs a [`ReplicatedServer`]: a replica that terminates
 //! client connections, plus — when elected — the coordinator role.
@@ -7,29 +8,37 @@
 //! dial each other directly (every server knows the startup-ordered
 //! peer list, §4.2).
 //!
-//! Clients speak the *same* wire protocol as against a single
-//! [`corona_core::server::CoronaServer`] — replication is transparent
-//! to [`corona_core::client::CoronaClient`].
+//! The client plane — accept, decode, dispatch, fan-out, QoS, reaping,
+//! health, `server.*` metrics — is [`corona_core::kernel`], the very
+//! loop a single [`corona_core::server::CoronaServer`] runs, driving
+//! [`ReplicaCore`]. This module is what hangs off the kernel's peer
+//! hooks: routing between the replica, coordinator and election cores,
+//! the quorum lease and write fence, and quarantine → merge
+//! reconciliation after a heal. It spawns no thread: ticks come from
+//! the dispatcher, and dialled peer links are read by the kernel's pump.
+//!
+//! Clients speak the *same* wire protocol as against a single server.
+//! A trace token is honoured on the local hops but not threaded through
+//! [`PeerMessage`]: replication hops record as infrastructure spans.
 
 use crate::coordinator::{CoordEffect, CoordinatorCore};
 use crate::election::{ElectionCore, ElectionEffect};
 use crate::merge::{find_divergence, merge, MergeResolution, Side};
 use crate::replica::{ReplicaCore, ReplicaEffect};
-use corona_core::{classify, EventClass, ServerConfig};
-use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
+use corona_core::kernel::{Io, Kernel, Protocol};
+use corona_core::ServerConfig;
+use corona_health::{HealthRegistry, Watchdogs};
 use corona_metrics::{Counter, Histogram, MetricsSnapshot, Registry};
 use corona_statelog::GroupLog;
-use corona_transport::{Connection, Dialer, Listener, TransportError};
+use corona_trace::{record, Hop, TraceId};
+use corona_transport::{Dialer, Listener};
 use corona_types::error::{CoronaError, ErrorCode, Result};
-use corona_types::frame::Frame;
 use corona_types::id::{ClientId, Epoch, GroupId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent};
 use corona_types::state::Timestamp;
 use corona_types::wire::{Decode, Encode};
-use crossbeam::channel::{self, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration of one replicated server.
@@ -90,59 +99,16 @@ pub struct ReplicaStatus {
     pub hosted_groups: usize,
 }
 
-enum Command {
-    ClientAccepted {
-        conn_id: u64,
-        conn: Arc<Box<dyn Connection>>,
-    },
-    ClientFrame {
-        conn_id: u64,
-        frame: bytes::Bytes,
-    },
-    ClientClosed {
-        conn_id: u64,
-    },
-    PeerAccepted {
-        conn_id: u64,
-        conn: Arc<Box<dyn Connection>>,
-    },
-    PeerFrame {
-        conn_id: u64,
-        frame: bytes::Bytes,
-    },
-    PeerClosed {
-        conn_id: u64,
-    },
-    Tick,
-    Status(Sender<ReplicaStatus>),
-    Health(Sender<String>),
-    Shutdown,
-}
-
-/// A running replicated Corona server.
+/// A running replicated Corona server. Dropping it shuts it down.
+#[derive(Debug)]
 pub struct ReplicatedServer {
     me: ServerId,
     client_addr: String,
-    cmd_tx: Sender<Command>,
-    client_listener: Arc<Box<dyn Listener>>,
-    peer_listener: Arc<Box<dyn Listener>>,
-    threads: Vec<JoinHandle<()>>,
-    registry: Arc<Registry>,
-    health: Arc<HealthRegistry>,
+    kernel: Kernel<Replica>,
 }
 
-/// Replication-layer metric handles. Names:
-/// `repl.heartbeats.sent` / `repl.heartbeats.recv` (counters),
-/// `repl.heartbeat_gap_ms` (gap between heartbeats seen from the
-/// coordinator), `repl.elections.rounds` (claim rounds started here),
-/// `repl.elections.won`, `repl.failover_ms` (first local claim to
-/// resolved coordinator), `repl.peer.sent` (all peer messages out),
-/// `repl.fanout.sequenced` (per-hosting-server `Sequenced` fan-out),
-/// `repl.fenced.rejects` (sequencing requests refused while the
-/// quorum lease is lost), `repl.reconciled.groups` (group logs
-/// merged back after a heal) and `repl.client.send_failed` (client
-/// connections closed because an undroppable frame could not be
-/// enqueued).
+/// Replication-layer metric handles; DESIGN.md §7 tabulates names,
+/// units and meanings. (Client connections are the kernel's `server.*`.)
 struct ReplMetrics {
     heartbeats_sent: Arc<Counter>,
     heartbeats_recv: Arc<Counter>,
@@ -151,10 +117,11 @@ struct ReplMetrics {
     elections_won: Arc<Counter>,
     failover_ms: Arc<Histogram>,
     peer_sent: Arc<Counter>,
+    peer_send_failed: Arc<Counter>,
+    peer_decode_errors: Arc<Counter>,
     fanout_sequenced: Arc<Counter>,
     fenced_rejects: Arc<Counter>,
     reconciled_groups: Arc<Counter>,
-    client_send_failed: Arc<Counter>,
 }
 
 impl ReplMetrics {
@@ -167,10 +134,11 @@ impl ReplMetrics {
             elections_won: registry.counter("repl.elections.won"),
             failover_ms: registry.histogram("repl.failover_ms"),
             peer_sent: registry.counter("repl.peer.sent"),
+            peer_send_failed: registry.counter("repl.peer.send_failed"),
+            peer_decode_errors: registry.counter("repl.peer.decode_errors"),
             fanout_sequenced: registry.counter("repl.fanout.sequenced"),
             fenced_rejects: registry.counter("repl.fenced.rejects"),
             reconciled_groups: registry.counter("repl.reconciled.groups"),
-            client_send_failed: registry.counter("repl.client.send_failed"),
         }
     }
 }
@@ -185,8 +153,8 @@ impl ReplicatedServer {
     ///
     /// # Errors
     ///
-    /// Currently infallible at startup (connections are lazy), but the
-    /// signature reserves the right to validate configuration.
+    /// [`CoronaError::InvalidState`] if this server is missing from
+    /// `config.servers` (connections are lazy; nothing else can fail).
     pub fn start(
         client_listener: Box<dyn Listener>,
         peer_listener: Box<dyn Listener>,
@@ -201,94 +169,20 @@ impl ReplicatedServer {
         }
         let client_addr = client_listener.local_addr();
         let registry = Registry::new();
-        let health = HealthRegistry::new(config.server_config.slo);
-        health.set_queue_capacity(config.server_config.send_queue_capacity as u64);
-        let (cmd_tx, cmd_rx) = channel::unbounded::<Command>();
-        let mut threads = Vec::new();
-
-        let client_listener: Arc<Box<dyn Listener>> = Arc::new(client_listener);
-        let peer_listener: Arc<Box<dyn Listener>> = Arc::new(peer_listener);
-
-        // Client accept loop.
-        {
-            let listener = Arc::clone(&client_listener);
-            let tx = cmd_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("repl-{me}-client-accept"))
-                    .spawn(move || {
-                        accept_loop(
-                            listener,
-                            tx,
-                            1_000_000,
-                            |conn_id, conn| Command::ClientAccepted { conn_id, conn },
-                            |conn_id, frame| Command::ClientFrame { conn_id, frame },
-                            |conn_id| Command::ClientClosed { conn_id },
-                        )
-                    })
-                    .expect("spawn client accept"),
-            );
-        }
-        // Peer accept loop.
-        {
-            let listener = Arc::clone(&peer_listener);
-            let tx = cmd_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("repl-{me}-peer-accept"))
-                    .spawn(move || {
-                        accept_loop(
-                            listener,
-                            tx,
-                            2_000_000,
-                            |conn_id, conn| Command::PeerAccepted { conn_id, conn },
-                            |conn_id, frame| Command::PeerFrame { conn_id, frame },
-                            |conn_id| Command::PeerClosed { conn_id },
-                        )
-                    })
-                    .expect("spawn peer accept"),
-            );
-        }
-        // Timer.
-        {
-            let tx = cmd_tx.clone();
-            let tick = Duration::from_millis((config.heartbeat_ms / 2).max(5));
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("repl-{me}-timer"))
-                    .spawn(move || loop {
-                        std::thread::sleep(tick);
-                        if tx.send(Command::Tick).is_err() {
-                            break;
-                        }
-                    })
-                    .expect("spawn timer"),
-            );
-        }
-        // Dispatcher.
-        {
-            let tx = cmd_tx.clone();
-            let registry = Arc::clone(&registry);
-            let health = Arc::clone(&health);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("repl-{me}-dispatch"))
-                    .spawn(move || {
-                        Dispatcher::new(config, dialer, tx, registry, health).run(cmd_rx);
-                    })
-                    .expect("spawn dispatcher"),
-            );
-        }
-
+        let server_config = config.server_config.clone();
+        let replica = Replica::new(config, dialer, Arc::clone(&registry));
+        let kernel = Kernel::start(
+            &format!("repl-{me}"),
+            &server_config,
+            registry,
+            replica,
+            client_listener,
+            Some(peer_listener),
+        );
         Ok(ReplicatedServer {
             me,
             client_addr,
-            cmd_tx,
-            client_listener,
-            peer_listener,
-            threads,
-            registry,
-            health,
+            kernel,
         })
     }
 
@@ -302,32 +196,34 @@ impl ReplicatedServer {
         self.client_addr.clone()
     }
 
-    /// An introspection snapshot.
+    /// An introspection snapshot, answered by the dispatcher.
     ///
     /// # Errors
     ///
     /// [`CoronaError::Closed`] after shutdown.
     pub fn status(&self) -> Result<ReplicaStatus> {
-        let (tx, rx) = channel::bounded(1);
-        self.cmd_tx
-            .send(Command::Status(tx))
-            .map_err(|_| CoronaError::Closed)?;
-        rx.recv_timeout(Duration::from_secs(5))
-            .map_err(|_| CoronaError::Closed)
+        self.kernel.call(|replica, io| ReplicaStatus {
+            me: replica.me,
+            is_coordinator: replica.election.is_coordinator(),
+            coordinator: replica.election.coordinator(),
+            epoch: replica.election.epoch(),
+            local_clients: io.clients().len(),
+            hosted_groups: replica.replica.hosted_groups().len(),
+        })
     }
 
-    /// A snapshot of this server's metric registry (election rounds,
-    /// failover durations, heartbeat gaps, peer fan-out, plus the
-    /// coordinator core's sequencing counters while this server holds
-    /// the role). Taken directly from the shared registry — values may
-    /// trail the dispatcher by a few operations.
+    /// A snapshot of this server's metric registry (the kernel's
+    /// `server.*`, the `repl.*` set, plus the coordinator core's
+    /// sequencing counters while this server holds the role). Taken
+    /// directly from the shared registry — values may trail the
+    /// dispatcher by a few operations.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        self.kernel.registry.snapshot()
     }
 
     /// The metric registry shared by this server's roles.
     pub fn metrics_registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
+        Arc::clone(&self.kernel.registry)
     }
 
     /// A versioned JSON health snapshot assembled by the dispatcher
@@ -337,85 +233,18 @@ impl ReplicatedServer {
     ///
     /// [`CoronaError::Closed`] after shutdown.
     pub fn health_json(&self) -> Result<String> {
-        let (tx, rx) = channel::bounded(1);
-        self.cmd_tx
-            .send(Command::Health(tx))
-            .map_err(|_| CoronaError::Closed)?;
-        rx.recv_timeout(Duration::from_secs(5))
-            .map_err(|_| CoronaError::Closed)
+        self.kernel.health_json()
     }
 
     /// The live health registry (lock-free cells; readable without
     /// round-tripping through the dispatcher).
     pub fn health_registry(&self) -> Arc<HealthRegistry> {
-        Arc::clone(&self.health)
+        Arc::clone(&self.kernel.health)
     }
 
-    /// Orderly shutdown.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.client_listener.shutdown();
-        self.peer_listener.shutdown();
-        let _ = self.cmd_tx.send(Command::Shutdown);
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
-    }
+    /// Orderly shutdown (what dropping the handle does).
+    pub fn shutdown(self) {}
 }
-
-impl Drop for ReplicatedServer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-impl std::fmt::Debug for ReplicatedServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicatedServer")
-            .field("me", &self.me)
-            .field("client_addr", &self.client_addr)
-            .finish_non_exhaustive()
-    }
-}
-
-fn accept_loop(
-    listener: Arc<Box<dyn Listener>>,
-    cmd_tx: Sender<Command>,
-    id_base: u64,
-    on_accept: fn(u64, Arc<Box<dyn Connection>>) -> Command,
-    on_frame: fn(u64, bytes::Bytes) -> Command,
-    on_close: fn(u64) -> Command,
-) {
-    let mut next = id_base;
-    loop {
-        let Ok(conn) = listener.accept() else { break };
-        let conn: Arc<Box<dyn Connection>> = Arc::new(conn);
-        let conn_id = next;
-        next += 1;
-        if cmd_tx.send(on_accept(conn_id, Arc::clone(&conn))).is_err() {
-            break;
-        }
-        let tx = cmd_tx.clone();
-        std::thread::Builder::new()
-            .name(format!("repl-conn-{conn_id}"))
-            .spawn(move || {
-                while let Ok(frame) = conn.recv() {
-                    if tx.send(on_frame(conn_id, frame)).is_err() {
-                        return;
-                    }
-                }
-                let _ = tx.send(on_close(conn_id));
-            })
-            .expect("spawn reader");
-    }
-}
-
-/// A client connection and the client it authenticated as (once its
-/// `Hello` arrives).
-type ClientConn = (Arc<Box<dyn Connection>>, Option<ClientId>);
 
 /// Internal work items processed iteratively (no recursion).
 enum Work {
@@ -426,30 +255,22 @@ enum Work {
     Election(ElectionEffect),
 }
 
-struct Dispatcher {
+/// The replica's [`Protocol`]: the three cores and the routing between
+/// them.
+struct Replica {
     me: ServerId,
     config: ReplicatedConfig,
     dialer: Arc<dyn Dialer>,
-    cmd_tx: Sender<Command>,
-    started: Instant,
     election: ElectionCore,
     replica: ReplicaCore,
     coordinator: Option<CoordinatorCore>,
-    /// address book, startup order preserved in config.servers.
-    addr_of: HashMap<ServerId, String>,
-    /// Live peer connections by server.
-    peer_conns: HashMap<ServerId, (u64, Arc<Box<dyn Connection>>)>,
-    /// Accepted peer connections awaiting their `ServerHello`.
-    pending_peers: HashMap<u64, Arc<Box<dyn Connection>>>,
-    /// Client connections.
-    client_conns: HashMap<u64, ClientConn>,
-    client_conn_of: HashMap<ClientId, u64>,
+    /// The kernel's id of the live peer link to each server.
+    peer_conns: HashMap<ServerId, u64>,
     /// Coordinator-bound messages buffered while no coordinator is
     /// known (mid-election).
     coord_backlog: VecDeque<PeerMessage>,
     /// Epoch whose coordinator we already resynced with.
     resynced_epoch: Option<Epoch>,
-    next_conn_id: u64,
     registry: Arc<Registry>,
     metrics: ReplMetrics,
     /// When the last coordinator heartbeat arrived (gap histogram).
@@ -459,15 +280,11 @@ struct Dispatcher {
     failover_started: Option<Instant>,
     /// Highest epoch this server has claimed (one round per epoch).
     claimed_epoch: Option<Epoch>,
-    /// Live health cells shared with the owning `ReplicatedServer`.
-    health: Arc<HealthRegistry>,
-    /// Health-plane watchdogs, polled from `tick()`.
-    watchdogs: Watchdogs,
     /// Last epoch counted as a resolved election by the health plane
     /// (startup epoch pre-counted so boot is not an "election").
     counted_epoch: Option<Epoch>,
     /// Quorum lease while coordinating: when each follower's last
-    /// `HeartbeatAck` arrived (runtime milliseconds).
+    /// `HeartbeatAck` arrived (kernel milliseconds, [`Io::now_ms`]).
     last_ack_ms: HashMap<ServerId, u64>,
     /// Whether the coordinator role is write-fenced (lease over a
     /// majority of the configured roster lost).
@@ -477,17 +294,113 @@ struct Dispatcher {
     reconciling: HashMap<GroupId, GroupLog>,
 }
 
-impl Dispatcher {
-    fn new(
-        config: ReplicatedConfig,
-        dialer: Arc<dyn Dialer>,
-        cmd_tx: Sender<Command>,
-        registry: Arc<Registry>,
-        health: Arc<HealthRegistry>,
-    ) -> Self {
+impl Protocol for Replica {
+    type Effect = ReplicaEffect;
+
+    fn client_hello(
+        &mut self,
+        display_name: String,
+        resume: Option<ClientId>,
+    ) -> (ClientId, Vec<ReplicaEffect>) {
+        let (client, mut effects) = self.replica.client_hello(display_name, resume);
+        // After the Welcome (which must be the session's first frame)
+        // tell the new client where every replica lives.
+        let roster = self.roster_event();
+        effects.extend(roster.map(|event| ReplicaEffect::ToClient { to: client, event }));
+        (client, effects)
+    }
+
+    fn handle_request(
+        &mut self,
+        client: ClientId,
+        request: ClientRequest,
+        now: Timestamp,
+    ) -> Vec<ReplicaEffect> {
+        self.replica.handle_request(client, request, now)
+    }
+
+    fn client_disconnected(&mut self, client: ClientId) -> Vec<ReplicaEffect> {
+        self.replica.client_disconnected(client)
+    }
+
+    fn execute(&mut self, effects: Vec<ReplicaEffect>, io: &mut Io) {
+        self.drain(effects.into_iter().map(Work::Replica).collect(), io);
+    }
+
+    fn refresh_health(&self, health: &HealthRegistry) {
+        for group in self.replica.hosted_groups() {
+            let cell = health.group(group);
+            cell.set_members(self.replica.local_members(group).len() as u64);
+            if let Some(log) = self.replica.standby_log(group) {
+                cell.note_standby_tail(log.last_seq().raw());
+            }
+        }
+    }
+
+    fn tick_every(&self) -> Option<Duration> {
+        Some(Duration::from_millis((self.config.heartbeat_ms / 2).max(5)))
+    }
+
+    fn tick(&mut self, io: &mut Io) {
+        let now = io.now_ms();
+        let mut work: VecDeque<Work> = self
+            .election
+            .on_tick(now)
+            .into_iter()
+            .map(Work::Election)
+            .collect();
+        if self.election.is_coordinator() {
+            self.check_quorum_lease(now, io);
+            work.extend(
+                self.election
+                    .coordinator_heartbeats()
+                    .into_iter()
+                    .map(Work::Election),
+            );
+        }
+        self.drain(work, io);
+    }
+
+    fn peer_frame(&mut self, conn_id: u64, frame: &[u8], io: &mut Io) {
+        let Ok(msg) = PeerMessage::decode_exact(frame) else {
+            // Version-skewed or hostile: dropped, like a client's.
+            self.metrics.peer_decode_errors.inc();
+            io.close_peer(conn_id);
+            return;
+        };
+        // First message on an accepted peer connection introduces it.
+        if let PeerMessage::ServerHello { server } = msg {
+            self.peer_conns.insert(server, conn_id);
+            return;
+        }
+        self.drain(VecDeque::from([Work::Local(msg)]), io);
+    }
+
+    fn peer_closed(&mut self, conn_id: u64, io: &mut Io) {
+        let gone: Vec<ServerId> = self
+            .peer_conns
+            .iter()
+            .filter(|(_, id)| **id == conn_id)
+            .map(|(s, _)| *s)
+            .collect();
+        for server in gone {
+            self.peer_conns.remove(&server);
+            if self.election.is_coordinator() {
+                if let Some(coord) = &mut self.coordinator {
+                    let effects = coord.server_crashed(server);
+                    self.drain(effects.into_iter().map(Work::Coord).collect(), io);
+                }
+            }
+            // A follower that lost its coordinator link relies on the
+            // heartbeat timeout to trigger the election.
+        }
+    }
+}
+
+impl Replica {
+    fn new(config: ReplicatedConfig, dialer: Arc<dyn Dialer>, registry: Arc<Registry>) -> Self {
         let me = config.server_config.server_id;
         let order: Vec<ServerId> = config.servers.iter().map(|(id, _)| *id).collect();
-        let addr_of = config.servers.iter().cloned().collect();
         let election = ElectionCore::new(me, order, config.base_timeout_ms, 0);
         let mut coordinator = None;
         if election.is_coordinator() {
@@ -497,253 +410,35 @@ impl Dispatcher {
                 Arc::clone(&registry),
             ));
         }
-        let metrics = ReplMetrics::new(&registry);
-        let watchdogs = Watchdogs::new(config.server_config.watchdog);
-        let mut dispatcher = Dispatcher {
+        let mut replica = Replica {
             me,
             dialer,
-            cmd_tx,
-            started: Instant::now(),
             election,
             replica: ReplicaCore::new(me),
             coordinator,
-            addr_of,
             peer_conns: HashMap::new(),
-            pending_peers: HashMap::new(),
-            client_conns: HashMap::new(),
-            client_conn_of: HashMap::new(),
             coord_backlog: VecDeque::new(),
             resynced_epoch: Some(Epoch::ZERO),
-            next_conn_id: 0,
+            metrics: ReplMetrics::new(&registry),
             registry,
-            metrics,
             last_heartbeat: None,
             failover_started: None,
             claimed_epoch: None,
-            health,
-            watchdogs,
             counted_epoch: Some(Epoch::ZERO),
             last_ack_ms: HashMap::new(),
             fenced: false,
             reconciling: HashMap::new(),
             config,
         };
-        if dispatcher.coordinator.is_some() {
-            dispatcher.grant_lease();
+        if replica.coordinator.is_some() {
+            // The kernel's clock starts with the server: boot is 0 ms.
+            replica.renew_lease(0);
         }
-        dispatcher
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    fn run(mut self, cmd_rx: Receiver<Command>) {
-        while let Ok(cmd) = cmd_rx.recv() {
-            match cmd {
-                Command::ClientAccepted { conn_id, conn } => {
-                    conn.set_send_capacity(self.config.server_config.send_queue_capacity);
-                    self.client_conns.insert(conn_id, (conn, None));
-                }
-                Command::ClientFrame { conn_id, frame } => self.client_frame(conn_id, frame),
-                Command::ClientClosed { conn_id } => {
-                    if let Some((_, Some(client))) = self.client_conns.remove(&conn_id) {
-                        self.client_conn_of.remove(&client);
-                        let effects = self.replica.client_disconnected(client);
-                        self.drain(effects.into_iter().map(Work::Replica).collect());
-                    }
-                }
-                Command::PeerAccepted { conn_id, conn } => {
-                    self.pending_peers.insert(conn_id, conn);
-                }
-                Command::PeerFrame { conn_id, frame } => self.peer_frame(conn_id, frame),
-                Command::PeerClosed { conn_id } => self.peer_closed(conn_id),
-                Command::Tick => self.tick(),
-                Command::Status(reply) => {
-                    let _ = reply.send(ReplicaStatus {
-                        me: self.me,
-                        is_coordinator: self.election.is_coordinator(),
-                        coordinator: self.election.coordinator(),
-                        epoch: self.election.epoch(),
-                        local_clients: self.client_conn_of.len(),
-                        hosted_groups: self.replica.hosted_groups().len(),
-                    });
-                }
-                Command::Health(reply) => {
-                    let snapshot = self.build_health_snapshot();
-                    let _ = reply.send(snapshot);
-                }
-                Command::Shutdown => break,
-            }
-        }
-        for (conn, _) in self.client_conns.values() {
-            conn.close();
-        }
-        for (_, conn) in self.peer_conns.values() {
-            conn.close();
-        }
-    }
-
-    fn client_frame(&mut self, conn_id: u64, frame: bytes::Bytes) {
-        // Clients may attach a trace token to broadcasts; accept it and
-        // stamp the ingress hop. Replicated sequencing does not thread
-        // the token through `PeerMessage`, so downstream replication
-        // hops record as infrastructure spans (see DESIGN.md).
-        let Ok((request, trace)) = corona_types::wire::decode_traced::<ClientRequest>(&frame)
-        else {
-            if let Some((conn, _)) = self.client_conns.get(&conn_id) {
-                conn.close();
-            }
-            return;
-        };
-        if let Some(t) = trace {
-            corona_trace::record(
-                corona_trace::Hop::ServerIngress,
-                corona_trace::TraceId(t.id),
-                0,
-                0,
-            );
-            self.health.note_trace(t.id);
-        }
-        let handle_started = Instant::now();
-        // Health snapshots are assembled here at the runtime (the pure
-        // cores never see the request), and are served even before the
-        // session's `Hello` so bare admin probes work.
-        if matches!(request, ClientRequest::GetHealth) {
-            let event = ServerEvent::Health {
-                schema: corona_health::SCHEMA_VERSION,
-                json: self.build_health_snapshot(),
-            };
-            if let Some((conn, _)) = self.client_conns.get(&conn_id) {
-                self.send_to_conn(conn, Frame::new(event.encode_to_bytes()), classify(&event));
-            }
-            return;
-        }
-        match &request {
-            ClientRequest::Broadcast { group, .. } => {
-                self.health.group(*group).note_submitted();
-            }
-            ClientRequest::Join { group, .. } => self.health.group(*group).note_join(),
-            ClientRequest::Leave { group } => self.health.group(*group).note_leave(),
-            _ => {}
-        }
-        let now = Timestamp::now();
-        let known_client = self.client_conns.get(&conn_id).and_then(|(_, c)| *c);
-        let mut greeted = false;
-        let effects: Vec<ReplicaEffect> = match known_client {
-            None => match request {
-                ClientRequest::Hello {
-                    display_name,
-                    resume,
-                    ..
-                } => {
-                    if resume.is_some() {
-                        self.health.note_reconnect();
-                        let now_ms = self.now_ms();
-                        if let Some(event) = self.watchdogs.note_reconnect(now_ms) {
-                            self.health.emit(event);
-                        }
-                    }
-                    let (client, effects) = self.replica.client_hello(display_name, resume);
-                    if let Some(entry) = self.client_conns.get_mut(&conn_id) {
-                        entry.1 = Some(client);
-                    }
-                    self.client_conn_of.insert(client, conn_id);
-                    greeted = true;
-                    effects
-                }
-                _ => {
-                    if let Some((conn, _)) = self.client_conns.get(&conn_id) {
-                        conn.close();
-                    }
-                    return;
-                }
-            },
-            Some(client) => {
-                let goodbye = matches!(request, ClientRequest::Goodbye);
-                let effects = self.replica.handle_request(client, request, now);
-                if goodbye {
-                    self.client_conn_of.remove(&client);
-                    if let Some((conn, slot)) = self.client_conns.get_mut(&conn_id) {
-                        conn.close();
-                        *slot = None;
-                    }
-                }
-                effects
-            }
-        };
-        self.drain(effects.into_iter().map(Work::Replica).collect());
-        self.health.slo().record(
-            handle_started.elapsed().as_micros() as u64,
-            self.health.uptime_ms(),
-        );
-        if greeted {
-            // After the Welcome (which must be the session's first
-            // frame) tell the new client where every replica lives.
-            self.push_roster_to(conn_id);
-        }
-    }
-
-    fn peer_frame(&mut self, conn_id: u64, frame: bytes::Bytes) {
-        let Ok(msg) = PeerMessage::decode_exact(&frame) else {
-            return;
-        };
-        // First message on an accepted peer connection introduces it.
-        if let PeerMessage::ServerHello { server } = msg {
-            if let Some(conn) = self.pending_peers.remove(&conn_id) {
-                self.peer_conns.insert(server, (conn_id, conn));
-            }
-            return;
-        }
-        self.drain(VecDeque::from([Work::Local(msg)]));
-    }
-
-    fn peer_closed(&mut self, conn_id: u64) {
-        self.pending_peers.remove(&conn_id);
-        let gone: Vec<ServerId> = self
-            .peer_conns
-            .iter()
-            .filter(|(_, (id, _))| *id == conn_id)
-            .map(|(s, _)| *s)
-            .collect();
-        for server in gone {
-            self.peer_conns.remove(&server);
-            if self.election.is_coordinator() {
-                if let Some(coord) = &mut self.coordinator {
-                    let effects = coord.server_crashed(server);
-                    self.drain(effects.into_iter().map(Work::Coord).collect());
-                }
-            }
-            // A follower that lost its coordinator link relies on the
-            // heartbeat timeout to trigger the election.
-        }
-    }
-
-    fn tick(&mut self) {
-        let now = self.now_ms();
-        for event in self.watchdogs.poll(&self.health, now) {
-            self.health.emit(event);
-        }
-        let mut work: VecDeque<Work> = self
-            .election
-            .on_tick(now)
-            .into_iter()
-            .map(Work::Election)
-            .collect();
-        if self.election.is_coordinator() {
-            self.check_quorum_lease(now);
-            work.extend(
-                self.election
-                    .coordinator_heartbeats()
-                    .into_iter()
-                    .map(Work::Election),
-            );
-        }
-        self.drain(work);
+        replica
     }
 
     /// Processes work items iteratively, expanding effects in place.
-    fn drain(&mut self, mut queue: VecDeque<Work>) {
+    fn drain(&mut self, mut queue: VecDeque<Work>, io: &mut Io) {
         let mut steps = 0u32;
         while let Some(item) = queue.pop_front() {
             steps += 1;
@@ -754,16 +449,16 @@ impl Dispatcher {
                 return;
             }
             match item {
-                Work::Local(msg) => self.handle_local_peer(msg, &mut queue),
-                Work::Replica(eff) => self.exec_replica(eff, &mut queue),
-                Work::Coord(eff) => self.exec_coord(eff, &mut queue),
-                Work::Election(eff) => self.exec_election(eff, &mut queue),
+                Work::Local(msg) => self.handle_local_peer(msg, &mut queue, io),
+                Work::Replica(eff) => self.exec_replica(eff, &mut queue, io),
+                Work::Coord(eff) => self.exec_coord(eff, &mut queue, io),
+                Work::Election(eff) => self.exec_election(eff, &mut queue, io),
             }
         }
     }
 
-    fn handle_local_peer(&mut self, msg: PeerMessage, queue: &mut VecDeque<Work>) {
-        let now_ms = self.now_ms();
+    fn handle_local_peer(&mut self, msg: PeerMessage, queue: &mut VecDeque<Work>, io: &mut Io) {
+        let now_ms = io.now_ms();
         let now = Timestamp::now();
         match msg {
             PeerMessage::Heartbeat { from, epoch } => {
@@ -775,7 +470,7 @@ impl Dispatcher {
                 }
                 self.last_heartbeat = Some(Instant::now());
                 let effects = self.election.on_heartbeat(from, epoch, now_ms);
-                self.sync_role();
+                self.sync_role(io);
                 if !self.election.is_coordinator() {
                     // Ack the coordinator's heartbeat: the acks are its
                     // quorum lease (see `check_quorum_lease`).
@@ -785,7 +480,7 @@ impl Dispatcher {
                             from: self.me,
                             epoch: self.election.epoch(),
                         },
-                        queue,
+                        io,
                     );
                 }
                 queue.extend(effects.into_iter().map(Work::Election));
@@ -795,7 +490,7 @@ impl Dispatcher {
             }
             PeerMessage::ElectionClaim { candidate, epoch } => {
                 let effects = self.election.on_claim(candidate, epoch, now_ms);
-                self.sync_role();
+                self.sync_role(io);
                 queue.extend(effects.into_iter().map(Work::Election));
             }
             PeerMessage::ElectionAck { voter, epoch } => {
@@ -808,7 +503,7 @@ impl Dispatcher {
                 ..
             } => {
                 let effects = self.election.on_nack(epoch, current_coordinator, now_ms);
-                self.sync_role();
+                self.sync_role(io);
                 queue.extend(effects.into_iter().map(Work::Election));
             }
             PeerMessage::ServerList {
@@ -819,7 +514,7 @@ impl Dispatcher {
                 let effects = self
                     .election
                     .on_server_list(epoch, coordinator, servers, now_ms);
-                self.sync_role();
+                self.sync_role(io);
                 queue.extend(effects.into_iter().map(Work::Election));
             }
             // Coordinator-role traffic.
@@ -834,7 +529,7 @@ impl Dispatcher {
                     // side (reads, hellos, and bookkeeping still pass).
                     if let Some((to, reject)) = fenced_reject(&msg) {
                         self.metrics.fenced_rejects.inc();
-                        self.send_peer(to, reject, queue);
+                        self.send_peer(to, reject, io);
                         return;
                     }
                 }
@@ -865,8 +560,7 @@ impl Dispatcher {
                 updates,
                 ..
             } if self.reconciling.contains_key(&group) => {
-                let effects =
-                    self.reconcile_group(group, persistence, through, state, updates, queue);
+                let effects = self.reconcile_group(group, persistence, through, state, updates, io);
                 queue.extend(effects.into_iter().map(Work::Replica));
             }
             PeerMessage::GroupStateReply { .. } => {
@@ -889,15 +583,10 @@ impl Dispatcher {
                     msg,
                     PeerMessage::RequestOutcome { .. } | PeerMessage::Sequenced { .. }
                 ) {
-                    corona_trace::record(
-                        corona_trace::Hop::ReplAck,
-                        corona_trace::TraceId::NONE,
-                        0,
-                        0,
-                    );
+                    record(Hop::ReplAck, TraceId::NONE, 0, 0);
                 }
                 if let PeerMessage::Sequenced { group, logged, .. } = &msg {
-                    self.health.group(*group).note_sequenced(logged.seq.raw());
+                    io.health.group(*group).note_sequenced(logged.seq.raw());
                 }
                 let effects = self.replica.handle_peer(msg);
                 queue.extend(effects.into_iter().map(Work::Replica));
@@ -909,14 +598,9 @@ impl Dispatcher {
     }
 
     /// Aligns the coordinator role object with the election state.
-    fn sync_role(&mut self) {
+    fn sync_role(&mut self, io: &mut Io) {
         if self.election.is_coordinator() && self.coordinator.is_none() {
-            self.coordinator = Some(CoordinatorCore::with_registry(
-                &self.config.server_config,
-                self.election.epoch(),
-                Arc::clone(&self.registry),
-            ));
-            self.grant_lease();
+            self.take_office(io);
         } else if !self.election.is_coordinator() && self.coordinator.is_some() {
             // Demoted: a newer epoch fenced us. Our authoritative logs
             // and standby copies may carry a suffix sequenced without
@@ -934,23 +618,31 @@ impl Dispatcher {
                 self.reconciling.entry(gid).or_insert(log);
             }
             self.fenced = false;
-            self.health.set_fenced(!self.reconciling.is_empty());
+            io.health.set_fenced(!self.reconciling.is_empty());
         }
     }
 
-    /// Grants a fresh quorum lease on accession: every configured peer
-    /// gets one full lease period to start acking before it counts
-    /// against the majority.
-    fn grant_lease(&mut self) {
-        let now = self.now_ms();
-        for (id, _) in &self.config.servers {
-            if *id != self.me {
-                self.last_ack_ms.insert(*id, now);
-            }
-        }
+    /// Takes up the coordinator role for the current epoch, with a
+    /// fresh quorum lease: every configured peer gets one full lease
+    /// period to start acking before it counts against the majority.
+    fn take_office(&mut self, io: &Io) {
+        self.coordinator = Some(CoordinatorCore::with_registry(
+            &self.config.server_config,
+            self.election.epoch(),
+            Arc::clone(&self.registry),
+        ));
+        self.renew_lease(io.now_ms());
         if self.fenced {
             self.fenced = false;
-            self.health.set_fenced(false);
+            io.health.set_fenced(false);
+        }
+    }
+
+    fn renew_lease(&mut self, now_ms: u64) {
+        for (id, _) in &self.config.servers {
+            if *id != self.me {
+                self.last_ack_ms.insert(*id, now_ms);
+            }
         }
     }
 
@@ -958,7 +650,7 @@ impl Dispatcher {
     /// `HeartbeatAck`s from a majority of the *configured* roster
     /// (counting ourselves), fence writes instead of silently
     /// diverging on the minority side of a partition.
-    fn check_quorum_lease(&mut self, now_ms: u64) {
+    fn check_quorum_lease(&mut self, now_ms: u64, io: &mut Io) {
         if self.coordinator.is_none() {
             return;
         }
@@ -975,16 +667,16 @@ impl Dispatcher {
             })
             .count() as u64;
         let need = self.election.majority() as u64;
-        if let Some(event) = self.watchdogs.note_quorum(live, need, now_ms) {
-            self.health.emit(event);
+        if let Some(event) = io.watchdogs.note_quorum(live, need, now_ms) {
+            io.health.emit(event);
         }
         let fenced = live < need;
         if fenced != self.fenced {
             self.fenced = fenced;
-            self.health.set_fenced(fenced);
+            io.health.set_fenced(fenced);
             // Tell local clients where the rest of the roster lives so
             // they can fail over to the quorum side.
-            self.push_roster_all();
+            self.push_roster_all(io);
         }
     }
 
@@ -1001,7 +693,7 @@ impl Dispatcher {
         through: SeqNo,
         state: corona_types::state::SharedState,
         updates: Vec<corona_types::state::LoggedUpdate>,
-        queue: &mut VecDeque<Work>,
+        io: &mut Io,
     ) -> Vec<ReplicaEffect> {
         let Some(stale) = self.reconciling.remove(&group) else {
             return Vec::new();
@@ -1027,8 +719,8 @@ impl Dispatcher {
         };
         let reconciled = merge(&div, resolution).primary;
         if div.is_divergent() {
-            let event = Watchdogs::divergence_repaired(group, discarded, self.now_ms());
-            self.health.emit(event);
+            let event = Watchdogs::divergence_repaired(group, discarded, io.now_ms());
+            io.health.emit(event);
         }
         self.metrics.reconciled_groups.inc();
         let effects = self
@@ -1047,17 +739,17 @@ impl Dispatcher {
                         state: log.checkpoint_state().clone(),
                         updates: log.suffix_iter().cloned().collect(),
                     };
-                    self.send_peer(coordinator, offer, queue);
+                    self.send_peer(coordinator, offer, io);
                 }
             }
         }
         if self.reconciling.is_empty() {
-            self.health.set_fenced(false);
+            io.health.set_fenced(false);
         }
         effects
     }
 
-    fn exec_election(&mut self, eff: ElectionEffect, queue: &mut VecDeque<Work>) {
+    fn exec_election(&mut self, eff: ElectionEffect, queue: &mut VecDeque<Work>, io: &mut Io) {
         match eff {
             ElectionEffect::SendTo(to, msg) => {
                 // A fresh claim for a new epoch marks the start of a
@@ -1071,18 +763,13 @@ impl Dispatcher {
                         }
                     }
                 }
-                self.send_peer(to, msg, queue);
+                self.send_peer(to, msg, io);
             }
             ElectionEffect::BecomeCoordinator => {
                 self.metrics.elections_won.inc();
                 self.note_failover_resolved();
-                self.note_election_resolved();
-                self.coordinator = Some(CoordinatorCore::with_registry(
-                    &self.config.server_config,
-                    self.election.epoch(),
-                    Arc::clone(&self.registry),
-                ));
-                self.grant_lease();
+                self.note_election_resolved(io);
+                self.take_office(io);
                 self.resynced_epoch = Some(self.election.epoch());
                 // Feed our own replica's knowledge into the fresh
                 // authoritative state.
@@ -1093,22 +780,22 @@ impl Dispatcher {
                 while let Some(msg) = self.coord_backlog.pop_front() {
                     queue.push_back(Work::Local(msg));
                 }
-                self.push_roster_all();
+                self.push_roster_all(io);
             }
             ElectionEffect::FollowCoordinator(coordinator) => {
                 self.note_failover_resolved();
-                self.note_election_resolved();
+                self.note_election_resolved(io);
                 // Runs the demotion path (with quarantine) if a stale
                 // coordinator role is still attached.
-                self.sync_role();
+                self.sync_role(io);
                 if self.resynced_epoch != Some(self.election.epoch()) {
                     self.resynced_epoch = Some(self.election.epoch());
                     for msg in self.replica.resync_messages() {
-                        self.send_peer(coordinator, msg, queue);
+                        self.send_peer(coordinator, msg, io);
                     }
                 }
                 while let Some(msg) = self.coord_backlog.pop_front() {
-                    self.send_peer(coordinator, msg, queue);
+                    self.send_peer(coordinator, msg, io);
                 }
                 // Quarantined copies from a stale coordinatorship are
                 // reconciled against the live side's history.
@@ -1120,45 +807,29 @@ impl Dispatcher {
                             from: self.me,
                             group,
                         },
-                        queue,
+                        io,
                     );
                 }
-                self.push_roster_all();
+                self.push_roster_all(io);
             }
         }
     }
 
-    fn exec_replica(&mut self, eff: ReplicaEffect, queue: &mut VecDeque<Work>) {
+    fn exec_replica(&mut self, eff: ReplicaEffect, queue: &mut VecDeque<Work>, io: &mut Io) {
         match eff {
-            ReplicaEffect::ToClient { to, event } => self.send_client(to, &event),
+            ReplicaEffect::ToClient { to, event } => io.send(to, &event),
             ReplicaEffect::ToClients { recipients, event } => {
-                // Encode and frame once; all local recipients share
-                // the refcounted body and its computed header.
-                let delivered = match &event {
-                    ServerEvent::Multicast { group, logged } => {
-                        Some((self.health.group(*group), logged.seq.raw()))
-                    }
+                let group = match &event {
+                    ServerEvent::Multicast { group, .. } => Some(*group),
                     _ => None,
                 };
-                let class = classify(&event);
-                let frame = Frame::new(event.encode_to_bytes());
-                for to in recipients {
-                    if let Some(conn_id) = self.client_conn_of.get(&to) {
-                        if let Some((conn, _)) = self.client_conns.get(conn_id) {
-                            if self.send_to_conn(conn, frame.clone(), class) {
-                                if let Some((cell, seq)) = &delivered {
-                                    cell.note_delivered(*seq);
-                                }
-                            }
-                        }
-                    }
-                }
+                io.multicast(group, &recipients, &event);
             }
             ReplicaEffect::ToCoordinator(msg) => {
                 if self.election.is_coordinator() {
                     queue.push_back(Work::Local(msg));
                 } else if let Some(coordinator) = self.election.coordinator() {
-                    self.send_peer(coordinator, msg, queue);
+                    self.send_peer(coordinator, msg, io);
                 } else {
                     self.coord_backlog.push_back(msg);
                 }
@@ -1166,63 +837,25 @@ impl Dispatcher {
         }
     }
 
-    fn exec_coord(&mut self, eff: CoordEffect, queue: &mut VecDeque<Work>) {
+    fn exec_coord(&mut self, eff: CoordEffect, queue: &mut VecDeque<Work>, io: &mut Io) {
         match eff {
             CoordEffect::ToServer { to, msg } => {
                 if to == self.me {
                     // Our own replica half (bypasses `handle_local_peer`,
                     // so the sequencing-progress note happens here too).
                     if let PeerMessage::Sequenced { group, logged, .. } = &msg {
-                        self.health.group(*group).note_sequenced(logged.seq.raw());
+                        io.health.group(*group).note_sequenced(logged.seq.raw());
                     }
                     let effects = self.replica.handle_peer(msg);
                     queue.extend(effects.into_iter().map(Work::Replica));
                 } else {
-                    self.send_peer(to, msg, queue);
+                    self.send_peer(to, msg, io);
                 }
             }
             CoordEffect::Log(_) => {
                 // The replicated runtime keeps durability at the
                 // replica copies; coordinator-side stable storage is a
                 // single-server concern (see DESIGN.md).
-            }
-        }
-    }
-
-    fn send_client(&mut self, to: ClientId, event: &ServerEvent) {
-        if let Some(conn_id) = self.client_conn_of.get(&to) {
-            if let Some((conn, _)) = self.client_conns.get(conn_id) {
-                let frame = Frame::new(event.encode_to_bytes());
-                if self.send_to_conn(conn, frame, classify(event)) {
-                    if let ServerEvent::Multicast { group, logged } = event {
-                        self.health.group(*group).note_delivered(logged.seq.raw());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Enqueues `frame` on a client connection; `true` if accepted.
-    /// An awareness frame meeting a full queue is shed. Any other
-    /// failure — dead peer, or a queue too full for a frame the
-    /// client cannot do without — closes the connection, so its
-    /// reader reports `ClientClosed` and the session is reaped rather
-    /// than left with a silent gap.
-    fn send_to_conn(
-        &self,
-        conn: &Arc<Box<dyn Connection>>,
-        frame: Frame,
-        class: EventClass,
-    ) -> bool {
-        let result = conn.send_frame(frame);
-        self.health.note_queue_depth(conn.backlog() as u64);
-        match result {
-            Ok(()) => true,
-            Err(TransportError::Full) if class == EventClass::Awareness => false,
-            Err(_) => {
-                conn.close();
-                self.metrics.client_send_failed.inc();
-                false
             }
         }
     }
@@ -1241,31 +874,12 @@ impl Dispatcher {
         })
     }
 
-    /// Pushes the current roster to one authenticated client
-    /// connection (used right after the `Welcome`, which must stay the
-    /// first frame of the session).
-    fn push_roster_to(&mut self, conn_id: u64) {
-        let Some(event) = self.roster_event() else {
-            return;
-        };
-        if let Some((conn, Some(_))) = self.client_conns.get(&conn_id) {
-            self.send_to_conn(conn, Frame::new(event.encode_to_bytes()), classify(&event));
-        }
-    }
-
     /// Broadcasts the roster to every authenticated local client —
     /// called when an election resolves so clients learn the new
     /// coordinator before their next reconnect.
-    fn push_roster_all(&mut self) {
-        let Some(event) = self.roster_event() else {
-            return;
-        };
-        let class = classify(&event);
-        let frame = Frame::new(event.encode_to_bytes());
-        for (conn, client) in self.client_conns.values() {
-            if client.is_some() {
-                self.send_to_conn(conn, frame.clone(), class);
-            }
+    fn push_roster_all(&mut self, io: &mut Io) {
+        if let Some(event) = self.roster_event() {
+            io.multicast(None, &io.clients(), &event);
         }
     }
 
@@ -1279,9 +893,9 @@ impl Dispatcher {
             // A completed election is exactly when a post-mortem is
             // wanted: stamp the span and flush the flight recorder to
             // disk (no-ops unless tracing is enabled).
-            corona_trace::record(
-                corona_trace::Hop::Election,
-                corona_trace::TraceId::NONE,
+            record(
+                Hop::Election,
+                TraceId::NONE,
                 started.elapsed().as_micros() as u64,
                 self.election.epoch().0,
             );
@@ -1296,49 +910,24 @@ impl Dispatcher {
 
     /// Counts a resolved election (once per epoch) for the health
     /// plane and feeds the flap detector.
-    fn note_election_resolved(&mut self) {
+    fn note_election_resolved(&mut self, io: &mut Io) {
         let epoch = self.election.epoch();
         if self.counted_epoch == Some(epoch) {
             return;
         }
         self.counted_epoch = Some(epoch);
-        self.health.note_election();
-        let now_ms = self.now_ms();
-        if let Some(event) = self.watchdogs.note_election(now_ms) {
-            self.health.emit(event);
+        io.health.note_election();
+        let now_ms = io.now_ms();
+        if let Some(event) = io.watchdogs.note_election(now_ms) {
+            io.health.emit(event);
         }
     }
 
-    /// Assembles the versioned health snapshot: exact membership sizes
-    /// and standby tails are published here (snapshot time), while the
-    /// monotonic counters accumulate lock-free on the hot path.
-    fn build_health_snapshot(&mut self) -> String {
-        for group in self.replica.hosted_groups() {
-            let cell = self.health.group(group);
-            cell.set_members(self.replica.local_members(group).len() as u64);
-            if let Some(log) = self.replica.standby_log(group) {
-                cell.note_standby_tail(log.last_seq().raw());
-            }
-        }
-        let capacity = self.config.server_config.send_queue_capacity as u64;
-        let pressure: Vec<ConnPressure> = self
-            .client_conns
-            .iter()
-            .filter(|(_, (_, client))| client.is_some())
-            .map(|(conn_id, (conn, _))| {
-                let backlog = conn.backlog() as u64;
-                ConnPressure {
-                    conn_id: *conn_id,
-                    backlog,
-                    backpressured: backlog * 2 >= capacity,
-                }
-            })
-            .collect();
-        let stalled = self.watchdogs.stalled_groups();
-        self.health.snapshot_json(&pressure, &stalled)
-    }
-
-    fn send_peer(&mut self, to: ServerId, msg: PeerMessage, _queue: &mut VecDeque<Work>) {
+    /// Sends `msg` to `to`, dialling first if no link is up. A message
+    /// that cannot be sent is counted and dropped — with the link, so
+    /// the next send re-dials; failure detection and the post-election
+    /// resync repair what it carried.
+    fn send_peer(&mut self, to: ServerId, msg: PeerMessage, io: &mut Io) {
         match &msg {
             PeerMessage::Heartbeat { .. } => self.metrics.heartbeats_sent.inc(),
             PeerMessage::Sequenced { .. } => self.metrics.fanout_sequenced.inc(),
@@ -1350,72 +939,35 @@ impl Dispatcher {
             msg,
             PeerMessage::ForwardBroadcast { .. } | PeerMessage::ForwardRequest { .. }
         ) {
-            corona_trace::record(
-                corona_trace::Hop::ReplForward,
-                corona_trace::TraceId::NONE,
-                0,
-                u64::from(to),
-            );
+            record(Hop::ReplForward, TraceId::NONE, 0, u64::from(to));
         }
         self.metrics.peer_sent.inc();
         if to == self.me {
             // Shouldn't normally happen; handle locally to be safe.
-            let mut q = VecDeque::from([Work::Local(msg)]);
-            self.drain_nested(&mut q);
+            self.drain(VecDeque::from([Work::Local(msg)]), io);
             return;
         }
-        if !self.peer_conns.contains_key(&to) && !self.connect_peer(to) {
-            return; // unreachable peer; failure detection handles it
-        }
-        let mut failed = false;
-        if let Some((_, conn)) = self.peer_conns.get(&to) {
-            if conn.send(msg.encode_to_bytes()).is_err() {
-                failed = true;
+        let link = self.peer_conns.get(&to).copied();
+        if let Some(conn_id) = link.or_else(|| self.connect_peer(to, io)) {
+            if io.send_peer(conn_id, msg.encode_to_bytes()) {
+                return;
             }
-        }
-        if failed {
             self.peer_conns.remove(&to);
+            io.close_peer(conn_id);
         }
+        self.metrics.peer_send_failed.inc();
     }
 
-    /// Nested drain used only from `send_peer`'s self-routing fallback;
-    /// bounded by the same runaway guard.
-    fn drain_nested(&mut self, queue: &mut VecDeque<Work>) {
-        let items: VecDeque<Work> = std::mem::take(queue);
-        self.drain(items);
-    }
-
-    fn connect_peer(&mut self, to: ServerId) -> bool {
-        let Some(addr) = self.addr_of.get(&to).cloned() else {
-            return false;
-        };
-        let Ok(conn) = self.dialer.dial(&addr) else {
-            return false;
-        };
-        let conn: Arc<Box<dyn Connection>> = Arc::new(conn);
-        if conn
-            .send(PeerMessage::ServerHello { server: self.me }.encode_to_bytes())
-            .is_err()
-        {
-            return false;
-        }
-        self.next_conn_id += 1;
-        let conn_id = 3_000_000 + self.next_conn_id;
-        let tx = self.cmd_tx.clone();
-        let reader = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name(format!("repl-{}-dial-{to}", self.me))
-            .spawn(move || {
-                while let Ok(frame) = reader.recv() {
-                    if tx.send(Command::PeerFrame { conn_id, frame }).is_err() {
-                        return;
-                    }
-                }
-                let _ = tx.send(Command::PeerClosed { conn_id });
-            })
-            .expect("spawn dialed peer reader");
-        self.peer_conns.insert(to, (conn_id, conn));
-        true
+    /// Dials `to`, introduces this server, and hands the link to the
+    /// kernel to read.
+    fn connect_peer(&mut self, to: ServerId, io: &mut Io) -> Option<u64> {
+        let (_, addr) = self.config.servers.iter().find(|(id, _)| *id == to)?;
+        let conn = self.dialer.dial(addr).ok()?;
+        let hello = PeerMessage::ServerHello { server: self.me };
+        conn.send(hello.encode_to_bytes()).ok()?;
+        let conn_id = io.adopt_peer(conn);
+        self.peer_conns.insert(to, conn_id);
+        Some(conn_id)
     }
 }
 

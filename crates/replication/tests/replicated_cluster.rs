@@ -549,33 +549,82 @@ fn laggard_client_is_dropped_and_survivors_keep_a_gap_free_stream() {
     // First broadcast fills the laggard's queue; the second finds it
     // full. The live subscriber reads each frame before the next send,
     // so only the laggard can overflow.
-    let mut seqs = Vec::new();
-    for payload in [&b"one"[..], &b"two"[..], &b"three"[..]] {
+    let broadcast = |payload: &'static [u8]| {
         sender
             .bcast_update(G, O, payload, DeliveryScope::SenderExclusive)
             .unwrap();
         let (seq, got) = next_multicast(&live, Duration::from_secs(10));
         assert_eq!(got, payload);
-        seqs.push(seq.raw());
-    }
+        seq.raw()
+    };
+    let mut seqs = vec![broadcast(b"one"), broadcast(b"two")];
+
+    // The kernel reaps in the same dispatcher step as the failed
+    // enqueue — exactly as `tests/fanout_stack.rs` asserts for the
+    // single server — so the very next command the follower answers
+    // already shows the result. No polling.
+    assert_eq!(follower.status().unwrap().local_clients, 1);
+    assert_eq!(follower.metrics().counter("server.fanout.dead_conn"), 1);
+    assert!(raw.is_closed());
+
+    seqs.push(broadcast(b"three"));
     assert!(
         seqs.windows(2).all(|w| w[1] == w[0] + 1),
         "survivor's stream has a gap: {seqs:?}"
     );
-
-    // The closed connection's reader reports it; the session goes.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while follower.status().unwrap().local_clients != 1 {
-        assert!(Instant::now() < deadline, "laggard was never reaped");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(raw.is_closed());
-    // At least the overflowing send; "three" may also have met the
-    // closed connection before its reader's report was processed.
-    assert!(follower.metrics().counter("repl.client.send_failed") >= 1);
+    assert_eq!(follower.metrics().counter("server.fanout.dead_conn"), 1);
     let members = sender.membership(G).unwrap();
     assert!(
         members.iter().all(|m| m.client != laggard_id),
         "reap must emit the session leave: {members:?}"
     );
+}
+
+/// A peer link that delivers an undecodable frame is counted and
+/// closed — not silently ignored — and the cluster carries on
+/// sequencing without a gap.
+#[test]
+fn garbage_on_a_peer_link_is_counted_and_the_link_closed() {
+    use corona_transport::Connection;
+
+    let cluster = Cluster::start(2);
+    let sender = cluster.client("sender", 1);
+    let live = cluster.client("live", 2);
+    sender
+        .create_group(G, Persistence::Transient, SharedState::new())
+        .unwrap();
+    for c in [&sender, &live] {
+        c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+            .unwrap();
+    }
+    let broadcast = |payload: &'static [u8]| {
+        sender
+            .bcast_update(G, O, payload, DeliveryScope::SenderExclusive)
+            .unwrap();
+        let (seq, got) = next_multicast(&live, Duration::from_secs(10));
+        assert_eq!(got, payload);
+        seq.raw()
+    };
+    let mut seqs = vec![broadcast(b"before")];
+
+    let follower = &cluster.servers[1];
+    let intruder = cluster.net.dial_from("intruder", "s2-peer").unwrap();
+    intruder
+        .send(bytes::Bytes::from_static(b"\xffnot a peer message"))
+        .unwrap();
+    // The follower closes the link in the step that fails to decode;
+    // the intruder's blocking read observes it.
+    assert_eq!(
+        intruder.recv_timeout(Duration::from_secs(10)),
+        Err(corona_transport::TransportError::Closed),
+        "garbage link must be closed"
+    );
+    assert_eq!(follower.metrics().counter("repl.peer.decode_errors"), 1);
+
+    seqs.extend([broadcast(b"after"), broadcast(b"again")]);
+    assert!(
+        seqs.windows(2).all(|w| w[1] == w[0] + 1),
+        "stream has a gap after the bad peer frame: {seqs:?}"
+    );
+    assert_eq!(follower.metrics().counter("repl.peer.decode_errors"), 1);
 }

@@ -1,9 +1,9 @@
 //! # corona-transport
 //!
-//! Framed, reliable, ordered transport for Corona with two backends:
+//! Framed, reliable, ordered transport for Corona with three backends:
 //!
 //! * [`tcp`] — real TCP with background reader/writer threads and
-//!   batched flushes (the original thread-per-connection path);
+//!   batched flushes (blocking connections: clients, dialled peers);
 //! * [`reactor`] — real TCP multiplexed onto sharded epoll event
 //!   loops: O(shards) threads regardless of connection count (the
 //!   deployment and scale-benchmark path);
@@ -12,7 +12,8 @@
 //!
 //! Server and client code is written against the [`Connection`] /
 //! [`Listener`] / [`Dialer`] trait objects, so the same protocol logic
-//! runs over either backend.
+//! runs over either backend; [`serve()`] feeds a server's [`FrameSink`]
+//! from any of them.
 //!
 //! ## Example
 //!
@@ -37,6 +38,7 @@ pub mod mem;
 pub mod metered;
 pub mod nemesis;
 pub mod reactor;
+pub mod serve;
 pub mod tcp;
 pub mod traits;
 
@@ -47,6 +49,7 @@ pub use nemesis::{
     NemesisMetrics,
 };
 pub use reactor::{Reactor, ReactorConnection, ReactorDialer, ReactorListener};
+pub use serve::{pump, serve};
 pub use tcp::{TcpAcceptor, TcpConnection, TcpDialer};
 pub use traits::{
     Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,

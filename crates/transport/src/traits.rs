@@ -164,10 +164,10 @@ pub trait Connection: Send + Sync + fmt::Debug {
 ///
 /// A listener that accepts a sink (see [`Listener::attach_sink`])
 /// delivers every accepted connection through [`FrameSink::on_accept`]
-/// and every decoded frame through [`FrameSink::on_frame`]; the
-/// server's `accept` loop and reader threads are not used at all, which
-/// is what turns server thread count from O(connections) into
-/// O(reactor shards).
+/// and every decoded frame through [`FrameSink::on_frame`] from its own
+/// event loops — server thread count goes from O(connections) to
+/// O(reactor shards). For any other listener [`serve`](crate::serve())
+/// makes the same calls from an accept thread and per-connection readers.
 ///
 /// Calls for one connection arrive in wire order, but calls for
 /// different connections may come from different reactor shard threads
@@ -218,7 +218,7 @@ pub trait Listener: Send + Sync {
     /// transports take ownership of accepting and reading and return
     /// `true`; the caller must then *not* call [`Listener::accept`].
     /// The default declines (`false`), meaning the caller pulls
-    /// connections and frames itself — the thread-per-connection path.
+    /// connections and frames itself, as [`serve`](crate::serve()) does.
     fn attach_sink(&self, sink: std::sync::Arc<dyn FrameSink>) -> bool {
         let _ = sink;
         false

@@ -282,8 +282,14 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last receiver: wake blocked senders so they observe
-                // the disconnect.
+                // Last receiver: nothing can read what is still queued,
+                // so discard it (as crossbeam does) — senders that stay
+                // alive must not pin undelivered messages' resources.
+                // Dropped outside the lock: a message's own `Drop` may
+                // touch this channel.
+                let unread = std::mem::take(&mut *self.shared.lock());
+                drop(unread);
+                // Wake blocked senders so they observe the disconnect.
                 self.shared.not_full.notify_all();
             }
         }
@@ -332,6 +338,16 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             drop(rx);
             assert!(tx.send(1).is_err());
+        }
+
+        #[test]
+        fn last_receiver_drop_discards_queued_messages() {
+            let (tx, rx) = unbounded();
+            let payload = Arc::new(());
+            tx.send(Arc::clone(&payload)).unwrap();
+            drop(rx);
+            // The sender is still alive; the queued clone is not.
+            assert_eq!(Arc::strong_count(&payload), 1);
         }
 
         #[test]

@@ -438,7 +438,7 @@ pub mod arbitrary {
         fn arbitrary(rng: &mut TestRng) -> Self;
     }
 
-    /// Strategy produced by [`any`](crate::arbitrary::any).
+    /// Strategy produced by [`any`].
     pub struct Any<T> {
         _marker: std::marker::PhantomData<T>,
     }
@@ -506,7 +506,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Element-count bound for [`vec`].
+    /// Element-count bound for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -546,7 +546,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

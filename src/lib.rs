@@ -97,7 +97,7 @@ pub mod prelude {
     pub use corona_core::{
         client::CoronaClient, config::ServerConfig, mirror::GroupMirror, rawwire::RawMember,
         server::CoronaServer, ApplyOutcome, EventClass, FailoverConfig, LockResult, QosPolicy,
-        RosterView, SharedMirror, Statefulness, TransportKind,
+        RosterView, SharedMirror, Statefulness,
     };
     pub use corona_metrics::{MetricsSnapshot, Registry};
     pub use corona_replication::{ReplicatedConfig, ReplicatedServer};

@@ -1,0 +1,221 @@
+//! One battery for the one runtime kernel: the client-plane rules the
+//! kernel owns — Hello-first, malformed-frame handling, pre-Hello
+//! `GetHealth`, `Goodbye`, the bounded transmit queue — checked by the
+//! same helper against both server types, each over a pull-mode
+//! listener (in-memory, read by the pump) and a push-mode one
+//! (`ReactorListener`).
+
+use corona::prelude::*;
+use corona::transport::{ReactorListener, TransportError};
+use corona::types::wire::decode_traced;
+use corona::types::{ClientRequest, Encode, PROTOCOL_VERSION};
+use std::sync::Arc;
+use std::time::Duration;
+
+const G: GroupId = GroupId(1);
+const O: ObjectId = ObjectId(1);
+/// Transmit-queue bound of every server under test.
+const CAPACITY: usize = 2;
+const WAIT: Duration = Duration::from_secs(10);
+
+fn config(id: u64) -> ServerConfig {
+    ServerConfig::stateful(ServerId::new(id)).with_send_queue_capacity(CAPACITY)
+}
+
+fn next_event(conn: &dyn Connection) -> ServerEvent {
+    let frame = conn.recv_timeout(WAIT).expect("server event");
+    decode_traced::<ServerEvent>(&frame).unwrap().0
+}
+
+fn hello(conn: &dyn Connection, name: &str) -> ClientId {
+    let hello = ClientRequest::Hello {
+        version: PROTOCOL_VERSION,
+        display_name: name.into(),
+        resume: None,
+    };
+    conn.send(hello.encode_to_bytes()).unwrap();
+    match next_event(conn) {
+        ServerEvent::Welcome { client, .. } => client,
+        other => panic!("expected welcome, got {other:?}"),
+    }
+}
+
+fn assert_closed_by_server(conn: &dyn Connection, why: &str) {
+    loop {
+        match conn.recv_timeout(WAIT) {
+            // A replica's roster push may precede the close.
+            Ok(_) => continue,
+            Err(e) => return assert_eq!(e, TransportError::Closed, "{why}"),
+        }
+    }
+}
+
+/// A member of `G` that never reads what the server sends it. Over TCP
+/// it must be a bare socket: a `TcpConnection`'s reader thread would
+/// keep draining the server's queue into its own.
+fn laggard(dialer: &dyn Dialer, addr: &str, tcp: bool) -> Box<dyn std::any::Any> {
+    if tcp {
+        let mut member = RawMember::connect(addr, "laggard").unwrap();
+        member.join(G).unwrap();
+        return Box::new(member);
+    }
+    let conn = dialer.dial(addr).unwrap();
+    hello(&*conn, "laggard");
+    let join = ClientRequest::Join {
+        group: G,
+        role: MemberRole::Principal,
+        policy: StateTransferPolicy::None,
+        notify_membership: false,
+    };
+    conn.send(join.encode_to_bytes()).unwrap();
+    while !matches!(next_event(&*conn), ServerEvent::Joined { .. }) {}
+    Box::new(conn)
+}
+
+/// The battery. `metrics` reads the registry of the server at `addr`;
+/// `tcp` says whether `addr` is a socket address.
+fn kernel_battery(
+    dialer: &dyn Dialer,
+    addr: &str,
+    tcp: bool,
+    metrics: &dyn Fn() -> MetricsSnapshot,
+) {
+    let dial = || dialer.dial(addr).unwrap();
+
+    // First frame not `Hello`: closed.
+    let conn = dial();
+    let leave = ClientRequest::Leave { group: G };
+    conn.send(leave.encode_to_bytes()).unwrap();
+    assert_closed_by_server(&*conn, "first frame must be Hello");
+    assert_eq!(metrics().counter("server.decode_errors"), 0);
+
+    // Malformed (well-framed, undecodable) frame: closed and counted.
+    let conn = dial();
+    conn.send(bytes::Bytes::from_static(b"\xff\xfe not a request"))
+        .unwrap();
+    assert_closed_by_server(&*conn, "malformed frame must close");
+    assert_eq!(metrics().counter("server.decode_errors"), 1);
+
+    // `GetHealth` is answered before `Hello`; the session then proceeds,
+    // and `Goodbye` closes it.
+    let conn = dial();
+    conn.send(ClientRequest::GetHealth.encode_to_bytes())
+        .unwrap();
+    match next_event(&*conn) {
+        ServerEvent::Health { schema, json } => {
+            assert_eq!(schema, corona::health::SCHEMA_VERSION);
+            assert!(json.starts_with("{\"schema\":"), "health json: {json}");
+        }
+        other => panic!("expected health, got {other:?}"),
+    }
+    hello(&*conn, "prober");
+    conn.send(ClientRequest::Goodbye.encode_to_bytes()).unwrap();
+    assert_closed_by_server(&*conn, "Goodbye must close");
+
+    // The configured bound is applied on accept: a member that stops
+    // reading is disconnected once CAPACITY frames are queued behind
+    // whatever the transport itself buffers — well inside a burst the
+    // default bound of 4096 frames would swallow whole.
+    let sender = CoronaClient::connect(dial(), "sender", None).unwrap();
+    sender
+        .create_group(G, Persistence::Transient, SharedState::new())
+        .unwrap();
+    sender
+        .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+        .unwrap();
+    let _laggard = laggard(dialer, addr, tcp);
+    let payload = vec![0x5au8; 128 * 1024];
+    let mut sent = 0;
+    while metrics().counter("server.fanout.dead_conn") == 0 {
+        assert!(sent < 400, "laggard survived {sent} broadcasts");
+        sender
+            .bcast_update(G, O, payload.clone(), DeliveryScope::SenderExclusive)
+            .unwrap();
+        // A round trip per broadcast keeps the sender's own queue empty.
+        sender.membership(G).unwrap();
+        sent += 1;
+    }
+    assert_eq!(metrics().counter("server.fanout.dead_conn"), 1);
+    let members = sender.membership(G).unwrap();
+    assert_eq!(members.len(), 1, "reap must emit the session leave");
+    sender.close();
+}
+
+#[test]
+fn single_server_over_mem() {
+    let net = MemNetwork::new();
+    let listener = net.listen("server").unwrap();
+    let server = CoronaServer::start(Box::new(listener), config(1)).unwrap();
+    let registry = server.metrics_registry();
+    kernel_battery(&net.dialer("battery"), "server", false, &|| {
+        registry.snapshot()
+    });
+    server.shutdown();
+}
+
+#[test]
+fn single_server_over_reactor() {
+    let server = CoronaServer::bind("127.0.0.1:0", config(1)).unwrap();
+    let registry = server.metrics_registry();
+    kernel_battery(&TcpDialer, &server.local_addr(), true, &|| {
+        registry.snapshot()
+    });
+    server.shutdown();
+}
+
+/// Starts three replicas on the given listeners (client, peer) and
+/// runs the battery against the second one, a follower.
+fn replicated_battery(
+    listeners: Vec<(Box<dyn Listener>, Box<dyn Listener>)>,
+    peer_dialer: impl Fn(u64) -> Arc<dyn Dialer>,
+    client_dialer: &dyn Dialer,
+    tcp: bool,
+) {
+    let ids = (1..).map(ServerId::new);
+    let peers: Vec<(ServerId, String)> = ids
+        .clone()
+        .zip(listeners.iter().map(|(_, peer)| peer.local_addr()))
+        .collect();
+    let client_addrs: Vec<(ServerId, String)> = ids
+        .zip(listeners.iter().map(|(client, _)| client.local_addr()))
+        .collect();
+    let mut servers = Vec::new();
+    for (id, (client, peer)) in (1..).zip(listeners) {
+        let cluster = ReplicatedConfig {
+            server_config: config(id),
+            ..ReplicatedConfig::new(ServerId::new(id), peers.clone())
+        }
+        .with_client_addrs(client_addrs.clone());
+        servers.push(ReplicatedServer::start(client, peer, peer_dialer(id), cluster).unwrap());
+    }
+    let follower = &servers[1];
+    kernel_battery(client_dialer, &follower.client_addr(), tcp, &|| {
+        follower.metrics()
+    });
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
+fn replicated_server_over_mem() {
+    let net = MemNetwork::new();
+    let listen = |name: String| -> Box<dyn Listener> { Box::new(net.listen(&name).unwrap()) };
+    let listeners = (1..=3)
+        .map(|i| (listen(format!("s{i}-client")), listen(format!("s{i}-peer"))))
+        .collect();
+    replicated_battery(
+        listeners,
+        |id| Arc::new(net.dialer(&format!("s{id}-node"))),
+        &net.dialer("battery"),
+        false,
+    );
+}
+
+#[test]
+fn replicated_server_over_reactor() {
+    let listen =
+        || -> Box<dyn Listener> { Box::new(ReactorListener::bind("127.0.0.1:0", 1).unwrap()) };
+    let listeners = (1..=3).map(|_| (listen(), listen())).collect();
+    replicated_battery(listeners, |_| Arc::new(TcpDialer), &TcpDialer, true);
+}

@@ -1,8 +1,8 @@
 //! Full-stack tests of the sharded reactor transport: the regular
-//! client library running end-to-end over real TCP with the reactor
-//! backend, backend selectability via [`ServerConfig::with_transport`],
-//! and the C5k smoke test — five thousand concurrent members on one
-//! server whose thread count is shards + 2 instead of O(2 × clients).
+//! client library running end-to-end over real TCP against the
+//! listener [`CoronaServer::bind`] binds, and the C5k smoke test — five
+//! thousand concurrent members on one server whose thread count is
+//! shards + 2 instead of O(2 × clients).
 
 use corona::prelude::*;
 use corona_transport::Dialer;
@@ -10,6 +10,18 @@ use std::time::Duration;
 
 const G: GroupId = GroupId(1);
 const DOC: ObjectId = ObjectId(1);
+
+/// Two tests here count this process's threads around the servers they
+/// start; every test holds this lock so none starts or stops threads
+/// inside another's census.
+static THREAD_CENSUS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn census_lock() -> std::sync::MutexGuard<'static, ()> {
+    // A poisoned lock only means another test failed; its `()` is fine.
+    THREAD_CENSUS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn tcp_connect(addr: &str, name: &str) -> CoronaClient {
     let conn = TcpDialer
@@ -72,24 +84,14 @@ fn stack_roundtrip(server: &CoronaServer) {
     sender.close();
 }
 
-/// The default configuration serves real TCP clients through the
-/// sharded reactor, end to end: joins, sequenced multicast in both
-/// scopes, clean close.
+/// `CoronaServer::bind` serves real TCP clients through the sharded
+/// reactor, end to end: joins, sequenced multicast in both scopes,
+/// clean close.
 #[test]
 fn full_stack_over_reactor_transport() {
-    let config = ServerConfig::stateful(ServerId::new(1));
-    assert_eq!(config.transport, TransportKind::Reactor);
-    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
-    stack_roundtrip(&server);
-    server.shutdown();
-}
-
-/// The classic thread-per-connection transport stays selectable and
-/// serves the same stack unchanged.
-#[test]
-fn full_stack_over_threaded_transport() {
-    let config = ServerConfig::stateful(ServerId::new(1)).with_transport(TransportKind::Threaded);
-    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    let _census = census_lock();
+    let server =
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
     stack_roundtrip(&server);
     server.shutdown();
 }
@@ -115,6 +117,24 @@ fn fd_soft_limit() -> Option<u64> {
     soft.parse().ok()
 }
 
+/// Whether the soft fd limit lets `test` hold `members` connections
+/// with both endpoints in this process (~2 fds per member plus generous
+/// slack for the harness and the servers); says so when it skips.
+fn fd_limit_allows(test: &str, members: usize) -> bool {
+    let need = (members as u64) * 2 + 600;
+    match fd_soft_limit() {
+        Some(limit) if limit >= need => true,
+        Some(limit) => {
+            eprintln!("SKIP {test}: fd limit {limit} < required {need} (raise `ulimit -n`)");
+            false
+        }
+        None => {
+            eprintln!("SKIP {test}: cannot read /proc/self/limits");
+            false
+        }
+    }
+}
+
 /// C5k smoke test: 5000 concurrent members against a single reactor
 /// server in this process. Every member receives a broadcast, and the
 /// server's thread population is exactly the shard loops plus the
@@ -125,26 +145,10 @@ fn c5k_reactor_sustains_five_thousand_members() {
     const MEMBERS: usize = 5000;
     const SHARDS: usize = 4;
 
-    // Both endpoints of every connection live in this process: ~2 fds
-    // per member plus generous slack for the harness and the server.
-    let need = (MEMBERS as u64) * 2 + 600;
-    match fd_soft_limit() {
-        Some(limit) if limit >= need => {}
-        Some(limit) => {
-            eprintln!(
-                "SKIP c5k_reactor_sustains_five_thousand_members: \
-                 fd limit {limit} < required {need} (raise `ulimit -n`)"
-            );
-            return;
-        }
-        None => {
-            eprintln!(
-                "SKIP c5k_reactor_sustains_five_thousand_members: \
-                 cannot read /proc/self/limits"
-            );
-            return;
-        }
+    if !fd_limit_allows("c5k_reactor_sustains_five_thousand_members", MEMBERS) {
+        return;
     }
+    let _census = census_lock();
 
     let baseline = thread_count();
     let server = CoronaServer::bind(
@@ -169,8 +173,6 @@ fn c5k_reactor_sustains_five_thousand_members() {
     // Thread count is the shard loops + dispatcher + accept thread,
     // NOT a function of the 5000 connections: with thread-per-
     // connection this process would be past 10_000 threads here.
-    // (Sibling tests still running when `baseline` was sampled can
-    // only make the difference smaller.)
     let with_load = thread_count();
     let server_threads = with_load.saturating_sub(baseline);
     assert!(
@@ -188,4 +190,85 @@ fn c5k_reactor_sustains_five_thousand_members() {
 
     drop(members);
     server.shutdown();
+}
+
+/// The replicated runtime rides the same kernel, so a replica's thread
+/// population is as flat as the single server's: three replicas on
+/// one-shard reactor listeners hold 1500 members with a constant
+/// number of threads — event loops, accept threads, dispatchers, and
+/// the readers of the few peer links the servers dial each other on —
+/// none per client.
+#[test]
+fn replicated_thread_count_is_independent_of_member_count() {
+    use corona::transport::{ReactorDialer, ReactorListener};
+    use std::sync::Arc;
+
+    const MEMBERS: usize = 1500;
+    const REPLICAS: usize = 3;
+    /// Per replica: a client and a peer listener, each one shard loop
+    /// plus one accept thread; and the dispatcher.
+    const PER_REPLICA: usize = 2 * (1 + 1) + 1;
+    /// Each pair of servers dials at most one link in each direction.
+    const DIALLED_READERS: usize = REPLICAS * (REPLICAS - 1);
+    /// The event loop of the `ReactorDialer` the replicas share.
+    const DIALER_LOOP: usize = 1;
+
+    if !fd_limit_allows(
+        "replicated_thread_count_is_independent_of_member_count",
+        MEMBERS,
+    ) {
+        return;
+    }
+
+    let _census = census_lock();
+    let baseline = thread_count();
+    let listen = || ReactorListener::bind("127.0.0.1:0", 1).unwrap();
+    let listeners: Vec<_> = (0..REPLICAS).map(|_| (listen(), listen())).collect();
+    let ids = (1..).map(ServerId::new);
+    let peers: Vec<(ServerId, String)> = ids
+        .clone()
+        .zip(listeners.iter().map(|(_, peer)| peer.local_addr()))
+        .collect();
+    let dialer: Arc<dyn Dialer> = Arc::new(ReactorDialer::new().unwrap());
+    let servers: Vec<ReplicatedServer> = ids
+        .zip(listeners)
+        .map(|(id, (client, peer))| {
+            let config = ReplicatedConfig::new(id, peers.clone());
+            let dialer = Arc::clone(&dialer);
+            ReplicatedServer::start(Box::new(client), Box::new(peer), dialer, config).unwrap()
+        })
+        .collect();
+
+    let mut members: Vec<RawMember> = Vec::with_capacity(MEMBERS);
+    for i in 0..MEMBERS {
+        let addr = servers[i % REPLICAS].client_addr();
+        let mut m = RawMember::connect(&addr, &format!("m{i}")).unwrap();
+        m.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        if i == 0 {
+            m.create_group(G).unwrap();
+        }
+        m.join(G).unwrap();
+        members.push(m);
+    }
+
+    let payload = vec![0x42u8; 256];
+    members[0].broadcast(G, DOC, payload.clone()).unwrap();
+    for m in members.iter_mut() {
+        let got = m.await_multicast(G).unwrap();
+        assert_eq!(got.as_ref(), payload.as_slice());
+    }
+
+    let with_load = thread_count();
+    let server_threads = with_load.saturating_sub(baseline);
+    let bound = REPLICAS * PER_REPLICA + DIALLED_READERS + DIALER_LOOP;
+    assert!(
+        server_threads <= bound,
+        "{REPLICAS} replicas spawned {server_threads} threads for {MEMBERS} members \
+         (baseline {baseline}, loaded {with_load}) — expected at most {bound}"
+    );
+
+    drop(members);
+    for server in servers {
+        server.shutdown();
+    }
 }
