@@ -8,7 +8,7 @@
 //! and the stateful and stateless servers are nearly indistinguishable.
 
 use corona_core::{client::CoronaClient, config::ServerConfig, server::CoronaServer};
-use corona_transport::{Dialer, Listener, TcpAcceptor, TcpDialer};
+use corona_transport::{Dialer, TcpDialer};
 use corona_types::id::{GroupId, ObjectId, ServerId};
 use corona_types::message::ServerEvent;
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
@@ -26,14 +26,13 @@ struct Rig {
 }
 
 fn build_rig(n_receivers: usize, stateful: bool) -> Rig {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
     let config = if stateful {
         ServerConfig::stateful(ServerId::new(1))
     } else {
         ServerConfig::stateless(ServerId::new(1))
     };
-    let server = CoronaServer::start(Box::new(acceptor), config).unwrap();
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
 
     let connect =
         |name: &str| CoronaClient::connect(TcpDialer.dial(&addr).unwrap(), name, None).unwrap();

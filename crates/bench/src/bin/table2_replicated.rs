@@ -15,7 +15,7 @@ use corona_metrics::Registry;
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
 use corona_sim::{p99_us, roundtrip_traced, roundtrip_with_metrics, ExperimentConfig};
 use corona_trace::Breakdown;
-use corona_transport::MemNetwork;
+use corona_transport::{MemNetwork, Nemesis};
 use corona_types::id::{GroupId, ObjectId, ServerId};
 use corona_types::message::ServerEvent;
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
@@ -170,12 +170,22 @@ fn partition_heal_recovery_ms() -> u64 {
     let client_addrs: Vec<(ServerId, String)> = (1..=3)
         .map(|i| (ServerId::new(i), format!("s{i}-client")))
         .collect();
+    // Every fault goes through the nemesis around the peer mesh; server
+    // `i` is the node `s{i}`, named before anyone dials.
+    let nem = Nemesis::new(0, &Registry::new());
+    for (id, addr) in &peers {
+        nem.register_addr(addr, &format!("s{}", id.raw()));
+    }
     let servers: Vec<ReplicatedServer> = (1..=3u64)
         .map(|i| {
+            let node = format!("s{i}");
             ReplicatedServer::start(
                 Box::new(net.listen(&format!("s{i}-client")).expect("listen")),
-                Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
-                Arc::new(net.dialer(&format!("s{i}-node"))),
+                nem.wrap_listener(
+                    &node,
+                    Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
+                ),
+                Arc::from(nem.wrap_dialer(&node, Box::new(net.dialer(&node)))),
                 ReplicatedConfig {
                     servers: peers.clone(),
                     client_addrs: client_addrs.clone(),
@@ -242,10 +252,7 @@ fn partition_heal_recovery_ms() -> u64 {
     wait_payload(&bob, "base;");
 
     // Strand the coordinator: cut both peer links in both directions.
-    for other in [2u64, 3] {
-        net.block("s1-node", &format!("s{other}-peer"));
-        net.block(&format!("s{other}-node"), "s1-peer");
-    }
+    nem.partition(&[&["s1"], &["s2", "s3"]]);
     let health = servers[0].health_registry();
     wait_for("s1 fence", Box::new(move || health.fenced()));
     {
@@ -268,7 +275,7 @@ fn partition_heal_recovery_ms() -> u64 {
     // The measured window: heal until the stranded side's client has
     // the entry it missed (replayed by the reconciliation).
     let t0 = Instant::now();
-    net.heal();
+    nem.heal();
     wait_payload(&alice, "mid;");
     let elapsed = t0.elapsed().as_millis() as u64;
 

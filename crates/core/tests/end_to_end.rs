@@ -4,7 +4,7 @@
 
 use corona_core::{client::CoronaClient, config::ServerConfig, server::CoronaServer, LockResult};
 use corona_statelog::SyncPolicy;
-use corona_transport::{Dialer, Listener, MemNetwork, TcpAcceptor, TcpDialer};
+use corona_transport::{Dialer, MemNetwork, TcpDialer};
 use corona_types::error::{CoronaError, ErrorCode};
 use corona_types::id::{GroupId, ObjectId, SeqNo, ServerId};
 use corona_types::message::ServerEvent;
@@ -439,10 +439,9 @@ fn group_deletion_notifies_members() {
 
 #[test]
 fn works_over_real_tcp() {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
     let server =
-        CoronaServer::start(Box::new(acceptor), ServerConfig::stateful(ServerId::new(1))).unwrap();
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let addr = server.local_addr();
 
     let alice = CoronaClient::connect(TcpDialer.dial(&addr).unwrap(), "alice", None).unwrap();
     let bob = CoronaClient::connect(TcpDialer.dial(&addr).unwrap(), "bob", None).unwrap();

@@ -5,8 +5,9 @@
 
 use corona_core::client::CoronaClient;
 use corona_core::ServerConfig;
+use corona_metrics::Registry;
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
-use corona_transport::MemNetwork;
+use corona_transport::{MemNetwork, Nemesis};
 use corona_types::id::{GroupId, ObjectId, SeqNo, ServerId};
 use corona_types::message::ServerEvent;
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
@@ -19,6 +20,8 @@ const O: ObjectId = ObjectId(1);
 
 struct Cluster {
     net: MemNetwork,
+    /// The fault plane around the peer mesh; server `i` is node `s{i}`.
+    nem: Nemesis,
     servers: Vec<ReplicatedServer>,
 }
 
@@ -33,17 +36,24 @@ impl Cluster {
     /// passed through `tune`.
     fn start_with(n: u64, tune: fn(ServerConfig) -> ServerConfig) -> Cluster {
         let net = MemNetwork::new();
+        let nem = Nemesis::new(0, &Registry::new());
         let peers: Vec<(ServerId, String)> = (1..=n)
             .map(|i| (ServerId::new(i), format!("s{i}-peer")))
             .collect();
+        // Named before anyone dials: a link's remote node is fixed
+        // when the link is made.
+        for (id, addr) in &peers {
+            nem.register_addr(addr, &format!("s{}", id.raw()));
+        }
         let client_addrs: Vec<(ServerId, String)> = (1..=n)
             .map(|i| (ServerId::new(i), format!("s{i}-client")))
             .collect();
         let mut servers = Vec::new();
         for i in 1..=n {
+            let node = format!("s{i}");
             let client_listener = net.listen(&format!("s{i}-client")).unwrap();
             let peer_listener = net.listen(&format!("s{i}-peer")).unwrap();
-            let dialer = Arc::new(net.dialer(&format!("s{i}-node")));
+            let dialer = nem.wrap_dialer(&node, Box::new(net.dialer(&node)));
             let config = ReplicatedConfig {
                 servers: peers.clone(),
                 client_addrs: client_addrs.clone(),
@@ -54,14 +64,14 @@ impl Cluster {
             servers.push(
                 ReplicatedServer::start(
                     Box::new(client_listener),
-                    Box::new(peer_listener),
-                    dialer,
+                    nem.wrap_listener(&node, Box::new(peer_listener)),
+                    Arc::from(dialer),
                     config,
                 )
                 .unwrap(),
             );
         }
-        Cluster { net, servers }
+        Cluster { net, nem, servers }
     }
 
     fn client(&self, name: &str, server: u64) -> CoronaClient {
@@ -79,8 +89,7 @@ impl Cluster {
         let server = self.servers.remove(index);
         let id = server.server_id().raw();
         server.shutdown();
-        self.net.crash_node(&format!("s{id}-client"));
-        self.net.crash_node(&format!("s{id}-peer"));
+        self.nem.crash(&format!("s{id}"));
     }
 
     fn wait_for_coordinator(&self, expect: ServerId, timeout: Duration) {

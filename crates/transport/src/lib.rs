@@ -2,18 +2,21 @@
 //!
 //! Framed, reliable, ordered transport for Corona with three backends:
 //!
-//! * [`tcp`] — real TCP with background reader/writer threads and
-//!   batched flushes (blocking connections: clients, dialled peers);
 //! * [`reactor`] — real TCP multiplexed onto sharded epoll event
-//!   loops: O(shards) threads regardless of connection count (the
-//!   deployment and scale-benchmark path);
-//! * [`mem`] — a deterministic in-memory network with fault injection
-//!   (partitions, severed links, node crashes) for tests.
+//!   loops: O(shards) threads regardless of connection count (the one
+//!   server-side TCP backend);
+//! * [`tcp`] — blocking dialled TCP connections with background
+//!   reader/writer threads and batched flushes (clients, dialled
+//!   peers);
+//! * [`mem`] — a deterministic in-memory pipe between named nodes, for
+//!   tests.
 //!
 //! Server and client code is written against the [`Connection`] /
 //! [`Listener`] / [`Dialer`] trait objects, so the same protocol logic
 //! runs over either backend; [`serve()`] feeds a server's [`FrameSink`]
-//! from any of them.
+//! from any of them. Faults — partitions, severed links, crashed
+//! nodes, seeded drop/delay/duplicate/reorder — live in one place,
+//! [`nemesis`], which wraps any backend.
 //!
 //! ## Example
 //!
@@ -50,7 +53,7 @@ pub use nemesis::{
 };
 pub use reactor::{Reactor, ReactorConnection, ReactorDialer, ReactorListener};
 pub use serve::{pump, serve};
-pub use tcp::{TcpAcceptor, TcpConnection, TcpDialer};
+pub use tcp::{TcpConnection, TcpDialer};
 pub use traits::{
     Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
     DEFAULT_SEND_CAPACITY,

@@ -1,13 +1,13 @@
-//! Deterministic nemesis fault layer over any transport.
+//! The fault plane: a deterministic nemesis layer over any transport.
 //!
 //! [`Nemesis`] wraps [`Connection`]s, [`Listener`]s, and [`Dialer`]s of
-//! *any* backend (the in-memory network and real TCP alike) and
-//! injects seeded per-link faults — dropped, delayed, duplicated, and
-//! reordered frames — plus scheduled partition/heal events. It is the
-//! chaos-testing counterpart of the in-memory network's built-in
-//! rules: `mem` can black-hole traffic it routes itself, while the
-//! nemesis layer sits *above* the transport so the same fault schedule
-//! drives a reactor-TCP cluster byte-for-byte like a mem cluster.
+//! *any* backend — the in-memory pipe and real TCP alike — and is the
+//! only place in the workspace where a fault can be expressed. Every
+//! fault is a [`NemesisEvent`]: partitions and one-direction blocks
+//! that heal, severed links, crashed nodes, and seeded per-link mixes
+//! of dropped, delayed, duplicated, and reordered frames. A whole chaos
+//! run is therefore one `Vec<(Duration, NemesisEvent)>`, and the same
+//! schedule drives a reactor-TCP cluster and a mem cluster.
 //!
 //! Faults are decided by a [`FaultRng`] seeded at construction, so a
 //! chaos run is reproducible from its seed. Every injected fault is
@@ -15,19 +15,19 @@
 //! observable (dropped, duplicated, reordered, delayed frames;
 //! partition and heal transitions).
 //!
-//! ## Partitions over real TCP
+//! ## Nodes, and what a partition does to a link
 //!
-//! The in-memory network can black-hole frames because it routes them.
-//! A nemesis partition instead combines two mechanisms that work for
-//! any backend: it *severs* live wrapped connections that cross the
-//! partition (closing them, as a real partition eventually appears to
-//! TCP once keepalives fire) and *blocks dials* between nodes in
-//! different groups, so the runtime's lazy re-dial fails until
-//! [`Nemesis::heal`] clears the rules. An accepted TCP connection's
-//! peer is an ephemeral port and cannot always be mapped back to a
-//! node name; such connections are severed conservatively whenever
-//! their local node appears in the partition spec (same-side pairs
-//! simply re-dial and reconnect immediately).
+//! Rules name *nodes*. A wrapped link knows its local node; its remote
+//! node is known when the peer's label or dialled address maps to one
+//! ([`Nemesis::register_addr`]) — always for dialled links and for
+//! in-memory links, never for an accepted TCP link, whose peer is an
+//! ephemeral port. A blocked link whose remote is known becomes a
+//! *black hole*: it stays up and swallows frames, as a real partition
+//! appears to TCP until timeouts fire, and carries traffic again after
+//! [`Nemesis::heal`] without a re-dial. Only a link whose remote is
+//! unknown is *severed* instead, whenever its local node is named in
+//! the partition (same-side pairs simply re-dial). Dials across a
+//! block are refused until the heal.
 
 use crate::traits::{Connection, Dialer, Listener, TransportError};
 use bytes::Bytes;
@@ -38,8 +38,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-/// Per-link fault mix, shared vocabulary between the nemesis layer and
-/// the in-memory network's seeded fault injection.
+/// Per-link fault mix.
 ///
 /// Rates are per-mille (0..=1000) so integer arithmetic stays exact
 /// and seeds reproduce across platforms.
@@ -137,12 +136,34 @@ impl NemesisMetrics {
 /// A scheduled or immediately applied fault-plan step.
 #[derive(Debug, Clone)]
 pub enum NemesisEvent {
-    /// Partition the named nodes into groups: dials between different
-    /// groups are refused, live crossing connections are severed.
-    /// Replaces all previous partition rules.
+    /// Partition the named nodes into groups: every link between
+    /// different groups is blocked in both directions (black-holed, or
+    /// severed when its remote node is unknown) and dials across are
+    /// refused. Replaces all previous block rules.
     Partition(Vec<Vec<String>>),
-    /// Clear every partition rule (links re-dial lazily).
+    /// Swallow frames travelling `from -> to` only; the reverse
+    /// direction keeps flowing (an asymmetric partition: `to` is still
+    /// heard but hears nothing back). Adds to the current block rules.
+    Block {
+        /// The node whose frames are lost.
+        from: String,
+        /// The node that stops hearing `from`.
+        to: String,
+    },
+    /// Clear every block rule; black-holed links carry traffic again
+    /// and severed ones re-dial lazily.
     Heal,
+    /// Close every live link between two nodes (a lost link: both ends
+    /// observe `Closed`; a re-dial succeeds).
+    Sever {
+        /// One endpoint.
+        a: String,
+        /// The other endpoint.
+        b: String,
+    },
+    /// Fail-stop crash of a node: close every live link touching it
+    /// and refuse every later dial to or from it.
+    Crash(String),
     /// Set the fault mix for one unordered node pair.
     SetLinkFaults {
         /// One endpoint.
@@ -158,8 +179,11 @@ pub enum NemesisEvent {
 
 #[derive(Debug, Default)]
 struct NemesisRules {
-    /// Unordered node pairs whose traffic is blocked (partition).
+    /// Ordered `(from, to)` node pairs whose frames are swallowed; a
+    /// partition inserts both directions of every crossing pair.
     blocked: HashSet<(String, String)>,
+    /// Nodes that have crashed.
+    crashed: HashSet<String>,
     /// Per-pair fault mixes (unordered keys).
     faults: HashMap<(String, String), LinkFaults>,
     /// Fallback mix for pairs without an entry.
@@ -178,43 +202,82 @@ fn pair_key(a: &str, b: &str) -> (String, String) {
 struct NemesisInner {
     rng: Mutex<FaultRng>,
     rules: Mutex<NemesisRules>,
-    /// Dialable address -> node name (for backends whose addresses are
-    /// not node names, i.e. TCP "host:port").
-    addr_nodes: Mutex<HashMap<String, String>>,
-    /// Node names this nemesis knows about (registered via wrapping).
-    nodes: Mutex<HashSet<String>>,
+    /// Peer label or dialable address -> node name. Every node maps to
+    /// itself, so in-memory labels resolve directly; TCP "host:port"
+    /// listening addresses are added by [`Nemesis::register_addr`].
+    nodes: Mutex<HashMap<String, String>>,
     conns: Mutex<Vec<Weak<ConnShared>>>,
     metrics: NemesisMetrics,
 }
 
 impl NemesisInner {
-    fn is_blocked(&self, a: &str, b: &str) -> bool {
-        self.rules.lock().blocked.contains(&pair_key(a, b))
-    }
-
-    /// The effective fault mix for a link; `remote == None` (an
-    /// unresolvable accepted peer) gets the default mix.
-    fn faults_for(&self, local: &str, remote: Option<&str>) -> LinkFaults {
+    /// The fault mix frames sent `local -> remote` are subject to, or
+    /// `None` if that direction is blocked. An unknown remote (an
+    /// accepted TCP peer) is never blocked and gets the default mix.
+    fn link(&self, local: &str, remote: Option<&str>) -> Option<LinkFaults> {
         let rules = self.rules.lock();
-        match remote {
-            Some(r) => rules
-                .faults
-                .get(&pair_key(local, r))
-                .copied()
-                .unwrap_or(rules.default_faults),
-            None => rules.default_faults,
+        let Some(remote) = remote else {
+            return Some(rules.default_faults);
+        };
+        if rules
+            .blocked
+            .contains(&(local.to_string(), remote.to_string()))
+        {
+            return None;
+        }
+        let faults = rules.faults.get(&pair_key(local, remote));
+        Some(faults.copied().unwrap_or(rules.default_faults))
+    }
+
+    /// Maps a peer label or dialled address back to a node name.
+    fn resolve(&self, label: &str) -> Option<String> {
+        self.nodes.lock().get(label).cloned()
+    }
+
+    /// Refuses a dial `from -> to` across a block (a handshake needs
+    /// both directions) or touching a crashed node.
+    fn check_dial(&self, from: &str, to: &str) -> Result<(), TransportError> {
+        let rules = self.rules.lock();
+        let pair = (from.to_string(), to.to_string());
+        let refused = rules.crashed.contains(from)
+            || rules.crashed.contains(to)
+            || rules.blocked.contains(&pair)
+            || rules.blocked.contains(&(pair.1, pair.0));
+        if refused {
+            return Err(TransportError::Io(format!(
+                "nemesis: route {from} -> {to} is down"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Closes every live link `cut` selects (and forgets dead ones).
+    fn close_links(&self, cut: impl Fn(&ConnShared) -> bool) {
+        self.conns.lock().retain(|weak| {
+            let Some(conn) = weak.upgrade() else {
+                return false;
+            };
+            let cut = cut(&conn);
+            if cut {
+                conn.inner.close();
+            }
+            !cut && !conn.inner.is_closed()
+        });
+    }
+
+    /// Releases the reorder slot of every live link that is now clean
+    /// and unblocked: a frame parked there was waiting for a next send
+    /// that may never come, and reorder must never become loss.
+    fn flush_holds(&self) {
+        for conn in self.conns.lock().iter().filter_map(Weak::upgrade) {
+            let clean = self.link(&conn.local, conn.remote.as_deref());
+            if clean.is_some_and(|faults| faults.is_none()) {
+                let _ = conn.flush_hold();
+            }
         }
     }
 
-    /// Maps a peer label back to a node name, when possible.
-    fn resolve_peer(&self, label: &str) -> Option<String> {
-        if self.nodes.lock().contains(label) {
-            return Some(label.to_string());
-        }
-        self.addr_nodes.lock().get(label).cloned()
-    }
-
-    fn apply(self: &Arc<Self>, event: NemesisEvent) {
+    fn apply(&self, event: NemesisEvent) {
         match event {
             NemesisEvent::Partition(groups) => {
                 {
@@ -224,48 +287,55 @@ impl NemesisInner {
                         for gb in groups.iter().skip(i + 1) {
                             for a in ga.iter() {
                                 for b in gb.iter() {
-                                    rules.blocked.insert(pair_key(a, b));
+                                    rules.blocked.insert((a.clone(), b.clone()));
+                                    rules.blocked.insert((b.clone(), a.clone()));
                                 }
                             }
                         }
                     }
                 }
                 self.metrics.partitions.inc();
-                // Sever live wrapped connections that cross the
-                // partition; connections whose remote node cannot be
-                // resolved (accepted TCP peers) are severed whenever
-                // their local node is named — same-side pairs re-dial
-                // instantly, crossing pairs are then refused.
+                // Links with a known remote are black-holed by the
+                // rules above. One whose remote is unknown cannot be
+                // placed on either side, so it is severed whenever its
+                // local node is named: same-side pairs re-dial at
+                // once, crossing pairs are then refused.
                 let named: HashSet<&String> = groups.iter().flatten().collect();
-                let mut conns = self.conns.lock();
-                conns.retain(|weak| {
-                    let Some(shared) = weak.upgrade() else {
-                        return false;
-                    };
-                    let cut = match shared.remote.lock().as_ref() {
-                        Some(remote) => self.is_blocked(&shared.local, remote),
-                        None => named.contains(&shared.local),
-                    };
-                    if cut {
-                        shared.inner.close();
-                    }
-                    !cut
-                });
+                self.close_links(|conn| conn.remote.is_none() && named.contains(&conn.local));
+            }
+            NemesisEvent::Block { from, to } => {
+                self.rules.lock().blocked.insert((from, to));
             }
             NemesisEvent::Heal => {
                 self.rules.lock().blocked.clear();
                 self.metrics.heals.inc();
+                self.flush_holds();
+            }
+            NemesisEvent::Sever { a, b } => self.close_links(|conn| {
+                conn.remote.as_deref().is_some_and(|remote| {
+                    (conn.local == a && remote == b) || (conn.local == b && remote == a)
+                })
+            }),
+            NemesisEvent::Crash(node) => {
+                self.rules.lock().crashed.insert(node.clone());
+                self.close_links(|conn| {
+                    conn.local == node || conn.remote.as_deref() == Some(node.as_str())
+                });
             }
             NemesisEvent::SetLinkFaults { a, b, faults } => {
-                let mut rules = self.rules.lock();
-                if faults.is_none() {
-                    rules.faults.remove(&pair_key(&a, &b));
-                } else {
-                    rules.faults.insert(pair_key(&a, &b), faults);
+                {
+                    let mut rules = self.rules.lock();
+                    if faults.is_none() {
+                        rules.faults.remove(&pair_key(&a, &b));
+                    } else {
+                        rules.faults.insert(pair_key(&a, &b), faults);
+                    }
                 }
+                self.flush_holds();
             }
             NemesisEvent::SetDefaultFaults(faults) => {
                 self.rules.lock().default_faults = faults;
+                self.flush_holds();
             }
         }
     }
@@ -287,23 +357,22 @@ impl Nemesis {
             inner: Arc::new(NemesisInner {
                 rng: Mutex::new(FaultRng::new(seed)),
                 rules: Mutex::new(NemesisRules::default()),
-                addr_nodes: Mutex::new(HashMap::new()),
-                nodes: Mutex::new(HashSet::new()),
+                nodes: Mutex::new(HashMap::new()),
                 conns: Mutex::new(Vec::new()),
                 metrics: NemesisMetrics::new(registry),
             }),
         }
     }
 
-    /// Registers `addr` as belonging to node `node`, so partitions and
-    /// per-link faults can name nodes even when the backend's
-    /// addresses are opaque (TCP "host:port").
+    /// Registers `addr` as belonging to node `node`, so rules can name
+    /// nodes even when the backend's addresses are opaque (TCP
+    /// "host:port") or one node listens at several. Links dialled to
+    /// an address before it is registered keep the raw address as
+    /// their remote, so register a cluster's addresses up front.
     pub fn register_addr(&self, addr: &str, node: &str) {
-        self.inner
-            .addr_nodes
-            .lock()
-            .insert(addr.to_string(), node.to_string());
-        self.inner.nodes.lock().insert(node.to_string());
+        let mut nodes = self.inner.nodes.lock();
+        nodes.insert(addr.to_string(), node.to_string());
+        nodes.insert(node.to_string(), node.to_string());
     }
 
     /// Wraps a listener owned by `node`: accepted connections are
@@ -314,19 +383,19 @@ impl Nemesis {
         Box::new(NemesisListener {
             inner,
             node: node.to_string(),
-            nem: Arc::clone(&self.inner),
+            nem: self.clone(),
         })
     }
 
-    /// Wraps a dialer originating from `node`: dials across a
-    /// partition are refused, established connections are
+    /// Wraps a dialer originating from `node`: dials across a block or
+    /// to a crashed node are refused, established connections are
     /// fault-injected.
     pub fn wrap_dialer(&self, node: &str, inner: Box<dyn Dialer>) -> Box<dyn Dialer> {
-        self.inner.nodes.lock().insert(node.to_string());
+        self.register_addr(node, node);
         Box::new(NemesisDialer {
             inner,
             node: node.to_string(),
-            nem: Arc::clone(&self.inner),
+            nem: self.clone(),
         })
     }
 
@@ -341,7 +410,7 @@ impl Nemesis {
         let shared = Arc::new(ConnShared {
             inner,
             local: local.to_string(),
-            remote: Mutex::new(remote),
+            remote,
             hold: Mutex::new(None),
             nem: Arc::downgrade(&self.inner),
         });
@@ -375,9 +444,30 @@ impl Nemesis {
         ));
     }
 
+    /// Shorthand for [`NemesisEvent::Block`] applied immediately.
+    pub fn block(&self, from: &str, to: &str) {
+        self.apply(NemesisEvent::Block {
+            from: from.to_string(),
+            to: to.to_string(),
+        });
+    }
+
     /// Shorthand for [`NemesisEvent::Heal`] applied immediately.
     pub fn heal(&self) {
         self.apply(NemesisEvent::Heal);
+    }
+
+    /// Shorthand for [`NemesisEvent::Sever`] applied immediately.
+    pub fn sever(&self, a: &str, b: &str) {
+        self.apply(NemesisEvent::Sever {
+            a: a.to_string(),
+            b: b.to_string(),
+        });
+    }
+
+    /// Shorthand for [`NemesisEvent::Crash`] applied immediately.
+    pub fn crash(&self, node: &str) {
+        self.apply(NemesisEvent::Crash(node.to_string()));
     }
 
     /// Shorthand for [`NemesisEvent::SetLinkFaults`] applied
@@ -401,13 +491,21 @@ impl Nemesis {
 struct ConnShared {
     inner: Box<dyn Connection>,
     local: String,
-    /// Peer node name, when resolvable (dialed links always are;
-    /// accepted TCP links usually are not).
-    remote: Mutex<Option<String>>,
+    /// Peer node name, when known (dialled and in-memory links always;
+    /// accepted TCP links never).
+    remote: Option<String>,
     /// One-slot reorder buffer: a held-back frame awaiting the next
     /// send (adjacent swap).
     hold: Mutex<Option<Frame>>,
     nem: Weak<NemesisInner>,
+}
+
+impl ConnShared {
+    /// Sends the held-back frame, if any.
+    fn flush_hold(&self) -> Result<(), TransportError> {
+        let held = self.hold.lock().take();
+        held.map_or(Ok(()), |frame| self.inner.send_frame(frame))
+    }
 }
 
 /// A fault-injecting [`Connection`] decorator minted by [`Nemesis`].
@@ -425,25 +523,16 @@ impl Connection for NemesisConnection {
         if s.inner.is_closed() {
             return Err(TransportError::Closed);
         }
-        // Partition black hole: a blocked link swallows frames (as a
-        // real partition appears to the sender until timeouts fire).
-        if let Some(remote) = s.remote.lock().clone() {
-            if nem.is_blocked(&s.local, &remote) {
-                nem.metrics.dropped.inc();
-                return Ok(());
-            }
-        }
-        let faults = {
-            let remote = s.remote.lock();
-            nem.faults_for(&s.local, remote.as_deref())
+        let Some(faults) = nem.link(&s.local, s.remote.as_deref()) else {
+            // Black hole: a blocked link swallows frames (as a real
+            // partition appears to the sender until timeouts fire).
+            nem.metrics.dropped.inc();
+            return Ok(());
         };
         if faults.is_none() {
-            // Flush any frame held by a now-cleared reorder rule so it
-            // is not stranded; it is older, so it goes first.
-            let prior = s.hold.lock().take();
-            if let Some(h) = prior {
-                s.inner.send_frame(h)?;
-            }
+            // A frame still held from a reorder is older: it goes
+            // first.
+            s.flush_hold()?;
             return s.inner.send_frame(frame);
         }
         let (drop_it, dup_it, reorder_it) = {
@@ -520,17 +609,14 @@ impl Connection for NemesisConnection {
 pub struct NemesisListener {
     inner: Box<dyn Listener>,
     node: String,
-    nem: Arc<NemesisInner>,
+    nem: Nemesis,
 }
 
 impl Listener for NemesisListener {
     fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
         let conn = self.inner.accept()?;
-        let remote = self.nem.resolve_peer(&conn.peer_label());
-        let nemesis = Nemesis {
-            inner: Arc::clone(&self.nem),
-        };
-        Ok(nemesis.wrap_conn(conn, &self.node, remote))
+        let remote = self.nem.inner.resolve(&conn.peer_label());
+        Ok(self.nem.wrap_conn(conn, &self.node, remote))
     }
 
     fn local_addr(&self) -> String {
@@ -542,49 +628,32 @@ impl Listener for NemesisListener {
     }
 }
 
-/// A partition-aware [`Dialer`] decorator minted by [`Nemesis`].
+/// A fault-aware [`Dialer`] decorator minted by [`Nemesis`].
 pub struct NemesisDialer {
     inner: Box<dyn Dialer>,
     node: String,
-    nem: Arc<NemesisInner>,
+    nem: Nemesis,
 }
 
 impl NemesisDialer {
-    fn wrap_dialed(
+    /// Dials through `connect` unless the route is down, and wraps the
+    /// link with the node `addr` belongs to as its remote.
+    fn dial_with(
         &self,
         addr: &str,
-        conn: Box<dyn Connection>,
+        connect: impl FnOnce(&dyn Dialer) -> Result<Box<dyn Connection>, TransportError>,
     ) -> Result<Box<dyn Connection>, TransportError> {
-        let remote = self
-            .nem
-            .resolve_peer(addr)
-            .unwrap_or_else(|| addr.to_string());
-        let nemesis = Nemesis {
-            inner: Arc::clone(&self.nem),
-        };
-        Ok(nemesis.wrap_conn(conn, &self.node, Some(remote)))
-    }
-
-    fn check_blocked(&self, addr: &str) -> Result<(), TransportError> {
-        let remote = self
-            .nem
-            .resolve_peer(addr)
-            .unwrap_or_else(|| addr.to_string());
-        if self.nem.is_blocked(&self.node, &remote) {
-            return Err(TransportError::Io(format!(
-                "nemesis: route {} -> {remote} is partitioned",
-                self.node
-            )));
-        }
-        Ok(())
+        let nem = &self.nem.inner;
+        let remote = nem.resolve(addr).unwrap_or_else(|| addr.to_string());
+        nem.check_dial(&self.node, &remote)?;
+        let conn = connect(self.inner.as_ref())?;
+        Ok(self.nem.wrap_conn(conn, &self.node, Some(remote)))
     }
 }
 
 impl Dialer for NemesisDialer {
     fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError> {
-        self.check_blocked(addr)?;
-        let conn = self.inner.dial(addr)?;
-        self.wrap_dialed(addr, conn)
+        self.dial_with(addr, |inner| inner.dial(addr))
     }
 
     fn dial_timeout(
@@ -592,9 +661,7 @@ impl Dialer for NemesisDialer {
         addr: &str,
         timeout: Duration,
     ) -> Result<Box<dyn Connection>, TransportError> {
-        self.check_blocked(addr)?;
-        let conn = self.inner.dial_timeout(addr, timeout)?;
-        self.wrap_dialed(addr, conn)
+        self.dial_with(addr, |inner| inner.dial_timeout(addr, timeout))
     }
 }
 
@@ -685,9 +752,8 @@ mod tests {
         for i in 0..200u32 {
             a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
         }
-        // Clearing the faults flushes any held frame on the next send.
+        // Clearing the faults releases a frame still held for reorder.
         nem.set_link_faults("a", "b", LinkFaults::NONE);
-        a.send(Bytes::from(200u32.to_le_bytes().to_vec())).unwrap();
         let mut got = Vec::new();
         while let Ok(Some(f)) = b.try_recv() {
             got.push(u32::from_le_bytes(f.as_ref().try_into().unwrap()));
@@ -696,8 +762,12 @@ mod tests {
         assert!(snap.counter("server.nemesis.duplicated") > 0);
         assert!(snap.counter("server.nemesis.reordered") > 0);
         let unique: HashSet<u32> = got.iter().copied().collect();
-        assert_eq!(unique.len(), 201, "every frame arrives at least once");
-        assert!(got.len() > 201, "duplicates arrived too");
+        assert_eq!(unique.len(), 200, "every frame arrives at least once");
+        assert!(got.len() > 200, "duplicates arrived too");
+        assert!(
+            got.windows(2).any(|w| w[1] < w[0]),
+            "adjacent swaps observed"
+        );
     }
 
     #[test]
@@ -721,8 +791,17 @@ mod tests {
         assert_eq!(registry.snapshot().counter("server.nemesis.delayed"), 1);
     }
 
+    /// Asserts nothing arrives on `conn` for a short while.
+    fn assert_silent(conn: &dyn Connection, why: &str) {
+        assert_eq!(
+            conn.recv_timeout(Duration::from_millis(20)).unwrap_err(),
+            TransportError::Timeout,
+            "{why}"
+        );
+    }
+
     #[test]
-    fn partition_severs_crossing_links_and_refuses_dials() {
+    fn partition_black_holes_known_links_until_heal() {
         let registry = Registry::new();
         let nem = Nemesis::new(9, &registry);
         let net = MemNetwork::new();
@@ -730,19 +809,44 @@ mod tests {
         let dialer = nem.wrap_dialer("a", Box::new(net.dialer("a")));
 
         nem.partition(&[&["a"], &["b"]]);
-        assert!(a.is_closed(), "crossing link severed");
-        assert!(b.is_closed());
+        a.send(Bytes::from_static(b"void")).unwrap();
+        b.send(Bytes::from_static(b"void")).unwrap();
+        assert_silent(b.as_ref(), "a -> b is a black hole");
+        assert_silent(a.as_ref(), "b -> a is a black hole");
+        assert!(!a.is_closed() && !b.is_closed(), "the link stays up");
         assert!(
             matches!(dialer.dial("b"), Err(TransportError::Io(_))),
             "cross-partition dial refused"
         );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.nemesis.partitions"), 1);
+        assert_eq!(snap.counter("server.nemesis.dropped"), 2);
 
+        // The same link carries traffic again: no re-dial needed.
         nem.heal();
         assert_eq!(registry.snapshot().counter("server.nemesis.heals"), 1);
-        let again = dialer.dial("b").unwrap();
-        again.send(Bytes::from_static(b"post-heal")).unwrap();
+        a.send(Bytes::from_static(b"through")).unwrap();
+        assert_eq!(b.recv().unwrap().as_ref(), b"through");
+        assert!(dialer.dial("b").is_ok(), "dials flow after the heal");
+    }
+
+    #[test]
+    fn partition_severs_links_whose_remote_is_unknown() {
+        let registry = Registry::new();
+        let nem = Nemesis::new(9, &registry);
+        let net = MemNetwork::new();
+        let listener = net.listen("b").unwrap();
+        // An accepted TCP peer is an ephemeral port: no remote node.
+        let anon = |from: &str| {
+            let dialed = net.dial_from(from, "b").unwrap();
+            (dialed, nem.wrap_conn(listener.accept().unwrap(), "b", None))
+        };
+        let (_d1, named_local) = anon("x");
+        nem.partition(&[&["a"], &["b"]]);
+        assert!(named_local.is_closed(), "local node named: severed");
+        let (_d2, bystander) = anon("y");
+        nem.partition(&[&["a"], &["c"]]);
+        assert!(!bystander.is_closed(), "local node not named: untouched");
     }
 
     #[test]
@@ -752,9 +856,108 @@ mod tests {
         let net = MemNetwork::new();
         let (a, c, _l) = pipe(&nem, &net, "a", "c");
         nem.partition(&[&["a", "c"], &["b"]]);
-        assert!(!a.is_closed(), "same-group link stays up");
         a.send(Bytes::from_static(b"still here")).unwrap();
         assert_eq!(c.recv().unwrap().as_ref(), b"still here");
+    }
+
+    #[test]
+    fn directed_block_drops_one_direction_only() {
+        let registry = Registry::new();
+        let nem = Nemesis::new(4, &registry);
+        let net = MemNetwork::new();
+        let (c, s, _l) = pipe(&nem, &net, "c", "s");
+
+        nem.block("s", "c");
+        c.send(Bytes::from_static(b"up")).unwrap();
+        assert_eq!(s.recv().unwrap().as_ref(), b"up");
+        s.send(Bytes::from_static(b"down")).unwrap();
+        assert_silent(c.as_ref(), "the blocked direction is a black hole");
+
+        nem.heal();
+        s.send(Bytes::from_static(b"down2")).unwrap();
+        assert_eq!(c.recv().unwrap().as_ref(), b"down2");
+    }
+
+    #[test]
+    fn sever_closes_exactly_the_named_pair() {
+        let registry = Registry::new();
+        let nem = Nemesis::new(6, &registry);
+        let net = MemNetwork::new();
+        let (a, s_from_a, listener) = pipe(&nem, &net, "a", "s");
+        let dialer_b = nem.wrap_dialer("b", Box::new(net.dialer("b")));
+        let b = dialer_b.dial("s").unwrap();
+        let s_from_b = listener.accept().unwrap();
+
+        nem.sever("s", "a");
+        assert_eq!(a.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(s_from_a.recv().unwrap_err(), TransportError::Closed);
+        assert!(!b.is_closed() && !s_from_b.is_closed(), "b - s untouched");
+        // A lost link, not a partition: the pair may reconnect.
+        let dialer_a = nem.wrap_dialer("a", Box::new(net.dialer("a")));
+        assert!(dialer_a.dial("s").is_ok());
+    }
+
+    #[test]
+    fn crash_closes_every_link_touching_the_node_and_refuses_dials() {
+        let registry = Registry::new();
+        let nem = Nemesis::new(8, &registry);
+        let net = MemNetwork::new();
+        let (c_to_s, s_from_c, _ls) = pipe(&nem, &net, "c", "s");
+        let (s_to_t, t_from_s, _lt) = pipe(&nem, &net, "s", "t");
+        let dialer_c = nem.wrap_dialer("c", Box::new(net.dialer("c")));
+        let c_to_t = dialer_c.dial("t").unwrap();
+
+        nem.crash("s");
+        for dead in [&c_to_s, &s_from_c, &s_to_t, &t_from_s] {
+            assert_eq!(dead.recv().unwrap_err(), TransportError::Closed);
+        }
+        assert!(!c_to_t.is_closed(), "a link between other nodes survives");
+        assert!(dialer_c.dial("s").is_err(), "dials to the dead node fail");
+        nem.heal();
+        assert!(dialer_c.dial("s").is_err(), "a heal does not revive it");
+    }
+
+    /// Regression: a frame parked in the one-slot reorder buffer used
+    /// to wait for a next send on the same link; if the faults were
+    /// lifted and nothing else was sent, reorder had become loss.
+    #[test]
+    fn lifting_the_faults_releases_a_held_frame_without_a_second_send() {
+        let on_link = |faults| NemesisEvent::SetLinkFaults {
+            a: "a".into(),
+            b: "b".into(),
+            faults,
+        };
+        let always = LinkFaults {
+            reorder_per_mille: 1000,
+            ..LinkFaults::NONE
+        };
+        let split = NemesisEvent::Partition(vec![vec!["a".into()], vec!["b".into()]]);
+        let lifts = [
+            (on_link(always), vec![on_link(LinkFaults::NONE)]),
+            (
+                NemesisEvent::SetDefaultFaults(always),
+                vec![NemesisEvent::SetDefaultFaults(LinkFaults::NONE)],
+            ),
+            // Lifted while partitioned: the heal releases the frame.
+            (
+                on_link(always),
+                vec![split, on_link(LinkFaults::NONE), NemesisEvent::Heal],
+            ),
+        ];
+        for (impose, lift) in lifts {
+            let registry = Registry::new();
+            let nem = Nemesis::new(1, &registry);
+            let net = MemNetwork::new();
+            let (a, b, _l) = pipe(&nem, &net, "a", "b");
+            nem.apply(impose);
+            a.send(Bytes::from_static(b"only")).unwrap();
+            assert_silent(b.as_ref(), "held back for an adjacent swap");
+            lift.into_iter().for_each(|event| nem.apply(event));
+            assert_eq!(
+                b.recv_timeout(Duration::from_secs(1)).unwrap().as_ref(),
+                b"only"
+            );
+        }
     }
 
     #[test]
@@ -765,34 +968,16 @@ mod tests {
         let (a, _b, _l) = pipe(&nem, &net, "a", "b");
         nem.schedule(
             Duration::from_millis(20),
-            NemesisEvent::Partition(vec![vec!["a".into()], vec!["b".into()]]),
+            NemesisEvent::Sever {
+                a: "a".into(),
+                b: "b".into(),
+            },
         );
         assert!(!a.is_closed(), "not yet");
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while !a.is_closed() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(a.is_closed(), "scheduled partition fired");
-    }
-
-    #[test]
-    fn blocked_send_black_holes_until_heal() {
-        let registry = Registry::new();
-        let nem = Nemesis::new(2, &registry);
-        let net = MemNetwork::new();
-        // Build the link first, then block without severing, by using
-        // per-link rules directly (partition would close it). A block
-        // discovered at send time swallows the frame.
-        let (a, b, _l) = pipe(&nem, &net, "a", "b");
-        nem.inner.rules.lock().blocked.insert(pair_key("a", "b"));
-        a.send(Bytes::from_static(b"void")).unwrap();
-        assert!(matches!(
-            b.recv_timeout(Duration::from_millis(20)),
-            Err(TransportError::Timeout)
-        ));
-        assert_eq!(registry.snapshot().counter("server.nemesis.dropped"), 1);
-        nem.heal();
-        a.send(Bytes::from_static(b"through")).unwrap();
-        assert_eq!(b.recv().unwrap().as_ref(), b"through");
+        assert!(a.is_closed(), "scheduled sever fired");
     }
 }

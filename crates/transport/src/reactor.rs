@@ -1474,4 +1474,36 @@ mod tests {
             "the socket never pushed back — the test exercised nothing"
         );
     }
+
+    /// Regression (shutdown relied on dialing ourselves): unblocking
+    /// `accept` by connecting to the listener's own address is not
+    /// portably possible for a wildcard bind (`0.0.0.0` / `::`) and
+    /// never succeeds once the backlog is full. Shutdown must need no
+    /// network traffic at all.
+    #[test]
+    fn shutdown_unblocks_accept_on_wildcard_bind() {
+        let listener = Arc::new(ReactorListener::bind("0.0.0.0:0", 1).unwrap());
+        let accepting = Arc::clone(&listener);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(accepting.accept().err());
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        listener.shutdown();
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("accept thread still blocked after shutdown of a wildcard bind");
+        assert_eq!(result, Some(TransportError::Closed));
+    }
+
+    #[test]
+    fn wildcard_bind_still_accepts_loopback_dials() {
+        let listener = ReactorListener::bind("0.0.0.0:0", 1).unwrap();
+        let addr = listener.local_addr();
+        let port = addr.rsplit(':').next().unwrap();
+        let client = TcpStream::connect(format!("127.0.0.1:{port}")).unwrap();
+        corona_types::frame::write_frame(&mut &client, b"via-wildcard").unwrap();
+        let conn = listener.accept().unwrap();
+        assert_eq!(conn.recv().unwrap().as_ref(), b"via-wildcard");
+    }
 }

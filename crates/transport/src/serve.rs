@@ -2,10 +2,10 @@
 //! [`FrameSink`] through [`serve()`] (accepted) or [`pump`] (dialled).
 //!
 //! A listener that can push ([`Listener::attach_sink`], the reactor)
-//! accepts and reads on its own event loops. Any other — in-memory,
-//! nemesis-wrapped, the blocking [`TcpAcceptor`](crate::TcpAcceptor) —
-//! is pulled: one accept thread and a reader thread per connection turn
-//! the blocking `accept` / `recv` calls into the same sink calls.
+//! accepts and reads on its own event loops. Any other — in-memory or
+//! nemesis-wrapped — is pulled: one accept thread and a reader thread
+//! per connection turn the blocking `accept` / `recv` calls into the
+//! same sink calls.
 
 use crate::traits::{Connection, FrameSink, Listener, TransportError};
 use bytes::Bytes;

@@ -1,6 +1,7 @@
-//! TCP transport: thread-per-connection with dedicated reader and
-//! writer threads, mirroring the multi-threaded blocking-I/O design of
-//! the original Java server.
+//! Blocking TCP connections for the dial side — clients and dialled
+//! peer links: a dedicated reader and writer thread per connection,
+//! mirroring the multi-threaded blocking-I/O design of the original
+//! Java server. The accept side is the [`reactor`](crate::reactor).
 //!
 //! Frames use [`corona_types::frame`] (`len ∥ crc32 ∥ body`). The
 //! writer thread drains its queue and batches buffered frames into a
@@ -8,13 +9,13 @@
 //! client costs one syscall, not N.
 
 use crate::traits::{
-    Connection, Dialer, Listener, TransportError, DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
+    Connection, Dialer, TransportError, DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
 };
 use bytes::Bytes;
 use corona_types::frame::{read_frame, Frame};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use std::io::{BufWriter, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -275,84 +276,6 @@ impl Drop for TcpConnection {
     }
 }
 
-/// How often a pending `accept` re-checks the shutdown flag when the
-/// OS accept queue is empty. Bounds both shutdown latency and the
-/// worst-case accept latency for a fresh connection.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// A TCP listener.
-///
-/// `accept` waits on a *nonblocking* OS socket and re-checks the
-/// shutdown flag between polls. Earlier revisions used a blocking
-/// `accept` unblocked by `shutdown` dialing the listener's own address
-/// — which never arrives when the socket is bound to a wildcard
-/// address on platforms that refuse wildcard connects, or when the
-/// accept backlog is already full, leaving the accept thread blocked
-/// forever. Shutdown now needs no network traffic at all.
-#[derive(Debug)]
-pub struct TcpAcceptor {
-    listener: TcpListener,
-    addr: String,
-    shutdown: AtomicBool,
-}
-
-impl TcpAcceptor {
-    /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn bind(addr: &str) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?.to_string();
-        Ok(TcpAcceptor {
-            listener,
-            addr,
-            shutdown: AtomicBool::new(false),
-        })
-    }
-}
-
-impl Listener for TcpAcceptor {
-    fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return Err(TransportError::Closed);
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(TransportError::Closed);
-                    }
-                    // The listener is nonblocking; the accepted stream
-                    // must not be (its reader/writer threads block).
-                    stream.set_nonblocking(false)?;
-                    return Ok(Box::new(TcpConnection::from_stream(stream)?));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(TransportError::Closed);
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
-    fn local_addr(&self) -> String {
-        self.addr.clone()
-    }
-
-    fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
 /// Dials TCP endpoints.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpDialer;
@@ -386,125 +309,21 @@ impl Dialer for TcpDialer {
 
 #[cfg(test)]
 mod tests {
+    //! What is specific to the blocking connection. Everything the
+    //! [`Connection`] contract promises — order, timeouts, close
+    //! propagation, the exact transmit cap — is checked for it against
+    //! a reactor listener in `tests/conformance.rs`.
+
     use super::*;
     use corona_types::frame::write_frame;
+    use std::net::TcpListener;
 
-    #[test]
-    fn dial_send_recv_roundtrip() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            let frame = conn.recv().unwrap();
-            conn.send(Bytes::from(format!(
-                "echo:{}",
-                String::from_utf8_lossy(&frame)
-            )))
-            .unwrap();
-            // Keep the connection alive until the client read the echo.
-            let _ = conn.recv();
-        });
+    /// A dialled connection and the raw accepted socket it talks to.
+    fn dial_raw() -> (Box<dyn Connection>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
         let client = TcpDialer.dial(&addr).unwrap();
-        client.send(Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(client.recv().unwrap().as_ref(), b"echo:hello");
-        client.close();
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn many_frames_preserve_order() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            let mut got = Vec::new();
-            for _ in 0..500 {
-                got.push(conn.recv().unwrap());
-            }
-            got
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        for i in 0..500u32 {
-            client.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-        }
-        let got = server.join().unwrap();
-        for (i, frame) in got.iter().enumerate() {
-            assert_eq!(
-                u32::from_le_bytes(frame.as_ref().try_into().unwrap()),
-                i as u32
-            );
-        }
-    }
-
-    #[test]
-    fn peer_close_surfaces_as_closed() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            conn.send(Bytes::from_static(b"bye")).unwrap();
-            // Give the writer thread a beat to flush before close.
-            std::thread::sleep(Duration::from_millis(20));
-            conn.close();
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        assert_eq!(client.recv().unwrap().as_ref(), b"bye");
-        assert_eq!(client.recv().unwrap_err(), TransportError::Closed);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let _server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            std::thread::sleep(Duration::from_millis(200));
-            drop(conn);
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        assert_eq!(
-            client.recv_timeout(Duration::from_millis(30)).unwrap_err(),
-            TransportError::Timeout
-        );
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            conn.send(Bytes::from_static(b"x")).unwrap();
-            std::thread::sleep(Duration::from_millis(100));
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        // Eventually the frame arrives; poll with try_recv.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        loop {
-            match client.try_recv().unwrap() {
-                Some(frame) => {
-                    assert_eq!(frame.as_ref(), b"x");
-                    break;
-                }
-                None => {
-                    assert!(std::time::Instant::now() < deadline, "frame never arrived");
-                    std::thread::yield_now();
-                }
-            }
-        }
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn listener_shutdown_unblocks_accept() {
-        let acceptor = Arc::new(TcpAcceptor::bind("127.0.0.1:0").unwrap());
-        let acceptor2 = Arc::clone(&acceptor);
-        let handle = std::thread::spawn(move || acceptor2.accept());
-        std::thread::sleep(Duration::from_millis(50));
-        acceptor.shutdown();
-        let result = handle.join().unwrap();
-        assert!(matches!(result, Err(TransportError::Closed)));
+        (client, listener.accept().unwrap().0)
     }
 
     #[test]
@@ -516,17 +335,12 @@ mod tests {
 
     #[test]
     fn dial_timeout_connects_and_classifies_failures() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            let _ = conn.recv();
-        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
         let client = TcpDialer
             .dial_timeout(&addr, Duration::from_secs(5))
             .unwrap();
         client.close();
-        server.join().unwrap();
 
         // A refused connect is terminal (try the next roster address);
         // only Timeout/Full are worth retrying in place.
@@ -537,31 +351,6 @@ mod tests {
         assert!(TransportError::Timeout.is_transient());
         assert!(TransportError::Full.is_transient());
         assert!(!TransportError::Closed.is_transient());
-    }
-
-    #[test]
-    fn backlog_drains_toward_zero() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            let mut got = 0;
-            while got < 100 {
-                conn.recv().unwrap();
-                got += 1;
-            }
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        for _ in 0..100 {
-            client.send(Bytes::from(vec![0u8; 1024])).unwrap();
-        }
-        // The writer thread drains the queue; backlog must reach zero.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while client.backlog() > 0 {
-            assert!(std::time::Instant::now() < deadline, "backlog stuck");
-            std::thread::yield_now();
-        }
-        server.join().unwrap();
     }
 
     /// Waits until a Disconnect span with `arg` shows up in the flight
@@ -590,65 +379,24 @@ mod tests {
 
         // Phase 1: the peer hangs up between frames — clean shutdown.
         {
-            let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-            let addr = acceptor.local_addr();
-            let client = TcpDialer.dial(&addr).unwrap();
-            let server_conn = acceptor.accept().unwrap();
-            client.close();
+            let (client, raw) = dial_raw();
+            drop(raw);
             await_disconnect_span(DISCONNECT_CLEAN);
-            drop(server_conn);
+            drop(client);
         }
 
         // Phase 2: the stream dies mid-frame — abnormal teardown.
         {
-            let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-            let addr = acceptor.local_addr();
-            let raw = TcpStream::connect(&addr).unwrap();
-            let server_conn = acceptor.accept().unwrap();
+            let (client, raw) = dial_raw();
             // Half a frame header, then hang up.
             (&raw).write_all(&[9, 0, 0][..]).unwrap();
             drop(raw);
             await_disconnect_span(DISCONNECT_ERROR);
-            drop(server_conn);
+            drop(client);
         }
 
         corona_trace::set_enabled(false);
         corona_trace::clear();
-    }
-
-    #[test]
-    fn bounded_queue_rejects_when_writer_stalls() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        // The server accepts but never reads, so the client's writer
-        // thread eventually blocks on a full socket buffer and the
-        // transmit queue backs up to its cap.
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            std::thread::sleep(Duration::from_millis(500));
-            drop(conn);
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        client.set_send_capacity(4);
-        let frame = Bytes::from(vec![0u8; 256 * 1024]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            match client.send(frame.clone()) {
-                Ok(()) => assert!(
-                    std::time::Instant::now() < deadline,
-                    "queue never reported Full"
-                ),
-                Err(TransportError::Full) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        // The rejected frame was not enqueued, and the reservation cap
-        // is exact: at the moment Full was returned the queue held
-        // precisely `cap` frames (queued + in the writer's hands) —
-        // not `cap` give-or-take racing senders.
-        assert_eq!(client.backlog(), 4, "cap must be exact at Full");
-        client.close();
-        server.join().unwrap();
     }
 
     /// Regression (check-then-act overshoot): `send` used to compare
@@ -660,18 +408,11 @@ mod tests {
     #[test]
     fn concurrent_senders_cannot_overshoot_capacity() {
         const CAP: usize = 8;
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let (stop_tx, stop_rx) = channel::bounded::<()>(1);
-        let server = std::thread::spawn(move || {
-            // Accept but never read, so the client's writer thread
-            // stalls on a full socket buffer and the transmit queue
-            // stays pinned at the cap (maximising the race window).
-            let conn = acceptor.accept().unwrap();
-            let _ = stop_rx.recv();
-            drop(conn);
-        });
-        let client: Arc<Box<dyn Connection>> = Arc::new(TcpDialer.dial(&addr).unwrap());
+        // The accepted socket is never read, so the client's writer
+        // thread stalls on a full socket buffer and the transmit queue
+        // stays pinned at the cap (maximising the race window).
+        let (client, _unread) = dial_raw();
+        let client: Arc<Box<dyn Connection>> = Arc::new(client);
         client.set_send_capacity(CAP);
         let frame = Bytes::from(vec![0u8; 64 * 1024]);
         let mut senders = Vec::new();
@@ -689,9 +430,7 @@ mod tests {
         for s in senders {
             s.join().unwrap();
         }
-        let _ = stop_tx.send(());
         client.close();
-        server.join().unwrap();
     }
 
     /// Regression (unbounded inbound buffering): the inbound channel
@@ -747,62 +486,5 @@ mod tests {
             assert_eq!(u32::from_le_bytes(frame.as_ref().try_into().unwrap()), i);
         }
         drop(raw);
-    }
-
-    /// Regression (shutdown relied on dialing ourselves): `shutdown`
-    /// used to unblock `accept` by connecting to the listener's own
-    /// address, which is not portably possible for a wildcard bind
-    /// (`0.0.0.0` / `::`) and never succeeds once the backlog is full
-    /// — leaving the accept thread blocked forever. Accept now polls a
-    /// nonblocking socket and needs no unblocking traffic.
-    #[test]
-    fn shutdown_unblocks_accept_on_wildcard_bind() {
-        let acceptor = Arc::new(TcpAcceptor::bind("0.0.0.0:0").unwrap());
-        let acceptor2 = Arc::clone(&acceptor);
-        let (done_tx, done_rx) = channel::bounded(1);
-        std::thread::spawn(move || {
-            let _ = done_tx.send(acceptor2.accept().err());
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        acceptor.shutdown();
-        let result = done_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("accept thread still blocked after shutdown of a wildcard bind");
-        assert!(matches!(result, Some(TransportError::Closed)));
-    }
-
-    #[test]
-    fn wildcard_bind_still_accepts_loopback_dials() {
-        let acceptor = TcpAcceptor::bind("0.0.0.0:0").unwrap();
-        let port = acceptor
-            .local_addr()
-            .rsplit(':')
-            .next()
-            .unwrap()
-            .to_string();
-        let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
-            conn.recv().unwrap()
-        });
-        let client = TcpDialer.dial(&format!("127.0.0.1:{port}")).unwrap();
-        client.send(Bytes::from_static(b"via-wildcard")).unwrap();
-        assert_eq!(server.join().unwrap().as_ref(), b"via-wildcard");
-    }
-
-    #[test]
-    fn send_after_close_fails() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr();
-        let _server = std::thread::spawn(move || {
-            let _conn = acceptor.accept().unwrap();
-            std::thread::sleep(Duration::from_millis(100));
-        });
-        let client = TcpDialer.dial(&addr).unwrap();
-        client.close();
-        assert_eq!(
-            client.send(Bytes::from_static(b"x")).unwrap_err(),
-            TransportError::Closed
-        );
-        assert!(client.is_closed());
     }
 }

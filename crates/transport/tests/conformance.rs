@@ -1,19 +1,20 @@
 //! Transport conformance battery.
 //!
-//! Every TCP-backed transport (thread-per-connection [`TcpAcceptor`],
-//! sharded [`ReactorListener`]) must present identical semantics
-//! through the [`Connection`] / [`Listener`] / [`Dialer`] trait
-//! objects: ordering, timeouts, close propagation, accept shutdown,
-//! exact bounded transmit queues, and disconnect trace events. The
-//! same checks run against every (listener, dialer) pairing — the
-//! wire format is shared, so threaded and reactor endpoints must
-//! interoperate both ways. Both send entry points are covered:
+//! Both TCP connection kinds — the blocking, thread-per-connection
+//! one [`TcpDialer`] mints and the sharded reactor's
+//! ([`ReactorListener`] / [`ReactorDialer`]) — must present identical
+//! semantics through the [`Connection`] / [`Listener`] / [`Dialer`]
+//! trait objects: ordering, timeouts, close propagation, accept
+//! shutdown, exact bounded transmit queues, and disconnect trace
+//! events. The same checks run against every (listener, dialer)
+//! pairing — the wire format is shared, so a threaded dialler must
+//! interoperate with the reactor. Both send entry points are covered:
 //! `send` (frames the body itself) and `send_frame` (pre-framed, the
 //! multicast path).
 
 use bytes::Bytes;
 use corona_transport::{
-    Dialer, Listener, ReactorDialer, ReactorListener, TcpAcceptor, TcpDialer, TransportError,
+    Dialer, Listener, ReactorDialer, ReactorListener, TcpDialer, TransportError,
 };
 use corona_types::frame::Frame;
 use std::sync::Arc;
@@ -27,23 +28,13 @@ type Pairing = (&'static str, Box<dyn Listener>, Box<dyn Dialer>);
 fn pairings() -> Vec<Pairing> {
     vec![
         (
-            "threaded/threaded",
-            Box::new(TcpAcceptor::bind("127.0.0.1:0").unwrap()) as Box<dyn Listener>,
-            Box::new(TcpDialer) as Box<dyn Dialer>,
-        ),
-        (
             "reactor/threaded",
-            Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()),
-            Box::new(TcpDialer),
+            Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()) as Box<dyn Listener>,
+            Box::new(TcpDialer) as Box<dyn Dialer>,
         ),
         (
             "reactor/reactor",
             Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()),
-            Box::new(ReactorDialer::new().unwrap()),
-        ),
-        (
-            "threaded/reactor",
-            Box::new(TcpAcceptor::bind("127.0.0.1:0").unwrap()),
             Box::new(ReactorDialer::new().unwrap()),
         ),
     ]

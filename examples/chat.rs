@@ -65,15 +65,14 @@ impl User {
 }
 
 fn main() -> corona::types::Result<()> {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let addr = acceptor.local_addr();
-    let server = CoronaServer::start(
-        Box::new(acceptor),
+    let server = CoronaServer::bind(
+        "127.0.0.1:0",
         ServerConfig::stateful(ServerId::new(1))
             // Keep at most 50 chat lines replayable; older history is
             // folded into the checkpoint (§3.2 log reduction).
             .with_reduction(ReductionPolicy::MaxUpdates { max: 50, keep: 20 }),
     )?;
+    let addr = server.local_addr();
 
     // The room is created by a founding user.
     let founder = CoronaClient::connect(TcpDialer.dial(&addr).expect("dial"), "founder", None)?;

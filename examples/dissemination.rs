@@ -23,9 +23,8 @@ fn reading(instrument: &str, t: u32) -> Vec<u8> {
 }
 
 fn main() -> corona::types::Result<()> {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let addr = acceptor.local_addr();
-    let server = CoronaServer::start(Box::new(acceptor), ServerConfig::stateful(ServerId::new(1)))?;
+    let server = CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1)))?;
+    let addr = server.local_addr();
 
     // The publisher creates the persistent feed and pushes readings.
     // `StateTransferPolicy::None` on join: a pure publisher needs no

@@ -13,9 +13,8 @@ use corona::prelude::*;
 use std::time::Duration;
 
 fn main() -> corona::types::Result<()> {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let addr = acceptor.local_addr();
-    let server = CoronaServer::start(Box::new(acceptor), ServerConfig::stateful(ServerId::new(1)))?;
+    let server = CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1)))?;
+    let addr = server.local_addr();
 
     // A member that produces some sequenced traffic for the health
     // counters, and a listener that consumes the fan-out.

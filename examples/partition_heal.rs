@@ -14,6 +14,7 @@
 //! ```
 
 use corona::prelude::*;
+use corona::transport::Nemesis;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,9 +31,17 @@ fn main() -> corona::types::Result<()> {
         .map(|i| (ServerId::new(i), format!("s{i}-client")))
         .collect();
 
+    // Every fault goes through the nemesis around the peer mesh; server
+    // `i` is the node `s{i}`, named before anyone dials.
+    let nem = Nemesis::new(0, &Registry::new());
+    for (id, addr) in &peers {
+        nem.register_addr(addr, &format!("s{}", id.raw()));
+    }
+
     println!("starting 3 replicated servers (s1 = initial coordinator)...");
     let mut servers = Vec::new();
     for i in 1..=3u64 {
+        let node = format!("s{i}");
         let config = ReplicatedConfig {
             servers: peers.clone(),
             client_addrs: client_addrs.clone(),
@@ -42,8 +51,11 @@ fn main() -> corona::types::Result<()> {
         };
         servers.push(ReplicatedServer::start(
             Box::new(net.listen(&format!("s{i}-client")).expect("listen")),
-            Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
-            Arc::new(net.dialer(&format!("s{i}-node"))),
+            nem.wrap_listener(
+                &node,
+                Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
+            ),
+            Arc::from(nem.wrap_dialer(&node, Box::new(net.dialer(&node)))),
             config,
         )?);
     }
@@ -75,10 +87,7 @@ fn main() -> corona::types::Result<()> {
     // Cut every peer link touching s1. Client links stay up: the
     // stranded coordinator keeps serving reads but must stop writes.
     println!("\npartitioning s1 away from s2 and s3...");
-    for other in [2u64, 3] {
-        net.block("s1-node", &format!("s{other}-peer"));
-        net.block(&format!("s{other}-node"), "s1-peer");
-    }
+    nem.partition(&[&["s1"], &["s2", "s3"]]);
 
     // A write racing the lease: sequenced by the minority inside its
     // lease window, visible to alice — and doomed to be discarded.
@@ -112,7 +121,7 @@ fn main() -> corona::types::Result<()> {
     // divergent suffix, adopts the quorum history, and replays the
     // corrected window to alice.
     println!("\nhealing the partition...");
-    net.heal();
+    nem.heal();
     wait_for("s1 to rejoin as a follower", || {
         !health.fenced()
             && servers[0]

@@ -12,9 +12,8 @@ use std::time::Duration;
 
 fn main() -> corona::types::Result<()> {
     // 1. Start a stateful server on an ephemeral TCP port.
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let addr = acceptor.local_addr();
-    let server = CoronaServer::start(Box::new(acceptor), ServerConfig::stateful(ServerId::new(1)))?;
+    let server = CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1)))?;
+    let addr = server.local_addr();
     println!("server listening on {addr}");
 
     // 2. Alice connects, creates a persistent group and joins it.

@@ -12,6 +12,7 @@
 //! ```
 
 use corona::prelude::*;
+use corona::transport::Nemesis;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,9 +28,17 @@ fn main() -> corona::types::Result<()> {
         .map(|i| (ServerId::new(i), format!("s{i}-client")))
         .collect();
 
+    // Every fault goes through the nemesis around the peer mesh; server
+    // `i` is the node `s{i}`, named before anyone dials.
+    let nem = Nemesis::new(0, &Registry::new());
+    for (id, addr) in &peers {
+        nem.register_addr(addr, &format!("s{}", id.raw()));
+    }
+
     println!("starting 3 replicated servers (s1 = initial coordinator)...");
     let mut servers = Vec::new();
     for i in 1..=3u64 {
+        let node = format!("s{i}");
         let config = ReplicatedConfig {
             servers: peers.clone(),
             client_addrs: client_addrs.clone(),
@@ -39,8 +48,11 @@ fn main() -> corona::types::Result<()> {
         };
         servers.push(ReplicatedServer::start(
             Box::new(net.listen(&format!("s{i}-client")).expect("listen")),
-            Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
-            Arc::new(net.dialer(&format!("s{i}-node"))),
+            nem.wrap_listener(
+                &node,
+                Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
+            ),
+            Arc::from(nem.wrap_dialer(&node, Box::new(net.dialer(&node)))),
             config,
         )?);
     }
@@ -75,8 +87,7 @@ fn main() -> corona::types::Result<()> {
     println!("\ncrashing the coordinator (s1)...");
     let s1 = servers.remove(0);
     s1.shutdown();
-    net.crash_node("s1-client");
-    net.crash_node("s1-peer");
+    nem.crash("s1");
 
     // Wait for the election to settle on s2.
     let deadline = Instant::now() + Duration::from_secs(10);

@@ -18,9 +18,8 @@ fn main() -> corona::types::Result<()> {
     // atomic load); flip it on for this run.
     trace::set_enabled(true);
 
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-    let addr = acceptor.local_addr();
-    let server = CoronaServer::start(Box::new(acceptor), ServerConfig::stateful(ServerId::new(1)))?;
+    let server = CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1)))?;
+    let addr = server.local_addr();
 
     let alice = CoronaClient::connect(TcpDialer.dial(&addr).expect("dial"), "alice", None)?;
     let group = GroupId::new(1);

@@ -44,12 +44,11 @@ fn main() -> corona::types::Result<()> {
     let addr;
     {
         // ---- Session 1: two artists draw together --------------------------
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-        addr = acceptor.local_addr();
-        let server = CoronaServer::start(
-            Box::new(acceptor),
+        let server = CoronaServer::bind(
+            "127.0.0.1:0",
             ServerConfig::stateful(ServerId::new(1)).with_storage(&storage),
         )?;
+        addr = server.local_addr();
 
         let ann = CoronaClient::connect(TcpDialer.dial(&addr).expect("dial"), "ann", None)?;
         let bob = CoronaClient::connect(TcpDialer.dial(&addr).expect("dial"), "bob", None)?;
@@ -130,12 +129,11 @@ fn main() -> corona::types::Result<()> {
 
     {
         // ---- Session 2: the canvas outlives the process ---------------------
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
-        let addr2 = acceptor.local_addr();
-        let server = CoronaServer::start(
-            Box::new(acceptor),
+        let server = CoronaServer::bind(
+            "127.0.0.1:0",
             ServerConfig::stateful(ServerId::new(1)).with_storage(&storage),
         )?;
+        let addr2 = server.local_addr();
         let cara = CoronaClient::connect(TcpDialer.dial(&addr2).expect("dial"), "cara", None)?;
         let (_, mirror) = cara.join_mirrored(BOARD, MemberRole::Principal, false)?;
 

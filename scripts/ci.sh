@@ -26,11 +26,13 @@ for seed in 1 2 3; do
 done
 
 echo "==> chaos matrix: partition/heal/flap/storm under fixed chaos seeds"
-# Symmetric and asymmetric partitions, divergent-suffix heal
-# reconciliation, flapping links, duplicate/reorder storms — over the
-# in-memory transport and real TCP + nemesis. Seeds feed every fault
-# generator; the assertions are seed-independent invariants (quorum
-# fencing, epoch fencing, gap- and duplicate-free client streams).
+# Partition-heal, divergent-suffix heal reconciliation, flapping links,
+# duplicate/reorder storms: each scenario is one body that runs on both
+# backends — the in-memory pipe and reactor TCP — with every fault a
+# nemesis event (the asymmetric partition runs on mem only). The seed
+# feeds the nemesis fault generator; the assertions are
+# seed-independent invariants (quorum fencing, epoch fencing, gap- and
+# duplicate-free client streams).
 for seed in 1 2 3; do
     echo "    -- CORONA_CHAOS_SEED=$seed"
     CORONA_CHAOS_SEED=$seed cargo test -q --offline --test chaos_matrix
@@ -106,5 +108,8 @@ echo "==> cargo doc --offline --workspace --no-deps (rustdoc warnings denied)"
 # carry public docs that link to private constants.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps \
     --exclude corona-e2e-bench
+
+echo "==> Rust line count (scripts/loc.sh)"
+./scripts/loc.sh
 
 echo "==> ci.sh: all green"

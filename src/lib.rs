@@ -34,7 +34,7 @@
 //! use corona::prelude::*;
 //!
 //! # fn main() -> corona::types::Result<()> {
-//! // An in-memory network (swap for TcpAcceptor/TcpDialer in production).
+//! // An in-memory network (in production: `CoronaServer::bind` + `TcpDialer`).
 //! let net = MemNetwork::new();
 //! let listener = net.listen("server").expect("listen");
 //! let server = CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1)))?;
@@ -102,7 +102,7 @@ pub mod prelude {
     pub use corona_metrics::{MetricsSnapshot, Registry};
     pub use corona_replication::{ReplicatedConfig, ReplicatedServer};
     pub use corona_statelog::{ReductionPolicy, SyncPolicy};
-    pub use corona_transport::{Connection, Dialer, Listener, MemNetwork, TcpAcceptor, TcpDialer};
+    pub use corona_transport::{Connection, Dialer, Listener, MemNetwork, TcpDialer};
     pub use corona_types::{
         id::{ClientId, GroupId, ObjectId, SeqNo, ServerId},
         message::{ServerEvent, StateTransfer},

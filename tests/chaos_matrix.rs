@@ -1,170 +1,36 @@
 //! Seeded chaos matrix against the replicated service: symmetric and
 //! asymmetric partitions, partition-with-divergence, flapping links,
-//! and duplicate/reorder storms — over the fault-injectable in-memory
-//! network and over real TCP sockets wrapped by the nemesis layer.
+//! and duplicate/reorder storms. Every scenario is one body, generic
+//! over the transport backend, and runs on the in-memory pipe and on
+//! reactor TCP sockets; every fault is a nemesis event.
 //!
-//! `CORONA_CHAOS_SEED` seeds every fault generator; the ci.sh chaos
-//! step runs the matrix under several seeds. The assertions are
-//! invariant checks — quorum fencing, epoch fencing, heal
-//! reconciliation, gap- and duplicate-freedom of every client stream —
-//! not timing checks, so every seed must pass.
+//! `CORONA_CHAOS_SEED` seeds the fault generator; the ci.sh chaos step
+//! runs the matrix under several seeds. The assertions are invariant
+//! checks — quorum fencing, epoch fencing, heal reconciliation, gap-
+//! and duplicate-freedom of every client stream — not timing checks,
+//! so every seed must pass.
 
+mod common;
+
+use common::{node, wait, Backend, Cluster, Tcp};
 use corona::prelude::*;
-use corona::transport::{LinkFaults, Nemesis};
+use corona::transport::LinkFaults;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 
-fn chaos_seed() -> u64 {
-    std::env::var("CORONA_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
-}
-
 // ---------------------------------------------------------------- harness
 
-struct Cluster {
-    net: MemNetwork,
-    servers: Vec<ReplicatedServer>,
-}
-
-impl Cluster {
-    /// Starts `n` servers (ids 1..=n in startup order, so s1 is the
-    /// initial coordinator) over a fault-seeded in-memory network.
-    fn start(n: u64, heartbeat_ms: u64, base_timeout_ms: u64) -> Cluster {
-        let net = MemNetwork::new();
-        net.seed_faults(chaos_seed());
-        let peers: Vec<(ServerId, String)> = (1..=n)
-            .map(|i| (ServerId::new(i), format!("s{i}-peer")))
-            .collect();
-        let client_addrs: Vec<(ServerId, String)> = (1..=n)
-            .map(|i| (ServerId::new(i), format!("s{i}-client")))
-            .collect();
-        let mut servers = Vec::new();
-        for i in 1..=n {
-            let config = ReplicatedConfig {
-                servers: peers.clone(),
-                client_addrs: client_addrs.clone(),
-                heartbeat_ms,
-                base_timeout_ms,
-                server_config: ServerConfig::stateful(ServerId::new(i)),
-            };
-            servers.push(
-                ReplicatedServer::start(
-                    Box::new(net.listen(&format!("s{i}-client")).unwrap()),
-                    Box::new(net.listen(&format!("s{i}-peer")).unwrap()),
-                    Arc::new(net.dialer(&format!("s{i}-node"))),
-                    config,
-                )
-                .unwrap(),
-            );
-        }
-        Cluster { net, servers }
-    }
-
-    fn client(&self, name: &str, server: u64) -> CoronaClient {
-        let conn = self
-            .net
-            .dial_from(name, &format!("s{server}-client"))
-            .unwrap();
-        let mut c = CoronaClient::connect(Box::new(conn), name, None).unwrap();
-        c.set_call_timeout(Duration::from_secs(15));
-        c
-    }
-
-    fn server(&self, id: u64) -> &ReplicatedServer {
-        &self.servers[(id - 1) as usize]
-    }
-
-    /// Blackholes every peer link between `id` and the rest of the
-    /// cluster, both directions. Client links stay up: the interesting
-    /// case is a coordinator that keeps its clients but loses its
-    /// quorum.
-    fn isolate_peers(&self, id: u64) {
-        for other in 1..=self.servers.len() as u64 {
-            if other == id {
-                continue;
-            }
-            self.net
-                .block(&format!("s{id}-node"), &format!("s{other}-peer"));
-            self.net
-                .block(&format!("s{other}-node"), &format!("s{id}-peer"));
-        }
-    }
-
-    /// Blocks only the inbound half of `id`'s peer links: its own
-    /// heartbeats still reach everyone, but nothing — in particular no
-    /// heartbeat ack — reaches it (an asymmetric partition). A peer
-    /// may talk to `id` over its own dialed connection or over the one
-    /// `id` dialed to it, so both directed paths are cut.
-    fn deafen(&self, id: u64) {
-        for other in 1..=self.servers.len() as u64 {
-            if other == id {
-                continue;
-            }
-            self.net
-                .block_directed(&format!("s{other}-node"), &format!("s{id}-peer"));
-            self.net
-                .block_directed(&format!("s{other}-peer"), &format!("s{id}-node"));
-        }
-    }
-
-    fn heal(&self) {
-        self.net.heal();
-    }
-
-    /// The coordinator every listed server currently agrees on, if
-    /// they all agree.
-    fn coordinator_agreed(&self, ids: &[u64]) -> Option<ServerId> {
-        let mut agreed = None;
-        for id in ids {
-            let coord = self.server(*id).status().ok()?.coordinator?;
-            match agreed {
-                None => agreed = Some(coord),
-                Some(prev) if prev == coord => {}
-                Some(_) => return None,
-            }
-        }
-        agreed
-    }
-
-    fn wait_coordinator(&self, ids: &[u64], expect: u64, timeout: Duration) {
-        wait(
-            &format!("servers {ids:?} to agree on coordinator s{expect}"),
-            timeout,
-            || self.coordinator_agreed(ids) == Some(ServerId::new(expect)),
-        );
-    }
-
-    fn fenced(&self, id: u64) -> bool {
-        self.server(id).health_registry().fenced()
-    }
-
-    fn has_event(&self, id: u64, kind: &str) -> bool {
-        self.server(id)
-            .health_registry()
-            .ops_events()
-            .iter()
-            .any(|e| e.kind == kind)
-    }
-
-    fn shutdown(self) {
-        for s in self.servers {
-            s.shutdown();
-        }
-    }
-}
-
-fn wait(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !done() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(15));
-    }
+/// Three servers over `backend`, the fault generator seeded from
+/// `CORONA_CHAOS_SEED`.
+fn start(backend: impl Backend + 'static, heartbeat_ms: u64, base_timeout_ms: u64) -> Cluster {
+    let seed = std::env::var("CORONA_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7);
+    Cluster::start(backend, seed, heartbeat_ms, base_timeout_ms, |c| c)
 }
 
 fn join(c: &CoronaClient) {
@@ -259,9 +125,8 @@ fn assert_contiguous(view: &[(u64, String)], what: &str) {
 /// lease, fence itself (explicit `Unavailable` to writers, zero
 /// entries sequenced), and — after the heal — rejoin as a follower
 /// with the missed suffix replayed to its local clients.
-#[test]
-fn partition_fences_minority_coordinator_and_heals() {
-    let cluster = Cluster::start(3, 30, 250);
+fn partition_fences_minority_coordinator_and_heals(backend: impl Backend + 'static) {
+    let cluster = start(backend, 30, 250);
     let alice = cluster.client("alice", 1);
     let bob = cluster.client("bob", 2);
     let mut a_stream = Vec::new();
@@ -276,7 +141,7 @@ fn partition_fences_minority_coordinator_and_heals() {
     wait_payload(&alice, "a0;", Duration::from_secs(10), &mut a_stream);
     wait_payload(&bob, "a0;", Duration::from_secs(10), &mut b_stream);
 
-    cluster.isolate_peers(1);
+    cluster.isolate(1);
     wait("s1 to fence itself", Duration::from_secs(10), || {
         cluster.fenced(1)
     });
@@ -304,7 +169,7 @@ fn partition_fences_minority_coordinator_and_heals() {
     bcast(&bob, "b1;");
     wait_payload(&bob, "b1;", Duration::from_secs(10), &mut b_stream);
 
-    cluster.heal();
+    cluster.nem.heal();
     wait(
         "s1 to rejoin as follower and reconcile",
         Duration::from_secs(20),
@@ -344,9 +209,8 @@ fn partition_fences_minority_coordinator_and_heals() {
 /// never saw), the majority moves on, and the heal must retract the
 /// stale suffix via the merge policies — surfaced as a
 /// `divergence_repaired` ops event — and converge every client.
-#[test]
-fn stale_suffix_discarded_and_repaired_after_heal() {
-    let cluster = Cluster::start(3, 30, 600);
+fn stale_suffix_discarded_and_repaired_after_heal(backend: impl Backend + 'static) {
+    let cluster = start(backend, 30, 600);
     let alice = cluster.client("alice", 1);
     let bob = cluster.client("bob", 2);
     let mut a_stream = Vec::new();
@@ -361,7 +225,7 @@ fn stale_suffix_discarded_and_repaired_after_heal() {
     wait_payload(&alice, "base;", Duration::from_secs(10), &mut a_stream);
     wait_payload(&bob, "base;", Duration::from_secs(10), &mut b_stream);
 
-    cluster.isolate_peers(1);
+    cluster.isolate(1);
     // Still inside the lease window: the soon-to-be-minority
     // coordinator sequences one more entry. This manufactures the
     // divergent suffix the heal must repair.
@@ -372,7 +236,7 @@ fn stale_suffix_discarded_and_repaired_after_heal() {
     bcast(&bob, "live;");
     wait_payload(&bob, "live;", Duration::from_secs(10), &mut b_stream);
 
-    cluster.heal();
+    cluster.nem.heal();
     wait(
         "s1 to rejoin and reconcile its stale suffix",
         Duration::from_secs(20),
@@ -429,9 +293,8 @@ fn stale_suffix_discarded_and_repaired_after_heal() {
 /// lapses. The coordinator must fence — making the outage explicit
 /// rather than silent — and un-fence in place once acks return,
 /// without an epoch change.
-#[test]
-fn asymmetric_partition_fences_coordinator_without_election() {
-    let cluster = Cluster::start(3, 30, 250);
+fn asymmetric_partition_fences_coordinator_without_election(backend: impl Backend + 'static) {
+    let cluster = start(backend, 30, 250);
     let alice = cluster.client("alice", 1);
     let bob = cluster.client("bob", 2);
     let mut a_stream = Vec::new();
@@ -447,11 +310,16 @@ fn asymmetric_partition_fences_coordinator_without_election() {
     wait_payload(&bob, "pre;", Duration::from_secs(10), &mut b_stream);
     let epoch_before = cluster.server(2).status().unwrap().epoch;
 
-    cluster.deafen(1);
+    // Deafen s1: its own heartbeats still reach everyone, but nothing
+    // — in particular no heartbeat ack — reaches it.
+    for other in [2, 3] {
+        cluster.nem.block(&node(other), &node(1));
+    }
     wait("s1 to fence itself", Duration::from_secs(10), || {
         cluster.fenced(1)
     });
     assert!(cluster.has_event(1, "quorum_lost"));
+    assert!(cluster.injected("dropped") > 0, "no ack was swallowed");
     // Heartbeats still flow outward, so the followers never elect.
     let st2 = cluster.server(2).status().unwrap();
     assert_eq!(st2.coordinator, Some(ServerId::new(1)));
@@ -465,7 +333,7 @@ fn asymmetric_partition_fences_coordinator_without_election() {
         &mut a_stream,
     );
 
-    cluster.heal();
+    cluster.nem.heal();
     wait("s1 to regain its lease", Duration::from_secs(10), || {
         !cluster.fenced(1)
     });
@@ -492,9 +360,8 @@ fn asymmetric_partition_fences_coordinator_without_election() {
 /// away and healed. Each cycle forces a fence, an election, and a heal
 /// reconciliation; after the storm every client converges on one
 /// gap-free stream containing everybody's liveness marker.
-#[test]
-fn flapping_partitions_converge_to_identical_streams() {
-    let cluster = Cluster::start(3, 30, 150);
+fn flapping_partitions_converge_to_identical_streams(backend: impl Backend + 'static) {
+    let cluster = start(backend, 30, 150);
     let clients = [
         cluster.client("alice", 1),
         cluster.client("bob", 2),
@@ -530,7 +397,7 @@ fn flapping_partitions_converge_to_identical_streams() {
         );
         let coord = agreed.unwrap().raw();
         let survivors: Vec<u64> = all.iter().copied().filter(|id| *id != coord).collect();
-        cluster.isolate_peers(coord);
+        cluster.isolate(coord);
 
         let mut next = None;
         wait(
@@ -541,7 +408,7 @@ fn flapping_partitions_converge_to_identical_streams() {
                 next.is_some_and(|c| c.raw() != coord)
             },
         );
-        cluster.heal();
+        cluster.nem.heal();
         let target = next.unwrap();
         wait(
             &format!("cycle-{cycle} cluster to reconverge on {target}"),
@@ -585,6 +452,9 @@ fn flapping_partitions_converge_to_identical_streams() {
     assert_eq!(views[0], views[1], "views diverged after flapping");
     assert_eq!(views[1], views[2], "views diverged after flapping");
     assert_contiguous(&views[0], "flapping");
+    for what in ["partitions", "heals"] {
+        assert!(cluster.injected(what) >= 3, "three flaps, {what} uncounted");
+    }
     for i in 0..3 {
         let marker = format!("mark{i};");
         assert!(
@@ -601,9 +471,8 @@ fn flapping_partitions_converge_to_identical_streams() {
 /// sequenced-append suppression at the replicas) and reorders healed
 /// by the gap-refresh path, leaving every client stream exactly-once
 /// and in order.
-#[test]
-fn duplicate_reorder_storm_keeps_streams_exact() {
-    let cluster = Cluster::start(3, 30, 300);
+fn duplicate_reorder_storm_keeps_streams_exact(backend: impl Backend + 'static) {
+    let cluster = start(backend, 30, 300);
     let clients = [
         cluster.client("alice", 1),
         cluster.client("bob", 2),
@@ -624,14 +493,8 @@ fn duplicate_reorder_storm_keeps_streams_exact() {
         reorder_per_mille: 150,
         delay_ms: 1,
     };
-    for i in 1..=3u64 {
-        for j in 1..=3u64 {
-            if i != j {
-                cluster
-                    .net
-                    .set_link_faults(&format!("s{i}-node"), &format!("s{j}-peer"), storm);
-            }
-        }
+    for (i, j) in [(1, 2), (1, 3), (2, 3)] {
+        cluster.nem.set_link_faults(&node(i), &node(j), storm);
     }
 
     const N: usize = 24;
@@ -675,129 +538,51 @@ fn duplicate_reorder_storm_keeps_streams_exact() {
     assert_eq!(views[0], views[1], "storm broke total order");
     assert_eq!(views[1], views[2], "storm broke total order");
     assert!(!cluster.fenced(1), "storm must not cost the quorum lease");
+    for what in ["duplicated", "reordered"] {
+        assert!(cluster.injected(what) > 0, "the storm {what} nothing");
+    }
     cluster.shutdown();
 }
 
-/// The partition-heal scenario over real TCP sockets, with the
-/// nemesis layer wrapped around every peer listener and dialer:
-/// partitions sever crossing links and refuse re-dials, so the fault
-/// is a genuine socket-level outage rather than an in-memory rule.
-#[test]
-fn tcp_partition_heal_with_nemesis() {
-    let registry = Registry::new();
-    let nem = Nemesis::new(chaos_seed(), &registry);
+// ------------------------------------------------------------------ matrix
 
-    let mut client_listeners = Vec::new();
-    let mut peer_listeners = Vec::new();
-    for _ in 0..3 {
-        client_listeners.push(TcpAcceptor::bind("127.0.0.1:0").unwrap());
-        peer_listeners.push(TcpAcceptor::bind("127.0.0.1:0").unwrap());
-    }
-    let peers: Vec<(ServerId, String)> = peer_listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (ServerId::new(i as u64 + 1), l.local_addr()))
-        .collect();
-    let client_addrs: Vec<(ServerId, String)> = client_listeners
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (ServerId::new(i as u64 + 1), l.local_addr()))
-        .collect();
-
-    let mut servers = Vec::new();
-    for (i, (client_listener, peer_listener)) in
-        client_listeners.into_iter().zip(peer_listeners).enumerate()
-    {
-        let id = i as u64 + 1;
-        let node = format!("s{id}");
-        let config = ReplicatedConfig {
-            servers: peers.clone(),
-            client_addrs: client_addrs.clone(),
-            heartbeat_ms: 30,
-            base_timeout_ms: 250,
-            server_config: ServerConfig::stateful(ServerId::new(id)),
-        };
-        servers.push(
-            ReplicatedServer::start(
-                Box::new(client_listener),
-                nem.wrap_listener(&node, Box::new(peer_listener)),
-                Arc::from(nem.wrap_dialer(&node, Box::new(TcpDialer))),
-                config,
-            )
-            .unwrap(),
-        );
-    }
-
-    let connect = |name: &str, server: usize| {
-        let conn = TcpDialer.dial(&client_addrs[server - 1].1).unwrap();
-        let mut c = CoronaClient::connect(conn, name, None).unwrap();
-        c.set_call_timeout(Duration::from_secs(15));
-        c
+/// Runs each scenario as the test `<backend>::<scenario>`.
+macro_rules! run_on {
+    ($module:ident, $backend:expr, [$($scenario:ident),+ $(,)?]) => {
+        mod $module {
+            use super::*;
+            $(
+                #[test]
+                fn $scenario() {
+                    super::$scenario($backend);
+                }
+            )+
+        }
     };
-    let alice = connect("alice", 1);
-    let bob = connect("bob", 2);
-    let mut a_stream = Vec::new();
-    let mut b_stream = Vec::new();
-
-    alice
-        .create_group(G, Persistence::Persistent, SharedState::new())
-        .unwrap();
-    join(&alice);
-    join(&bob);
-    bcast(&alice, "pre;");
-    wait_payload(&alice, "pre;", Duration::from_secs(10), &mut a_stream);
-    wait_payload(&bob, "pre;", Duration::from_secs(10), &mut b_stream);
-
-    nem.partition(&[&["s1"], &["s2", "s3"]]);
-    wait(
-        "s1 to fence itself over TCP",
-        Duration::from_secs(10),
-        || servers[0].health_registry().fenced(),
-    );
-    assert!(servers[0]
-        .health_registry()
-        .ops_events()
-        .iter()
-        .any(|e| e.kind == "quorum_lost"));
-
-    wait("s2/s3 to elect s2", Duration::from_secs(15), || {
-        servers[1..].iter().all(|s| {
-            s.status()
-                .map(|st| st.coordinator == Some(ServerId::new(2)))
-                .unwrap_or(false)
-        })
-    });
-    bcast(&bob, "mid;");
-    wait_payload(&bob, "mid;", Duration::from_secs(10), &mut b_stream);
-
-    nem.heal();
-    wait(
-        "s1 to rejoin and reconcile over TCP",
-        Duration::from_secs(20),
-        || {
-            !servers[0].health_registry().fenced()
-                && servers[0]
-                    .status()
-                    .map(|st| st.coordinator == Some(ServerId::new(2)) && !st.is_coordinator)
-                    .unwrap_or(false)
-        },
-    );
-
-    bcast(&alice, "post;");
-    wait_payload(&alice, "post;", Duration::from_secs(15), &mut a_stream);
-    wait_payload(&bob, "post;", Duration::from_secs(15), &mut b_stream);
-    a_stream.extend(drain(&alice, Duration::from_millis(400)));
-    b_stream.extend(drain(&bob, Duration::from_millis(400)));
-
-    let a_view = last_wins(&a_stream);
-    let b_view = last_wins(&b_stream);
-    assert_eq!(a_view, b_view, "TCP partition-heal diverged the clients");
-    assert_contiguous(&a_view, "tcp-partition-heal");
-    assert_eq!(a_view.len(), 3, "unexpected entries: {a_view:?}");
-
-    alice.close();
-    bob.close();
-    for s in servers {
-        s.shutdown();
-    }
 }
+
+run_on!(
+    mem,
+    MemNetwork::new(),
+    [
+        partition_fences_minority_coordinator_and_heals,
+        stale_suffix_discarded_and_repaired_after_heal,
+        asymmetric_partition_fences_coordinator_without_election,
+        flapping_partitions_converge_to_identical_streams,
+        duplicate_reorder_storm_keeps_streams_exact,
+    ]
+);
+
+// An accepted TCP link's peer is an ephemeral port, not a node, so the
+// nemesis cannot block one direction of it: the asymmetric scenario
+// cannot be expressed over sockets. Everything else runs there too.
+run_on!(
+    tcp,
+    Tcp,
+    [
+        partition_fences_minority_coordinator_and_heals,
+        stale_suffix_discarded_and_repaired_after_heal,
+        flapping_partitions_converge_to_identical_streams,
+        duplicate_reorder_storm_keeps_streams_exact,
+    ]
+);

@@ -3,34 +3,39 @@
 //! cites in §4.2), network partitions between halves of a replicated
 //! deployment, and the application-selectable partition merge.
 
+mod common;
+
+use common::Cluster;
 use corona::prelude::*;
 use corona::replication::{find_divergence, merge, MergeResolution, Side};
 use corona::statelog::{GroupLog, StableStore, SyncPolicy};
-use std::sync::Arc;
+use corona::transport::Nemesis;
 use std::time::{Duration, Instant};
 
 const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 
-#[test]
-fn client_crash_releases_locks_and_membership() {
+/// A single server at "server" on an in-memory network, and a fault
+/// plane through which [`connect`] dials it.
+fn single_server() -> (MemNetwork, Nemesis, CoronaServer) {
     let net = MemNetwork::new();
     let listener = net.listen("server").unwrap();
     let server =
         CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1))).unwrap();
+    (net, Nemesis::new(0, &Registry::new()), server)
+}
 
-    let stable = CoronaClient::connect(
-        Box::new(net.dial_from("stable", "server").unwrap()),
-        "stable",
-        None,
-    )
-    .unwrap();
-    let flaky = CoronaClient::connect(
-        Box::new(net.dial_from("flaky", "server").unwrap()),
-        "flaky",
-        None,
-    )
-    .unwrap();
+/// Connects `name` (also its node name) with an optional old identity.
+fn connect(net: &MemNetwork, nem: &Nemesis, name: &str, resume: Option<ClientId>) -> CoronaClient {
+    let dialer = nem.wrap_dialer(name, Box::new(net.dialer(name)));
+    CoronaClient::connect(dialer.dial("server").unwrap(), name, resume).unwrap()
+}
+
+#[test]
+fn client_crash_releases_locks_and_membership() {
+    let (net, nem, server) = single_server();
+    let stable = connect(&net, &nem, "stable", None);
+    let flaky = connect(&net, &nem, "flaky", None);
 
     stable
         .create_group(G, Persistence::Persistent, SharedState::new())
@@ -50,10 +55,10 @@ fn client_crash_releases_locks_and_membership() {
     // is severed (a crash, not a goodbye).
     let flaky_id = flaky.client_id();
     let waiter = std::thread::spawn({
-        let net = net.clone();
+        let nem = nem.clone();
         move || {
             std::thread::sleep(Duration::from_millis(100));
-            net.sever("flaky", "server");
+            nem.sever("flaky", "server");
         }
     });
     // Blocking acquire resolves once the server detects the crash and
@@ -82,17 +87,8 @@ fn client_crash_releases_locks_and_membership() {
 
 #[test]
 fn reconnecting_client_catches_up_after_link_failure() {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
-    let server =
-        CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1))).unwrap();
-
-    let writer = CoronaClient::connect(
-        Box::new(net.dial_from("writer", "server").unwrap()),
-        "writer",
-        None,
-    )
-    .unwrap();
+    let (net, nem, server) = single_server();
+    let writer = connect(&net, &nem, "writer", None);
     writer
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -100,12 +96,7 @@ fn reconnecting_client_catches_up_after_link_failure() {
         .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
         .unwrap();
 
-    let roaming = CoronaClient::connect(
-        Box::new(net.dial_from("roaming", "server").unwrap()),
-        "roaming",
-        None,
-    )
-    .unwrap();
+    let roaming = connect(&net, &nem, "roaming", None);
     let roaming_id = roaming.client_id();
     let (_, mut mirror) = roaming
         .join_mirrored(G, MemberRole::Observer, false)
@@ -118,7 +109,7 @@ fn reconnecting_client_catches_up_after_link_failure() {
     assert_eq!(mirror.apply_event(&ev), ApplyOutcome::Applied);
 
     // Link failure while traffic continues.
-    net.sever("roaming", "server");
+    nem.sever("roaming", "server");
     for i in 2..=6 {
         writer
             .bcast_update(
@@ -133,12 +124,7 @@ fn reconnecting_client_catches_up_after_link_failure() {
 
     // Reconnect with the old identity, rejoin with incremental
     // catch-up from the mirror's last seq, resync the mirror.
-    let reconnected = CoronaClient::connect(
-        Box::new(net.dial_from("roaming", "server").unwrap()),
-        "roaming",
-        Some(roaming_id),
-    )
-    .unwrap();
+    let reconnected = connect(&net, &nem, "roaming", Some(roaming_id));
     assert_eq!(reconnected.client_id(), roaming_id);
     let (_, transfer) = reconnected
         .join(G, MemberRole::Observer, mirror.catch_up_policy(), false)
@@ -170,41 +156,9 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
     std::env::set_var("CORONA_TRACE_DIR", &dump_dir);
     corona::trace::set_enabled(true);
 
-    let net = MemNetwork::new();
-    let peers: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("s{i}-peer")))
-        .collect();
-    let client_addrs: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("s{i}-client")))
-        .collect();
-    let mut servers = Vec::new();
-    for i in 1..=3u64 {
-        let config = ReplicatedConfig {
-            servers: peers.clone(),
-            client_addrs: client_addrs.clone(),
-            heartbeat_ms: 30,
-            base_timeout_ms: 150,
-            server_config: ServerConfig::stateful(ServerId::new(i)),
-        };
-        servers.push(
-            ReplicatedServer::start(
-                Box::new(net.listen(&format!("s{i}-client")).unwrap()),
-                Box::new(net.listen(&format!("s{i}-peer")).unwrap()),
-                Arc::new(net.dialer(&format!("s{i}-node"))),
-                config,
-            )
-            .unwrap(),
-        );
-    }
-
-    let connect = |name: &str, srv: u64| {
-        let conn = net.dial_from(name, &format!("s{srv}-client")).unwrap();
-        let mut c = CoronaClient::connect(Box::new(conn), name, None).unwrap();
-        c.set_call_timeout(Duration::from_secs(15));
-        c
-    };
-    let bob = connect("bob", 2);
-    let carol = connect("carol", 3);
+    let cluster = Cluster::start(MemNetwork::new(), 0, 30, 150, |c| c);
+    let bob = cluster.client("bob", 2);
+    let carol = cluster.client("carol", 3);
 
     bob.create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -249,34 +203,10 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
     // Partition the coordinator away from everyone else, mid-stream:
     // its existing connections become black holes, so s2 and s3 see
     // heartbeats stop (a network failure, not a clean shutdown).
-    net.partition(&[
-        &["s1-client", "s1-peer", "s1-node"],
-        &[
-            "s2-client",
-            "s2-peer",
-            "s2-node",
-            "s3-client",
-            "s3-peer",
-            "s3-node",
-            "bob",
-            "carol",
-        ],
-    ]);
+    cluster.isolate(1);
 
     // The first surviving server in the list (s2) must win.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let agreed = servers[1..].iter().all(|s| {
-            s.status()
-                .map(|st| st.coordinator == Some(ServerId::new(2)))
-                .unwrap_or(false)
-        });
-        if agreed {
-            break;
-        }
-        assert!(Instant::now() < deadline, "election never settled on s2");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    cluster.wait_coordinator(&[2, 3], 2, Duration::from_secs(10));
 
     // The stream resumes through the new coordinator.
     for i in 0..3 {
@@ -292,7 +222,7 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
 
     // Connectivity restored: the healed network must not disturb the
     // surviving majority (s1's stale-epoch heartbeats are ignored).
-    net.heal();
+    cluster.nem.heal();
     bob.bcast_update(G, O, &b"healed;"[..], DeliveryScope::SenderExclusive)
         .unwrap();
     pump(&carol, 1);
@@ -306,7 +236,7 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
     );
 
     // The failover left a trace in the new coordinator's metrics.
-    let snap = servers[1].metrics();
+    let snap = cluster.server(2).metrics();
     assert!(
         snap.counter("repl.elections.rounds") >= 1,
         "no election round recorded"
@@ -328,8 +258,8 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
     // them). The phases above can finish between two ticks, so poll.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        if servers[1].metrics().counter("repl.heartbeats.sent") > 0
-            && servers[2].metrics().counter("repl.heartbeats.recv") > 0
+        if cluster.server(2).metrics().counter("repl.heartbeats.sent") > 0
+            && cluster.server(3).metrics().counter("repl.heartbeats.recv") > 0
         {
             break;
         }
@@ -364,9 +294,7 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
 
     bob.close();
     carol.close();
-    for s in servers {
-        s.shutdown();
-    }
+    cluster.shutdown();
     corona::trace::set_enabled(false);
     corona::trace::clear();
     let _ = std::fs::remove_dir_all(&dump_dir);
@@ -411,40 +339,10 @@ fn supervised_clients_survive_server_kill() {
         "unknown CORONA_FAULT_SEED {fault}"
     );
 
-    let net = MemNetwork::new();
-    let peers: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("f{i}-peer")))
-        .collect();
-    let client_addrs: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("f{i}-client")))
-        .collect();
-    let mut servers = Vec::new();
-    for i in 1..=3u64 {
-        let config = ReplicatedConfig {
-            servers: peers.clone(),
-            client_addrs: client_addrs.clone(),
-            heartbeat_ms: 30,
-            base_timeout_ms: 150,
-            server_config: ServerConfig::stateful(ServerId::new(i)),
-        };
-        servers.push(
-            ReplicatedServer::start(
-                Box::new(net.listen(&format!("f{i}-client")).unwrap()),
-                Box::new(net.listen(&format!("f{i}-peer")).unwrap()),
-                Arc::new(net.dialer(&format!("f{i}-node"))),
-                config,
-            )
-            .unwrap(),
-        );
-    }
+    let mut cluster = Cluster::start(MemNetwork::new(), 0, 30, 150, |c| c);
 
     // A plain writer on s2, which no fault touches.
-    let writer = {
-        let conn = net.dial_from("w", "f2-client").unwrap();
-        let mut c = CoronaClient::connect(Box::new(conn), "w", None).unwrap();
-        c.set_call_timeout(Duration::from_secs(15));
-        c
-    };
+    let writer = cluster.client("w", 2);
     writer
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -456,8 +354,8 @@ fn supervised_clients_survive_server_kill() {
     let attach = if fault == 2 { 3 } else { 1 };
     let registry = Registry::new();
     let roam = CoronaClient::connect_failover(
-        Arc::new(net.dialer("roam-node")),
-        vec![format!("f{attach}-client")],
+        cluster.dialer("roam"),
+        vec![cluster.client_addr(attach)],
         "roam",
         FailoverConfig {
             registry: Some(registry.clone()),
@@ -498,18 +396,6 @@ fn supervised_clients_survive_server_kill() {
             );
         }
     };
-    let kill = |servers: &mut Vec<ReplicatedServer>, id: u64| {
-        let pos = servers
-            .iter()
-            .position(|s| s.server_id().raw() == id)
-            .unwrap();
-        let s = servers.remove(pos);
-        s.shutdown();
-        net.crash_node(&format!("f{id}-client"));
-        net.crash_node(&format!("f{id}-peer"));
-        net.crash_node(&format!("f{id}-node"));
-    };
-
     // Mid-stream: the mirror is live when the fault hits.
     for i in 1..=3 {
         send(i);
@@ -518,20 +404,20 @@ fn supervised_clients_survive_server_kill() {
 
     let mut next = 4;
     match fault {
-        1 => kill(&mut servers, 1),
-        2 => kill(&mut servers, 3),
+        1 => cluster.kill(1),
+        2 => cluster.kill(3),
         3 => {
             // Lose the client's link only, stream a window it must
             // later repair, then kill the coordinator while the
             // client is mid-reconnect.
-            net.partition(&[&["roam-node"], &["f1-client"]]);
-            net.sever("roam-node", "f1-client");
+            cluster.nem.partition(&[&["roam"], &["s1"]]);
+            cluster.nem.sever("roam", "s1");
             for i in 4..=6 {
                 send(i);
             }
             next = 7;
-            kill(&mut servers, 1);
-            net.heal();
+            cluster.kill(1);
+            cluster.nem.heal();
         }
         _ => unreachable!(),
     }
@@ -601,9 +487,7 @@ fn supervised_clients_survive_server_kill() {
 
     writer.close();
     roam.close();
-    for s in servers {
-        s.shutdown();
-    }
+    cluster.shutdown();
 }
 
 /// Builds a server on its own storage dir, runs `edits` against it,

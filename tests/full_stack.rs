@@ -9,12 +9,8 @@ const G: GroupId = GroupId(1);
 const DOC: ObjectId = ObjectId(1);
 
 fn tcp_server(config: ServerConfig) -> (String, CoronaServer) {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
-    (
-        addr,
-        CoronaServer::start(Box::new(acceptor), config).unwrap(),
-    )
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    (server.local_addr(), server)
 }
 
 fn connect(addr: &str, name: &str) -> CoronaClient {

@@ -4,9 +4,10 @@
 //! watchdog (structured ops event + automatic flight-recorder dump)
 //! and the post-failover snapshot shows the gap closed.
 
+mod common;
+
 use corona::health::WatchdogConfig;
 use corona::prelude::*;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const G: GroupId = GroupId(1);
@@ -113,49 +114,21 @@ fn coordinator_kill_mid_broadcast_trips_stall_then_heals() {
     std::env::set_var("CORONA_TRACE_DIR", &dump_dir);
     corona::trace::set_enabled(true);
 
-    let net = MemNetwork::new();
-    let peers: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("h{i}-peer")))
-        .collect();
-    let client_addrs: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("h{i}-client")))
-        .collect();
     let watchdog = WatchdogConfig {
         stall_after_ms: 150,
         ..WatchdogConfig::default()
     };
-    let mut servers = Vec::new();
-    for i in 1..=3u64 {
-        let config = ReplicatedConfig {
-            servers: peers.clone(),
-            client_addrs: client_addrs.clone(),
-            heartbeat_ms: 30,
-            // The election must resolve decisively *slower* than the
-            // 150 ms stall threshold: with a fast timeout the surviving
-            // replica can win and resume sequencing before the watchdog
-            // ever sees a 150 ms quiet window, and the trip is a race.
-            base_timeout_ms: 450,
-            server_config: ServerConfig::stateful(ServerId::new(i)).with_watchdog(watchdog),
-        };
-        servers.push(
-            ReplicatedServer::start(
-                Box::new(net.listen(&format!("h{i}-client")).unwrap()),
-                Box::new(net.listen(&format!("h{i}-peer")).unwrap()),
-                Arc::new(net.dialer(&format!("h{i}-node"))),
-                config,
-            )
-            .unwrap(),
-        );
-    }
+    // The election must resolve decisively *slower* than the 150 ms
+    // stall threshold: with a fast timeout the surviving replica can
+    // win and resume sequencing before the watchdog ever sees a 150 ms
+    // quiet window, and the trip is a race.
+    let mut cluster = common::Cluster::start(MemNetwork::new(), 0, 30, 450, |config| {
+        config.with_watchdog(watchdog)
+    });
 
     // The writer sits on s2 — the replica that survives the fault and
     // whose health plane we watch.
-    let writer = {
-        let conn = net.dial_from("w", "h2-client").unwrap();
-        let mut c = CoronaClient::connect(Box::new(conn), "w", None).unwrap();
-        c.set_call_timeout(Duration::from_secs(15));
-        c
-    };
+    let writer = cluster.client("w", 2);
     writer
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -192,17 +165,13 @@ fn coordinator_kill_mid_broadcast_trips_stall_then_heals() {
     }
 
     // Kill the coordinator mid-broadcast: a hard crash, not a goodbye.
-    let s1 = servers.remove(0);
-    s1.shutdown();
-    net.crash_node("h1-client");
-    net.crash_node("h1-peer");
-    net.crash_node("h1-node");
+    cluster.kill(1);
 
     // Keep submitting while nothing can be sequenced: this is exactly
     // the condition the stall watchdog guards. The broadcasts are
     // fire-and-forget forwards into the void until the election
     // resolves.
-    let health = servers[0].health_registry(); // s2
+    let health = cluster.server(2).health_registry();
     let deadline = Instant::now() + Duration::from_secs(15);
     let stall = loop {
         writer
@@ -257,7 +226,7 @@ fn coordinator_kill_mid_broadcast_trips_stall_then_heals() {
     // confirmed).
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let json = servers[0].health_json().unwrap();
+        let json = cluster.server(2).health_json().unwrap();
         let lag = json_u64(&json, "lag");
         if json.contains("\"stalled\":false") && lag == Some(0) {
             assert!(
@@ -274,9 +243,7 @@ fn coordinator_kill_mid_broadcast_trips_stall_then_heals() {
     }
 
     writer.close();
-    for s in servers {
-        s.shutdown();
-    }
+    cluster.shutdown();
     corona::trace::set_enabled(false);
     corona::trace::clear();
     let _ = std::fs::remove_dir_all(&dump_dir);

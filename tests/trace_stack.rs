@@ -32,12 +32,11 @@ fn broadcast_leaves_a_complete_monotonic_span_chain() {
     // Inline logging puts the log append on the dispatcher thread, so
     // the chain's LogAppend hop is recorded before fan-out begins.
     let dir = storage_dir("chain");
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
     let config = ServerConfig::stateful(ServerId::new(1))
         .with_storage(&dir)
         .with_log_on_critical_path(true);
-    let server = CoronaServer::start(Box::new(acceptor), config).unwrap();
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
 
     let client = CoronaClient::connect(TcpDialer.dial(&addr).unwrap(), "tracer", None).unwrap();
     client
@@ -125,10 +124,9 @@ fn disabled_tracing_records_nothing_across_the_stack() {
     trace::set_enabled(false);
     trace::clear();
 
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr();
     let server =
-        CoronaServer::start(Box::new(acceptor), ServerConfig::stateful(ServerId::new(1))).unwrap();
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let addr = server.local_addr();
     let client = CoronaClient::connect(TcpDialer.dial(&addr).unwrap(), "quiet", None).unwrap();
     client
         .create_group(G, Persistence::Transient, SharedState::new())
