@@ -38,7 +38,7 @@ use corona_transport::{
     pump, serve, Connection, FrameSink, Listener, MeteredConnection, TransportError,
     TransportMetrics,
 };
-use corona_types::error::{CoronaError, Result};
+use corona_types::error::{CodecError, CoronaError, ErrorCode, Result};
 use corona_types::frame::Frame;
 use corona_types::id::{ClientId, GroupId};
 use corona_types::message::{ClientRequest, ServerEvent};
@@ -219,6 +219,12 @@ pub struct Io {
     fanout_bytes_saved: Arc<Counter>,
     /// Connections reaped on send failure / queue overflow.
     dead_conn: Arc<Counter>,
+    /// Events refused because they exceed the frame size limit.
+    too_large: Arc<Counter>,
+    /// Body size of each `Joined` frame, and the time to encode and
+    /// checksum it: what a state transfer costs the dispatcher.
+    join_transfer_bytes: Arc<Histogram>,
+    join_frame_us: Arc<Histogram>,
     shed: Arc<Counter>,
     enqueues: Arc<Counter>,
     fanout_queue_depth: Arc<Histogram>,
@@ -237,11 +243,39 @@ impl Io {
     }
 
     fn send_on(&mut self, conn_id: u64, event: &ServerEvent) {
-        let frame = Frame::new(event.encode_to_bytes());
+        let joined = matches!(event, ServerEvent::Joined { .. }).then(Instant::now);
+        let frame = match Frame::new(event.encode_to_bytes()) {
+            Ok(frame) => frame,
+            Err(cause) => return self.refuse(conn_id, &cause),
+        };
+        if let Some(started) = joined {
+            self.join_transfer_bytes.record(frame.body().len() as u64);
+            self.join_frame_us.record_duration(started.elapsed());
+        }
         let accepted = self.enqueue(conn_id, frame, classify(event), None);
         if let (true, ServerEvent::Multicast { group, logged }) = (accepted, event) {
             self.health.group(*group).note_delivered(logged.seq.raw());
         }
+    }
+
+    /// Counts one message refused for exceeding the frame size limit
+    /// and builds the error its requester gets in its place. Such a
+    /// message is never sent: its receiver would answer the over-limit
+    /// length by dropping the connection, reconnect, and ask again.
+    /// Whatever the request changed stands — after a refused `Joined`
+    /// the client is a member, and can ask for a narrower transfer
+    /// with `GetState`, or leave.
+    pub fn refusal(&mut self, cause: &CodecError) -> ServerEvent {
+        self.too_large.inc();
+        ServerEvent::Error {
+            code: ErrorCode::TooLarge.to_wire(),
+            detail: format!("reply not sent: {cause}"),
+        }
+    }
+
+    fn refuse(&mut self, conn_id: u64, cause: &CodecError) {
+        let event = self.refusal(cause);
+        self.send_on(conn_id, &event);
     }
 
     /// Fans one event out to every recipient connected here, encoded
@@ -263,7 +297,17 @@ impl Io {
             let width = recipients.len() as u64;
             record(Hop::FanoutEnqueue, TraceId(t.id), 0, width);
         }
-        let frame = Frame::new(encode_traced(event, self.trace));
+        let frame = match Frame::new(encode_traced(event, self.trace)) {
+            Ok(frame) => frame,
+            Err(cause) => {
+                for to in recipients {
+                    if let Some(&conn_id) = self.client_conn.get(to) {
+                        self.refuse(conn_id, &cause);
+                    }
+                }
+                return;
+            }
+        };
         self.fanout_encodes.inc();
         let class = classify(event);
         // The group's health cell is resolved once per broadcast (one
@@ -380,9 +424,9 @@ impl Io {
     }
 
     /// Sends on a peer link; `false` if it is gone or refused.
-    pub fn send_peer(&mut self, conn_id: u64, body: Bytes) -> bool {
+    pub fn send_peer(&mut self, conn_id: u64, frame: Frame) -> bool {
         let link = self.peers.get(&conn_id);
-        link.is_some_and(|link| link.conn.send(body).is_ok())
+        link.is_some_and(|link| link.conn.send_frame(frame).is_ok())
     }
 
     /// Closes a peer link; [`Protocol::peer_closed`] follows once the
@@ -705,6 +749,9 @@ impl<P: Protocol> Kernel<P> {
             fanout_encodes: registry.counter("server.fanout.encodes"),
             fanout_bytes_saved: registry.counter("server.fanout.bytes_saved"),
             dead_conn: registry.counter("server.fanout.dead_conn"),
+            too_large: registry.counter("server.send.too_large"),
+            join_transfer_bytes: registry.histogram("server.join.transfer_bytes"),
+            join_frame_us: registry.histogram("server.join.frame_us"),
             shed: registry.counter("server.shed"),
             enqueues: registry.counter("server.fanout.enqueues"),
             fanout_queue_depth: registry.histogram("server.fanout.queue_depth"),

@@ -33,6 +33,7 @@ use corona_statelog::GroupLog;
 use corona_trace::{record, Hop, TraceId};
 use corona_transport::{Dialer, Listener};
 use corona_types::error::{CoronaError, ErrorCode, Result};
+use corona_types::frame::Frame;
 use corona_types::id::{ClientId, Epoch, GroupId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent};
 use corona_types::state::Timestamp;
@@ -926,8 +927,33 @@ impl Replica {
     /// Sends `msg` to `to`, dialling first if no link is up. A message
     /// that cannot be sent is counted and dropped — with the link, so
     /// the next send re-dials; failure detection and the post-election
-    /// resync repair what it carried.
+    /// resync repair what it carried. A message no frame can carry is
+    /// dropped without the link; if it was the reply to a forwarded
+    /// request (a `Joined` with a large group's state), the requester
+    /// gets the refusal in its place.
     fn send_peer(&mut self, to: ServerId, msg: PeerMessage, io: &mut Io) {
+        let frame = match Frame::new(msg.encode_to_bytes()) {
+            Ok(frame) => frame,
+            Err(cause) => {
+                let PeerMessage::RequestOutcome {
+                    origin,
+                    local_tag,
+                    client,
+                    ..
+                } = msg
+                else {
+                    self.metrics.peer_send_failed.inc();
+                    return;
+                };
+                let refused = PeerMessage::RequestOutcome {
+                    origin,
+                    local_tag,
+                    client,
+                    events: vec![io.refusal(&cause)],
+                };
+                return self.send_peer(to, refused, io);
+            }
+        };
         match &msg {
             PeerMessage::Heartbeat { .. } => self.metrics.heartbeats_sent.inc(),
             PeerMessage::Sequenced { .. } => self.metrics.fanout_sequenced.inc(),
@@ -949,7 +975,7 @@ impl Replica {
         }
         let link = self.peer_conns.get(&to).copied();
         if let Some(conn_id) = link.or_else(|| self.connect_peer(to, io)) {
-            if io.send_peer(conn_id, msg.encode_to_bytes()) {
+            if io.send_peer(conn_id, frame) {
                 return;
             }
             self.peer_conns.remove(&to);

@@ -620,6 +620,38 @@ mod tests {
     }
 
     #[test]
+    fn golden_log_is_byte_stable_and_recovers() {
+        // A log written by the one-byte table CRC kernel: creation
+        // record ("init:" in object 1) and updates 1 "a", 2 "b". What
+        // is on disk today must keep recovering, and what is written
+        // today must be what an older build recovers.
+        const GOLDEN: &[u8] = b"\x0b\x00\x00\x00\x54\xbb\xe8\xdb\x00\x00\x01\x01\x05init:\x00\
+            \x08\x00\x00\x00\x8b\x43\x13\x63\x01\x01\x01\x01\x01\x01\x01a\
+            \x08\x00\x00\x00\x7c\x72\x52\x8c\x01\x02\x01\x02\x01\x01\x01b";
+        let root = tmpdir("golden");
+        let store = StableStore::open(&root, SyncPolicy::OsDefault).unwrap();
+        let initial = SharedState::from_objects([(ObjectId::new(1), &b"init:"[..])]);
+        let mut gs = store
+            .create_group(GroupId::new(9), Persistence::Persistent, &initial)
+            .unwrap();
+        gs.append_update(&logged(1, "a")).unwrap();
+        gs.append_update(&logged(2, "b")).unwrap();
+        gs.sync().unwrap();
+        drop(gs);
+        let log_path = root.join("g9").join(LOG_FILE);
+        assert_eq!(fs::read(&log_path).unwrap(), GOLDEN);
+
+        fs::create_dir_all(root.join("g10")).unwrap();
+        fs::write(root.join("g10").join(LOG_FILE), GOLDEN).unwrap();
+        let (rec, _handle) = store.recover_group(GroupId::new(10)).unwrap().unwrap();
+        assert_eq!(rec.replayed, 2);
+        assert!(!rec.truncated_tail);
+        let object = rec.log.current_state().object(ObjectId::new(1)).cloned();
+        assert_eq!(object.unwrap().materialize().as_ref(), b"init:ab");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn recover_missing_group_is_none() {
         let root = tmpdir("missing");
         let store = StableStore::open(&root, SyncPolicy::OsDefault).unwrap();

@@ -48,7 +48,7 @@ use crate::traits::{
 };
 use bytes::Bytes;
 use corona_metrics::{Counter, Gauge, Histogram, Registry};
-use corona_types::frame::{read_frame, Frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use corona_types::frame::{check_frame, declared_len, Frame, FRAME_HEADER_LEN};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -818,8 +818,10 @@ fn advance(batch: &mut VecDeque<Frame>, done: &mut usize, mut written: usize) ->
 }
 
 /// Parses complete frames out of `sc.rbuf`, delivering each to the
-/// sink (push mode) or inbound queue (pull mode). Returns `Err(())` on
-/// framing corruption, `Ok(true)` if reading should pause.
+/// sink (push mode) or inbound queue (pull mode). A frame is verified
+/// where it lies in the reassembly buffer and its body copied out once,
+/// into the [`Bytes`] handed on. Returns `Err(())` on framing
+/// corruption, `Ok(true)` if reading should pause.
 fn parse_frames(
     sc: &mut ShardConn,
     metrics: Option<&ReactorMetrics>,
@@ -827,27 +829,21 @@ fn parse_frames(
 ) -> Result<bool, ()> {
     let mut pos = 0usize;
     let mut paused = false;
-    while sc.rbuf.len() - pos >= FRAME_HEADER_LEN {
-        let len =
-            u32::from_le_bytes(sc.rbuf[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
-        if len as u64 > MAX_FRAME_LEN as u64 {
-            sc.rbuf.drain(..pos);
+    while let Some(header) = sc.rbuf[pos..].first_chunk::<FRAME_HEADER_LEN>() {
+        // A corrupt stream ends the connection: what is left in the
+        // buffer is never looked at again.
+        let Ok(len) = declared_len(header) else {
             return Err(());
-        }
-        if sc.rbuf.len() - pos < FRAME_HEADER_LEN + len {
+        };
+        let end = pos + FRAME_HEADER_LEN + len;
+        if sc.rbuf.len() < end {
             break;
         }
-        // Re-use the canonical decoder (CRC validation included) over
-        // the complete in-buffer frame.
-        let mut cursor = io::Cursor::new(&sc.rbuf[pos..pos + FRAME_HEADER_LEN + len]);
-        let frame = match read_frame(&mut cursor) {
-            Ok(Some(frame)) => frame,
-            _ => {
-                sc.rbuf.drain(..pos);
-                return Err(());
-            }
+        let Ok(body) = check_frame(&sc.rbuf[pos..end]) else {
+            return Err(());
         };
-        pos += FRAME_HEADER_LEN + len;
+        let frame = Bytes::copy_from_slice(body);
+        pos = end;
         let inner = &sc.inner;
         match &inner.sink {
             Some(sink) => {
@@ -1330,6 +1326,7 @@ impl Dialer for ReactorDialer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corona_types::frame::read_frame;
     use std::os::fd::RawFd;
 
     const SOL_SOCKET: i32 = 1;
@@ -1373,7 +1370,7 @@ mod tests {
         let frames: Vec<Frame> = bodies
             .iter()
             .enumerate()
-            .map(|(i, &len)| Frame::new(Bytes::from(vec![i as u8 + 1; len])))
+            .map(|(i, &len)| Frame::new(Bytes::from(vec![i as u8 + 1; len])).unwrap())
             .collect();
         let wire: Vec<u8> = frames
             .iter()
@@ -1436,7 +1433,7 @@ mod tests {
         // — at exactly the cap.
         let mut next = 0u32;
         loop {
-            match conn.send_frame(Frame::new(Bytes::from(body(next)))) {
+            match conn.send_frame(Frame::new(Bytes::from(body(next))).unwrap()) {
                 Ok(()) => next += 1,
                 Err(TransportError::Full) => break,
                 Err(e) => panic!("unexpected send error: {e}"),
@@ -1456,7 +1453,7 @@ mod tests {
             }
         });
         while next < FRAMES {
-            match conn.send_frame(Frame::new(Bytes::from(body(next)))) {
+            match conn.send_frame(Frame::new(Bytes::from(body(next))).unwrap()) {
                 Ok(()) => next += 1,
                 Err(TransportError::Full) => {
                     assert!(conn.backlog() <= CAP);

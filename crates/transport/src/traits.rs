@@ -104,9 +104,11 @@ pub trait Connection: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// As [`Connection::send_frame`].
+    /// As [`Connection::send_frame`]; [`TransportError::Io`] for a body
+    /// over the frame size limit, which is not sent.
     fn send(&self, body: Bytes) -> Result<(), TransportError> {
-        self.send_frame(Frame::new(body))
+        let frame = Frame::new(body).map_err(|e| TransportError::Io(e.to_string()))?;
+        self.send_frame(frame)
     }
 
     /// Caps the transmit queue at `cap` frames. Sends that would

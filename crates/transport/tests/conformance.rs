@@ -10,15 +10,42 @@
 //! pairing — the wire format is shared, so a threaded dialler must
 //! interoperate with the reactor. Both send entry points are covered:
 //! `send` (frames the body itself) and `send_frame` (pre-framed, the
-//! multicast path).
+//! multicast path). Both read paths — the reactor's in-place check of
+//! its reassembly buffer and the blocking reader's `read_frame` — must
+//! treat a corrupt stream alike: every frame before the corruption,
+//! nothing after it, an error close.
 
 use bytes::Bytes;
+use corona_transport::tcp::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
 use corona_transport::{
-    Dialer, Listener, ReactorDialer, ReactorListener, TcpDialer, TransportError,
+    Connection, Dialer, FrameSink, Listener, ReactorDialer, ReactorListener, TcpDialer,
+    TransportError,
 };
-use corona_types::frame::Frame;
-use std::sync::Arc;
+use corona_types::frame::{write_frame, Frame, FRAME_HEADER_LEN};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Tracing is process-wide: the tests that switch it on take turns.
+static TRACING: Mutex<()> = Mutex::new(());
+
+/// Polls the trace buffer until a disconnect span with `arg` shows up.
+fn await_disconnect_span(arg: u64, why: &str) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let spans = corona_trace::drain();
+        if spans
+            .iter()
+            .any(|s| s.hop == corona_trace::Hop::Disconnect && s.arg == arg)
+        {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "{why}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
 
 /// One (name, listener, dialer) combination under test.
 type Pairing = (&'static str, Box<dyn Listener>, Box<dyn Dialer>);
@@ -47,7 +74,7 @@ fn roundtrip_echo() {
         let server = std::thread::spawn(move || {
             let conn = listener.accept().unwrap();
             let frame = conn.recv().unwrap();
-            conn.send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())))
+            conn.send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())).unwrap())
                 .unwrap();
             let _ = conn.recv(); // hold until the client hangs up
         });
@@ -86,7 +113,7 @@ fn many_frames_preserve_order() {
                 let sent = if i % 2 == 0 {
                     client.send(body)
                 } else {
-                    client.send_frame(Frame::new(body))
+                    client.send_frame(Frame::new(body).unwrap())
                 };
                 match sent {
                     Ok(()) => break,
@@ -208,7 +235,7 @@ fn bounded_send_queue_is_exact() {
         // Framed once, cloned per send — the multicast shape. (It also
         // keeps the sender faster than any flush path, so the cap is
         // what stops it.)
-        let frame = Frame::new(Bytes::from(vec![7u8; 256 * 1024]));
+        let frame = Frame::new(Bytes::from(vec![7u8; 256 * 1024])).unwrap();
         let mut saw_full = false;
         for _ in 0..64 {
             match client.send_frame(frame.clone()) {
@@ -278,12 +305,12 @@ fn send_after_close_fails() {
 
 #[test]
 fn disconnects_are_recorded_as_trace_events() {
-    use corona_transport::tcp::DISCONNECT_CLEAN;
     // Other tests in this binary run concurrently and may record
     // their own disconnect spans while tracing is enabled, so this
     // asserts only the *presence* of the clean-disconnect span; the
     // clean-vs-error distinction is pinned down by the transport unit
     // tests, which own the process.
+    let _tracing = TRACING.lock().unwrap();
     for (name, listener, dialer) in pairings() {
         let addr = listener.local_addr();
 
@@ -305,22 +332,163 @@ fn disconnects_are_recorded_as_trace_events() {
         }
         client.close();
         let listener = server.join().unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let spans = corona_trace::drain();
-            if spans
-                .iter()
-                .any(|s| s.hop == corona_trace::Hop::Disconnect && s.arg == DISCONNECT_CLEAN)
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{name}: no clean-disconnect trace event"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_disconnect_span(
+            DISCONNECT_CLEAN,
+            &format!("{name}: no clean-disconnect trace event"),
+        );
         corona_trace::set_enabled(false);
         drop(listener);
+    }
+}
+
+/// A byte stream that opens with one good frame, [`INTACT`], and goes
+/// bad after it; `write_size` is how the bytes are cut into writes.
+struct CorruptStream {
+    what: &'static str,
+    wire: Vec<u8>,
+    write_size: usize,
+}
+
+/// The body a reader must deliver before it gives up on the stream.
+const INTACT: &[u8] = b"intact";
+
+fn corrupt_streams() -> Vec<CorruptStream> {
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, body).unwrap();
+        wire
+    }
+    /// `body` framed, with one bit of wire byte `at` flipped.
+    fn spoiled(body: &[u8], at: usize) -> Vec<u8> {
+        let mut wire = framed(body);
+        wire[at] ^= 0x10;
+        wire
+    }
+    const MIB: usize = 1 << 20;
+    let whole = usize::MAX;
+    let stream = |what, write_size, bad: &[Vec<u8>]| CorruptStream {
+        what,
+        wire: [framed(INTACT), bad.concat()].concat(),
+        write_size,
+    };
+    vec![
+        stream(
+            "bit flipped in the body",
+            whole,
+            &[spoiled(b"a body", FRAME_HEADER_LEN + 2)],
+        ),
+        stream(
+            "bit flipped in the CRC field",
+            whole,
+            &[spoiled(b"a body", 5)],
+        ),
+        stream(
+            "last byte of a MiB frame that arrives in many segments",
+            1460,
+            &[spoiled(&vec![0xA5; MIB], FRAME_HEADER_LEN + MIB - 1)],
+        ),
+        stream(
+            "second of three frames that arrive in one read",
+            whole,
+            &[
+                spoiled(b"spoiled", FRAME_HEADER_LEN),
+                framed(b"never delivered"),
+            ],
+        ),
+    ]
+}
+
+/// Writes the stream as planned, then holds the socket open until the
+/// reader hangs up (or a failing test has had time to say why): the
+/// reader's close must come from the corruption, not from an end of
+/// stream.
+fn feed(mut socket: TcpStream, stream: &CorruptStream) {
+    socket.set_nodelay(true).unwrap();
+    for piece in stream.wire.chunks(stream.write_size.min(stream.wire.len())) {
+        socket.write_all(piece).unwrap();
+    }
+    socket
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    let _ = socket.read(&mut [0u8; 1]);
+}
+
+#[test]
+fn corrupt_frame_closes_an_accepted_connection_with_an_error() {
+    enum Seen {
+        Frame(Bytes),
+        Closed(bool),
+    }
+    struct Recorder {
+        seen: mpsc::Sender<Seen>,
+        held: Mutex<Vec<Box<dyn Connection>>>,
+    }
+    impl FrameSink for Recorder {
+        fn on_accept(&self, _: u64, conn: Box<dyn Connection>) {
+            self.held.lock().unwrap().push(conn);
+        }
+        fn on_frame(&self, _: u64, frame: Bytes) -> bool {
+            let _ = self.seen.send(Seen::Frame(frame));
+            true
+        }
+        fn ready_for_more(&self) -> bool {
+            true
+        }
+        fn on_closed(&self, _: u64, clean: bool) {
+            let _ = self.seen.send(Seen::Closed(clean));
+        }
+    }
+    let wait = Duration::from_secs(10);
+    for stream in corrupt_streams() {
+        // The reactor reading in push mode, as under a server.
+        let listener = ReactorListener::bind("127.0.0.1:0", 2).unwrap();
+        let (seen_tx, seen) = mpsc::channel();
+        let recorder = Recorder {
+            seen: seen_tx,
+            held: Mutex::new(Vec::new()),
+        };
+        assert!(listener.attach_sink(Arc::new(recorder)));
+        let socket = TcpStream::connect(listener.local_addr()).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| feed(socket, &stream));
+            match seen.recv_timeout(wait) {
+                Ok(Seen::Frame(frame)) => assert_eq!(&frame[..], INTACT, "{}", stream.what),
+                _ => panic!("{}: the intact frame was not delivered", stream.what),
+            }
+            match seen.recv_timeout(wait) {
+                Ok(Seen::Closed(clean)) => assert!(!clean, "{}: clean close", stream.what),
+                Ok(Seen::Frame(_)) => panic!("{}: delivered a corrupt frame", stream.what),
+                Err(_) => panic!("{}: connection left open", stream.what),
+            }
+        });
+    }
+}
+
+#[test]
+fn corrupt_frame_closes_a_dialled_connection_with_an_error() {
+    let _tracing = TRACING.lock().unwrap();
+    let wait = Duration::from_secs(10);
+    // The dial side of each pairing: the blocking reader's `read_frame`
+    // and the reactor in pull mode.
+    for (name, _, dialer) in pairings() {
+        for stream in corrupt_streams() {
+            let why = format!("{name}: {}", stream.what);
+            corona_trace::clear();
+            corona_trace::set_enabled(true);
+            let raw = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = raw.local_addr().unwrap().to_string();
+            std::thread::scope(|s| {
+                s.spawn(|| feed(raw.accept().unwrap().0, &stream));
+                let conn = dialer.dial(&addr).unwrap();
+                assert_eq!(&conn.recv_timeout(wait).unwrap()[..], INTACT, "{why}");
+                assert_eq!(
+                    conn.recv_timeout(wait).unwrap_err(),
+                    TransportError::Closed,
+                    "{why}"
+                );
+                await_disconnect_span(DISCONNECT_ERROR, &format!("{why}: no error close"));
+            });
+            corona_trace::set_enabled(false);
+        }
     }
 }

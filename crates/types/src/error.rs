@@ -45,6 +45,12 @@ pub enum ErrorCode {
     /// roster is reachable again. Clients should retry against the
     /// roster (another server may hold the coordinator role).
     Unavailable = 13,
+    /// The reply does not fit in one frame
+    /// ([`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN)) — a state
+    /// transfer of a group that large — and was not sent. What the
+    /// request changed stands (a join leaves the client a member):
+    /// `GetState` under a narrower transfer policy may fit.
+    TooLarge = 14,
     /// Catch-all for codes introduced by newer protocol revisions.
     Unknown = 0xFFFF,
 }
@@ -66,6 +72,7 @@ impl ErrorCode {
             11 => ErrorCode::BadRequest,
             12 => ErrorCode::ShuttingDown,
             13 => ErrorCode::Unavailable,
+            14 => ErrorCode::TooLarge,
             _ => ErrorCode::Unknown,
         }
     }
@@ -92,6 +99,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::BadRequest => "malformed request",
             ErrorCode::ShuttingDown => "server shutting down",
             ErrorCode::Unavailable => "server fenced: quorum unavailable",
+            ErrorCode::TooLarge => "reply exceeds the frame size limit",
             ErrorCode::Unknown => "unknown error code",
         };
         f.write_str(s)
@@ -292,6 +300,7 @@ mod tests {
             ErrorCode::BadRequest,
             ErrorCode::ShuttingDown,
             ErrorCode::Unavailable,
+            ErrorCode::TooLarge,
         ] {
             assert_eq!(ErrorCode::from_wire(code.to_wire()), code);
         }

@@ -8,6 +8,11 @@
 //! A [`Frame`] is a body with its header already computed: a multicast
 //! builds one per event and hands a clone to every recipient, so the
 //! body is checksummed once however wide the group.
+//!
+//! Receivers verify with [`check_frame`], in place over the bytes they
+//! already hold: the reactor on its reassembly buffer, [`read_frame`]
+//! on the buffer it read the stream into. A body is crossed once by
+//! the checksum and copied at most once on its way to a [`Bytes`].
 
 use crate::crc32::crc32;
 use crate::error::CodecError;
@@ -29,15 +34,23 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// Returns `InvalidInput` if the body exceeds [`MAX_FRAME_LEN`], or any
 /// underlying I/O error.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    if body.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame body of {} bytes exceeds limit", body.len()),
-        ));
-    }
+    check_len(body.len() as u64).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let header = frame_header(body);
     w.write_all(&header)?;
     w.write_all(body)
+}
+
+/// Refuses a body length over [`MAX_FRAME_LEN`] — on the way out, so
+/// an oversize body fails at its sender, and on the way in, before
+/// anything is allocated for it.
+fn check_len(len: u64) -> Result<usize, CodecError> {
+    if len > u64::from(MAX_FRAME_LEN) {
+        return Err(CodecError::LengthOverflow {
+            declared: len,
+            limit: u64::from(MAX_FRAME_LEN),
+        });
+    }
+    Ok(len as usize)
 }
 
 /// Builds the 8-byte header for `body`.
@@ -60,11 +73,18 @@ pub struct Frame {
 impl Frame {
     /// Frames `body`, checksumming it (the only place that happens on
     /// the send side).
-    pub fn new(body: Bytes) -> Frame {
-        Frame {
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::LengthOverflow`] if the body exceeds
+    /// [`MAX_FRAME_LEN`]: every receiver would refuse the frame and
+    /// drop the connection, so it is refused here, unsent.
+    pub fn new(body: Bytes) -> Result<Frame, CodecError> {
+        check_len(body.len() as u64)?;
+        Ok(Frame {
             header: frame_header(&body),
             body,
-        }
+        })
     }
 
     /// The `len ∥ crc32` header, exactly as [`write_frame`] emits it.
@@ -89,6 +109,52 @@ impl Frame {
     }
 }
 
+/// The body length `header` declares.
+///
+/// # Errors
+///
+/// [`CodecError::LengthOverflow`] if it exceeds [`MAX_FRAME_LEN`].
+pub fn declared_len(header: &[u8; FRAME_HEADER_LEN]) -> Result<usize, CodecError> {
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
+    check_len(u64::from(len))
+}
+
+/// Verifies one complete frame — `len ∥ crc32 ∥ body`, nothing before
+/// or after it — where it lies, and returns its body.
+///
+/// # Errors
+///
+/// [`CodecError::LengthOverflow`] for a declared length above
+/// [`MAX_FRAME_LEN`], [`CodecError::UnexpectedEof`] /
+/// [`CodecError::TrailingBytes`] if the slice is not exactly one frame,
+/// [`CodecError::ChecksumMismatch`] if the body fails its checksum.
+pub fn check_frame(frame: &[u8]) -> Result<&[u8], CodecError> {
+    let Some((header, body)) = frame.split_first_chunk::<FRAME_HEADER_LEN>() else {
+        return Err(CodecError::UnexpectedEof {
+            needed: FRAME_HEADER_LEN - frame.len(),
+            remaining: frame.len(),
+        });
+    };
+    let len = declared_len(header)?;
+    if body.len() < len {
+        return Err(CodecError::UnexpectedEof {
+            needed: len - body.len(),
+            remaining: body.len(),
+        });
+    }
+    if body.len() > len {
+        return Err(CodecError::TrailingBytes {
+            remaining: body.len() - len,
+        });
+    }
+    let expected = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
+    let actual = crc32(body);
+    if actual != expected {
+        return Err(CodecError::ChecksumMismatch { expected, actual });
+    }
+    Ok(body)
+}
+
 /// Reads one frame from `r`.
 ///
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer
@@ -100,35 +166,26 @@ impl Frame {
 /// * `io::ErrorKind::InvalidData` — length above [`MAX_FRAME_LEN`] or
 ///   checksum mismatch (wrapping a [`CodecError`]).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Bytes>> {
+    let invalid = |e: CodecError| io::Error::new(io::ErrorKind::InvalidData, e);
     let mut header = [0u8; FRAME_HEADER_LEN];
     match read_exact_or_eof(r, &mut header)? {
         ReadOutcome::CleanEof => return Ok(None),
         ReadOutcome::Filled => {}
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
-    let expected_crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
-    if len > MAX_FRAME_LEN {
+    let len = declared_len(&header).map_err(invalid)?;
+    // The stream fills the buffer the body is then verified in and
+    // handed on from: no zero-fill, no second copy.
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + len);
+    frame.extend_from_slice(&header);
+    r.by_ref().take(len as u64).read_to_end(&mut frame)?;
+    if frame.len() < FRAME_HEADER_LEN + len {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            CodecError::LengthOverflow {
-                declared: u64::from(len),
-                limit: u64::from(MAX_FRAME_LEN),
-            },
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame body",
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let actual_crc = crc32(&body);
-    if actual_crc != expected_crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            CodecError::ChecksumMismatch {
-                expected: expected_crc,
-                actual: actual_crc,
-            },
-        ));
-    }
-    Ok(Some(Bytes::from(body)))
+    check_frame(&frame).map_err(invalid)?;
+    Ok(Some(Bytes::from(frame).slice(FRAME_HEADER_LEN..)))
 }
 
 enum ReadOutcome {
@@ -288,6 +345,57 @@ mod tests {
         header.extend_from_slice(&0u32.to_le_bytes());
         let err = read_frame(&mut Cursor::new(header)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn golden_frame_is_byte_stable() {
+        // Recorded from the one-byte table kernel (zlib agrees): what
+        // old peers put on the wire and old logs hold on disk.
+        let body = b"stateful group communication services";
+        let golden = [37, 0, 0, 0, 0x65, 0xF3, 0xF9, 0x12];
+        assert_eq!(frame_header(body), golden);
+        let wire = [&golden[..], body].concat();
+        assert_eq!(check_frame(&wire).unwrap(), body);
+        assert_eq!(
+            read_frame(&mut Cursor::new(wire))
+                .unwrap()
+                .unwrap()
+                .as_ref(),
+            body
+        );
+    }
+
+    #[test]
+    fn check_frame_takes_exactly_one_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"one frame").unwrap();
+        assert_eq!(check_frame(&wire).unwrap(), b"one frame");
+        for short in [0, 5, FRAME_HEADER_LEN, wire.len() - 1] {
+            assert!(matches!(
+                check_frame(&wire[..short]),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
+        wire.push(0);
+        assert_eq!(
+            check_frame(&wire),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
+    }
+
+    #[test]
+    fn oversized_body_refused_by_the_frame_constructor() {
+        let limit = MAX_FRAME_LEN as usize;
+        let body = Bytes::from(vec![0u8; limit + 1]);
+        assert_eq!(
+            Frame::new(body.clone()),
+            Err(CodecError::LengthOverflow {
+                declared: limit as u64 + 1,
+                limit: limit as u64,
+            })
+        );
+        let at_limit = Frame::new(body.slice(..limit)).unwrap();
+        assert_eq!(at_limit.wire_len(), FRAME_HEADER_LEN + limit);
     }
 
     #[test]

@@ -371,7 +371,7 @@ proptest! {
     fn frame_matches_write_frame_and_roundtrips(body in arb_bytes(2048)) {
         // A pre-built Frame must put exactly the bytes on the wire
         // that write_frame does — receivers cannot tell them apart.
-        let frame = Frame::new(body.clone());
+        let frame = Frame::new(body.clone()).unwrap();
         let wire = [&frame.header()[..], &frame.body()[..]].concat();
         let mut expected = Vec::new();
         write_frame(&mut expected, &body).unwrap();

@@ -1,14 +1,15 @@
 //! One battery for the one runtime kernel: the client-plane rules the
 //! kernel owns — Hello-first, malformed-frame handling, pre-Hello
-//! `GetHealth`, `Goodbye`, the bounded transmit queue — checked by the
-//! same helper against both server types, each over a pull-mode
-//! listener (in-memory, read by the pump) and a push-mode one
-//! (`ReactorListener`).
+//! `GetHealth`, `Goodbye`, the bounded transmit queue, the frame size
+//! limit on what it sends — checked by the same helper against both
+//! server types, each over a pull-mode listener (in-memory, read by the
+//! pump) and a push-mode one (`ReactorListener`).
 
 use corona::prelude::*;
 use corona::transport::{ReactorListener, TransportError};
+use corona::types::frame::MAX_FRAME_LEN;
 use corona::types::wire::decode_traced;
-use corona::types::{ClientRequest, Encode, PROTOCOL_VERSION};
+use corona::types::{ClientRequest, CoronaError, Encode, ErrorCode, PROTOCOL_VERSION};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -138,6 +139,83 @@ fn kernel_battery(
     assert_eq!(metrics().counter("server.fanout.dead_conn"), 1);
     let members = sender.membership(G).unwrap();
     assert_eq!(members.len(), 1, "reap must emit the session leave");
+
+    // A state transfer is metered where it is framed: its size, and
+    // the dispatcher time its encode and checksum took.
+    let joiner = CoronaClient::connect(dial(), "joiner", None).unwrap();
+    let (_, transfer) = joiner
+        .join(
+            G,
+            MemberRole::Principal,
+            StateTransferPolicy::FullState,
+            false,
+        )
+        .unwrap();
+    assert_eq!(transfer.objects[0].1.len(), sent * payload.len());
+    let snapshot = metrics();
+    let bytes = snapshot.histogram("server.join.transfer_bytes").unwrap();
+    let frame_us = snapshot.histogram("server.join.frame_us").unwrap();
+    assert_eq!(frame_us.count, bytes.count);
+    assert!(bytes.max as usize > sent * payload.len(), "{bytes:?}");
+
+    // A transfer too large for one frame is refused where it would be
+    // framed: the joiner's transport would have to answer such a frame
+    // by hanging up, and a supervised client would redial and ask
+    // again. It gets an error naming the limit instead, on a connection
+    // that stays usable. The state: two objects of half the limit and
+    // a bit, each small enough to be broadcast.
+    const BIG: GroupId = GroupId(2);
+    let limit = MAX_FRAME_LEN as usize;
+    sender
+        .create_group(BIG, Persistence::Transient, SharedState::new())
+        .unwrap();
+    sender
+        .join(BIG, MemberRole::Principal, StateTransferPolicy::None, false)
+        .unwrap();
+    let half = bytes::Bytes::from(vec![0u8; limit / 2 + 1024]);
+    for object in [1, 2] {
+        sender
+            .bcast_state(
+                BIG,
+                ObjectId(object),
+                half.clone(),
+                DeliveryScope::SenderExclusive,
+            )
+            .unwrap();
+    }
+    // A replica applies what its coordinator sequenced a moment later.
+    let deadline = std::time::Instant::now() + WAIT;
+    while sender
+        .state(BIG, StateTransferPolicy::None)
+        .unwrap()
+        .through
+        < SeqNo::new(2)
+    {
+        assert!(std::time::Instant::now() < deadline, "state never arrived");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    match joiner.join(
+        BIG,
+        MemberRole::Principal,
+        StateTransferPolicy::FullState,
+        false,
+    ) {
+        Err(CoronaError::Protocol { code, detail }) => {
+            assert_eq!(code, ErrorCode::TooLarge);
+            assert!(
+                detail.contains(&limit.to_string()),
+                "names the limit: {detail}"
+            );
+        }
+        other => panic!("expected a refusal, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(metrics().counter("server.send.too_large"), 1);
+    // The join itself stands, and a narrower transfer fits.
+    assert_eq!(sender.membership(BIG).unwrap().len(), 2);
+    let narrow = StateTransferPolicy::Objects(vec![ObjectId(2)]);
+    assert_eq!(joiner.state(BIG, narrow).unwrap().objects[0].1, half);
+    joiner.leave(BIG).unwrap();
+    joiner.close();
     sender.close();
 }
 
@@ -164,7 +242,8 @@ fn single_server_over_reactor() {
 }
 
 /// Starts three replicas on the given listeners (client, peer) and
-/// runs the battery against the second one, a follower.
+/// runs the battery against the second one, a follower. The metrics
+/// are the cluster's: a reply can be refused at the coordinator.
 fn replicated_battery(
     listeners: Vec<(Box<dyn Listener>, Box<dyn Listener>)>,
     peer_dialer: impl Fn(u64) -> Arc<dyn Dialer>,
@@ -183,6 +262,9 @@ fn replicated_battery(
     for (id, (client, peer)) in (1..).zip(listeners) {
         let cluster = ReplicatedConfig {
             server_config: config(id),
+            // Patient failure detection: an unoptimised build holds a
+            // dispatcher for a while over the battery's largest frames.
+            base_timeout_ms: 5_000,
             ..ReplicatedConfig::new(ServerId::new(id), peers.clone())
         }
         .with_client_addrs(client_addrs.clone());
@@ -190,7 +272,9 @@ fn replicated_battery(
     }
     let follower = &servers[1];
     kernel_battery(client_dialer, &follower.client_addr(), tcp, &|| {
-        follower.metrics()
+        let mut cluster = MetricsSnapshot::default();
+        servers.iter().for_each(|s| cluster.merge(&s.metrics()));
+        cluster
     });
     for server in servers {
         server.shutdown();
