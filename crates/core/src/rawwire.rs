@@ -6,7 +6,7 @@
 //! of live members in a single test or benchmark process, which is
 //! exactly what the reactor transport's scale tests (C5k smoke,
 //! connection-count sweeps) need: a full
-//! [`CoronaClient`](crate::client::CoronaClient) spawns reader threads
+//! [`CoronaClient`](crate::client::CoronaClient) spawns a reader thread
 //! per connection and would hit thread limits long before the server
 //! under test breaks a sweat.
 //!

@@ -985,10 +985,16 @@ impl Replica {
     }
 
     /// Dials `to`, introduces this server, and hands the link to the
-    /// kernel to read.
+    /// kernel to read. This runs on the dispatcher, between client
+    /// requests and heartbeats, so the connect is bounded by one
+    /// heartbeat period: a black-holed peer (no answer to a SYN) costs
+    /// each attempt that, not the kernel's minutes of SYN retries, and
+    /// a heartbeat round to the live peers slips by a period per dead
+    /// one rather than past the failure detector's `base_timeout_ms`.
     fn connect_peer(&mut self, to: ServerId, io: &mut Io) -> Option<u64> {
         let (_, addr) = self.config.servers.iter().find(|(id, _)| *id == to)?;
-        let conn = self.dialer.dial(addr).ok()?;
+        let bound = Duration::from_millis(self.config.heartbeat_ms.max(1));
+        let conn = self.dialer.dial_timeout(addr, bound).ok()?;
         let hello = PeerMessage::ServerHello { server: self.me };
         conn.send(hello.encode_to_bytes()).ok()?;
         let conn_id = io.adopt_peer(conn);

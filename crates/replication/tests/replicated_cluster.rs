@@ -637,3 +637,72 @@ fn garbage_on_a_peer_link_is_counted_and_the_link_closed() {
     );
     assert_eq!(follower.metrics().counter("repl.peer.decode_errors"), 1);
 }
+
+/// Regression (unbounded connect on the dispatcher): a replica dials
+/// its peers from the thread that sequences every client request,
+/// sends heartbeats and polls the watchdogs. Against a host that
+/// answers no SYN an unbounded `connect` is the kernel's retry budget
+/// — minutes — per attempt, so the dial must be bounded by the
+/// failure-detection time. A lone replica whose peers are both black
+/// holes keeps answering its client.
+#[test]
+fn unreachable_peers_cannot_stall_the_dispatcher() {
+    use corona_transport::{Connection, Dialer, TransportError};
+
+    const HEARTBEAT: Duration = Duration::from_millis(30);
+    /// Every address is a black hole: a bounded dial waits out the
+    /// bound it was given, an unbounded one a SYN-retry budget.
+    struct BlackHole;
+    impl Dialer for BlackHole {
+        fn dial_timeout(
+            &self,
+            _addr: &str,
+            timeout: Duration,
+        ) -> Result<Box<dyn Connection>, TransportError> {
+            assert!(timeout <= HEARTBEAT, "dial bound {timeout:?} is too lax");
+            std::thread::sleep(timeout);
+            Err(TransportError::Timeout)
+        }
+        fn dial(&self, _addr: &str) -> Result<Box<dyn Connection>, TransportError> {
+            std::thread::sleep(Duration::from_secs(60));
+            Err(TransportError::Timeout)
+        }
+    }
+
+    let net = MemNetwork::new();
+    let peers: Vec<(ServerId, String)> = (1..=3)
+        .map(|i| (ServerId::new(i), format!("s{i}-peer")))
+        .collect();
+    let config = ReplicatedConfig {
+        heartbeat_ms: HEARTBEAT.as_millis() as u64,
+        base_timeout_ms: 150,
+        ..ReplicatedConfig::new(ServerId::new(1), peers)
+    };
+    let server = ReplicatedServer::start(
+        Box::new(net.listen("s1-client").unwrap()),
+        Box::new(net.listen("s1-peer").unwrap()),
+        Arc::new(BlackHole),
+        config,
+    )
+    .unwrap();
+
+    let conn = net.dial_from("alice", "s1-client").unwrap();
+    let alice = CoronaClient::connect(Box::new(conn), "alice", None).unwrap();
+    // Keep asking across several rounds of failed dials (each counted).
+    let failed_dials = || server.metrics().counter("repl.peer.send_failed");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while failed_dials() < 6 {
+        assert!(Instant::now() < deadline, "the replica never dialled");
+        let asked = Instant::now();
+        alice.ping().unwrap();
+        // One command runs between two ticks, and a tick dials each of
+        // the two dead peers once.
+        assert!(
+            asked.elapsed() < 20 * HEARTBEAT,
+            "ping took {:?} with both peers unreachable",
+            asked.elapsed()
+        );
+    }
+    alice.close();
+    server.shutdown();
+}

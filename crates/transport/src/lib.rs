@@ -1,22 +1,19 @@
 //! # corona-transport
 //!
-//! Framed, reliable, ordered transport for Corona with three backends:
+//! Framed, reliable, ordered transport for Corona with two backends:
 //!
-//! * [`reactor`] — real TCP multiplexed onto sharded epoll event
-//!   loops: O(shards) threads regardless of connection count (the one
-//!   server-side TCP backend);
-//! * [`tcp`] — blocking dialled TCP connections with background
-//!   reader/writer threads and batched flushes (clients, dialled
-//!   peers);
+//! * [`reactor`] — real TCP, accepted ([`ReactorListener`]) or dialled
+//!   ([`TcpDialer`]), multiplexed onto sharded epoll event loops:
+//!   O(shards) threads regardless of connection count;
 //! * [`mem`] — a deterministic in-memory pipe between named nodes, for
 //!   tests.
 //!
 //! Server and client code is written against the [`Connection`] /
 //! [`Listener`] / [`Dialer`] trait objects, so the same protocol logic
 //! runs over either backend; [`serve()`] feeds a server's [`FrameSink`]
-//! from any of them. Faults — partitions, severed links, crashed
-//! nodes, seeded drop/delay/duplicate/reorder — live in one place,
-//! [`nemesis`], which wraps any backend.
+//! from either. Faults — partitions, severed links, crashed nodes,
+//! seeded drop/delay/duplicate/reorder — live in one place,
+//! [`nemesis`], which wraps either backend.
 //!
 //! ## Example
 //!
@@ -42,7 +39,6 @@ pub mod metered;
 pub mod nemesis;
 pub mod reactor;
 pub mod serve;
-pub mod tcp;
 pub mod traits;
 
 pub use mem::{MemConnection, MemDialer, MemListener, MemNetwork};
@@ -51,10 +47,9 @@ pub use nemesis::{
     FaultRng, LinkFaults, Nemesis, NemesisConnection, NemesisDialer, NemesisEvent, NemesisListener,
     NemesisMetrics,
 };
-pub use reactor::{Reactor, ReactorConnection, ReactorDialer, ReactorListener};
+pub use reactor::{Reactor, ReactorConnection, ReactorListener, TcpDialer};
 pub use serve::{pump, serve};
-pub use tcp::{TcpConnection, TcpDialer};
 pub use traits::{
-    Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
-    DEFAULT_SEND_CAPACITY,
+    Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_DIAL_TIMEOUT,
+    DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
 };

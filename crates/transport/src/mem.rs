@@ -268,7 +268,12 @@ pub struct MemDialer {
 }
 
 impl Dialer for MemDialer {
-    fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError> {
+    /// Never blocks, so the timeout is moot.
+    fn dial_timeout(
+        &self,
+        addr: &str,
+        _timeout: Duration,
+    ) -> Result<Box<dyn Connection>, TransportError> {
         self.net
             .dial_from(&self.node, addr)
             .map(|c| Box::new(c) as Box<dyn Connection>)

@@ -635,33 +635,19 @@ pub struct NemesisDialer {
     nem: Nemesis,
 }
 
-impl NemesisDialer {
-    /// Dials through `connect` unless the route is down, and wraps the
-    /// link with the node `addr` belongs to as its remote.
-    fn dial_with(
-        &self,
-        addr: &str,
-        connect: impl FnOnce(&dyn Dialer) -> Result<Box<dyn Connection>, TransportError>,
-    ) -> Result<Box<dyn Connection>, TransportError> {
-        let nem = &self.nem.inner;
-        let remote = nem.resolve(addr).unwrap_or_else(|| addr.to_string());
-        nem.check_dial(&self.node, &remote)?;
-        let conn = connect(self.inner.as_ref())?;
-        Ok(self.nem.wrap_conn(conn, &self.node, Some(remote)))
-    }
-}
-
 impl Dialer for NemesisDialer {
-    fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError> {
-        self.dial_with(addr, |inner| inner.dial(addr))
-    }
-
+    /// Dials through the inner dialer unless the route is down, and
+    /// wraps the link with the node `addr` belongs to as its remote.
     fn dial_timeout(
         &self,
         addr: &str,
         timeout: Duration,
     ) -> Result<Box<dyn Connection>, TransportError> {
-        self.dial_with(addr, |inner| inner.dial_timeout(addr, timeout))
+        let nem = &self.nem.inner;
+        let remote = nem.resolve(addr).unwrap_or_else(|| addr.to_string());
+        nem.check_dial(&self.node, &remote)?;
+        let conn = self.inner.dial_timeout(addr, timeout)?;
+        Ok(self.nem.wrap_conn(conn, &self.node, Some(remote)))
     }
 }
 

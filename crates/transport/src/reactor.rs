@@ -1,15 +1,14 @@
-//! Sharded readiness-based reactor transport.
+//! Sharded readiness-based reactor transport: every TCP connection in
+//! the system, accepted or dialled.
 //!
-//! The [`tcp`](crate::tcp) backend spawns two threads per connection
-//! (reader + writer), which caps a server at a few hundred clients
-//! before thread stacks and scheduler churn dominate. This module
-//! keeps the same wire format ([`corona_types::frame`]) and the same
-//! [`Connection`] semantics — exact bounded transmit queues with
-//! [`TransportError::Full`] backpressure, bounded inbound buffering,
-//! [`corona_trace::Hop::Disconnect`] events — but multiplexes *all*
-//! connections onto `N` shard event loops driven by epoll readiness
-//! (via the offline [`mio`] shim): server thread count becomes
-//! O(shards) instead of O(2 × clients).
+//! Connections speak the [`corona_types::frame`] wire format and keep
+//! the full [`Connection`] contract — exact bounded transmit queues
+//! with [`TransportError::Full`] backpressure, bounded inbound
+//! buffering, [`corona_trace::Hop::Disconnect`] events — while owning
+//! no thread: *all* of a reactor's connections are multiplexed onto
+//! its `N` shard event loops, driven by epoll readiness (via the
+//! offline [`mio`] shim), so a server's thread count is O(shards)
+//! whatever its population.
 //!
 //! Sharding is by connection id (`conn_id % shards`): each shard owns
 //! a poller plus the read/decode and write/flush state of its
@@ -17,22 +16,21 @@
 //!
 //! Two delivery modes:
 //!
-//! * **pull** — [`ReactorListener::accept`] returns connections whose
-//!   `recv` drains a bounded inbound queue, exactly like the threaded
-//!   backend. When the queue fills, the shard drops read interest and
-//!   TCP flow control throttles the peer.
+//! * **pull** — [`ReactorListener::accept`] and [`TcpDialer`] return
+//!   connections whose `recv` drains a bounded inbound queue. When the
+//!   queue fills, the shard drops read interest and TCP flow control
+//!   throttles the peer.
 //! * **push** — [`Listener::attach_sink`] hands every accepted
 //!   connection and decoded frame to a [`FrameSink`]; the server then
 //!   needs no per-connection reader threads at all. A sink returning
 //!   `false` from `on_frame` pauses reading until
 //!   [`FrameSink::ready_for_more`] reports `true`.
 //!
-//! Backpressure is symmetric to the threaded backend: outbound frames
-//! reserve a slot in an exact atomic counter before enqueueing
-//! (concurrent senders can never overshoot the cap), and the slot is
-//! released only once the frame's bytes reach the socket. Writability
-//! interest is armed only while a connection has pending output, so an
-//! idle population costs zero wakeups.
+//! Outbound frames reserve a slot in an exact atomic counter before
+//! enqueueing (concurrent senders can never overshoot the cap), and
+//! the slot is released only once the frame's bytes reach the socket.
+//! Writability interest is armed only while a connection has pending
+//! output, so an idle population costs zero wakeups.
 //!
 //! The write path is built so a delivery costs at most one syscall:
 //! frames arrive pre-framed ([`Frame`], header computed once per
@@ -40,8 +38,21 @@
 //! queued frame into one `writev`; the poller is only told about an
 //! interest set that actually changed; and a shard's eventfd is written
 //! once per batch of ops, not once per op.
+//!
+//! # The dial loop
+//!
+//! A listener owns its reactor; dialled connections have no such owner.
+//! [`TcpDialer`] is a unit value — any two of them must behave as one —
+//! so every connection dialled in the process attaches, in pull mode,
+//! to one shared reactor. It has a single shard: the dial side of a
+//! process is a handful of peer links or one client's connection, and
+//! each consumer takes its frames off the inbound queue on its own
+//! thread, so the loop only moves bytes. It is started by the first
+//! dial, so a process that only listens never pays for it, and it is
+//! never joined: a dialled connection may be in use on any thread until
+//! the process exits, and a loop with no connections sleeps in
+//! `epoll_wait`.
 
-use crate::tcp::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
 use crate::traits::{
     Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
     DEFAULT_SEND_CAPACITY,
@@ -53,11 +64,18 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
+
+/// `arg` value of a [`corona_trace::Hop::Disconnect`] span for a peer
+/// that hung up cleanly between frames.
+pub const DISCONNECT_CLEAN: u64 = 0;
+/// `arg` value of a [`corona_trace::Hop::Disconnect`] span for an
+/// abnormal teardown: mid-frame EOF, I/O error, or CRC mismatch.
+pub const DISCONNECT_ERROR: u64 = 1;
 
 /// Token reserved for each shard's cross-thread waker.
 const WAKER_TOKEN: Token = Token(usize::MAX);
@@ -219,9 +237,9 @@ impl fmt::Debug for ConnInner {
 
 /// A connection multiplexed onto a reactor shard.
 ///
-/// Implements the full [`Connection`] contract of the threaded TCP
-/// backend — exact bounded sends, bounded inbound, disconnect trace
-/// events — without owning any thread.
+/// Implements the full [`Connection`] contract — exact bounded sends,
+/// bounded inbound, disconnect trace events — without owning any
+/// thread.
 pub struct ReactorConnection {
     inner: Arc<ConnInner>,
 }
@@ -916,9 +934,9 @@ fn read_pump(
 
 /// A pool of shard event loops that connections multiplex onto.
 ///
-/// Owned by a [`ReactorListener`] (server side) or [`ReactorDialer`]
-/// (client side); dropping the last owner stops the shard threads and
-/// closes every remaining connection.
+/// Owned by a [`ReactorListener`]; dropping the last owner stops the
+/// shard threads and closes every remaining connection. (The one
+/// [dial loop](self#the-dial-loop) lives for the whole process.)
 pub struct Reactor {
     shards: Vec<ShardHandle>,
     next_conn: AtomicU64,
@@ -1270,56 +1288,59 @@ impl Drop for ReactorListener {
     }
 }
 
-/// Dials TCP endpoints onto a private single-shard reactor — the
-/// client-side counterpart of [`ReactorListener`]. All connections
-/// dialed through one `ReactorDialer` share its event loop, so a
-/// client holding many connections costs one thread, not 2×N.
-#[derive(Debug)]
-pub struct ReactorDialer {
-    reactor: Arc<Reactor>,
+/// Dials TCP endpoints onto the reactor — the dial-side counterpart of
+/// [`ReactorListener`], and the only way a TCP connection is dialled.
+///
+/// A unit value: every connection dialled in this process runs, in
+/// pull mode, on the one shared [dial loop](self#the-dial-loop), so a
+/// dialled connection owns no thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TcpDialer;
+
+/// The process-wide dial loop, started by the first dial.
+fn dial_loop() -> Result<&'static Reactor, TransportError> {
+    static DIAL_LOOP: OnceLock<Reactor> = OnceLock::new();
+    if let Some(reactor) = DIAL_LOOP.get() {
+        return Ok(reactor);
+    }
+    // Built outside the cell, so a startup failure (fd exhaustion) is
+    // returned to this dial and the next one tries again. Of two first
+    // dials that race, the loser's reactor is dropped unused, which
+    // joins its idle thread.
+    let reactor = Reactor::new(1)?;
+    Ok(DIAL_LOOP.get_or_init(|| reactor))
 }
 
-impl ReactorDialer {
-    /// Starts the dialer's event loop.
-    ///
-    /// # Errors
-    ///
-    /// Reactor startup failures.
-    pub fn new() -> Result<Self, TransportError> {
-        Ok(ReactorDialer {
-            reactor: Arc::new(Reactor::new(1)?),
-        })
-    }
-}
-
-impl Dialer for ReactorDialer {
-    fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError> {
-        let stream = TcpStream::connect(addr)?;
-        let conn = self.reactor.attach(stream, None)?;
-        Reactor::activate(&conn.inner);
-        Ok(Box::new(conn))
-    }
-
+impl Dialer for TcpDialer {
+    /// Tries each address `addr` resolves to, in order, within one
+    /// overall `timeout`. (Resolving a host *name* is the system
+    /// resolver's blocking call and is not covered by the bound; the
+    /// rosters here hold literal addresses.)
     fn dial_timeout(
         &self,
         addr: &str,
         timeout: Duration,
     ) -> Result<Box<dyn Connection>, TransportError> {
-        use std::net::ToSocketAddrs;
-        let sockaddr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| TransportError::Io(format!("{addr}: no addresses resolved")))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, timeout).map_err(|e| {
-            if e.kind() == io::ErrorKind::TimedOut {
-                TransportError::Timeout
-            } else {
-                TransportError::Io(e.to_string())
+        let deadline = Instant::now() + timeout;
+        let mut failure = TransportError::Io(format!("{addr}: no addresses resolved"));
+        for sockaddr in addr.to_socket_addrs()? {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(TransportError::Timeout);
             }
-        })?;
-        let conn = self.reactor.attach(stream, None)?;
-        Reactor::activate(&conn.inner);
-        Ok(Box::new(conn))
+            match TcpStream::connect_timeout(&sockaddr, left) {
+                Ok(stream) => {
+                    let conn = dial_loop()?.attach(stream, None)?;
+                    Reactor::activate(&conn.inner);
+                    return Ok(Box::new(conn));
+                }
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+                    failure = TransportError::Timeout;
+                }
+                Err(e) => failure = e.into(),
+            }
+        }
+        Err(failure)
     }
 }
 
@@ -1470,6 +1491,48 @@ mod tests {
             snap.counter("server.reactor.write_blocked") > 0,
             "the socket never pushed back — the test exercised nothing"
         );
+    }
+
+    /// Regression (unbounded inbound buffering): a peer flooding frames
+    /// faster than the consumer drains must not buffer unlimited memory
+    /// on the receiver. At the cap the shard stops pulling frames off
+    /// the socket, and TCP flow control throttles the peer.
+    #[test]
+    fn flooding_peer_cannot_grow_inbound_queue_past_cap() {
+        const CAP: usize = 64;
+        const FLOOD: u32 = 1000;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut reactor = Reactor::new(1).unwrap();
+        reactor.inbound_capacity = CAP;
+        let conn = reactor.attach(stream, None).unwrap();
+        Reactor::activate(&conn.inner);
+
+        // Flood tiny frames from a bare socket; nobody calls recv(), so
+        // without the bound every frame would pile up in the queue.
+        let mut wire = Vec::new();
+        for i in 0..FLOOD {
+            corona_types::frame::write_frame(&mut wire, &i.to_le_bytes()).unwrap();
+        }
+        raw.write_all(&wire).unwrap();
+
+        // Let the shard ingest as much as it ever will.
+        let buffered = || lock(&conn.inner.inbound).queue.len();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while buffered() < CAP {
+            assert!(Instant::now() < deadline, "the queue never filled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(buffered() <= CAP, "inbound queue grew to {}", buffered());
+
+        // The backpressure is released, not fatal: draining the queue
+        // resumes reading and every flooded frame arrives in order.
+        for i in 0..FLOOD {
+            let frame = conn.recv().unwrap();
+            assert_eq!(u32::from_le_bytes(frame.as_ref().try_into().unwrap()), i);
+        }
     }
 
     /// Regression (shutdown relied on dialing ourselves): unblocking

@@ -227,34 +227,38 @@ pub trait Listener: Send + Sync {
     }
 }
 
-/// A connection factory (the dial side).
-pub trait Dialer: Send + Sync {
-    /// Connects to `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the endpoint is unreachable.
-    fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError>;
+/// The bound [`Dialer::dial`] puts on a connect. Long enough for any
+/// reachable endpoint; a caller with a deadline of its own — a
+/// reconnecting client, a replica dialling from its dispatcher — passes
+/// that to [`Dialer::dial_timeout`] instead.
+pub const DEFAULT_DIAL_TIMEOUT: Duration = Duration::from_secs(10);
 
-    /// Connects to `addr`, giving up after `timeout`.
-    ///
-    /// The default implementation dials synchronously and ignores the
-    /// timeout — correct for transports whose dial cannot block
-    /// indefinitely (the in-memory network). Transports that can hang
-    /// on an unresponsive endpoint (TCP dialing a partitioned host)
-    /// override this with a native bounded connect.
+/// A connection factory (the dial side).
+///
+/// Every dial is bounded: an unresponsive endpoint (a partitioned
+/// host swallowing SYNs) costs the caller at most the timeout, never
+/// the kernel's minutes-long retry budget.
+pub trait Dialer: Send + Sync {
+    /// Connects to `addr`, giving up after `timeout`. Transports whose
+    /// dial cannot block (the in-memory network) may ignore it.
     ///
     /// # Errors
     ///
     /// [`TransportError::Timeout`] on expiry (a *transient* failure —
-    /// see [`TransportError::is_transient`]); otherwise as
-    /// [`Dialer::dial`].
+    /// see [`TransportError::is_transient`]); [`TransportError::Io`] if
+    /// the endpoint is unreachable.
     fn dial_timeout(
         &self,
         addr: &str,
         timeout: Duration,
-    ) -> Result<Box<dyn Connection>, TransportError> {
-        let _ = timeout;
-        self.dial(addr)
+    ) -> Result<Box<dyn Connection>, TransportError>;
+
+    /// Connects to `addr` within [`DEFAULT_DIAL_TIMEOUT`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Dialer::dial_timeout`].
+    fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError> {
+        self.dial_timeout(addr, DEFAULT_DIAL_TIMEOUT)
     }
 }

@@ -1,25 +1,21 @@
 //! Transport conformance battery.
 //!
-//! Both TCP connection kinds — the blocking, thread-per-connection
-//! one [`TcpDialer`] mints and the sharded reactor's
-//! ([`ReactorListener`] / [`ReactorDialer`]) — must present identical
-//! semantics through the [`Connection`] / [`Listener`] / [`Dialer`]
-//! trait objects: ordering, timeouts, close propagation, accept
-//! shutdown, exact bounded transmit queues, and disconnect trace
-//! events. The same checks run against every (listener, dialer)
-//! pairing — the wire format is shared, so a threaded dialler must
-//! interoperate with the reactor. Both send entry points are covered:
-//! `send` (frames the body itself) and `send_frame` (pre-framed, the
-//! multicast path). Both read paths — the reactor's in-place check of
-//! its reassembly buffer and the blocking reader's `read_frame` — must
-//! treat a corrupt stream alike: every frame before the corruption,
-//! nothing after it, an error close.
+//! What a TCP connection promises through the [`Connection`] /
+//! [`Listener`] / [`Dialer`] trait objects — ordering, timeouts, close
+//! propagation, accept shutdown, exact bounded transmit queues,
+//! bounded dials, disconnect trace events — checked on the one TCP
+//! implementation from both ends: a [`ReactorListener`]'s accepted
+//! connections and the ones [`TcpDialer`] attaches to the shared dial
+//! loop. Both send entry points are covered: `send` (frames the body
+//! itself) and `send_frame` (pre-framed, the multicast path). Both
+//! read modes — push, into a [`FrameSink`], and pull, through `recv` —
+//! must treat a corrupt stream alike: every frame before the
+//! corruption, nothing after it, an error close.
 
 use bytes::Bytes;
-use corona_transport::tcp::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
+use corona_transport::reactor::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
 use corona_transport::{
-    Connection, Dialer, FrameSink, Listener, ReactorDialer, ReactorListener, TcpDialer,
-    TransportError,
+    Connection, Dialer, FrameSink, Listener, ReactorListener, TcpDialer, TransportError,
 };
 use corona_types::frame::{write_frame, Frame, FRAME_HEADER_LEN};
 use std::io::{Read, Write};
@@ -47,298 +43,338 @@ fn await_disconnect_span(arg: u64, why: &str) {
     }
 }
 
-/// One (name, listener, dialer) combination under test.
-type Pairing = (&'static str, Box<dyn Listener>, Box<dyn Dialer>);
-
-/// The transport pairings under test. `reactor_shards > 0` exercises
+/// The pairing under test, as trait objects. Two shards exercise
 /// multi-shard dispatch even for single-connection cases.
-fn pairings() -> Vec<Pairing> {
-    vec![
-        (
-            "reactor/threaded",
-            Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()) as Box<dyn Listener>,
-            Box::new(TcpDialer) as Box<dyn Dialer>,
-        ),
-        (
-            "reactor/reactor",
-            Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()),
-            Box::new(ReactorDialer::new().unwrap()),
-        ),
-    ]
+fn pairing() -> (Box<dyn Listener>, Box<dyn Dialer>) {
+    (
+        Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()),
+        Box::new(TcpDialer),
+    )
+}
+
+/// A dialled connection and the bare accepted socket it talks to.
+fn dial_raw() -> (Box<dyn Connection>, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = TcpDialer
+        .dial(&listener.local_addr().unwrap().to_string())
+        .unwrap();
+    (client, listener.accept().unwrap().0)
 }
 
 #[test]
 fn roundtrip_echo() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            let frame = conn.recv().unwrap();
-            conn.send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())).unwrap())
-                .unwrap();
-            let _ = conn.recv(); // hold until the client hangs up
-        });
-        let client = dialer.dial(&addr).unwrap();
-        client.send(Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(client.recv().unwrap().as_ref(), b"echo:hello", "{name}");
-        client.close();
-        server.join().unwrap();
-    }
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let frame = conn.recv().unwrap();
+        conn.send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())).unwrap())
+            .unwrap();
+        let _ = conn.recv(); // hold until the client hangs up
+    });
+    let client = dialer.dial(&addr).unwrap();
+    client.send(Bytes::from_static(b"hello")).unwrap();
+    assert_eq!(client.recv().unwrap().as_ref(), b"echo:hello");
+    client.close();
+    server.join().unwrap();
 }
 
 #[test]
 fn many_frames_preserve_order() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            for i in 0..500u32 {
-                let frame = conn.recv().unwrap();
-                assert_eq!(
-                    u32::from_le_bytes(frame[..4].try_into().unwrap()),
-                    i,
-                    "frame order"
-                );
-            }
-        });
-        let client = dialer.dial(&addr).unwrap();
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
         for i in 0..500u32 {
-            // Vary sizes so frames straddle read-chunk boundaries.
-            let mut body = vec![0u8; 4 + (i as usize * 37) % 4096];
-            body[..4].copy_from_slice(&i.to_le_bytes());
-            loop {
-                // Alternate the two entry points: they share one
-                // queue, so order must hold across them.
-                let body = Bytes::from(body.clone());
-                let sent = if i % 2 == 0 {
-                    client.send(body)
-                } else {
-                    client.send_frame(Frame::new(body).unwrap())
-                };
-                match sent {
-                    Ok(()) => break,
-                    Err(TransportError::Full) => std::thread::sleep(Duration::from_millis(1)),
-                    Err(e) => panic!("{name}: send failed: {e}"),
-                }
+            let frame = conn.recv().unwrap();
+            assert_eq!(
+                u32::from_le_bytes(frame[..4].try_into().unwrap()),
+                i,
+                "frame order"
+            );
+        }
+    });
+    let client = dialer.dial(&addr).unwrap();
+    for i in 0..500u32 {
+        // Vary sizes so frames straddle read-chunk boundaries.
+        let mut body = vec![0u8; 4 + (i as usize * 37) % 4096];
+        body[..4].copy_from_slice(&i.to_le_bytes());
+        loop {
+            // Alternate the two entry points: they share one
+            // queue, so order must hold across them.
+            let body = Bytes::from(body.clone());
+            let sent = if i % 2 == 0 {
+                client.send(body)
+            } else {
+                client.send_frame(Frame::new(body).unwrap())
+            };
+            match sent {
+                Ok(()) => break,
+                Err(TransportError::Full) => std::thread::sleep(Duration::from_millis(1)),
+                Err(e) => panic!("send failed: {e}"),
             }
         }
-        server.join().unwrap();
-        client.close();
     }
+    server.join().unwrap();
+    client.close();
 }
 
 #[test]
 fn peer_close_surfaces_as_closed() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            conn.send(Bytes::from_static(b"parting gift")).unwrap();
-            // Wait for the frame to actually leave before closing.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while conn.backlog() > 0 && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            conn.close();
-        });
-        let client = dialer.dial(&addr).unwrap();
-        // The pending frame must stay readable, then Closed.
-        assert_eq!(client.recv().unwrap().as_ref(), b"parting gift", "{name}");
-        assert_eq!(client.recv().unwrap_err(), TransportError::Closed, "{name}");
-        server.join().unwrap();
-    }
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        conn.send(Bytes::from_static(b"parting gift")).unwrap();
+        // Wait for the frame to actually leave before closing.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while conn.backlog() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        conn.close();
+    });
+    let client = dialer.dial(&addr).unwrap();
+    // The pending frame must stay readable, then Closed.
+    assert_eq!(client.recv().unwrap().as_ref(), b"parting gift");
+    assert_eq!(client.recv().unwrap_err(), TransportError::Closed);
+    server.join().unwrap();
 }
 
 #[test]
 fn recv_timeout_expires() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            let _ = conn.recv(); // idle until the client leaves
-        });
-        let client = dialer.dial(&addr).unwrap();
-        let start = std::time::Instant::now();
-        assert_eq!(
-            client.recv_timeout(Duration::from_millis(50)).unwrap_err(),
-            TransportError::Timeout,
-            "{name}"
-        );
-        assert!(start.elapsed() >= Duration::from_millis(50), "{name}");
-        client.close();
-        server.join().unwrap();
-    }
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let _ = conn.recv(); // idle until the client leaves
+    });
+    let client = dialer.dial(&addr).unwrap();
+    let start = std::time::Instant::now();
+    assert_eq!(
+        client.recv_timeout(Duration::from_millis(50)).unwrap_err(),
+        TransportError::Timeout
+    );
+    assert!(start.elapsed() >= Duration::from_millis(50));
+    client.close();
+    server.join().unwrap();
 }
 
 #[test]
 fn try_recv_is_nonblocking() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            conn.send(Bytes::from_static(b"queued")).unwrap();
-            let _ = conn.recv();
-        });
-        let client = dialer.dial(&addr).unwrap();
-        // Eventually the queued frame arrives; until then None.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match client.try_recv().unwrap() {
-                Some(frame) => {
-                    assert_eq!(frame.as_ref(), b"queued", "{name}");
-                    break;
-                }
-                None => {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "{name}: never arrived"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        conn.send(Bytes::from_static(b"queued")).unwrap();
+        let _ = conn.recv();
+    });
+    let client = dialer.dial(&addr).unwrap();
+    // Eventually the queued frame arrives; until then None.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match client.try_recv().unwrap() {
+            Some(frame) => {
+                assert_eq!(frame.as_ref(), b"queued");
+                break;
+            }
+            None => {
+                assert!(std::time::Instant::now() < deadline, "never arrived");
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
-        assert_eq!(client.try_recv().unwrap(), None, "{name}");
-        client.close();
-        server.join().unwrap();
     }
+    assert_eq!(client.try_recv().unwrap(), None);
+    client.close();
+    server.join().unwrap();
 }
 
 #[test]
 fn shutdown_unblocks_accept() {
-    for (name, listener, _dialer) in pairings() {
-        let listener = Arc::new(listener);
-        let l2 = Arc::clone(&listener);
-        let accepting = std::thread::spawn(move || l2.accept().err());
-        std::thread::sleep(Duration::from_millis(30));
-        listener.shutdown();
-        assert_eq!(
-            accepting.join().unwrap(),
-            Some(TransportError::Closed),
-            "{name}"
-        );
-    }
+    let (listener, _dialer) = pairing();
+    let listener = Arc::new(listener);
+    let l2 = Arc::clone(&listener);
+    let accepting = std::thread::spawn(move || l2.accept().err());
+    std::thread::sleep(Duration::from_millis(30));
+    listener.shutdown();
+    assert_eq!(accepting.join().unwrap(), Some(TransportError::Closed));
 }
 
 #[test]
 fn bounded_send_queue_is_exact() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-        let server = std::thread::spawn(move || {
-            // Accept but never read: the client's flush path stalls.
-            let conn = listener.accept().unwrap();
-            let _ = stop_rx.recv();
-            drop(conn);
-        });
-        let client = dialer.dial(&addr).unwrap();
-        client.set_send_capacity(4);
-        // Framed once, cloned per send — the multicast shape. (It also
-        // keeps the sender faster than any flush path, so the cap is
-        // what stops it.)
-        let frame = Frame::new(Bytes::from(vec![7u8; 256 * 1024])).unwrap();
-        let mut saw_full = false;
-        for _ in 0..64 {
-            match client.send_frame(frame.clone()) {
-                Ok(()) => {}
-                Err(TransportError::Full) => {
-                    saw_full = true;
-                    break;
-                }
-                Err(e) => panic!("{name}: unexpected send error: {e}"),
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
+    let server = std::thread::spawn(move || {
+        // Accept but never read: the client's flush path stalls.
+        let conn = listener.accept().unwrap();
+        let _ = stop_rx.recv();
+        drop(conn);
+    });
+    let client = dialer.dial(&addr).unwrap();
+    client.set_send_capacity(4);
+    // Framed once, cloned per send — the multicast shape. (It also
+    // keeps the sender faster than any flush path, so the cap is
+    // what stops it.)
+    let frame = Frame::new(Bytes::from(vec![7u8; 256 * 1024])).unwrap();
+    let mut saw_full = false;
+    for _ in 0..64 {
+        match client.send_frame(frame.clone()) {
+            Ok(()) => {}
+            Err(TransportError::Full) => {
+                saw_full = true;
+                break;
             }
+            Err(e) => panic!("unexpected send error: {e}"),
         }
-        assert!(saw_full, "{name}: queue never reported Full");
-        assert_eq!(client.backlog(), 4, "{name}: cap must be exact at Full");
-        let _ = stop_tx.send(());
-        client.close();
-        server.join().unwrap();
     }
+    assert!(saw_full, "queue never reported Full");
+    assert_eq!(client.backlog(), 4, "cap must be exact at Full");
+    let _ = stop_tx.send(());
+    client.close();
+    server.join().unwrap();
 }
 
 #[test]
 fn backlog_drains_toward_zero() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            for _ in 0..32 {
-                let _ = conn.recv();
-            }
-        });
-        let client = dialer.dial(&addr).unwrap();
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
         for _ in 0..32 {
-            client.send(Bytes::from(vec![1u8; 1024])).unwrap();
+            let _ = conn.recv();
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while client.backlog() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{name}: backlog stuck at {}",
-                client.backlog()
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        server.join().unwrap();
-        client.close();
+    });
+    let client = dialer.dial(&addr).unwrap();
+    for _ in 0..32 {
+        client.send(Bytes::from(vec![1u8; 1024])).unwrap();
     }
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while client.backlog() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "backlog stuck at {}",
+            client.backlog()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.join().unwrap();
+    client.close();
 }
 
 #[test]
 fn send_after_close_fails() {
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            let _ = conn.recv();
-        });
-        let client = dialer.dial(&addr).unwrap();
-        client.close();
-        assert!(client.is_closed(), "{name}");
-        assert_eq!(
-            client.send(Bytes::from_static(b"too late")).unwrap_err(),
-            TransportError::Closed,
-            "{name}"
-        );
-        server.join().unwrap();
-    }
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let _ = conn.recv();
+    });
+    let client = dialer.dial(&addr).unwrap();
+    client.close();
+    assert!(client.is_closed());
+    assert_eq!(
+        client.send(Bytes::from_static(b"too late")).unwrap_err(),
+        TransportError::Closed
+    );
+    server.join().unwrap();
 }
 
 #[test]
 fn disconnects_are_recorded_as_trace_events() {
-    // Other tests in this binary run concurrently and may record
-    // their own disconnect spans while tracing is enabled, so this
-    // asserts only the *presence* of the clean-disconnect span; the
-    // clean-vs-error distinction is pinned down by the transport unit
-    // tests, which own the process.
+    // Tracing is process-wide and other tests in this binary close
+    // connections of their own meanwhile, so each phase asserts the
+    // *presence* of its span. What tells the two kinds apart for one
+    // connection is `FrameSink::on_closed`'s flag, pinned by the
+    // corruption tests below.
     let _tracing = TRACING.lock().unwrap();
-    for (name, listener, dialer) in pairings() {
-        let addr = listener.local_addr();
+    corona_trace::clear();
+    corona_trace::set_enabled(true);
 
-        // Clean close: the dial side hangs up at a frame boundary.
-        corona_trace::clear();
-        corona_trace::set_enabled(true);
-        let server = std::thread::spawn(move || {
-            let conn = listener.accept().unwrap();
-            // recv until Closed so the server observes the hang-up.
-            while conn.recv().is_ok() {}
-            listener
-        });
-        let client = dialer.dial(&addr).unwrap();
-        client.send(Bytes::from_static(b"bye")).unwrap();
-        // Drain before closing so the close lands at a frame boundary.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while client.backlog() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        client.close();
-        let listener = server.join().unwrap();
-        await_disconnect_span(
-            DISCONNECT_CLEAN,
-            &format!("{name}: no clean-disconnect trace event"),
-        );
-        corona_trace::set_enabled(false);
-        drop(listener);
+    // An accepted connection whose peer hangs up at a frame boundary.
+    let (listener, dialer) = pairing();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        // recv until Closed so the server observes the hang-up.
+        while conn.recv().is_ok() {}
+        listener
+    });
+    let client = dialer.dial(&addr).unwrap();
+    client.send(Bytes::from_static(b"bye")).unwrap();
+    // Drain before closing so the close lands at a frame boundary.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while client.backlog() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
+    client.close();
+    let listener = server.join().unwrap();
+    await_disconnect_span(
+        DISCONNECT_CLEAN,
+        "accepted: no clean-disconnect trace event",
+    );
+    drop(listener);
+
+    // A dialled connection whose peer hangs up between frames, then
+    // one whose stream dies half-way through a frame header.
+    for (sent, arg) in [(&[][..], DISCONNECT_CLEAN), (&[9, 0, 0], DISCONNECT_ERROR)] {
+        let (client, mut raw) = dial_raw();
+        raw.write_all(sent).unwrap();
+        drop(raw);
+        await_disconnect_span(arg, &format!("dialled: no disconnect span with arg {arg}"));
+        assert_eq!(client.recv().unwrap_err(), TransportError::Closed);
+    }
+    corona_trace::set_enabled(false);
+}
+
+#[test]
+fn dial_unreachable_fails() {
+    // Port 1 on localhost is essentially never listening.
+    let err = TcpDialer.dial("127.0.0.1:1").unwrap_err();
+    assert!(matches!(err, TransportError::Io(_)));
+}
+
+#[test]
+fn dial_timeout_connects_and_classifies_failures() {
+    let (client, _raw) = dial_raw();
+    client.close();
+
+    // A refused connect is terminal (try the next roster address);
+    // only Timeout/Full are worth retrying in place.
+    let err = TcpDialer
+        .dial_timeout("127.0.0.1:1", Duration::from_secs(2))
+        .unwrap_err();
+    assert!(!err.is_transient(), "refused connect is terminal: {err}");
+    assert!(TransportError::Timeout.is_transient());
+    assert!(TransportError::Full.is_transient());
+    assert!(!TransportError::Closed.is_transient());
+}
+
+/// Regression (check-then-act overshoot): comparing the queue length
+/// against the cap and then enqueueing lets N racing senders overshoot
+/// by up to N−1 frames. Slots are reserved atomically; with the flush
+/// path stalled, hammering from four threads must never push the
+/// backlog past the cap.
+#[test]
+fn concurrent_senders_cannot_overshoot_capacity() {
+    const CAP: usize = 8;
+    // The accepted socket is never read, so the socket buffer fills
+    // and the transmit queue stays pinned at the cap (maximising the
+    // race window).
+    let (client, _unread) = dial_raw();
+    client.set_send_capacity(CAP);
+    let frame = Frame::new(Bytes::from(vec![0u8; 64 * 1024])).unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for _ in 0..2000 {
+                    let _ = client.send_frame(frame.clone());
+                    let backlog = client.backlog();
+                    assert!(backlog <= CAP, "backlog {backlog} overshot cap {CAP}");
+                }
+            });
+        }
+    });
+    client.close();
 }
 
 /// A byte stream that opens with one good frame, [`INTACT`], and goes
@@ -468,27 +504,22 @@ fn corrupt_frame_closes_an_accepted_connection_with_an_error() {
 fn corrupt_frame_closes_a_dialled_connection_with_an_error() {
     let _tracing = TRACING.lock().unwrap();
     let wait = Duration::from_secs(10);
-    // The dial side of each pairing: the blocking reader's `read_frame`
-    // and the reactor in pull mode.
-    for (name, _, dialer) in pairings() {
-        for stream in corrupt_streams() {
-            let why = format!("{name}: {}", stream.what);
-            corona_trace::clear();
-            corona_trace::set_enabled(true);
-            let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = raw.local_addr().unwrap().to_string();
-            std::thread::scope(|s| {
-                s.spawn(|| feed(raw.accept().unwrap().0, &stream));
-                let conn = dialer.dial(&addr).unwrap();
-                assert_eq!(&conn.recv_timeout(wait).unwrap()[..], INTACT, "{why}");
-                assert_eq!(
-                    conn.recv_timeout(wait).unwrap_err(),
-                    TransportError::Closed,
-                    "{why}"
-                );
-                await_disconnect_span(DISCONNECT_ERROR, &format!("{why}: no error close"));
-            });
-            corona_trace::set_enabled(false);
-        }
+    for stream in corrupt_streams() {
+        // The reactor reading in pull mode, as under a client.
+        let why = stream.what;
+        corona_trace::clear();
+        corona_trace::set_enabled(true);
+        let (conn, raw) = dial_raw();
+        std::thread::scope(|s| {
+            s.spawn(|| feed(raw, &stream));
+            assert_eq!(&conn.recv_timeout(wait).unwrap()[..], INTACT, "{why}");
+            assert_eq!(
+                conn.recv_timeout(wait).unwrap_err(),
+                TransportError::Closed,
+                "{why}"
+            );
+            await_disconnect_span(DISCONNECT_ERROR, &format!("{why}: no error close"));
+        });
+        corona_trace::set_enabled(false);
     }
 }

@@ -109,6 +109,9 @@ echo "==> cargo doc --offline --workspace --no-deps (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps \
     --exclude corona-e2e-bench
 
+echo "==> declared dependencies are used ones (scripts/unused-deps.sh)"
+./scripts/unused-deps.sh
+
 echo "==> Rust line count (scripts/loc.sh)"
 ./scripts/loc.sh
 

@@ -3,7 +3,7 @@
 //! The build environment has no crates.io access, so this implements
 //! the MPMC channel subset Corona uses — `unbounded`, `bounded`,
 //! cloneable `Sender`/`Receiver`, `send`/`recv`/`try_recv`/
-//! `recv_timeout`/`iter`/`len` and the matching error types — on top
+//! `recv_timeout`/`len` and the matching error types — on top
 //! of `std::sync::{Mutex, Condvar}`. Semantics (disconnect behaviour,
 //! FIFO order, bounded blocking send) match the real crate.
 
@@ -254,11 +254,6 @@ pub mod channel {
             }
         }
 
-        /// Blocking iterator that ends when the channel disconnects.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
-
         /// Number of messages currently queued.
         pub fn len(&self) -> usize {
             self.shared.lock().len()
@@ -292,26 +287,6 @@ pub mod channel {
                 // Wake blocked senders so they observe the disconnect.
                 self.shared.not_full.notify_all();
             }
-        }
-    }
-
-    /// Blocking iterator over received messages.
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
         }
     }
 

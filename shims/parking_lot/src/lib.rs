@@ -1,13 +1,12 @@
 //! Offline stand-in for `parking_lot`.
 //!
-//! Wraps `std::sync` primitives with the poison-free `parking_lot`
-//! API (lock acquisition never returns a `Result`). Performance is
+//! Wraps `std::sync::Mutex` with the poison-free `parking_lot` API
+//! (lock acquisition never returns a `Result`). Performance is
 //! whatever std provides, which is fine for this repo's scale; the
 //! point is API compatibility without a crates.io download.
 
 use std::fmt;
 use std::sync::{self, TryLockError};
-use std::time::Duration;
 
 /// A mutual exclusion primitive (poison-free facade over `std::sync::Mutex`).
 #[derive(Default)]
@@ -89,206 +88,14 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// A reader-writer lock (poison-free facade over `std::sync::RwLock`).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-/// Shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let inner = match self.inner.read() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        RwLockReadGuard { inner }
-    }
-
-    /// Acquires an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let inner = match self.inner.write() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        RwLockWriteGuard { inner }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_read() {
-            Ok(guard) => f.debug_tuple("RwLock").field(&&*guard).finish(),
-            Err(_) => f.write_str("RwLock(<locked>)"),
-        }
-    }
-}
-
-/// A condition variable (facade over `std::sync::Condvar`).
-#[derive(Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-/// Result of a timed wait on [`Condvar`].
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait returned because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        take_guard(&mut guard.inner, |g| match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        });
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let mut timed_out = false;
-        take_guard(&mut guard.inner, |g| {
-            match self.inner.wait_timeout(g, timeout) {
-                Ok((g, r)) => {
-                    timed_out = r.timed_out();
-                    g
-                }
-                Err(p) => {
-                    let (g, r) = p.into_inner();
-                    timed_out = r.timed_out();
-                    g
-                }
-            }
-        });
-        WaitTimeoutResult(timed_out)
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-/// Replaces a guard in place through a closure that consumes and
-/// returns it (needed because std's condvar wait consumes the guard).
-fn take_guard<'a, T: ?Sized>(
-    slot: &mut sync::MutexGuard<'a, T>,
-    f: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
-) {
-    // SAFETY-free version: use Option dance via unsafe-free replace is
-    // impossible for guards, so route through ManuallyDrop.
-    use std::mem::ManuallyDrop;
-    unsafe {
-        let guard = std::ptr::read(slot as *mut sync::MutexGuard<'a, T>);
-        let new = f(guard);
-        let mut md = ManuallyDrop::new(new);
-        std::ptr::copy_nonoverlapping(&mut *md as *mut sync::MutexGuard<'a, T>, slot, 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_basic() {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, c) = &*p2;
-            *m.lock() = true;
-            c.notify_one();
-        });
-        let (m, c) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            c.wait(&mut done);
-        }
-        t.join().unwrap();
-        assert!(*done);
     }
 }

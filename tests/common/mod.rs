@@ -30,7 +30,8 @@ impl Backend for MemNetwork {
     }
 }
 
-/// Loopback sockets: reactor listeners, blocking dialled connections.
+/// Loopback sockets: reactor listeners, connections dialled onto the
+/// shared dial loop.
 pub struct Tcp;
 
 impl Backend for Tcp {

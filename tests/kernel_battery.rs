@@ -52,8 +52,9 @@ fn assert_closed_by_server(conn: &dyn Connection, why: &str) {
 }
 
 /// A member of `G` that never reads what the server sends it. Over TCP
-/// it must be a bare socket: a `TcpConnection`'s reader thread would
-/// keep draining the server's queue into its own.
+/// it must be a bare socket: the dial loop reads a dialled connection
+/// whether or not anyone calls `recv`, draining the server's queue
+/// into the connection's own 1024-frame inbound queue.
 fn laggard(dialer: &dyn Dialer, addr: &str, tcp: bool) -> Box<dyn std::any::Any> {
     if tcp {
         let mut member = RawMember::connect(addr, "laggard").unwrap();

@@ -1,8 +1,9 @@
 //! Full-stack tests of the sharded reactor transport: the regular
 //! client library running end-to-end over real TCP against the
-//! listener [`CoronaServer::bind`] binds, and the C5k smoke test — five
+//! listener [`CoronaServer::bind`] binds, the C5k smoke test — five
 //! thousand concurrent members on one server whose thread count is
-//! shards + 2 instead of O(2 × clients).
+//! shards + 2 — and the same census on the dial side: no transport
+//! thread per dialled connection either.
 
 use corona::prelude::*;
 use corona_transport::Dialer;
@@ -11,7 +12,7 @@ use std::time::Duration;
 const G: GroupId = GroupId(1);
 const DOC: ObjectId = ObjectId(1);
 
-/// Two tests here count this process's threads around the servers they
+/// Three tests here count this process's threads around what they
 /// start; every test holds this lock so none starts or stops threads
 /// inside another's census.
 static THREAD_CENSUS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -101,9 +102,10 @@ fn full_stack_over_reactor_transport() {
 /// moment one finishes — possibly inside another test's census — and
 /// names it after the test (the kernel keeps the first 15 bytes).
 fn thread_count() -> usize {
-    const TESTS: [&str; 3] = [
+    const TESTS: [&str; 4] = [
         "full_stack_over_reactor_transport",
         "c5k_reactor_sustains_five_thousand_members",
+        "dialled_clients_cost_one_thread_each",
         "replicated_thread_count_is_independent_of_member_count",
     ];
     let tasks = std::fs::read_dir("/proc/self/task").expect("read /proc/self/task");
@@ -200,15 +202,52 @@ fn c5k_reactor_sustains_five_thousand_members() {
     server.shutdown();
 }
 
+/// The dial side is as flat: every connection [`TcpDialer`] makes runs
+/// on the one shared dial loop, so a [`CoronaClient`] costs its own
+/// reader thread and nothing else — no transport thread per
+/// connection.
+#[test]
+fn dialled_clients_cost_one_thread_each() {
+    const CLIENTS: usize = 200;
+    const SHARDS: usize = 1;
+    /// The server as in the C5k census, plus the dial loop — which an
+    /// earlier test in this process may already have started.
+    const SHARED: usize = SHARDS + 2 + 1;
+
+    let _census = census_lock();
+    let baseline = thread_count();
+    let server = CoronaServer::bind(
+        "127.0.0.1:0",
+        ServerConfig::stateful(ServerId::new(1)).with_reactor_shards(SHARDS),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let clients: Vec<CoronaClient> = (0..CLIENTS)
+        .map(|i| tcp_connect(&addr, &format!("c{i}")))
+        .collect();
+
+    let threads = thread_count().saturating_sub(baseline);
+    assert!(
+        threads <= CLIENTS + SHARED,
+        "{CLIENTS} dialled clients and their server run {threads} threads \
+         — expected one per client + {SHARED}"
+    );
+
+    for c in clients {
+        c.close();
+    }
+    server.shutdown();
+}
+
 /// The replicated runtime rides the same kernel, so a replica's thread
 /// population is as flat as the single server's: three replicas on
 /// one-shard reactor listeners hold 5000 members (C5k) with a constant
 /// number of threads — event loops, accept threads, dispatchers, and
-/// the readers of the few peer links the servers dial each other on —
-/// none per client.
+/// the kernel's readers of the few peer links the servers dial each
+/// other on — none per client.
 #[test]
 fn replicated_thread_count_is_independent_of_member_count() {
-    use corona::transport::{ReactorDialer, ReactorListener};
+    use corona::transport::ReactorListener;
     use std::sync::Arc;
 
     const MEMBERS: usize = 5000;
@@ -216,9 +255,11 @@ fn replicated_thread_count_is_independent_of_member_count() {
     /// Per replica: a client and a peer listener, each one shard loop
     /// plus one accept thread; and the dispatcher.
     const PER_REPLICA: usize = 2 * (1 + 1) + 1;
-    /// Each pair of servers dials at most one link in each direction.
+    /// Each pair of servers dials at most one link in each direction;
+    /// a dialled link is read by one kernel pump thread and owns no
+    /// transport thread.
     const DIALLED_READERS: usize = REPLICAS * (REPLICAS - 1);
-    /// The event loop of the `ReactorDialer` the replicas share.
+    /// The process-wide dial loop those links share.
     const DIALER_LOOP: usize = 1;
 
     if !fd_limit_allows(
@@ -237,11 +278,18 @@ fn replicated_thread_count_is_independent_of_member_count() {
         .clone()
         .zip(listeners.iter().map(|(_, peer)| peer.local_addr()))
         .collect();
-    let dialer: Arc<dyn Dialer> = Arc::new(ReactorDialer::new().unwrap());
+    let dialer: Arc<dyn Dialer> = Arc::new(TcpDialer);
     let servers: Vec<ReplicatedServer> = ids
         .zip(listeners)
         .map(|(id, (client, peer))| {
-            let config = ReplicatedConfig::new(id, peers.clone());
+            // Patient failure detection: five thousand joins on a small
+            // box can hold a heartbeat past the default 250 ms, and an
+            // election (which may drop a forwarded join) is not what is
+            // counted here.
+            let config = ReplicatedConfig {
+                base_timeout_ms: 5_000,
+                ..ReplicatedConfig::new(id, peers.clone())
+            };
             let dialer = Arc::clone(&dialer);
             ReplicatedServer::start(Box::new(client), Box::new(peer), dialer, config).unwrap()
         })
