@@ -35,10 +35,10 @@ use corona_types::policy::{
 };
 use corona_types::state::{SharedState, StateUpdate};
 use corona_types::wire::{decode_traced, encode_traced, Decode, Encode, TraceToken};
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -211,7 +211,8 @@ impl Supervisor {
 pub struct CoronaClient {
     shared: Arc<Shared>,
     client_id: ClientId,
-    events_rx: Receiver<ServerEvent>,
+    /// Locked for the length of a wait: one thread reads events at a time.
+    events_rx: Mutex<Receiver<ServerEvent>>,
     call_guard: Mutex<()>,
     call_timeout: Duration,
     supervisor: Option<Arc<Supervisor>>,
@@ -237,7 +238,7 @@ impl CoronaClient {
         resume: Option<ClientId>,
     ) -> Result<CoronaClient> {
         let (shared, client_id) = handshake(conn, &display_name.into(), resume)?;
-        let (events_tx, events_rx) = channel::unbounded::<ServerEvent>();
+        let (events_tx, events_rx) = mpsc::channel::<ServerEvent>();
 
         // Reader thread: decode and route until the connection closes.
         {
@@ -255,7 +256,7 @@ impl CoronaClient {
         Ok(CoronaClient {
             shared,
             client_id,
-            events_rx,
+            events_rx: Mutex::new(events_rx),
             call_guard: Mutex::new(()),
             call_timeout: Duration::from_secs(10),
             supervisor: None,
@@ -304,7 +305,7 @@ impl CoronaClient {
                         reconnects: registry.counter("client.reconnects"),
                         backoff_ms: registry.histogram("client.backoff_ms"),
                     });
-                    let (events_tx, events_rx) = channel::unbounded::<ServerEvent>();
+                    let (events_tx, events_rx) = mpsc::channel::<ServerEvent>();
                     {
                         let shared = Arc::clone(&shared);
                         let supervisor = Arc::clone(&supervisor);
@@ -316,7 +317,7 @@ impl CoronaClient {
                     return Ok(CoronaClient {
                         shared,
                         client_id,
-                        events_rx,
+                        events_rx: Mutex::new(events_rx),
                         call_guard: Mutex::new(()),
                         call_timeout: Duration::from_secs(10),
                         supervisor: Some(supervisor),
@@ -668,7 +669,8 @@ impl CoronaClient {
     /// supervised client: once the driver has exhausted its reconnect
     /// budget).
     pub fn next_event(&self) -> Result<ServerEvent> {
-        self.events_rx.recv().map_err(|_| CoronaError::Disconnected)
+        let events = self.events_rx.lock();
+        events.recv().map_err(|_| CoronaError::Disconnected)
     }
 
     /// Blocks up to `timeout` for the next asynchronous event.
@@ -678,17 +680,18 @@ impl CoronaClient {
     /// [`CoronaError::Timeout`] on expiry, [`CoronaError::Disconnected`]
     /// when closed.
     pub fn next_event_timeout(&self, timeout: Duration) -> Result<ServerEvent> {
-        self.events_rx.recv_timeout(timeout).map_err(|e| match e {
-            channel::RecvTimeoutError::Timeout => CoronaError::Timeout {
+        let events = self.events_rx.lock();
+        events.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => CoronaError::Timeout {
                 operation: "event stream",
             },
-            channel::RecvTimeoutError::Disconnected => CoronaError::Disconnected,
+            RecvTimeoutError::Disconnected => CoronaError::Disconnected,
         })
     }
 
     /// Returns a pending event without blocking.
     pub fn try_event(&self) -> Option<ServerEvent> {
-        self.events_rx.try_recv().ok()
+        self.events_rx.lock().try_recv().ok()
     }
 
     /// Closes the session: best-effort `Goodbye`, then transport close.
@@ -741,7 +744,7 @@ impl CoronaClient {
         matcher: fn(&ServerEvent) -> bool,
     ) -> Result<ServerEvent> {
         let _guard = self.call_guard.lock();
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::channel();
         *self.shared.pending.lock() = Some(Pending { matcher, tx });
         if let Err(e) = self.send_raw(request) {
             self.shared.pending.lock().take();
@@ -752,13 +755,13 @@ impl CoronaClient {
                 Err(CoronaError::protocol(ErrorCode::from_wire(code), detail))
             }
             Ok(event) => Ok(event),
-            Err(channel::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 self.shared.pending.lock().take();
                 Err(CoronaError::Timeout {
                     operation: "server reply",
                 })
             }
-            Err(channel::RecvTimeoutError::Disconnected) => Err(CoronaError::Disconnected),
+            Err(RecvTimeoutError::Disconnected) => Err(CoronaError::Disconnected),
         }
     }
 }

@@ -17,8 +17,10 @@
 //!   preserved, giving sender-FIFO;
 //! * **dispatcher thread** — owns the protocol and the connection
 //!   table; processing commands one at a time yields the per-group
-//!   total order. Watchdogs and the protocol's tick run off its receive
-//!   timeout — there is no timer thread.
+//!   total order. The transport threads hand it commands through one
+//!   [`Inbox`]: it swaps out whatever has queued up and works through
+//!   that batch. Watchdogs, the protocol's tick and the metrics dump
+//!   run off its park timeout — there is no timer thread.
 //!
 //! A group broadcast is encoded *and framed* **once** into a shared
 //! [`Frame`]; the dispatcher pushes a clone of the handle — not the
@@ -35,8 +37,7 @@ use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
 use corona_metrics::{Counter, Gauge, Histogram, Registry};
 use corona_trace::{record, Hop, TraceId};
 use corona_transport::{
-    pump, serve, Connection, FrameSink, Listener, MeteredConnection, TransportError,
-    TransportMetrics,
+    pump, serve, Connection, FrameSink, Inbox, Listener, TransportError, TransportMetrics,
 };
 use corona_types::error::{CodecError, CoronaError, ErrorCode, Result};
 use corona_types::frame::Frame;
@@ -44,9 +45,8 @@ use corona_types::id::{ClientId, GroupId};
 use corona_types::message::{ClientRequest, ServerEvent};
 use corona_types::state::Timestamp;
 use corona_types::wire::{decode_traced, encode_traced, Encode, TraceToken};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,10 +103,14 @@ pub trait Protocol: Send + 'static {
 /// How often the watchdogs are polled when the protocol has no tick.
 const WATCHDOG_POLL: Duration = Duration::from_millis(50);
 
-/// Dispatcher-queue high-water mark: past it the sink asks the transport
-/// to stop reading — TCP flow control then throttles the peers — until
-/// the queue drains below half the mark.
-const SINK_QUEUE_HWM: usize = 8192;
+/// Dispatcher-queue high-water mark: with this many commands not yet
+/// handled the sink asks the transport to stop reading — TCP flow
+/// control then throttles the peers — until fewer than half are left.
+pub const SINK_QUEUE_HWM: usize = 8192;
+
+/// Within one batch, the tick deadline is looked at once in this many
+/// commands: a batch can be [`SINK_QUEUE_HWM`] long.
+const TICK_CHECK_STRIDE: usize = 64;
 
 /// Dialled peer links are numbered from here, clear of listener ids.
 const DIALLED_BASE: u64 = 1 << 48;
@@ -126,46 +130,45 @@ enum Command<P> {
     Frame(Plane, u64, Bytes),
     Closed(Plane, u64),
     Call(Query<P>),
-    Shutdown,
 }
 
 /// Adapts the [`FrameSink`] calls of one listener (or of the dialled
-/// peer readers) onto the dispatcher command queue.
+/// peer readers) onto the dispatcher command queue. A closed queue
+/// drops what it is offered: the kernel is shutting down.
 struct Sink<P> {
-    cmd_tx: Sender<Command<P>>,
+    commands: Arc<Inbox<Command<P>>>,
     plane: Plane,
     transport_metrics: TransportMetrics,
     send_queue_capacity: usize,
 }
 
 impl<P: Protocol> FrameSink for Sink<P> {
-    fn on_accept(&self, conn_id: u64, mut conn: Box<dyn Connection>) {
-        // Metered, and bounded per the configuration. Peer messages
-        // cannot be shed: peer links keep the transport's own bound.
+    fn on_accept(&self, conn_id: u64, conn: Box<dyn Connection>) {
+        // Bounded per the configuration. Peer messages cannot be shed:
+        // peer links keep the transport's own bound.
         if self.plane == Plane::Client {
             conn.set_send_capacity(self.send_queue_capacity);
-            conn = Box::new(MeteredConnection::new(conn, self.transport_metrics.clone()));
         }
-        let _ = self
-            .cmd_tx
-            .send(Command::Accepted(self.plane, conn_id, conn));
+        let accepted = Command::Accepted(self.plane, conn_id, conn);
+        self.commands.push(accepted);
     }
 
     fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
         if self.plane == Plane::Client {
-            // The sink path bypasses `MeteredConnection::recv`.
             self.transport_metrics.record_frame_in(frame.len());
         }
-        let _ = self.cmd_tx.send(Command::Frame(self.plane, conn_id, frame));
-        self.cmd_tx.len() < SINK_QUEUE_HWM
+        let depth = self
+            .commands
+            .push(Command::Frame(self.plane, conn_id, frame));
+        depth.is_none_or(|depth| depth < SINK_QUEUE_HWM)
     }
 
     fn ready_for_more(&self) -> bool {
-        self.cmd_tx.len() < SINK_QUEUE_HWM / 2
+        self.commands.depth() < SINK_QUEUE_HWM / 2
     }
 
     fn on_closed(&self, conn_id: u64, _clean: bool) {
-        let _ = self.cmd_tx.send(Command::Closed(self.plane, conn_id));
+        self.commands.push(Command::Closed(self.plane, conn_id));
     }
 }
 
@@ -208,7 +211,13 @@ pub struct Io {
     conns_accepted: Arc<Counter>,
     conns_closed: Arc<Counter>,
     decode_errors: Arc<Counter>,
+    /// Commands the dispatcher took off its queue in one drain: the
+    /// latest (0 when it last woke to an empty queue), and all of them.
     queue_depth: Arc<Gauge>,
+    queue_batch: Arc<Histogram>,
+    transport_metrics: TransportMetrics,
+    /// When and for whom to print the next metrics dump, if configured.
+    dump: Option<(Instant, Duration, String)>,
     stage_handle_us: Arc<Histogram>,
     stage_fanout_us: Arc<Histogram>,
     /// Multicast payload encodes — exactly one per group broadcast,
@@ -355,6 +364,7 @@ impl Io {
         self.fanout_queue_depth.record(backlog as u64);
         self.fanout_queue_hwm.set_max(backlog as i64);
         self.health.note_queue_depth(backlog as u64);
+        let body_len = frame.body().len();
         let sent = if self.qos.should_deliver(class, backlog) {
             state.conn.send_frame(frame)
         } else {
@@ -363,6 +373,7 @@ impl Io {
         match sent {
             Ok(()) => {
                 self.enqueues.inc();
+                self.transport_metrics.record_frame_out(body_len);
                 return true;
             }
             // QoS said shed, or a bounded queue it did not relieve:
@@ -473,64 +484,87 @@ struct Dispatcher<P> {
 }
 
 impl<P: Protocol> Dispatcher<P> {
-    fn run(mut self, cmd_rx: Receiver<Command<P>>) {
+    fn run(mut self, commands: &Inbox<Command<P>>) {
         let tick_every = self.proto.tick_every().unwrap_or(WATCHDOG_POLL);
         let mut next_tick = Instant::now() + tick_every;
+        let mut batch = Vec::new();
         loop {
-            // Under sustained load the receive never times out, so the
-            // deadline is also checked between commands.
-            let now = Instant::now();
-            if now >= next_tick {
-                next_tick = now + tick_every;
-                for event in self.io.watchdogs.poll(&self.io.health, self.io.now_ms()) {
-                    self.io.health.emit(event);
-                }
-                self.step(None, |proto, io| proto.tick(io));
+            self.tick_if_due(&mut next_tick, tick_every);
+            let open = commands.drain_or_park(&mut batch, Some(next_tick));
+            self.io.queue_depth.set(batch.len() as i64);
+            if !batch.is_empty() {
+                self.io.queue_batch.record(batch.len() as u64);
             }
-            let cmd = match cmd_rx.recv_timeout(next_tick.saturating_duration_since(now)) {
-                Ok(cmd) => cmd,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            self.io.queue_depth.set(cmd_rx.len() as i64);
-            match cmd {
-                Command::Accepted(Plane::Client, conn_id, conn) => {
-                    self.io.conns_accepted.inc();
-                    self.io
-                        .conns
-                        .insert(conn_id, ConnState { conn, client: None });
+            for (i, cmd) in batch.drain(..).enumerate() {
+                if i % TICK_CHECK_STRIDE == TICK_CHECK_STRIDE - 1 {
+                    self.tick_if_due(&mut next_tick, tick_every);
                 }
-                Command::Accepted(Plane::Peer, conn_id, conn) => {
-                    self.io
-                        .peers
-                        .insert(conn_id, PeerLink { conn, reader: None });
-                }
-                Command::Frame(Plane::Client, conn_id, frame) => self.client_frame(conn_id, &frame),
-                Command::Frame(Plane::Peer, conn_id, frame) => {
-                    self.step(None, |proto, io| proto.peer_frame(conn_id, &frame, io));
-                }
-                Command::Closed(Plane::Client, conn_id) => {
-                    if let Some(effects) = self.remove_conn(conn_id) {
-                        self.execute(effects, None);
-                    }
-                }
-                Command::Closed(Plane::Peer, conn_id) => {
-                    if let Some(link) = self.io.peers.remove(&conn_id) {
-                        join_reader(link);
-                        self.step(None, |proto, io| proto.peer_closed(conn_id, io));
-                    }
-                }
-                Command::Call(query) => self.step(None, |proto, io| query(proto, io)),
-                Command::Shutdown => break,
+                self.handle(cmd);
+            }
+            if !open {
+                break;
             }
         }
         // Closing every connection lets pull-mode readers exit; one
-        // still queued behind the `Shutdown` closes when `cmd_rx` drops.
+        // accepted from here on is dropped, and so closed, by the queue.
         for state in self.io.conns.values() {
             state.conn.close();
         }
         for (_, link) in self.io.peers.drain() {
             join_reader(link);
+        }
+    }
+
+    /// Once `next_tick` has passed: polls the watchdogs, runs the
+    /// protocol's tick, and prints the metrics dump if one is due.
+    fn tick_if_due(&mut self, next_tick: &mut Instant, tick_every: Duration) {
+        let now = Instant::now();
+        if now < *next_tick {
+            return;
+        }
+        *next_tick = now + tick_every;
+        for event in self.io.watchdogs.poll(&self.io.health, self.io.now_ms()) {
+            self.io.health.emit(event);
+        }
+        self.step(None, |proto, io| proto.tick(io));
+        if let Some((next_dump, every, addr)) = &mut self.io.dump {
+            if now >= *next_dump {
+                *next_dump = now + *every;
+                let json = self.io.registry.snapshot().render_json();
+                eprintln!("corona-metrics {addr} {json}");
+            }
+        }
+    }
+
+    fn handle(&mut self, cmd: Command<P>) {
+        match cmd {
+            Command::Accepted(Plane::Client, conn_id, conn) => {
+                self.io.conns_accepted.inc();
+                self.io
+                    .conns
+                    .insert(conn_id, ConnState { conn, client: None });
+            }
+            Command::Accepted(Plane::Peer, conn_id, conn) => {
+                self.io
+                    .peers
+                    .insert(conn_id, PeerLink { conn, reader: None });
+            }
+            Command::Frame(Plane::Client, conn_id, frame) => self.client_frame(conn_id, &frame),
+            Command::Frame(Plane::Peer, conn_id, frame) => {
+                self.step(None, |proto, io| proto.peer_frame(conn_id, &frame, io));
+            }
+            Command::Closed(Plane::Client, conn_id) => {
+                if let Some(effects) = self.remove_conn(conn_id) {
+                    self.execute(effects, None);
+                }
+            }
+            Command::Closed(Plane::Peer, conn_id) => {
+                if let Some(link) = self.io.peers.remove(&conn_id) {
+                    join_reader(link);
+                    self.step(None, |proto, io| proto.peer_closed(conn_id, io));
+                }
+            }
+            Command::Call(query) => self.step(None, |proto, io| query(proto, io)),
         }
     }
 
@@ -691,12 +725,12 @@ pub struct Kernel<P> {
     pub registry: Arc<Registry>,
     /// The live health registry (watchdog trips, per-group cells).
     pub health: Arc<HealthRegistry>,
-    cmd_tx: Sender<Command<P>>,
+    /// The dispatcher's command queue; closing it ends the dispatcher.
+    commands: Arc<Inbox<Command<P>>>,
     listeners: Vec<Arc<dyn Listener>>,
-    /// Joined in order at shutdown: the dispatcher, accept threads, the
-    /// metrics dump, whatever [`Kernel::join_after`] added.
+    /// Joined in order at shutdown: the dispatcher, accept threads,
+    /// whatever [`Kernel::join_after`] added.
     threads: Vec<JoinHandle<()>>,
-    dump_stop: Option<Sender<()>>,
 }
 
 impl<P: Protocol> Kernel<P> {
@@ -715,12 +749,13 @@ impl<P: Protocol> Kernel<P> {
     ) -> Kernel<P> {
         let health = HealthRegistry::new(config.slo);
         health.set_queue_capacity(config.send_queue_capacity as u64);
-        let (cmd_tx, cmd_rx) = channel::unbounded::<Command<P>>();
+        let commands = Arc::new(Inbox::<Command<P>>::parked());
+        let transport_metrics = TransportMetrics::new(&registry);
         let sink = |plane| -> Arc<dyn FrameSink> {
             Arc::new(Sink {
-                cmd_tx: cmd_tx.clone(),
+                commands: Arc::clone(&commands),
                 plane,
-                transport_metrics: TransportMetrics::new(&registry),
+                transport_metrics: transport_metrics.clone(),
                 send_queue_capacity: config.send_queue_capacity,
             })
         };
@@ -744,6 +779,12 @@ impl<P: Protocol> Kernel<P> {
             conns_closed: registry.counter("server.conns.closed"),
             decode_errors: registry.counter("server.decode_errors"),
             queue_depth: registry.gauge("server.queue.depth"),
+            queue_batch: registry.histogram("server.queue.batch"),
+            transport_metrics: transport_metrics.clone(),
+            dump: config.metrics_dump_interval.map(|every| {
+                let addr = client_listener.local_addr();
+                (Instant::now() + every, every, addr)
+            }),
             stage_handle_us: registry.histogram("server.stage.handle_us"),
             stage_fanout_us: registry.histogram("server.stage.fanout_us"),
             fanout_encodes: registry.counter("server.fanout.encodes"),
@@ -757,7 +798,8 @@ impl<P: Protocol> Kernel<P> {
             fanout_queue_depth: registry.histogram("server.fanout.queue_depth"),
             fanout_queue_hwm: registry.gauge("server.fanout.queue_hwm"),
         };
-        let run = move || Dispatcher { proto, io }.run(cmd_rx);
+        let queue = Arc::clone(&commands);
+        let run = move || Dispatcher { proto, io }.run(&queue);
         let mut threads = vec![spawn(format!("{name}-dispatcher"), run)];
 
         let mut listeners: Vec<Arc<dyn Listener>> = Vec::new();
@@ -772,28 +814,12 @@ impl<P: Protocol> Kernel<P> {
             listeners.push(listener);
         }
 
-        // Periodic metrics dump (one JSON line to stderr) until the
-        // stop channel disconnects.
-        let dump_stop = config.metrics_dump_interval.map(|interval| {
-            let (stop_tx, stop_rx) = channel::bounded::<()>(1);
-            let registry = Arc::clone(&registry);
-            let addr = listeners[0].local_addr();
-            threads.push(spawn(format!("{name}-metrics-dump"), move || {
-                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                    let json = registry.snapshot().render_json();
-                    eprintln!("corona-metrics {addr} {json}");
-                }
-            }));
-            stop_tx
-        });
-
         Kernel {
             registry,
             health,
-            cmd_tx,
+            commands,
             listeners,
             threads,
-            dump_stop,
         }
     }
 
@@ -808,13 +834,13 @@ impl<P: Protocol> Kernel<P> {
         &self,
         query: impl FnOnce(&mut P, &mut Io) -> R + Send + 'static,
     ) -> Result<R> {
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::channel();
         let query = move |proto: &mut P, io: &mut Io| {
             let _ = tx.send(query(proto, io));
         };
-        self.cmd_tx
-            .send(Command::Call(Box::new(query)))
-            .map_err(|_| CoronaError::Closed)?;
+        self.commands
+            .push(Command::Call(Box::new(query)))
+            .ok_or(CoronaError::Closed)?;
         rx.recv_timeout(Duration::from_secs(5))
             .map_err(|_| CoronaError::Closed)
     }
@@ -850,8 +876,7 @@ impl<P> Drop for Kernel<P> {
         for listener in &self.listeners {
             listener.shutdown();
         }
-        let _ = self.cmd_tx.send(Command::Shutdown);
-        self.dump_stop.take();
+        self.commands.close();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }

@@ -21,12 +21,11 @@ use corona_health::HealthRegistry;
 use corona_metrics::{Histogram, MetricsSnapshot, Registry};
 use corona_statelog::{GroupStore, StableStore};
 use corona_trace::{record, Hop, TraceId};
-use corona_transport::{Listener, ReactorListener};
+use corona_transport::{Inbox, Listener, ReactorListener};
 use corona_types::error::{CoronaError, Result};
 use corona_types::id::{ClientId, GroupId};
 use corona_types::message::{ClientRequest, ServerEvent};
 use corona_types::state::Timestamp;
-use crossbeam::channel;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -146,12 +145,21 @@ impl LoggerState {
     }
 }
 
+/// The dispatcher's end of the logger queue: closes it when dropped.
+struct LogQueue(Arc<Inbox<LogEffect>>);
+
+impl Drop for LogQueue {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// The single server's [`Protocol`]: the [`ServerCore`] state machine,
 /// with its log effects routed to stable storage.
 struct Single {
     core: ServerCore,
     /// Where log effects go. Dropped with the dispatcher, which closes
-    /// the logger thread's channel: the thread then syncs and exits.
+    /// the logger thread's queue: the thread then syncs and exits.
     log: Box<dyn FnMut(LogEffect) + Send>,
     stage_log_us: Arc<Histogram>,
     /// Admin snapshots answered so far.
@@ -294,15 +302,23 @@ impl CoronaServer {
                 state.sync_all();
             }),
             Some(mut state) => {
-                let (tx, rx) = channel::unbounded::<LogEffect>();
+                let queue = LogQueue(Arc::new(Inbox::parked()));
+                let effects = Arc::clone(&queue.0);
+                let log_batch = registry.histogram("server.log.batch");
                 logger = Some(spawn("corona-logger".into(), move || {
-                    while let Ok(effect) = rx.recv() {
-                        state.apply(effect);
+                    let mut batch = Vec::new();
+                    let mut open = true;
+                    while open {
+                        open = effects.drain_or_park(&mut batch, None);
+                        if !batch.is_empty() {
+                            log_batch.record(batch.len() as u64);
+                        }
+                        batch.drain(..).for_each(|effect| state.apply(effect));
                     }
                     state.sync_all();
                 }));
                 Box::new(move |effect| {
-                    let _ = tx.send(effect);
+                    queue.0.push(effect);
                 })
             }
             None => Box::new(|_| {}),

@@ -34,15 +34,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod fifo;
+pub mod inbox;
 pub mod mem;
-pub mod metered;
 pub mod nemesis;
 pub mod reactor;
 pub mod serve;
 pub mod traits;
 
+pub use inbox::Inbox;
 pub use mem::{MemConnection, MemDialer, MemListener, MemNetwork};
-pub use metered::{ConnTraffic, MeteredConnection, TransportMetrics};
 pub use nemesis::{
     FaultRng, LinkFaults, Nemesis, NemesisConnection, NemesisDialer, NemesisEvent, NemesisListener,
     NemesisMetrics,
@@ -50,6 +51,6 @@ pub use nemesis::{
 pub use reactor::{Reactor, ReactorConnection, ReactorListener, TcpDialer};
 pub use serve::{pump, serve};
 pub use traits::{
-    Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_DIAL_TIMEOUT,
-    DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
+    Connection, Dialer, FrameSink, Listener, TransportError, TransportMetrics,
+    DEFAULT_DIAL_TIMEOUT, DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
 };

@@ -11,47 +11,26 @@
 //! `corona-sim` crate models latency separately for the performance
 //! experiments.
 
+use crate::fifo::Fifo;
 use crate::traits::{Connection, Dialer, Listener, TransportError, DEFAULT_SEND_CAPACITY};
 use bytes::Bytes;
 use corona_types::frame::Frame;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Which endpoint of a connection pair this handle is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    /// The dialing endpoint.
-    Dialer,
-    /// The accepting endpoint.
-    Acceptor,
-}
-
-#[derive(Debug)]
-struct ConnShared {
-    closed: AtomicBool,
-    /// dialer -> acceptor direction.
-    tx_da: Mutex<Option<Sender<Bytes>>>,
-    /// acceptor -> dialer direction.
-    tx_ad: Mutex<Option<Sender<Bytes>>>,
-    dialer_node: String,
-    acceptor_node: String,
-}
-
-impl ConnShared {
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        // Dropping both senders wakes both receivers (after drain).
-        self.tx_da.lock().take();
-        self.tx_ad.lock().take();
-    }
-}
+/// A listener's queue of dialled, not yet accepted connections.
+type AcceptQueue = Arc<Fifo<MemConnection>>;
 
 /// Listening address -> the listener's accept queue.
-type Listeners = Mutex<HashMap<String, Sender<MemConnection>>>;
+type Listeners = Mutex<HashMap<String, AcceptQueue>>;
+
+/// A queue bounded, if at all, by the `cap` of each push.
+fn unbounded<T>() -> Arc<Fifo<T>> {
+    Arc::new(Fifo::new(usize::MAX))
+}
 
 /// A process-local network of named nodes.
 ///
@@ -77,11 +56,11 @@ impl MemNetwork {
         if listeners.contains_key(addr) {
             return Err(TransportError::Io(format!("address {addr} already in use")));
         }
-        let (tx, rx) = channel::unbounded();
-        listeners.insert(addr.to_string(), tx);
+        let accept_queue = unbounded();
+        listeners.insert(addr.to_string(), Arc::clone(&accept_queue));
         Ok(MemListener {
             addr: addr.to_string(),
-            accept_rx: rx,
+            accept_queue,
             listeners: Arc::downgrade(&self.listeners),
         })
     }
@@ -94,38 +73,24 @@ impl MemNetwork {
     /// [`TransportError::Io`] if no listener exists at `addr` or the
     /// listener has shut down.
     pub fn dial_from(&self, from_node: &str, addr: &str) -> Result<MemConnection, TransportError> {
-        let accept_tx = {
+        let accept_queue = {
             let listeners = self.listeners.lock();
             listeners
                 .get(addr)
                 .cloned()
                 .ok_or_else(|| TransportError::Io(format!("no listener at {addr}")))?
         };
-        let (tx_da, rx_da) = channel::unbounded();
-        let (tx_ad, rx_ad) = channel::unbounded();
-        let shared = Arc::new(ConnShared {
-            closed: AtomicBool::new(false),
-            tx_da: Mutex::new(Some(tx_da)),
-            tx_ad: Mutex::new(Some(tx_ad)),
-            dialer_node: from_node.to_string(),
-            acceptor_node: addr.to_string(),
-        });
-        let dial_side = MemConnection {
-            shared: Arc::clone(&shared),
-            side: Side::Dialer,
-            rx: rx_ad,
+        let endpoint = |tx: &Pipe, rx: &Pipe, peer: &str| MemConnection {
+            tx: Arc::clone(tx),
+            rx: Arc::clone(rx),
+            peer: peer.to_string(),
             send_capacity: AtomicUsize::new(DEFAULT_SEND_CAPACITY),
         };
-        let accept_side = MemConnection {
-            shared,
-            side: Side::Acceptor,
-            rx: rx_da,
-            send_capacity: AtomicUsize::new(DEFAULT_SEND_CAPACITY),
-        };
-        accept_tx
-            .send(accept_side)
+        let (to_acceptor, to_dialer) = (unbounded(), unbounded());
+        accept_queue
+            .push(endpoint(&to_dialer, &to_acceptor, from_node), usize::MAX)
             .map_err(|_| TransportError::Io(format!("listener at {addr} shut down")))?;
-        Ok(dial_side)
+        Ok(endpoint(&to_acceptor, &to_dialer, addr))
     }
 
     /// Returns a [`Dialer`] whose connections originate from
@@ -138,62 +103,29 @@ impl MemNetwork {
     }
 }
 
-/// One endpoint of an in-memory connection.
+/// One direction of a connection: bodies queued for the other endpoint.
+type Pipe = Arc<Fifo<Bytes>>;
+
+/// One endpoint of an in-memory connection. Closing or dropping either
+/// endpoint closes both pipes; the peer then observes `Closed` after
+/// draining, mirroring TCP FIN behaviour.
 #[derive(Debug)]
 pub struct MemConnection {
-    shared: Arc<ConnShared>,
-    side: Side,
-    rx: Receiver<Bytes>,
+    tx: Pipe,
+    rx: Pipe,
+    peer: String,
     send_capacity: AtomicUsize,
-}
-
-impl MemConnection {
-    /// This endpoint's transmit queue (`None` once closed).
-    fn tx(&self) -> parking_lot::MutexGuard<'_, Option<Sender<Bytes>>> {
-        match self.side {
-            Side::Dialer => self.shared.tx_da.lock(),
-            Side::Acceptor => self.shared.tx_ad.lock(),
-        }
-    }
 }
 
 impl Connection for MemConnection {
     fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
-        match self.tx().as_ref() {
-            Some(tx) if tx.len() >= self.send_capacity.load(Ordering::Relaxed) => {
-                Err(TransportError::Full)
-            }
-            // No wire, no header: bodies move between queues.
-            Some(tx) => tx
-                .send(frame.into_body())
-                .map_err(|_| TransportError::Closed),
-            None => Err(TransportError::Closed),
-        }
+        // No wire, no header: bodies move between queues.
+        let cap = self.send_capacity.load(Ordering::Relaxed);
+        self.tx.push(frame.into_body(), cap).map(drop)
     }
 
-    fn recv(&self) -> Result<Bytes, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Closed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            channel::RecvTimeoutError::Timeout => TransportError::Timeout,
-            channel::RecvTimeoutError::Disconnected => TransportError::Closed,
-        })
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, TransportError> {
-        match self.rx.try_recv() {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TryRecvError::Empty) => {
-                if self.shared.closed.load(Ordering::Acquire) {
-                    Err(TransportError::Closed)
-                } else {
-                    Ok(None)
-                }
-            }
-            Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
-        }
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        self.rx.pop(deadline).map(|(frame, _)| frame)
     }
 
     fn set_send_capacity(&self, cap: usize) {
@@ -201,30 +133,29 @@ impl Connection for MemConnection {
     }
 
     fn backlog(&self) -> usize {
-        self.tx().as_ref().map_or(0, |tx| tx.len())
+        if self.is_closed() {
+            return 0;
+        }
+        self.tx.len()
     }
 
     fn close(&self) {
-        self.shared.close();
+        self.tx.close();
+        self.rx.close();
     }
 
     fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
+        self.tx.is_closed()
     }
 
     fn peer_label(&self) -> String {
-        match self.side {
-            Side::Dialer => self.shared.acceptor_node.clone(),
-            Side::Acceptor => self.shared.dialer_node.clone(),
-        }
+        self.peer.clone()
     }
 }
 
 impl Drop for MemConnection {
     fn drop(&mut self) {
-        // Only fully close when this endpoint drops; the peer then
-        // observes Closed after draining, mirroring TCP FIN behaviour.
-        self.shared.close();
+        self.close();
     }
 }
 
@@ -232,16 +163,14 @@ impl Drop for MemConnection {
 #[derive(Debug)]
 pub struct MemListener {
     addr: String,
-    accept_rx: Receiver<MemConnection>,
+    accept_queue: AcceptQueue,
     listeners: Weak<Listeners>,
 }
 
 impl Listener for MemListener {
     fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
-        self.accept_rx
-            .recv()
-            .map(|c| Box::new(c) as Box<dyn Connection>)
-            .map_err(|_| TransportError::Closed)
+        let (conn, _) = self.accept_queue.pop(None)?;
+        Ok(Box::new(conn))
     }
 
     fn local_addr(&self) -> String {
@@ -250,13 +179,23 @@ impl Listener for MemListener {
 
     fn shutdown(&self) {
         if let Some(listeners) = self.listeners.upgrade() {
-            listeners.lock().remove(&self.addr);
+            // The address may since have been taken by a new listener.
+            let mut listeners = listeners.lock();
+            let ours = |queue: &AcceptQueue| Arc::ptr_eq(queue, &self.accept_queue);
+            if listeners.get(&self.addr).is_some_and(ours) {
+                listeners.remove(&self.addr);
+            }
         }
-        // Senders dropped -> accept() returns Closed. Drain any
-        // queued-but-unaccepted connections so dialers see Closed too.
-        while let Ok(conn) = self.accept_rx.try_recv() {
-            conn.close();
-        }
+        // accept() now returns Closed. Dropping the queued-but-unaccepted
+        // connections closes them, so their dialers see Closed too.
+        self.accept_queue.close();
+        while self.accept_queue.pop(Some(Instant::now())).is_ok() {}
+    }
+}
+
+impl Drop for MemListener {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

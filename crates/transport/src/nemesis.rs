@@ -36,7 +36,7 @@ use corona_types::frame::Frame;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-link fault mix.
 ///
@@ -572,16 +572,8 @@ impl Connection for NemesisConnection {
         Ok(())
     }
 
-    fn recv(&self) -> Result<Bytes, TransportError> {
-        self.shared.inner.recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
-        self.shared.inner.recv_timeout(timeout)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, TransportError> {
-        self.shared.inner.try_recv()
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        self.shared.inner.recv_until(deadline)
     }
 
     fn set_send_capacity(&self, cap: usize) {

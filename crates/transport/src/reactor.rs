@@ -53,6 +53,8 @@
 //! the process exits, and a loop with no connections sleeps in
 //! `epoll_wait`.
 
+use crate::fifo::Fifo;
+use crate::inbox::{lock, Inbox};
 use crate::traits::{
     Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
     DEFAULT_SEND_CAPACITY,
@@ -67,7 +69,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// `arg` value of a [`corona_trace::Hop::Disconnect`] span for a peer
@@ -188,11 +190,6 @@ struct OutQueue {
     want_write: bool,
 }
 
-/// Inbound pull-mode queue (push mode bypasses it).
-struct Inbound {
-    queue: VecDeque<Bytes>,
-}
-
 /// State shared between a [`ReactorConnection`] handle, its shard, and
 /// any queued shard ops.
 struct ConnInner {
@@ -205,10 +202,10 @@ struct ConnInner {
     /// Set by a locally initiated `close()` (or reactor teardown) so
     /// the resulting socket error is not traced as a peer disconnect.
     local_close: AtomicBool,
-    /// Reading is paused for inbound backpressure. For pull mode this
-    /// is flipped under the `inbound` mutex by both sides (shard
-    /// pauses at the high-water mark, `recv` resumes at the low-water
-    /// mark) so a resume can never be missed.
+    /// Reading is paused for inbound backpressure; written by the
+    /// shard alone. In pull mode the `inbound` queue decides: the push
+    /// that fills it pauses, the `recv` that half-empties it sends the
+    /// shard a `ResumeRead`.
     read_paused: AtomicBool,
     send_capacity: AtomicUsize,
     /// Frames accepted by `send` whose bytes have not yet fully
@@ -216,12 +213,12 @@ struct ConnInner {
     /// enqueueing — the cap is exact under concurrent senders.
     outstanding: AtomicUsize,
     out: Mutex<OutQueue>,
-    inbound: Mutex<Inbound>,
-    inbound_cv: Condvar,
-    inbound_capacity: usize,
+    /// Pull-mode frames awaiting `recv` (push mode bypasses it).
+    inbound: Fifo<Bytes>,
     /// Push-mode delivery target; `None` means pull mode.
     sink: Option<Arc<dyn FrameSink>>,
-    inbox: Arc<ShardInbox>,
+    /// The owning shard's mailbox.
+    inbox: Arc<Inbox<ShardOp>>,
 }
 
 impl fmt::Debug for ConnInner {
@@ -297,56 +294,15 @@ impl Connection for ReactorConnection {
             .store(cap.max(1), Ordering::Relaxed);
     }
 
-    fn recv(&self) -> Result<Bytes, TransportError> {
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
         let inner = &self.inner;
-        let mut q = lock(&inner.inbound);
-        loop {
-            if let Some(frame) = q.queue.pop_front() {
-                self.maybe_resume_read(&q);
-                return Ok(frame);
-            }
-            if inner.closed.load(Ordering::Acquire) {
-                return Err(TransportError::Closed);
-            }
-            q = inner.inbound_cv.wait(q).unwrap_or_else(|e| e.into_inner());
+        let (frame, resume) = inner.inbound.pop(deadline)?;
+        // The pop that takes the queue down to its low-water mark
+        // restarts reading.
+        if resume {
+            inner.inbox.push(ShardOp::ResumeRead(Arc::clone(inner)));
         }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
-        let inner = &self.inner;
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = lock(&inner.inbound);
-        loop {
-            if let Some(frame) = q.queue.pop_front() {
-                self.maybe_resume_read(&q);
-                return Ok(frame);
-            }
-            if inner.closed.load(Ordering::Acquire) {
-                return Err(TransportError::Closed);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(TransportError::Timeout);
-            }
-            q = inner
-                .inbound_cv
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>, TransportError> {
-        let inner = &self.inner;
-        let mut q = lock(&inner.inbound);
-        if let Some(frame) = q.queue.pop_front() {
-            self.maybe_resume_read(&q);
-            return Ok(Some(frame));
-        }
-        if inner.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        Ok(None)
+        Ok(frame)
     }
 
     fn backlog(&self) -> usize {
@@ -364,7 +320,7 @@ impl Connection for ReactorConnection {
         // paused connection is deregistered from the poller — the
         // explicit op guarantees teardown either way.
         inner.inbox.push(ShardOp::Close(Arc::clone(inner)));
-        inner.inbound_cv.notify_all();
+        inner.inbound.close();
     }
 
     fn is_closed(&self) -> bool {
@@ -376,31 +332,10 @@ impl Connection for ReactorConnection {
     }
 }
 
-impl ReactorConnection {
-    /// Pull-mode low-water resume: called with the inbound lock held
-    /// right after popping a frame. Pausing (shard side) and resuming
-    /// (consumer side) both happen under this lock, so the "paused
-    /// with nobody left to resume" race cannot occur.
-    fn maybe_resume_read(&self, q: &Inbound) {
-        let inner = &self.inner;
-        if inner.read_paused.load(Ordering::Acquire)
-            && q.queue.len() * 2 <= inner.inbound_capacity
-            && !inner.closed.load(Ordering::Acquire)
-        {
-            inner.read_paused.store(false, Ordering::Release);
-            inner.inbox.push(ShardOp::ResumeRead(Arc::clone(inner)));
-        }
-    }
-}
-
 impl Drop for ReactorConnection {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------
@@ -418,37 +353,10 @@ enum ShardOp {
     Close(Arc<ConnInner>),
 }
 
-/// A shard's cross-thread mailbox. Connection handles push ops; the
-/// shard swaps the whole batch out once per loop iteration.
-struct ShardInbox {
-    ops: Mutex<Vec<ShardOp>>,
-    /// Wake-up coalescing: set by the first push after the shard last
-    /// drained (that push writes the eventfd), cleared by the shard
-    /// right *before* it drains. A push that finds it set skips the
-    /// eventfd — its op is already ahead of the pending drain — so a
-    /// multicast costs one wake-up per shard, not one per recipient.
-    wake_pending: AtomicBool,
-    waker: Waker,
-    metrics: Option<ReactorMetrics>,
-}
-
-impl ShardInbox {
-    fn push(&self, op: ShardOp) {
-        lock(&self.ops).push(op);
-        if !self.wake_pending.swap(true, Ordering::SeqCst) {
-            // An error means the reactor is gone; its teardown already
-            // marked every connection closed.
-            let _ = self.waker.wake();
-            if let Some(m) = &self.metrics {
-                m.wake_writes.inc();
-            }
-        }
-    }
-}
-
 struct ShardHandle {
-    inbox: Arc<ShardInbox>,
-    stop: Arc<AtomicBool>,
+    /// Connection handles push ops, one eventfd write per batch; closing
+    /// it stops the shard.
+    inbox: Arc<Inbox<ShardOp>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -484,8 +392,8 @@ enum PumpEnd {
 
 struct ShardRt {
     poll: Poll,
-    inbox: Arc<ShardInbox>,
-    stop: Arc<AtomicBool>,
+    inbox: Arc<Inbox<ShardOp>>,
+    waker: Arc<Waker>,
     conns: HashMap<usize, ShardConn>,
     /// Tokens paused by a [`FrameSink::on_frame`] push-back, polled
     /// against [`FrameSink::ready_for_more`].
@@ -505,16 +413,13 @@ impl ShardRt {
             } else {
                 Some(SINK_RESUME_POLL)
             };
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
             if self.poll.poll(&mut events, timeout).is_err() {
                 break;
             }
             for event in events.iter() {
                 let token = event.token();
                 if token == WAKER_TOKEN {
-                    self.inbox.waker.drain();
+                    self.waker.drain();
                     if let Some(m) = &self.metrics {
                         m.wakeups.inc();
                     }
@@ -530,12 +435,9 @@ impl ShardRt {
                     self.pump_read(token.0, &mut scratch);
                 }
             }
-            // Clear the flag *before* draining: a push that still sees
-            // it set has its op in the batch taken below; one that
-            // sees it clear writes the eventfd and the next poll
-            // returns at once.
-            self.inbox.wake_pending.store(false, Ordering::SeqCst);
-            std::mem::swap(&mut ops, &mut *lock(&self.inbox.ops));
+            // A push after this drain writes the eventfd and the next
+            // poll returns at once; so does the close that ends the loop.
+            let open = self.inbox.drain_into(&mut ops);
             if let Some(m) = &self.metrics {
                 m.polls.inc();
                 m.shard_depth.record(ops.len() as u64);
@@ -552,6 +454,7 @@ impl ShardRt {
                     ShardOp::ResumeRead(inner) => {
                         let token = inner.token.load(Ordering::Acquire);
                         if token != TOKEN_NONE {
+                            inner.read_paused.store(false, Ordering::Release);
                             self.pump_read(token, &mut scratch);
                         }
                     }
@@ -564,7 +467,7 @@ impl ShardRt {
                 }
             }
             self.resume_sink_paused(&mut scratch);
-            if self.stop.load(Ordering::Acquire) {
+            if !open {
                 break;
             }
         }
@@ -711,10 +614,7 @@ impl ShardRt {
         // locally initiated and suppressing its trace event.
         let was_local = inner.local_close.load(Ordering::Acquire);
         let _ = inner.stream.shutdown(Shutdown::Both);
-        // Lock-then-notify so a consumer between its closed-check and
-        // its condvar wait cannot miss the wakeup.
-        drop(lock(&inner.inbound));
-        inner.inbound_cv.notify_all();
+        inner.inbound.close();
         if !was_closed && !was_local {
             corona_trace::record(
                 corona_trace::Hop::Disconnect,
@@ -872,17 +772,12 @@ fn parse_frames(
                 }
             }
             None => {
-                let mut q = lock(&inner.inbound);
-                q.queue.push_back(frame);
                 // High-water mark: pause before reading any further.
-                // Same lock as the consumer's low-water resume check,
-                // so the handoff cannot be missed.
-                if q.queue.len() >= inner.inbound_capacity {
+                // (A closed queue refuses; so will the next pump.)
+                if inner.inbound.push(frame, usize::MAX) == Ok(true) {
                     inner.read_paused.store(true, Ordering::Release);
                     paused = true;
                 }
-                drop(q);
-                inner.inbound_cv.notify_all();
             }
         }
         if paused {
@@ -978,17 +873,23 @@ impl Reactor {
         let mut handles = Vec::new();
         for i in 0..shards.max(1) {
             let poll = Poll::new().map_err(TransportError::from)?;
-            let inbox = Arc::new(ShardInbox {
-                ops: Mutex::new(Vec::new()),
-                wake_pending: AtomicBool::new(false),
-                waker: Waker::new(poll.registry(), WAKER_TOKEN).map_err(TransportError::from)?,
-                metrics: metrics.clone(),
-            });
-            let stop = Arc::new(AtomicBool::new(false));
+            let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
+            let wake = {
+                let (waker, metrics) = (Arc::clone(&waker), metrics.clone());
+                move || {
+                    // An error means the reactor is gone; its teardown
+                    // already marked every connection closed.
+                    let _ = waker.wake();
+                    if let Some(m) = &metrics {
+                        m.wake_writes.inc();
+                    }
+                }
+            };
+            let inbox = Arc::new(Inbox::new(wake));
             let mut rt = ShardRt {
                 poll,
                 inbox: Arc::clone(&inbox),
-                stop: Arc::clone(&stop),
+                waker,
                 conns: HashMap::new(),
                 sink_paused: HashSet::new(),
                 next_token: 0,
@@ -1000,7 +901,6 @@ impl Reactor {
                 .map_err(|e| TransportError::Io(e.to_string()))?;
             handles.push(ShardHandle {
                 inbox,
-                stop,
                 thread: Some(thread),
             });
         }
@@ -1051,11 +951,7 @@ impl Reactor {
                 queue: VecDeque::new(),
                 want_write: false,
             }),
-            inbound: Mutex::new(Inbound {
-                queue: VecDeque::new(),
-            }),
-            inbound_cv: Condvar::new(),
-            inbound_capacity: self.inbound_capacity,
+            inbound: Fifo::new(self.inbound_capacity),
             sink,
             inbox: Arc::clone(&shard.inbox),
         });
@@ -1077,8 +973,7 @@ impl Reactor {
 impl Drop for Reactor {
     fn drop(&mut self) {
         for shard in &self.shards {
-            shard.stop.store(true, Ordering::Release);
-            let _ = shard.inbox.waker.wake();
+            shard.inbox.close();
         }
         for shard in &mut self.shards {
             if let Some(thread) = shard.thread.take() {
@@ -1518,7 +1413,7 @@ mod tests {
         raw.write_all(&wire).unwrap();
 
         // Let the shard ingest as much as it ever will.
-        let buffered = || lock(&conn.inner.inbound).queue.len();
+        let buffered = || conn.inner.inbound.len();
         let deadline = Instant::now() + Duration::from_secs(2);
         while buffered() < CAP {
             assert!(Instant::now() < deadline, "the queue never filled");

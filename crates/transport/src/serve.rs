@@ -12,7 +12,7 @@ use bytes::Bytes;
 use corona_types::frame::Frame;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long a paused reader sleeps between
 /// [`FrameSink::ready_for_more`] polls.
@@ -111,14 +111,8 @@ impl Connection for Pumped {
     fn set_send_capacity(&self, cap: usize) {
         self.0.set_send_capacity(cap);
     }
-    fn recv(&self) -> Result<Bytes, TransportError> {
-        self.0.recv()
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
-        self.0.recv_timeout(timeout)
-    }
-    fn try_recv(&self) -> Result<Option<Bytes>, TransportError> {
-        self.0.try_recv()
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        self.0.recv_until(deadline)
     }
     fn backlog(&self) -> usize {
         self.0.backlog()

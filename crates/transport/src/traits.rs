@@ -11,9 +11,11 @@
 //! surfaces as a closed connection, never as silent reordering.
 
 use bytes::Bytes;
+use corona_metrics::{Counter, Histogram, Registry};
 use corona_types::frame::Frame;
 use std::fmt;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Default transmit-queue bound (in frames) applied by the in-tree
 /// transports until [`Connection::set_send_capacity`] overrides it.
@@ -120,28 +122,46 @@ pub trait Connection: Send + Sync + fmt::Debug {
     /// concurrent senders can never overshoot the configured capacity.
     fn set_send_capacity(&self, cap: usize);
 
-    /// Blocks until a frame arrives.
+    /// Blocks until a frame arrives or `deadline`, if given, passes —
+    /// the one receive the three below are made of.
     ///
     /// # Errors
     ///
     /// [`TransportError::Closed`] once the peer closes and all pending
-    /// frames have been drained.
-    fn recv(&self) -> Result<Bytes, TransportError>;
+    /// frames have been drained; [`TransportError::Timeout`] at the
+    /// deadline.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError>;
+
+    /// Blocks until a frame arrives.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Closed`], as for [`Connection::recv_until`].
+    fn recv(&self) -> Result<Bytes, TransportError> {
+        self.recv_until(None)
+    }
 
     /// Blocks up to `timeout` for a frame.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Timeout`] on expiry; [`TransportError::Closed`]
-    /// as for [`Connection::recv`].
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError>;
+    /// As for [`Connection::recv_until`].
+    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
+        self.recv_until(Some(Instant::now() + timeout))
+    }
 
     /// Returns a pending frame without blocking, or `None`.
     ///
     /// # Errors
     ///
     /// [`TransportError::Closed`] once closed and drained.
-    fn try_recv(&self) -> Result<Option<Bytes>, TransportError>;
+    fn try_recv(&self) -> Result<Option<Bytes>, TransportError> {
+        match self.recv_until(Some(Instant::now())) {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TransportError::Timeout) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
 
     /// Number of outbound frames accepted by [`Connection::send`] but
     /// not yet handed to the peer (transmit backlog). The QoS-adaptive
@@ -260,5 +280,49 @@ pub trait Dialer: Send + Sync {
     /// As [`Dialer::dial_timeout`].
     fn dial(&self, addr: &str) -> Result<Box<dyn Connection>, TransportError> {
         self.dial_timeout(addr, DEFAULT_DIAL_TIMEOUT)
+    }
+}
+
+/// A server's client-plane traffic aggregates: `transport.frames_in` /
+/// `transport.frames_out`, `transport.bytes_in` / `transport.bytes_out`
+/// (counters of frames and body bytes) and `transport.frame_in_bytes` /
+/// `transport.frame_out_bytes` (size histograms). Recorded where a frame
+/// is handed over — by the [`FrameSink`] on the way in, at the server's
+/// enqueue site on the way out — so a refused send is never counted.
+#[derive(Debug, Clone)]
+pub struct TransportMetrics {
+    frames_in: Arc<Counter>,
+    frames_out: Arc<Counter>,
+    bytes_in: Arc<Counter>,
+    bytes_out: Arc<Counter>,
+    frame_in_bytes: Arc<Histogram>,
+    frame_out_bytes: Arc<Histogram>,
+}
+
+impl TransportMetrics {
+    /// Resolves the transport metric set from `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        TransportMetrics {
+            frames_in: registry.counter("transport.frames_in"),
+            frames_out: registry.counter("transport.frames_out"),
+            bytes_in: registry.counter("transport.bytes_in"),
+            bytes_out: registry.counter("transport.bytes_out"),
+            frame_in_bytes: registry.histogram("transport.frame_in_bytes"),
+            frame_out_bytes: registry.histogram("transport.frame_out_bytes"),
+        }
+    }
+
+    /// Accounts one received frame of `bytes` body bytes.
+    pub fn record_frame_in(&self, bytes: usize) {
+        self.frames_in.inc();
+        self.bytes_in.add(bytes as u64);
+        self.frame_in_bytes.record(bytes as u64);
+    }
+
+    /// Accounts one frame of `bytes` body bytes accepted for sending.
+    pub fn record_frame_out(&self, bytes: usize) {
+        self.frames_out.inc();
+        self.bytes_out.add(bytes as u64);
+        self.frame_out_bytes.record(bytes as u64);
     }
 }

@@ -5,8 +5,8 @@
 # somewhere under the package's src/, and each `[dev-dependencies]`
 # name under its src/, tests/, benches/ or examples/. A dependency only
 # tests or examples use belongs in `[dev-dependencies]`; one nothing
-# uses is deleted. (Understands the `name = ...` form only, which is
-# all the manifests here use.)
+# uses is deleted; so is a shim no package declares. (Understands the
+# `name = ...` form only, which is all the manifests here use.)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,8 +27,23 @@ unused=$(
         done
     done
 )
-if [ -n "$unused" ]; then
-    echo "$unused"
+# An orphaned shim would still build through the `shims/*` member
+# glob: every directory under shims/ must be the path of a
+# `[workspace.dependencies]` entry, and every such entry must be
+# declared (`name = { workspace = true }`) by at least one package.
+orphans=$(
+    shim_deps=$(sed -n 's|^\([A-Za-z0-9_-]*\) *= *{ *path *= *"\(shims/[^"]*\)".*|\1 \2|p' Cargo.toml)
+    for dir in shims/*/; do
+        echo "$shim_deps" | grep -q " ${dir%/}\$" ||
+            echo "Cargo.toml: ${dir%/} is no [workspace.dependencies] path"
+    done
+    echo "$shim_deps" | while read -r name path; do
+        grep -qsE "^$name *= *\{ *workspace *= *true" Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml ||
+            echo "Cargo.toml: no package declares the workspace dependency $name ($path)"
+    done
+)
+if [ -n "$unused$orphans" ]; then
+    printf '%s\n' "$unused" "$orphans" | sed '/^$/d'
     exit 1
 fi
-echo "unused-deps: every declared dependency is used"
+echo "unused-deps: every declared dependency is used, every shim is declared"

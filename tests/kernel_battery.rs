@@ -1,7 +1,7 @@
 //! One battery for the one runtime kernel: the client-plane rules the
 //! kernel owns — Hello-first, malformed-frame handling, pre-Hello
 //! `GetHealth`, `Goodbye`, the bounded transmit queue, the frame size
-//! limit on what it sends — checked by the same helper against both
+//! limit on what it sends, the `transport.*` traffic counts — checked by the same helper against both
 //! server types, each over a pull-mode listener (in-memory, read by the
 //! pump) and a push-mode one (`ReactorListener`).
 
@@ -113,6 +113,9 @@ fn kernel_battery(
     hello(&*conn, "prober");
     conn.send(ClientRequest::Goodbye.encode_to_bytes()).unwrap();
     assert_closed_by_server(&*conn, "Goodbye must close");
+    // Inbound traffic is counted at the sink and summed over the
+    // connections: one frame on each of the first two, three on this.
+    assert_eq!(metrics().counter("transport.frames_in"), 5);
 
     // The configured bound is applied on accept: a member that stops
     // reading is disconnected once CAPACITY frames are queued behind
@@ -138,6 +141,17 @@ fn kernel_battery(
         sent += 1;
     }
     assert_eq!(metrics().counter("server.fanout.dead_conn"), 1);
+    // Outbound traffic is counted where a frame is accepted for sending:
+    // the broadcast that found the laggard's queue full is not in it,
+    // nor is any that found the connection closed.
+    let traffic = metrics();
+    let frames_out = traffic.counter("transport.frames_out");
+    assert_eq!(frames_out, traffic.counter("server.fanout.enqueues"));
+    let sizes = traffic.histogram("transport.frame_out_bytes").unwrap();
+    assert_eq!(sizes.count, frames_out);
+    let bytes_out = traffic.counter("transport.bytes_out") as usize;
+    let accepted = CAPACITY * payload.len()..sent * payload.len();
+    assert!(accepted.contains(&bytes_out), "{bytes_out} of {sent} sent");
     let members = sender.membership(G).unwrap();
     assert_eq!(members.len(), 1, "reap must emit the session leave");
 

@@ -102,8 +102,9 @@ fn full_stack_over_reactor_transport() {
 /// moment one finishes — possibly inside another test's census — and
 /// names it after the test (the kernel keeps the first 15 bytes).
 fn thread_count() -> usize {
-    const TESTS: [&str; 4] = [
+    const TESTS: [&str; 5] = [
         "full_stack_over_reactor_transport",
+        "metrics_dump_runs_on_no_thread_of_its_own",
         "c5k_reactor_sustains_five_thousand_members",
         "dialled_clients_cost_one_thread_each",
         "replicated_thread_count_is_independent_of_member_count",
@@ -114,6 +115,26 @@ fn thread_count() -> usize {
         .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
         .filter(|comm| !TESTS.iter().any(|test| test.starts_with(comm.trim_end())))
         .count()
+}
+
+/// The periodic metrics dump rides the dispatcher's tick: a server
+/// configured with one runs exactly the threads of a server without.
+#[test]
+fn metrics_dump_runs_on_no_thread_of_its_own() {
+    let _census = census_lock();
+    let threads_of = |config: ServerConfig| {
+        let baseline = thread_count();
+        let server = CoronaServer::bind("127.0.0.1:0", config.with_reactor_shards(1)).unwrap();
+        server.stats().unwrap();
+        let threads = thread_count() - baseline;
+        server.shutdown();
+        threads
+    };
+    let plain = ServerConfig::stateful(ServerId::new(1));
+    let dumping = plain
+        .clone()
+        .with_metrics_dump_interval(Duration::from_secs(3600));
+    assert_eq!(threads_of(dumping), threads_of(plain));
 }
 
 /// Reads the soft open-file limit from `/proc/self/limits`.
