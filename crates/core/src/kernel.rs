@@ -10,11 +10,12 @@
 //! Thread structure (the multi-threaded design of §5.1, modernised):
 //!
 //! * **transport threads** — [`corona_transport::serve()`] feeds the
-//!   kernel's [`FrameSink`] from each listener: O(shards) reactor event
-//!   loops in push mode, or an accept thread plus a reader per
-//!   connection for listeners that can only be pulled and for the peer
-//!   links a replica dials. Either way per-connection frame order is
-//!   preserved, giving sender-FIFO;
+//!   kernel's [`FrameSink`] from each listener, and
+//!   [`Connection::attach_sink`] from each peer link a replica dials:
+//!   O(shards) reactor event loops in push mode, or an accept thread
+//!   plus a reader per connection for transports that can only be
+//!   pulled. Either way per-connection frame order is preserved,
+//!   giving sender-FIFO;
 //! * **dispatcher thread** — owns the protocol and the connection
 //!   table; processing commands one at a time yields the per-group
 //!   total order. The transport threads hand it commands through one
@@ -25,10 +26,18 @@
 //! A group broadcast is encoded *and framed* **once** into a shared
 //! [`Frame`]; the dispatcher pushes a clone of the handle — not the
 //! bytes, not a fresh checksum — straight onto every recipient's
-//! bounded transmit queue ([`Connection::send_frame`] never blocks).
-//! One enqueuing thread means per-connection FIFO by construction; a
-//! full queue is shed or disconnected at the enqueue site, so a slow
-//! client can never OOM the server.
+//! bounded transmit queue ([`Connection::queue_frame`] never blocks
+//! and wakes nobody). One enqueuing thread means per-connection FIFO by
+//! construction; a full queue is shed or disconnected at the enqueue
+//! site, so a slow client can never OOM the server.
+//!
+//! Output is **corked per batch**: a connection is marked dirty by the
+//! first frame a batch of commands queues on it, and the dirty set is
+//! flushed once the batch is done (and after a tick that fires inside
+//! one) — so a connection costs one flush per batch however many
+//! frames the batch gave it. Up to [`FLUSH_INLINE_MAX`] dirty
+//! connections the dispatcher writes itself, waking no thread; a wider
+//! set goes to the transport's own threads, one wake-up each.
 
 use crate::config::ServerConfig;
 use crate::qos::{classify, EventClass, QosPolicy};
@@ -37,7 +46,7 @@ use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
 use corona_metrics::{Counter, Gauge, Histogram, Registry};
 use corona_trace::{record, Hop, TraceId};
 use corona_transport::{
-    pump, serve, Connection, FrameSink, Inbox, Listener, TransportError, TransportMetrics,
+    pump, serve, Connection, FlushBy, FrameSink, Inbox, Listener, TransportError, TransportMetrics,
 };
 use corona_types::error::{CodecError, CoronaError, ErrorCode, Result};
 use corona_types::frame::Frame;
@@ -112,6 +121,15 @@ pub const SINK_QUEUE_HWM: usize = 8192;
 /// commands: a batch can be [`SINK_QUEUE_HWM`] long.
 const TICK_CHECK_STRIDE: usize = 64;
 
+/// The widest dirty set the dispatcher flushes by itself. Writing a
+/// socket costs the dispatcher a few microseconds, waking a transport
+/// thread to do it costs tens: up to two connections per default
+/// reactor shard (the rule Redis keeps for its I/O threads) the writes
+/// are cheaper than the wake-ups they save; a wider fan-out is work
+/// worth spreading, and the dispatcher has the next batch to sequence.
+/// Not configurable: 4, 8 and 16 were compared on the repo benchmark.
+pub const FLUSH_INLINE_MAX: usize = 8;
+
 /// Dialled peer links are numbered from here, clear of listener ids.
 const DIALLED_BASE: u64 = 1 << 48;
 
@@ -175,12 +193,17 @@ impl<P: Protocol> FrameSink for Sink<P> {
 struct ConnState {
     conn: Box<dyn Connection>,
     client: Option<ClientId>,
+    /// Holds frames queued since the last flush: it is in `Io::dirty`.
+    dirty: bool,
 }
 
 struct PeerLink {
     conn: Box<dyn Connection>,
-    /// The pump reader, if the link was dialled.
+    /// The pump reader, if the link was dialled on a transport that
+    /// does not push.
     reader: Option<JoinHandle<()>>,
+    /// As [`ConnState::dirty`].
+    dirty: bool,
 }
 
 /// The kernel's I/O half, lent to the [`Protocol`] during a step: the
@@ -201,6 +224,9 @@ pub struct Io {
     /// Connections closed by a failed undroppable send, awaiting their
     /// reap at the end of the current dispatcher step.
     dead: Vec<u64>,
+    /// Connections holding frames queued since the last flush, each
+    /// listed once (its `dirty` flag says so).
+    dirty: Vec<(Plane, u64)>,
     peers: HashMap<u64, PeerLink>,
     peer_sink: Arc<dyn FrameSink>,
     dialled: u64,
@@ -241,6 +267,10 @@ pub struct Io {
     /// instantaneous histogram, transient saturation between scrapes
     /// stays visible here.
     fanout_queue_hwm: Arc<Gauge>,
+    /// Dirty connections per flush, and the flushes the dispatcher
+    /// wrote itself.
+    flush_conns: Arc<Histogram>,
+    flush_inline: Arc<Counter>,
 }
 
 impl Io {
@@ -354,7 +384,7 @@ impl Io {
         class: EventClass,
         group: Option<GroupId>,
     ) -> bool {
-        let Some(state) = self.conns.get(&conn_id) else {
+        let Some(state) = self.conns.get_mut(&conn_id) else {
             return false;
         };
         self.fanned = true;
@@ -366,12 +396,15 @@ impl Io {
         self.health.note_queue_depth(backlog as u64);
         let body_len = frame.body().len();
         let sent = if self.qos.should_deliver(class, backlog) {
-            state.conn.send_frame(frame)
+            state.conn.queue_frame(frame)
         } else {
             Err(TransportError::Full)
         };
         match sent {
             Ok(()) => {
+                if !std::mem::replace(&mut state.dirty, true) {
+                    self.dirty.push((Plane::Client, conn_id));
+                }
                 self.enqueues.inc();
                 self.transport_metrics.record_frame_out(body_len);
                 return true;
@@ -402,6 +435,39 @@ impl Io {
         false
     }
 
+    /// Starts transmission on every connection that was queued on
+    /// since the last flush: by this thread for a narrow set, by the
+    /// transport's for a wide one.
+    fn flush(&mut self) {
+        if self.dirty.is_empty() {
+            return;
+        }
+        self.flush_conns.record(self.dirty.len() as u64);
+        let by = if self.dirty.len() <= FLUSH_INLINE_MAX {
+            self.flush_inline.inc();
+            FlushBy::Caller
+        } else {
+            FlushBy::Transport
+        };
+        for (plane, conn_id) in self.dirty.drain(..) {
+            // One gone since (reaped, closed) has nothing to send.
+            let found = match plane {
+                Plane::Client => self
+                    .conns
+                    .get_mut(&conn_id)
+                    .map(|s| (&mut s.dirty, &s.conn)),
+                Plane::Peer => self
+                    .peers
+                    .get_mut(&conn_id)
+                    .map(|l| (&mut l.dirty, &l.conn)),
+            };
+            if let Some((dirty, conn)) = found {
+                *dirty = false;
+                conn.flush(by);
+            }
+        }
+    }
+
     /// Every client authenticated on this server.
     pub fn clients(&self) -> Vec<ClientId> {
         self.client_conn.keys().copied().collect()
@@ -423,21 +489,41 @@ impl Io {
         self.health.uptime_ms()
     }
 
-    /// Takes a dialled connection into the peer table and starts its
-    /// reader; its frames and close reach the peer hooks under this id.
+    /// Takes a dialled connection into the peer table; its frames and
+    /// close reach the peer hooks under this id — pushed by the
+    /// transport's own event loop if it has one, else through a reader
+    /// thread started here.
     pub fn adopt_peer(&mut self, conn: Box<dyn Connection>) -> u64 {
         self.dialled += 1;
         let conn_id = DIALLED_BASE + self.dialled;
-        let (conn, reader) = pump(&self.name, conn_id, conn, Arc::clone(&self.peer_sink));
-        let reader = Some(reader);
-        self.peers.insert(conn_id, PeerLink { conn, reader });
+        let (conn, reader) = if conn.attach_sink(conn_id, Arc::clone(&self.peer_sink)) {
+            (conn, None)
+        } else {
+            let (conn, reader) = pump(&self.name, conn_id, conn, Arc::clone(&self.peer_sink));
+            (conn, Some(reader))
+        };
+        let link = PeerLink {
+            conn,
+            reader,
+            dirty: false,
+        };
+        self.peers.insert(conn_id, link);
         conn_id
     }
 
-    /// Sends on a peer link; `false` if it is gone or refused.
+    /// Queues a frame on a peer link, to leave with the batch's flush;
+    /// `false` if the link is gone or refused it.
     pub fn send_peer(&mut self, conn_id: u64, frame: Frame) -> bool {
-        let link = self.peers.get(&conn_id);
-        link.is_some_and(|link| link.conn.send_frame(frame).is_ok())
+        let Some(link) = self.peers.get_mut(&conn_id) else {
+            return false;
+        };
+        if link.conn.queue_frame(frame).is_err() {
+            return false;
+        }
+        if !std::mem::replace(&mut link.dirty, true) {
+            self.dirty.push((Plane::Peer, conn_id));
+        }
+        true
     }
 
     /// Closes a peer link; [`Protocol::peer_closed`] follows once the
@@ -490,6 +576,9 @@ impl<P: Protocol> Dispatcher<P> {
         let mut batch = Vec::new();
         loop {
             self.tick_if_due(&mut next_tick, tick_every);
+            // What the batch queued leaves now, before the next one is
+            // looked for — or slept for.
+            self.io.flush();
             let open = commands.drain_or_park(&mut batch, Some(next_tick));
             self.io.queue_depth.set(batch.len() as i64);
             if !batch.is_empty() {
@@ -516,7 +605,9 @@ impl<P: Protocol> Dispatcher<P> {
     }
 
     /// Once `next_tick` has passed: polls the watchdogs, runs the
-    /// protocol's tick, and prints the metrics dump if one is due.
+    /// protocol's tick — flushing at once, so that a heartbeat sent
+    /// from inside a long batch does not wait for the batch's end —
+    /// and prints the metrics dump if one is due.
     fn tick_if_due(&mut self, next_tick: &mut Instant, tick_every: Duration) {
         let now = Instant::now();
         if now < *next_tick {
@@ -527,6 +618,7 @@ impl<P: Protocol> Dispatcher<P> {
             self.io.health.emit(event);
         }
         self.step(None, |proto, io| proto.tick(io));
+        self.io.flush();
         if let Some((next_dump, every, addr)) = &mut self.io.dump {
             if now >= *next_dump {
                 *next_dump = now + *every;
@@ -540,14 +632,20 @@ impl<P: Protocol> Dispatcher<P> {
         match cmd {
             Command::Accepted(Plane::Client, conn_id, conn) => {
                 self.io.conns_accepted.inc();
-                self.io
-                    .conns
-                    .insert(conn_id, ConnState { conn, client: None });
+                let state = ConnState {
+                    conn,
+                    client: None,
+                    dirty: false,
+                };
+                self.io.conns.insert(conn_id, state);
             }
             Command::Accepted(Plane::Peer, conn_id, conn) => {
-                self.io
-                    .peers
-                    .insert(conn_id, PeerLink { conn, reader: None });
+                let link = PeerLink {
+                    conn,
+                    reader: None,
+                    dirty: false,
+                };
+                self.io.peers.insert(conn_id, link);
             }
             Command::Frame(Plane::Client, conn_id, frame) => self.client_frame(conn_id, &frame),
             Command::Frame(Plane::Peer, conn_id, frame) => {
@@ -769,6 +867,7 @@ impl<P: Protocol> Kernel<P> {
             conns: HashMap::new(),
             client_conn: HashMap::new(),
             dead: Vec::new(),
+            dirty: Vec::new(),
             peers: HashMap::new(),
             peer_sink: sink(Plane::Peer),
             dialled: 0,
@@ -797,6 +896,8 @@ impl<P: Protocol> Kernel<P> {
             enqueues: registry.counter("server.fanout.enqueues"),
             fanout_queue_depth: registry.histogram("server.fanout.queue_depth"),
             fanout_queue_hwm: registry.gauge("server.fanout.queue_hwm"),
+            flush_conns: registry.histogram("server.fanout.flush_conns"),
+            flush_inline: registry.counter("server.fanout.flush_inline"),
         };
         let queue = Arc::clone(&commands);
         let run = move || Dispatcher { proto, io }.run(&queue);

@@ -15,7 +15,9 @@
 //! hooks: routing between the replica, coordinator and election cores,
 //! the quorum lease and write fence, and quarantine → merge
 //! reconciliation after a heal. It spawns no thread: ticks come from
-//! the dispatcher, and dialled peer links are read by the kernel's pump.
+//! the dispatcher, and dialled peer links push their frames to the
+//! kernel from the transport's dial loop. What one dispatcher batch
+//! sends a peer leaves in one flush — one `writev` on TCP.
 //!
 //! Clients speak the *same* wire protocol as against a single server.
 //! A trace token is honoured on the local hops but not threaded through

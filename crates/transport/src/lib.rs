@@ -51,6 +51,6 @@ pub use nemesis::{
 pub use reactor::{Reactor, ReactorConnection, ReactorListener, TcpDialer};
 pub use serve::{pump, serve};
 pub use traits::{
-    Connection, Dialer, FrameSink, Listener, TransportError, TransportMetrics,
+    Connection, Dialer, FlushBy, FrameSink, Listener, TransportError, TransportMetrics,
     DEFAULT_DIAL_TIMEOUT, DEFAULT_INBOUND_CAPACITY, DEFAULT_SEND_CAPACITY,
 };

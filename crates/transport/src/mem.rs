@@ -118,8 +118,9 @@ pub struct MemConnection {
 }
 
 impl Connection for MemConnection {
-    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
-        // No wire, no header: bodies move between queues.
+    fn queue_frame(&self, frame: Frame) -> Result<(), TransportError> {
+        // No wire, no header: bodies move between queues, and the
+        // queue is the link — there is nothing for a flush to start.
         let cap = self.send_capacity.load(Ordering::Relaxed);
         self.tx.push(frame.into_body(), cap).map(drop)
     }

@@ -29,7 +29,7 @@
 //! the partition (same-side pairs simply re-dial). Dials across a
 //! block are refused until the heal.
 
-use crate::traits::{Connection, Dialer, Listener, TransportError};
+use crate::traits::{Connection, Dialer, FlushBy, Listener, TransportError};
 use bytes::Bytes;
 use corona_metrics::{Counter, Registry};
 use corona_types::frame::Frame;
@@ -272,7 +272,8 @@ impl NemesisInner {
         for conn in self.conns.lock().iter().filter_map(Weak::upgrade) {
             let clean = self.link(&conn.local, conn.remote.as_deref());
             if clean.is_some_and(|faults| faults.is_none()) {
-                let _ = conn.flush_hold();
+                let _ = conn.release_hold();
+                conn.inner.flush(FlushBy::Caller);
             }
         }
     }
@@ -501,10 +502,10 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    /// Sends the held-back frame, if any.
-    fn flush_hold(&self) -> Result<(), TransportError> {
+    /// Queues the held-back frame, if any.
+    fn release_hold(&self) -> Result<(), TransportError> {
         let held = self.hold.lock().take();
-        held.map_or(Ok(()), |frame| self.inner.send_frame(frame))
+        held.map_or(Ok(()), |frame| self.inner.queue_frame(frame))
     }
 }
 
@@ -515,10 +516,10 @@ pub struct NemesisConnection {
 }
 
 impl Connection for NemesisConnection {
-    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
+    fn queue_frame(&self, frame: Frame) -> Result<(), TransportError> {
         let s = &self.shared;
         let Some(nem) = s.nem.upgrade() else {
-            return s.inner.send_frame(frame);
+            return s.inner.queue_frame(frame);
         };
         if s.inner.is_closed() {
             return Err(TransportError::Closed);
@@ -532,8 +533,8 @@ impl Connection for NemesisConnection {
         if faults.is_none() {
             // A frame still held from a reorder is older: it goes
             // first.
-            s.flush_hold()?;
-            return s.inner.send_frame(frame);
+            s.release_hold()?;
+            return s.inner.queue_frame(frame);
         }
         let (drop_it, dup_it, reorder_it) = {
             let mut rng = nem.rng.lock();
@@ -561,15 +562,19 @@ impl Connection for NemesisConnection {
         drop(hold);
         // The current frame goes first; a held frame follows it
         // (completing the adjacent swap).
-        s.inner.send_frame(frame.clone())?;
+        s.inner.queue_frame(frame.clone())?;
         if let Some(h) = prior {
-            let _ = s.inner.send_frame(h);
+            let _ = s.inner.queue_frame(h);
         }
         if dup_it {
             nem.metrics.duplicated.inc();
-            let _ = s.inner.send_frame(frame);
+            let _ = s.inner.queue_frame(frame);
         }
         Ok(())
+    }
+
+    fn flush(&self, by: FlushBy) {
+        self.shared.inner.flush(by);
     }
 
     fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {

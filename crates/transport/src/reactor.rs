@@ -24,20 +24,31 @@
 //!   connection and decoded frame to a [`FrameSink`]; the server then
 //!   needs no per-connection reader threads at all. A sink returning
 //!   `false` from `on_frame` pauses reading until
-//!   [`FrameSink::ready_for_more`] reports `true`.
+//!   [`FrameSink::ready_for_more`] reports `true`. A pull-mode
+//!   connection — a dialled one — turns into a push-mode one with
+//!   [`Connection::attach_sink`].
 //!
 //! Outbound frames reserve a slot in an exact atomic counter before
 //! enqueueing (concurrent senders can never overshoot the cap), and
 //! the slot is released only once the frame's bytes reach the socket.
-//! Writability interest is armed only while a connection has pending
-//! output, so an idle population costs zero wakeups.
 //!
-//! The write path is built so a delivery costs at most one syscall:
-//! frames arrive pre-framed ([`Frame`], header computed once per
-//! multicast, not per copy); a flush gathers header ∥ body of every
-//! queued frame into one `writev`; the poller is only told about an
-//! interest set that actually changed; and a shard's eventfd is written
-//! once per batch of ops, not once per op.
+//! # Who writes a socket
+//!
+//! [`Connection::queue_frame`] only appends; a [`Connection::flush`]
+//! starts the one `write_pump`, and whoever flushes runs it. Flushed
+//! [by the caller](FlushBy::Caller), the calling thread gathers
+//! header ∥ body of up to [`WRITE_BUDGET_FRAMES`] queued frames into
+//! one `writev` itself — a healthy socket takes them and no thread is
+//! woken. Only what a caller cannot finish goes to the connection's
+//! shard: a socket that pushed back (the shard then waits for
+//! writability, armed only while output is pending, so an idle
+//! population costs zero wakeups), a queue longer than the budget, a
+//! flush [by the transport](FlushBy::Transport), or a connection on
+//! which [`WRITE_BUDGET_FRAMES`] frames have been queued and not
+//! flushed — so a caller that corks its output never holds back more
+//! than that. Once a connection is handed to its shard, callers stay
+//! off its socket until the shard has drained it. A shard's eventfd is
+//! written once per batch of ops, not once per op.
 //!
 //! # The dial loop
 //!
@@ -56,7 +67,7 @@
 use crate::fifo::Fifo;
 use crate::inbox::{lock, Inbox};
 use crate::traits::{
-    Connection, Dialer, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
+    Connection, Dialer, FlushBy, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
     DEFAULT_SEND_CAPACITY,
 };
 use bytes::Bytes;
@@ -69,7 +80,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// `arg` value of a [`corona_trace::Hop::Disconnect`] span for a peer
@@ -92,10 +103,14 @@ const TOKEN_NONE: usize = usize::MAX;
 /// monopolise its shard or buffer unbounded memory.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// Max frames flushed to one socket per writability event — and per
-/// `writev`; the rest stay queued and the armed write interest
-/// re-fires.
-const WRITE_BUDGET_FRAMES: usize = 64;
+/// Max frames one `write_pump` run puts on a socket — and one `writev`
+/// gathers; a flusher leaves the rest to the shard, whose armed write
+/// interest re-fires. Also how many frames may sit queued on a
+/// connection with no flush under way before the shard is given them
+/// unasked: the most a corking caller adds to
+/// [`Connection::backlog`]. One `writev`'s worth — a longer cork would
+/// buy no fewer syscalls.
+pub const WRITE_BUDGET_FRAMES: usize = 64;
 
 /// Header + body slice per gathered frame. Linux caps one `writev` at
 /// `IOV_MAX` = 1024 entries.
@@ -137,13 +152,15 @@ struct ReactorMetrics {
     /// `server.reactor.read_paused` — times a connection's reading was
     /// paused for inbound backpressure (full queue or sink push-back).
     read_paused: Arc<Counter>,
-    /// `server.reactor.write_blocked` — `WouldBlock` on a socket write
-    /// (the peer's receive window is full; write interest stays armed).
+    /// `server.reactor.write_blocked` — `WouldBlock` on a socket write,
+    /// whoever made it (the peer's receive window is full; the shard
+    /// arms write interest).
     write_blocked: Arc<Counter>,
     /// `server.reactor.shard_depth` — shard ops drained per poll
     /// iteration.
     shard_depth: Arc<Histogram>,
-    /// `server.reactor.write_calls` — `writev(2)` calls issued.
+    /// `server.reactor.write_calls` — `writev(2)` calls issued, by
+    /// shards and flushing callers alike.
     write_calls: Arc<Counter>,
     /// `server.reactor.frames_out` — frames whose last byte reached a
     /// socket. `write_calls / frames_out` is syscalls per frame.
@@ -179,15 +196,28 @@ impl ReactorMetrics {
 // Connection state
 // ---------------------------------------------------------------------
 
-/// Outbound state, guarded by one mutex: senders push, the shard
-/// takes batches (the socket write itself holds no lock).
-/// `want_write` is the wakeup-elision flag — set by the first sender
-/// to queue into an empty pipeline (which then notifies the shard),
-/// cleared by the shard only once everything is flushed, so a wakeup
-/// can never be lost.
-struct OutQueue {
+/// A connection's write half, behind one mutex: senders append,
+/// whoever flushes runs [`write_pump`] — one thread at a time, and the
+/// `writev` itself is made with the lock released.
+#[derive(Default)]
+struct WriteHalf {
+    /// Frames accepted and not yet picked up by a writer, in send order.
     queue: VecDeque<Frame>,
-    want_write: bool,
+    /// Frames a writer picked up (at most [`WRITE_BUDGET_FRAMES`]) and
+    /// has not fully put on the socket; empty while their writer is in
+    /// `writev`, which holds them.
+    batch: VecDeque<Frame>,
+    /// Bytes of `batch[0]` (header ∥ body) already written: a short
+    /// write resumes at exactly this byte.
+    wpos: usize,
+    /// A thread is inside [`write_pump`]. It looks at `queue` again,
+    /// under the lock, before it leaves: a frame queued meanwhile is
+    /// never stranded.
+    writing: bool,
+    /// The rest is the shard's: a `Writable` op is on its way to it or
+    /// it waits for writability. Flushers stay off the socket until the
+    /// shard has drained the queue and cleared this.
+    on_shard: bool,
 }
 
 /// State shared between a [`ReactorConnection`] handle, its shard, and
@@ -212,13 +242,18 @@ struct ConnInner {
     /// reached the socket. Slots are reserved here atomically before
     /// enqueueing — the cap is exact under concurrent senders.
     outstanding: AtomicUsize,
-    out: Mutex<OutQueue>,
+    write: Mutex<WriteHalf>,
     /// Pull-mode frames awaiting `recv` (push mode bypasses it).
     inbound: Fifo<Bytes>,
-    /// Push-mode delivery target; `None` means pull mode.
-    sink: Option<Arc<dyn FrameSink>>,
+    /// Push-mode delivery target and the id it knows the connection
+    /// by; unset means pull mode. Set at attach for a listener's sink,
+    /// by the shard for [`Connection::attach_sink`], and read by the
+    /// shard alone.
+    sink: OnceLock<(u64, Arc<dyn FrameSink>)>,
     /// The owning shard's mailbox.
     inbox: Arc<Inbox<ShardOp>>,
+    /// The reactor's, for writes made off the shard.
+    metrics: Option<Arc<ReactorMetrics>>,
 }
 
 impl fmt::Debug for ConnInner {
@@ -227,8 +262,18 @@ impl fmt::Debug for ConnInner {
             .field("peer", &self.peer)
             .field("conn_id", &self.conn_id)
             .field("closed", &self.closed.load(Ordering::Relaxed))
-            .field("push_mode", &self.sink.is_some())
+            .field("push_mode", &self.sink.get().is_some())
             .finish()
+    }
+}
+
+impl ConnInner {
+    /// Marks the write half as the shard's and, with the lock released,
+    /// tells the shard.
+    fn hand_to_shard(self: &Arc<Self>, mut w: MutexGuard<'_, WriteHalf>) {
+        w.on_shard = true;
+        drop(w);
+        self.inbox.push(ShardOp::Writable(Arc::clone(self)));
     }
 }
 
@@ -257,7 +302,7 @@ impl ReactorConnection {
 }
 
 impl Connection for ReactorConnection {
-    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
+    fn queue_frame(&self, frame: Frame) -> Result<(), TransportError> {
         let inner = &self.inner;
         if inner.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
@@ -275,17 +320,29 @@ impl Connection for ReactorConnection {
         {
             return Err(TransportError::Full);
         }
-        let needs_wakeup = {
-            let mut out = lock(&inner.out);
-            out.queue.push_back(frame);
-            let first = !out.want_write;
-            out.want_write = true;
-            first
-        };
-        if needs_wakeup {
-            inner.inbox.push(ShardOp::Writable(Arc::clone(inner)));
+        let mut w = lock(&inner.write);
+        w.queue.push_back(frame);
+        // With no flush under way, this much is one `writev`'s worth:
+        // waiting for the caller's flush would only grow the backlog.
+        if !w.writing && !w.on_shard && w.queue.len() >= WRITE_BUDGET_FRAMES {
+            inner.hand_to_shard(w);
         }
         Ok(())
+    }
+
+    fn flush(&self, by: FlushBy) {
+        let inner = &self.inner;
+        match by {
+            FlushBy::Caller => {
+                write_pump(inner, false);
+            }
+            FlushBy::Transport => {
+                let w = lock(&inner.write);
+                if !w.writing && !w.on_shard && !w.queue.is_empty() {
+                    inner.hand_to_shard(w);
+                }
+            }
+        }
     }
 
     fn set_send_capacity(&self, cap: usize) {
@@ -303,6 +360,11 @@ impl Connection for ReactorConnection {
             inner.inbox.push(ShardOp::ResumeRead(Arc::clone(inner)));
         }
         Ok(frame)
+    }
+
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
+        let op = ShardOp::AttachSink(Arc::clone(&self.inner), conn_id, sink);
+        self.inner.inbox.push(op).is_some()
     }
 
     fn backlog(&self) -> usize {
@@ -345,8 +407,10 @@ impl Drop for ReactorConnection {
 enum ShardOp {
     /// A freshly attached connection to register with the poller.
     Register(Arc<ConnInner>),
-    /// A sender queued output into an empty pipeline.
+    /// The connection's write half was handed to the shard.
     Writable(Arc<ConnInner>),
+    /// [`Connection::attach_sink`]: deliver to this sink, as this id.
+    AttachSink(Arc<ConnInner>, u64, Arc<dyn FrameSink>),
     /// A pull-mode consumer drained below the low-water mark.
     ResumeRead(Arc<ConnInner>),
     /// A local `close()`; guarantees teardown even while deregistered.
@@ -366,13 +430,8 @@ struct ShardConn {
     /// Frame reassembly buffer: bytes read off the socket but not yet
     /// parsed into complete frames.
     rbuf: Vec<u8>,
-    /// Frames taken off `inner.out` and not yet fully on the socket.
-    wbatch: VecDeque<Frame>,
-    /// Bytes of `wbatch[0]` (header ∥ body) already written: a short
-    /// write resumes at exactly this byte.
-    wpos: usize,
-    /// The last flush left output behind (socket pushed back, or the
-    /// per-event budget ran out): keep write interest armed.
+    /// The shard's last `write_pump` left output behind (socket pushed
+    /// back, or the budget ran out): keep write interest armed.
     write_pending: bool,
     /// Interest currently registered with the poller. `None`: a
     /// connection with reading paused and nothing to write is
@@ -390,16 +449,27 @@ enum PumpEnd {
     Error,
 }
 
+/// How a [`write_pump`] run ended.
+enum Wrote {
+    /// Nothing is left for this caller to do: the queue is empty, or
+    /// the connection is in another writer's hands.
+    Drained,
+    /// The socket pushed back or the budget ran out: the rest is the
+    /// shard's.
+    Pending,
+    /// The socket is dead.
+    Failed,
+}
+
 struct ShardRt {
     poll: Poll,
     inbox: Arc<Inbox<ShardOp>>,
-    waker: Arc<Waker>,
     conns: HashMap<usize, ShardConn>,
     /// Tokens paused by a [`FrameSink::on_frame`] push-back, polled
     /// against [`FrameSink::ready_for_more`].
     sink_paused: HashSet<usize>,
     next_token: usize,
-    metrics: Option<ReactorMetrics>,
+    metrics: Option<Arc<ReactorMetrics>>,
 }
 
 impl ShardRt {
@@ -419,7 +489,6 @@ impl ShardRt {
             for event in events.iter() {
                 let token = event.token();
                 if token == WAKER_TOKEN {
-                    self.waker.drain();
                     if let Some(m) = &self.metrics {
                         m.wakeups.inc();
                     }
@@ -464,6 +533,9 @@ impl ShardRt {
                             self.teardown(token, true);
                         }
                     }
+                    ShardOp::AttachSink(inner, conn_id, sink) => {
+                        self.attach_sink(&inner, conn_id, sink, &mut scratch);
+                    }
                 }
             }
             self.resume_sink_paused(&mut scratch);
@@ -491,8 +563,6 @@ impl ShardRt {
             ShardConn {
                 inner: Arc::clone(&inner),
                 rbuf: Vec::new(),
-                wbatch: VecDeque::new(),
-                wpos: 0,
                 write_pending: false,
                 interest: None,
             },
@@ -501,8 +571,8 @@ impl ShardRt {
             self.teardown(token, true);
             return;
         }
-        // Flush sends queued before activation (their `Writable` ops
-        // found no token and were dropped); this also arms interest.
+        // Take up a hand-over made before activation (its `Writable` op
+        // found no token and was dropped); this also arms interest.
         self.pump_write(token);
         // Bytes may already be waiting (the peer sent before we
         // registered): with level-triggered epoll the registration
@@ -551,10 +621,49 @@ impl ShardRt {
         let Some(sc) = self.conns.get_mut(&token) else {
             return;
         };
-        match write_pump(sc, self.metrics.as_ref()) {
-            PumpEnd::Keep => self.rearm(token),
-            PumpEnd::PeerClosed(clean) => self.teardown(token, clean),
-            PumpEnd::Error => self.teardown(token, false),
+        match write_pump(&sc.inner, true) {
+            Wrote::Drained => sc.write_pending = false,
+            Wrote::Pending => sc.write_pending = true,
+            Wrote::Failed => return self.teardown(token, false),
+        }
+        self.rearm(token);
+    }
+
+    /// Turns a pull-mode connection into a push-mode one: what already
+    /// waits in its inbound queue goes to the sink first, in order —
+    /// all of it, whatever the sink answers, which is at most one
+    /// queue's worth past the sink's own bound, once per connection —
+    /// and a connection torn down before this is reported closed now.
+    fn attach_sink(
+        &mut self,
+        inner: &Arc<ConnInner>,
+        conn_id: u64,
+        sink: Arc<dyn FrameSink>,
+        scratch: &mut [u8],
+    ) {
+        if inner.sink.set((conn_id, Arc::clone(&sink))).is_err() {
+            return;
+        }
+        let mut wants_more = true;
+        while let Ok((frame, _)) = inner.inbound.pop(Some(Instant::now())) {
+            wants_more &= sink.on_frame(conn_id, frame);
+        }
+        let token = inner.token.load(Ordering::Acquire);
+        if !self.conns.contains_key(&token) {
+            // Torn down with nobody listening, so how it ended went
+            // unrecorded. (Not "yet to be registered": a connection is
+            // activated before its handle is given out.)
+            sink.on_closed(conn_id, false);
+            return;
+        }
+        // A full inbound queue may have paused reading; from here on
+        // only the sink does.
+        inner.read_paused.store(!wants_more, Ordering::Release);
+        if wants_more {
+            self.pump_read(token, scratch);
+        } else {
+            self.sink_paused.insert(token);
+            self.rearm(token);
         }
     }
 
@@ -566,7 +675,7 @@ impl ShardRt {
             if sc.inner.closed.load(Ordering::Acquire) {
                 PumpEnd::PeerClosed(true)
             } else {
-                read_pump(sc, scratch, self.metrics.as_ref(), &mut self.sink_paused)
+                read_pump(sc, scratch, self.metrics.as_deref(), &mut self.sink_paused)
             }
         };
         match outcome {
@@ -585,8 +694,8 @@ impl ShardRt {
             let ready = self
                 .conns
                 .get(&token)
-                .and_then(|sc| sc.inner.sink.as_ref())
-                .is_some_and(|sink| sink.ready_for_more());
+                .and_then(|sc| sc.inner.sink.get())
+                .is_some_and(|(_, sink)| sink.ready_for_more());
             if ready {
                 self.sink_paused.remove(&token);
                 if let Some(sc) = self.conns.get(&token) {
@@ -627,8 +736,8 @@ impl ShardRt {
                 },
             );
         }
-        if let Some(sink) = &inner.sink {
-            sink.on_closed(inner.conn_id, clean);
+        if let Some((conn_id, sink)) = inner.sink.get() {
+            sink.on_closed(*conn_id, clean);
         }
         if let Some(m) = &self.metrics {
             m.conns.dec();
@@ -636,61 +745,82 @@ impl ShardRt {
     }
 }
 
-/// Flushes a connection's outbound pipeline until the socket pushes
-/// back, the queue drains, or the per-event frame budget runs out.
-/// Each pass gathers header ∥ body of every frame in hand into one
-/// `writev`, so a burst to one client is one syscall, not two per
-/// frame.
-fn write_pump(sc: &mut ShardConn, metrics: Option<&ReactorMetrics>) -> PumpEnd {
-    let inner = &sc.inner;
+/// The one socket writer, run by whoever flushes — a caller
+/// (`shard == false`) or the connection's shard: puts queued frames on
+/// the socket until the queue drains, the socket pushes back, or the
+/// budget runs out. Each pass gathers header ∥ body of every frame in
+/// hand into one `writev`, so a burst to one client is one syscall,
+/// not two per frame. One thread at a time is in here per connection;
+/// what a caller leaves behind it hands to the shard.
+fn write_pump(inner: &Arc<ConnInner>, shard: bool) -> Wrote {
+    let metrics = inner.metrics.as_deref();
+    let mut w = lock(&inner.write);
+    if w.writing || (w.on_shard && !shard) {
+        return Wrote::Drained;
+    }
+    w.writing = true;
     let mut flushed = 0usize;
-    loop {
-        {
-            let mut out = lock(&inner.out);
-            while sc.wbatch.len() < WRITE_BUDGET_FRAMES {
-                match out.queue.pop_front() {
-                    Some(frame) => sc.wbatch.push_back(frame),
-                    None => break,
-                }
+    let end = loop {
+        while w.batch.len() < WRITE_BUDGET_FRAMES {
+            match w.queue.pop_front() {
+                Some(frame) => w.batch.push_back(frame),
+                None => break,
             }
-            if sc.wbatch.is_empty() {
-                out.want_write = false;
-                sc.write_pending = false;
-                return PumpEnd::Keep;
-            }
+        }
+        if w.batch.is_empty() {
+            break Wrote::Drained;
         }
         if flushed >= WRITE_BUDGET_FRAMES {
-            // `want_write` stays set; the armed write interest
-            // re-fires and the next pump continues.
-            sc.write_pending = true;
-            return PumpEnd::Keep;
+            break Wrote::Pending;
         }
-        let mut iov = [IoSlice::new(&[]); WRITE_IOV];
-        let n = gather(&sc.wbatch, sc.wpos, &mut iov);
+        // The batch leaves the lock for the `writev`: a sender queueing
+        // meanwhile waits for no syscall.
+        let mut batch = std::mem::take(&mut w.batch);
+        let mut wpos = w.wpos;
+        drop(w);
+        let written = {
+            let mut iov = [IoSlice::new(&[]); WRITE_IOV];
+            let n = gather(&batch, wpos, &mut iov);
+            (&inner.stream).write_vectored(&iov[..n])
+        };
         if let Some(m) = metrics {
             m.write_calls.inc();
         }
-        match (&inner.stream).write_vectored(&iov[..n]) {
-            Ok(0) => return PumpEnd::Error,
+        let stop = match written {
+            Ok(0) => Some(Wrote::Failed),
             Ok(written) => {
-                let done = advance(&mut sc.wbatch, &mut sc.wpos, written);
+                let done = advance(&mut batch, &mut wpos, written);
                 inner.outstanding.fetch_sub(done, Ordering::AcqRel);
                 flushed += done;
                 if let Some(m) = metrics {
                     m.frames_out.add(done as u64);
                 }
+                None
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if let Some(m) = metrics {
                     m.write_blocked.inc();
                 }
-                sc.write_pending = true;
-                return PumpEnd::Keep;
+                Some(Wrote::Pending)
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return PumpEnd::Error,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
+            Err(_) => Some(Wrote::Failed),
+        };
+        w = lock(&inner.write);
+        w.batch = batch;
+        w.wpos = wpos;
+        if let Some(end) = stop {
+            break end;
         }
+    };
+    w.writing = false;
+    // A caller cannot tear a dead connection down: the shard finds the
+    // error again.
+    w.on_shard = !matches!(end, Wrote::Drained);
+    if w.on_shard && !shard {
+        inner.hand_to_shard(w);
     }
+    end
 }
 
 /// Points `iov` at header ∥ body of every frame in `batch`, minus the
@@ -763,9 +893,9 @@ fn parse_frames(
         let frame = Bytes::copy_from_slice(body);
         pos = end;
         let inner = &sc.inner;
-        match &inner.sink {
-            Some(sink) => {
-                if !sink.on_frame(inner.conn_id, frame) {
+        match inner.sink.get() {
+            Some((conn_id, sink)) => {
+                if !sink.on_frame(*conn_id, frame) {
                     inner.read_paused.store(true, Ordering::Release);
                     sink_paused.insert(inner.token.load(Ordering::Acquire));
                     paused = true;
@@ -793,7 +923,10 @@ fn parse_frames(
 
 /// Drains readable bytes (bounded by [`READ_BUDGET`]) and delivers the
 /// frames they complete. Leftover partial frames stay in the
-/// reassembly buffer for the next readiness event.
+/// reassembly buffer for the next readiness event. A `read(2)` that
+/// comes back short has emptied the socket: there is no second one just
+/// to be told `WouldBlock` — level-triggered epoll re-reports whatever
+/// arrives, or the end of the stream.
 fn read_pump(
     sc: &mut ShardConn,
     scratch: &mut [u8],
@@ -801,13 +934,14 @@ fn read_pump(
     sink_paused: &mut HashSet<usize>,
 ) -> PumpEnd {
     let mut read_bytes = 0usize;
+    let mut emptied = false;
     loop {
         match parse_frames(sc, metrics, sink_paused) {
             Err(()) => return PumpEnd::Error,
             Ok(true) => return PumpEnd::Keep, // paused; interest re-armed by caller
             Ok(false) => {}
         }
-        if read_bytes >= READ_BUDGET {
+        if emptied || read_bytes >= READ_BUDGET {
             return PumpEnd::Keep; // level-triggered epoll re-reports
         }
         match (&sc.inner.stream).read(scratch) {
@@ -815,6 +949,7 @@ fn read_pump(
             Ok(n) => {
                 sc.rbuf.extend_from_slice(&scratch[..n]);
                 read_bytes += n;
+                emptied = n < scratch.len();
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return PumpEnd::Keep,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -836,7 +971,7 @@ pub struct Reactor {
     shards: Vec<ShardHandle>,
     next_conn: AtomicU64,
     inbound_capacity: usize,
-    metrics: Option<ReactorMetrics>,
+    metrics: Option<Arc<ReactorMetrics>>,
 }
 
 impl fmt::Debug for Reactor {
@@ -869,13 +1004,13 @@ impl Reactor {
         shards: usize,
         registry: Option<&Registry>,
     ) -> Result<Reactor, TransportError> {
-        let metrics = registry.map(ReactorMetrics::new);
+        let metrics = registry.map(|registry| Arc::new(ReactorMetrics::new(registry)));
         let mut handles = Vec::new();
         for i in 0..shards.max(1) {
             let poll = Poll::new().map_err(TransportError::from)?;
-            let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
+            let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
             let wake = {
-                let (waker, metrics) = (Arc::clone(&waker), metrics.clone());
+                let metrics = metrics.clone();
                 move || {
                     // An error means the reactor is gone; its teardown
                     // already marked every connection closed.
@@ -889,7 +1024,6 @@ impl Reactor {
             let mut rt = ShardRt {
                 poll,
                 inbox: Arc::clone(&inbox),
-                waker,
                 conns: HashMap::new(),
                 sink_paused: HashSet::new(),
                 next_token: 0,
@@ -947,13 +1081,11 @@ impl Reactor {
             read_paused: AtomicBool::new(false),
             send_capacity: AtomicUsize::new(DEFAULT_SEND_CAPACITY),
             outstanding: AtomicUsize::new(0),
-            out: Mutex::new(OutQueue {
-                queue: VecDeque::new(),
-                want_write: false,
-            }),
+            write: Mutex::default(),
             inbound: Fifo::new(self.inbound_capacity),
-            sink,
+            sink: sink.map_or_else(OnceLock::new, |sink| OnceLock::from((conn_id, sink))),
             inbox: Arc::clone(&shard.inbox),
+            metrics: self.metrics.clone(),
         });
         if let Some(m) = &self.metrics {
             m.accepted.inc();
@@ -963,8 +1095,8 @@ impl Reactor {
     }
 
     /// Registers an attached connection with its shard, after which
-    /// frames start flowing. Sends queued before activation (and a
-    /// pre-activation `close()`) are honoured on registration.
+    /// inbound frames start flowing. (Sends need no registration; a
+    /// pre-activation hand-over or `close()` is honoured by it.)
     fn activate(inner: &Arc<ConnInner>) {
         inner.inbox.push(ShardOp::Register(Arc::clone(inner)));
     }
@@ -1039,10 +1171,15 @@ impl AcceptGate {
     }
 
     /// Blocks until a connection is pending or the listener shuts
-    /// down. Level-triggered, and the shutdown wake is never drained:
-    /// once either holds, every later call returns at once.
+    /// down; once either holds, every later call returns at once. The
+    /// socket is level-triggered; the shutdown wake is reported to one
+    /// waiter only, so each looks at the flag once it has the poller
+    /// to itself.
     fn wait(&self) {
         let mut guard = lock(&self.poll);
+        if self.is_shut_down() {
+            return;
+        }
         let (poll, events) = &mut *guard;
         if poll.poll(events, None).is_err() {
             std::thread::sleep(ACCEPT_RETRY);
@@ -1314,9 +1451,11 @@ mod tests {
 
     /// Big and tiny frames interleaved through a socket that takes a
     /// few KiB at a time, read by a peer that drains it in dribbles:
-    /// `writev` keeps coming back short or `WouldBlock`. Everything
-    /// must still arrive intact and in order, and the send cap must
-    /// hold exactly while the reader is stalled.
+    /// `writev` keeps coming back short or `WouldBlock`, to the caller
+    /// that flushes first and to the shard it hands over to. Everything
+    /// must still arrive intact and in order, the send cap must hold
+    /// exactly while the reader is stalled, and every write must be
+    /// counted whoever made it.
     #[test]
     fn short_vectored_writes_keep_order_and_the_exact_cap() {
         const CAP: usize = 16;
@@ -1346,7 +1485,8 @@ mod tests {
         conn.set_send_capacity(CAP);
 
         // Reader stalled: the pipe fills, then the queue, then `Full`
-        // — at exactly the cap.
+        // — at exactly the cap. The flush that found the pipe full
+        // left the connection with its shard.
         let mut next = 0u32;
         loop {
             match conn.send_frame(Frame::new(Bytes::from(body(next))).unwrap()) {
@@ -1357,6 +1497,12 @@ mod tests {
             assert!(next < FRAMES, "queue never reported Full");
         }
         assert_eq!(conn.backlog(), CAP, "cap must be exact at Full");
+        assert!(lock(&conn.inner.write).on_shard, "nobody owns the rest");
+        let blocked = registry.counter("server.reactor.write_blocked");
+        assert!(
+            blocked.get() > 0,
+            "the caller's blocked write went uncounted"
+        );
 
         let reader = std::thread::spawn(move || {
             let mut r = Trickle {
@@ -1368,8 +1514,9 @@ mod tests {
                 assert_eq!(got.as_ref(), body(i).as_slice(), "frame {i}");
             }
         });
+        // Corked in threes from here on.
         while next < FRAMES {
-            match conn.send_frame(Frame::new(Bytes::from(body(next))).unwrap()) {
+            match conn.queue_frame(Frame::new(Bytes::from(body(next))).unwrap()) {
                 Ok(()) => next += 1,
                 Err(TransportError::Full) => {
                     assert!(conn.backlog() <= CAP);
@@ -1377,15 +1524,15 @@ mod tests {
                 }
                 Err(e) => panic!("unexpected send error: {e}"),
             }
+            if next.is_multiple_of(3) {
+                conn.flush(FlushBy::Caller);
+            }
         }
+        conn.flush(FlushBy::Caller);
         reader.join().unwrap();
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.reactor.frames_out"), u64::from(FRAMES));
-        assert!(
-            snap.counter("server.reactor.write_blocked") > 0,
-            "the socket never pushed back — the test exercised nothing"
-        );
     }
 
     /// Regression (unbounded inbound buffering): a peer flooding frames

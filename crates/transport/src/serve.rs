@@ -2,12 +2,13 @@
 //! [`FrameSink`] through [`serve()`] (accepted) or [`pump`] (dialled).
 //!
 //! A listener that can push ([`Listener::attach_sink`], the reactor)
-//! accepts and reads on its own event loops. Any other — in-memory or
-//! nemesis-wrapped — is pulled: one accept thread and a reader thread
-//! per connection turn the blocking `accept` / `recv` calls into the
-//! same sink calls.
+//! accepts and reads on its own event loops, and so does a dialled
+//! connection that can ([`Connection::attach_sink`]: try it before
+//! [`pump`]). Any other — in-memory or nemesis-wrapped — is pulled: one
+//! accept thread and a reader thread per connection turn the blocking
+//! `accept` / `recv` calls into the same sink calls.
 
-use crate::traits::{Connection, FrameSink, Listener, TransportError};
+use crate::traits::{Connection, FlushBy, FrameSink, Listener, TransportError};
 use bytes::Bytes;
 use corona_types::frame::Frame;
 use std::sync::Arc;
@@ -50,9 +51,9 @@ pub fn serve(
     Some(spawn(thread_name, accept))
 }
 
-/// Starts the reader of a connection the caller dialled: its frames and
-/// its close reach `sink` as `conn_id` (no `on_accept`: the caller
-/// already holds it). Returns the handle to send on — dropping it closes
+/// Starts the reader of a connection the caller dialled and that
+/// declined [`Connection::attach_sink`]: its frames and its close reach
+/// `sink` as `conn_id` (no `on_accept`: the caller already holds it). Returns the handle to send on — dropping it closes
 /// the connection — and the reader, which ends when that happens.
 pub fn pump(
     name: &str,
@@ -105,8 +106,11 @@ impl Drop for Pumped {
 }
 
 impl Connection for Pumped {
-    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
-        self.0.send_frame(frame)
+    fn queue_frame(&self, frame: Frame) -> Result<(), TransportError> {
+        self.0.queue_frame(frame)
+    }
+    fn flush(&self, by: FlushBy) {
+        self.0.flush(by);
     }
     fn set_send_capacity(&self, cap: usize) {
         self.0.set_send_capacity(cap);

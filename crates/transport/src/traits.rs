@@ -82,16 +82,31 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// Who carries out a [`Connection::flush`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushBy {
+    /// The calling thread writes as much as the link takes without
+    /// blocking and leaves the rest to the transport: no thread is
+    /// woken for a healthy link.
+    Caller,
+    /// The transport's own thread: the caller only wakes it. For a
+    /// caller with many connections to flush and other work to do.
+    Transport,
+}
+
 /// A reliable, ordered, duplex connection carrying opaque frames.
 ///
 /// All methods take `&self`: implementations are internally
 /// synchronised so a connection can be shared between a reader thread
 /// and writer callers.
 pub trait Connection: Send + Sync + fmt::Debug {
-    /// Enqueues an already-framed body for transmission. Non-blocking:
-    /// transmission happens asynchronously in send order. The header
-    /// travels with the frame, so a multicast that clones one
+    /// Appends an already-framed body to the transmit queue and wakes
+    /// nobody: the frame leaves with the next [`Connection::flush`] (or
+    /// sooner — a transport may start on a long queue by itself). The
+    /// header travels with the frame, so a multicast that clones one
     /// [`Frame`] per recipient checksums the body once, not per copy.
+    /// A queued frame counts towards [`Connection::backlog`] and the
+    /// cap at once.
     ///
     /// # Errors
     ///
@@ -99,7 +114,26 @@ pub trait Connection: Send + Sync + fmt::Debug {
     /// [`TransportError::Full`] if the transmit queue is at capacity
     /// (the frame is *not* enqueued — explicit backpressure, never an
     /// unbounded buffer).
-    fn send_frame(&self, frame: Frame) -> Result<(), TransportError>;
+    fn queue_frame(&self, frame: Frame) -> Result<(), TransportError>;
+
+    /// Starts transmission of everything queued, in queue order, and
+    /// returns without waiting for it. The default suits a transport
+    /// whose queue *is* the link (the in-memory pipe).
+    fn flush(&self, by: FlushBy) {
+        let _ = by;
+    }
+
+    /// [`Connection::queue_frame`], then a [`Connection::flush`] by
+    /// the caller: the way to send one frame on its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`Connection::queue_frame`].
+    fn send_frame(&self, frame: Frame) -> Result<(), TransportError> {
+        self.queue_frame(frame)?;
+        self.flush(FlushBy::Caller);
+        Ok(())
+    }
 
     /// Frames the *unframed* `body`, then [`Connection::send_frame`]s
     /// it.
@@ -161,6 +195,19 @@ pub trait Connection: Send + Sync + fmt::Debug {
             Err(TransportError::Timeout) => Ok(None),
             Err(e) => Err(e),
         }
+    }
+
+    /// Offers the connection a push-mode [`FrameSink`]: an evented
+    /// transport returns `true` and from then on reports every inbound
+    /// frame — those already waiting for a `recv` first, in order — and
+    /// finally the close to `sink` as `conn_id`, from its own event
+    /// loop; the caller must then *not* call `recv`. There is no
+    /// `on_accept`: the caller holds the connection. The default
+    /// declines (`false`): the caller reads the connection itself, as
+    /// [`pump`](crate::pump) does.
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
+        let _ = (conn_id, sink);
+        false
     }
 
     /// Number of outbound frames accepted by [`Connection::send`] but

@@ -11,11 +11,18 @@
 //! read modes — push, into a [`FrameSink`], and pull, through `recv` —
 //! must treat a corrupt stream alike: every frame before the
 //! corruption, nothing after it, an error close.
+//!
+//! The corked send — `queue_frame`, then one `flush` — is checked on
+//! the in-memory pipe as well: order, the exact cap with unflushed
+//! frames counted, and queue order under concurrent flushers. (What a
+//! flush does when the socket pushes back needs a socket with a 2 KiB
+//! buffer: `reactor::tests::short_vectored_writes_keep_order_and_the_exact_cap`.)
 
 use bytes::Bytes;
 use corona_transport::reactor::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
 use corona_transport::{
-    Connection, Dialer, FrameSink, Listener, ReactorListener, TcpDialer, TransportError,
+    Connection, Dialer, FlushBy, FrameSink, Listener, MemNetwork, ReactorListener, TcpDialer,
+    TransportError,
 };
 use corona_types::frame::{write_frame, Frame, FRAME_HEADER_LEN};
 use std::io::{Read, Write};
@@ -375,6 +382,239 @@ fn concurrent_senders_cannot_overshoot_capacity() {
         }
     });
     client.close();
+}
+
+/// A connected pair: the end that sends, the end that receives through
+/// `recv`, and the listener that keeps them connected.
+struct Link {
+    backend: &'static str,
+    sender: Box<dyn Connection>,
+    receiver: Box<dyn Connection>,
+    _listener: Box<dyn Listener>,
+}
+
+/// One [`Link`] on each backend.
+fn links() -> Vec<Link> {
+    let (listener, dialer) = pairing();
+    let dialled = dialer.dial(&listener.local_addr()).unwrap();
+    let accepted = listener.accept().unwrap();
+    let net = MemNetwork::new();
+    let mem = net.listen("server").unwrap();
+    let mem_dialled = net.dial_from("client", "server").unwrap();
+    let mem_accepted = mem.accept().unwrap();
+    vec![
+        Link {
+            backend: "reactor",
+            sender: dialled,
+            receiver: accepted,
+            _listener: listener,
+        },
+        Link {
+            backend: "mem",
+            sender: Box::new(mem_dialled),
+            receiver: mem_accepted,
+            _listener: Box::new(mem),
+        },
+    ]
+}
+
+/// A frame that carries its number.
+fn numbered(i: u32) -> Frame {
+    Frame::new(Bytes::from(i.to_le_bytes().to_vec())).unwrap()
+}
+
+fn number_of(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame.try_into().unwrap())
+}
+
+#[test]
+fn queued_frames_leave_with_the_flush_in_order() {
+    const ROUND: u32 = 150;
+    for Link {
+        backend,
+        sender,
+        receiver,
+        ..
+    } in links()
+    {
+        // More than a transport would hold back unasked, and fewer.
+        let mut next = 0;
+        for (burst, by) in [
+            (ROUND, FlushBy::Caller),
+            (ROUND, FlushBy::Transport),
+            (3, FlushBy::Caller),
+        ] {
+            for i in next..next + burst {
+                sender.queue_frame(numbered(i)).unwrap();
+            }
+            sender.flush(by);
+            for i in next..next + burst {
+                let frame = receiver.recv_timeout(Duration::from_secs(10));
+                assert_eq!(number_of(&frame.unwrap()), i, "{backend}, flushed {by:?}");
+            }
+            next += burst;
+        }
+    }
+}
+
+#[test]
+fn unflushed_frames_count_towards_the_exact_cap() {
+    const CAP: usize = 8;
+    for Link {
+        backend,
+        sender,
+        receiver,
+        ..
+    } in links()
+    {
+        sender.set_send_capacity(CAP);
+        for i in 0..CAP as u32 {
+            sender.queue_frame(numbered(i)).unwrap();
+            assert_eq!(sender.backlog(), i as usize + 1, "{backend}");
+        }
+        assert_eq!(
+            sender.queue_frame(numbered(99)).unwrap_err(),
+            TransportError::Full,
+            "{backend}"
+        );
+        assert_eq!(sender.backlog(), CAP, "{backend}: refused frame counted");
+        sender.flush(FlushBy::Caller);
+        for i in 0..CAP as u32 {
+            let frame = receiver.recv_timeout(Duration::from_secs(10));
+            assert_eq!(number_of(&frame.unwrap()), i, "{backend}");
+        }
+        // Room again, once the frames have left.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while sender.queue_frame(numbered(CAP as u32)).is_err() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{backend}: still full"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// Two threads number their frames in the order they queue them and
+/// each flushes what it queued: whichever thread ends up writing the
+/// socket, the frames arrive in queue order.
+#[test]
+fn concurrent_flushers_keep_queue_order() {
+    const EACH: u32 = 2000;
+    for Link {
+        backend,
+        sender,
+        receiver,
+        ..
+    } in links()
+    {
+        let next = Mutex::new(0u32);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..EACH {
+                        let mut next = next.lock().unwrap();
+                        while sender.queue_frame(numbered(*next)).is_err() {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        *next += 1;
+                        drop(next);
+                        sender.flush(FlushBy::Caller);
+                    }
+                });
+            }
+            for i in 0..2 * EACH {
+                let frame = receiver.recv_timeout(Duration::from_secs(10));
+                assert_eq!(number_of(&frame.unwrap()), i, "{backend}");
+            }
+        });
+    }
+}
+
+/// What a [`FrameSink`] is told, in the order it is told.
+#[derive(Debug, PartialEq)]
+enum Told {
+    Frame(u64, u32),
+    Closed(u64),
+}
+
+struct Teller(mpsc::Sender<Told>);
+
+impl FrameSink for Teller {
+    fn on_accept(&self, _: u64, _: Box<dyn Connection>) {
+        unreachable!("a connection that is attached to was not accepted");
+    }
+    fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
+        let _ = self.0.send(Told::Frame(conn_id, number_of(&frame)));
+        true
+    }
+    fn ready_for_more(&self) -> bool {
+        true
+    }
+    fn on_closed(&self, conn_id: u64, _clean: bool) {
+        let _ = self.0.send(Told::Closed(conn_id));
+    }
+}
+
+/// Frames `from..to` as they go over the wire, in one piece.
+fn wire(numbers: std::ops::Range<u32>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for i in numbers {
+        write_frame(&mut wire, &i.to_le_bytes()).unwrap();
+    }
+    wire
+}
+
+#[test]
+fn a_dialled_connection_pushes_to_an_attached_sink() {
+    const ID: u64 = 77;
+    let wait = Duration::from_secs(10);
+    let teller = || {
+        let (tx, told) = mpsc::channel();
+        (Arc::new(Teller(tx)), told)
+    };
+
+    // A link that already holds unread frames: they come first.
+    let (client, mut raw) = dial_raw();
+    raw.write_all(&wire(0..4)).unwrap();
+    // Frame 0 read, the rest of that segment is behind it in the queue
+    // by the time the shard looks at its mailbox again.
+    assert_eq!(number_of(&client.recv_timeout(wait).unwrap()), 0);
+    let (sink, told) = teller();
+    assert!(client.attach_sink(ID, sink));
+    raw.write_all(&wire(4..6)).unwrap();
+    for i in 1..6 {
+        assert_eq!(told.recv_timeout(wait), Ok(Told::Frame(ID, i)));
+    }
+    drop(raw);
+    assert_eq!(told.recv_timeout(wait), Ok(Told::Closed(ID)));
+    // Once: the client's own close adds nothing.
+    client.close();
+    assert!(told.recv_timeout(Duration::from_millis(100)).is_err());
+
+    // A link the peer has already closed: every frame, then the close.
+    let (client, mut raw) = dial_raw();
+    raw.write_all(&wire(0..3)).unwrap();
+    drop(raw);
+    let deadline = std::time::Instant::now() + wait;
+    while !client.is_closed() {
+        assert!(std::time::Instant::now() < deadline, "close never seen");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (sink, told) = teller();
+    assert!(client.attach_sink(ID, sink));
+    for i in 0..3 {
+        assert_eq!(told.recv_timeout(wait), Ok(Told::Frame(ID, i)));
+    }
+    assert_eq!(told.recv_timeout(wait), Ok(Told::Closed(ID)));
+    drop(client);
+    assert!(told.recv_timeout(Duration::from_millis(100)).is_err());
+
+    // The in-memory pipe has no loop to push from, and says so.
+    let net = MemNetwork::new();
+    let _listener = net.listen("server").unwrap();
+    let mem = net.dial_from("client", "server").unwrap();
+    assert!(!mem.attach_sink(ID, teller().0));
 }
 
 /// A byte stream that opens with one good frame, [`INTACT`], and goes

@@ -11,6 +11,12 @@
 # sides, the base first on odd pairs and the change first on even ones.
 # Per end-to-end metric it prints both sides' q1 / median / q3, the
 # change of the median and the pairs won (ties count for neither).
+# Each workload ends with one traced run per side (`--trace 1`, first
+# seed), from which it prints the counts a change to the threading or
+# the reactor is judged by: process.threads,
+# transport.reactor_wakeups_per_delivery and
+# transport.reactor_events_per_poll. One run each: read them as counts,
+# not as timings.
 #
 # Exit 1: a run was not `correct` or had failed operations, or a median
 # is worse than the base's by more than its BENCHMARK.json bound.
@@ -40,17 +46,18 @@ git archive "$base" | tar -x -C "$out/base"
 
 echo "perf-gate: base $base_sha vs working tree, $pairs pairs of ${seconds}s, workloads: $workloads" >&2
 # run.sh builds before it runs; the first call on each side pays for it.
-run_side() { # side workload seed
-    local dir=$root target=$root/target
+run_side() { # side workload seed [trace=0]
+    local dir=$root target=$root/target trace=${4:-0} results=$out/runs/$2.$1.jsonl
     if [ "$1" = base ]; then
         dir=$out/base
         target=$out/base-target
     fi
+    [ "$trace" -eq 0 ] || results=$out/runs/$2.$1.traced.json
     local status=0
     CARGO_TARGET_DIR=$target "$dir/crates/e2e-bench/run.sh" \
-        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 \
-        2>>"$out/runs/$2.$1.log" | tail -n 1 >>"$out/runs/$2.$1.jsonl" || status=$?
-    [ "$status" -eq 0 ] || echo "perf-gate: $1 run of $2 (seed $3) exited $status" >&2
+        --workload "$2" --seed "$3" --seconds "$seconds" --trace "$trace" \
+        2>>"$out/runs/$2.$1.log" | tail -n 1 >>"$results" || status=$?
+    [ "$status" -eq 0 ] || echo "perf-gate: $1 run of $2 (seed $3, trace $trace) exited $status" >&2
 }
 
 for workload in $workloads; do
@@ -62,6 +69,10 @@ for workload in $workloads; do
         done
         echo "perf-gate: $workload pair $i/$pairs done" >&2
     done
+    for side in base change; do
+        run_side "$side" "$workload" "$first_seed" 1
+    done
+    echo "perf-gate: $workload traced runs done" >&2
 done
 
 python3 - "$out/runs" "$pairs" $workloads <<'EOF'
@@ -69,6 +80,8 @@ import json, statistics, sys
 
 runs_dir, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+counts = ["process.threads", "transport.reactor_wakeups_per_delivery",
+          "transport.reactor_events_per_poll"]
 failed = False
 
 def load(workload, side):
@@ -114,6 +127,19 @@ for workload in workloads:
         print(f"| {name} ({m['unit']}) | {fmt(bq1)} / {fmt(bmed)} / {fmt(bq3)} "
               f"| {fmt(cq1)} / {fmt(cmed)} / {fmt(cq3)} | {delta:+.1%} "
               f"| {won}-{lost} | {verdict} |")
+    traced = {}
+    for side in ("base", "change"):
+        try:
+            with open(f"{runs_dir}/{workload}.{side}.traced.json") as f:
+                traced[side] = json.loads(f.readline())["metrics"]
+        except (OSError, ValueError, KeyError):
+            traced[side] = {}
+    print("\n| count (one traced run) | base | change |")
+    print("|---|---|---|")
+    for name in counts:
+        cells = [f"{traced[side][name]['value']:.4g}" if name in traced[side] else "-"
+                 for side in ("base", "change")]
+        print(f"| {name} | {cells[0]} | {cells[1]} |")
 
 sys.exit(1 if failed else 0)
 EOF

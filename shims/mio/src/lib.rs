@@ -10,9 +10,11 @@
 //! file descriptor (mio's `SourceFd` style) because every source the
 //! reactor registers is an `std::net` socket or the waker's eventfd.
 //!
-//! Level-triggered only (the reactor re-arms interest explicitly),
-//! which keeps the shim small and the reactor's state machine easy to
-//! reason about.
+//! Sockets are level-triggered (the reactor re-arms interest
+//! explicitly), which keeps the shim small and the reactor's state
+//! machine easy to reason about; only the waker's eventfd is
+//! edge-triggered, as in the real mio, so a wake-up costs its poller no
+//! `read(2)` to clear.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,6 +39,7 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
@@ -58,7 +61,6 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
@@ -285,9 +287,10 @@ impl Poll {
 
 /// Wakes a [`Poll`] blocked in [`Poll::poll`] from another thread.
 ///
-/// Backed by an `eventfd` registered with the poller; the poll loop
-/// sees a readable event under the waker's token and must call
-/// [`Waker::drain`] before sleeping again (level-triggered).
+/// Backed by an `eventfd` registered edge-triggered: every
+/// [`Waker::wake`] since the last poll shows up as one readable event
+/// under the waker's token in the next, and there is nothing to clear
+/// before sleeping again.
 #[derive(Debug)]
 pub struct Waker {
     efd: OwnedFd,
@@ -302,7 +305,7 @@ impl Waker {
     pub fn new(registry: &Registry, token: Token) -> io::Result<Waker> {
         let efd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         let efd = unsafe { OwnedFd::from_raw_fd(efd) };
-        registry.register(efd.as_raw_fd(), token, Interest::READABLE)?;
+        registry.register(efd.as_raw_fd(), token, Interest(EPOLLIN | EPOLLET))?;
         Ok(Waker { efd })
     }
 
@@ -310,20 +313,16 @@ impl Waker {
     /// pending wakes.
     pub fn wake(&self) -> io::Result<()> {
         let one: u64 = 1;
+        // SAFETY: `one` is a live `u64` and 8 is its size, which is
+        // what an eventfd write takes; `efd` is open while `self` is.
         let n = unsafe { write(self.efd.as_raw_fd(), (&one as *const u64).cast(), 8) };
-        // EAGAIN means the counter is saturated — the poller is
-        // already guaranteed to wake; that is a success for us.
-        if n == 8 || io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock {
+        // Nobody reads the counter, and it takes 2^64 - 2 wakes to
+        // fill it: a write always fits, and always makes an edge.
+        if n == 8 {
             Ok(())
         } else {
             Err(io::Error::last_os_error())
         }
-    }
-
-    /// Clears pending wakes so the poller can sleep again.
-    pub fn drain(&self) {
-        let mut buf = 0u64;
-        unsafe { read(self.efd.as_raw_fd(), (&mut buf as *mut u64).cast(), 8) };
     }
 }
 
@@ -349,8 +348,18 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(5), "poll never woke");
         let tokens: Vec<Token> = events.iter().map(|e| e.token()).collect();
         assert_eq!(tokens, vec![Token(usize::MAX)]);
-        waker.drain();
         handle.join().unwrap();
+
+        // Edge-triggered: a wake is reported once and needs no
+        // clearing; the next one is reported again.
+        poll.poll(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty(), "a consumed wake was reported twice");
+        waker.wake().unwrap();
+        waker.wake().unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(events.iter().count(), 1);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Full-stack tests of the batched fan-out path: encode-once,
 //! frame-once sharing across a wide group, at most one socket write
-//! per delivery on the reactor, and reaping of dead or hopelessly
+//! per delivery on the reactor — one per connection and dispatcher
+//! batch when frames come in bursts, made by the dispatcher itself
+//! when the fan-out is narrow — and reaping of dead or hopelessly
 //! backlogged connections discovered at send time.
 
 use corona::prelude::*;
 use corona_transport::Dialer;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const G: GroupId = GroupId(1);
 const DOC: ObjectId = ObjectId(1);
@@ -18,6 +21,76 @@ fn mem_server(net: &MemNetwork, config: ServerConfig) -> CoronaServer {
 fn mem_connect(net: &MemNetwork, name: &str) -> CoronaClient {
     let conn = net.dial_from(name, "server").unwrap();
     CoronaClient::connect(Box::new(conn), name, None).unwrap()
+}
+
+/// A snapshot taken once `counter` has stopped moving: the dispatcher
+/// bumps its counters just *after* a client can observe the frame they
+/// count, so a metric window opened right after a reply would catch
+/// the tail of the set-up traffic.
+fn quiesced(registry: &Registry, counter: &str) -> MetricsSnapshot {
+    loop {
+        let before = registry.snapshot().counter(counter);
+        std::thread::sleep(Duration::from_millis(50));
+        let after = registry.snapshot();
+        if after.counter(counter) == before {
+            return after;
+        }
+    }
+}
+
+/// A snapshot taken once `counter` has moved `by` past `before`.
+fn moved_by(
+    registry: &Registry,
+    before: &MetricsSnapshot,
+    counter: &str,
+    by: u64,
+) -> MetricsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let after = registry.snapshot();
+        let moved = after.counter(counter) - before.counter(counter);
+        if moved >= by {
+            return after;
+        }
+        assert!(Instant::now() < deadline, "{counter} stuck at {moved}/{by}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+fn tcp_server() -> (CoronaServer, Arc<Registry>, String) {
+    let server =
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let (registry, addr) = (server.metrics_registry(), server.local_addr());
+    (server, registry, addr)
+}
+
+fn tcp_connect(addr: &str, name: &str) -> CoronaClient {
+    CoronaClient::connect(TcpDialer.dial(addr).unwrap(), name, None).unwrap()
+}
+
+/// `count` members of a fresh group [`G`], the first its creator.
+fn tcp_group(addr: &str, count: usize) -> Vec<CoronaClient> {
+    let members: Vec<CoronaClient> = (0..count)
+        .map(|i| tcp_connect(addr, &format!("m{i}")))
+        .collect();
+    members[0]
+        .create_group(G, Persistence::Transient, SharedState::new())
+        .unwrap();
+    for member in &members {
+        member
+            .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+            .unwrap();
+    }
+    members
+}
+
+fn expect_multicast(client: &CoronaClient, payload: &[u8]) {
+    match client.next_event_timeout(Duration::from_secs(10)).unwrap() {
+        ServerEvent::Multicast { logged, .. } => {
+            assert_eq!(logged.update.payload.as_ref(), payload);
+        }
+        other => panic!("expected multicast, got {other:?}"),
+    }
 }
 
 /// A broadcast to a wide group serialises its payload exactly once;
@@ -44,19 +117,9 @@ fn broadcast_to_fifty_subscribers_encodes_once() {
         })
         .collect();
 
-    // Joins are synchronous, but the dispatcher bumps its enqueue
-    // counter just *after* the client can observe the frame — wait for
-    // the counters to quiesce so the metric window below contains only
-    // the broadcast traffic.
+    // Only the broadcast traffic in the metric window below.
     let registry = server.metrics_registry();
-    let before = loop {
-        let a = registry.snapshot().counter("server.fanout.enqueues");
-        std::thread::sleep(Duration::from_millis(50));
-        let b = registry.snapshot();
-        if b.counter("server.fanout.enqueues") == a {
-            break b;
-        }
-    };
+    let before = quiesced(&registry, "server.fanout.enqueues");
 
     let payload = vec![0xabu8; 512];
     sender
@@ -65,32 +128,16 @@ fn broadcast_to_fifty_subscribers_encodes_once() {
 
     // Every subscriber (sender included) receives the one multicast.
     for client in receivers.iter().chain(std::iter::once(&sender)) {
-        match client.next_event_timeout(Duration::from_secs(10)).unwrap() {
-            ServerEvent::Multicast { logged, .. } => {
-                assert_eq!(logged.update.payload.as_ref(), payload.as_slice());
-            }
-            other => panic!("expected multicast, got {other:?}"),
-        }
+        expect_multicast(client, &payload);
     }
 
     // All recipients saw the frame; give the dispatcher its beat to
     // bump the counter, then require exact deltas.
     let want = (RECEIVERS + 1) as u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let after = loop {
-        let after = registry.snapshot();
-        let enqueues =
-            after.counter("server.fanout.enqueues") - before.counter("server.fanout.enqueues");
-        if enqueues >= want {
-            assert_eq!(enqueues, want, "only the broadcast may enqueue frames");
-            break after;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "enqueues stuck at {enqueues}/{want}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let after = moved_by(&registry, &before, "server.fanout.enqueues", want);
+    let enqueues =
+        after.counter("server.fanout.enqueues") - before.counter("server.fanout.enqueues");
+    assert_eq!(enqueues, want, "only the broadcast may enqueue frames");
     let encodes = after.counter("server.fanout.encodes") - before.counter("server.fanout.encodes");
     let saved =
         after.counter("server.fanout.bytes_saved") - before.counter("server.fanout.bytes_saved");
@@ -120,71 +167,28 @@ fn broadcast_to_fifty_subscribers_encodes_once() {
 fn reactor_broadcast_costs_at_most_one_write_per_delivery() {
     const RECEIVERS: usize = 50;
     const BURST: u64 = 10;
-    let server =
-        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
-    let addr = server.local_addr();
-    let connect = |name: &str| {
-        let conn = TcpDialer.dial(&addr).unwrap();
-        CoronaClient::connect(conn, name, None).unwrap()
-    };
-
-    let sender = connect("sender");
-    sender
-        .create_group(G, Persistence::Transient, SharedState::new())
-        .unwrap();
-    sender
-        .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
-        .unwrap();
-    let receivers: Vec<CoronaClient> = (0..RECEIVERS)
-        .map(|i| {
-            let c = connect(&format!("r{i}"));
-            c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
-                .unwrap();
-            c
-        })
-        .collect();
+    let (server, registry, addr) = tcp_server();
+    let members = tcp_group(&addr, RECEIVERS + 1);
 
     // Steady state: every join reply has left its socket.
-    let registry = server.metrics_registry();
-    let before = loop {
-        let a = registry.snapshot().counter("server.reactor.frames_out");
-        std::thread::sleep(Duration::from_millis(50));
-        let b = registry.snapshot();
-        if b.counter("server.reactor.frames_out") == a {
-            break b;
-        }
-    };
+    let before = quiesced(&registry, "server.reactor.frames_out");
 
     let payload = vec![0x5au8; 1000];
     for _ in 0..BURST {
-        sender
+        members[0]
             .bcast_update(G, DOC, payload.clone(), DeliveryScope::SenderInclusive)
             .unwrap();
     }
-    for client in receivers.iter().chain(std::iter::once(&sender)) {
+    for client in &members {
         for _ in 0..BURST {
-            match client.next_event_timeout(Duration::from_secs(10)).unwrap() {
-                ServerEvent::Multicast { logged, .. } => {
-                    assert_eq!(logged.update.payload.as_ref(), payload.as_slice());
-                }
-                other => panic!("expected multicast, got {other:?}"),
-            }
+            expect_multicast(client, &payload);
         }
     }
 
-    // Every frame was read, so every write has returned; the shard
+    // Every frame was read, so every write has returned; its writer
     // bumps `frames_out` right after.
     let want = BURST * (RECEIVERS as u64 + 1);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let after = loop {
-        let after = registry.snapshot();
-        let delta = |name: &str| after.counter(name) - before.counter(name);
-        if delta("server.reactor.frames_out") >= want {
-            break after;
-        }
-        assert!(std::time::Instant::now() < deadline, "frames_out stuck");
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let after = moved_by(&registry, &before, "server.reactor.frames_out", want);
     let delta = |name: &str| after.counter(name) - before.counter(name);
     assert_eq!(delta("server.reactor.frames_out"), want);
     assert_eq!(
@@ -204,10 +208,121 @@ fn reactor_broadcast_costs_at_most_one_write_per_delivery() {
     );
     assert_eq!(delta("server.reactor.write_blocked"), 0);
 
+    for c in &members {
+        c.close();
+    }
+    server.shutdown();
+}
+
+/// Requests that reach the dispatcher together leave together: what a
+/// batch of commands queues on a connection goes out in one `writev`,
+/// not one per frame.
+#[test]
+fn a_burst_handled_as_one_batch_costs_a_write_per_connection_not_per_frame() {
+    use corona::types::frame::{read_frame, write_frame};
+    use corona::types::{ClientRequest, Decode, Encode, PROTOCOL_VERSION};
+    use std::io::Write;
+
+    const RECEIVERS: usize = 4;
+    const BURST: u64 = 40;
+    let (server, registry, addr) = tcp_server();
+    let receivers = tcp_group(&addr, RECEIVERS);
+
+    // The sender speaks the wire protocol over a bare socket, so that
+    // the whole burst is one `write` — one segment, one read by the
+    // reactor, one run of commands on the dispatcher's queue.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    let mut exchange = |request: ClientRequest| {
+        write_frame(&mut raw, &request.encode_to_bytes()).unwrap();
+        let reply = read_frame(&mut raw).unwrap().expect("server hung up");
+        ServerEvent::decode_exact(&reply).unwrap()
+    };
+    let welcome = exchange(ClientRequest::Hello {
+        version: PROTOCOL_VERSION,
+        display_name: "burster".into(),
+        resume: None,
+    });
+    assert!(
+        matches!(welcome, ServerEvent::Welcome { .. }),
+        "{welcome:?}"
+    );
+    let joined = exchange(ClientRequest::Join {
+        group: G,
+        role: MemberRole::Principal,
+        policy: StateTransferPolicy::None,
+        notify_membership: false,
+    });
+    assert!(matches!(joined, ServerEvent::Joined { .. }), "{joined:?}");
+    let before = quiesced(&registry, "server.reactor.frames_out");
+
+    let payload = vec![0x3cu8; 64];
+    let broadcast = ClientRequest::Broadcast {
+        group: G,
+        update: StateUpdate::incremental(DOC, payload.clone()),
+        scope: DeliveryScope::SenderExclusive,
+    };
+    let mut burst = Vec::new();
+    for _ in 0..BURST {
+        write_frame(&mut burst, &broadcast.encode_to_bytes()).unwrap();
+    }
+    raw.write_all(&burst).unwrap();
+    for client in &receivers {
+        for _ in 0..BURST {
+            expect_multicast(client, &payload);
+        }
+    }
+
+    let frames = BURST * RECEIVERS as u64;
+    let after = moved_by(&registry, &before, "server.reactor.frames_out", frames);
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("server.reactor.frames_out"), frames);
+    // However the burst was cut into batches — the dispatcher may have
+    // woken to its first request alone — it was not one frame a write.
+    let writes = delta("server.reactor.write_calls");
+    assert!(2 * writes <= frames, "{writes} writes for {frames} frames");
+    let batches = after.histogram("server.queue.batch").unwrap().max;
+    assert!(batches > 1, "the burst never queued up: nothing was tested");
+
     for c in &receivers {
         c.close();
     }
-    sender.close();
+    server.shutdown();
+}
+
+/// A paced broadcast to a small group is written by the dispatcher
+/// itself, one connection after the other: no reactor shard is woken
+/// to move four small frames.
+#[test]
+fn a_narrow_paced_broadcast_wakes_no_shard() {
+    const MEMBERS: usize = 4;
+    const ROUNDS: u64 = 20;
+    let (server, registry, addr) = tcp_server();
+    let members = tcp_group(&addr, MEMBERS);
+    let before = quiesced(&registry, "server.reactor.frames_out");
+
+    let payload = vec![0x77u8; 64];
+    for _ in 0..ROUNDS {
+        members[0]
+            .bcast_update(G, DOC, payload.clone(), DeliveryScope::SenderInclusive)
+            .unwrap();
+        for client in &members {
+            expect_multicast(client, &payload);
+        }
+    }
+
+    let frames = ROUNDS * MEMBERS as u64;
+    let after = moved_by(&registry, &before, "server.reactor.frames_out", frames);
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("server.reactor.frames_out"), frames);
+    assert_eq!(delta("server.reactor.wake_writes"), 0, "a shard was woken");
+    assert_eq!(delta("server.fanout.flush_inline"), ROUNDS);
+    let widths = after.histogram("server.fanout.flush_conns").unwrap();
+    assert_eq!(widths.max, MEMBERS as u64);
+
+    for c in &members {
+        c.close();
+    }
     server.shutdown();
 }
 
@@ -222,7 +337,6 @@ fn reactor_broadcast_costs_at_most_one_write_per_delivery() {
 fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
     use corona::types::wire::decode_traced;
     use corona::types::{ClientRequest, Encode, PROTOCOL_VERSION};
-    use std::time::Instant;
 
     let net = MemNetwork::new();
     // Capacity 1: a subscriber that never drains its queue overflows
@@ -289,12 +403,7 @@ fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
         sender
             .bcast_update(G, DOC, expect, DeliveryScope::SenderExclusive)
             .unwrap();
-        match live.next_event_timeout(Duration::from_secs(10)).unwrap() {
-            ServerEvent::Multicast { logged, .. } => {
-                assert_eq!(logged.update.payload.as_ref(), expect);
-            }
-            other => panic!("expected multicast, got {other:?}"),
-        }
+        expect_multicast(&live, expect);
     }
 
     // The dispatcher reaps in the same step as the failed enqueue, so
@@ -320,38 +429,17 @@ fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
     // Let the counters quiesce first; the increment for a frame trails
     // the client's read by a beat.
     let registry = server.metrics_registry();
-    let before = loop {
-        let a = registry.snapshot().counter("server.fanout.enqueues");
-        std::thread::sleep(Duration::from_millis(50));
-        let b = registry.snapshot();
-        if b.counter("server.fanout.enqueues") == a {
-            break b;
-        }
-    };
+    let before = quiesced(&registry, "server.fanout.enqueues");
     sender
         .bcast_update(G, DOC, &b"three"[..], DeliveryScope::SenderExclusive)
         .unwrap();
-    match live.next_event_timeout(Duration::from_secs(10)).unwrap() {
-        ServerEvent::Multicast { logged, .. } => {
-            assert_eq!(logged.update.payload.as_ref(), b"three");
-        }
-        other => panic!("expected multicast, got {other:?}"),
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let after = registry.snapshot();
-        let enqueues =
-            after.counter("server.fanout.enqueues") - before.counter("server.fanout.enqueues");
-        if enqueues >= 1 {
-            assert_eq!(
-                enqueues, 1,
-                "the reaped subscriber must no longer be fanned out to"
-            );
-            break;
-        }
-        assert!(Instant::now() < deadline, "enqueue counter never moved");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    expect_multicast(&live, b"three");
+    let after = moved_by(&registry, &before, "server.fanout.enqueues", 1);
+    assert_eq!(
+        after.counter("server.fanout.enqueues") - before.counter("server.fanout.enqueues"),
+        1,
+        "the reaped subscriber must no longer be fanned out to"
+    );
 
     sender.close();
     live.close();

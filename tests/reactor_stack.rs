@@ -263,9 +263,9 @@ fn dialled_clients_cost_one_thread_each() {
 /// The replicated runtime rides the same kernel, so a replica's thread
 /// population is as flat as the single server's: three replicas on
 /// one-shard reactor listeners hold 5000 members (C5k) with a constant
-/// number of threads — event loops, accept threads, dispatchers, and
-/// the kernel's readers of the few peer links the servers dial each
-/// other on — none per client.
+/// number of threads — event loops, accept threads, dispatchers — none
+/// per client, and none per peer link either: the links the servers
+/// dial each other on push their frames from the shared dial loop.
 #[test]
 fn replicated_thread_count_is_independent_of_member_count() {
     use corona::transport::ReactorListener;
@@ -276,10 +276,9 @@ fn replicated_thread_count_is_independent_of_member_count() {
     /// Per replica: a client and a peer listener, each one shard loop
     /// plus one accept thread; and the dispatcher.
     const PER_REPLICA: usize = 2 * (1 + 1) + 1;
-    /// Each pair of servers dials at most one link in each direction;
-    /// a dialled link is read by one kernel pump thread and owns no
-    /// transport thread.
-    const DIALLED_READERS: usize = REPLICAS * (REPLICAS - 1);
+    /// A dialled link is attached to the kernel's sink: no reader
+    /// thread, no transport thread.
+    const DIALLED_READERS: usize = 0;
     /// The process-wide dial loop those links share.
     const DIALER_LOOP: usize = 1;
 
