@@ -24,6 +24,7 @@
 //! catch-up so the observed update stream stays gap-free and
 //! duplicate-free across the failover.
 
+use crate::lock;
 use crate::mirror::{ApplyOutcome, GroupMirror};
 use corona_metrics::{Counter, Histogram, Registry};
 use corona_transport::{Connection, Dialer};
@@ -35,11 +36,10 @@ use corona_types::policy::{
 };
 use corona_types::state::{SharedState, StateUpdate};
 use corona_types::wire::{decode_traced, encode_traced, Decode, Encode, TraceToken};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Result of a lock acquisition.
@@ -126,11 +126,11 @@ struct Shared {
 
 impl Shared {
     fn conn(&self) -> Arc<Box<dyn Connection>> {
-        self.conn.lock().clone()
+        lock(&self.conn).clone()
     }
 
     fn note_roster(&self, epoch: Epoch, coordinator: ServerId, servers: Vec<(ServerId, String)>) {
-        let mut slot = self.roster.lock();
+        let mut slot = lock(&self.roster);
         if slot.as_ref().is_none_or(|r| epoch >= r.epoch) {
             *slot = Some(RosterView {
                 epoch,
@@ -173,14 +173,14 @@ impl Supervisor {
         let ServerEvent::Multicast { group, .. } = event else {
             return;
         };
-        let groups = self.groups.lock();
+        let groups = lock(&self.groups);
         let Some(sg) = groups.iter().find(|sg| sg.group == *group) else {
             return;
         };
-        let outcome = sg.mirror.lock().apply_event(event);
+        let outcome = lock(&sg.mirror).apply_event(event);
         if let ApplyOutcome::Gap { .. } = outcome {
-            if self.repairing.lock().insert(*group) {
-                let policy = sg.mirror.lock().catch_up_policy();
+            if lock(&self.repairing).insert(*group) {
+                let policy = lock(&sg.mirror).catch_up_policy();
                 let _ = shared.conn().send(
                     ClientRequest::GetState {
                         group: *group,
@@ -196,12 +196,12 @@ impl Supervisor {
     /// Returns `false` when the transfer is not ours to handle (no
     /// repair pending for that group).
     fn finish_repair(&self, transfer: &StateTransfer) -> bool {
-        if !self.repairing.lock().remove(&transfer.group) {
+        if !lock(&self.repairing).remove(&transfer.group) {
             return false;
         }
-        let groups = self.groups.lock();
+        let groups = lock(&self.groups);
         if let Some(sg) = groups.iter().find(|sg| sg.group == transfer.group) {
-            sg.mirror.lock().resync(transfer);
+            lock(&sg.mirror).resync(transfer);
         }
         true
     }
@@ -248,7 +248,7 @@ impl CoronaClient {
                 .spawn(move || {
                     read_stream(&shared, &events_tx, None);
                     // Connection gone: wake any pending caller.
-                    shared.pending.lock().take();
+                    lock(&shared.pending).take();
                 })
                 .expect("spawn client reader");
         }
@@ -336,12 +336,12 @@ impl CoronaClient {
 
     /// The id of the serving replica (updated after a failover).
     pub fn server_id(&self) -> ServerId {
-        *self.shared.server_id.lock()
+        *lock(&self.shared.server_id)
     }
 
     /// The latest replica roster advertised by the service, if any.
     pub fn roster(&self) -> Option<RosterView> {
-        self.shared.roster.lock().clone()
+        lock(&self.shared.roster).clone()
     }
 
     /// Sets the timeout applied to request/reply calls.
@@ -472,7 +472,7 @@ impl CoronaClient {
         let mut mirror = GroupMirror::from_transfer(&transfer);
         mirror.set_local_client(self.client_id);
         let mirror: SharedMirror = Arc::new(Mutex::new(mirror));
-        sup.groups.lock().push(SupervisedGroup {
+        lock(&sup.groups).push(SupervisedGroup {
             group,
             role,
             notify_membership,
@@ -492,8 +492,8 @@ impl CoronaClient {
         })
         .map(|_| ())?;
         if let Some(sup) = &self.supervisor {
-            sup.groups.lock().retain(|sg| sg.group != group);
-            sup.repairing.lock().remove(&group);
+            lock(&sup.groups).retain(|sg| sg.group != group);
+            lock(&sup.repairing).remove(&group);
         }
         Ok(())
     }
@@ -669,7 +669,7 @@ impl CoronaClient {
     /// supervised client: once the driver has exhausted its reconnect
     /// budget).
     pub fn next_event(&self) -> Result<ServerEvent> {
-        let events = self.events_rx.lock();
+        let events = lock(&self.events_rx);
         events.recv().map_err(|_| CoronaError::Disconnected)
     }
 
@@ -680,7 +680,7 @@ impl CoronaClient {
     /// [`CoronaError::Timeout`] on expiry, [`CoronaError::Disconnected`]
     /// when closed.
     pub fn next_event_timeout(&self, timeout: Duration) -> Result<ServerEvent> {
-        let events = self.events_rx.lock();
+        let events = lock(&self.events_rx);
         events.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => CoronaError::Timeout {
                 operation: "event stream",
@@ -691,7 +691,7 @@ impl CoronaClient {
 
     /// Returns a pending event without blocking.
     pub fn try_event(&self) -> Option<ServerEvent> {
-        self.events_rx.lock().try_recv().ok()
+        lock(&self.events_rx).try_recv().ok()
     }
 
     /// Closes the session: best-effort `Goodbye`, then transport close.
@@ -743,11 +743,11 @@ impl CoronaClient {
         request: ClientRequest,
         matcher: fn(&ServerEvent) -> bool,
     ) -> Result<ServerEvent> {
-        let _guard = self.call_guard.lock();
+        let _guard = lock(&self.call_guard);
         let (tx, rx) = mpsc::channel();
-        *self.shared.pending.lock() = Some(Pending { matcher, tx });
+        *lock(&self.shared.pending) = Some(Pending { matcher, tx });
         if let Err(e) = self.send_raw(request) {
-            self.shared.pending.lock().take();
+            lock(&self.shared.pending).take();
             return Err(e);
         }
         match rx.recv_timeout(self.call_timeout) {
@@ -756,7 +756,7 @@ impl CoronaClient {
             }
             Ok(event) => Ok(event),
             Err(RecvTimeoutError::Timeout) => {
-                self.shared.pending.lock().take();
+                lock(&self.shared.pending).take();
                 Err(CoronaError::Timeout {
                     operation: "server reply",
                 })
@@ -878,7 +878,7 @@ fn route_event(
             events_tx.send(event).is_ok()
         }
         event => {
-            let mut slot = shared.pending.lock();
+            let mut slot = lock(&shared.pending);
             let matched = match slot.as_ref() {
                 Some(p) => (p.matcher)(&event) || matches!(event, ServerEvent::Error { .. }),
                 None => false,
@@ -909,8 +909,8 @@ fn supervise(shared: &Arc<Shared>, sup: &Arc<Supervisor>, events_tx: &Sender<Ser
         read_stream(shared, events_tx, Some(sup));
         // The connection is gone: fail the pending call fast (the
         // caller sees Disconnected and can retry after the resume).
-        shared.pending.lock().take();
-        sup.repairing.lock().clear();
+        lock(&shared.pending).take();
+        lock(&sup.repairing).clear();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -950,7 +950,7 @@ fn backoff_delay(config: &FailoverConfig, round: u32) -> Duration {
 /// (coordinator first), then the seed addresses, deduplicated.
 fn candidate_addrs(shared: &Shared, sup: &Supervisor) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
-    if let Some(roster) = shared.roster.lock().clone() {
+    if let Some(roster) = lock(&shared.roster).clone() {
         for (server, addr) in roster
             .servers
             .iter()
@@ -1025,20 +1025,19 @@ fn resume_session(shared: &Arc<Shared>, sup: &Supervisor, conn: Box<dyn Connecti
     // under the mirror's catch-up policy which resyncs it (gap repair
     // across the failover). Group params are snapshotted so the mirror
     // locks are never held across a blocking receive.
-    let plans: Vec<(GroupId, MemberRole, bool, SharedMirror, StateTransferPolicy)> = sup
-        .groups
-        .lock()
-        .iter()
-        .map(|sg| {
-            (
-                sg.group,
-                sg.role,
-                sg.notify_membership,
-                Arc::clone(&sg.mirror),
-                sg.mirror.lock().catch_up_policy(),
-            )
-        })
-        .collect();
+    let plans: Vec<(GroupId, MemberRole, bool, SharedMirror, StateTransferPolicy)> =
+        lock(&sup.groups)
+            .iter()
+            .map(|sg| {
+                (
+                    sg.group,
+                    sg.role,
+                    sg.notify_membership,
+                    Arc::clone(&sg.mirror),
+                    lock(&sg.mirror).catch_up_policy(),
+                )
+            })
+            .collect();
     for (group, role, notify_membership, mirror, policy) in plans {
         conn.send(
             ClientRequest::Join {
@@ -1056,11 +1055,11 @@ fn resume_session(shared: &Arc<Shared>, sup: &Supervisor, conn: Box<dyn Connecti
         let ServerEvent::Joined { transfer, .. } = joined else {
             unreachable!("matcher guarantees Joined");
         };
-        mirror.lock().resync(&transfer);
+        lock(&mirror).resync(&transfer);
     }
 
-    *shared.server_id.lock() = server;
-    *shared.conn.lock() = Arc::new(conn);
+    *lock(&shared.server_id) = server;
+    *lock(&shared.conn) = Arc::new(conn);
     Ok(())
 }
 

@@ -6,14 +6,17 @@
 //! to hand to the (asynchronous) stable-storage logger. It performs
 //! **no I/O and reads no clocks**; the caller supplies timestamps.
 //!
-//! Two runtimes drive the same core:
+//! One runtime drives it, the [`kernel`](crate::kernel), under two
+//! clocks:
 //!
-//! * the threaded server in [`crate::server`] (real transports), and
-//! * the deterministic simulator in `corona-sim` (virtual time), which
-//!   is what makes the paper's experiments reproducible bit-for-bit.
+//! * the wall clock, on the dispatcher thread of a [`crate::server`]
+//!   or of a replica (real transports), and
+//! * the DES clock of `corona-sim`, which steps the same kernel —
+//!   inside each replica of a simulated cluster, where this core is the
+//!   coordinator's authoritative state — at virtual times.
 //!
-//! Because one core instance is driven from a single dispatcher thread
-//! (or a single simulated event), sequence numbers assigned here give
+//! Because one core instance is driven from a single dispatcher (a
+//! thread, or one simulated event at a time), sequence numbers assigned here give
 //! each group a total order; per-sender FIFO follows from ordered
 //! connections.
 

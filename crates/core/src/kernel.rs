@@ -23,6 +23,14 @@
 //!   that batch. Watchdogs, the protocol's tick and the metrics dump
 //!   run off its park timeout — there is no timer thread.
 //!
+//! **Time is an argument.** The dispatcher's whole body is
+//! `Dispatcher::run_pending(now_ms)`: the protocol, the watchdogs and
+//! the tick cadence see no clock but that number ([`Io::now_ms`]). The
+//! dispatcher thread is a loop that reads the time since start, calls
+//! it, and parks; [`Kernel::stepped`] hands the same dispatcher to a
+//! caller that owns the loop — and the clock — itself, which is how
+//! `corona-sim` runs whole clusters under virtual time.
+//!
 //! A group broadcast is encoded *and framed* **once** into a shared
 //! [`Frame`]; the dispatcher pushes a clone of the handle — not the
 //! bytes, not a fresh checksum — straight onto every recipient's
@@ -40,6 +48,7 @@
 //! set goes to the transport's own threads, one wake-up each.
 
 use crate::config::ServerConfig;
+use crate::lock;
 use crate::qos::{classify, EventClass, QosPolicy};
 use bytes::Bytes;
 use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
@@ -55,7 +64,7 @@ use corona_types::message::{ClientRequest, ServerEvent};
 use corona_types::state::Timestamp;
 use corona_types::wire::{decode_traced, encode_traced, Encode, TraceToken};
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,8 +126,9 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(50);
 /// control then throttles the peers — until fewer than half are left.
 pub const SINK_QUEUE_HWM: usize = 8192;
 
-/// Within one batch, the tick deadline is looked at once in this many
-/// commands: a batch can be [`SINK_QUEUE_HWM`] long.
+/// Commands one [`Dispatcher::run_pending`] turn handles before it
+/// returns for a new reading of the time, so that the tick deadline is
+/// looked at inside a batch too: a batch can be [`SINK_QUEUE_HWM`] long.
 const TICK_CHECK_STRIDE: usize = 64;
 
 /// The widest dirty set the dispatcher flushes by itself. Writing a
@@ -230,6 +240,8 @@ pub struct Io {
     peers: HashMap<u64, PeerLink>,
     peer_sink: Arc<dyn FrameSink>,
     dialled: u64,
+    /// The time of the current dispatcher turn.
+    now_ms: u64,
     /// The trace token of the client frame being handled, if any.
     trace: Option<TraceToken>,
     fanned: bool,
@@ -242,8 +254,9 @@ pub struct Io {
     queue_depth: Arc<Gauge>,
     queue_batch: Arc<Histogram>,
     transport_metrics: TransportMetrics,
-    /// When and for whom to print the next metrics dump, if configured.
-    dump: Option<(Instant, Duration, String)>,
+    /// When (on the [`Io::now_ms`] clock), how often and for whom to
+    /// print the next metrics dump, if configured.
+    dump: Option<(u64, u64, String)>,
     stage_handle_us: Arc<Histogram>,
     stage_fanout_us: Arc<Histogram>,
     /// Multicast payload encodes — exactly one per group broadcast,
@@ -468,9 +481,11 @@ impl Io {
         }
     }
 
-    /// Every client authenticated on this server.
+    /// Every client authenticated on this server, in id order.
     pub fn clients(&self) -> Vec<ClientId> {
-        self.client_conn.keys().copied().collect()
+        let mut clients: Vec<ClientId> = self.client_conn.keys().copied().collect();
+        clients.sort_unstable();
+        clients
     }
 
     /// Connections in the client table, authenticated or not.
@@ -483,10 +498,11 @@ impl Io {
         self.trace
     }
 
-    /// Milliseconds since the server started — the one clock the
-    /// watchdogs and protocol timers share.
+    /// Milliseconds since the server started, as of this dispatcher
+    /// turn — the one clock the watchdogs and protocol timers share. It
+    /// is whatever the dispatcher's driver passed `run_pending`.
     pub fn now_ms(&self) -> u64 {
-        self.health.uptime_ms()
+        self.now_ms
     }
 
     /// Takes a dialled connection into the peer table; its frames and
@@ -560,68 +576,86 @@ fn health_snapshot<P: Protocol>(proto: &P, io: &Io) -> String {
         })
         .collect();
     io.health
-        .snapshot_json(&pressure, &io.watchdogs.stalled_groups())
+        .snapshot_json(io.now_ms, &pressure, &io.watchdogs.stalled_groups())
 }
 
-/// The dispatcher thread's state: the protocol and the I/O half.
+/// The protocol, the I/O half and the command queue: all the
+/// dispatcher is, less a thread. Whoever calls
+/// [`Dispatcher::run_pending`] is the dispatcher — the thread
+/// [`Kernel::start`] spawns, or the owner of a [`Kernel::stepped`].
 struct Dispatcher<P> {
     proto: P,
     io: Io,
+    commands: Arc<Inbox<Command<P>>>,
+    /// The batch in hand, next command last.
+    batch: Vec<Command<P>>,
+    /// Cleared by the drain that finds the queue closed.
+    open: bool,
+    tick_every_ms: u64,
+    next_tick_ms: u64,
 }
 
 impl<P: Protocol> Dispatcher<P> {
-    fn run(mut self, commands: &Inbox<Command<P>>) {
-        let tick_every = self.proto.tick_every().unwrap_or(WATCHDOG_POLL);
-        let mut next_tick = Instant::now() + tick_every;
-        let mut batch = Vec::new();
-        loop {
-            self.tick_if_due(&mut next_tick, tick_every);
-            // What the batch queued leaves now, before the next one is
-            // looked for — or slept for.
-            self.io.flush();
-            let open = commands.drain_or_park(&mut batch, Some(next_tick));
-            self.io.queue_depth.set(batch.len() as i64);
-            if !batch.is_empty() {
-                self.io.queue_batch.record(batch.len() as u64);
+    /// The dispatcher thread: reads the clock, takes a turn, and sleeps
+    /// once a turn finds nothing to do.
+    fn run(mut self) {
+        let started = Instant::now();
+        while self.open || !self.batch.is_empty() {
+            if !self.run_pending(started.elapsed().as_millis() as u64) {
+                let next_tick = started + Duration::from_millis(self.next_tick_ms);
+                self.commands.park(Some(next_tick));
             }
-            for (i, cmd) in batch.drain(..).enumerate() {
-                if i % TICK_CHECK_STRIDE == TICK_CHECK_STRIDE - 1 {
-                    self.tick_if_due(&mut next_tick, tick_every);
-                }
-                self.handle(cmd);
-            }
-            if !open {
-                break;
-            }
-        }
-        // Closing every connection lets pull-mode readers exit; one
-        // accepted from here on is dropped, and so closed, by the queue.
-        for state in self.io.conns.values() {
-            state.conn.close();
-        }
-        for (_, link) in self.io.peers.drain() {
-            join_reader(link);
         }
     }
 
-    /// Once `next_tick` has passed: polls the watchdogs, runs the
+    /// One turn at `now_ms`: the tick if it is due, then up to
+    /// [`TICK_CHECK_STRIDE`] commands — of the batch in hand or, with
+    /// none, of whatever has queued up since, swapped out without
+    /// blocking — and, once a batch is done, the flush of what it
+    /// queued. `false` if there was nothing to handle: the next thing
+    /// to happen is a push, or `next_tick_ms`.
+    fn run_pending(&mut self, now_ms: u64) -> bool {
+        self.io.now_ms = now_ms;
+        self.tick_if_due();
+        if self.batch.is_empty() {
+            self.open = self.commands.drain_into(&mut self.batch);
+            self.io.queue_depth.set(self.batch.len() as i64);
+            if self.batch.is_empty() {
+                return false;
+            }
+            self.io.queue_batch.record(self.batch.len() as u64);
+            self.batch.reverse();
+        }
+        for _ in 0..TICK_CHECK_STRIDE {
+            let Some(cmd) = self.batch.pop() else { break };
+            self.handle(cmd);
+        }
+        if self.batch.is_empty() {
+            // What the batch queued leaves now, before the next one is
+            // looked for — or slept for.
+            self.io.flush();
+        }
+        true
+    }
+
+    /// Once `next_tick_ms` has passed: polls the watchdogs, runs the
     /// protocol's tick — flushing at once, so that a heartbeat sent
     /// from inside a long batch does not wait for the batch's end —
     /// and prints the metrics dump if one is due.
-    fn tick_if_due(&mut self, next_tick: &mut Instant, tick_every: Duration) {
-        let now = Instant::now();
-        if now < *next_tick {
+    fn tick_if_due(&mut self) {
+        let now_ms = self.io.now_ms;
+        if now_ms < self.next_tick_ms {
             return;
         }
-        *next_tick = now + tick_every;
-        for event in self.io.watchdogs.poll(&self.io.health, self.io.now_ms()) {
+        self.next_tick_ms = now_ms + self.tick_every_ms;
+        for event in self.io.watchdogs.poll(&self.io.health, now_ms) {
             self.io.health.emit(event);
         }
         self.step(None, |proto, io| proto.tick(io));
         self.io.flush();
         if let Some((next_dump, every, addr)) = &mut self.io.dump {
-            if now >= *next_dump {
-                *next_dump = now + *every;
+            if now_ms >= *next_dump {
+                *next_dump = now_ms + *every;
                 let json = self.io.registry.snapshot().render_json();
                 eprintln!("corona-metrics {addr} {json}");
             }
@@ -799,6 +833,24 @@ impl<P: Protocol> Dispatcher<P> {
     }
 }
 
+/// Closing every connection — in id order: a close is an event at its
+/// peer — lets pull-mode readers exit; one accepted from here on is
+/// dropped, and so closed, by the queue.
+impl<P> Drop for Dispatcher<P> {
+    fn drop(&mut self) {
+        let mut conns: Vec<(&u64, &ConnState)> = self.io.conns.iter().collect();
+        conns.sort_unstable_by_key(|(id, _)| **id);
+        for (_, state) in conns {
+            state.conn.close();
+        }
+        let mut peers: Vec<(u64, PeerLink)> = self.io.peers.drain().collect();
+        peers.sort_unstable_by_key(|(id, _)| *id);
+        for (_, link) in peers {
+            join_reader(link);
+        }
+    }
+}
+
 /// Closes a peer link (which ends its reader) and joins the reader.
 fn join_reader(link: PeerLink) {
     link.conn.close();
@@ -815,8 +867,8 @@ pub(crate) fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinH
         .expect("spawn server thread")
 }
 
-/// A running kernel: the handle a server type wraps. Dropping it shuts
-/// the kernel down.
+/// A kernel: the handle a server type wraps. Dropping it shuts the
+/// kernel down.
 pub struct Kernel<P> {
     /// The metric registry shared by kernel, transports and protocol.
     /// Live handle — snapshots taken here race the dispatcher.
@@ -829,10 +881,13 @@ pub struct Kernel<P> {
     /// Joined in order at shutdown: the dispatcher, accept threads,
     /// whatever [`Kernel::join_after`] added.
     threads: Vec<JoinHandle<()>>,
+    /// The dispatcher itself, if the caller owns the loop (boxed: the
+    /// handle of a started kernel should not carry its size).
+    stepped: Option<Box<Mutex<Dispatcher<P>>>>,
 }
 
 impl<P: Protocol> Kernel<P> {
-    /// Starts the dispatcher around `proto` and begins serving
+    /// Starts the dispatcher thread around `proto` and begins serving
     /// `client_listener` and, for a protocol with a peer plane,
     /// `peer_listener`. `name` prefixes the thread names; `config`
     /// supplies the QoS policy, queue bound, SLO, watchdog thresholds
@@ -845,6 +900,71 @@ impl<P: Protocol> Kernel<P> {
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
     ) -> Kernel<P> {
+        let (mut kernel, dispatcher, sinks) = Self::assemble(
+            name,
+            config,
+            registry,
+            proto,
+            client_listener,
+            peer_listener,
+        );
+        let dispatch = spawn(format!("{name}-dispatcher"), move || dispatcher.run());
+        kernel.threads.push(dispatch);
+        for (listener, sink) in kernel.listeners.iter().zip(sinks) {
+            kernel
+                .threads
+                .extend(serve(name, Arc::clone(listener), sink));
+        }
+        kernel
+    }
+
+    /// [`Kernel::start`] without a thread: the same dispatcher, turned
+    /// by whoever calls [`Kernel::run_pending`] at whatever time that
+    /// caller says it is. Nothing is spawned, so the listeners (and
+    /// whatever the protocol dials) must push.
+    ///
+    /// # Errors
+    ///
+    /// [`CoronaError::InvalidState`] if a listener declines
+    /// [`Listener::attach_sink`].
+    pub fn stepped(
+        name: &str,
+        config: &ServerConfig,
+        registry: Arc<Registry>,
+        proto: P,
+        client_listener: Box<dyn Listener>,
+        peer_listener: Option<Box<dyn Listener>>,
+    ) -> Result<Kernel<P>> {
+        let (mut kernel, dispatcher, sinks) = Self::assemble(
+            name,
+            config,
+            registry,
+            proto,
+            client_listener,
+            peer_listener,
+        );
+        for (listener, sink) in kernel.listeners.iter().zip(sinks) {
+            if !listener.attach_sink(sink) {
+                let addr = listener.local_addr();
+                return Err(CoronaError::InvalidState(format!(
+                    "a stepped kernel cannot pull: the listener at {addr} takes no sink"
+                )));
+            }
+        }
+        kernel.stepped = Some(Box::new(Mutex::new(dispatcher)));
+        Ok(kernel)
+    }
+
+    /// The parts both constructors share: the handle, the dispatcher
+    /// and each listener's sink, serving nothing yet.
+    fn assemble(
+        name: &str,
+        config: &ServerConfig,
+        registry: Arc<Registry>,
+        proto: P,
+        client_listener: Box<dyn Listener>,
+        peer_listener: Option<Box<dyn Listener>>,
+    ) -> (Kernel<P>, Dispatcher<P>, Vec<Arc<dyn FrameSink>>) {
         let health = HealthRegistry::new(config.slo);
         health.set_queue_capacity(config.send_queue_capacity as u64);
         let commands = Arc::new(Inbox::<Command<P>>::parked());
@@ -871,6 +991,7 @@ impl<P: Protocol> Kernel<P> {
             peers: HashMap::new(),
             peer_sink: sink(Plane::Peer),
             dialled: 0,
+            now_ms: 0,
             trace: None,
             fanned: false,
             fanout_traced: false,
@@ -881,8 +1002,8 @@ impl<P: Protocol> Kernel<P> {
             queue_batch: registry.histogram("server.queue.batch"),
             transport_metrics: transport_metrics.clone(),
             dump: config.metrics_dump_interval.map(|every| {
-                let addr = client_listener.local_addr();
-                (Instant::now() + every, every, addr)
+                let every = every.as_millis() as u64;
+                (every, every, client_listener.local_addr())
             }),
             stage_handle_us: registry.histogram("server.stage.handle_us"),
             stage_fanout_us: registry.histogram("server.stage.fanout_us"),
@@ -899,33 +1020,65 @@ impl<P: Protocol> Kernel<P> {
             flush_conns: registry.histogram("server.fanout.flush_conns"),
             flush_inline: registry.counter("server.fanout.flush_inline"),
         };
-        let queue = Arc::clone(&commands);
-        let run = move || Dispatcher { proto, io }.run(&queue);
-        let mut threads = vec![spawn(format!("{name}-dispatcher"), run)];
-
-        let mut listeners: Vec<Arc<dyn Listener>> = Vec::new();
-        let planes = [
-            (Plane::Client, Some(client_listener)),
-            (Plane::Peer, peer_listener),
-        ];
-        for (plane, listener) in planes {
-            let Some(listener) = listener else { continue };
-            let listener: Arc<dyn Listener> = Arc::from(listener);
-            threads.extend(serve(name, Arc::clone(&listener), sink(plane)));
-            listeners.push(listener);
+        let tick_every = proto.tick_every().unwrap_or(WATCHDOG_POLL);
+        let tick_every_ms = (tick_every.as_millis() as u64).max(1);
+        let dispatcher = Dispatcher {
+            proto,
+            io,
+            commands: Arc::clone(&commands),
+            batch: Vec::new(),
+            open: true,
+            tick_every_ms,
+            next_tick_ms: tick_every_ms,
+        };
+        let mut listeners: Vec<Arc<dyn Listener>> = vec![Arc::from(client_listener)];
+        let mut sinks = vec![sink(Plane::Client)];
+        if let Some(listener) = peer_listener {
+            listeners.push(Arc::from(listener));
+            sinks.push(sink(Plane::Peer));
         }
-
-        Kernel {
+        let kernel = Kernel {
             registry,
             health,
             commands,
             listeners,
-            threads,
-        }
+            threads: Vec::new(),
+            stepped: None,
+        };
+        (kernel, dispatcher, sinks)
+    }
+
+    /// One turn of a [`Kernel::stepped`] dispatcher at `now_ms`,
+    /// milliseconds since the server started: the protocol's tick if
+    /// it is due, then a bounded number of the commands the transports
+    /// have queued. `true` if any were handled — call again before
+    /// time moves; after `false` the next thing to happen here is an
+    /// arriving frame, or [`Kernel::next_tick_ms`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a kernel that was [started](Kernel::start): its
+    /// dispatcher belongs to its thread.
+    pub fn run_pending(&self, now_ms: u64) -> bool {
+        self.dispatcher().run_pending(now_ms)
+    }
+
+    /// When a [`Kernel::stepped`] dispatcher's next tick is due.
+    ///
+    /// # Panics
+    ///
+    /// As [`Kernel::run_pending`].
+    pub fn next_tick_ms(&self) -> u64 {
+        self.dispatcher().next_tick_ms
+    }
+
+    fn dispatcher(&self) -> MutexGuard<'_, Dispatcher<P>> {
+        lock(self.stepped.as_ref().expect("kernel is not stepped"))
     }
 
     /// Runs `query` on the dispatcher, between two protocol steps, so
-    /// everything it reads is mutually consistent.
+    /// everything it reads is mutually consistent: as a command to the
+    /// dispatcher thread, or at once on a stepped kernel.
     ///
     /// # Errors
     ///
@@ -935,6 +1088,10 @@ impl<P: Protocol> Kernel<P> {
         &self,
         query: impl FnOnce(&mut P, &mut Io) -> R + Send + 'static,
     ) -> Result<R> {
+        if let Some(dispatcher) = &self.stepped {
+            let dispatcher = &mut *lock(dispatcher);
+            return Ok(query(&mut dispatcher.proto, &mut dispatcher.io));
+        }
         let (tx, rx) = mpsc::channel();
         let query = move |proto: &mut P, io: &mut Io| {
             let _ = tx.send(query(proto, io));

@@ -18,9 +18,10 @@
 //!
 //! The protocol logic lives in the I/O-free [`ServerCore`] state
 //! machine; [`server::CoronaServer`] wraps it in the runtime
-//! [`kernel`] (which the replicated service's servers run too), and the
-//! `corona-sim` crate drives the same core under virtual time to
-//! reproduce the paper's experiments deterministically.
+//! [`kernel`] (which the replicated service's servers run too). Time
+//! is an argument of that kernel, so the `corona-sim` crate steps the
+//! very same code, whole replicated clusters of it, under a
+//! discrete-event clock and checks it seed by seed.
 //!
 //! ## Quickstart
 //!
@@ -77,3 +78,9 @@ pub use mirror::{ApplyOutcome, GroupMirror};
 pub use qos::{classify, EventClass, QosPolicy};
 pub use rawwire::RawMember;
 pub use server::{CoronaServer, ServerStats};
+
+/// Locks past a poisoning: every update made under this crate's locks
+/// leaves its data valid at each step.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -309,7 +309,8 @@ impl CoronaServer {
                     let mut batch = Vec::new();
                     let mut open = true;
                     while open {
-                        open = effects.drain_or_park(&mut batch, None);
+                        effects.park(None);
+                        open = effects.drain_into(&mut batch);
                         if !batch.is_empty() {
                             log_batch.record(batch.len() as u64);
                         }

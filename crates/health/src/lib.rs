@@ -45,6 +45,12 @@ pub use watchdog::{OpsEvent, WatchdogConfig, Watchdogs};
 /// field is renamed or its meaning changes; scrapers must check it.
 pub const SCHEMA_VERSION: u16 = 1;
 
+/// Locks past a poisoning: every update made under the health plane's
+/// locks leaves its data valid at each step.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Escapes `s` into `out` as the body of a JSON string literal.
 pub(crate) fn json_escape_into(out: &mut String, s: &str) {
     use std::fmt::Write;

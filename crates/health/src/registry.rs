@@ -5,15 +5,14 @@
 //! registry is only locked to *register* a new group cell or to cut a
 //! snapshot — mirroring the design of `corona_metrics::Registry`.
 
+use crate::lock;
 use crate::slo::{SloConfig, SloTracker};
 use crate::watchdog::OpsEvent;
 use corona_types::id::GroupId;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 /// Ops events retained for introspection (the JSONL line is the
 /// durable record; this ring only feeds the `Health` snapshot).
@@ -149,7 +148,6 @@ pub struct ConnPressure {
 
 /// The health registry: one per server runtime.
 pub struct HealthRegistry {
-    started: Instant,
     snapshot_seq: AtomicU64,
     groups: Mutex<BTreeMap<GroupId, Arc<GroupHealth>>>,
     queue_hwm: AtomicU64,
@@ -166,7 +164,6 @@ impl HealthRegistry {
     /// Creates a registry whose SLO tracker uses `slo`.
     pub fn new(slo: SloConfig) -> Arc<HealthRegistry> {
         Arc::new(HealthRegistry {
-            started: Instant::now(),
             snapshot_seq: AtomicU64::new(0),
             groups: Mutex::new(BTreeMap::new()),
             queue_hwm: AtomicU64::new(0),
@@ -183,8 +180,7 @@ impl HealthRegistry {
     /// The health cell for `group`, created on first use.
     pub fn group(&self, group: GroupId) -> Arc<GroupHealth> {
         Arc::clone(
-            self.groups
-                .lock()
+            lock(&self.groups)
                 .entry(group)
                 .or_insert_with(|| Arc::new(GroupHealth::default())),
         )
@@ -192,8 +188,7 @@ impl HealthRegistry {
 
     /// All registered group cells, in group-id order.
     pub fn groups(&self) -> Vec<(GroupId, Arc<GroupHealth>)> {
-        self.groups
-            .lock()
+        lock(&self.groups)
             .iter()
             .map(|(g, cell)| (*g, Arc::clone(cell)))
             .collect()
@@ -271,11 +266,6 @@ impl HealthRegistry {
         &self.slo
     }
 
-    /// Milliseconds since the registry (== the server) started.
-    pub fn uptime_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
     /// Emits an ops event: stamps the latest trace id, dumps the
     /// flight recorder (a no-op unless tracing is enabled), writes one
     /// structured JSONL line to stderr, and retains the event for the
@@ -289,7 +279,7 @@ impl HealthRegistry {
                 corona_trace::flight_dump(event.kind).map(|p| p.display().to_string());
         }
         eprintln!("corona-ops {}", event.to_json());
-        let mut ops = self.ops.lock();
+        let mut ops = lock(&self.ops);
         if ops.len() == OPS_RING {
             ops.pop_front();
         }
@@ -299,7 +289,7 @@ impl HealthRegistry {
 
     /// The retained ops events, oldest first.
     pub fn ops_events(&self) -> Vec<OpsEvent> {
-        self.ops.lock().iter().cloned().collect()
+        lock(&self.ops).iter().cloned().collect()
     }
 
     /// Renders the versioned health snapshot as one JSON object and
@@ -307,10 +297,16 @@ impl HealthRegistry {
     ///
     /// `conns` is the per-connection backpressure view gathered by the
     /// runtime; `stalled` names the groups whose sequencing-stall
-    /// watchdog is currently tripped.
-    pub fn snapshot_json(&self, conns: &[ConnPressure], stalled: &[GroupId]) -> String {
+    /// watchdog is currently tripped; `uptime_ms` is the runtime's own
+    /// clock (the one its SLO samples and ops events are stamped with),
+    /// the registry has none.
+    pub fn snapshot_json(
+        &self,
+        uptime_ms: u64,
+        conns: &[ConnPressure],
+        stalled: &[GroupId],
+    ) -> String {
         let seq = self.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let uptime_ms = self.uptime_ms();
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
@@ -383,7 +379,7 @@ impl HealthRegistry {
 impl std::fmt::Debug for HealthRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthRegistry")
-            .field("groups", &self.groups.lock().len())
+            .field("groups", &lock(&self.groups).len())
             .field("queue_hwm", &self.queue_hwm())
             .finish_non_exhaustive()
     }
@@ -430,8 +426,9 @@ mod tests {
         reg.group(GroupId::new(1)).note_sequenced(9);
         reg.note_queue_depth(12);
         reg.note_queue_depth(4);
-        let a = reg.snapshot_json(&[], &[]);
+        let a = reg.snapshot_json(7, &[], &[]);
         let b = reg.snapshot_json(
+            8,
             &[ConnPressure {
                 conn_id: 5,
                 backlog: 2,
@@ -439,7 +436,7 @@ mod tests {
             }],
             &[GroupId::new(1)],
         );
-        assert!(a.contains("\"schema\":1"), "{a}");
+        assert!(a.contains("\"schema\":1,\"uptime_ms\":7,"), "{a}");
         assert!(a.contains("\"seq\":1"), "{a}");
         assert!(b.contains("\"seq\":2"), "{b}");
         assert!(
@@ -450,7 +447,7 @@ mod tests {
         assert!(b.contains("\"id\":5"), "{b}");
         assert!(a.contains("\"fenced\":false"), "{a}");
         reg.set_fenced(true);
-        let c = reg.snapshot_json(&[], &[]);
+        let c = reg.snapshot_json(7, &[], &[]);
         assert!(c.contains("\"fenced\":true"), "{c}");
         assert!(reg.fenced());
     }
@@ -466,7 +463,7 @@ mod tests {
             3,
         ));
         assert_eq!(e.trace, 42, "emit stamps the in-flight trace id");
-        let snap = reg.snapshot_json(&[], &[]);
+        let snap = reg.snapshot_json(7, &[], &[]);
         assert!(snap.contains("sequencing_stall"), "{snap}");
     }
 }

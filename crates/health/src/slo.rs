@@ -8,11 +8,12 @@
 //! fraction. A burn rate of 1.0 means the error budget is being spent
 //! exactly as provisioned; above 1.0 it will be exhausted early.
 
+use crate::lock;
 use corona_metrics::Histogram;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Number of sub-buckets the sliding window is divided into.
 const WINDOW_BUCKETS: u64 = 16;
@@ -81,7 +82,7 @@ impl SloTracker {
         }
         let span = (self.config.window_ms / WINDOW_BUCKETS).max(1);
         let start_ms = now_ms - now_ms % span;
-        let mut window = self.window.lock();
+        let mut window = lock(&self.window);
         match window.back_mut() {
             Some(b) if b.start_ms == start_ms => {
                 b.total += 1;
@@ -106,7 +107,7 @@ impl SloTracker {
         let horizon = now_ms.saturating_sub(self.config.window_ms);
         let (mut total, mut breached) = (0u64, 0u64);
         let span = (self.config.window_ms / WINDOW_BUCKETS).max(1);
-        for b in self.window.lock().iter() {
+        for b in lock(&self.window).iter() {
             if b.start_ms + span > horizon {
                 total += b.total;
                 breached += b.breached;

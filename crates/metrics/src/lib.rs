@@ -12,7 +12,7 @@
 //!    including the server's dispatcher hot path. No locks, no
 //!    allocation, no clock reads.
 //! 2. **Handles are cheap** — metric handles are `Arc`s resolved once
-//!    from the registry (a short `parking_lot::Mutex` critical
+//!    from the registry (a short mutex critical
 //!    section) and then cached by the recording code.
 //! 3. **Snapshots are monotone** — a [`Registry::snapshot`] taken
 //!    later never reports smaller counter or histogram totals than an
@@ -47,11 +47,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Number of histogram buckets: one for zero plus one per power of
@@ -384,6 +383,11 @@ pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
+/// Locks past a poisoning: an insert leaves the map valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl Registry {
     /// Creates an empty registry, ready to share.
     pub fn new() -> Arc<Registry> {
@@ -396,7 +400,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = lock(&self.metrics);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
@@ -412,7 +416,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = lock(&self.metrics);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
@@ -429,7 +433,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = lock(&self.metrics);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
@@ -441,7 +445,7 @@ impl Registry {
 
     /// A point-in-time snapshot of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let metrics = self.metrics.lock();
+        let metrics = lock(&self.metrics);
         let mut snap = MetricsSnapshot::default();
         for (name, metric) in metrics.iter() {
             match metric {

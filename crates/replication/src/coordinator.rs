@@ -174,12 +174,14 @@ impl CoordinatorCore {
     /// A member server (all of its clients) crashed: clean up every
     /// client homed there.
     pub fn server_crashed(&mut self, server: ServerId) -> Vec<CoordEffect> {
-        let clients: Vec<ClientId> = self
+        let mut clients: Vec<ClientId> = self
             .client_home
             .iter()
             .filter(|(_, s)| **s == server)
             .map(|(c, _)| *c)
             .collect();
+        // Their departures reach the wire: in an order that replays.
+        clients.sort_unstable();
         let mut effects = Vec::new();
         for client in clients {
             self.client_home.remove(&client);

@@ -17,8 +17,8 @@ use corona_statelog::GroupLog;
 use corona_types::id::{ClientId, GroupId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent, PROTOCOL_VERSION};
 use corona_types::policy::{DeliveryScope, MemberInfo, Persistence};
-use corona_types::state::{SharedState, Timestamp};
-use std::collections::HashMap;
+use corona_types::state::{LoggedUpdate, SharedState, Timestamp};
+use std::collections::{BTreeMap, HashMap};
 
 /// Outputs of the replica core.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,12 +49,46 @@ struct LocalMember {
     notify: bool,
 }
 
+/// Ordered maps wherever iteration reaches a wire (resync, fan-out
+/// recipients): a run must replay from its inputs alone.
 #[derive(Debug, Clone, Default)]
 struct LocalGroup {
-    members: HashMap<ClientId, LocalMember>,
+    members: BTreeMap<ClientId, LocalMember>,
     persistence: Persistence,
-    /// Hot-standby log copy; `None` until the bootstrap query answers.
+    /// Hot-standby log copy; `None` until the bootstrap query answers
+    /// (and while quarantined after a demotion).
     log: Option<GroupLog>,
+    /// With no copy to say so: the last update local members have been
+    /// handed — the `through` of the `Joined` that started hosting,
+    /// then each successor fanned out since.
+    through: SeqNo,
+    /// A bootstrap reply came too old to adopt: ask once more.
+    overtaken: bool,
+}
+
+impl LocalGroup {
+    /// The last update local members have been handed, in order.
+    fn handed(&self) -> SeqNo {
+        self.log.as_ref().map_or(self.through, GroupLog::last_seq)
+    }
+
+    /// One multicast per update of `log` past `after`, in order, to
+    /// every local member.
+    fn replay(&self, group: GroupId, log: &GroupLog, after: SeqNo) -> Vec<ReplicaEffect> {
+        let recipients: Vec<ClientId> = self.members.keys().copied().collect();
+        if recipients.is_empty() {
+            return Vec::new();
+        }
+        let to_members = |logged: &LoggedUpdate| ReplicaEffect::ToClients {
+            recipients: recipients.clone(),
+            event: ServerEvent::Multicast {
+                group,
+                logged: logged.clone(),
+            },
+        };
+        let window = log.suffix_iter().filter(|u| u.seq > after);
+        window.map(to_members).collect()
+    }
 }
 
 /// The replica state machine. See the module docs.
@@ -63,7 +97,7 @@ pub struct ReplicaCore {
     next_tag: u64,
     next_local_client: u64,
     pending: HashMap<u64, ClientRequest>,
-    groups: HashMap<GroupId, LocalGroup>,
+    groups: BTreeMap<GroupId, LocalGroup>,
     clients: HashMap<ClientId, String>,
 }
 
@@ -75,7 +109,7 @@ impl ReplicaCore {
             next_tag: 1,
             next_local_client: 1,
             pending: HashMap::new(),
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
             clients: HashMap::new(),
         }
     }
@@ -264,34 +298,28 @@ impl ReplicaCore {
                     for u in updates {
                         let _ = log.append_sequenced(u);
                     }
-                    let prev_tail = local.log.as_ref().map(|l| l.last_seq());
-                    // Only adopt if fresher than what we have.
-                    let fresher = prev_tail.map(|t| log.last_seq() > t).unwrap_or(true);
-                    if fresher {
-                        if let Some(prev) = prev_tail {
-                            // This refresh closes a `Sequenced` gap
-                            // (e.g. a new coordinator fanned out a few
-                            // updates before learning we host the
-                            // group). Local fan-out was suppressed
-                            // while the copy was stale, so deliver the
-                            // whole missed window, in order, now. The
-                            // log does not record per-update delivery
-                            // scope, so a local sender may see its own
-                            // sender-exclusive update again; mirrors
-                            // deduplicate by sequence number.
-                            let recipients: Vec<ClientId> = local.members.keys().copied().collect();
-                            if !recipients.is_empty() {
-                                for logged in log.suffix_iter().filter(|u| u.seq > prev) {
-                                    effects.push(ReplicaEffect::ToClients {
-                                        recipients: recipients.clone(),
-                                        event: ServerEvent::Multicast {
-                                            group,
-                                            logged: logged.clone(),
-                                        },
-                                    });
-                                }
-                            }
-                        }
+                    let handed = local.handed();
+                    if local.log.is_none() && log.last_seq() < handed {
+                        // Overtaken by updates that went out live while
+                        // it was in flight: it cannot be the copy of a
+                        // stream already past it. The next `Sequenced`
+                        // asks again — not this arm, or a coordinator
+                        // whose log ends short of `handed` (a failover
+                        // that lost the tail) would be asked for ever.
+                        local.overtaken = true;
+                    } else if local.log.is_none() || log.last_seq() > handed {
+                        // Fresher than what we have, and maybe the
+                        // refresh that closes a `Sequenced` gap (a new
+                        // coordinator fanned out a few updates before
+                        // learning we host the group; a reordered link
+                        // put one ahead of its predecessor). Local
+                        // fan-out was suppressed from the gap on, so
+                        // deliver the whole missed window, in order,
+                        // now. The log does not record per-update
+                        // delivery scope, so a local sender may see its
+                        // own sender-exclusive update again; mirrors
+                        // deduplicate by sequence number.
+                        effects = local.replay(group, &log, handed);
                         local.log = Some(log);
                     }
                     local.persistence = persistence;
@@ -364,6 +392,7 @@ impl ReplicaCore {
         let mut out = Vec::new();
         for (gid, group) in self.groups.iter_mut() {
             if let Some(log) = group.log.take() {
+                group.through = log.last_seq();
                 out.push((*gid, log));
             }
         }
@@ -381,22 +410,10 @@ impl ReplicaCore {
         log: GroupLog,
         replay_from: SeqNo,
     ) -> Vec<ReplicaEffect> {
-        let mut effects = Vec::new();
         let Some(local) = self.groups.get_mut(&group) else {
-            return effects;
+            return Vec::new();
         };
-        let recipients: Vec<ClientId> = local.members.keys().copied().collect();
-        if !recipients.is_empty() {
-            for logged in log.suffix_iter().filter(|u| u.seq > replay_from) {
-                effects.push(ReplicaEffect::ToClients {
-                    recipients: recipients.clone(),
-                    event: ServerEvent::Multicast {
-                        group,
-                        logged: logged.clone(),
-                    },
-                });
-            }
-        }
+        let effects = local.replay(group, &log, replay_from);
         local.log = Some(log);
         effects
     }
@@ -422,13 +439,16 @@ impl ReplicaCore {
                             notify_membership,
                             ..
                         },
-                        ServerEvent::Joined { .. },
+                        ServerEvent::Joined { transfer, .. },
                     ) => {
                         let display = self.clients.get(&client).cloned().unwrap_or_default();
                         let first_member;
                         {
                             let local = self.groups.entry(*group).or_default();
                             first_member = local.members.is_empty();
+                            if first_member {
+                                local.through = transfer.through;
+                            }
                             local.members.insert(
                                 client,
                                 LocalMember {
@@ -503,12 +523,14 @@ impl ReplicaCore {
     fn sequenced(
         &mut self,
         group: GroupId,
-        logged: corona_types::state::LoggedUpdate,
+        logged: LoggedUpdate,
         scope: DeliveryScope,
     ) -> Vec<ReplicaEffect> {
         let mut effects = Vec::new();
         let mut needs_refresh = false;
         let mut duplicate = false;
+        // Still no copy, and the last reply was overtaken.
+        let mut requery = false;
         if let Some(local) = self.groups.get_mut(&group) {
             // Keep the standby copy current.
             match &mut local.log {
@@ -523,14 +545,24 @@ impl ReplicaCore {
                     needs_refresh = !appended && logged.seq > log.last_seq();
                     duplicate = !appended && !needs_refresh;
                 }
-                None if logged.seq == SeqNo::new(1) => {
-                    // First update of a brand-new group: we can build
-                    // the copy without a query.
-                    let mut log = GroupLog::new(group, SharedState::new());
-                    let _ = log.append_sequenced(logged.clone());
-                    local.log = Some(log);
+                // No copy yet (its bootstrap reply is in flight, or it
+                // is quarantined): the same three cases, against what
+                // members have been handed. A successor goes out live.
+                None if logged.seq == local.through.next() => {
+                    local.through = logged.seq;
+                    requery = std::mem::take(&mut local.overtaken);
+                    if logged.seq == SeqNo::new(1) {
+                        // First update of a brand-new group: we can
+                        // build the copy without a query.
+                        let mut log = GroupLog::new(group, SharedState::new());
+                        let _ = log.append_sequenced(logged.clone());
+                        local.log = Some(log);
+                    }
                 }
-                None => {}
+                None => {
+                    needs_refresh = logged.seq > local.through;
+                    duplicate = !needs_refresh;
+                }
             }
             // Local fan-out: one batched effect so the runtime encodes
             // the frame once for all local recipients. Suppressed while
@@ -555,7 +587,7 @@ impl ReplicaCore {
                 }
             }
         }
-        if needs_refresh {
+        if needs_refresh || requery {
             effects.push(ReplicaEffect::ToCoordinator(PeerMessage::GroupStateQuery {
                 from: self.me,
                 group,

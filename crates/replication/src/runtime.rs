@@ -17,7 +17,10 @@
 //! reconciliation after a heal. It spawns no thread: ticks come from
 //! the dispatcher, and dialled peer links push their frames to the
 //! kernel from the transport's dial loop. What one dispatcher batch
-//! sends a peer leaves in one flush — one `writev` on TCP.
+//! sends a peer leaves in one flush — one `writev` on TCP. It reads no
+//! clock either: every timer runs on [`Io::now_ms`], and every table
+//! whose iteration order reaches a wire is ordered, so a
+//! [`ReplicatedServer::stepped`] cluster replays from its inputs alone.
 //!
 //! Clients speak the *same* wire protocol as against a single server.
 //! A trace token is honoured on the local hops but not threaded through
@@ -40,9 +43,9 @@ use corona_types::id::{ClientId, Epoch, GroupId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent};
 use corona_types::state::Timestamp;
 use corona_types::wire::{Decode, Encode};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of one replicated server.
 #[derive(Clone)]
@@ -92,6 +95,9 @@ pub struct ReplicaStatus {
     pub me: ServerId,
     /// Whether this server is the acting coordinator.
     pub is_coordinator: bool,
+    /// Whether it is one that has lost its quorum lease: it refuses
+    /// writes until a majority acknowledges its heartbeats again.
+    pub fenced: bool,
     /// The coordinator this server believes in, if any.
     pub coordinator: Option<ServerId>,
     /// The current epoch.
@@ -164,6 +170,35 @@ impl ReplicatedServer {
         dialer: Arc<dyn Dialer>,
         config: ReplicatedConfig,
     ) -> Result<ReplicatedServer> {
+        Self::new(client_listener, peer_listener, dialer, config, false)
+    }
+
+    /// [`ReplicatedServer::start`] with no thread of its own: the
+    /// caller turns the dispatcher with
+    /// [`ReplicatedServer::run_pending`], at the time it says it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplicatedServer::start`]; also
+    /// [`CoronaError::InvalidState`] for a listener that cannot push
+    /// (see [`Kernel::stepped`]). Peer links the `dialer` makes must
+    /// push too.
+    pub fn stepped(
+        client_listener: Box<dyn Listener>,
+        peer_listener: Box<dyn Listener>,
+        dialer: Arc<dyn Dialer>,
+        config: ReplicatedConfig,
+    ) -> Result<ReplicatedServer> {
+        Self::new(client_listener, peer_listener, dialer, config, true)
+    }
+
+    fn new(
+        client_listener: Box<dyn Listener>,
+        peer_listener: Box<dyn Listener>,
+        dialer: Arc<dyn Dialer>,
+        config: ReplicatedConfig,
+        stepped: bool,
+    ) -> Result<ReplicatedServer> {
         let me = config.server_config.server_id;
         if !config.servers.iter().any(|(id, _)| *id == me) {
             return Err(CoronaError::InvalidState(format!(
@@ -174,19 +209,44 @@ impl ReplicatedServer {
         let registry = Registry::new();
         let server_config = config.server_config.clone();
         let replica = Replica::new(config, dialer, Arc::clone(&registry));
-        let kernel = Kernel::start(
-            &format!("repl-{me}"),
-            &server_config,
-            registry,
-            replica,
-            client_listener,
-            Some(peer_listener),
-        );
+        let name = format!("repl-{me}");
+        let peers = Some(peer_listener);
+        let kernel = if stepped {
+            Kernel::stepped(
+                &name,
+                &server_config,
+                registry,
+                replica,
+                client_listener,
+                peers,
+            )?
+        } else {
+            Kernel::start(
+                &name,
+                &server_config,
+                registry,
+                replica,
+                client_listener,
+                peers,
+            )
+        };
         Ok(ReplicatedServer {
             me,
             client_addr,
             kernel,
         })
+    }
+
+    /// One dispatcher turn of a [stepped](ReplicatedServer::stepped)
+    /// server at `now_ms`; see [`Kernel::run_pending`].
+    pub fn run_pending(&self, now_ms: u64) -> bool {
+        self.kernel.run_pending(now_ms)
+    }
+
+    /// When a [stepped](ReplicatedServer::stepped) server's next tick
+    /// — heartbeats, lease check, election timer — is due.
+    pub fn next_tick_ms(&self) -> u64 {
+        self.kernel.next_tick_ms()
     }
 
     /// This server's id.
@@ -199,7 +259,8 @@ impl ReplicatedServer {
         self.client_addr.clone()
     }
 
-    /// An introspection snapshot, answered by the dispatcher.
+    /// An introspection snapshot, answered by the dispatcher (at once,
+    /// on a stepped server).
     ///
     /// # Errors
     ///
@@ -208,6 +269,7 @@ impl ReplicatedServer {
         self.kernel.call(|replica, io| ReplicaStatus {
             me: replica.me,
             is_coordinator: replica.election.is_coordinator(),
+            fenced: replica.fenced,
             coordinator: replica.election.coordinator(),
             epoch: replica.election.epoch(),
             local_clients: io.clients().len(),
@@ -268,7 +330,7 @@ struct Replica {
     replica: ReplicaCore,
     coordinator: Option<CoordinatorCore>,
     /// The kernel's id of the live peer link to each server.
-    peer_conns: HashMap<ServerId, u64>,
+    peer_conns: BTreeMap<ServerId, u64>,
     /// Coordinator-bound messages buffered while no coordinator is
     /// known (mid-election).
     coord_backlog: VecDeque<PeerMessage>,
@@ -277,10 +339,11 @@ struct Replica {
     registry: Arc<Registry>,
     metrics: ReplMetrics,
     /// When the last coordinator heartbeat arrived (gap histogram).
-    last_heartbeat: Option<Instant>,
+    last_heartbeat: Option<u64>,
     /// When this server first claimed the epoch it is electing for;
     /// cleared (into `repl.failover_ms`) once a coordinator resolves.
-    failover_started: Option<Instant>,
+    /// Kernel milliseconds ([`Io::now_ms`]), like every time here.
+    failover_started: Option<u64>,
     /// Highest epoch this server has claimed (one round per epoch).
     claimed_epoch: Option<Epoch>,
     /// Last epoch counted as a resolved election by the health plane
@@ -288,13 +351,13 @@ struct Replica {
     counted_epoch: Option<Epoch>,
     /// Quorum lease while coordinating: when each follower's last
     /// `HeartbeatAck` arrived (kernel milliseconds, [`Io::now_ms`]).
-    last_ack_ms: HashMap<ServerId, u64>,
+    last_ack_ms: BTreeMap<ServerId, u64>,
     /// Whether the coordinator role is write-fenced (lease over a
     /// majority of the configured roster lost).
     fenced: bool,
     /// Group logs quarantined at demotion, awaiting reconciliation
     /// against the live coordinator's authoritative copies.
-    reconciling: HashMap<GroupId, GroupLog>,
+    reconciling: BTreeMap<GroupId, GroupLog>,
 }
 
 impl Protocol for Replica {
@@ -419,7 +482,7 @@ impl Replica {
             election,
             replica: ReplicaCore::new(me),
             coordinator,
-            peer_conns: HashMap::new(),
+            peer_conns: BTreeMap::new(),
             coord_backlog: VecDeque::new(),
             resynced_epoch: Some(Epoch::ZERO),
             metrics: ReplMetrics::new(&registry),
@@ -428,9 +491,9 @@ impl Replica {
             failover_started: None,
             claimed_epoch: None,
             counted_epoch: Some(Epoch::ZERO),
-            last_ack_ms: HashMap::new(),
+            last_ack_ms: BTreeMap::new(),
             fenced: false,
-            reconciling: HashMap::new(),
+            reconciling: BTreeMap::new(),
             config,
         };
         if replica.coordinator.is_some() {
@@ -466,12 +529,9 @@ impl Replica {
         match msg {
             PeerMessage::Heartbeat { from, epoch } => {
                 self.metrics.heartbeats_recv.inc();
-                if let Some(prev) = self.last_heartbeat {
-                    self.metrics
-                        .heartbeat_gap_ms
-                        .record(prev.elapsed().as_millis() as u64);
+                if let Some(prev) = self.last_heartbeat.replace(now_ms) {
+                    self.metrics.heartbeat_gap_ms.record(now_ms - prev);
                 }
-                self.last_heartbeat = Some(Instant::now());
                 let effects = self.election.on_heartbeat(from, epoch, now_ms);
                 self.sync_role(io);
                 if !self.election.is_coordinator() {
@@ -761,16 +821,14 @@ impl Replica {
                     if *candidate == self.me && self.claimed_epoch != Some(*epoch) {
                         self.claimed_epoch = Some(*epoch);
                         self.metrics.election_rounds.inc();
-                        if self.failover_started.is_none() {
-                            self.failover_started = Some(Instant::now());
-                        }
+                        self.failover_started.get_or_insert(io.now_ms());
                     }
                 }
                 self.send_peer(to, msg, io);
             }
             ElectionEffect::BecomeCoordinator => {
                 self.metrics.elections_won.inc();
-                self.note_failover_resolved();
+                self.note_failover_resolved(io.now_ms());
                 self.note_election_resolved(io);
                 self.take_office(io);
                 self.resynced_epoch = Some(self.election.epoch());
@@ -786,7 +844,7 @@ impl Replica {
                 self.push_roster_all(io);
             }
             ElectionEffect::FollowCoordinator(coordinator) => {
-                self.note_failover_resolved();
+                self.note_failover_resolved(io.now_ms());
                 self.note_election_resolved(io);
                 // Runs the demotion path (with quarantine) if a stale
                 // coordinator role is still attached.
@@ -888,18 +946,17 @@ impl Replica {
 
     /// Closes out an in-flight failover measurement, recording the
     /// duration from this server's first claim to the resolution.
-    fn note_failover_resolved(&mut self) {
+    fn note_failover_resolved(&mut self, now_ms: u64) {
         if let Some(started) = self.failover_started.take() {
-            self.metrics
-                .failover_ms
-                .record(started.elapsed().as_millis() as u64);
+            let took_ms = now_ms - started;
+            self.metrics.failover_ms.record(took_ms);
             // A completed election is exactly when a post-mortem is
             // wanted: stamp the span and flush the flight recorder to
             // disk (no-ops unless tracing is enabled).
             record(
                 Hop::Election,
                 TraceId::NONE,
-                started.elapsed().as_micros() as u64,
+                took_ms * 1000,
                 self.election.epoch().0,
             );
             if let Some(path) = corona_trace::flight_dump("failover") {

@@ -430,6 +430,11 @@ fn replica_answers_ping_locally_and_forwards_control() {
 /// Walks a replica through Hello + Join (with the coordinator's
 /// outcome), returning the client id and the local tag used.
 fn joined_replica() -> (ReplicaCore, ClientId) {
+    joined_replica_at(SeqNo::ZERO)
+}
+
+/// The same, for a group that is `through` updates old already.
+fn joined_replica_at(through: SeqNo) -> (ReplicaCore, ClientId) {
     let mut r = ReplicaCore::new(ServerId::new(2));
     let (c, _) = r.client_hello("x".into(), None);
     let effects = r.handle_request(
@@ -452,7 +457,7 @@ fn joined_replica() -> (ReplicaCore, ClientId) {
         client: c,
         events: vec![ServerEvent::Joined {
             members: vec![],
-            transfer: corona_types::message::StateTransfer::empty(G, SeqNo::ZERO),
+            transfer: corona_types::message::StateTransfer::empty(G, through),
         }],
     });
     (r, c)
@@ -586,6 +591,70 @@ fn replica_requests_refresh_on_sequence_gap() {
         e,
         ReplicaEffect::ToCoordinator(PeerMessage::GroupStateQuery { group, .. }) if *group == G
     )));
+}
+
+/// A bootstrap reply overtaken by live traffic is dropped, not asked
+/// for again from the reply handler — a coordinator whose log ends
+/// short of what members were handed would be asked for ever. The next
+/// successor asks, once.
+#[test]
+fn replica_drops_an_overtaken_bootstrap_reply_and_requeries_once_per_sequenced() {
+    let (mut r, c) = joined_replica_at(SeqNo::new(5));
+    let sequenced = |seq: u64| PeerMessage::Sequenced {
+        group: G,
+        epoch: Epoch::ZERO,
+        logged: corona_types::state::LoggedUpdate {
+            seq: SeqNo::new(seq),
+            sender: c,
+            timestamp: now(),
+            update: StateUpdate::incremental(O, &b"m"[..]),
+        },
+        scope: DeliveryScope::SenderInclusive,
+        origin: ServerId::new(2),
+        local_tag: seq,
+    };
+    let reply = |updates: Vec<u64>| PeerMessage::GroupStateReply {
+        from: ServerId::new(1),
+        group: G,
+        persistence: Persistence::Persistent,
+        through: SeqNo::new(5),
+        state: SharedState::new(),
+        updates: updates
+            .into_iter()
+            .map(|seq| match sequenced(seq) {
+                PeerMessage::Sequenced { logged, .. } => logged,
+                _ => unreachable!(),
+            })
+            .collect(),
+    };
+    let queries = |effects: &[ReplicaEffect]| {
+        let query = |e: &&ReplicaEffect| {
+            matches!(
+                e,
+                ReplicaEffect::ToCoordinator(PeerMessage::GroupStateQuery { .. })
+            )
+        };
+        effects.iter().filter(query).count()
+    };
+    let live = |effects: &[ReplicaEffect]| {
+        effects
+            .iter()
+            .any(|e| matches!(e, ReplicaEffect::ToClients { .. }))
+    };
+    // 6 goes out live while the bootstrap reply (tail 5) is in flight.
+    let effects = r.handle_peer(sequenced(6));
+    assert!(live(&effects) && queries(&effects) == 0, "{effects:?}");
+    for _ in 0..2 {
+        assert_eq!(r.handle_peer(reply(vec![])), vec![], "dropped, silently");
+        assert!(r.standby_log(G).is_none());
+    }
+    let effects = r.handle_peer(sequenced(7));
+    assert!(live(&effects) && queries(&effects) == 1, "{effects:?}");
+    let effects = r.handle_peer(sequenced(8));
+    assert!(live(&effects) && queries(&effects) == 0, "{effects:?}");
+    // The answer covers what went out: adopted, nothing handed twice.
+    assert_eq!(r.handle_peer(reply(vec![6, 7, 8])), vec![]);
+    assert_eq!(r.standby_log(G).unwrap().last_seq(), SeqNo::new(8));
 }
 
 #[test]

@@ -1,12 +1,24 @@
 //! # corona-sim
 //!
-//! A deterministic discrete-event simulator that reproduces the
-//! evaluation of *"Stateful Group Communication Services"* on modern
-//! hardware: the 1999 testbed (Sparc/UltraSparc/Pentium II on 10 Mbps
-//! Ethernet) is modelled as calibrated cost profiles, and the paper's
-//! protocol structure — serialised point-to-point fan-out, off-path
-//! disk logging, coordinator sequencing — is simulated directly, so
-//! the paper's qualitative results *emerge* from the model:
+//! One discrete-event [`engine`], two things run on it.
+//!
+//! **The replication protocol itself** ([`cluster`], [`net`],
+//! [`scenarios`]): whole clusters of the real, stepped
+//! `ReplicatedServer` — the kernel, the election, lease, fence and
+//! quarantine → merge logic that ships — over a virtual-time network
+//! wrapped by the real `Nemesis`, driven by scripted clients and a
+//! schedule of the chaos matrix's own `NemesisEvent`s, with every
+//! invariant checked after every event. A run is a pure function of its
+//! seed; `cargo run --release -p corona-sim --bin sweep -- all 1 1000`
+//! runs eight thousand of them in seconds. There is no model of the
+//! protocol here to drift from it.
+//!
+//! **The paper's evaluation** ([`corona`], [`hosts`], [`health`]): the
+//! 1999 testbed (Sparc/UltraSparc/Pentium II on 10 Mbps Ethernet) as
+//! calibrated cost profiles, and the paper's protocol structure —
+//! serialised point-to-point fan-out, off-path disk logging,
+//! coordinator sequencing — as a cost model, so the paper's qualitative
+//! results *emerge*:
 //!
 //! * Figure 3: round-trip delay linear in #clients; stateful ≈
 //!   stateless;
@@ -32,22 +44,23 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cluster;
 pub mod corona;
 pub mod engine;
-pub mod failover;
 pub mod health;
 pub mod hosts;
-pub mod partition;
+pub mod net;
+pub mod scenarios;
 
+pub use cluster::{run, run_with, Action, Failure, Outcome, Scenario, ServerOutcome};
 pub use corona::{
     roundtrip, roundtrip_traced, roundtrip_with_metrics, throughput, ExperimentConfig,
     RoundTripResults, ThroughputResults,
 };
 pub use engine::{Resource, Scheduler, SimModel, SimTime, Simulation};
-pub use failover::{failover_run, FailoverRun, FailoverScenario};
 pub use health::{capacity_sweep, p99_us, stall_scenario, HealthEvent, WatchdogSim};
 pub use hosts::{
     HostProfile, NetworkProfile, CAMPUS_BACKBONE, ETHERNET_10MBPS, PENTIUM_II_200, SPARC_20_CLIENT,
     ULTRASPARC_1,
 };
-pub use partition::{partition_run, PartitionRun, PartitionScenario};
+pub use scenarios::{scenario, SCENARIOS};

@@ -1,0 +1,397 @@
+//! The virtual-time push pipe: a [`Listener`] / [`Dialer`] /
+//! [`Connection`] trio with no thread and no clock of its own.
+//!
+//! [`Connection::attach_sink`] and [`Listener::attach_sink`] are always
+//! taken. A queued frame becomes a [`Delivery`] due one link latency
+//! later; so does an accept, and so does each end's report of a close.
+//! Deliveries collect in the net's outbox: whoever owns the loop moves
+//! them onto its [`Scheduler`](crate::engine::Scheduler) after every
+//! step and runs each when virtual time gets there. Frames of one
+//! direction arrive in the order they were sent — it is a TCP
+//! connection that is modelled — however the latency moves meanwhile.
+//! Faults are not modelled here at all: wrap the listeners and dialers
+//! in a [`Nemesis`](corona_transport::Nemesis), as over any transport.
+//!
+//! One thread uses a net and everything made from it — the traits ask
+//! for `Sync`, hence atomics, but nothing here is ever contended.
+
+use crate::engine::SimTime;
+use bytes::Bytes;
+use corona_transport::{
+    Connection, Dialer, FaultRng, FrameSink, Listener, TransportError, DEFAULT_SEND_CAPACITY,
+};
+use corona_types::frame::Frame;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
+
+/// Locks past a poisoning: the net is only ever used by one thread.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One end of a pipe.
+struct End {
+    /// The node this end belongs to.
+    node: String,
+    /// [`Connection::peer_label`]: the address dialled, or the node
+    /// that dialled.
+    label: String,
+    /// Who hears what arrives here, and under which connection id.
+    sink: OnceLock<(u64, Arc<dyn FrameSink>)>,
+    closed: AtomicBool,
+    /// Whether the sink has been told so.
+    close_reported: AtomicBool,
+    /// Frames sent from here and not yet arrived.
+    in_flight: AtomicUsize,
+    send_capacity: AtomicUsize,
+    /// When the last thing sent from here arrives: nothing overtakes it.
+    last_arrival: AtomicU64,
+}
+
+/// Something due to happen at the far side of a link.
+pub struct Delivery(Due);
+
+enum Due {
+    /// A dialled connection reaches its listener.
+    Accept(Arc<ListenerInner>, SimConnection),
+    /// A frame reaches the end it was sent to.
+    Frame(Arc<End>, Arc<End>, Bytes),
+    /// An end hears that its connection closed.
+    Closed(Arc<End>),
+}
+
+impl Delivery {
+    /// The node this happens at.
+    pub fn node(&self) -> &str {
+        match &self.0 {
+            Due::Accept(listener, _) => &listener.node,
+            Due::Frame(_, to, _) | Due::Closed(to) => &to.node,
+        }
+    }
+
+    /// Makes it happen: calls the receiving sink.
+    pub fn run(self) {
+        match self.0 {
+            Due::Accept(listener, conn) => {
+                // Shut down, or never served: the connection is dropped,
+                // and so closed.
+                let (Some(sink), false) = (listener.sink.get(), listener.is_shut_down()) else {
+                    return;
+                };
+                let conn_id = listener.next_conn.fetch_add(1, Ordering::Relaxed);
+                let _ = conn.local.sink.set((conn_id, Arc::clone(sink)));
+                sink.on_accept(conn_id, Box::new(conn));
+            }
+            Due::Frame(from, to, body) => {
+                from.in_flight.fetch_sub(1, Ordering::Relaxed);
+                // An end that has closed hears nothing more; one nobody
+                // attached to yet cannot exist (see `SimNet::dial`).
+                if let (Some((conn_id, sink)), false) = (to.sink.get(), to.is_closed()) {
+                    sink.on_frame(*conn_id, body);
+                }
+            }
+            Due::Closed(to) => {
+                to.closed.store(true, Ordering::Relaxed);
+                if to.close_reported.swap(true, Ordering::Relaxed) {
+                    return;
+                }
+                if let Some((conn_id, sink)) = to.sink.get() {
+                    sink.on_closed(*conn_id, true);
+                }
+            }
+        }
+    }
+}
+
+/// What an event trace records of a delivery: its kind, where it
+/// happens and how much it carries.
+impl std::hash::Hash for Delivery {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let (kind, len) = match &self.0 {
+            Due::Accept(..) => (0u8, 0),
+            Due::Frame(_, _, body) => (1, body.len()),
+            Due::Closed(_) => (2, 0),
+        };
+        (kind, self.node(), len).hash(state);
+    }
+}
+
+impl End {
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Relaxed)
+    }
+}
+
+/// One-way latency of every link, in microseconds, and the most a
+/// frame's seeded jitter adds to it.
+const LATENCY: SimTime = 150;
+const JITTER: SimTime = 100;
+
+struct NetInner {
+    now: AtomicU64,
+    outbox: Mutex<Vec<(SimTime, Delivery)>>,
+    listeners: Mutex<BTreeMap<String, Arc<ListenerInner>>>,
+    /// Extra one-way latency per ordered node pair.
+    delays: Mutex<BTreeMap<(String, String), SimTime>>,
+    rng: Mutex<FaultRng>,
+}
+
+/// A network of named nodes under virtual time. Cheap to clone.
+#[derive(Clone)]
+pub struct SimNet {
+    inner: Arc<NetInner>,
+}
+
+impl SimNet {
+    /// A network whose links' jitter is drawn from `seed`.
+    pub fn new(seed: u64) -> Self {
+        SimNet {
+            inner: Arc::new(NetInner {
+                now: AtomicU64::new(0),
+                outbox: Mutex::new(Vec::new()),
+                listeners: Mutex::new(BTreeMap::new()),
+                delays: Mutex::new(BTreeMap::new()),
+                rng: Mutex::new(FaultRng::new(seed)),
+            }),
+        }
+    }
+
+    /// Tells the net what time it is: the loop's owner, before each step.
+    pub fn set_now(&self, now: SimTime) {
+        self.inner.now.store(now, Ordering::Relaxed);
+    }
+
+    /// Everything that came due to be scheduled since the last call.
+    pub fn take_outbox(&self) -> Vec<(SimTime, Delivery)> {
+        std::mem::take(&mut *lock(&self.inner.outbox))
+    }
+
+    /// Sets the extra latency of frames between `a` and `b`, both ways.
+    pub fn set_delay(&self, a: &str, b: &str, extra: SimTime) {
+        let mut delays = lock(&self.inner.delays);
+        delays.insert((a.to_string(), b.to_string()), extra);
+        delays.insert((b.to_string(), a.to_string()), extra);
+    }
+
+    /// Starts listening at `addr` on behalf of `node`.
+    pub fn listen(&self, node: &str, addr: &str) -> SimListener {
+        let inner = Arc::new(ListenerInner {
+            node: node.to_string(),
+            addr: addr.to_string(),
+            sink: OnceLock::new(),
+            next_conn: AtomicU64::new(1),
+            shut_down: AtomicBool::new(false),
+        });
+        lock(&self.inner.listeners).insert(addr.to_string(), Arc::clone(&inner));
+        SimListener {
+            inner,
+            net: self.clone(),
+        }
+    }
+
+    /// A dialer for connections originating at `node`.
+    pub fn dialer(&self, node: &str) -> SimDialer {
+        SimDialer {
+            net: self.clone(),
+            node: node.to_string(),
+        }
+    }
+
+    /// When something sent now `from` its end arrives at node `to`.
+    fn arrival(&self, from: &End, to: &str) -> SimTime {
+        let extra = {
+            let delays = lock(&self.inner.delays);
+            let of_pair = match delays.is_empty() {
+                true => None,
+                false => delays.get(&(from.node.clone(), to.to_string())),
+            };
+            of_pair.copied().unwrap_or(0)
+        };
+        let jitter = lock(&self.inner.rng).next_u64() % (JITTER + 1);
+        let now = self.inner.now.load(Ordering::Relaxed);
+        let at = (now + LATENCY + extra + jitter).max(from.last_arrival.load(Ordering::Relaxed));
+        from.last_arrival.store(at, Ordering::Relaxed);
+        at
+    }
+
+    fn post(&self, at: SimTime, due: Due) {
+        lock(&self.inner.outbox).push((at, Delivery(due)));
+    }
+}
+
+/// One endpoint of a virtual-time connection. Closing or dropping it
+/// closes the pair: this end hears of it at once, the other once
+/// everything already on its way has arrived.
+pub struct SimConnection {
+    local: Arc<End>,
+    peer: Arc<End>,
+    net: SimNet,
+}
+
+impl std::fmt::Debug for SimConnection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "SimConnection({} -> {})",
+            self.local.node, self.peer.node
+        )
+    }
+}
+
+impl Connection for SimConnection {
+    fn queue_frame(&self, frame: Frame) -> Result<(), TransportError> {
+        if self.local.is_closed() {
+            return Err(TransportError::Closed);
+        }
+        let cap = self.local.send_capacity.load(Ordering::Relaxed);
+        if self.local.in_flight.load(Ordering::Relaxed) >= cap {
+            return Err(TransportError::Full);
+        }
+        self.local.in_flight.fetch_add(1, Ordering::Relaxed);
+        let (from, to) = (Arc::clone(&self.local), Arc::clone(&self.peer));
+        let at = self.net.arrival(&self.local, &self.peer.node);
+        self.net.post(at, Due::Frame(from, to, frame.into_body()));
+        Ok(())
+    }
+
+    fn set_send_capacity(&self, cap: usize) {
+        self.local
+            .send_capacity
+            .store(cap.max(1), Ordering::Relaxed);
+    }
+
+    /// Nothing is ever pulled from this pipe, and nothing can block
+    /// under virtual time.
+    fn recv_until(&self, _deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        Err(TransportError::Closed)
+    }
+
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
+        let _ = self.local.sink.set((conn_id, sink));
+        true
+    }
+
+    fn backlog(&self) -> usize {
+        self.local.in_flight.load(Ordering::Relaxed)
+    }
+
+    fn close(&self) {
+        if self.local.closed.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        let now = self.net.inner.now.load(Ordering::Relaxed);
+        self.net.post(now, Due::Closed(Arc::clone(&self.local)));
+        if !self.peer.is_closed() {
+            let at = self.net.arrival(&self.local, &self.peer.node);
+            self.net.post(at, Due::Closed(Arc::clone(&self.peer)));
+        }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.local.is_closed()
+    }
+
+    fn peer_label(&self) -> String {
+        self.local.label.clone()
+    }
+}
+
+impl Drop for SimConnection {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+struct ListenerInner {
+    node: String,
+    addr: String,
+    sink: OnceLock<Arc<dyn FrameSink>>,
+    next_conn: AtomicU64,
+    shut_down: AtomicBool,
+}
+
+impl ListenerInner {
+    fn is_shut_down(&self) -> bool {
+        self.shut_down.load(Ordering::Relaxed)
+    }
+}
+
+/// Accept side of a [`SimNet::listen`] call: push mode only.
+pub struct SimListener {
+    inner: Arc<ListenerInner>,
+    net: SimNet,
+}
+
+impl Listener for SimListener {
+    /// Never pulled: connections reach the attached sink.
+    fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
+        Err(TransportError::Closed)
+    }
+
+    fn local_addr(&self) -> String {
+        self.inner.addr.clone()
+    }
+
+    fn shutdown(&self) {
+        self.inner.shut_down.store(true, Ordering::Relaxed);
+        let mut listeners = lock(&self.net.inner.listeners);
+        if listeners
+            .get(&self.inner.addr)
+            .is_some_and(|l| Arc::ptr_eq(l, &self.inner))
+        {
+            listeners.remove(&self.inner.addr);
+        }
+    }
+
+    fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool {
+        let _ = self.inner.sink.set(sink);
+        true
+    }
+}
+
+/// [`Dialer`] bound to a source node.
+pub struct SimDialer {
+    net: SimNet,
+    node: String,
+}
+
+impl Dialer for SimDialer {
+    /// Never blocks. The caller must attach its sink before virtual
+    /// time moves on: a frame that arrives at an end nobody listens on
+    /// is lost.
+    fn dial_timeout(
+        &self,
+        addr: &str,
+        _timeout: Duration,
+    ) -> Result<Box<dyn Connection>, TransportError> {
+        let listener = lock(&self.net.inner.listeners).get(addr).cloned();
+        let listener =
+            listener.ok_or_else(|| TransportError::Io(format!("no listener at {addr}")))?;
+        let end = |node: &str, label: &str| {
+            Arc::new(End {
+                node: node.to_string(),
+                label: label.to_string(),
+                sink: OnceLock::new(),
+                closed: AtomicBool::new(false),
+                close_reported: AtomicBool::new(false),
+                in_flight: AtomicUsize::new(0),
+                send_capacity: AtomicUsize::new(DEFAULT_SEND_CAPACITY),
+                last_arrival: AtomicU64::new(0),
+            })
+        };
+        let (ours, theirs) = (end(&self.node, addr), end(&listener.node, &self.node));
+        let conn = |local: &Arc<End>, peer: &Arc<End>| SimConnection {
+            local: Arc::clone(local),
+            peer: Arc::clone(peer),
+            net: self.net.clone(),
+        };
+        // The accept travels like a frame, ahead of everything the
+        // dialler sends.
+        let at = self.net.arrival(&ours, &listener.node);
+        self.net
+            .post(at, Due::Accept(listener, conn(&theirs, &ours)));
+        Ok(Box::new(conn(&ours, &theirs)))
+    }
+}

@@ -1,0 +1,143 @@
+//! The real replication kernel under the DES clock: what the deleted
+//! `partition` / `failover` re-models asserted of themselves, asserted
+//! of [`corona_replication`] — plus determinism, replay, the defect-(ii)
+//! regression and a fixed slice of the sweep.
+
+use corona_sim::{run, run_with, scenario, Outcome, SCENARIOS};
+
+const MS: u64 = 1000;
+
+fn ok(name: &str, seed: u64) -> Outcome {
+    let outcome = run(&scenario(name, seed).unwrap(), seed);
+    outcome.unwrap_or_else(|failure| panic!("{name}: {failure}"))
+}
+
+#[test]
+fn minority_coordinator_fences_and_sequences_nothing_after() {
+    // Cut off at 180..182 ms, 250 ms lease, 15 ms ticks; healed at 900.
+    let s1 = &ok("partition_heal", 1).servers[0];
+    let fenced_at = s1.fenced_at.expect("the minority coordinator fences");
+    assert!((180 * MS..900 * MS).contains(&fenced_at), "{s1:?}");
+    assert!(fenced_at <= (182 + 250 + 2 * 30) * MS, "{s1:?}");
+    // "Sequences nothing while fenced" is checked after every event of
+    // the run; what it was offered meanwhile it refused out loud.
+    assert!(s1.rejected > 0, "{s1:?}");
+}
+
+#[test]
+fn fence_precedes_election_when_lease_is_shorter() {
+    // s3 waits two base timeouts (rank 1: s2 is dead), the lease is one.
+    for seed in 1..=20 {
+        let servers = ok("fence_before_elect", seed).servers;
+        let (fenced_at, elected_at) = (servers[0].fenced_at, servers[2].elected_at);
+        assert!(elected_at.is_some(), "s3 wins: {servers:?}");
+        assert!(fenced_at.is_some() && fenced_at < elected_at, "{servers:?}");
+    }
+}
+
+#[test]
+fn divergent_suffix_is_discarded_on_heal_and_views_converge() {
+    let outcome = ok("partition_heal", 1);
+    let s1 = &outcome.servers[0];
+    assert!(s1.discarded > 0, "the lease window admits a suffix: {s1:?}");
+    let status = s1.status.as_ref().unwrap();
+    assert!(
+        !status.is_coordinator
+            && status.coordinator == outcome.servers[1].status.as_ref().map(|s| s.me)
+    );
+    // The run required one gap-free view of every client; the minority's
+    // client got there by retraction, the majority's saw none.
+    assert_eq!(outcome.views[0], outcome.views[1]);
+    assert!(
+        outcome.raw[0].len() > outcome.views[0].len(),
+        "c0 saw the stale suffix replaced"
+    );
+    assert_eq!(
+        outcome.raw[1].len(),
+        outcome.views[1].len(),
+        "c1 saw no retraction"
+    );
+}
+
+#[test]
+fn blip_shorter_than_the_election_timeout_merges_back_with_zero_discards() {
+    let outcome = ok("blip", 1);
+    for server in &outcome.servers {
+        assert_eq!(
+            (server.discarded, server.elected_at),
+            (0, None),
+            "{server:?}"
+        );
+    }
+    assert_eq!(outcome.views[0], outcome.views[1]);
+}
+
+#[test]
+fn coordinator_crash_then_resume_with_updates_since_is_each_update_once_in_order() {
+    let outcome = ok("failover", 1);
+    let n = outcome.views[1].len() as u64;
+    assert!(n > 40, "the stream went on past the crash: {n}");
+    let handed: Vec<u64> = outcome.raw[0].iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(
+        handed,
+        (1..=n).collect::<Vec<_>>(),
+        "live, then the catch-up, then live"
+    );
+    assert_eq!(
+        outcome.applied[0], handed,
+        "and the mirror applied each once"
+    );
+}
+
+#[test]
+fn a_run_is_a_pure_function_of_scenario_and_seed() {
+    for name in SCENARIOS {
+        let hash = |seed| run(&scenario(name, seed).unwrap(), seed).map(|o| o.trace_hash);
+        assert_eq!(hash(7), hash(7), "{name}");
+        assert_ne!(hash(7), hash(8), "{name}: the seed moves the schedule");
+    }
+}
+
+#[test]
+fn a_broken_invariant_prints_a_schedule_that_replays_to_the_same_failure() {
+    let fifth = |_: usize, raw: &[(u64, String)]| match raw.last() {
+        Some((5, _)) => Err("nobody may be handed update 5".to_string()),
+        _ => Ok(()),
+    };
+    let failure = run_with(&scenario("storm", 3).unwrap(), 3, &fifth).unwrap_err();
+    let printed = failure.to_string();
+    assert!(
+        printed.starts_with("seed 3: at ") && printed.contains("update 5"),
+        "{printed}"
+    );
+    assert!(printed.contains("us  Broadcast(") && printed.contains("us  Fault(SetLinkFaults"));
+    // From the seed alone.
+    let replayed = run_with(
+        &scenario("storm", failure.seed).unwrap(),
+        failure.seed,
+        &fifth,
+    );
+    assert_eq!(replayed.unwrap_err(), failure);
+}
+
+/// Defect (ii): `Sequenced(2)` ahead of `Sequenced(1)` on a server that
+/// has only just started hosting the group. With the `None` arms of
+/// `ReplicaCore::sequenced` as they were, this seed hands c1 update 4
+/// after 2 (and 1732 of the first 2000 seeds fail some such way).
+#[test]
+fn a_reordered_update_is_not_fanned_out_past_a_gap_on_a_fresh_host() {
+    ok("fresh_host_reorder", 1);
+}
+
+/// The debug build's share of `sweep all`: every invariant holds on a
+/// hundred seeds of every scenario, and every expectation on those
+/// that are not hunting a known loss.
+#[test]
+fn a_hundred_seeds_of_every_scenario_break_no_invariant() {
+    for name in SCENARIOS {
+        for seed in 1..=100 {
+            let outcome = ok(name, seed);
+            assert!(name.starts_with("hunt_") || outcome.unmet.is_empty());
+        }
+    }
+}

@@ -6,7 +6,8 @@
 //! wakes the consumer — a burst costs one wake-up, not one per item —
 //! and the wake is whatever the consumer sleeps in: a reactor shard's
 //! eventfd ([`Inbox::new`]) or `Thread::unpark` for a consumer that
-//! parks ([`Inbox::parked`]: the kernel's dispatcher, the logger).
+//! parks ([`Inbox::parked`]: the kernel's dispatcher thread, the
+//! logger). A consumer that is stepped, not woken, just drains.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
@@ -41,7 +42,7 @@ struct State<T> {
 enum Wake {
     /// Runs on the pushing thread.
     Hook(Box<dyn Fn() + Send + Sync>),
-    /// The consumer, once it has entered [`Inbox::drain_or_park`].
+    /// The consumer, once it has entered [`Inbox::park`].
     Unpark(OnceLock<Thread>),
 }
 
@@ -61,7 +62,7 @@ impl<T> Inbox<T> {
         Self::with_wake(Wake::Hook(Box::new(wake)))
     }
 
-    /// An inbox whose consumer sleeps in [`Inbox::drain_or_park`].
+    /// An inbox whose consumer sleeps in [`Inbox::park`].
     pub fn parked() -> Self {
         Self::with_wake(Wake::Unpark(OnceLock::new()))
     }
@@ -114,22 +115,22 @@ impl<T> Inbox<T> {
         !state.closed
     }
 
-    /// [`Inbox::drain_into`] for the consumer of a [`parked`](Inbox::parked)
-    /// inbox: with nothing queued it sleeps until a push, a close or
-    /// `deadline`, then drains again. The batch can still be empty.
-    pub fn drain_or_park(&self, out: &mut Vec<T>, deadline: Option<Instant>) -> bool {
+    /// For the consumer of a [`parked`](Inbox::parked) inbox: sleeps
+    /// until a push, a close or `deadline` — not at all if something
+    /// is queued already.
+    pub fn park(&self, deadline: Option<Instant>) {
         if let Wake::Unpark(consumer) = &self.wake {
             consumer.get_or_init(std::thread::current);
         }
-        let open = self.drain_into(out);
-        if !open || !out.is_empty() {
-            return open;
+        let state = lock(&self.state);
+        if !state.items.is_empty() || state.closed {
+            return;
         }
+        drop(state);
         match deadline {
             None => std::thread::park(),
             Some(at) => std::thread::park_timeout(at.saturating_duration_since(Instant::now())),
         }
-        self.drain_into(out)
     }
 
     /// Refuses every later push and wakes the consumer, whose next
@@ -171,8 +172,9 @@ mod tests {
     /// inbox closes: a lost wake-up hangs the test.
     fn consume(inbox: &Inbox<u64>) -> Vec<u64> {
         let (mut batch, mut seen) = (Vec::new(), Vec::new());
-        while inbox.drain_or_park(&mut batch, None) {
+        while inbox.drain_into(&mut batch) {
             seen.append(&mut batch);
+            inbox.park(None);
         }
         seen.append(&mut batch);
         seen

@@ -12,13 +12,13 @@
 //! experiments.
 
 use crate::fifo::Fifo;
+use crate::inbox::lock;
 use crate::traits::{Connection, Dialer, Listener, TransportError, DEFAULT_SEND_CAPACITY};
 use bytes::Bytes;
 use corona_types::frame::Frame;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// A listener's queue of dialled, not yet accepted connections.
@@ -52,7 +52,7 @@ impl MemNetwork {
     ///
     /// [`TransportError::Io`] if the address is already taken.
     pub fn listen(&self, addr: &str) -> Result<MemListener, TransportError> {
-        let mut listeners = self.listeners.lock();
+        let mut listeners = lock(&self.listeners);
         if listeners.contains_key(addr) {
             return Err(TransportError::Io(format!("address {addr} already in use")));
         }
@@ -74,7 +74,7 @@ impl MemNetwork {
     /// listener has shut down.
     pub fn dial_from(&self, from_node: &str, addr: &str) -> Result<MemConnection, TransportError> {
         let accept_queue = {
-            let listeners = self.listeners.lock();
+            let listeners = lock(&self.listeners);
             listeners
                 .get(addr)
                 .cloned()
@@ -181,7 +181,7 @@ impl Listener for MemListener {
     fn shutdown(&self) {
         if let Some(listeners) = self.listeners.upgrade() {
             // The address may since have been taken by a new listener.
-            let mut listeners = listeners.lock();
+            let mut listeners = lock(&listeners);
             let ours = |queue: &AcceptQueue| Arc::ptr_eq(queue, &self.accept_queue);
             if listeners.get(&self.addr).is_some_and(ours) {
                 listeners.remove(&self.addr);

@@ -6,8 +6,9 @@
 //! fault is a [`NemesisEvent`]: partitions and one-direction blocks
 //! that heal, severed links, crashed nodes, and seeded per-link mixes
 //! of dropped, delayed, duplicated, and reordered frames. A whole chaos
-//! run is therefore one `Vec<(Duration, NemesisEvent)>`, and the same
-//! schedule drives a reactor-TCP cluster and a mem cluster.
+//! run is therefore one list of timed `NemesisEvent`s, and the same
+//! schedule drives a reactor-TCP cluster, a mem cluster, and — on its
+//! scheduler, at virtual times — a `corona-sim` cluster.
 //!
 //! Faults are decided by a [`FaultRng`] seeded at construction, so a
 //! chaos run is reproducible from its seed. Every injected fault is
@@ -29,13 +30,13 @@
 //! the partition (same-side pairs simply re-dial). Dials across a
 //! block are refused until the heal.
 
-use crate::traits::{Connection, Dialer, FlushBy, Listener, TransportError};
+use crate::inbox::lock;
+use crate::traits::{Connection, Dialer, FlushBy, FrameSink, Listener, TransportError};
 use bytes::Bytes;
 use corona_metrics::{Counter, Registry};
 use corona_types::frame::Frame;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Per-link fault mix.
@@ -215,7 +216,7 @@ impl NemesisInner {
     /// `None` if that direction is blocked. An unknown remote (an
     /// accepted TCP peer) is never blocked and gets the default mix.
     fn link(&self, local: &str, remote: Option<&str>) -> Option<LinkFaults> {
-        let rules = self.rules.lock();
+        let rules = lock(&self.rules);
         let Some(remote) = remote else {
             return Some(rules.default_faults);
         };
@@ -231,13 +232,13 @@ impl NemesisInner {
 
     /// Maps a peer label or dialled address back to a node name.
     fn resolve(&self, label: &str) -> Option<String> {
-        self.nodes.lock().get(label).cloned()
+        lock(&self.nodes).get(label).cloned()
     }
 
     /// Refuses a dial `from -> to` across a block (a handshake needs
     /// both directions) or touching a crashed node.
     fn check_dial(&self, from: &str, to: &str) -> Result<(), TransportError> {
-        let rules = self.rules.lock();
+        let rules = lock(&self.rules);
         let pair = (from.to_string(), to.to_string());
         let refused = rules.crashed.contains(from)
             || rules.crashed.contains(to)
@@ -253,7 +254,7 @@ impl NemesisInner {
 
     /// Closes every live link `cut` selects (and forgets dead ones).
     fn close_links(&self, cut: impl Fn(&ConnShared) -> bool) {
-        self.conns.lock().retain(|weak| {
+        lock(&self.conns).retain(|weak| {
             let Some(conn) = weak.upgrade() else {
                 return false;
             };
@@ -269,7 +270,7 @@ impl NemesisInner {
     /// and unblocked: a frame parked there was waiting for a next send
     /// that may never come, and reorder must never become loss.
     fn flush_holds(&self) {
-        for conn in self.conns.lock().iter().filter_map(Weak::upgrade) {
+        for conn in lock(&self.conns).iter().filter_map(Weak::upgrade) {
             let clean = self.link(&conn.local, conn.remote.as_deref());
             if clean.is_some_and(|faults| faults.is_none()) {
                 let _ = conn.release_hold();
@@ -282,7 +283,7 @@ impl NemesisInner {
         match event {
             NemesisEvent::Partition(groups) => {
                 {
-                    let mut rules = self.rules.lock();
+                    let mut rules = lock(&self.rules);
                     rules.blocked.clear();
                     for (i, ga) in groups.iter().enumerate() {
                         for gb in groups.iter().skip(i + 1) {
@@ -305,10 +306,10 @@ impl NemesisInner {
                 self.close_links(|conn| conn.remote.is_none() && named.contains(&conn.local));
             }
             NemesisEvent::Block { from, to } => {
-                self.rules.lock().blocked.insert((from, to));
+                lock(&self.rules).blocked.insert((from, to));
             }
             NemesisEvent::Heal => {
-                self.rules.lock().blocked.clear();
+                lock(&self.rules).blocked.clear();
                 self.metrics.heals.inc();
                 self.flush_holds();
             }
@@ -318,14 +319,14 @@ impl NemesisInner {
                 })
             }),
             NemesisEvent::Crash(node) => {
-                self.rules.lock().crashed.insert(node.clone());
+                lock(&self.rules).crashed.insert(node.clone());
                 self.close_links(|conn| {
                     conn.local == node || conn.remote.as_deref() == Some(node.as_str())
                 });
             }
             NemesisEvent::SetLinkFaults { a, b, faults } => {
                 {
-                    let mut rules = self.rules.lock();
+                    let mut rules = lock(&self.rules);
                     if faults.is_none() {
                         rules.faults.remove(&pair_key(&a, &b));
                     } else {
@@ -335,7 +336,7 @@ impl NemesisInner {
                 self.flush_holds();
             }
             NemesisEvent::SetDefaultFaults(faults) => {
-                self.rules.lock().default_faults = faults;
+                lock(&self.rules).default_faults = faults;
                 self.flush_holds();
             }
         }
@@ -371,7 +372,7 @@ impl Nemesis {
     /// an address before it is registered keep the raw address as
     /// their remote, so register a cluster's addresses up front.
     pub fn register_addr(&self, addr: &str, node: &str) {
-        let mut nodes = self.inner.nodes.lock();
+        let mut nodes = lock(&self.inner.nodes);
         nodes.insert(addr.to_string(), node.to_string());
         nodes.insert(node.to_string(), node.to_string());
     }
@@ -415,7 +416,7 @@ impl Nemesis {
             hold: Mutex::new(None),
             nem: Arc::downgrade(&self.inner),
         });
-        self.inner.conns.lock().push(Arc::downgrade(&shared));
+        lock(&self.inner.conns).push(Arc::downgrade(&shared));
         Box::new(NemesisConnection { shared })
     }
 
@@ -504,7 +505,7 @@ struct ConnShared {
 impl ConnShared {
     /// Queues the held-back frame, if any.
     fn release_hold(&self) -> Result<(), TransportError> {
-        let held = self.hold.lock().take();
+        let held = lock(&self.hold).take();
         held.map_or(Ok(()), |frame| self.inner.queue_frame(frame))
     }
 }
@@ -537,7 +538,7 @@ impl Connection for NemesisConnection {
             return s.inner.queue_frame(frame);
         }
         let (drop_it, dup_it, reorder_it) = {
-            let mut rng = nem.rng.lock();
+            let mut rng = lock(&nem.rng);
             (
                 rng.chance(faults.drop_per_mille),
                 rng.chance(faults.dup_per_mille),
@@ -552,7 +553,7 @@ impl Connection for NemesisConnection {
             nem.metrics.dropped.inc();
             return Ok(());
         }
-        let mut hold = s.hold.lock();
+        let mut hold = lock(&s.hold);
         if reorder_it && hold.is_none() {
             *hold = Some(frame);
             nem.metrics.reordered.inc();
@@ -585,6 +586,12 @@ impl Connection for NemesisConnection {
         self.shared.inner.set_send_capacity(cap);
     }
 
+    /// Faults act on the send side only: what arrives is the inner
+    /// connection's to push, if it can.
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
+        self.shared.inner.attach_sink(conn_id, sink)
+    }
+
     fn backlog(&self) -> usize {
         self.shared.inner.backlog()
     }
@@ -609,11 +616,53 @@ pub struct NemesisListener {
     nem: Nemesis,
 }
 
+impl Nemesis {
+    /// Wraps a connection a listener of `node` accepted; its remote is
+    /// the node its peer label names, if any does.
+    fn wrap_accepted(&self, node: &str, conn: Box<dyn Connection>) -> Box<dyn Connection> {
+        let remote = self.inner.resolve(&conn.peer_label());
+        self.wrap_conn(conn, node, remote)
+    }
+}
+
+/// The sink a [`NemesisListener`] hands a listener that pushes: wraps
+/// each accepted connection, as `accept` does, on its way to `sink`.
+struct AcceptWrapper {
+    sink: Arc<dyn FrameSink>,
+    node: String,
+    nem: Nemesis,
+}
+
+impl FrameSink for AcceptWrapper {
+    fn on_accept(&self, conn_id: u64, conn: Box<dyn Connection>) {
+        let conn = self.nem.wrap_accepted(&self.node, conn);
+        self.sink.on_accept(conn_id, conn);
+    }
+    fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
+        self.sink.on_frame(conn_id, frame)
+    }
+    fn ready_for_more(&self) -> bool {
+        self.sink.ready_for_more()
+    }
+    fn on_closed(&self, conn_id: u64, clean: bool) {
+        self.sink.on_closed(conn_id, clean);
+    }
+}
+
 impl Listener for NemesisListener {
     fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
         let conn = self.inner.accept()?;
-        let remote = self.nem.inner.resolve(&conn.peer_label());
-        Ok(self.nem.wrap_conn(conn, &self.node, remote))
+        Ok(self.nem.wrap_accepted(&self.node, conn))
+    }
+
+    /// Passed through: a listener that pushes keeps pushing under
+    /// faults (one that declines is pulled through `accept`, as ever).
+    fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool {
+        self.inner.attach_sink(Arc::new(AcceptWrapper {
+            sink,
+            node: self.node.clone(),
+            nem: self.nem.clone(),
+        }))
     }
 
     fn local_addr(&self) -> String {

@@ -4,9 +4,10 @@
 //! A listener that can push ([`Listener::attach_sink`], the reactor)
 //! accepts and reads on its own event loops, and so does a dialled
 //! connection that can ([`Connection::attach_sink`]: try it before
-//! [`pump`]). Any other — in-memory or nemesis-wrapped — is pulled: one
-//! accept thread and a reader thread per connection turn the blocking
-//! `accept` / `recv` calls into the same sink calls.
+//! [`pump`]); a nemesis wrapper passes the offer on to what it wraps.
+//! Any other — the in-memory pipe — is pulled: one accept thread and a
+//! reader thread per connection turn the blocking `accept` / `recv`
+//! calls into the same sink calls.
 
 use crate::traits::{Connection, FlushBy, FrameSink, Listener, TransportError};
 use bytes::Bytes;

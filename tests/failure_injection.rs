@@ -305,13 +305,13 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
 fn wait_mirror(mirror: &SharedMirror, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if mirror.lock().last_seq().0 >= want {
+        if mirror.lock().unwrap().last_seq().0 >= want {
             return;
         }
         assert!(
             Instant::now() < deadline,
             "mirror stuck at seq {}, want {want}",
-            mirror.lock().last_seq().0
+            mirror.lock().unwrap().last_seq().0
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -446,14 +446,20 @@ fn supervised_clients_survive_server_kill() {
     // Gap-free and duplicate-free across the failover: the mirror's
     // materialised object is exactly the concatenation in order (a
     // duplicate would double-append; a gap would drop a token).
-    let body = mirror.lock().state().object(O).unwrap().materialize();
+    let body = mirror
+        .lock()
+        .unwrap()
+        .state()
+        .object(O)
+        .unwrap()
+        .materialize();
     let want: String = (1..=total).map(|i| format!("{i};")).collect();
     assert_eq!(
         body.as_ref(),
         want.as_bytes(),
         "mirror diverged across failover (fault {fault})"
     );
-    assert_eq!(mirror.lock().last_seq().0, total);
+    assert_eq!(mirror.lock().unwrap().last_seq().0, total);
 
     // The driver's work is metered.
     let snap = registry.snapshot();

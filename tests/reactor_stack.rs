@@ -5,6 +5,8 @@
 //! shards + 2 — and the same census on the dial side: no transport
 //! thread per dialled connection either.
 
+mod common;
+
 use corona::prelude::*;
 use corona_transport::Dialer;
 use std::time::Duration;
@@ -102,19 +104,54 @@ fn full_stack_over_reactor_transport() {
 /// moment one finishes — possibly inside another test's census — and
 /// names it after the test (the kernel keeps the first 15 bytes).
 fn thread_count() -> usize {
-    const TESTS: [&str; 5] = [
+    thread_names().len()
+}
+
+fn thread_names() -> Vec<String> {
+    const TESTS: [&str; 6] = [
         "full_stack_over_reactor_transport",
         "metrics_dump_runs_on_no_thread_of_its_own",
         "c5k_reactor_sustains_five_thousand_members",
         "dialled_clients_cost_one_thread_each",
         "replicated_thread_count_is_independent_of_member_count",
+        "a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled",
     ];
     let tasks = std::fs::read_dir("/proc/self/task").expect("read /proc/self/task");
     tasks
         .flatten()
         .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
         .filter(|comm| !TESTS.iter().any(|test| test.starts_with(comm.trim_end())))
-        .count()
+        .collect()
+}
+
+/// The fault plane does not change who reads: a nemesis-wrapped
+/// reactor listener still pushes, and so does a wrapped dialled link —
+/// no `serve` accept thread, no reader per connection — so a chaos
+/// scenario "on reactor TCP" runs the production ingress path.
+#[test]
+fn a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled() {
+    let _census = census_lock();
+    let cluster = common::Cluster::start(common::Tcp, 1, 30, 250, |c| c);
+    // A member on a follower: its traffic crosses the wrapped peer mesh.
+    let alice = cluster.client("alice", 2);
+    alice
+        .create_group(G, Persistence::Transient, SharedState::new())
+        .unwrap();
+    alice
+        .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+        .unwrap();
+    alice
+        .bcast_update(G, DOC, b"x".to_vec(), DeliveryScope::SenderInclusive)
+        .unwrap();
+    let echo = alice.next_event_timeout(Duration::from_secs(10)).unwrap();
+    assert!(matches!(echo, ServerEvent::Multicast { .. }), "{echo:?}");
+    let pulled = |name: &String| name.contains("-accept") || name.contains("-conn-");
+    let pulled: Vec<String> = thread_names()
+        .into_iter()
+        .filter(|name| name.starts_with("repl-") && pulled(name))
+        .collect();
+    assert!(pulled.is_empty(), "pulled through {pulled:?}");
+    cluster.shutdown();
 }
 
 /// The periodic metrics dump rides the dispatcher's tick: a server
