@@ -170,9 +170,7 @@ impl StableStore {
             metrics: self.metrics.clone(),
         };
         let mut body = BytesMut::new();
-        body.put_u8(REC_CREATED);
-        persistence.encode(&mut body);
-        initial.encode(&mut body);
+        encode_created_record(persistence, initial, &mut body);
         store.append_record(&body)?;
         store.flush_and_maybe_sync(true)?;
         Ok(store)
@@ -345,12 +343,28 @@ impl StableStore {
     }
 }
 
+// Each on-disk layout has one writer and one reader, side by side.
+
 enum Record {
     Created {
         persistence: Persistence,
         initial: SharedState,
     },
     Update(LoggedUpdate),
+}
+
+/// `REC_CREATED ∥ persistence ∥ initial state`: a log's first record.
+fn encode_created_record(persistence: Persistence, initial: &SharedState, body: &mut BytesMut) {
+    body.put_u8(REC_CREATED);
+    persistence.encode(body);
+    initial.encode(body);
+}
+
+/// `REC_UPDATE ∥ update`, for `append_update` and for the suffix that
+/// `write_checkpoint` rewrites.
+fn encode_update_record(update: &LoggedUpdate, body: &mut BytesMut) {
+    body.put_u8(REC_UPDATE);
+    update.encode(body);
 }
 
 fn parse_record(r: &mut Reader<'_>) -> Result<Record, CodecError> {
@@ -373,6 +387,26 @@ struct Snapshot {
     state: SharedState,
 }
 
+/// `persistence ∥ through ∥ state`: the snapshot body.
+fn encode_snapshot(
+    persistence: Persistence,
+    through: SeqNo,
+    state: &SharedState,
+    body: &mut BytesMut,
+) {
+    persistence.encode(body);
+    through.encode(body);
+    state.encode(body);
+}
+
+fn parse_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, CodecError> {
+    Ok(Snapshot {
+        persistence: Persistence::decode(r)?,
+        through: SeqNo::decode(r)?,
+        state: SharedState::decode(r)?,
+    })
+}
+
 fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
     let file = match File::open(path) {
         Ok(f) => f,
@@ -386,15 +420,7 @@ fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
         // atomic, so this only happens with external interference).
         None => return Ok(None),
     };
-    let mut r = Reader::new(&body);
-    fn parse(r: &mut Reader<'_>) -> Result<Snapshot, CodecError> {
-        Ok(Snapshot {
-            persistence: Persistence::decode(r)?,
-            through: SeqNo::decode(r)?,
-            state: SharedState::decode(r)?,
-        })
-    }
-    parse(&mut r)
+    parse_snapshot(&mut Reader::new(&body))
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
@@ -420,8 +446,7 @@ impl GroupStore {
     pub fn append_update(&mut self, update: &LoggedUpdate) -> io::Result<()> {
         let started = Instant::now();
         let mut body = BytesMut::new();
-        body.put_u8(REC_UPDATE);
-        update.encode(&mut body);
+        encode_update_record(update, &mut body);
         let bytes = body.len() as u64;
         self.append_record(&body)?;
         self.flush_and_maybe_sync(false)?;
@@ -494,9 +519,7 @@ impl GroupStore {
         let snap_final = self.dir.join(SNAPSHOT_FILE);
         {
             let mut body = BytesMut::new();
-            persistence.encode(&mut body);
-            through.encode(&mut body);
-            state.encode(&mut body);
+            encode_snapshot(persistence, through, state, &mut body);
             if let Some(m) = &self.metrics {
                 m.snapshot_bytes.record(body.len() as u64);
             }
@@ -514,8 +537,7 @@ impl GroupStore {
             let mut f = BufWriter::new(File::create(&log_tmp)?);
             for u in suffix {
                 let mut body = BytesMut::new();
-                body.put_u8(REC_UPDATE);
-                u.encode(&mut body);
+                encode_update_record(u, &mut body);
                 write_frame(&mut f, &body)?;
             }
             f.flush()?;
@@ -874,9 +896,12 @@ mod tests {
         let snap_final = root.join("g1").join(SNAPSHOT_FILE);
         {
             let mut body = BytesMut::new();
-            Persistence::Persistent.encode(&mut body);
-            SeqNo::new(3).encode(&mut body);
-            log.checkpoint_state().encode(&mut body);
+            encode_snapshot(
+                Persistence::Persistent,
+                SeqNo::new(3),
+                log.checkpoint_state(),
+                &mut body,
+            );
             let mut f = File::create(&snap_tmp).unwrap();
             write_frame(&mut f, &body).unwrap();
         }

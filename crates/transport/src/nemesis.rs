@@ -134,7 +134,7 @@ impl NemesisMetrics {
     }
 }
 
-/// A scheduled or immediately applied fault-plan step.
+/// One fault-plan step, applied with [`Nemesis::apply`].
 #[derive(Debug, Clone)]
 pub enum NemesisEvent {
     /// Partition the named nodes into groups: every link between
@@ -423,17 +423,6 @@ impl Nemesis {
     /// Applies a fault-plan step immediately.
     pub fn apply(&self, event: NemesisEvent) {
         self.inner.apply(event);
-    }
-
-    /// Applies `event` after `after` elapses, on a detached timer
-    /// thread. Scheduling is relative to the call, so a chaos script
-    /// lays out its whole plan up front and lets it run.
-    pub fn schedule(&self, after: Duration, event: NemesisEvent) {
-        let inner = Arc::clone(&self.inner);
-        std::thread::spawn(move || {
-            std::thread::sleep(after);
-            inner.apply(event);
-        });
     }
 
     /// Shorthand for [`NemesisEvent::Partition`] applied immediately.
@@ -990,26 +979,5 @@ mod tests {
                 b"only"
             );
         }
-    }
-
-    #[test]
-    fn scheduled_events_fire() {
-        let registry = Registry::new();
-        let nem = Nemesis::new(11, &registry);
-        let net = MemNetwork::new();
-        let (a, _b, _l) = pipe(&nem, &net, "a", "b");
-        nem.schedule(
-            Duration::from_millis(20),
-            NemesisEvent::Sever {
-                a: "a".into(),
-                b: "b".into(),
-            },
-        );
-        assert!(!a.is_closed(), "not yet");
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while !a.is_closed() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(a.is_closed(), "scheduled sever fired");
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::error::CodecError;
 use crate::id::{ClientId, ObjectId, SeqNo};
-use crate::wire::{decode_seq, encode_seq, Decode, Encode, Reader, WriteExt};
+use crate::wire::{wire, Decode, Encode, Reader, WriteExt};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,58 +59,28 @@ impl fmt::Display for Timestamp {
     }
 }
 
-impl Encode for Timestamp {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_varint(self.0);
+wire! {
+    /// How an update payload combines with the existing object state.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum UpdateKind {
+        /// `bcastState`: the payload replaces the object's state.
+        0 => SetState,
+        /// `bcastUpdate`: the payload is appended, preserving history.
+        1 => Incremental,
     }
 }
 
-impl Decode for Timestamp {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Timestamp(reader.read_varint()?))
+wire! {
+    /// A single update to one shared object, as submitted by a client.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StateUpdate {
+        /// The object being updated.
+        pub object: ObjectId,
+        /// Replace vs append semantics.
+        pub kind: UpdateKind,
+        /// The opaque byte-stream payload.
+        pub payload: Bytes,
     }
-}
-
-/// How an update payload combines with the existing object state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UpdateKind {
-    /// `bcastState`: the payload replaces the object's state.
-    SetState,
-    /// `bcastUpdate`: the payload is appended, preserving history.
-    Incremental,
-}
-
-impl Encode for UpdateKind {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
-            UpdateKind::SetState => 0,
-            UpdateKind::Incremental => 1,
-        });
-    }
-}
-
-impl Decode for UpdateKind {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match reader.read_u8()? {
-            0 => Ok(UpdateKind::SetState),
-            1 => Ok(UpdateKind::Incremental),
-            tag => Err(CodecError::InvalidTag {
-                context: "UpdateKind",
-                tag,
-            }),
-        }
-    }
-}
-
-/// A single update to one shared object, as submitted by a client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateUpdate {
-    /// The object being updated.
-    pub object: ObjectId,
-    /// Replace vs append semantics.
-    pub kind: UpdateKind,
-    /// The opaque byte-stream payload.
-    pub payload: Bytes,
 }
 
 impl StateUpdate {
@@ -138,62 +108,26 @@ impl StateUpdate {
     }
 }
 
-impl Encode for StateUpdate {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.object.encode(buf);
-        self.kind.encode(buf);
-        buf.put_len_bytes(&self.payload);
+wire! {
+    /// An update after the service sequenced it: the unit of the state log
+    /// and of multicast delivery.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LoggedUpdate {
+        /// Position in the group's total order.
+        pub seq: SeqNo,
+        /// The member that submitted the update.
+        pub sender: ClientId,
+        /// Server-assigned real-time stamp.
+        pub timestamp: Timestamp,
+        /// The update itself.
+        pub update: StateUpdate,
     }
-}
-
-impl Decode for StateUpdate {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(StateUpdate {
-            object: ObjectId::decode(reader)?,
-            kind: UpdateKind::decode(reader)?,
-            payload: reader.read_bytes()?,
-        })
-    }
-}
-
-/// An update after the service sequenced it: the unit of the state log
-/// and of multicast delivery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoggedUpdate {
-    /// Position in the group's total order.
-    pub seq: SeqNo,
-    /// The member that submitted the update.
-    pub sender: ClientId,
-    /// Server-assigned real-time stamp.
-    pub timestamp: Timestamp,
-    /// The update itself.
-    pub update: StateUpdate,
 }
 
 impl LoggedUpdate {
     /// Total encoded payload size (used by size-based log reduction).
     pub fn payload_len(&self) -> usize {
         self.update.payload.len()
-    }
-}
-
-impl Encode for LoggedUpdate {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.seq.encode(buf);
-        self.sender.encode(buf);
-        self.timestamp.encode(buf);
-        self.update.encode(buf);
-    }
-}
-
-impl Decode for LoggedUpdate {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(LoggedUpdate {
-            seq: SeqNo::decode(reader)?,
-            sender: ClientId::decode(reader)?,
-            timestamp: Timestamp::decode(reader)?,
-            update: StateUpdate::decode(reader)?,
-        })
     }
 }
 
@@ -267,7 +201,7 @@ impl ObjectState {
 impl Encode for ObjectState {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_len_bytes(&self.base);
-        encode_seq(&self.increments, buf);
+        self.increments.encode(buf);
     }
 }
 
@@ -275,7 +209,7 @@ impl Decode for ObjectState {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ObjectState {
             base: reader.read_bytes()?,
-            increments: decode_seq(reader)?,
+            increments: Vec::decode(reader)?,
         })
     }
 }

@@ -7,6 +7,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> CHANGES.md: one entry per PR"
+dups=$(sed -n 's/^- \(PR [0-9][0-9]*\).*/\1/p' CHANGES.md | sort | uniq -d)
+if [ -n "$dups" ]; then
+    echo "CHANGES.md has more than one entry for:" $dups >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
