@@ -157,14 +157,20 @@ fn client_profile_affects_rtt_but_not_linearity() {
 
 #[test]
 fn server_profile_scales_the_slope() {
+    // Measured where the server CPU is the bottleneck. At 1000 B the
+    // 10 Mbps LAN's per-frame wire time exceeds either host's per-send
+    // CPU cost, so both slopes are the wire's and tie; at 200 B the
+    // per-client cost is the server's enqueue.
     let slope = |profile| {
         let a = roundtrip(ExperimentConfig {
             server_profile: profile,
+            payload: 200,
             ..base(10)
         })
         .mean_ms;
         let b = roundtrip(ExperimentConfig {
             server_profile: profile,
+            payload: 200,
             ..base(50)
         })
         .mean_ms;
