@@ -11,9 +11,8 @@
 use corona_bench::{arg_present, arg_value, fd_soft_limit, header, row, thread_count};
 use corona_core::{config::ServerConfig, rawwire::RawMember, server::CoronaServer};
 use corona_health::{CapacityModel, CapacityPoint};
-use corona_metrics::Registry;
-use corona_sim::{p99_us, roundtrip_traced, roundtrip_with_metrics, ExperimentConfig};
-use corona_trace::Breakdown;
+use corona_metrics::MetricsSnapshot;
+use corona_sim::{p99_us, roundtrip_with_metrics, ExperimentConfig};
 use corona_types::id::{GroupId, ObjectId, ServerId};
 use std::time::{Duration, Instant};
 
@@ -84,23 +83,18 @@ fn conn_sweep() {
     println!("FIG3 conn-sweep: reactor transport, idle-member populations over real TCP");
     println!("(threads = spawned by the server; O(shards), not O(2 x clients))\n");
     let widths = [12, 10, 14, 14, 10];
-    println!(
-        "{}",
-        header(
-            &[
-                "population",
-                "threads",
-                "rtt p50 (us)",
-                "rtt p99 (us)",
-                "status"
-            ],
-            &widths
-        )
-    );
+    let head = [
+        "population",
+        "threads",
+        "rtt p50 (us)",
+        "rtt p99 (us)",
+        "status",
+    ];
+    println!("{}", header(&head, &widths));
     let mut lines = Vec::new();
     for &(population, broadcasts) in &[(1000usize, 200usize), (5000, 60), (10_000, 60)] {
         let line = conn_sweep_point(population, broadcasts);
-        let skipped = line.contains("\"skipped\":true");
+        // A skipped point carries none of the fields: "-" each.
         let field = |key: &str| -> String {
             line.split(&format!("\"{key}\":"))
                 .nth(1)
@@ -108,35 +102,13 @@ fn conn_sweep() {
                 .unwrap_or("-")
                 .to_string()
         };
-        println!(
-            "{}",
-            row(
-                &[
-                    population.to_string(),
-                    if skipped {
-                        "-".into()
-                    } else {
-                        field("threads")
-                    },
-                    if skipped {
-                        "-".into()
-                    } else {
-                        field("rtt_p50_us")
-                    },
-                    if skipped {
-                        "-".into()
-                    } else {
-                        field("rtt_p99_us")
-                    },
-                    if skipped {
-                        "skipped(fd)".into()
-                    } else {
-                        "ok".into()
-                    },
-                ],
-                &widths
-            )
-        );
+        let [threads, p50, p99] = ["threads", "rtt_p50_us", "rtt_p99_us"].map(field);
+        let status = match line.contains("\"skipped\":true") {
+            true => "skipped(fd)",
+            false => "ok",
+        };
+        let cells = [population.to_string(), threads, p50, p99, status.into()];
+        println!("{}", row(&cells, &widths));
         lines.push(line);
     }
     println!();
@@ -170,21 +142,16 @@ fn main() {
 
     println!("FIG3: round-trip delay vs #clients, single server, {payload}-byte messages");
     println!(
-        "(deterministic simulation; calibrated 1999 host profiles; mean over {messages} msgs)\n"
+        "(the shipping server stepped under the DES clock at calibrated 1999 host costs; \
+         mean over {messages} msgs)\n"
     );
     let widths = [8, 16, 16, 12];
-    println!(
-        "{}",
-        header(
-            &["clients", "stateful (ms)", "stateless (ms)", "overhead"],
-            &widths
-        )
-    );
+    let head = ["clients", "stateful (ms)", "stateless (ms)", "overhead"];
+    println!("{}", header(&head, &widths));
 
-    let registry = Registry::new();
+    let mut metrics = MetricsSnapshot::default();
     let mut prev_stateful: Option<f64> = None;
     let mut first = None;
-    let mut trace_lines = Vec::new();
     let mut capacity = CapacityModel::new(budget_us);
     for n in (5..=60).step_by(5) {
         let base = ExperimentConfig {
@@ -194,43 +161,25 @@ fn main() {
             interval_us,
             ..ExperimentConfig::default()
         };
-        let (stateful, spans) = roundtrip_traced(
-            ExperimentConfig {
-                stateful: true,
-                ..base
-            },
-            &registry,
-        );
-        // Per-hop latency breakdown for this sweep point; the hop p50s
-        // must explain the measured round trip (sum within 10%).
-        trace_lines.push(format!(
-            "TRACE {{\"experiment\":\"fig3\",\"clients\":{n},\"payload\":{payload},\"breakdown\":{}}}",
-            Breakdown::from_spans(&spans).render_json()
-        ));
+        let mut run = |stateful| {
+            let (results, run_metrics) =
+                roundtrip_with_metrics(ExperimentConfig { stateful, ..base });
+            metrics.merge(&run_metrics);
+            results
+        };
+        let (stateful, stateless) = (run(true), run(false));
         capacity.push(CapacityPoint {
             clients: n as u64,
             p99_us: p99_us(&stateful.rtts_us),
         });
-        let stateless = roundtrip_with_metrics(
-            ExperimentConfig {
-                stateful: false,
-                ..base
-            },
-            &registry,
-        );
         let overhead = (stateful.mean_ms - stateless.mean_ms) / stateless.mean_ms * 100.0;
-        println!(
-            "{}",
-            row(
-                &[
-                    n.to_string(),
-                    format!("{:.1} ±{:.1}", stateful.mean_ms, stateful.stddev_ms),
-                    format!("{:.1} ±{:.1}", stateless.mean_ms, stateless.stddev_ms),
-                    format!("{overhead:+.1}%"),
-                ],
-                &widths
-            )
-        );
+        let cells = [
+            n.to_string(),
+            format!("{:.1} ±{:.1}", stateful.mean_ms, stateful.stddev_ms),
+            format!("{:.1} ±{:.1}", stateless.mean_ms, stateless.stddev_ms),
+            format!("{overhead:+.1}%"),
+        ];
+        println!("{}", row(&cells, &widths));
         if first.is_none() {
             first = Some(stateful.mean_ms);
         }
@@ -244,16 +193,6 @@ fn main() {
         );
     }
 
-    // Per-sweep-point per-hop latency breakdowns (stateful curve): one
-    // TRACE line per population with hop p50/p99 and round-trip stats.
-    println!();
-    for line in &trace_lines {
-        println!("{line}");
-    }
-
-    // Aggregate simulator metrics across the whole sweep (both
-    // curves): per-stage event counters plus fan-out/RTT latency
-    // histograms with p50/p90/p99.
     // Capacity estimate for the health plane: the max population this
     // (simulated) single server sustains with p99 round trip inside
     // the SLO budget, interpolated between sweep points.
@@ -266,12 +205,13 @@ fn main() {
         max => println!("(max sustainable clients at p99 < {budget_us} us: {max})"),
     }
 
-    let snap = registry.snapshot();
+    // The servers' own registries, merged across the sweep (both
+    // curves): the kernel's counters and histograms, as on real sockets.
     println!(
         "\nEncode-once: {} frame encodes across the sweep — {messages} per run \
          regardless of population; the per-byte serialisation cost is paid once \
          per message, not once per recipient.",
-        snap.counter("sim.stage.encodes"),
+        metrics.counter("server.fanout.encodes"),
     );
-    println!("\nMETRICS {}", snap.render_json());
+    println!("\nMETRICS {}", metrics.render_json());
 }

@@ -2,19 +2,19 @@
 //! (msec) for a multicast message of size 1000 bytes, using a single
 //! server vs multiple servers".
 //!
-//! Configuration mirrors §5.2.3: a coordinator plus six member
-//! servers; clients distributed over the member servers' LAN segments
-//! (some a few routers away — the backbone profile); 100, 200 and 300
-//! clients; compared against one server carrying the same population.
+//! Configuration mirrors §5.2.3: six stepped replicated servers, one
+//! of them the coordinator, each with its clients on its own LAN
+//! segment and every server↔server link a few routers away (the
+//! backbone profile); 100, 200 and 300 clients; compared against one
+//! stepped server carrying the same population.
 
 use corona_bench::{arg_value, header, row};
 use corona_core::client::CoronaClient;
 use corona_core::ServerConfig;
 use corona_health::{CapacityModel, CapacityPoint};
-use corona_metrics::Registry;
+use corona_metrics::{MetricsSnapshot, Registry};
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
-use corona_sim::{p99_us, roundtrip_traced, roundtrip_with_metrics, ExperimentConfig};
-use corona_trace::Breakdown;
+use corona_sim::{p99_us, roundtrip_with_metrics, ExperimentConfig};
 use corona_transport::{MemNetwork, Nemesis};
 use corona_types::id::{GroupId, ObjectId, ServerId};
 use corona_types::message::ServerEvent;
@@ -28,20 +28,16 @@ fn main() {
     let budget_us: u64 = arg_value("--slo-budget-us")
         .and_then(|v| v.parse().ok())
         .unwrap_or(50_000);
-    println!("TAB2: round-trip delay (ms), 1000-byte multicast, single vs 1+6 replicated servers");
-    println!("(deterministic simulation; worst-positioned measuring client)\n");
-    let widths = [10, 16, 20, 10];
+    println!("TAB2: round-trip delay (ms), 1000-byte multicast, single vs 6 replicated servers");
     println!(
-        "{}",
-        header(
-            &["clients", "single (ms)", "replicated (ms)", "speedup"],
-            &widths
-        )
+        "(the shipping servers stepped under the DES clock; worst-positioned measuring client)\n"
     );
+    let widths = [10, 16, 20, 10];
+    let head = ["clients", "single (ms)", "replicated (ms)", "speedup"];
+    println!("{}", header(&head, &widths));
 
-    let single_registry = Registry::new();
-    let replicated_registry = Registry::new();
-    let mut trace_lines = Vec::new();
+    let mut single_metrics = MetricsSnapshot::default();
+    let mut replicated_metrics = MetricsSnapshot::default();
     let mut capacity = CapacityModel::new(budget_us);
     for n in [100, 200, 300] {
         let base = ExperimentConfig {
@@ -51,27 +47,14 @@ fn main() {
             closed_loop: true,
             ..ExperimentConfig::default()
         };
-        let single = roundtrip_with_metrics(
-            ExperimentConfig {
-                n_servers: 1,
-                ..base
-            },
-            &single_registry,
-        );
-        let (replicated, spans) = roundtrip_traced(
-            ExperimentConfig {
-                n_servers: 6,
-                ..base
-            },
-            &replicated_registry,
-        );
-        // Per-hop breakdown of the replicated path: the forward hop to
-        // the coordinator and the sequenced copy's return are where the
-        // extra latency budget goes.
-        trace_lines.push(format!(
-            "TRACE {{\"experiment\":\"table2\",\"clients\":{n},\"servers\":6,\"breakdown\":{}}}",
-            Breakdown::from_spans(&spans).render_json()
-        ));
+        let run = |n_servers, metrics: &mut MetricsSnapshot| {
+            let (results, run_metrics) =
+                roundtrip_with_metrics(ExperimentConfig { n_servers, ..base });
+            metrics.merge(&run_metrics);
+            results
+        };
+        let single = run(1, &mut single_metrics);
+        let replicated = run(6, &mut replicated_metrics);
         // Per-replica load: the population is spread over the six
         // member servers, so a point at N total clients measures a
         // replica carrying N/6.
@@ -79,18 +62,13 @@ fn main() {
             clients: (n / 6) as u64,
             p99_us: p99_us(&replicated.rtts_us),
         });
-        println!(
-            "{}",
-            row(
-                &[
-                    n.to_string(),
-                    format!("{:.0}", single.mean_ms),
-                    format!("{:.0}", replicated.mean_ms),
-                    format!("{:.1}x", single.mean_ms / replicated.mean_ms),
-                ],
-                &widths
-            )
-        );
+        let cells = [
+            n.to_string(),
+            format!("{:.0}", single.mean_ms),
+            format!("{:.0}", replicated.mean_ms),
+            format!("{:.1}x", single.mean_ms / replicated.mean_ms),
+        ];
+        println!("{}", row(&cells, &widths));
     }
 
     println!(
@@ -100,13 +78,6 @@ fn main() {
          N sends on one CPU and one wire (paper: 'better scalability and\n\
          responsiveness to user requests are achieved')."
     );
-
-    // Per-population per-hop latency breakdowns of the replicated
-    // topology.
-    println!();
-    for line in &trace_lines {
-        println!("{line}");
-    }
 
     // Per-replica capacity estimate for the health plane: the largest
     // per-member-server client load whose p99 round trip stays inside
@@ -120,17 +91,11 @@ fn main() {
         max => println!("(max sustainable clients per replica at p99 < {budget_us} us: {max})"),
     }
 
-    // Per-topology simulator metrics across all three populations:
-    // stage counters (origin/coordinator/member-server hops) and
-    // fan-out/RTT latency histograms with p50/p90/p99.
-    println!(
-        "\nMETRICS single {}",
-        single_registry.snapshot().render_json()
-    );
-    println!(
-        "METRICS replicated {}",
-        replicated_registry.snapshot().render_json()
-    );
+    // Per topology, its servers' own registries merged across all
+    // three populations: the kernel's and the replication layer's
+    // counters and histograms.
+    println!("\nMETRICS single {}", single_metrics.render_json());
+    println!("METRICS replicated {}", replicated_metrics.render_json());
 
     // Partition-heal recovery: real 3-server clusters over the
     // in-memory transport, coordinator stranded in a minority until it

@@ -1,7 +1,7 @@
 //! # corona-bench
 //!
-//! Benchmark harnesses that regenerate every table and figure of the
-//! paper's evaluation (§5.2), plus ablations of the design decisions.
+//! The binaries that regenerate every table and figure of the paper's
+//! evaluation (§5.2).
 //!
 //! | Artefact | Regenerate with |
 //! |---|---|
@@ -9,13 +9,12 @@
 //! | §5.2.1 10 000-byte variant | `cargo run -p corona-bench --bin fig3_roundtrip -- --payload 10000` |
 //! | Table 1 (server throughput) | `cargo run -p corona-bench --bin table1_throughput` |
 //! | Table 2 (single vs replicated round-trip) | `cargo run -p corona-bench --bin table2_replicated` |
-//! | Micro-benchmarks / ablations | `cargo bench -p corona-bench` |
 //!
-//! The experiment binaries run on the deterministic simulator
-//! (`corona-sim`), so the full 300-client sweeps finish in
-//! milliseconds and reproduce bit-for-bit; the criterion benches
-//! exercise the *real* threaded server over loopback TCP and the real
-//! data structures.
+//! Each runs the shipping servers stepped under the DES clock at the
+//! 1999 testbed's costs (`corona-sim`), so a 300-client sweep takes
+//! about a second and reproduces bit-for-bit. The per-layer costs of
+//! today's hardware — codec, sequencing, log append, state transfer —
+//! are `crates/e2e-bench`'s probes.
 
 #![warn(missing_docs)]
 

@@ -37,10 +37,6 @@ pub struct ServerConfig {
     pub reduction: ReductionPolicy,
     /// The external workspace session manager (§3.2).
     pub policy: Arc<dyn SessionPolicy>,
-    /// If `true`, disk logging blocks the multicast critical path
-    /// (ablation ABL-LOG); the paper's design is `false` — logging
-    /// happens on a dedicated thread in parallel with the fan-out.
-    pub log_on_critical_path: bool,
     /// QoS-adaptive delivery policy (§5.3 extension): load-shed
     /// expendable event classes to clients that cannot keep up.
     pub qos: QosPolicy,
@@ -73,7 +69,6 @@ impl ServerConfig {
             sync_policy: SyncPolicy::OsDefault,
             reduction: ReductionPolicy::Manual,
             policy: Arc::new(AllowAll),
-            log_on_critical_path: false,
             qos: QosPolicy::default(),
             metrics_dump_interval: None,
             send_queue_capacity: corona_transport::DEFAULT_SEND_CAPACITY,
@@ -116,14 +111,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_session_policy(mut self, policy: Arc<dyn SessionPolicy>) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Forces disk logging onto the multicast critical path
-    /// (builder-style; ablation only).
-    #[must_use]
-    pub fn with_log_on_critical_path(mut self, on: bool) -> Self {
-        self.log_on_critical_path = on;
         self
     }
 
@@ -180,7 +167,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("storage_dir", &self.storage_dir)
             .field("sync_policy", &self.sync_policy)
             .field("reduction", &self.reduction)
-            .field("log_on_critical_path", &self.log_on_critical_path)
             .field("qos", &self.qos)
             .field("send_queue_capacity", &self.send_queue_capacity)
             .field("reactor_shards", &self.reactor_shards)
@@ -197,15 +183,13 @@ mod tests {
         let cfg = ServerConfig::stateful(ServerId::new(1))
             .with_storage("/tmp/x")
             .with_sync_policy(SyncPolicy::EveryRecord)
-            .with_reduction(ReductionPolicy::default_interactive())
-            .with_log_on_critical_path(true);
+            .with_reduction(ReductionPolicy::default_interactive());
         assert_eq!(cfg.statefulness, Statefulness::Stateful);
         assert_eq!(
             cfg.storage_dir.as_deref(),
             Some(std::path::Path::new("/tmp/x"))
         );
         assert_eq!(cfg.sync_policy, SyncPolicy::EveryRecord);
-        assert!(cfg.log_on_critical_path);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //!   first connection is accepted;
 //! * the **logger thread**, which executes [`LogEffect`]s against
 //!   stable storage *in parallel with* the multicast fan-out ("state
-//!   logging ... is not in the critical path", §6). The
-//!   [`ServerConfig::log_on_critical_path`] ablation switch moves this
-//!   work inline into the dispatcher instead;
+//!   logging ... is not in the critical path", §6);
 //! * the [`ServerStats`] admin snapshot.
 
 use crate::config::ServerConfig;
@@ -166,6 +164,17 @@ struct Single {
     snapshot_seq: u64,
 }
 
+impl Single {
+    fn new(core: ServerCore, log: Box<dyn FnMut(LogEffect) + Send>, registry: &Registry) -> Self {
+        Single {
+            core,
+            log,
+            stage_log_us: registry.histogram("server.stage.log_us"),
+            snapshot_seq: 0,
+        }
+    }
+}
+
 impl Protocol for Single {
     type Effect = Effect;
 
@@ -293,14 +302,9 @@ impl CoronaServer {
             None => None,
         };
 
-        // Logger thread (unless the ablation forces inline logging).
+        // The logger thread, fed the effects in dispatcher order.
         let mut logger = None;
         let log: Box<dyn FnMut(LogEffect) + Send> = match logger_state {
-            Some(mut state) if config.log_on_critical_path => Box::new(move |effect| {
-                state.apply(effect);
-                // The ablation measures the full durability cost.
-                state.sync_all();
-            }),
             Some(mut state) => {
                 let queue = LogQueue(Arc::new(Inbox::parked()));
                 let effects = Arc::clone(&queue.0);
@@ -325,17 +329,47 @@ impl CoronaServer {
             None => Box::new(|_| {}),
         };
 
-        let single = Single {
-            core,
-            log,
-            stage_log_us: registry.histogram("server.stage.log_us"),
-            snapshot_seq: 0,
-        };
+        let single = Single::new(core, log, &registry);
         let mut kernel = Kernel::start("corona", &config, registry, single, listener, None);
         if let Some(logger) = logger {
             kernel.join_after(logger);
         }
         Ok(CoronaServer { addr, kernel })
+    }
+
+    /// [`CoronaServer::start`] with no thread of its own: the caller
+    /// turns the dispatcher with [`CoronaServer::run_pending`], at the
+    /// time it says it is.
+    ///
+    /// # Errors
+    ///
+    /// [`CoronaError::InvalidState`] for a configuration with a
+    /// storage directory (stable storage needs the logger thread), or
+    /// a listener that cannot push (see [`Kernel::stepped`]).
+    pub fn stepped(listener: Box<dyn Listener>, config: ServerConfig) -> Result<CoronaServer> {
+        if config.storage_dir.is_some() {
+            return Err(CoronaError::InvalidState(
+                "a stepped server has no logger thread to keep a storage_dir".into(),
+            ));
+        }
+        let addr = listener.local_addr();
+        let registry = Registry::new();
+        let core = ServerCore::with_registry(&config, Arc::clone(&registry));
+        let single = Single::new(core, Box::new(|_| {}), &registry);
+        let kernel = Kernel::stepped("corona", &config, registry, single, listener, None)?;
+        Ok(CoronaServer { addr, kernel })
+    }
+
+    /// One dispatcher turn of a [stepped](CoronaServer::stepped) server
+    /// at `now_ms`; see [`Kernel::run_pending`].
+    pub fn run_pending(&self, now_ms: u64) -> bool {
+        self.kernel.run_pending(now_ms)
+    }
+
+    /// When a [stepped](CoronaServer::stepped) server's next watchdog
+    /// poll is due.
+    pub fn next_tick_ms(&self) -> u64 {
+        self.kernel.next_tick_ms()
     }
 
     /// The address clients dial.

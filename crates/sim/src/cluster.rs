@@ -30,9 +30,10 @@ use bytes::Bytes;
 use corona_core::kernel::SINK_QUEUE_HWM;
 use corona_core::mirror::{ApplyOutcome, GroupMirror};
 use corona_core::ServerConfig;
+use corona_health::OpsEvent;
 use corona_metrics::{Counter, Gauge, Registry};
 use corona_replication::{ReplicaStatus, ReplicatedConfig, ReplicatedServer};
-use corona_transport::{Connection, FrameSink, LinkFaults, Nemesis, NemesisEvent};
+use corona_transport::{Connection, Dialer, FrameSink, LinkFaults, Nemesis, NemesisEvent};
 use corona_types::id::{ClientId, GroupId, ObjectId, ServerId};
 use corona_types::message::{ClientRequest, ServerEvent, PROTOCOL_VERSION};
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
@@ -142,6 +143,8 @@ pub struct ServerOutcome {
     pub rejected: u64,
     /// Entries its heal-time reconciliations discarded.
     pub discarded: u64,
+    /// Every ops event its health plane emitted, stamped in virtual ms.
+    pub ops: Vec<OpsEvent>,
 }
 
 /// What a run that broke no invariant saw.
@@ -186,9 +189,36 @@ impl FrameSink for Mailbox {
     }
 }
 
+/// A scripted client's connection: encoded requests out, a mailbox in.
+pub(crate) struct Wire {
+    conn: Box<dyn Connection>,
+    mailbox: Arc<Mailbox>,
+}
+
+impl Wire {
+    /// Dials `addr`; `None` if nothing listens there.
+    pub(crate) fn dial(dialer: &dyn Dialer, addr: &str) -> Option<Wire> {
+        let conn = dialer.dial(addr).ok()?;
+        let mailbox = Arc::new(Mailbox::default());
+        conn.attach_sink(0, Arc::clone(&mailbox) as Arc<dyn FrameSink>);
+        Some(Wire { conn, mailbox })
+    }
+
+    pub(crate) fn send(&self, request: &ClientRequest) {
+        let _ = self.conn.send(encode_traced(request, None));
+    }
+
+    /// What has arrived since the last call, and whether the connection
+    /// has closed.
+    pub(crate) fn take(&self) -> (Vec<Bytes>, bool) {
+        let frames = std::mem::take(&mut *lock(&self.mailbox.frames));
+        (frames, self.mailbox.closed.load(Ordering::Relaxed))
+    }
+}
+
 #[derive(Default)]
 struct Client {
-    conn: Option<(Box<dyn Connection>, Arc<Mailbox>)>,
+    conn: Option<Wire>,
     id: Option<ClientId>,
     home: u64,
     /// Whether it has ever asked to join, whether that is still to be
@@ -239,8 +269,8 @@ fn node(server: u64) -> String {
 
 impl World<'_> {
     fn send(&mut self, c: usize, request: &ClientRequest) {
-        if let Some((conn, _)) = &self.clients[c].conn {
-            let _ = conn.send(encode_traced(request, None));
+        if let Some(wire) = &self.clients[c].conn {
+            wire.send(request);
         }
     }
 
@@ -279,13 +309,11 @@ impl World<'_> {
                 let dialer = self
                     .nem
                     .wrap_dialer(&name, Box::new(self.net.dialer(&name)));
-                let Ok(conn) = dialer.dial(&format!("{}-client", node(*s))) else {
+                let Some(wire) = Wire::dial(&*dialer, &format!("{}-client", node(*s))) else {
                     return;
                 };
-                let mailbox = Arc::new(Mailbox::default());
-                conn.attach_sink(0, Arc::clone(&mailbox) as Arc<dyn FrameSink>);
                 let client = &mut self.clients[*c];
-                client.conn = Some((conn, mailbox));
+                client.conn = Some(wire);
                 client.home = *s;
                 let hello = ClientRequest::Hello {
                     version: PROTOCOL_VERSION,
@@ -328,11 +356,10 @@ impl World<'_> {
     /// Reads what a delivery brought client `c`, checking the order of
     /// what it is handed as it goes.
     fn read_mail(&mut self, c: usize) -> Result<(), String> {
-        let Some((_, mailbox)) = &self.clients[c].conn else {
+        let Some(wire) = &self.clients[c].conn else {
             return Ok(());
         };
-        let frames = std::mem::take(&mut *lock(&mailbox.frames));
-        let closed = mailbox.closed.load(Ordering::Relaxed);
+        let (frames, closed) = wire.take();
         // Only a server that reconciled a divergent copy may hand a
         // client a number it has been handed before: the retraction.
         let home = self.servers[self.clients[c].home as usize - 1].as_ref();
@@ -614,8 +641,8 @@ pub fn run_with(scenario: &Scenario, seed: u64, extra: &Invariant) -> Result<Out
         let Some(s) = server else { continue };
         out.status = Some(s.status.clone());
         out.rejected = s.rejected.get();
-        let events = s.server.health_registry().ops_events();
-        let repaired = events.iter().filter(|e| e.kind == "divergence_repaired");
+        out.ops = s.server.health_registry().ops_events();
+        let repaired = out.ops.iter().filter(|e| e.kind == "divergence_repaired");
         out.discarded = repaired.map(|e| e.value).sum();
     }
     Ok(Outcome {

@@ -64,16 +64,6 @@ impl<E> Scheduler<E> {
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
     }
-
-    /// Schedules `event` after a relative delay.
-    pub fn after(&mut self, delay: SimTime, event: E) {
-        self.at(self.now.saturating_add(delay), event);
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 /// A simulation model: state plus an event handler.
@@ -90,7 +80,6 @@ pub trait SimModel {
 pub struct Simulation<M: SimModel> {
     model: M,
     sched: Scheduler<M::Event>,
-    processed: u64,
 }
 
 impl<M: SimModel> Simulation<M> {
@@ -99,7 +88,6 @@ impl<M: SimModel> Simulation<M> {
         Simulation {
             model,
             sched: Scheduler::new(),
-            processed: 0,
         }
     }
 
@@ -113,19 +101,9 @@ impl<M: SimModel> Simulation<M> {
         self.sched.now
     }
 
-    /// Events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Borrows the model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Mutably borrows the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
     }
 
     /// Consumes the simulation, returning the model.
@@ -145,14 +123,8 @@ impl<M: SimModel> Simulation<M> {
             self.sched.now = entry.at;
             self.model.handle(entry.event, &mut self.sched);
             n += 1;
-            self.processed += 1;
         }
         n
-    }
-
-    /// Runs until the queue drains completely.
-    pub fn run_to_completion(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
     }
 }
 
@@ -179,23 +151,9 @@ impl Resource {
         self.free_at
     }
 
-    /// When the resource next becomes free.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// Total busy time accumulated (for utilisation reporting).
     pub fn busy_total(&self) -> SimTime {
         self.busy_total
-    }
-
-    /// Utilisation over an observation window.
-    pub fn utilization(&self, window: SimTime) -> f64 {
-        if window == 0 {
-            0.0
-        } else {
-            self.busy_total as f64 / window as f64
-        }
     }
 }
 
@@ -212,7 +170,7 @@ mod tests {
         fn handle(&mut self, event: u32, sched: &mut Scheduler<u32>) {
             self.fired.push((sched.now(), event));
             if event < 3 {
-                sched.after(10, event + 1);
+                sched.at(sched.now() + 10, event + 1);
             }
         }
     }
@@ -222,7 +180,7 @@ mod tests {
         let mut sim = Simulation::new(Counter { fired: vec![] });
         sim.seed(100, 0);
         sim.seed(5, 100);
-        sim.run_to_completion();
+        sim.run_until(SimTime::MAX);
         let times: Vec<SimTime> = sim.model().fired.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![5, 100, 110, 120, 130]);
     }
@@ -240,7 +198,7 @@ mod tests {
         for i in 0..50 {
             sim.seed(42, i);
         }
-        sim.run_to_completion();
+        sim.run_until(SimTime::MAX);
         assert_eq!(sim.model().0, (0..50).collect::<Vec<_>>());
     }
 
@@ -252,7 +210,7 @@ mod tests {
         assert_eq!(sim.model().fired.len(), 2, "events at 0 and 10 only");
         assert!(sim.now() <= 15);
         // Remaining events still pending.
-        assert!(sim.run_to_completion() > 0);
+        assert!(sim.run_until(SimTime::MAX) > 0);
     }
 
     #[test]
@@ -262,7 +220,6 @@ mod tests {
         assert_eq!(r.acquire(0, 10), 20, "queued behind first use");
         assert_eq!(r.acquire(50, 5), 55, "idle gap then fresh use");
         assert_eq!(r.busy_total(), 25);
-        assert!((r.utilization(100) - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -279,7 +236,7 @@ mod tests {
         }
         let mut sim = Simulation::new(Clamp(vec![]));
         sim.seed(100, true);
-        sim.run_to_completion();
+        sim.run_until(SimTime::MAX);
         assert_eq!(sim.model().0, vec![100, 100]);
     }
 }

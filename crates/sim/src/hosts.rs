@@ -1,20 +1,24 @@
-//! Calibrated host and network cost profiles.
+//! Calibrated host and network cost profiles: the one place the 1999
+//! testbed's costs live.
 //!
 //! The paper's testbed — Sun Sparc 20 / UltraSparc 1 clients and
 //! servers and a quad Pentium II 200 NT box on 10 Mbps shared Ethernet,
 //! running a multi-threaded Java server — is unreproducible hardware.
-//! These profiles substitute a cost model per host class, calibrated so
-//! the single-server 1000-byte round-trip curve lands in the paper's
-//! regime (tens to hundreds of milliseconds across 10–60 clients) and,
-//! more importantly, so the *shapes* the paper reports emerge from the
-//! protocol structure:
+//! These profiles substitute a cost per host class and per network
+//! segment, calibrated so the single-server 1000-byte round-trip curve
+//! lands in the paper's regime (tens to hundreds of milliseconds across
+//! 10–60 clients). [`SimNet`](crate::net::SimNet) charges them to the
+//! frames the shipping servers queue and receive; the shapes the paper
+//! reports then come from the servers' own behaviour, or are reported
+//! where they do not:
 //!
 //! * round-trip delay linear in the number of clients (the server
-//!   serialises N point-to-point sends),
-//! * stateful ≈ stateless (state logging is a small constant per
+//!   queues N point-to-point sends),
+//! * stateful ≈ stateless (applying an update is a small constant per
 //!   message, and disk logging is off the critical path),
 //! * larger payloads steepen the slope (per-byte costs),
-//! * the quad Pentium II outruns the UltraSparc 1.
+//! * the quad Pentium II outruns the UltraSparc 1 where the server CPU
+//!   is the bottleneck.
 //!
 //! All times are in the engine's microsecond unit.
 

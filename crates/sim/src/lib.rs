@@ -13,18 +13,18 @@
 //! runs eight thousand of them in seconds. There is no model of the
 //! protocol here to drift from it.
 //!
-//! **The paper's evaluation** ([`corona`], [`hosts`], [`health`]): the
-//! 1999 testbed (Sparc/UltraSparc/Pentium II on 10 Mbps Ethernet) as
-//! calibrated cost profiles, and the paper's protocol structure —
-//! serialised point-to-point fan-out, off-path disk logging,
-//! coordinator sequencing — as a cost model, so the paper's qualitative
-//! results *emerge*:
+//! **The paper's evaluation** ([`paper`], [`hosts`]): the same
+//! servers — a stepped `CoronaServer`, or a replicated star of stepped
+//! `ReplicatedServer`s — with the 1999 testbed (Sparc / UltraSparc /
+//! Pentium II hosts on 10 Mbps Ethernet) as calibrated cost profiles
+//! that [`net`] charges to every frame they send and receive. The
+//! paper's qualitative results are reproduced by the code that ships,
+//! or reported where it does not reproduce them:
 //!
 //! * Figure 3: round-trip delay linear in #clients; stateful ≈
 //!   stateless;
 //! * §5.2.1: higher slope at 10 000-byte payloads;
-//! * Table 1: throughput grows with message size; the quad Pentium II
-//!   outruns the UltraSparc 1;
+//! * Table 1: throughput grows with message size;
 //! * Table 2: the replicated star beats the single server at 100–300
 //!   clients, with a widening gap.
 //!
@@ -45,22 +45,20 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod corona;
 pub mod engine;
-pub mod health;
 pub mod hosts;
 pub mod net;
+pub mod paper;
 pub mod scenarios;
 
 pub use cluster::{run, run_with, Action, Failure, Outcome, Scenario, ServerOutcome};
-pub use corona::{
-    roundtrip, roundtrip_traced, roundtrip_with_metrics, throughput, ExperimentConfig,
-    RoundTripResults, ThroughputResults,
-};
 pub use engine::{Resource, Scheduler, SimModel, SimTime, Simulation};
-pub use health::{capacity_sweep, p99_us, stall_scenario, HealthEvent, WatchdogSim};
 pub use hosts::{
     HostProfile, NetworkProfile, CAMPUS_BACKBONE, ETHERNET_10MBPS, PENTIUM_II_200, SPARC_20_CLIENT,
     ULTRASPARC_1,
+};
+pub use paper::{
+    capacity_sweep, p99_us, roundtrip, roundtrip_with_metrics, throughput, ExperimentConfig,
+    RoundTripResults, ThroughputResults,
 };
 pub use scenarios::{scenario, SCENARIOS};

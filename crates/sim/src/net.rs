@@ -12,10 +12,25 @@
 //! Faults are not modelled here at all: wrap the listeners and dialers
 //! in a [`Nemesis`](corona_transport::Nemesis), as over any transport.
 //!
+//! **Costs** are the net's too, so that the servers know nothing of
+//! them. A node given a [`Host`] has a CPU: a frame queued there takes
+//! it for the profile's enqueue cost, plus the encode cost the first
+//! time that frame body is queued (a multicast encodes once); a frame
+//! arriving there takes it for the receive cost, plus the state-apply
+//! cost at a stateful server, before anything hears of the frame. A
+//! link between a server (a host with a LAN) and a node without one
+//! crosses the server's LAN; a link between two servers crosses the
+//! one backbone of [`SimNet::costed`]. A frame takes its segment for
+//! its transmission time once the sender's CPU is done with it, and
+//! arrives one hop latency after that. Nodes without a host and links
+//! without a segment cost nothing: [`SimNet::new`]'s every link is
+//! 150 µs plus up to 100 µs of seeded jitter, and that is all.
+//!
 //! One thread uses a net and everything made from it — the traits ask
 //! for `Sync`, hence atomics, but nothing here is ever contended.
 
-use crate::engine::SimTime;
+use crate::engine::{Resource, SimTime};
+use crate::hosts::{HostProfile, NetworkProfile};
 use bytes::Bytes;
 use corona_transport::{
     Connection, Dialer, FaultRng, FrameSink, Listener, TransportError, DEFAULT_SEND_CAPACITY,
@@ -56,6 +71,8 @@ pub struct Delivery(Due);
 enum Due {
     /// A dialled connection reaches its listener.
     Accept(Arc<ListenerInner>, SimConnection),
+    /// A frame reaches a node with a CPU, which has yet to receive it.
+    Arrive(SimNet, Arc<End>, Arc<End>, Bytes),
     /// A frame reaches the end it was sent to.
     Frame(Arc<End>, Arc<End>, Bytes),
     /// An end hears that its connection closed.
@@ -67,22 +84,29 @@ impl Delivery {
     pub fn node(&self) -> &str {
         match &self.0 {
             Due::Accept(listener, _) => &listener.node,
-            Due::Frame(_, to, _) | Due::Closed(to) => &to.node,
+            Due::Arrive(_, _, to, _) | Due::Frame(_, to, _) | Due::Closed(to) => &to.node,
         }
     }
 
-    /// Makes it happen: calls the receiving sink.
-    pub fn run(self) {
+    /// Makes it happen: calls the receiving sink. `false` if all it did
+    /// was take the receiver's CPU — the frame lands once that is done.
+    pub fn run(self) -> bool {
         match self.0 {
             Due::Accept(listener, conn) => {
                 // Shut down, or never served: the connection is dropped,
                 // and so closed.
                 let (Some(sink), false) = (listener.sink.get(), listener.is_shut_down()) else {
-                    return;
+                    return true;
                 };
                 let conn_id = listener.next_conn.fetch_add(1, Ordering::Relaxed);
                 let _ = conn.local.sink.set((conn_id, Arc::clone(sink)));
                 sink.on_accept(conn_id, Box::new(conn));
+            }
+            Due::Arrive(net, from, to, body) => {
+                let now = net.inner.now.load(Ordering::Relaxed);
+                let done = lock(&net.inner.costs).receive(&to.node, now, body.len());
+                net.post(done, Due::Frame(from, to, body));
+                return false;
             }
             Due::Frame(from, to, body) => {
                 from.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -95,13 +119,14 @@ impl Delivery {
             Due::Closed(to) => {
                 to.closed.store(true, Ordering::Relaxed);
                 if to.close_reported.swap(true, Ordering::Relaxed) {
-                    return;
+                    return true;
                 }
                 if let Some((conn_id, sink)) = to.sink.get() {
                     sink.on_closed(*conn_id, true);
                 }
             }
         }
+        true
     }
 }
 
@@ -113,6 +138,7 @@ impl std::hash::Hash for Delivery {
             Due::Accept(..) => (0u8, 0),
             Due::Frame(_, _, body) => (1, body.len()),
             Due::Closed(_) => (2, 0),
+            Due::Arrive(_, _, _, body) => (3, body.len()),
         };
         (kind, self.node(), len).hash(state);
     }
@@ -124,10 +150,112 @@ impl End {
     }
 }
 
-/// One-way latency of every link, in microseconds, and the most a
-/// frame's seeded jitter adds to it.
+/// One-way latency of a link without a segment, in microseconds, and
+/// the most a frame's seeded jitter adds to it on a [`SimNet::new`].
 const LATENCY: SimTime = 150;
 const JITTER: SimTime = 100;
+
+/// What a node costs.
+#[derive(Debug, Clone, Copy)]
+pub struct Host {
+    /// Its CPU.
+    pub cpu: HostProfile,
+    /// Whether a frame arriving here is also applied to shared state.
+    pub stateful: bool,
+    /// A server's LAN: the segment of its links to nodes without one.
+    pub lan: Option<NetworkProfile>,
+}
+
+/// A shared medium: frames cross it one at a time.
+struct Segment {
+    profile: NetworkProfile,
+    wire: Resource,
+}
+
+impl Segment {
+    fn new(profile: NetworkProfile) -> Segment {
+        Segment {
+            profile,
+            wire: Resource::new(),
+        }
+    }
+}
+
+struct Node {
+    host: Host,
+    cpu: Resource,
+    lan: Option<Segment>,
+    /// The last frame body this node paid to encode — held, so that its
+    /// address is not reused by another.
+    encoded: Option<Bytes>,
+}
+
+#[derive(Default)]
+struct Costs {
+    nodes: BTreeMap<String, Node>,
+    backbone: Option<Segment>,
+}
+
+impl Costs {
+    /// The segment a frame between `a` and `b` crosses, if any.
+    fn segment(&mut self, a: &str, b: &str) -> Option<&mut Segment> {
+        let lan = |n: &str| self.nodes.get(n).is_some_and(|n| n.lan.is_some());
+        match (lan(a), lan(b)) {
+            (true, true) => self.backbone.as_mut(),
+            (true, false) => self.nodes.get_mut(a)?.lan.as_mut(),
+            (false, true) => self.nodes.get_mut(b)?.lan.as_mut(),
+            (false, false) => None,
+        }
+    }
+
+    /// When something sent `from` a node `now` has crossed to `to`'s
+    /// side of the link, and the hop latency it arrives after that. An
+    /// accept or a close (no `frame`) costs no CPU and no wire time.
+    fn send(
+        &mut self,
+        from: &str,
+        to: &str,
+        now: SimTime,
+        frame: Option<&Frame>,
+    ) -> (SimTime, SimTime) {
+        let mut ready = now;
+        if let (Some(node), Some(frame)) = (self.nodes.get_mut(from), frame) {
+            let body = frame.body();
+            let same = |e: &Bytes| (e.as_ptr(), e.len()) == (body.as_ptr(), body.len());
+            let fresh = !node.encoded.as_ref().is_some_and(same);
+            let mut cost = node.host.cpu.enqueue_cost();
+            if fresh {
+                cost += node.host.cpu.encode_cost(body.len());
+                node.encoded = Some(body.clone());
+            }
+            ready = node.cpu.acquire(now, cost);
+        }
+        match (self.segment(from, to), frame) {
+            (Some(seg), Some(frame)) => {
+                let sent = seg
+                    .wire
+                    .acquire(ready, seg.profile.transmission_us(frame.wire_len()));
+                (sent, seg.profile.hop_latency_us)
+            }
+            (Some(seg), None) => (ready, seg.profile.hop_latency_us),
+            (None, _) => (ready, LATENCY),
+        }
+    }
+
+    /// When `node` has received a frame of `len` bytes that arrived `now`.
+    fn receive(&mut self, node: &str, now: SimTime, len: usize) -> SimTime {
+        let Some(node) = self.nodes.get_mut(node) else {
+            return now;
+        };
+        let cpu = node.host.cpu;
+        let apply = if node.host.stateful {
+            cpu.state_apply_cost(len)
+        } else {
+            0
+        };
+        node.cpu.acquire(now, cpu.recv_cost(len) + apply)
+    }
+}
 
 struct NetInner {
     now: AtomicU64,
@@ -136,6 +264,8 @@ struct NetInner {
     /// Extra one-way latency per ordered node pair.
     delays: Mutex<BTreeMap<(String, String), SimTime>>,
     rng: Mutex<FaultRng>,
+    jitter: SimTime,
+    costs: Mutex<Costs>,
 }
 
 /// A network of named nodes under virtual time. Cheap to clone.
@@ -147,6 +277,20 @@ pub struct SimNet {
 impl SimNet {
     /// A network whose links' jitter is drawn from `seed`.
     pub fn new(seed: u64) -> Self {
+        SimNet::with(seed, JITTER, Costs::default())
+    }
+
+    /// A network without jitter whose server↔server links cross one
+    /// shared `backbone`; its nodes' costs are [`SimNet::set_host`]'s.
+    pub fn costed(backbone: NetworkProfile) -> Self {
+        let costs = Costs {
+            backbone: Some(Segment::new(backbone)),
+            ..Costs::default()
+        };
+        SimNet::with(0, 0, costs)
+    }
+
+    fn with(seed: u64, jitter: SimTime, costs: Costs) -> Self {
         SimNet {
             inner: Arc::new(NetInner {
                 now: AtomicU64::new(0),
@@ -154,8 +298,29 @@ impl SimNet {
                 listeners: Mutex::new(BTreeMap::new()),
                 delays: Mutex::new(BTreeMap::new()),
                 rng: Mutex::new(FaultRng::new(seed)),
+                jitter,
+                costs: Mutex::new(costs),
             }),
         }
+    }
+
+    /// Charges what `node` sends and receives from now on to `host`.
+    pub fn set_host(&self, node: &str, host: Host) {
+        let node_costs = Node {
+            host,
+            cpu: Resource::new(),
+            lan: host.lan.map(Segment::new),
+            encoded: None,
+        };
+        lock(&self.inner.costs)
+            .nodes
+            .insert(node.to_string(), node_costs);
+    }
+
+    /// CPU time `node` has spent so far, in microseconds.
+    pub fn busy_us(&self, node: &str) -> SimTime {
+        let costs = lock(&self.inner.costs);
+        costs.nodes.get(node).map_or(0, |n| n.cpu.busy_total())
     }
 
     /// Tells the net what time it is: the loop's owner, before each step.
@@ -199,8 +364,9 @@ impl SimNet {
         }
     }
 
-    /// When something sent now `from` its end arrives at node `to`.
-    fn arrival(&self, from: &End, to: &str) -> SimTime {
+    /// When something sent now `from` its end arrives at node `to` —
+    /// a `frame` once the sender's CPU and the segment are done with it.
+    fn arrival(&self, from: &End, to: &str, frame: Option<&Frame>) -> SimTime {
         let extra = {
             let delays = lock(&self.inner.delays);
             let of_pair = match delays.is_empty() {
@@ -209,9 +375,10 @@ impl SimNet {
             };
             of_pair.copied().unwrap_or(0)
         };
-        let jitter = lock(&self.inner.rng).next_u64() % (JITTER + 1);
+        let jitter = lock(&self.inner.rng).next_u64() % (self.inner.jitter + 1);
         let now = self.inner.now.load(Ordering::Relaxed);
-        let at = (now + LATENCY + extra + jitter).max(from.last_arrival.load(Ordering::Relaxed));
+        let (sent, latency) = lock(&self.inner.costs).send(&from.node, to, now, frame);
+        let at = (sent + latency + extra + jitter).max(from.last_arrival.load(Ordering::Relaxed));
         from.last_arrival.store(at, Ordering::Relaxed);
         at
     }
@@ -251,8 +418,14 @@ impl Connection for SimConnection {
         }
         self.local.in_flight.fetch_add(1, Ordering::Relaxed);
         let (from, to) = (Arc::clone(&self.local), Arc::clone(&self.peer));
-        let at = self.net.arrival(&self.local, &self.peer.node);
-        self.net.post(at, Due::Frame(from, to, frame.into_body()));
+        let at = self.net.arrival(&self.local, &self.peer.node, Some(&frame));
+        let body = frame.into_body();
+        let costed = lock(&self.net.inner.costs).nodes.contains_key(&to.node);
+        let due = match costed {
+            true => Due::Arrive(self.net.clone(), from, to, body),
+            false => Due::Frame(from, to, body),
+        };
+        self.net.post(at, due);
         Ok(())
     }
 
@@ -284,7 +457,7 @@ impl Connection for SimConnection {
         let now = self.net.inner.now.load(Ordering::Relaxed);
         self.net.post(now, Due::Closed(Arc::clone(&self.local)));
         if !self.peer.is_closed() {
-            let at = self.net.arrival(&self.local, &self.peer.node);
+            let at = self.net.arrival(&self.local, &self.peer.node, None);
             self.net.post(at, Due::Closed(Arc::clone(&self.peer)));
         }
     }
@@ -389,7 +562,7 @@ impl Dialer for SimDialer {
         };
         // The accept travels like a frame, ahead of everything the
         // dialler sends.
-        let at = self.net.arrival(&ours, &listener.node);
+        let at = self.net.arrival(&ours, &listener.node, None);
         self.net
             .post(at, Due::Accept(listener, conn(&theirs, &ours)));
         Ok(Box::new(conn(&ours, &theirs)))

@@ -1,9 +1,10 @@
 //! The real replication kernel under the DES clock: what the deleted
 //! `partition` / `failover` re-models asserted of themselves, asserted
 //! of [`corona_replication`] — plus determinism, replay, the defect-(ii)
-//! regression and a fixed slice of the sweep.
+//! regression, the real stall watchdog, and a fixed slice of the sweep.
 
-use corona_sim::{run, run_with, scenario, Outcome, SCENARIOS};
+use corona_health::WatchdogConfig;
+use corona_sim::{run, run_with, scenario, Action, Outcome, Scenario, SCENARIOS};
 
 const MS: u64 = 1000;
 
@@ -127,6 +128,50 @@ fn a_broken_invariant_prints_a_schedule_that_replays_to_the_same_failure() {
 #[test]
 fn a_reordered_update_is_not_fanned_out_past_a_gap_on_a_fresh_host() {
     ok("fresh_host_reorder", 1);
+}
+
+/// `tests/health_stack.rs`'s coordinator kill in virtual time: a client
+/// on s2 broadcasts every 20 ms, s1 dies, and no election resolves
+/// inside the window, so s2's own watchdog sees submissions and no
+/// sequencing. Polls come every tick (15 ms); the last progress s2 saw
+/// was at the 285 ms poll, after the 280 ms broadcast's round trip.
+#[test]
+fn a_killed_coordinator_trips_the_real_stall_watchdog_at_an_exact_virtual_millisecond() {
+    const KILL_MS: u64 = 290;
+    let mut script = vec![
+        (MS, Action::Connect(0, 2)),
+        (3 * MS, Action::Create(0)),
+        (5 * MS, Action::Join(0)),
+        (KILL_MS * MS, Action::Kill(1)),
+    ];
+    script.extend((1..50).map(|k| (20 * k * MS, Action::Broadcast(0, k as u32))));
+    script.sort_by_key(|(at, _)| *at);
+    let scenario = Scenario {
+        servers: 3,
+        base_timeout_ms: 5_000,
+        script,
+        end: 1_000 * MS,
+        converges: false,
+    };
+    let stall_at = || {
+        let outcome = run(&scenario, 1).unwrap_or_else(|failure| panic!("{failure}"));
+        let ops = &outcome.servers[1].ops;
+        ops.iter()
+            .find(|e| e.kind == "sequencing_stall")
+            .map(|e| e.at_ms)
+    };
+    let at = stall_at().expect("s2's watchdog trips");
+    assert_eq!(
+        stall_at(),
+        Some(at),
+        "the same virtual millisecond each run"
+    );
+    let stall_after = WatchdogConfig::default().stall_after_ms;
+    let window = KILL_MS + stall_after..=KILL_MS + stall_after + 15;
+    assert!(
+        window.contains(&at),
+        "tripped at {at} ms, not in {window:?}"
+    );
 }
 
 /// The debug build's share of `sweep all`: every invariant holds on a

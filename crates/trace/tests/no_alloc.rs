@@ -1,4 +1,4 @@
-//! The acceptance criterion for the tracing hot path: recording does
+//! The acceptance test for the tracing hot path: recording does
 //! no heap allocation — neither when tracing is disabled (the common
 //! production state) nor per-span once a thread's ring exists.
 //!

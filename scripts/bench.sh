@@ -2,17 +2,18 @@
 # Regenerates the paper's headline numbers and spools the
 # machine-readable output into JSON files for regression tracking:
 #
-#   BENCH_fig3.json   - Figure 3 sweep: aggregate metrics + one per-hop
-#                       latency breakdown (TRACE line) per population
-#   BENCH_table2.json - Table 2: single vs replicated metrics + one
-#                       breakdown per population of the replicated star
+#   BENCH_fig3.json   - Figure 3 sweep: the stepped servers' merged
+#                       metrics, capacity estimate, real-TCP conn sweep
+#   BENCH_table2.json - Table 2: single vs replicated merged metrics,
+#                       capacity estimate, partition-heal recovery
 #
 # Each file is a single JSON object: {"bench":..,"metrics":..,
-# "trace":[..],"health":..} where every element is lifted verbatim
-# from the harness's METRICS / TRACE / HEALTH lines. The health
-# section carries the capacity estimate (max sustainable clients at
-# p99 inside the SLO budget). Human-readable tables still go to
-# stdout. --offline throughout; the workspace builds without network.
+# "health":..,..} where every element is lifted verbatim from the
+# harness's METRICS / HEALTH / CONNSWEEP / PARTITION_HEAL lines. The
+# health section carries the capacity estimate (max sustainable
+# clients at p99 inside the SLO budget). Human-readable tables still
+# go to stdout. --offline throughout; the workspace builds without
+# network.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,7 +30,6 @@ echo "==> fig3_roundtrip"
 out=$(./target/release/fig3_roundtrip "$@")
 printf '%s\n' "$out"
 metrics=$(printf '%s\n' "$out" | sed -n 's/^METRICS //p')
-traces=$(printf '%s\n' "$out" | sed -n 's/^TRACE //p' | join_lines)
 health=$(printf '%s\n' "$out" | sed -n 's/^HEALTH //p')
 
 echo "==> fig3_roundtrip --conn-sweep"
@@ -57,8 +57,8 @@ test -n "$sweep_p99" || {
 }
 echo "==> conn-sweep ok (rtt_p99_us: $sweep_p99)"
 
-printf '{"bench":"fig3","metrics":%s,"trace":[%s],"health":%s,"conn_sweep":[%s]}\n' \
-    "$metrics" "$traces" "$health" "$conn_sweep" >BENCH_fig3.json
+printf '{"bench":"fig3","metrics":%s,"health":%s,"conn_sweep":[%s]}\n' \
+    "$metrics" "$health" "$conn_sweep" >BENCH_fig3.json
 echo "==> wrote BENCH_fig3.json"
 # The health plane's capacity estimate must be present and carry a
 # max-sustainable-clients figure.
@@ -70,10 +70,10 @@ case "$health" in
     ;;
 esac
 echo "==> health capacity: $(printf '%s' "$health" | sed -n 's/.*\("max_sustainable_clients":[0-9]*\).*/\1/p')"
-# Record the encode-once counter: one frame encode per multicast, flat
-# in the number of recipients.
-encodes=$(printf '%s' "$metrics" | sed -n 's/.*"sim\.stage\.encodes":\([0-9]*\).*/\1/p')
-echo "==> encode-once: sim.stage.encodes=${encodes:-MISSING}"
+# Record the kernel's encode-once counter: one frame encode per
+# multicast, flat in the number of recipients.
+encodes=$(printf '%s' "$metrics" | sed -n 's/.*"server\.fanout\.encodes":\([0-9]*\).*/\1/p')
+echo "==> encode-once: server.fanout.encodes=${encodes:-MISSING}"
 test -n "$encodes"
 
 echo "==> table2_replicated"
@@ -81,7 +81,6 @@ out=$(./target/release/table2_replicated)
 printf '%s\n' "$out"
 single=$(printf '%s\n' "$out" | sed -n 's/^METRICS single //p')
 replicated=$(printf '%s\n' "$out" | sed -n 's/^METRICS replicated //p')
-traces=$(printf '%s\n' "$out" | sed -n 's/^TRACE //p' | join_lines)
 health=$(printf '%s\n' "$out" | sed -n 's/^HEALTH //p')
 partition_heal=$(printf '%s\n' "$out" | sed -n 's/^PARTITION_HEAL //p')
 # Partition-heal recovery (heal -> reconciled -> client streams
@@ -93,8 +92,8 @@ case "$partition_heal" in
     exit 1
     ;;
 esac
-printf '{"bench":"table2","metrics":{"single":%s,"replicated":%s},"trace":[%s],"health":%s,"partition_heal":%s}\n' \
-    "$single" "$replicated" "$traces" "$health" "$partition_heal" >BENCH_table2.json
+printf '{"bench":"table2","metrics":{"single":%s,"replicated":%s},"health":%s,"partition_heal":%s}\n' \
+    "$single" "$replicated" "$health" "$partition_heal" >BENCH_table2.json
 echo "==> wrote BENCH_table2.json"
 echo "==> partition-heal recovery: $(printf '%s' "$partition_heal" | sed -n 's/.*\("p50_ms":[0-9]*,"p99_ms":[0-9]*\).*/\1/p')"
 case "$health" in

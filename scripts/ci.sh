@@ -64,9 +64,6 @@ fi
 echo "==> cargo build --offline --examples"
 cargo build --offline --examples
 
-echo "==> cargo bench --no-run --offline"
-cargo bench --no-run --offline
-
 echo "==> health smoke: admin Health snapshot over the wire"
 # The probe asserts the wire schema matches the library; here we check
 # the snapshot parses (expected top-level keys present, version 1) and

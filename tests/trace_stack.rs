@@ -29,12 +29,10 @@ fn broadcast_leaves_a_complete_monotonic_span_chain() {
     trace::set_enabled(true);
     trace::clear();
 
-    // Inline logging puts the log append on the dispatcher thread, so
-    // the chain's LogAppend hop is recorded before fan-out begins.
+    // The dispatcher records the LogAppend hop as it hands the record
+    // to the logger thread, before fan-out begins.
     let dir = storage_dir("chain");
-    let config = ServerConfig::stateful(ServerId::new(1))
-        .with_storage(&dir)
-        .with_log_on_critical_path(true);
+    let config = ServerConfig::stateful(ServerId::new(1)).with_storage(&dir);
     let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
