@@ -9,16 +9,22 @@
 //! averages 600 messages sent one per 100 ms.
 
 use corona_bench::{arg_present, arg_value, fd_soft_limit, header, row, thread_count};
-use corona_core::{config::ServerConfig, rawwire::RawMember, server::CoronaServer};
+use corona_core::{client::CoronaClient, config::ServerConfig, server::CoronaServer};
 use corona_health::{CapacityModel, CapacityPoint};
 use corona_metrics::MetricsSnapshot;
 use corona_sim::{p99_us, roundtrip_with_metrics, ExperimentConfig};
+use corona_transport::{Dialer, TcpDialer};
 use corona_types::id::{GroupId, ObjectId, ServerId};
+use corona_types::message::ServerEvent;
+use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
+use corona_types::state::SharedState;
 use std::time::{Duration, Instant};
 
 /// One point of the real-TCP connection sweep: `population` idle
 /// members held by a single reactor server, round-trip measured by a
 /// sender-inclusive broadcast echoing back to the last-joined member.
+/// The members are plain clients, which cost no thread: `threads` is
+/// the server's and the one dial loop they all ride.
 fn conn_sweep_point(population: usize, broadcasts: usize) -> String {
     let need = (population as u64) * 2 + 600;
     match fd_soft_limit() {
@@ -38,30 +44,47 @@ fn conn_sweep_point(population: usize, broadcasts: usize) -> String {
     let addr = server.local_addr();
     let group = GroupId::new(1);
 
-    let mut members: Vec<RawMember> = Vec::with_capacity(population);
+    let mut members: Vec<CoronaClient> = Vec::with_capacity(population);
     for i in 0..population {
-        let mut m = RawMember::connect(&addr, &format!("m{i}")).expect("connect sweep member");
-        m.set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("set read timeout");
+        let conn = TcpDialer.dial(&addr).expect("dial sweep member");
+        let m = CoronaClient::connect(conn, format!("m{i}"), None).expect("connect sweep member");
         if i == 0 {
-            m.create_group(group).expect("create sweep group");
+            m.create_group(group, Persistence::Transient, SharedState::new())
+                .expect("create sweep group");
         }
-        m.join(group).expect("join sweep group");
+        m.join(
+            group,
+            MemberRole::Principal,
+            StateTransferPolicy::None,
+            false,
+        )
+        .expect("join sweep group");
         members.push(m);
     }
     let threads = thread_count().unwrap_or(baseline).saturating_sub(baseline);
 
     // The sender is the *last*-joined member — the paper's worst-case
     // arrangement — and its own sender-inclusive copy closes the loop.
-    let sender = members.last_mut().expect("at least one member");
+    // Nobody else reads: their copies wait in their event channels.
+    let sender = members.last().expect("at least one member");
     let payload = vec![0u8; 1000];
     let mut rtts_us: Vec<u64> = Vec::with_capacity(broadcasts);
     for _ in 0..broadcasts {
         let t0 = Instant::now();
         sender
-            .broadcast(group, ObjectId::new(1), payload.clone())
+            .bcast_update(
+                group,
+                ObjectId::new(1),
+                payload.clone(),
+                DeliveryScope::SenderInclusive,
+            )
             .expect("broadcast");
-        sender.await_multicast(group).expect("echo multicast");
+        loop {
+            let event = sender.next_event_timeout(Duration::from_secs(60));
+            if let ServerEvent::Multicast { .. } = event.expect("echo multicast") {
+                break;
+            }
+        }
         rtts_us.push(t0.elapsed().as_micros() as u64);
     }
     rtts_us.sort_unstable();
@@ -81,7 +104,9 @@ fn conn_sweep_point(population: usize, broadcasts: usize) -> String {
 /// broadcast RTT per point, one machine-readable CONNSWEEP line each.
 fn conn_sweep() {
     println!("FIG3 conn-sweep: reactor transport, idle-member populations over real TCP");
-    println!("(threads = spawned by the server; O(shards), not O(2 x clients))\n");
+    println!(
+        "(threads = the server's and the clients' dial loop; O(shards), not O(2 x clients))\n"
+    );
     let widths = [12, 10, 14, 14, 10];
     let head = [
         "population",

@@ -15,7 +15,7 @@ use corona_health::{CapacityModel, CapacityPoint};
 use corona_metrics::{MetricsSnapshot, Registry};
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
 use corona_sim::{p99_us, roundtrip_with_metrics, ExperimentConfig};
-use corona_transport::{MemNetwork, Nemesis};
+use corona_transport::{Dialer, Listener, Nemesis, ReactorListener, TcpDialer};
 use corona_types::id::{GroupId, ObjectId, ServerId};
 use corona_types::message::ServerEvent;
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
@@ -97,8 +97,8 @@ fn main() {
     println!("\nMETRICS single {}", single_metrics.render_json());
     println!("METRICS replicated {}", replicated_metrics.render_json());
 
-    // Partition-heal recovery: real 3-server clusters over the
-    // in-memory transport, coordinator stranded in a minority until it
+    // Partition-heal recovery: real 3-server clusters over loopback
+    // TCP, coordinator stranded in a minority until it
     // fences, majority elects a successor and keeps sequencing; the
     // clock runs from heal() until the stranded server's client has
     // the reconciled stream (the missed entry replayed). Regression
@@ -128,29 +128,28 @@ fn main() {
 fn partition_heal_recovery_ms() -> u64 {
     const G: GroupId = GroupId(1);
     const O: ObjectId = ObjectId(1);
-    let net = MemNetwork::new();
-    let peers: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("s{i}-peer")))
-        .collect();
-    let client_addrs: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("s{i}-client")))
-        .collect();
     // Every fault goes through the nemesis around the peer mesh; server
-    // `i` is the node `s{i}`, named before anyone dials.
+    // `i` is the node `s{i}`, its addresses named before anyone dials.
     let nem = Nemesis::new(0, &Registry::new());
-    for (id, addr) in &peers {
-        nem.register_addr(addr, &format!("s{}", id.raw()));
-    }
-    let servers: Vec<ReplicatedServer> = (1..=3u64)
-        .map(|i| {
+    let bind = |i: u64| {
+        let listener = ReactorListener::bind("127.0.0.1:0", 1).expect("bind");
+        nem.register_addr(&listener.local_addr(), &format!("s{i}"));
+        listener
+    };
+    let listeners: Vec<_> = (1..=3).map(|i| (i, bind(i), bind(i))).collect();
+    let addrs = |pick: fn(&(u64, ReactorListener, ReactorListener)) -> &ReactorListener| {
+        let addr = |l: &(u64, _, _)| (ServerId::new(l.0), pick(l).local_addr());
+        listeners.iter().map(addr).collect::<Vec<_>>()
+    };
+    let (client_addrs, peers) = (addrs(|l| &l.1), addrs(|l| &l.2));
+    let servers: Vec<ReplicatedServer> = listeners
+        .into_iter()
+        .map(|(i, client, peer)| {
             let node = format!("s{i}");
             ReplicatedServer::start(
-                Box::new(net.listen(&format!("s{i}-client")).expect("listen")),
-                nem.wrap_listener(
-                    &node,
-                    Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
-                ),
-                Arc::from(nem.wrap_dialer(&node, Box::new(net.dialer(&node)))),
+                Box::new(client),
+                nem.wrap_listener(&node, Box::new(peer)),
+                Arc::from(nem.wrap_dialer(&node, Box::new(TcpDialer))),
                 ReplicatedConfig {
                     servers: peers.clone(),
                     client_addrs: client_addrs.clone(),
@@ -163,10 +162,10 @@ fn partition_heal_recovery_ms() -> u64 {
         })
         .collect();
     let connect = |name: &str, srv: u64| -> CoronaClient {
-        let conn = net
-            .dial_from(name, &format!("s{srv}-client"))
+        let conn = TcpDialer
+            .dial(&client_addrs[srv as usize - 1].1)
             .expect("dial");
-        let mut c = CoronaClient::connect(Box::new(conn), name, None).expect("connect");
+        let mut c = CoronaClient::connect(conn, name, None).expect("connect");
         c.set_call_timeout(Duration::from_secs(15));
         c
     };

@@ -11,23 +11,29 @@
 //! with a reply (a multicast arriving between `Join` and `Joined`) are
 //! routed to the event stream without disturbing the call.
 //!
+//! The client owns no thread: its connection pushes every frame into
+//! the client's router (a [`FrameSink`]) from the transport's event
+//! loop, which decodes it and hands it on — to the waiting call, the
+//! event stream, or a supervised mirror — and never blocks or sends.
+//!
 //! # Failover
 //!
 //! [`CoronaClient::connect_failover`] builds a *supervised* client: a
-//! driver thread owns the connection and, when it drops (server crash,
-//! partition, coordinator failover), reconnects on its own — backing
-//! off exponentially with deterministic jitter, walking the replica
-//! roster the servers advertise via [`ServerEvent::Roster`], resuming
-//! the session id with `Hello { resume }`, re-joining every group
-//! registered through [`CoronaClient::join_supervised`], and repairing
-//! each [`GroupMirror`] with a `StateTransferPolicy::UpdatesSince`
-//! catch-up so the observed update stream stays gap-free and
-//! duplicate-free across the failover.
+//! driver thread watches the connection and, when it drops (server
+//! crash, partition, coordinator failover), reconnects on its own —
+//! backing off exponentially with deterministic jitter, walking the
+//! replica roster the servers advertise via [`ServerEvent::Roster`],
+//! resuming the session id with `Hello { resume }`, re-joining every
+//! group registered through [`CoronaClient::join_supervised`], and
+//! repairing each [`GroupMirror`] with a
+//! `StateTransferPolicy::UpdatesSince` catch-up so the observed update
+//! stream stays gap-free and duplicate-free across the failover.
 
 use crate::lock;
 use crate::mirror::{ApplyOutcome, GroupMirror};
+use bytes::Bytes;
 use corona_metrics::{Counter, Histogram, Registry};
-use corona_transport::{Connection, Dialer};
+use corona_transport::{Connection, Dialer, FrameSink};
 use corona_types::error::{CoronaError, ErrorCode, Result};
 use corona_types::id::{ClientId, Epoch, GroupId, ObjectId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, ServerEvent, StateTransfer, PROTOCOL_VERSION};
@@ -35,12 +41,16 @@ use corona_types::policy::{
     DeliveryScope, MemberInfo, MemberRole, Persistence, StateTransferPolicy,
 };
 use corona_types::state::{SharedState, StateUpdate};
-use corona_types::wire::{decode_traced, encode_traced, Decode, Encode, TraceToken};
+use corona_types::wire::{decode_traced, encode_traced, Encode, TraceToken};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
+
+/// How long a call — and a plain [`CoronaClient::connect`]'s handshake —
+/// waits for its reply, until [`CoronaClient::set_call_timeout`].
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Result of a lock acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,23 +120,277 @@ struct Pending {
     tx: Sender<ServerEvent>,
 }
 
-/// State shared between the client handle, its reader/driver thread,
-/// and callers on other threads.
+/// What reaches a connection's router: a decoded event, or the end of
+/// the connection (closed, or a frame that does not decode).
+enum Incoming {
+    Event(ServerEvent),
+    Closed,
+}
+
+/// Which connection's frames go where. Connections are numbered by a
+/// generation: the installed one's frames are routed as the client's
+/// own; those of one still being brought up go to its [`Handshake`];
+/// anything else — a retired connection's stragglers — is dropped.
+#[derive(Default)]
+struct Route {
+    installed: u64,
+    handshake: Option<(u64, Sender<Incoming>)>,
+}
+
+/// What a supervised client's driver thread is asked to do. The router
+/// never sends on a connection — it runs on the transport's event loop,
+/// which a slow send would stall — so it hands sends to the driver.
+enum Drive {
+    /// Ask for a gap repair of `group` under `policy`.
+    Repair(GroupId, StateTransferPolicy),
+    /// The installed connection is gone: reconnect.
+    Lost,
+}
+
+/// State shared between the client handle, its router, a supervised
+/// client's driver thread, and callers on other threads.
 struct Shared {
-    /// The current connection. The failover driver swaps a fresh one
+    /// The installed connection. The failover driver swaps a fresh one
     /// in after a successful resume; plain clients never change it.
     conn: Mutex<Arc<Box<dyn Connection>>>,
+    route: Mutex<Route>,
+    next_generation: AtomicU64,
     pending: Mutex<Option<Pending>>,
+    /// The event stream's sending end; dropped when the stream ends (a
+    /// plain client's connection closes, a driver gives up).
+    events: Mutex<Option<Sender<ServerEvent>>>,
     server_id: Mutex<ServerId>,
     roster: Mutex<Option<RosterView>>,
+    /// A supervised client's failover state and its driver's orders.
+    supervised: OnceLock<(Arc<Supervisor>, Sender<Drive>)>,
     /// Set by `close()`/`Drop`: tells the driver the disconnect is
     /// intentional, so it must not reconnect.
     shutdown: AtomicBool,
 }
 
+/// A connection's [`FrameSink`]: routes what the connection of
+/// generation `generation` carries.
+struct Router {
+    shared: Weak<Shared>,
+    generation: u64,
+}
+
+impl FrameSink for Router {
+    /// A dialled connection accepts nothing.
+    fn on_accept(&self, _: u64, _: Box<dyn Connection>) {}
+
+    fn on_frame(&self, _: u64, frame: Bytes) -> bool {
+        if let Some(shared) = self.shared.upgrade() {
+            shared.deliver(self.generation, Some(frame));
+        }
+        true
+    }
+
+    fn ready_for_more(&self) -> bool {
+        true
+    }
+
+    fn on_closed(&self, _: u64, _clean: bool) {
+        if let Some(shared) = self.shared.upgrade() {
+            shared.deliver(self.generation, None);
+        }
+    }
+}
+
+/// A connection being brought up: its frames come here until
+/// [`Shared::install`] makes it the client's.
+struct Handshake {
+    generation: u64,
+    incoming: Receiver<Incoming>,
+}
+
+impl Handshake {
+    /// The one bounded wait for a reply outside a call — a `Welcome`, a
+    /// resume's `Joined`: up to `timeout` for the event `matcher`
+    /// accepts, absorbing rosters and dropping whatever else interleaves
+    /// (stale deliveries; a resume's mirror catch-up covers the data).
+    fn wait(
+        &self,
+        shared: &Shared,
+        timeout: Duration,
+        matcher: fn(&ServerEvent) -> bool,
+    ) -> Result<ServerEvent> {
+        let deadline = Instant::now() + timeout;
+        let timed_out = CoronaError::Timeout {
+            operation: "handshake",
+        };
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let event = match self.incoming.recv_timeout(left) {
+                Ok(Incoming::Event(event)) => event,
+                Ok(Incoming::Closed) | Err(RecvTimeoutError::Disconnected) => {
+                    return Err(CoronaError::Disconnected)
+                }
+                Err(RecvTimeoutError::Timeout) => return Err(timed_out),
+            };
+            if matcher(&event) {
+                return Ok(event);
+            }
+            match event {
+                ServerEvent::Error { code, detail } => {
+                    return Err(CoronaError::protocol(ErrorCode::from_wire(code), detail))
+                }
+                ServerEvent::Roster {
+                    epoch,
+                    coordinator,
+                    servers,
+                } => shared.note_roster(epoch, coordinator, servers),
+                _ => {}
+            }
+        }
+    }
+}
+
 impl Shared {
+    fn new(conn: Box<dyn Connection>, events: Sender<ServerEvent>) -> Arc<Shared> {
+        Arc::new(Shared {
+            conn: Mutex::new(Arc::new(conn)),
+            route: Mutex::default(),
+            next_generation: AtomicU64::new(0),
+            pending: Mutex::new(None),
+            events: Mutex::new(Some(events)),
+            server_id: Mutex::new(ServerId::new(0)),
+            roster: Mutex::new(None),
+            supervised: OnceLock::new(),
+            shutdown: AtomicBool::new(false),
+        })
+    }
+
     fn conn(&self) -> Arc<Box<dyn Connection>> {
         lock(&self.conn).clone()
+    }
+
+    /// Starts routing `conn`'s frames to a new [`Handshake`].
+    fn begin(self: &Arc<Self>, conn: &dyn Connection) -> Handshake {
+        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed) + 1;
+        let (tx, incoming) = mpsc::channel();
+        lock(&self.route).handshake = Some((generation, tx));
+        let router = Router {
+            shared: Arc::downgrade(self),
+            generation,
+        };
+        conn.attach_sink(generation, Arc::new(router));
+        Handshake {
+            generation,
+            incoming,
+        }
+    }
+
+    /// Makes a handshaken connection the client's. What it carried after
+    /// the reply the handshake waited for is routed now, in order, before
+    /// anything that arrives later.
+    fn install(&self, handshake: Handshake, conn: Arc<Box<dyn Connection>>, server: ServerId) {
+        let mut route = lock(&self.route);
+        *lock(&self.server_id) = server;
+        *lock(&self.conn) = conn;
+        route.installed = handshake.generation;
+        route.handshake = None;
+        while let Ok(incoming) = handshake.incoming.try_recv() {
+            self.route_installed(&mut route, incoming);
+        }
+    }
+
+    /// The router's entry: `frame` (`None`: the close) of the connection
+    /// of `generation`.
+    fn deliver(&self, generation: u64, frame: Option<Bytes>) {
+        let incoming = match frame.as_deref().map(decode_traced::<ServerEvent>) {
+            Some(Ok((event, token))) => {
+                if let Some(t) = token {
+                    let now = corona_trace::now_us();
+                    corona_trace::record_at(corona_trace::SpanEvent {
+                        trace: corona_trace::TraceId(t.id),
+                        hop: corona_trace::Hop::ClientDeliver,
+                        ts_us: now,
+                        dur_us: now.saturating_sub(t.origin_us),
+                        arg: 0,
+                    });
+                }
+                Incoming::Event(event)
+            }
+            Some(Err(_)) | None => Incoming::Closed,
+        };
+        let mut route = lock(&self.route);
+        match &route.handshake {
+            Some((handshaking, tx)) if *handshaking == generation => {
+                let _ = tx.send(incoming);
+            }
+            _ if route.installed == generation => self.route_installed(&mut route, incoming),
+            _ => {}
+        }
+    }
+
+    /// Routes one event of the installed connection: rosters are
+    /// absorbed, multicasts feed the supervised mirrors and the event
+    /// stream, replies wake the pending caller, repair transfers are
+    /// consumed by the driver, everything else goes to the event stream.
+    /// The connection's end retires it, fails the pending call and ends
+    /// a plain client's event stream, or sends a supervised client's
+    /// driver to reconnect.
+    fn route_installed(&self, route: &mut Route, incoming: Incoming) {
+        let supervisor = self.supervised.get().map(|(sup, _)| sup.as_ref());
+        let event = match incoming {
+            Incoming::Event(event) => event,
+            Incoming::Closed => {
+                // No generation is 0: nothing more of it is routed.
+                route.installed = 0;
+                // A stream that does not decode is closed here too.
+                self.conn().close();
+                lock(&self.pending).take();
+                match self.supervised.get() {
+                    Some((_, drive)) => {
+                        let _ = drive.send(Drive::Lost);
+                    }
+                    None => drop(lock(&self.events).take()),
+                }
+                return;
+            }
+        };
+        let event = match event {
+            ServerEvent::Roster {
+                epoch,
+                coordinator,
+                servers,
+            } => return self.note_roster(epoch, coordinator, servers),
+            // Pure notifications: always the event stream (after feeding
+            // any supervised mirror).
+            ServerEvent::Multicast { .. } | ServerEvent::MembershipChanged { .. } => {
+                if let Some((sup, drive)) = self.supervised.get() {
+                    sup.apply_multicast(drive, &event);
+                }
+                event
+            }
+            event => {
+                let mut slot = lock(&self.pending);
+                let matched = slot.as_ref().is_some_and(|p| {
+                    (p.matcher)(&event) || matches!(event, ServerEvent::Error { .. })
+                });
+                if matched {
+                    let p = slot.take().expect("matched implies Some");
+                    drop(slot);
+                    let _ = p.tx.send(event);
+                    return;
+                }
+                drop(slot);
+                if let (Some(sup), ServerEvent::State { transfer }) = (supervisor, &event) {
+                    if sup.finish_repair(transfer) {
+                        return;
+                    }
+                }
+                event
+            }
+        };
+        let sent = lock(&self.events)
+            .as_ref()
+            .is_some_and(|tx| tx.send(event).is_ok());
+        if !sent {
+            // Receiver dropped: the client handle is gone.
+            self.shutdown.store(true, Ordering::Release);
+        }
     }
 
     fn note_roster(&self, epoch: Epoch, coordinator: ServerId, servers: Vec<(ServerId, String)>) {
@@ -166,10 +430,10 @@ struct Supervisor {
 
 impl Supervisor {
     /// Applies a multicast to the supervised mirror of its group (if
-    /// any). A detected gap triggers an asynchronous
+    /// any). A detected gap has the driver send an asynchronous
     /// `UpdatesSince(last_seq)` catch-up request on the live
     /// connection.
-    fn apply_multicast(&self, shared: &Shared, event: &ServerEvent) {
+    fn apply_multicast(&self, drive: &Sender<Drive>, event: &ServerEvent) {
         let ServerEvent::Multicast { group, .. } = event else {
             return;
         };
@@ -181,13 +445,7 @@ impl Supervisor {
         if let ApplyOutcome::Gap { .. } = outcome {
             if lock(&self.repairing).insert(*group) {
                 let policy = lock(&sg.mirror).catch_up_policy();
-                let _ = shared.conn().send(
-                    ClientRequest::GetState {
-                        group: *group,
-                        policy,
-                    }
-                    .encode_to_bytes(),
-                );
+                let _ = drive.send(Drive::Repair(*group, policy));
             }
         }
     }
@@ -230,37 +488,36 @@ impl CoronaClient {
     ///
     /// # Errors
     ///
-    /// Transport errors, or a protocol error if the server rejects the
-    /// handshake.
+    /// Transport errors, a protocol error if the server rejects the
+    /// handshake, or [`CoronaError::Timeout`] if no `Welcome` comes
+    /// within the call timeout.
     pub fn connect(
         conn: Box<dyn Connection>,
         display_name: impl Into<String>,
         resume: Option<ClientId>,
     ) -> Result<CoronaClient> {
-        let (shared, client_id) = handshake(conn, &display_name.into(), resume)?;
-        let (events_tx, events_rx) = mpsc::channel::<ServerEvent>();
+        let (events_tx, events_rx) = mpsc::channel();
+        let shared = Shared::new(conn, events_tx);
+        let (handshake, client_id, server) =
+            hello(&shared, &display_name.into(), resume, CALL_TIMEOUT)?;
+        shared.install(handshake, shared.conn(), server);
+        Ok(CoronaClient::new(shared, client_id, events_rx, None))
+    }
 
-        // Reader thread: decode and route until the connection closes.
-        {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("corona-client-{client_id}"))
-                .spawn(move || {
-                    read_stream(&shared, &events_tx, None);
-                    // Connection gone: wake any pending caller.
-                    lock(&shared.pending).take();
-                })
-                .expect("spawn client reader");
-        }
-
-        Ok(CoronaClient {
+    fn new(
+        shared: Arc<Shared>,
+        client_id: ClientId,
+        events_rx: Receiver<ServerEvent>,
+        supervisor: Option<Arc<Supervisor>>,
+    ) -> CoronaClient {
+        CoronaClient {
             shared,
             client_id,
             events_rx: Mutex::new(events_rx),
             call_guard: Mutex::new(()),
-            call_timeout: Duration::from_secs(10),
-            supervisor: None,
-        })
+            call_timeout: CALL_TIMEOUT,
+            supervisor,
+        }
     }
 
     /// Connects with automatic failover: dials the first reachable of
@@ -270,7 +527,9 @@ impl CoronaClient {
     /// via [`CoronaClient::join_supervised`].
     ///
     /// Candidate endpoints are the latest advertised roster
-    /// (coordinator first) followed by `seeds`.
+    /// (coordinator first) followed by `seeds`. Each seed gets
+    /// `config.connect_timeout` for its dial and as much again for its
+    /// `Welcome`.
     ///
     /// # Errors
     ///
@@ -291,40 +550,47 @@ impl CoronaClient {
                     continue;
                 }
             };
-            match handshake(conn, &display_name, None) {
-                Ok((shared, client_id)) => {
-                    let registry = config.registry.clone().unwrap_or_default();
-                    let supervisor = Arc::new(Supervisor {
-                        dialer,
-                        seeds,
-                        display_name,
-                        config,
-                        client_id,
-                        groups: Mutex::new(Vec::new()),
-                        repairing: Mutex::new(HashSet::new()),
-                        reconnects: registry.counter("client.reconnects"),
-                        backoff_ms: registry.histogram("client.backoff_ms"),
-                    });
-                    let (events_tx, events_rx) = mpsc::channel::<ServerEvent>();
-                    {
-                        let shared = Arc::clone(&shared);
-                        let supervisor = Arc::clone(&supervisor);
-                        std::thread::Builder::new()
-                            .name(format!("corona-failover-{client_id}"))
-                            .spawn(move || supervise(&shared, &supervisor, &events_tx))
-                            .expect("spawn failover driver");
+            let (events_tx, events_rx) = mpsc::channel();
+            let shared = Shared::new(conn, events_tx);
+            let (handshake, client_id, server) =
+                match hello(&shared, &display_name, None, config.connect_timeout) {
+                    Ok(welcomed) => welcomed,
+                    Err(e) => {
+                        last_err = e;
+                        continue;
                     }
-                    return Ok(CoronaClient {
-                        shared,
-                        client_id,
-                        events_rx: Mutex::new(events_rx),
-                        call_guard: Mutex::new(()),
-                        call_timeout: Duration::from_secs(10),
-                        supervisor: Some(supervisor),
-                    });
-                }
-                Err(e) => last_err = e,
+                };
+            let registry = config.registry.clone().unwrap_or_default();
+            let supervisor = Arc::new(Supervisor {
+                dialer,
+                seeds,
+                display_name,
+                config,
+                client_id,
+                groups: Mutex::new(Vec::new()),
+                repairing: Mutex::new(HashSet::new()),
+                reconnects: registry.counter("client.reconnects"),
+                backoff_ms: registry.histogram("client.backoff_ms"),
+            });
+            // Supervised before installed: a loss from here on reaches
+            // the driver.
+            let (drive, orders) = mpsc::channel();
+            let _ = shared.supervised.set((Arc::clone(&supervisor), drive));
+            shared.install(handshake, shared.conn(), server);
+            {
+                let shared = Arc::clone(&shared);
+                let supervisor = Arc::clone(&supervisor);
+                std::thread::Builder::new()
+                    .name(format!("corona-failover-{client_id}"))
+                    .spawn(move || supervise(&shared, &supervisor, &orders))
+                    .expect("spawn failover driver");
             }
+            return Ok(CoronaClient::new(
+                shared,
+                client_id,
+                events_rx,
+                Some(supervisor),
+            ));
         }
         Err(last_err)
     }
@@ -785,13 +1051,18 @@ impl std::fmt::Debug for CoronaClient {
 
 // ----- connection driver ----------------------------------------------------
 
-/// Performs the Hello/Welcome handshake on a fresh connection and
-/// wraps it in the client's shared state.
-fn handshake(
-    conn: Box<dyn Connection>,
+/// Attaches the client's router to the connection `shared` holds,
+/// sends `Hello` and waits up to `timeout` for the `Welcome`: the
+/// client's id and its server's. The connection is the handshake's
+/// until installed.
+fn hello(
+    shared: &Arc<Shared>,
     display_name: &str,
     resume: Option<ClientId>,
-) -> Result<(Arc<Shared>, ClientId)> {
+    timeout: Duration,
+) -> Result<(Handshake, ClientId, ServerId)> {
+    let conn = shared.conn();
+    let handshake = shared.begin(&**conn);
     let hello = ClientRequest::Hello {
         version: PROTOCOL_VERSION,
         display_name: display_name.to_string(),
@@ -799,128 +1070,45 @@ fn handshake(
     };
     conn.send(hello.encode_to_bytes())
         .map_err(transport_to_corona)?;
-    let frame = conn.recv().map_err(transport_to_corona)?;
-    let (server_id, client_id) = match ServerEvent::decode_exact(&frame)? {
-        ServerEvent::Welcome { server, client, .. } => (server, client),
-        ServerEvent::Error { code, detail } => {
-            return Err(CoronaError::protocol(ErrorCode::from_wire(code), detail))
-        }
-        other => {
-            return Err(CoronaError::InvalidState(format!(
-                "expected Welcome, got {other:?}"
-            )))
-        }
+    let welcome = handshake.wait(shared, timeout, |e| {
+        matches!(e, ServerEvent::Welcome { .. })
+    })?;
+    let ServerEvent::Welcome { server, client, .. } = welcome else {
+        unreachable!("matcher guarantees Welcome");
     };
-    Ok((
-        Arc::new(Shared {
-            conn: Mutex::new(Arc::new(conn)),
-            pending: Mutex::new(None),
-            server_id: Mutex::new(server_id),
-            roster: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
-        }),
-        client_id,
-    ))
+    Ok((handshake, client, server))
 }
 
-/// Reads and routes events from the *current* connection until it
-/// closes (or the event stream's receiver is dropped).
-fn read_stream(shared: &Shared, events_tx: &Sender<ServerEvent>, supervisor: Option<&Supervisor>) {
-    let conn = shared.conn();
-    while let Ok(frame) = conn.recv() {
-        let Ok((event, token)) = decode_traced::<ServerEvent>(&frame) else {
-            break;
-        };
-        if let Some(t) = token {
-            let now = corona_trace::now_us();
-            corona_trace::record_at(corona_trace::SpanEvent {
-                trace: corona_trace::TraceId(t.id),
-                hop: corona_trace::Hop::ClientDeliver,
-                ts_us: now,
-                dur_us: now.saturating_sub(t.origin_us),
-                arg: 0,
-            });
-        }
-        if !route_event(shared, events_tx, supervisor, event) {
-            // Receiver dropped: the client handle is gone.
-            shared.shutdown.store(true, Ordering::Release);
-            break;
-        }
-    }
-}
-
-/// Routes one decoded event: rosters are absorbed, multicasts feed the
-/// supervised mirrors and the event stream, replies wake the pending
-/// caller, repair transfers are consumed by the driver, everything
-/// else goes to the event stream. Returns `false` when the event
-/// stream's receiver is gone.
-fn route_event(
-    shared: &Shared,
-    events_tx: &Sender<ServerEvent>,
-    supervisor: Option<&Supervisor>,
-    event: ServerEvent,
-) -> bool {
-    match event {
-        ServerEvent::Roster {
-            epoch,
-            coordinator,
-            servers,
-        } => {
-            shared.note_roster(epoch, coordinator, servers);
-            true
-        }
-        // Pure notifications: always the event stream (after feeding
-        // any supervised mirror).
-        ServerEvent::Multicast { .. } | ServerEvent::MembershipChanged { .. } => {
-            if let Some(sup) = supervisor {
-                sup.apply_multicast(shared, &event);
+/// The supervised client's driver: sends the gap repairs the router
+/// asks for, and reconnects-and-resumes each time the connection drops,
+/// until closed or out of budget.
+fn supervise(shared: &Arc<Shared>, sup: &Supervisor, orders: &Receiver<Drive>) {
+    while let Ok(order) = orders.recv() {
+        match order {
+            // One asked for before a reconnect is void: the resume
+            // resynced the mirror, and no reply would be awaited.
+            Drive::Repair(group, policy) if lock(&sup.repairing).contains(&group) => {
+                let repair = ClientRequest::GetState { group, policy };
+                let _ = shared.conn().send(repair.encode_to_bytes());
             }
-            events_tx.send(event).is_ok()
-        }
-        event => {
-            let mut slot = lock(&shared.pending);
-            let matched = match slot.as_ref() {
-                Some(p) => (p.matcher)(&event) || matches!(event, ServerEvent::Error { .. }),
-                None => false,
-            };
-            if matched {
-                let p = slot.take().expect("matched implies Some");
-                drop(slot);
-                let _ = p.tx.send(event);
-                true
-            } else {
-                drop(slot);
-                if let (Some(sup), ServerEvent::State { transfer }) = (supervisor, &event) {
-                    if sup.finish_repair(transfer) {
-                        return true;
-                    }
+            Drive::Repair(..) => {}
+            Drive::Lost => {
+                lock(&sup.repairing).clear();
+                if shared.shutdown.load(Ordering::Acquire) || reconnect(shared, sup).is_err() {
+                    break;
                 }
-                events_tx.send(event).is_ok()
+                sup.reconnects.inc();
+                // Closed mid-resume: the new connection goes too, and
+                // its loss ends the loop.
+                if shared.shutdown.load(Ordering::Acquire) {
+                    shared.conn().close();
+                }
             }
         }
     }
-}
-
-/// The supervised client's driver loop: read until the connection
-/// drops, then reconnect-and-resume; repeat until closed or out of
-/// budget.
-fn supervise(shared: &Arc<Shared>, sup: &Arc<Supervisor>, events_tx: &Sender<ServerEvent>) {
-    loop {
-        read_stream(shared, events_tx, Some(sup));
-        // The connection is gone: fail the pending call fast (the
-        // caller sees Disconnected and can retry after the resume).
-        lock(&shared.pending).take();
-        lock(&sup.repairing).clear();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if reconnect(shared, sup).is_err() {
-            // Budget exhausted (or closed mid-backoff): dropping
-            // events_tx ends the event stream with Disconnected.
-            return;
-        }
-        sup.reconnects.inc();
-    }
+    // Budget exhausted (or closed): the event stream ends with
+    // Disconnected.
+    lock(&shared.events).take();
 }
 
 /// SplitMix64: a tiny, well-mixed PRNG step for deterministic jitter.
@@ -1005,6 +1193,8 @@ fn reconnect(shared: &Arc<Shared>, sup: &Supervisor) -> Result<()> {
 /// mirror from each transfer. Only a fully resumed connection is
 /// installed as current.
 fn resume_session(shared: &Arc<Shared>, sup: &Supervisor, conn: Box<dyn Connection>) -> Result<()> {
+    let timeout = sup.config.connect_timeout;
+    let handshake = shared.begin(conn.as_ref());
     conn.send(
         ClientRequest::Hello {
             version: PROTOCOL_VERSION,
@@ -1014,7 +1204,7 @@ fn resume_session(shared: &Arc<Shared>, sup: &Supervisor, conn: Box<dyn Connecti
         .encode_to_bytes(),
     )
     .map_err(transport_to_corona)?;
-    let welcome = wait_reply(shared, conn.as_ref(), sup.config.connect_timeout, |e| {
+    let welcome = handshake.wait(shared, timeout, |e| {
         matches!(e, ServerEvent::Welcome { .. })
     })?;
     let ServerEvent::Welcome { server, .. } = welcome else {
@@ -1049,57 +1239,16 @@ fn resume_session(shared: &Arc<Shared>, sup: &Supervisor, conn: Box<dyn Connecti
             .encode_to_bytes(),
         )
         .map_err(transport_to_corona)?;
-        let joined = wait_reply(shared, conn.as_ref(), sup.config.connect_timeout, |e| {
-            matches!(e, ServerEvent::Joined { .. })
-        })?;
+        let joined =
+            handshake.wait(shared, timeout, |e| matches!(e, ServerEvent::Joined { .. }))?;
         let ServerEvent::Joined { transfer, .. } = joined else {
             unreachable!("matcher guarantees Joined");
         };
         lock(&mirror).resync(&transfer);
     }
 
-    *lock(&shared.server_id) = server;
-    *lock(&shared.conn) = Arc::new(conn);
+    shared.install(handshake, Arc::new(conn), server);
     Ok(())
-}
-
-/// Waits (bounded) for a handshake reply on a not-yet-installed
-/// connection, absorbing rosters that interleave. Errors fail the
-/// resume attempt.
-fn wait_reply(
-    shared: &Shared,
-    conn: &dyn Connection,
-    timeout: Duration,
-    matcher: fn(&ServerEvent) -> bool,
-) -> Result<ServerEvent> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let remaining =
-            deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CoronaError::Timeout {
-                    operation: "failover resume",
-                })?;
-        let frame = conn.recv_timeout(remaining).map_err(transport_to_corona)?;
-        let (event, _) = decode_traced::<ServerEvent>(&frame)?;
-        if matcher(&event) {
-            return Ok(event);
-        }
-        match event {
-            ServerEvent::Error { code, detail } => {
-                return Err(CoronaError::protocol(ErrorCode::from_wire(code), detail))
-            }
-            ServerEvent::Roster {
-                epoch,
-                coordinator,
-                servers,
-            } => shared.note_roster(epoch, coordinator, servers),
-            // Anything else that interleaves with the handshake
-            // (stale deliveries from the previous incarnation) is
-            // dropped: the mirror catch-up covers the data.
-            _ => {}
-        }
-    }
 }
 
 fn transport_to_corona(e: corona_transport::TransportError) -> CoronaError {

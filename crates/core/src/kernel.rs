@@ -9,13 +9,11 @@
 //!
 //! Thread structure (the multi-threaded design of §5.1, modernised):
 //!
-//! * **transport threads** — [`corona_transport::serve()`] feeds the
-//!   kernel's [`FrameSink`] from each listener, and
-//!   [`Connection::attach_sink`] from each peer link a replica dials:
-//!   O(shards) reactor event loops in push mode, or an accept thread
-//!   plus a reader per connection for transports that can only be
-//!   pulled. Either way per-connection frame order is preserved,
-//!   giving sender-FIFO;
+//! * **transport threads** — each listener pushes into the kernel's
+//!   [`FrameSink`] ([`Listener::attach_sink`]), and so does each peer
+//!   link a replica dials ([`Connection::attach_sink`]): O(shards)
+//!   reactor event loops, none per connection. Per-connection frame
+//!   order is preserved, giving sender-FIFO;
 //! * **dispatcher thread** — owns the protocol and the connection
 //!   table; processing commands one at a time yields the per-group
 //!   total order. The transport threads hand it commands through one
@@ -55,7 +53,7 @@ use corona_health::{ConnPressure, HealthRegistry, Watchdogs};
 use corona_metrics::{Counter, Gauge, Histogram, Registry};
 use corona_trace::{record, Hop, TraceId};
 use corona_transport::{
-    pump, serve, Connection, FlushBy, FrameSink, Inbox, Listener, TransportError, TransportMetrics,
+    Connection, FlushBy, FrameSink, Inbox, Listener, TransportError, TransportMetrics,
 };
 use corona_types::error::{CodecError, CoronaError, ErrorCode, Result};
 use corona_types::frame::Frame;
@@ -161,7 +159,7 @@ enum Command<P> {
 }
 
 /// Adapts the [`FrameSink`] calls of one listener (or of the dialled
-/// peer readers) onto the dispatcher command queue. A closed queue
+/// peer links) onto the dispatcher command queue. A closed queue
 /// drops what it is offered: the kernel is shutting down.
 struct Sink<P> {
     commands: Arc<Inbox<Command<P>>>,
@@ -209,9 +207,6 @@ struct ConnState {
 
 struct PeerLink {
     conn: Box<dyn Connection>,
-    /// The pump reader, if the link was dialled on a transport that
-    /// does not push.
-    reader: Option<JoinHandle<()>>,
     /// As [`ConnState::dirty`].
     dirty: bool,
 }
@@ -226,7 +221,6 @@ pub struct Io {
     pub health: Arc<HealthRegistry>,
     /// Health-plane watchdogs: polled by the kernel, fed by protocols.
     pub watchdogs: Watchdogs,
-    name: String,
     qos: QosPolicy,
     send_queue_capacity: usize,
     conns: HashMap<u64, ConnState>,
@@ -506,23 +500,13 @@ impl Io {
     }
 
     /// Takes a dialled connection into the peer table; its frames and
-    /// close reach the peer hooks under this id — pushed by the
-    /// transport's own event loop if it has one, else through a reader
-    /// thread started here.
+    /// close reach the peer hooks under this id, pushed by the
+    /// transport's event loop.
     pub fn adopt_peer(&mut self, conn: Box<dyn Connection>) -> u64 {
         self.dialled += 1;
         let conn_id = DIALLED_BASE + self.dialled;
-        let (conn, reader) = if conn.attach_sink(conn_id, Arc::clone(&self.peer_sink)) {
-            (conn, None)
-        } else {
-            let (conn, reader) = pump(&self.name, conn_id, conn, Arc::clone(&self.peer_sink));
-            (conn, Some(reader))
-        };
-        let link = PeerLink {
-            conn,
-            reader,
-            dirty: false,
-        };
+        conn.attach_sink(conn_id, Arc::clone(&self.peer_sink));
+        let link = PeerLink { conn, dirty: false };
         self.peers.insert(conn_id, link);
         conn_id
     }
@@ -674,11 +658,7 @@ impl<P: Protocol> Dispatcher<P> {
                 self.io.conns.insert(conn_id, state);
             }
             Command::Accepted(Plane::Peer, conn_id, conn) => {
-                let link = PeerLink {
-                    conn,
-                    reader: None,
-                    dirty: false,
-                };
+                let link = PeerLink { conn, dirty: false };
                 self.io.peers.insert(conn_id, link);
             }
             Command::Frame(Plane::Client, conn_id, frame) => self.client_frame(conn_id, &frame),
@@ -691,8 +671,7 @@ impl<P: Protocol> Dispatcher<P> {
                 }
             }
             Command::Closed(Plane::Peer, conn_id) => {
-                if let Some(link) = self.io.peers.remove(&conn_id) {
-                    join_reader(link);
+                if self.io.peers.remove(&conn_id).is_some() {
                     self.step(None, |proto, io| proto.peer_closed(conn_id, io));
                 }
             }
@@ -833,29 +812,18 @@ impl<P: Protocol> Dispatcher<P> {
     }
 }
 
-/// Closing every connection — in id order: a close is an event at its
-/// peer — lets pull-mode readers exit; one accepted from here on is
-/// dropped, and so closed, by the queue.
+/// Closes every connection — clients, then peers, each in id order: a
+/// close is an event at its peer, so the order must not depend on a
+/// hash. One accepted from here on is dropped, and so closed, by the
+/// queue.
 impl<P> Drop for Dispatcher<P> {
     fn drop(&mut self) {
-        let mut conns: Vec<(&u64, &ConnState)> = self.io.conns.iter().collect();
-        conns.sort_unstable_by_key(|(id, _)| **id);
-        for (_, state) in conns {
-            state.conn.close();
+        let clients = self.io.conns.iter().map(|(id, state)| (*id, &state.conn));
+        let peers = self.io.peers.iter().map(|(id, link)| (*id, &link.conn));
+        for mut table in [clients.collect::<Vec<_>>(), peers.collect()] {
+            table.sort_unstable_by_key(|(id, _)| *id);
+            table.iter().for_each(|(_, conn)| conn.close());
         }
-        let mut peers: Vec<(u64, PeerLink)> = self.io.peers.drain().collect();
-        peers.sort_unstable_by_key(|(id, _)| *id);
-        for (_, link) in peers {
-            join_reader(link);
-        }
-    }
-}
-
-/// Closes a peer link (which ends its reader) and joins the reader.
-fn join_reader(link: PeerLink) {
-    link.conn.close();
-    if let Some(reader) = link.reader {
-        let _ = reader.join();
     }
 }
 
@@ -877,9 +845,9 @@ pub struct Kernel<P> {
     pub health: Arc<HealthRegistry>,
     /// The dispatcher's command queue; closing it ends the dispatcher.
     commands: Arc<Inbox<Command<P>>>,
-    listeners: Vec<Arc<dyn Listener>>,
-    /// Joined in order at shutdown: the dispatcher, accept threads,
-    /// whatever [`Kernel::join_after`] added.
+    listeners: Vec<Box<dyn Listener>>,
+    /// Joined in order at shutdown: the dispatcher, then whatever
+    /// [`Kernel::join_after`] added.
     threads: Vec<JoinHandle<()>>,
     /// The dispatcher itself, if the caller owns the loop (boxed: the
     /// handle of a started kernel should not carry its size).
@@ -889,9 +857,14 @@ pub struct Kernel<P> {
 impl<P: Protocol> Kernel<P> {
     /// Starts the dispatcher thread around `proto` and begins serving
     /// `client_listener` and, for a protocol with a peer plane,
-    /// `peer_listener`. `name` prefixes the thread names; `config`
+    /// `peer_listener`. `name` prefixes the thread's name; `config`
     /// supplies the QoS policy, queue bound, SLO, watchdog thresholds
     /// and metrics-dump interval.
+    ///
+    /// # Errors
+    ///
+    /// [`CoronaError::InvalidState`] if a listener is already serving,
+    /// or shut down.
     pub fn start(
         name: &str,
         config: &ServerConfig,
@@ -899,72 +872,43 @@ impl<P: Protocol> Kernel<P> {
         proto: P,
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
-    ) -> Kernel<P> {
-        let (mut kernel, dispatcher, sinks) = Self::assemble(
-            name,
-            config,
-            registry,
-            proto,
-            client_listener,
-            peer_listener,
-        );
+    ) -> Result<Kernel<P>> {
+        let (mut kernel, dispatcher) =
+            Self::assemble(config, registry, proto, client_listener, peer_listener)?;
         let dispatch = spawn(format!("{name}-dispatcher"), move || dispatcher.run());
         kernel.threads.push(dispatch);
-        for (listener, sink) in kernel.listeners.iter().zip(sinks) {
-            kernel
-                .threads
-                .extend(serve(name, Arc::clone(listener), sink));
-        }
-        kernel
+        Ok(kernel)
     }
 
     /// [`Kernel::start`] without a thread: the same dispatcher, turned
     /// by whoever calls [`Kernel::run_pending`] at whatever time that
-    /// caller says it is. Nothing is spawned, so the listeners (and
-    /// whatever the protocol dials) must push.
+    /// caller says it is.
     ///
     /// # Errors
     ///
-    /// [`CoronaError::InvalidState`] if a listener declines
-    /// [`Listener::attach_sink`].
+    /// As [`Kernel::start`].
     pub fn stepped(
-        name: &str,
         config: &ServerConfig,
         registry: Arc<Registry>,
         proto: P,
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
     ) -> Result<Kernel<P>> {
-        let (mut kernel, dispatcher, sinks) = Self::assemble(
-            name,
-            config,
-            registry,
-            proto,
-            client_listener,
-            peer_listener,
-        );
-        for (listener, sink) in kernel.listeners.iter().zip(sinks) {
-            if !listener.attach_sink(sink) {
-                let addr = listener.local_addr();
-                return Err(CoronaError::InvalidState(format!(
-                    "a stepped kernel cannot pull: the listener at {addr} takes no sink"
-                )));
-            }
-        }
+        let (mut kernel, dispatcher) =
+            Self::assemble(config, registry, proto, client_listener, peer_listener)?;
         kernel.stepped = Some(Box::new(Mutex::new(dispatcher)));
         Ok(kernel)
     }
 
-    /// The parts both constructors share: the handle, the dispatcher
-    /// and each listener's sink, serving nothing yet.
+    /// What both constructors share: the handle and the dispatcher,
+    /// with every listener pushing into the dispatcher's queue.
     fn assemble(
-        name: &str,
         config: &ServerConfig,
         registry: Arc<Registry>,
         proto: P,
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
-    ) -> (Kernel<P>, Dispatcher<P>, Vec<Arc<dyn FrameSink>>) {
+    ) -> Result<(Kernel<P>, Dispatcher<P>)> {
         let health = HealthRegistry::new(config.slo);
         health.set_queue_capacity(config.send_queue_capacity as u64);
         let commands = Arc::new(Inbox::<Command<P>>::parked());
@@ -981,7 +925,6 @@ impl<P: Protocol> Kernel<P> {
             registry: Arc::clone(&registry),
             health: Arc::clone(&health),
             watchdogs: Watchdogs::new(config.watchdog),
-            name: name.to_string(),
             qos: config.qos,
             send_queue_capacity: config.send_queue_capacity,
             conns: HashMap::new(),
@@ -1031,21 +974,26 @@ impl<P: Protocol> Kernel<P> {
             tick_every_ms,
             next_tick_ms: tick_every_ms,
         };
-        let mut listeners: Vec<Arc<dyn Listener>> = vec![Arc::from(client_listener)];
-        let mut sinks = vec![sink(Plane::Client)];
-        if let Some(listener) = peer_listener {
-            listeners.push(Arc::from(listener));
-            sinks.push(sink(Plane::Peer));
-        }
-        let kernel = Kernel {
+        let planes = std::iter::once((client_listener, Plane::Client))
+            .chain(peer_listener.map(|listener| (listener, Plane::Peer)));
+        let mut kernel = Kernel {
             registry,
             health,
-            commands,
-            listeners,
+            commands: Arc::clone(&commands),
+            listeners: Vec::new(),
             threads: Vec::new(),
             stepped: None,
         };
-        (kernel, dispatcher, sinks)
+        for (listener, plane) in planes {
+            if !listener.attach_sink(sink(plane)) {
+                let addr = listener.local_addr();
+                return Err(CoronaError::InvalidState(format!(
+                    "the listener at {addr} is already serving, or shut down"
+                )));
+            }
+            kernel.listeners.push(listener);
+        }
+        Ok((kernel, dispatcher))
     }
 
     /// One turn of a [`Kernel::stepped`] dispatcher at `now_ms`,

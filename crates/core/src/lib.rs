@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use corona_core::{client::CoronaClient, config::ServerConfig, server::CoronaServer};
-//! use corona_transport::MemNetwork;
+//! use corona_transport::{Dialer, TcpDialer};
 //! use corona_types::{
 //!     id::{GroupId, ObjectId, ServerId},
 //!     policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy},
@@ -35,14 +35,12 @@
 //! };
 //!
 //! # fn main() -> corona_types::Result<()> {
-//! let net = MemNetwork::new();
-//! let listener = net.listen("server").map_err(|e| corona_types::CoronaError::InvalidState(e.to_string()))?;
-//! let server = CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1)))?;
+//! let server = CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1)))?;
 //!
-//! let conn = net
-//!     .dial_from("alice", "server")
+//! let conn = TcpDialer
+//!     .dial(&server.local_addr())
 //!     .map_err(|e| corona_types::CoronaError::InvalidState(e.to_string()))?;
-//! let alice = CoronaClient::connect(Box::new(conn), "alice", None)?;
+//! let alice = CoronaClient::connect(conn, "alice", None)?;
 //!
 //! let group = GroupId::new(1);
 //! alice.create_group(group, Persistence::Persistent, SharedState::new())?;
@@ -67,7 +65,6 @@ pub mod core;
 pub mod kernel;
 pub mod mirror;
 pub mod qos;
-pub mod rawwire;
 pub mod server;
 
 pub use client::{CoronaClient, FailoverConfig, LockResult, RosterView, SharedMirror};
@@ -76,7 +73,6 @@ pub use core::{CoreCounters, Effect, LogEffect, ServerCore};
 pub use kernel::{Io, Kernel, Protocol};
 pub use mirror::{ApplyOutcome, GroupMirror};
 pub use qos::{classify, EventClass, QosPolicy};
-pub use rawwire::RawMember;
 pub use server::{CoronaServer, ServerStats};
 
 /// Locks past a poisoning: every update made under this crate's locks

@@ -257,7 +257,8 @@ impl CoronaServer {
     ///
     /// # Errors
     ///
-    /// Storage open/recovery failures.
+    /// Storage open/recovery failures; a listener that is already
+    /// serving (see [`Kernel::start`]).
     pub fn start(listener: Box<dyn Listener>, config: ServerConfig) -> Result<CoronaServer> {
         Self::start_with_registry(listener, config, Registry::new())
     }
@@ -330,7 +331,7 @@ impl CoronaServer {
         };
 
         let single = Single::new(core, log, &registry);
-        let mut kernel = Kernel::start("corona", &config, registry, single, listener, None);
+        let mut kernel = Kernel::start("corona", &config, registry, single, listener, None)?;
         if let Some(logger) = logger {
             kernel.join_after(logger);
         }
@@ -345,7 +346,7 @@ impl CoronaServer {
     ///
     /// [`CoronaError::InvalidState`] for a configuration with a
     /// storage directory (stable storage needs the logger thread), or
-    /// a listener that cannot push (see [`Kernel::stepped`]).
+    /// a listener that is already serving (see [`Kernel::start`]).
     pub fn stepped(listener: Box<dyn Listener>, config: ServerConfig) -> Result<CoronaServer> {
         if config.storage_dir.is_some() {
             return Err(CoronaError::InvalidState(
@@ -356,7 +357,7 @@ impl CoronaServer {
         let registry = Registry::new();
         let core = ServerCore::with_registry(&config, Arc::clone(&registry));
         let single = Single::new(core, Box::new(|_| {}), &registry);
-        let kernel = Kernel::stepped("corona", &config, registry, single, listener, None)?;
+        let kernel = Kernel::stepped(&config, registry, single, listener, None)?;
         Ok(CoronaServer { addr, kernel })
     }
 

@@ -1,10 +1,10 @@
-//! End-to-end tests: real threaded server + client library over the
-//! in-memory transport and over loopback TCP, including persistence
+//! End-to-end tests: real threaded server + client library over
+//! loopback TCP, including persistence
 //! across a server restart.
 
 use corona_core::{client::CoronaClient, config::ServerConfig, server::CoronaServer, LockResult};
 use corona_statelog::SyncPolicy;
-use corona_transport::{Dialer, MemNetwork, TcpDialer};
+use corona_transport::{Dialer, TcpDialer};
 use corona_types::error::{CoronaError, ErrorCode};
 use corona_types::id::{GroupId, ObjectId, SeqNo, ServerId};
 use corona_types::message::ServerEvent;
@@ -17,23 +17,21 @@ use std::time::Duration;
 const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 
-fn mem_server(config: ServerConfig) -> (MemNetwork, CoronaServer) {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
-    let server = CoronaServer::start(Box::new(listener), config).unwrap();
-    (net, server)
+/// A server on a loopback port, and its address.
+fn start(config: ServerConfig) -> (String, CoronaServer) {
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    (server.local_addr(), server)
 }
 
-fn mem_client(net: &MemNetwork, name: &str) -> CoronaClient {
-    let conn = net.dial_from(name, "server").unwrap();
-    CoronaClient::connect(Box::new(conn), name, None).unwrap()
+fn connect(addr: &str, name: &str) -> CoronaClient {
+    CoronaClient::connect(TcpDialer.dial(addr).unwrap(), name, None).unwrap()
 }
 
 #[test]
-fn basic_collaboration_over_mem_transport() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let alice = mem_client(&net, "alice");
-    let bob = mem_client(&net, "bob");
+fn basic_collaboration() {
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let alice = connect(&addr, "alice");
+    let bob = connect(&addr, "bob");
 
     alice
         .create_group(G, Persistence::Transient, SharedState::new())
@@ -82,8 +80,8 @@ fn basic_collaboration_over_mem_transport() {
 
 #[test]
 fn late_joiner_converges_via_mirror() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let writer = mem_client(&net, "writer");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let writer = connect(&addr, "writer");
     writer
         .create_group(G, Persistence::Transient, SharedState::new())
         .unwrap();
@@ -104,7 +102,7 @@ fn late_joiner_converges_via_mirror() {
     // flushes the pipeline: the server handles requests in order).
     writer.ping().unwrap();
 
-    let late = mem_client(&net, "late");
+    let late = connect(&addr, "late");
     let (_, mirror) = late.join_mirrored(G, MemberRole::Observer, false).unwrap();
     let expected: String = (0..20).map(|i| format!("{i};")).collect();
     assert_eq!(
@@ -129,13 +127,13 @@ fn late_joiner_converges_via_mirror() {
 
 #[test]
 fn total_order_agrees_across_concurrent_senders() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let a = mem_client(&net, "a");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let a = connect(&addr, "a");
     a.create_group(G, Persistence::Transient, SharedState::new())
         .unwrap();
     let clients: Vec<CoronaClient> = (0..4)
         .map(|i| {
-            let c = mem_client(&net, &format!("c{i}"));
+            let c = connect(&addr, &format!("c{i}"));
             c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
                 .unwrap();
             c
@@ -199,17 +197,13 @@ fn persistence_across_server_restart() {
     let dir = std::env::temp_dir().join(format!("corona-e2e-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let net = MemNetwork::new();
     {
-        let listener = net.listen("server").unwrap();
-        let server = CoronaServer::start(
-            Box::new(listener),
+        let (addr, server) = start(
             ServerConfig::stateful(ServerId::new(1))
                 .with_storage(&dir)
                 .with_sync_policy(SyncPolicy::EveryRecord),
-        )
-        .unwrap();
-        let c = mem_client(&net, "creator");
+        );
+        let c = connect(&addr, "creator");
         c.create_group(G, Persistence::Persistent, SharedState::new())
             .unwrap();
         c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
@@ -230,14 +224,8 @@ fn persistence_across_server_restart() {
 
     // Restart on the same storage directory.
     {
-        let listener = net.listen("server2").unwrap();
-        let server = CoronaServer::start(
-            Box::new(listener),
-            ServerConfig::stateful(ServerId::new(1)).with_storage(&dir),
-        )
-        .unwrap();
-        let conn = net.dial_from("rejoiner", "server2").unwrap();
-        let c = CoronaClient::connect(Box::new(conn), "rejoiner", None).unwrap();
+        let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)).with_storage(&dir));
+        let c = connect(&addr, "rejoiner");
         let (_, transfer) = c
             .join(
                 G,
@@ -265,15 +253,14 @@ fn persistence_across_server_restart() {
 
 #[test]
 fn reconnect_resume_and_catchup() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let a = mem_client(&net, "a");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let a = connect(&addr, "a");
     a.create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
     a.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
         .unwrap();
 
-    let b_conn = net.dial_from("b", "server").unwrap();
-    let b = CoronaClient::connect(Box::new(b_conn), "b", None).unwrap();
+    let b = connect(&addr, "b");
     let b_id = b.client_id();
     let (_, transfer) = b
         .join(
@@ -301,8 +288,8 @@ fn reconnect_resume_and_catchup() {
     a.ping().unwrap();
 
     // b reconnects with its old identity and catches up incrementally.
-    let b_conn = net.dial_from("b", "server").unwrap();
-    let b = CoronaClient::connect(Box::new(b_conn), "b", Some(b_id)).unwrap();
+    let b_conn = TcpDialer.dial(&addr).unwrap();
+    let b = CoronaClient::connect(b_conn, "b", Some(b_id)).unwrap();
     assert_eq!(b.client_id(), b_id, "identity resumed");
     b.join(
         G,
@@ -320,9 +307,9 @@ fn reconnect_resume_and_catchup() {
 
 #[test]
 fn lock_service_over_transport() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let a = mem_client(&net, "a");
-    let b = mem_client(&net, "b");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let a = connect(&addr, "a");
+    let b = connect(&addr, "b");
     a.create_group(G, Persistence::Transient, SharedState::new())
         .unwrap();
     a.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
@@ -350,8 +337,8 @@ fn lock_service_over_transport() {
 
 #[test]
 fn protocol_errors_surface_as_typed_errors() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let c = mem_client(&net, "c");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let c = connect(&addr, "c");
     // Join a group that does not exist.
     let err = c
         .join(
@@ -377,8 +364,8 @@ fn protocol_errors_surface_as_typed_errors() {
 
 #[test]
 fn membership_awareness_notifications() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let watcher = mem_client(&net, "watcher");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let watcher = connect(&addr, "watcher");
     watcher
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -386,7 +373,7 @@ fn membership_awareness_notifications() {
         .join(G, MemberRole::Principal, StateTransferPolicy::None, true)
         .unwrap();
 
-    let visitor = mem_client(&net, "visitor");
+    let visitor = connect(&addr, "visitor");
     visitor
         .join(G, MemberRole::Observer, StateTransferPolicy::None, false)
         .unwrap();
@@ -420,9 +407,9 @@ fn membership_awareness_notifications() {
 
 #[test]
 fn group_deletion_notifies_members() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let owner = mem_client(&net, "owner");
-    let member = mem_client(&net, "member");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let owner = connect(&addr, "owner");
+    let member = connect(&addr, "member");
     owner
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -498,8 +485,8 @@ fn works_over_real_tcp() {
 
 #[test]
 fn disconnected_client_errors_cleanly() {
-    let (net, server) = mem_server(ServerConfig::stateful(ServerId::new(1)));
-    let c = mem_client(&net, "c");
+    let (addr, server) = start(ServerConfig::stateful(ServerId::new(1)));
+    let c = connect(&addr, "c");
     server.shutdown();
     // After server shutdown, calls fail with Disconnected (or a closed
     // transport error), never hang.
@@ -510,5 +497,4 @@ fn disconnected_client_errors_cleanly() {
         matches!(err, CoronaError::Disconnected | CoronaError::Timeout { .. }),
         "unexpected error: {err:?}"
     );
-    let _ = net;
 }

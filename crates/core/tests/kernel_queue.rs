@@ -101,7 +101,7 @@ fn start(stub: Stub, registry: &Arc<Registry>, config: &ServerConfig) -> (Kernel
     let listener = ReactorListener::bind_with_registry("127.0.0.1:0", 1, Some(registry)).unwrap();
     let addr = listener.local_addr();
     let listener = Box::new(listener);
-    let kernel = Kernel::start("stub", config, Arc::clone(registry), stub, listener, None);
+    let kernel = Kernel::start("stub", config, Arc::clone(registry), stub, listener, None).unwrap();
     (kernel, addr)
 }
 

@@ -4,145 +4,136 @@
 //! while sequenced data traffic is always delivered.
 
 use corona_core::{client::CoronaClient, config::ServerConfig, server::CoronaServer, QosPolicy};
-use corona_transport::{Connection, MemNetwork};
+use corona_transport::{Dialer, TcpDialer};
+use corona_types::frame::{read_frame, write_frame};
 use corona_types::id::{GroupId, ObjectId, ServerId};
 use corona_types::message::{ClientRequest, ServerEvent, PROTOCOL_VERSION};
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
 use corona_types::state::SharedState;
 use corona_types::wire::{Decode, Encode};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 const SHED_BOUND: usize = 4;
 
-/// A protocol-speaking client that does NOT drain its inbound queue —
-/// its connection backlog grows, triggering the shedding policy.
+/// A protocol-speaking client on a bare socket that reads only the
+/// replies to its `Hello` and `Join`: once its socket buffers are full
+/// the server-side backlog grows, triggering the shedding policy.
 struct SluggishClient {
-    conn: corona_transport::MemConnection,
+    socket: TcpStream,
 }
 
 impl SluggishClient {
-    fn connect(net: &MemNetwork, name: &str) -> SluggishClient {
-        let conn = net.dial_from(name, "server").unwrap();
-        conn.send(
-            ClientRequest::Hello {
-                version: PROTOCOL_VERSION,
-                display_name: name.into(),
-                resume: None,
-            }
-            .encode_to_bytes(),
-        )
-        .unwrap();
-        // Consume only the Welcome.
-        let frame = conn.recv().unwrap();
-        assert!(matches!(
-            ServerEvent::decode_exact(&frame).unwrap(),
-            ServerEvent::Welcome { .. }
-        ));
-        SluggishClient { conn }
+    fn connect(addr: &str, name: &str) -> SluggishClient {
+        let mut sluggish = SluggishClient {
+            socket: TcpStream::connect(addr).unwrap(),
+        };
+        sluggish.send(ClientRequest::Hello {
+            version: PROTOCOL_VERSION,
+            display_name: name.into(),
+            resume: None,
+        });
+        assert!(matches!(sluggish.next(), Some(ServerEvent::Welcome { .. })));
+        sluggish
     }
 
-    fn join(&self) {
-        self.conn
-            .send(
-                ClientRequest::Join {
-                    group: G,
-                    role: MemberRole::Observer,
-                    policy: StateTransferPolicy::None,
-                    notify_membership: true,
-                }
-                .encode_to_bytes(),
-            )
+    fn join(&mut self) {
+        self.send(ClientRequest::Join {
+            group: G,
+            role: MemberRole::Observer,
+            policy: StateTransferPolicy::None,
+            notify_membership: true,
+        });
+        assert!(matches!(self.next(), Some(ServerEvent::Joined { .. })));
+    }
+
+    fn send(&mut self, request: ClientRequest) {
+        write_frame(&mut self.socket, &request.encode_to_bytes()).unwrap();
+    }
+
+    /// The next event, or `None` once nothing has come for a while.
+    fn next(&mut self) -> Option<ServerEvent> {
+        self.socket
+            .set_read_timeout(Some(Duration::from_millis(500)))
             .unwrap();
-        // Consume the Joined reply, nothing after it.
-        let frame = self.conn.recv().unwrap();
-        assert!(matches!(
-            ServerEvent::decode_exact(&frame).unwrap(),
-            ServerEvent::Joined { .. }
-        ));
+        let frame = read_frame(&mut self.socket).ok()??;
+        Some(ServerEvent::decode_exact(&frame).unwrap())
     }
 
-    /// Drains everything buffered, returning the event kinds.
-    fn drain(&self) -> Vec<ServerEvent> {
-        let mut out = Vec::new();
-        while let Ok(Some(frame)) = self.conn.try_recv() {
-            out.push(ServerEvent::decode_exact(&frame).unwrap());
-        }
-        out
+    /// Reads everything buffered.
+    fn drain(&mut self) -> Vec<ServerEvent> {
+        std::iter::from_fn(|| self.next()).collect()
     }
 }
 
-#[test]
-fn awareness_is_shed_for_backlogged_clients_but_data_is_not() {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
-    let server = CoronaServer::start(
-        Box::new(listener),
-        ServerConfig::stateful(ServerId::new(1)).with_qos(QosPolicy::shedding(SHED_BOUND)),
-    )
-    .unwrap();
+fn connect(addr: &str, name: &str) -> CoronaClient {
+    CoronaClient::connect(TcpDialer.dial(addr).unwrap(), name, None).unwrap()
+}
 
-    // An active writer drives both data and awareness traffic.
-    let writer = CoronaClient::connect(
-        Box::new(net.dial_from("writer", "server").unwrap()),
-        "writer",
-        None,
-    )
-    .unwrap();
+/// A writer who has created and joined `G`.
+fn writer(addr: &str) -> CoronaClient {
+    let writer = connect(addr, "writer");
     writer
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
     writer
         .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
         .unwrap();
+    writer
+}
+
+/// A visitor joins `G` and leaves again: two awareness notifications.
+fn visit(addr: &str, i: usize) {
+    let visitor = connect(addr, &format!("v{i}"));
+    visitor
+        .join(G, MemberRole::Observer, StateTransferPolicy::None, false)
+        .unwrap();
+    visitor.leave(G).unwrap();
+    visitor.close();
+}
+
+#[test]
+fn awareness_is_shed_for_backlogged_clients_but_data_is_not() {
+    let config = ServerConfig::stateful(ServerId::new(1)).with_qos(QosPolicy::shedding(SHED_BOUND));
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    // An active writer drives both data and awareness traffic.
+    let writer = writer(&addr);
 
     // The sluggish observer joins with awareness subscription, then
     // stops reading.
-    let sluggish = SluggishClient::connect(&net, "sluggish");
+    let mut sluggish = SluggishClient::connect(&addr, "sluggish");
     sluggish.join();
 
-    // Generate interleaved data (multicasts to the observer) and
-    // awareness (visitors joining and leaving) traffic.
-    const ROUNDS: usize = 30;
-    for i in 0..ROUNDS {
+    // Interleaved data (multicasts to the observer, large enough to fill
+    // its socket buffers) and awareness (visitors joining and leaving),
+    // until the server has shed some of the latter.
+    let payload = |i: usize| {
+        let mut payload = format!("{i};").into_bytes();
+        payload.resize(64 * 1024, b' ');
+        payload
+    };
+    let mut rounds = 0;
+    while server.stats().unwrap().shed == 0 {
+        assert!(
+            rounds < 200,
+            "no events were shed despite a {SHED_BOUND}-frame bound and {rounds} rounds"
+        );
         writer
-            .bcast_update(
-                G,
-                O,
-                format!("{i};").into_bytes(),
-                DeliveryScope::SenderExclusive,
-            )
+            .bcast_update(G, O, payload(rounds), DeliveryScope::SenderExclusive)
             .unwrap();
-        let visitor = CoronaClient::connect(
-            Box::new(net.dial_from(&format!("v{i}"), "server").unwrap()),
-            format!("v{i}"),
-            None,
-        )
-        .unwrap();
-        visitor
-            .join(G, MemberRole::Observer, StateTransferPolicy::None, false)
-            .unwrap();
-        visitor.leave(G).unwrap();
-        visitor.close();
+        visit(&addr, rounds);
+        rounds += 1;
     }
     writer.ping().unwrap(); // flush the dispatcher
 
-    // Give the (instant) mem transport a beat, then inspect.
-    std::thread::sleep(Duration::from_millis(100));
-    let stats = server.stats().unwrap();
-    assert!(
-        stats.shed > 0,
-        "no events were shed despite a {SHED_BOUND}-frame bound and {ROUNDS} awareness rounds"
-    );
-
     let events = sluggish.drain();
-    let data: Vec<String> = events
+    let data: Vec<Vec<u8>> = events
         .iter()
         .filter_map(|e| match e {
-            ServerEvent::Multicast { logged, .. } => {
-                Some(String::from_utf8_lossy(&logged.update.payload).into_owned())
-            }
+            ServerEvent::Multicast { logged, .. } => Some(logged.update.payload.to_vec()),
             _ => None,
         })
         .collect();
@@ -152,12 +143,12 @@ fn awareness_is_shed_for_backlogged_clients_but_data_is_not() {
         .count();
 
     // EVERY data update arrived, in order, despite the backlog.
-    let expected: Vec<String> = (0..ROUNDS).map(|i| format!("{i};")).collect();
-    assert_eq!(data, expected, "data must never be shed");
-    // Awareness was shed: fewer than the 2*ROUNDS join/leave
+    let expected: Vec<Vec<u8>> = (0..rounds).map(payload).collect();
+    assert!(data == expected, "data must never be shed");
+    // Awareness was shed: fewer than the 2 * rounds join/leave
     // notifications were delivered.
     assert!(
-        awareness < 2 * ROUNDS,
+        awareness < 2 * rounds,
         "expected shedding, but all {awareness} notifications arrived"
     );
 
@@ -167,40 +158,17 @@ fn awareness_is_shed_for_backlogged_clients_but_data_is_not() {
 
 #[test]
 fn default_policy_sheds_nothing() {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
     let server =
-        CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1))).unwrap();
-    let writer = CoronaClient::connect(
-        Box::new(net.dial_from("writer", "server").unwrap()),
-        "writer",
-        None,
-    )
-    .unwrap();
-    writer
-        .create_group(G, Persistence::Persistent, SharedState::new())
-        .unwrap();
-    writer
-        .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
-        .unwrap();
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let addr = server.local_addr();
+    let writer = writer(&addr);
 
-    let sluggish = SluggishClient::connect(&net, "sluggish");
+    let mut sluggish = SluggishClient::connect(&addr, "sluggish");
     sluggish.join();
     for i in 0..20 {
-        let visitor = CoronaClient::connect(
-            Box::new(net.dial_from(&format!("v{i}"), "server").unwrap()),
-            format!("v{i}"),
-            None,
-        )
-        .unwrap();
-        visitor
-            .join(G, MemberRole::Observer, StateTransferPolicy::None, false)
-            .unwrap();
-        visitor.leave(G).unwrap();
-        visitor.close();
+        visit(&addr, i);
     }
     writer.ping().unwrap();
-    std::thread::sleep(Duration::from_millis(100));
 
     let stats = server.stats().unwrap();
     assert_eq!(stats.shed, 0, "base system must never shed");

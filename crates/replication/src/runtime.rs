@@ -163,7 +163,8 @@ impl ReplicatedServer {
     /// # Errors
     ///
     /// [`CoronaError::InvalidState`] if this server is missing from
-    /// `config.servers` (connections are lazy; nothing else can fail).
+    /// `config.servers`, or a listener is already serving (connections
+    /// are lazy; nothing else can fail).
     pub fn start(
         client_listener: Box<dyn Listener>,
         peer_listener: Box<dyn Listener>,
@@ -179,10 +180,7 @@ impl ReplicatedServer {
     ///
     /// # Errors
     ///
-    /// As [`ReplicatedServer::start`]; also
-    /// [`CoronaError::InvalidState`] for a listener that cannot push
-    /// (see [`Kernel::stepped`]). Peer links the `dialer` makes must
-    /// push too.
+    /// As [`ReplicatedServer::start`].
     pub fn stepped(
         client_listener: Box<dyn Listener>,
         peer_listener: Box<dyn Listener>,
@@ -209,18 +207,11 @@ impl ReplicatedServer {
         let registry = Registry::new();
         let server_config = config.server_config.clone();
         let replica = Replica::new(config, dialer, Arc::clone(&registry));
-        let name = format!("repl-{me}");
         let peers = Some(peer_listener);
         let kernel = if stepped {
-            Kernel::stepped(
-                &name,
-                &server_config,
-                registry,
-                replica,
-                client_listener,
-                peers,
-            )?
+            Kernel::stepped(&server_config, registry, replica, client_listener, peers)?
         } else {
+            let name = format!("repl-{me}");
             Kernel::start(
                 &name,
                 &server_config,
@@ -228,7 +219,7 @@ impl ReplicatedServer {
                 replica,
                 client_listener,
                 peers,
-            )
+            )?
         };
         Ok(ReplicatedServer {
             me,
@@ -654,9 +645,7 @@ impl Replica {
                 let effects = self.replica.handle_peer(msg);
                 queue.extend(effects.into_iter().map(Work::Replica));
             }
-            PeerMessage::ServerHello { .. }
-            | PeerMessage::MembershipSync { .. }
-            | PeerMessage::CheckpointAnnounce { .. } => {}
+            PeerMessage::ServerHello { .. } => {}
         }
     }
 

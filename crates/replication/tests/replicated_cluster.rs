@@ -1,17 +1,18 @@
-//! Integration tests of the replicated Corona service over the
-//! in-memory transport: cross-server total order, transparent client
-//! protocol, coordinator failover with state rebuild from hot-standby
-//! replicas.
+//! Integration tests of the replicated Corona service over loopback
+//! TCP: cross-server total order, transparent client protocol,
+//! coordinator failover with state rebuild from hot-standby replicas.
 
 use corona_core::client::CoronaClient;
 use corona_core::ServerConfig;
 use corona_metrics::Registry;
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
-use corona_transport::{MemNetwork, Nemesis};
+use corona_transport::{Dialer, Listener, Nemesis, ReactorListener, TcpDialer};
+use corona_types::frame::{read_frame, write_frame};
 use corona_types::id::{GroupId, ObjectId, SeqNo, ServerId};
 use corona_types::message::ServerEvent;
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
 use corona_types::state::SharedState;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,10 +20,16 @@ const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 
 struct Cluster {
-    net: MemNetwork,
     /// The fault plane around the peer mesh; server `i` is node `s{i}`.
     nem: Nemesis,
     servers: Vec<ReplicatedServer>,
+    /// Where server `i` listens for clients and for peers, at `i - 1`.
+    client_addrs: Vec<String>,
+    peer_addrs: Vec<String>,
+}
+
+fn listen() -> ReactorListener {
+    ReactorListener::bind("127.0.0.1:0", 1).unwrap()
 }
 
 impl Cluster {
@@ -35,25 +42,24 @@ impl Cluster {
     /// Like [`Cluster::start`], with every server's configuration
     /// passed through `tune`.
     fn start_with(n: u64, tune: fn(ServerConfig) -> ServerConfig) -> Cluster {
-        let net = MemNetwork::new();
         let nem = Nemesis::new(0, &Registry::new());
-        let peers: Vec<(ServerId, String)> = (1..=n)
-            .map(|i| (ServerId::new(i), format!("s{i}-peer")))
-            .collect();
+        let listeners: Vec<(ReactorListener, ReactorListener)> =
+            (1..=n).map(|_| (listen(), listen())).collect();
+        let addrs = |pick: fn(&(ReactorListener, ReactorListener)) -> &ReactorListener| {
+            let ids = (1..).map(ServerId::new);
+            let addrs = listeners.iter().map(|l| pick(l).local_addr());
+            ids.zip(addrs).collect::<Vec<(ServerId, String)>>()
+        };
+        let (client_addrs, peers) = (addrs(|l| &l.0), addrs(|l| &l.1));
         // Named before anyone dials: a link's remote node is fixed
         // when the link is made.
         for (id, addr) in &peers {
             nem.register_addr(addr, &format!("s{}", id.raw()));
         }
-        let client_addrs: Vec<(ServerId, String)> = (1..=n)
-            .map(|i| (ServerId::new(i), format!("s{i}-client")))
-            .collect();
         let mut servers = Vec::new();
-        for i in 1..=n {
+        for (i, (client_listener, peer_listener)) in (1..).zip(listeners) {
             let node = format!("s{i}");
-            let client_listener = net.listen(&format!("s{i}-client")).unwrap();
-            let peer_listener = net.listen(&format!("s{i}-peer")).unwrap();
-            let dialer = nem.wrap_dialer(&node, Box::new(net.dialer(&node)));
+            let dialer = nem.wrap_dialer(&node, Box::new(TcpDialer));
             let config = ReplicatedConfig {
                 servers: peers.clone(),
                 client_addrs: client_addrs.clone(),
@@ -71,15 +77,20 @@ impl Cluster {
                 .unwrap(),
             );
         }
-        Cluster { net, nem, servers }
+        let only_addrs = |addrs: Vec<(ServerId, String)>| addrs.into_iter().map(|(_, a)| a);
+        Cluster {
+            nem,
+            servers,
+            client_addrs: only_addrs(client_addrs).collect(),
+            peer_addrs: only_addrs(peers).collect(),
+        }
     }
 
     fn client(&self, name: &str, server: u64) -> CoronaClient {
-        let conn = self
-            .net
-            .dial_from(name, &format!("s{server}-client"))
+        let conn = TcpDialer
+            .dial(&self.client_addrs[server as usize - 1])
             .unwrap();
-        let mut c = CoronaClient::connect(Box::new(conn), name, None).unwrap();
+        let mut c = CoronaClient::connect(conn, name, None).unwrap();
         c.set_call_timeout(Duration::from_secs(15));
         c
     }
@@ -491,7 +502,6 @@ fn cascading_coordinator_failures() {
 /// gap-free.
 #[test]
 fn laggard_client_is_dropped_and_survivors_keep_a_gap_free_stream() {
-    use corona_transport::Connection;
     use corona_types::message::{ClientRequest, PROTOCOL_VERSION};
     use corona_types::wire::{decode_traced, Encode};
 
@@ -506,67 +516,69 @@ fn laggard_client_is_dropped_and_survivors_keep_a_gap_free_stream() {
             .unwrap();
     }
 
-    // The laggard speaks the wire protocol over a raw connection (the
-    // facade client's reader thread would keep draining the queue)
-    // and stops reading once its join completes.
-    let raw = cluster.net.dial_from("laggard", "s2-client").unwrap();
-    let expect = |what: &str, want: fn(&ServerEvent) -> bool| loop {
-        let event = decode_traced::<ServerEvent>(&raw.recv().unwrap())
-            .unwrap()
-            .0;
-        if want(&event) {
-            return event;
+    // The laggard speaks the wire protocol over a bare socket and
+    // stops reading once its join completes.
+    let mut raw = TcpStream::connect(&cluster.client_addrs[1]).unwrap();
+    let mut exchange = |request: ClientRequest, want: fn(&ServerEvent) -> bool| {
+        write_frame(&mut raw, &request.encode_to_bytes()).unwrap();
+        loop {
+            let frame = read_frame(&mut raw).unwrap().expect("server hung up");
+            let event = decode_traced::<ServerEvent>(&frame).unwrap().0;
+            if want(&event) {
+                return event;
+            }
+            // Roster / membership pushes may interleave.
+            assert!(
+                matches!(
+                    event,
+                    ServerEvent::Roster { .. } | ServerEvent::MembershipChanged { .. }
+                ),
+                "waiting for a reply, got {event:?}"
+            );
         }
-        // Roster / membership pushes may interleave.
-        assert!(
-            matches!(
-                event,
-                ServerEvent::Roster { .. } | ServerEvent::MembershipChanged { .. }
-            ),
-            "waiting for {what}, got {event:?}"
-        );
     };
-    raw.send(
-        ClientRequest::Hello {
-            version: PROTOCOL_VERSION,
-            display_name: "laggard".into(),
-            resume: None,
-        }
-        .encode_to_bytes(),
-    )
-    .unwrap();
+    let hello = ClientRequest::Hello {
+        version: PROTOCOL_VERSION,
+        display_name: "laggard".into(),
+        resume: None,
+    };
     let ServerEvent::Welcome {
         client: laggard_id, ..
-    } = expect("welcome", |e| matches!(e, ServerEvent::Welcome { .. }))
+    } = exchange(hello, |e| matches!(e, ServerEvent::Welcome { .. }))
     else {
         unreachable!()
     };
-    raw.send(
-        ClientRequest::Join {
-            group: G,
-            role: MemberRole::Principal,
-            policy: StateTransferPolicy::None,
-            notify_membership: false,
-        }
-        .encode_to_bytes(),
-    )
-    .unwrap();
-    expect("joined", |e| matches!(e, ServerEvent::Joined { .. }));
+    let join = ClientRequest::Join {
+        group: G,
+        role: MemberRole::Principal,
+        policy: StateTransferPolicy::None,
+        notify_membership: false,
+    };
+    exchange(join, |e| matches!(e, ServerEvent::Joined { .. }));
     let follower = &cluster.servers[1];
     assert_eq!(follower.status().unwrap().local_clients, 2);
 
-    // First broadcast fills the laggard's queue; the second finds it
-    // full. The live subscriber reads each frame before the next send,
-    // so only the laggard can overflow.
-    let broadcast = |payload: &'static [u8]| {
+    // Broadcasts fill the laggard's socket, then its queue; the next
+    // finds the queue full. The live subscriber reads each frame before
+    // the next send, so only the laggard can overflow.
+    let payload = vec![0x5au8; 128 * 1024];
+    let broadcast = || {
         sender
-            .bcast_update(G, O, payload, DeliveryScope::SenderExclusive)
+            .bcast_update(G, O, payload.clone(), DeliveryScope::SenderExclusive)
             .unwrap();
         let (seq, got) = next_multicast(&live, Duration::from_secs(10));
         assert_eq!(got, payload);
         seq.raw()
     };
-    let mut seqs = vec![broadcast(b"one"), broadcast(b"two")];
+    let mut seqs = Vec::new();
+    while follower.metrics().counter("server.fanout.dead_conn") == 0 {
+        assert!(
+            seqs.len() < 400,
+            "laggard survived {} broadcasts",
+            seqs.len()
+        );
+        seqs.push(broadcast());
+    }
 
     // The kernel reaps in the same dispatcher step as the failed
     // enqueue — exactly as `tests/fanout_stack.rs` asserts for the
@@ -574,9 +586,8 @@ fn laggard_client_is_dropped_and_survivors_keep_a_gap_free_stream() {
     // already shows the result. No polling.
     assert_eq!(follower.status().unwrap().local_clients, 1);
     assert_eq!(follower.metrics().counter("server.fanout.dead_conn"), 1);
-    assert!(raw.is_closed());
 
-    seqs.push(broadcast(b"three"));
+    seqs.push(broadcast());
     assert!(
         seqs.windows(2).all(|w| w[1] == w[0] + 1),
         "survivor's stream has a gap: {seqs:?}"
@@ -594,8 +605,6 @@ fn laggard_client_is_dropped_and_survivors_keep_a_gap_free_stream() {
 /// sequencing without a gap.
 #[test]
 fn garbage_on_a_peer_link_is_counted_and_the_link_closed() {
-    use corona_transport::Connection;
-
     let cluster = Cluster::start(2);
     let sender = cluster.client("sender", 1);
     let live = cluster.client("live", 2);
@@ -617,15 +626,15 @@ fn garbage_on_a_peer_link_is_counted_and_the_link_closed() {
     let mut seqs = vec![broadcast(b"before")];
 
     let follower = &cluster.servers[1];
-    let intruder = cluster.net.dial_from("intruder", "s2-peer").unwrap();
-    intruder
-        .send(bytes::Bytes::from_static(b"\xffnot a peer message"))
-        .unwrap();
+    let mut intruder = TcpStream::connect(&cluster.peer_addrs[1]).unwrap();
+    write_frame(&mut intruder, b"\xffnot a peer message").unwrap();
     // The follower closes the link in the step that fails to decode;
     // the intruder's blocking read observes it.
-    assert_eq!(
-        intruder.recv_timeout(Duration::from_secs(10)),
-        Err(corona_transport::TransportError::Closed),
+    intruder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(
+        matches!(read_frame(&mut intruder), Ok(None)),
         "garbage link must be closed"
     );
     assert_eq!(follower.metrics().counter("repl.peer.decode_errors"), 1);
@@ -647,7 +656,7 @@ fn garbage_on_a_peer_link_is_counted_and_the_link_closed() {
 /// holes keeps answering its client.
 #[test]
 fn unreachable_peers_cannot_stall_the_dispatcher() {
-    use corona_transport::{Connection, Dialer, TransportError};
+    use corona_transport::{Connection, TransportError};
 
     const HEARTBEAT: Duration = Duration::from_millis(30);
     /// Every address is a black hole: a bounded dial waits out the
@@ -669,7 +678,7 @@ fn unreachable_peers_cannot_stall_the_dispatcher() {
         }
     }
 
-    let net = MemNetwork::new();
+    let (client_listener, peer_listener) = (listen(), listen());
     let peers: Vec<(ServerId, String)> = (1..=3)
         .map(|i| (ServerId::new(i), format!("s{i}-peer")))
         .collect();
@@ -679,15 +688,15 @@ fn unreachable_peers_cannot_stall_the_dispatcher() {
         ..ReplicatedConfig::new(ServerId::new(1), peers)
     };
     let server = ReplicatedServer::start(
-        Box::new(net.listen("s1-client").unwrap()),
-        Box::new(net.listen("s1-peer").unwrap()),
+        Box::new(client_listener),
+        Box::new(peer_listener),
         Arc::new(BlackHole),
         config,
     )
     .unwrap();
 
-    let conn = net.dial_from("alice", "s1-client").unwrap();
-    let alice = CoronaClient::connect(Box::new(conn), "alice", None).unwrap();
+    let conn = TcpDialer.dial(&server.client_addr()).unwrap();
+    let alice = CoronaClient::connect(conn, "alice", None).unwrap();
     // Keep asking across several rounds of failed dials (each counted).
     let failed_dials = || server.metrics().counter("repl.peer.send_failed");
     let deadline = Instant::now() + Duration::from_secs(10);

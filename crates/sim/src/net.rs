@@ -1,8 +1,7 @@
 //! The virtual-time push pipe: a [`Listener`] / [`Dialer`] /
 //! [`Connection`] trio with no thread and no clock of its own.
 //!
-//! [`Connection::attach_sink`] and [`Listener::attach_sink`] are always
-//! taken. A queued frame becomes a [`Delivery`] due one link latency
+//! A queued frame becomes a [`Delivery`] due one link latency
 //! later; so does an accept, and so does each end's report of a close.
 //! Deliveries collect in the net's outbox: whoever owns the loop moves
 //! them onto its [`Scheduler`](crate::engine::Scheduler) after every
@@ -39,7 +38,7 @@ use corona_types::frame::Frame;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Locks past a poisoning: the net is only ever used by one thread.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -435,15 +434,8 @@ impl Connection for SimConnection {
             .store(cap.max(1), Ordering::Relaxed);
     }
 
-    /// Nothing is ever pulled from this pipe, and nothing can block
-    /// under virtual time.
-    fn recv_until(&self, _deadline: Option<Instant>) -> Result<Bytes, TransportError> {
-        Err(TransportError::Closed)
-    }
-
-    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) {
         let _ = self.local.sink.set((conn_id, sink));
-        true
     }
 
     fn backlog(&self) -> usize {
@@ -491,18 +483,13 @@ impl ListenerInner {
     }
 }
 
-/// Accept side of a [`SimNet::listen`] call: push mode only.
+/// Accept side of a [`SimNet::listen`] call.
 pub struct SimListener {
     inner: Arc<ListenerInner>,
     net: SimNet,
 }
 
 impl Listener for SimListener {
-    /// Never pulled: connections reach the attached sink.
-    fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
-        Err(TransportError::Closed)
-    }
-
     fn local_addr(&self) -> String {
         self.inner.addr.clone()
     }
@@ -519,8 +506,7 @@ impl Listener for SimListener {
     }
 
     fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool {
-        let _ = self.inner.sink.set(sink);
-        true
+        self.inner.sink.set(sink).is_ok() && !self.inner.is_shut_down()
     }
 }
 

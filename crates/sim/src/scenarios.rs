@@ -10,8 +10,9 @@ use corona_transport::{FaultRng, LinkFaults, NemesisEvent};
 /// Every scenario [`scenario`] knows, in sweep order. The `hunt_*`
 /// ones chase losses ROADMAP records as known and unfixed: their
 /// end-of-run expectation is reported, not required.
-pub const SCENARIOS: [&str; 8] = [
+pub const SCENARIOS: [&str; 9] = [
     "partition_heal",
+    "asymmetric",
     "blip",
     "storm",
     "fresh_host_reorder",
@@ -103,6 +104,23 @@ pub fn scenario(name: &str, seed: u64) -> Option<Scenario> {
             s.writes(0, 20, 12, 110);
             s.writes(1, 26, 12, 110);
             s.isolate(180, 1, 3);
+            s.fault(900, NemesisEvent::Heal);
+        }
+        // The coordinator goes deaf: its heartbeats still reach the
+        // followers, so nobody elects, but their acks are swallowed, so
+        // its lease lapses. It fences, and once the heal lets the acks
+        // through it serves again, under the same epoch.
+        "asymmetric" => {
+            s.members(3);
+            s.writes(0, 20, 12, 110);
+            s.writes(1, 26, 12, 110);
+            for follower in ["s2", "s3"] {
+                let block = NemesisEvent::Block {
+                    from: follower.into(),
+                    to: "s1".into(),
+                };
+                s.fault(180, block);
+            }
             s.fault(900, NemesisEvent::Heal);
         }
         // Healed before any follower's election timeout: nothing is

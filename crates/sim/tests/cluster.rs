@@ -60,6 +60,28 @@ fn divergent_suffix_is_discarded_on_heal_and_views_converge() {
     );
 }
 
+/// Deafness, not a partition: the coordinator fences in place and is
+/// never replaced, and regains its lease on the heal.
+#[test]
+fn a_deaf_coordinator_fences_without_an_election_and_regains_its_lease() {
+    for seed in 1..=20 {
+        let outcome = ok("asymmetric", seed);
+        let servers = &outcome.servers;
+        let s1 = &servers[0];
+        assert!(s1.fenced_at.is_some(), "{s1:?}");
+        for server in servers {
+            assert_eq!(server.elected_at, None, "{server:?}");
+            let status = server.status.as_ref().unwrap();
+            assert_eq!(status.epoch.0, 0, "{server:?}");
+        }
+        let kinds: Vec<&str> = s1.ops.iter().map(|e| e.kind).collect();
+        let lost = kinds.iter().position(|k| *k == "quorum_lost");
+        let regained = kinds.iter().rposition(|k| *k == "quorum_regained");
+        assert!(lost.is_some() && lost < regained, "{kinds:?}");
+        assert!(!s1.status.as_ref().unwrap().fenced, "{s1:?}");
+    }
+}
+
 #[test]
 fn blip_shorter_than_the_election_timeout_merges_back_with_zero_discards() {
     let outcome = ok("blip", 1);

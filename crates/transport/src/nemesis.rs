@@ -1,14 +1,14 @@
 //! The fault plane: a deterministic nemesis layer over any transport.
 //!
 //! [`Nemesis`] wraps [`Connection`]s, [`Listener`]s, and [`Dialer`]s of
-//! *any* backend — the in-memory pipe and real TCP alike — and is the
-//! only place in the workspace where a fault can be expressed. Every
-//! fault is a [`NemesisEvent`]: partitions and one-direction blocks
-//! that heal, severed links, crashed nodes, and seeded per-link mixes
-//! of dropped, delayed, duplicated, and reordered frames. A whole chaos
-//! run is therefore one list of timed `NemesisEvent`s, and the same
-//! schedule drives a reactor-TCP cluster, a mem cluster, and — on its
-//! scheduler, at virtual times — a `corona-sim` cluster.
+//! *any* backend — real TCP and `corona-sim`'s virtual-time pipe alike
+//! — and is the only place in the workspace where a fault can be
+//! expressed. Every fault is a [`NemesisEvent`]: partitions and
+//! one-direction blocks that heal, severed links, crashed nodes, and
+//! seeded per-link mixes of dropped, delayed, duplicated, and reordered
+//! frames. A whole chaos run is therefore one list of timed
+//! `NemesisEvent`s, and the same schedule drives a reactor-TCP cluster
+//! and — on its scheduler, at virtual times — a `corona-sim` cluster.
 //!
 //! Faults are decided by a [`FaultRng`] seeded at construction, so a
 //! chaos run is reproducible from its seed. Every injected fault is
@@ -20,8 +20,8 @@
 //!
 //! Rules name *nodes*. A wrapped link knows its local node; its remote
 //! node is known when the peer's label or dialled address maps to one
-//! ([`Nemesis::register_addr`]) — always for dialled links and for
-//! in-memory links, never for an accepted TCP link, whose peer is an
+//! ([`Nemesis::register_addr`]) — always for dialled links and for the
+//! simulator's links, never for an accepted TCP link, whose peer is an
 //! ephemeral port. A blocked link whose remote is known becomes a
 //! *black hole*: it stays up and swallows frames, as a real partition
 //! appears to TCP until timeouts fire, and carries traffic again after
@@ -37,7 +37,7 @@ use corona_metrics::{Counter, Registry};
 use corona_types::frame::Frame;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-link fault mix.
 ///
@@ -204,8 +204,9 @@ struct NemesisInner {
     rng: Mutex<FaultRng>,
     rules: Mutex<NemesisRules>,
     /// Peer label or dialable address -> node name. Every node maps to
-    /// itself, so in-memory labels resolve directly; TCP "host:port"
-    /// listening addresses are added by [`Nemesis::register_addr`].
+    /// itself, so the simulator's labels resolve directly; TCP
+    /// "host:port" listening addresses are added by
+    /// [`Nemesis::register_addr`].
     nodes: Mutex<HashMap<String, String>>,
     conns: Mutex<Vec<Weak<ConnShared>>>,
     metrics: NemesisMetrics,
@@ -482,7 +483,7 @@ impl Nemesis {
 struct ConnShared {
     inner: Box<dyn Connection>,
     local: String,
-    /// Peer node name, when known (dialled and in-memory links always;
+    /// Peer node name, when known (dialled and simulated links always;
     /// accepted TCP links never).
     remote: Option<String>,
     /// One-slot reorder buffer: a held-back frame awaiting the next
@@ -567,18 +568,14 @@ impl Connection for NemesisConnection {
         self.shared.inner.flush(by);
     }
 
-    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
-        self.shared.inner.recv_until(deadline)
-    }
-
     fn set_send_capacity(&self, cap: usize) {
         self.shared.inner.set_send_capacity(cap);
     }
 
     /// Faults act on the send side only: what arrives is the inner
-    /// connection's to push, if it can.
-    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
-        self.shared.inner.attach_sink(conn_id, sink)
+    /// connection's to push.
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) {
+        self.shared.inner.attach_sink(conn_id, sink);
     }
 
     fn backlog(&self) -> usize {
@@ -614,8 +611,8 @@ impl Nemesis {
     }
 }
 
-/// The sink a [`NemesisListener`] hands a listener that pushes: wraps
-/// each accepted connection, as `accept` does, on its way to `sink`.
+/// The sink a [`NemesisListener`] hands the listener it wraps: wraps
+/// each accepted connection on its way to `sink`.
 struct AcceptWrapper {
     sink: Arc<dyn FrameSink>,
     node: String,
@@ -639,13 +636,7 @@ impl FrameSink for AcceptWrapper {
 }
 
 impl Listener for NemesisListener {
-    fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
-        let conn = self.inner.accept()?;
-        Ok(self.nem.wrap_accepted(&self.node, conn))
-    }
-
-    /// Passed through: a listener that pushes keeps pushing under
-    /// faults (one that declines is pulled through `accept`, as ever).
+    /// Passed through: the wrapped listener keeps pushing under faults.
     fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool {
         self.inner.attach_sink(Arc::new(AcceptWrapper {
             sink,
@@ -689,27 +680,142 @@ impl Dialer for NemesisDialer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemNetwork;
+    use crate::reactor::{ReactorListener, TcpDialer};
+    use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
-    fn pipe(
+    const WAIT: Duration = Duration::from_secs(10);
+
+    /// What reaches one end of a link: its frames, then `None` once it
+    /// closes.
+    type Inbound = Receiver<Option<Bytes>>;
+
+    /// An accepted connection, not yet wrapped, and what reaches it.
+    type Accepted = (Box<dyn Connection>, Inbound);
+
+    /// Reports what arrives on each connection to that connection's
+    /// channel, and hands every accepted connection over with its own.
+    #[derive(Default)]
+    struct Tell {
+        accepted: Mutex<Option<Sender<Accepted>>>,
+        ends: Mutex<HashMap<u64, Sender<Option<Bytes>>>>,
+    }
+
+    impl Tell {
+        fn open(&self, conn_id: u64) -> Inbound {
+            let (tx, rx) = channel();
+            lock(&self.ends).insert(conn_id, tx);
+            rx
+        }
+    }
+
+    impl FrameSink for Tell {
+        fn on_accept(&self, conn_id: u64, conn: Box<dyn Connection>) {
+            let inbound = self.open(conn_id);
+            if let Some(accepted) = lock(&self.accepted).as_ref() {
+                let _ = accepted.send((conn, inbound));
+            }
+        }
+        fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
+            if let Some(end) = lock(&self.ends).get(&conn_id) {
+                let _ = end.send(Some(frame));
+            }
+            true
+        }
+        fn ready_for_more(&self) -> bool {
+            true
+        }
+        fn on_closed(&self, conn_id: u64, _clean: bool) {
+            if let Some(end) = lock(&self.ends).remove(&conn_id) {
+                let _ = end.send(None);
+            }
+        }
+    }
+
+    /// One end of a link, with what arrives at it.
+    struct End {
+        conn: Box<dyn Connection>,
+        inbound: Inbound,
+    }
+
+    impl std::ops::Deref for End {
+        type Target = dyn Connection;
+        fn deref(&self) -> &Self::Target {
+            self.conn.as_ref()
+        }
+    }
+
+    impl End {
+        fn dialled(conn: Box<dyn Connection>) -> End {
+            let sink = Arc::new(Tell::default());
+            let inbound = sink.open(1);
+            conn.attach_sink(1, sink);
+            End { conn, inbound }
+        }
+
+        /// The next frame; `None` once the link has closed.
+        fn recv(&self) -> Option<Bytes> {
+            self.inbound.recv_timeout(WAIT).expect("nothing arrived")
+        }
+
+        fn number(&self) -> u32 {
+            let frame = self.recv().expect("link closed");
+            u32::from_le_bytes(frame.as_ref().try_into().unwrap())
+        }
+
+        /// Asserts nothing arrives for a short while.
+        fn assert_silent(&self, why: &str) {
+            let got = self.inbound.recv_timeout(Duration::from_millis(20));
+            assert_eq!(got, Err(RecvTimeoutError::Timeout), "{why}");
+        }
+    }
+
+    /// A listener of `node` whose accepted connections come out of the
+    /// receiver, each still to be wrapped.
+    fn listen(nem: &Nemesis, node: &str) -> (ReactorListener, Receiver<Accepted>) {
+        let listener = ReactorListener::bind("127.0.0.1:0", 1).unwrap();
+        nem.register_addr(&listener.local_addr(), node);
+        let (tx, accepted) = channel();
+        let sink = Tell {
+            accepted: Mutex::new(Some(tx)),
+            ..Tell::default()
+        };
+        assert!(listener.attach_sink(Arc::new(sink)));
+        (listener, accepted)
+    }
+
+    /// A link dialled from `from` to a listener of `to`, both ends
+    /// wrapped; the accepted end is told its remote, as a simulated link
+    /// knows it (an accepted socket's peer is an ephemeral port).
+    fn pipe(nem: &Nemesis, from: &str, to: &str) -> (End, End, ReactorListener) {
+        let (listener, accepted) = listen(nem, to);
+        let (dialled, accepted_end) = connect(nem, from, &listener, &accepted, Some(to));
+        (dialled, accepted_end, listener)
+    }
+
+    fn connect(
         nem: &Nemesis,
-        net: &MemNetwork,
         from: &str,
-        to: &str,
-    ) -> (Box<dyn Connection>, Box<dyn Connection>, Box<dyn Listener>) {
-        let listener = nem.wrap_listener(to, Box::new(net.listen(to).unwrap()));
-        let dialer = nem.wrap_dialer(from, Box::new(net.dialer(from)));
-        let dial_side = dialer.dial(to).unwrap();
-        let accept_side = listener.accept().unwrap();
-        (dial_side, accept_side, listener)
+        listener: &ReactorListener,
+        accepted: &Receiver<Accepted>,
+        to: Option<&str>,
+    ) -> (End, End) {
+        let dialer = nem.wrap_dialer(from, Box::new(TcpDialer));
+        let dialled = End::dialled(dialer.dial(&listener.local_addr()).unwrap());
+        let (conn, inbound) = accepted.recv_timeout(WAIT).unwrap();
+        let remote = to.map(|_| from.to_string());
+        let conn = nem.wrap_conn(conn, to.unwrap_or("b"), remote);
+        (dialled, End { conn, inbound })
+    }
+
+    fn numbered(i: u32) -> Bytes {
+        Bytes::from(i.to_le_bytes().to_vec())
     }
 
     #[test]
     fn clean_link_passes_frames_through() {
         let registry = Registry::new();
         let nem = Nemesis::new(7, &registry);
-        let net = MemNetwork::new();
-        let (a, b, _l) = pipe(&nem, &net, "a", "b");
+        let (a, b, _l) = pipe(&nem, "a", "b");
         a.send(Bytes::from_static(b"hello")).unwrap();
         assert_eq!(b.recv().unwrap().as_ref(), b"hello");
         b.send(Bytes::from_static(b"back")).unwrap();
@@ -721,8 +827,7 @@ mod tests {
         let run = |seed: u64| {
             let registry = Registry::new();
             let nem = Nemesis::new(seed, &registry);
-            let net = MemNetwork::new();
-            let (a, b, _l) = pipe(&nem, &net, "a", "b");
+            let (a, b, _l) = pipe(&nem, "a", "b");
             nem.set_link_faults(
                 "a",
                 "b",
@@ -732,13 +837,11 @@ mod tests {
                 },
             );
             for i in 0..100u32 {
-                a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-            }
-            let mut got = Vec::new();
-            while let Ok(Some(f)) = b.try_recv() {
-                got.push(u32::from_le_bytes(f.as_ref().try_into().unwrap()));
+                a.send(numbered(i)).unwrap();
             }
             let dropped = registry.snapshot().counter("server.nemesis.dropped");
+            let got: Vec<u32> = (dropped..100).map(|_| b.number()).collect();
+            b.assert_silent("every survivor counted");
             (got, dropped)
         };
         let (got1, dropped1) = run(42);
@@ -746,21 +849,14 @@ mod tests {
         assert_eq!(got1, got2, "same seed, same surviving frames");
         assert_eq!(dropped1, dropped2);
         assert!(dropped1 > 0, "a 30% drop rate over 100 frames fires");
-        assert_eq!(got1.len() as u64 + dropped1, 100);
-        let sorted = {
-            let mut s = got1.clone();
-            s.sort_unstable();
-            s
-        };
-        assert_eq!(got1, sorted, "drops never reorder survivors");
+        assert!(got1.is_sorted(), "drops never reorder survivors");
     }
 
     #[test]
     fn duplicates_and_reorders_fire_and_lose_nothing() {
         let registry = Registry::new();
         let nem = Nemesis::new(3, &registry);
-        let net = MemNetwork::new();
-        let (a, b, _l) = pipe(&nem, &net, "a", "b");
+        let (a, b, _l) = pipe(&nem, "a", "b");
         nem.set_link_faults(
             "a",
             "b",
@@ -771,20 +867,18 @@ mod tests {
             },
         );
         for i in 0..200u32 {
-            a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+            a.send(numbered(i)).unwrap();
         }
         // Clearing the faults releases a frame still held for reorder.
         nem.set_link_faults("a", "b", LinkFaults::NONE);
-        let mut got = Vec::new();
-        while let Ok(Some(f)) = b.try_recv() {
-            got.push(u32::from_le_bytes(f.as_ref().try_into().unwrap()));
-        }
         let snap = registry.snapshot();
-        assert!(snap.counter("server.nemesis.duplicated") > 0);
+        let duplicated = snap.counter("server.nemesis.duplicated");
+        assert!(duplicated > 0);
         assert!(snap.counter("server.nemesis.reordered") > 0);
+        let got: Vec<u32> = (0..200 + duplicated).map(|_| b.number()).collect();
+        b.assert_silent("every arrival counted");
         let unique: HashSet<u32> = got.iter().copied().collect();
         assert_eq!(unique.len(), 200, "every frame arrives at least once");
-        assert!(got.len() > 200, "duplicates arrived too");
         assert!(
             got.windows(2).any(|w| w[1] < w[0]),
             "adjacent swaps observed"
@@ -795,8 +889,7 @@ mod tests {
     fn delay_is_applied_and_counted() {
         let registry = Registry::new();
         let nem = Nemesis::new(1, &registry);
-        let net = MemNetwork::new();
-        let (a, b, _l) = pipe(&nem, &net, "a", "b");
+        let (a, b, _l) = pipe(&nem, "a", "b");
         nem.set_link_faults(
             "a",
             "b",
@@ -812,31 +905,24 @@ mod tests {
         assert_eq!(registry.snapshot().counter("server.nemesis.delayed"), 1);
     }
 
-    /// Asserts nothing arrives on `conn` for a short while.
-    fn assert_silent(conn: &dyn Connection, why: &str) {
-        assert_eq!(
-            conn.recv_timeout(Duration::from_millis(20)).unwrap_err(),
-            TransportError::Timeout,
-            "{why}"
-        );
-    }
-
     #[test]
     fn partition_black_holes_known_links_until_heal() {
         let registry = Registry::new();
         let nem = Nemesis::new(9, &registry);
-        let net = MemNetwork::new();
-        let (a, b, _l) = pipe(&nem, &net, "a", "b");
-        let dialer = nem.wrap_dialer("a", Box::new(net.dialer("a")));
+        let (a, b, listener) = pipe(&nem, "a", "b");
+        let dialer = nem.wrap_dialer("a", Box::new(TcpDialer));
 
         nem.partition(&[&["a"], &["b"]]);
         a.send(Bytes::from_static(b"void")).unwrap();
         b.send(Bytes::from_static(b"void")).unwrap();
-        assert_silent(b.as_ref(), "a -> b is a black hole");
-        assert_silent(a.as_ref(), "b -> a is a black hole");
+        b.assert_silent("a -> b is a black hole");
+        a.assert_silent("b -> a is a black hole");
         assert!(!a.is_closed() && !b.is_closed(), "the link stays up");
         assert!(
-            matches!(dialer.dial("b"), Err(TransportError::Io(_))),
+            matches!(
+                dialer.dial(&listener.local_addr()),
+                Err(TransportError::Io(_))
+            ),
             "cross-partition dial refused"
         );
         let snap = registry.snapshot();
@@ -848,24 +934,22 @@ mod tests {
         assert_eq!(registry.snapshot().counter("server.nemesis.heals"), 1);
         a.send(Bytes::from_static(b"through")).unwrap();
         assert_eq!(b.recv().unwrap().as_ref(), b"through");
-        assert!(dialer.dial("b").is_ok(), "dials flow after the heal");
+        assert!(
+            dialer.dial(&listener.local_addr()).is_ok(),
+            "dials flow after the heal"
+        );
     }
 
     #[test]
     fn partition_severs_links_whose_remote_is_unknown() {
         let registry = Registry::new();
         let nem = Nemesis::new(9, &registry);
-        let net = MemNetwork::new();
-        let listener = net.listen("b").unwrap();
+        let (listener, accepted) = listen(&nem, "b");
         // An accepted TCP peer is an ephemeral port: no remote node.
-        let anon = |from: &str| {
-            let dialed = net.dial_from(from, "b").unwrap();
-            (dialed, nem.wrap_conn(listener.accept().unwrap(), "b", None))
-        };
-        let (_d1, named_local) = anon("x");
+        let (_d1, named_local) = connect(&nem, "x", &listener, &accepted, None);
         nem.partition(&[&["a"], &["b"]]);
         assert!(named_local.is_closed(), "local node named: severed");
-        let (_d2, bystander) = anon("y");
+        let (_d2, bystander) = connect(&nem, "y", &listener, &accepted, None);
         nem.partition(&[&["a"], &["c"]]);
         assert!(!bystander.is_closed(), "local node not named: untouched");
     }
@@ -874,8 +958,7 @@ mod tests {
     fn same_side_links_survive_partition() {
         let registry = Registry::new();
         let nem = Nemesis::new(5, &registry);
-        let net = MemNetwork::new();
-        let (a, c, _l) = pipe(&nem, &net, "a", "c");
+        let (a, c, _l) = pipe(&nem, "a", "c");
         nem.partition(&[&["a", "c"], &["b"]]);
         a.send(Bytes::from_static(b"still here")).unwrap();
         assert_eq!(c.recv().unwrap().as_ref(), b"still here");
@@ -885,14 +968,13 @@ mod tests {
     fn directed_block_drops_one_direction_only() {
         let registry = Registry::new();
         let nem = Nemesis::new(4, &registry);
-        let net = MemNetwork::new();
-        let (c, s, _l) = pipe(&nem, &net, "c", "s");
+        let (c, s, _l) = pipe(&nem, "c", "s");
 
         nem.block("s", "c");
         c.send(Bytes::from_static(b"up")).unwrap();
         assert_eq!(s.recv().unwrap().as_ref(), b"up");
         s.send(Bytes::from_static(b"down")).unwrap();
-        assert_silent(c.as_ref(), "the blocked direction is a black hole");
+        c.assert_silent("the blocked direction is a black hole");
 
         nem.heal();
         s.send(Bytes::from_static(b"down2")).unwrap();
@@ -903,39 +985,42 @@ mod tests {
     fn sever_closes_exactly_the_named_pair() {
         let registry = Registry::new();
         let nem = Nemesis::new(6, &registry);
-        let net = MemNetwork::new();
-        let (a, s_from_a, listener) = pipe(&nem, &net, "a", "s");
-        let dialer_b = nem.wrap_dialer("b", Box::new(net.dialer("b")));
-        let b = dialer_b.dial("s").unwrap();
-        let s_from_b = listener.accept().unwrap();
+        let (listener, accepted) = listen(&nem, "s");
+        let (a, s_from_a) = connect(&nem, "a", &listener, &accepted, Some("s"));
+        let (b, s_from_b) = connect(&nem, "b", &listener, &accepted, Some("s"));
 
         nem.sever("s", "a");
-        assert_eq!(a.recv().unwrap_err(), TransportError::Closed);
-        assert_eq!(s_from_a.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(a.recv(), None);
+        assert_eq!(s_from_a.recv(), None);
         assert!(!b.is_closed() && !s_from_b.is_closed(), "b - s untouched");
         // A lost link, not a partition: the pair may reconnect.
-        let dialer_a = nem.wrap_dialer("a", Box::new(net.dialer("a")));
-        assert!(dialer_a.dial("s").is_ok());
+        let dialer_a = nem.wrap_dialer("a", Box::new(TcpDialer));
+        assert!(dialer_a.dial(&listener.local_addr()).is_ok());
     }
 
     #[test]
     fn crash_closes_every_link_touching_the_node_and_refuses_dials() {
         let registry = Registry::new();
         let nem = Nemesis::new(8, &registry);
-        let net = MemNetwork::new();
-        let (c_to_s, s_from_c, _ls) = pipe(&nem, &net, "c", "s");
-        let (s_to_t, t_from_s, _lt) = pipe(&nem, &net, "s", "t");
-        let dialer_c = nem.wrap_dialer("c", Box::new(net.dialer("c")));
-        let c_to_t = dialer_c.dial("t").unwrap();
+        let (c_to_s, s_from_c, ls) = pipe(&nem, "c", "s");
+        let (s_to_t, t_from_s, lt) = pipe(&nem, "s", "t");
+        let dialer_c = nem.wrap_dialer("c", Box::new(TcpDialer));
+        let c_to_t = dialer_c.dial(&lt.local_addr()).unwrap();
 
         nem.crash("s");
         for dead in [&c_to_s, &s_from_c, &s_to_t, &t_from_s] {
-            assert_eq!(dead.recv().unwrap_err(), TransportError::Closed);
+            assert_eq!(dead.recv(), None);
         }
         assert!(!c_to_t.is_closed(), "a link between other nodes survives");
-        assert!(dialer_c.dial("s").is_err(), "dials to the dead node fail");
+        assert!(
+            dialer_c.dial(&ls.local_addr()).is_err(),
+            "dials to the dead node fail"
+        );
         nem.heal();
-        assert!(dialer_c.dial("s").is_err(), "a heal does not revive it");
+        assert!(
+            dialer_c.dial(&ls.local_addr()).is_err(),
+            "a heal does not revive it"
+        );
     }
 
     /// Regression: a frame parked in the one-slot reorder buffer used
@@ -968,16 +1053,12 @@ mod tests {
         for (impose, lift) in lifts {
             let registry = Registry::new();
             let nem = Nemesis::new(1, &registry);
-            let net = MemNetwork::new();
-            let (a, b, _l) = pipe(&nem, &net, "a", "b");
+            let (a, b, _l) = pipe(&nem, "a", "b");
             nem.apply(impose);
             a.send(Bytes::from_static(b"only")).unwrap();
-            assert_silent(b.as_ref(), "held back for an adjacent swap");
+            b.assert_silent("held back for an adjacent swap");
             lift.into_iter().for_each(|event| nem.apply(event));
-            assert_eq!(
-                b.recv_timeout(Duration::from_secs(1)).unwrap().as_ref(),
-                b"only"
-            );
+            assert_eq!(b.recv().unwrap().as_ref(), b"only");
         }
     }
 }

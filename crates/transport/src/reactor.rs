@@ -3,30 +3,26 @@
 //!
 //! Connections speak the [`corona_types::frame`] wire format and keep
 //! the full [`Connection`] contract — exact bounded transmit queues
-//! with [`TransportError::Full`] backpressure, bounded inbound
-//! buffering, [`corona_trace::Hop::Disconnect`] events — while owning
-//! no thread: *all* of a reactor's connections are multiplexed onto
-//! its `N` shard event loops, driven by epoll readiness (via the
-//! offline [`mio`] shim), so a server's thread count is O(shards)
-//! whatever its population.
+//! with [`TransportError::Full`] backpressure, inbound backpressure,
+//! [`corona_trace::Hop::Disconnect`] events — while owning no thread:
+//! *all* of a reactor's connections are multiplexed onto its `N` shard
+//! event loops, driven by epoll readiness (via the offline [`mio`]
+//! shim), so a server's thread count is O(shards) whatever its
+//! population.
 //!
 //! Sharding is by connection id (`conn_id % shards`): each shard owns
 //! a poller plus the read/decode and write/flush state of its
 //! connections, so no lock is shared between shards on the hot path.
 //!
-//! Two delivery modes:
-//!
-//! * **pull** — [`ReactorListener::accept`] and [`TcpDialer`] return
-//!   connections whose `recv` drains a bounded inbound queue. When the
-//!   queue fills, the shard drops read interest and TCP flow control
-//!   throttles the peer.
-//! * **push** — [`Listener::attach_sink`] hands every accepted
-//!   connection and decoded frame to a [`FrameSink`]; the server then
-//!   needs no per-connection reader threads at all. A sink returning
-//!   `false` from `on_frame` pauses reading until
-//!   [`FrameSink::ready_for_more`] reports `true`. A pull-mode
-//!   connection — a dialled one — turns into a push-mode one with
-//!   [`Connection::attach_sink`].
+//! Every connection pushes: the shard hands each decoded frame, and
+//! finally the close, to the connection's [`FrameSink`] — the one its
+//! listener serves ([`Listener::attach_sink`]), or, for a dialled
+//! connection, the one given to [`Connection::attach_sink`]. A
+//! connection is registered with its shard only once it has a sink, so
+//! a dialled one reads nothing before: what its peer sends waits in the
+//! socket. A sink returning `false` from `on_frame` pauses reading —
+//! TCP flow control then throttles the peer — until
+//! [`FrameSink::ready_for_more`] reports `true`.
 //!
 //! Outbound frames reserve a slot in an exact atomic counter before
 //! enqueueing (concurrent senders can never overshoot the cap), and
@@ -54,21 +50,19 @@
 //!
 //! A listener owns its reactor; dialled connections have no such owner.
 //! [`TcpDialer`] is a unit value — any two of them must behave as one —
-//! so every connection dialled in the process attaches, in pull mode,
-//! to one shared reactor. It has a single shard: the dial side of a
-//! process is a handful of peer links or one client's connection, and
-//! each consumer takes its frames off the inbound queue on its own
-//! thread, so the loop only moves bytes. It is started by the first
-//! dial, so a process that only listens never pays for it, and it is
-//! never joined: a dialled connection may be in use on any thread until
-//! the process exits, and a loop with no connections sleeps in
-//! `epoll_wait`.
+//! so every connection dialled in the process attaches to one shared
+//! reactor. It has a single shard: the dial side of a process is a
+//! handful of peer links or a few clients' connections, and their
+//! sinks only hand frames on (a kernel's command queue, a client's
+//! event channel), so the loop does little more than move bytes. It is
+//! started by the first dial, so a process that only listens never
+//! pays for it, and it is never joined: a dialled connection may be in
+//! use on any thread until the process exits, and a loop with no
+//! connections sleeps in `epoll_wait`.
 
-use crate::fifo::Fifo;
 use crate::inbox::{lock, Inbox};
 use crate::traits::{
-    Connection, Dialer, FlushBy, FrameSink, Listener, TransportError, DEFAULT_INBOUND_CAPACITY,
-    DEFAULT_SEND_CAPACITY,
+    Connection, Dialer, FlushBy, FrameSink, Listener, TransportError, DEFAULT_SEND_CAPACITY,
 };
 use bytes::Bytes;
 use corona_metrics::{Counter, Gauge, Histogram, Registry};
@@ -98,9 +92,8 @@ const WAKER_TOKEN: Token = Token(usize::MAX);
 const TOKEN_NONE: usize = usize::MAX;
 
 /// Max bytes pulled off one socket per readiness event before the
-/// shard moves on (level-triggered epoll re-reports the leftover).
-/// Mirrors the bounded inbound queue: one firehosing peer cannot
-/// monopolise its shard or buffer unbounded memory.
+/// shard moves on (level-triggered epoll re-reports the leftover):
+/// one firehosing peer cannot monopolise its shard.
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Max frames one `write_pump` run puts on a socket — and one `writev`
@@ -150,7 +143,7 @@ struct ReactorMetrics {
     /// `server.reactor.accepted` — connections ever attached.
     accepted: Arc<Counter>,
     /// `server.reactor.read_paused` — times a connection's reading was
-    /// paused for inbound backpressure (full queue or sink push-back).
+    /// paused for inbound backpressure (sink push-back).
     read_paused: Arc<Counter>,
     /// `server.reactor.write_blocked` — `WouldBlock` on a socket write,
     /// whoever made it (the peer's receive window is full; the shard
@@ -232,10 +225,8 @@ struct ConnInner {
     /// Set by a locally initiated `close()` (or reactor teardown) so
     /// the resulting socket error is not traced as a peer disconnect.
     local_close: AtomicBool,
-    /// Reading is paused for inbound backpressure; written by the
-    /// shard alone. In pull mode the `inbound` queue decides: the push
-    /// that fills it pauses, the `recv` that half-empties it sends the
-    /// shard a `ResumeRead`.
+    /// Reading is paused because the sink pushed back; written by the
+    /// shard alone.
     read_paused: AtomicBool,
     send_capacity: AtomicUsize,
     /// Frames accepted by `send` whose bytes have not yet fully
@@ -243,12 +234,10 @@ struct ConnInner {
     /// enqueueing — the cap is exact under concurrent senders.
     outstanding: AtomicUsize,
     write: Mutex<WriteHalf>,
-    /// Pull-mode frames awaiting `recv` (push mode bypasses it).
-    inbound: Fifo<Bytes>,
-    /// Push-mode delivery target and the id it knows the connection
-    /// by; unset means pull mode. Set at attach for a listener's sink,
-    /// by the shard for [`Connection::attach_sink`], and read by the
-    /// shard alone.
+    /// Where inbound frames go, and the id it knows the connection by.
+    /// Set at accept for a listener's sink, or by
+    /// [`Connection::attach_sink`]; setting it registers the connection
+    /// with its shard, which alone reads it from then on.
     sink: OnceLock<(u64, Arc<dyn FrameSink>)>,
     /// The owning shard's mailbox.
     inbox: Arc<Inbox<ShardOp>>,
@@ -262,7 +251,7 @@ impl fmt::Debug for ConnInner {
             .field("peer", &self.peer)
             .field("conn_id", &self.conn_id)
             .field("closed", &self.closed.load(Ordering::Relaxed))
-            .field("push_mode", &self.sink.get().is_some())
+            .field("attached", &self.sink.get().is_some())
             .finish()
     }
 }
@@ -280,7 +269,7 @@ impl ConnInner {
 /// A connection multiplexed onto a reactor shard.
 ///
 /// Implements the full [`Connection`] contract — exact bounded sends,
-/// bounded inbound, disconnect trace events — without owning any
+/// inbound backpressure, disconnect trace events — without owning any
 /// thread.
 pub struct ReactorConnection {
     inner: Arc<ConnInner>,
@@ -351,20 +340,10 @@ impl Connection for ReactorConnection {
             .store(cap.max(1), Ordering::Relaxed);
     }
 
-    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
-        let inner = &self.inner;
-        let (frame, resume) = inner.inbound.pop(deadline)?;
-        // The pop that takes the queue down to its low-water mark
-        // restarts reading.
-        if resume {
-            inner.inbox.push(ShardOp::ResumeRead(Arc::clone(inner)));
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) {
+        if self.inner.sink.set((conn_id, sink)).is_ok() {
+            Reactor::activate(&self.inner);
         }
-        Ok(frame)
-    }
-
-    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
-        let op = ShardOp::AttachSink(Arc::clone(&self.inner), conn_id, sink);
-        self.inner.inbox.push(op).is_some()
     }
 
     fn backlog(&self) -> usize {
@@ -380,9 +359,9 @@ impl Connection for ReactorConnection {
         let _ = inner.stream.shutdown(Shutdown::Both);
         // The shutdown surfaces as a readiness event, but a fully
         // paused connection is deregistered from the poller — the
-        // explicit op guarantees teardown either way.
+        // explicit op guarantees teardown either way. (One not yet
+        // registered is torn down by its registration.)
         inner.inbox.push(ShardOp::Close(Arc::clone(inner)));
-        inner.inbound.close();
     }
 
     fn is_closed(&self) -> bool {
@@ -405,14 +384,11 @@ impl Drop for ReactorConnection {
 // ---------------------------------------------------------------------
 
 enum ShardOp {
-    /// A freshly attached connection to register with the poller.
+    /// A connection that was given its sink, to register with the
+    /// poller.
     Register(Arc<ConnInner>),
     /// The connection's write half was handed to the shard.
     Writable(Arc<ConnInner>),
-    /// [`Connection::attach_sink`]: deliver to this sink, as this id.
-    AttachSink(Arc<ConnInner>, u64, Arc<dyn FrameSink>),
-    /// A pull-mode consumer drained below the low-water mark.
-    ResumeRead(Arc<ConnInner>),
     /// A local `close()`; guarantees teardown even while deregistered.
     Close(Arc<ConnInner>),
 }
@@ -520,21 +496,11 @@ impl ShardRt {
                             self.pump_write(token);
                         }
                     }
-                    ShardOp::ResumeRead(inner) => {
-                        let token = inner.token.load(Ordering::Acquire);
-                        if token != TOKEN_NONE {
-                            inner.read_paused.store(false, Ordering::Release);
-                            self.pump_read(token, &mut scratch);
-                        }
-                    }
                     ShardOp::Close(inner) => {
                         let token = inner.token.load(Ordering::Acquire);
                         if token != TOKEN_NONE {
                             self.teardown(token, true);
                         }
-                    }
-                    ShardOp::AttachSink(inner, conn_id, sink) => {
-                        self.attach_sink(&inner, conn_id, sink, &mut scratch);
                     }
                 }
             }
@@ -629,44 +595,6 @@ impl ShardRt {
         self.rearm(token);
     }
 
-    /// Turns a pull-mode connection into a push-mode one: what already
-    /// waits in its inbound queue goes to the sink first, in order —
-    /// all of it, whatever the sink answers, which is at most one
-    /// queue's worth past the sink's own bound, once per connection —
-    /// and a connection torn down before this is reported closed now.
-    fn attach_sink(
-        &mut self,
-        inner: &Arc<ConnInner>,
-        conn_id: u64,
-        sink: Arc<dyn FrameSink>,
-        scratch: &mut [u8],
-    ) {
-        if inner.sink.set((conn_id, Arc::clone(&sink))).is_err() {
-            return;
-        }
-        let mut wants_more = true;
-        while let Ok((frame, _)) = inner.inbound.pop(Some(Instant::now())) {
-            wants_more &= sink.on_frame(conn_id, frame);
-        }
-        let token = inner.token.load(Ordering::Acquire);
-        if !self.conns.contains_key(&token) {
-            // Torn down with nobody listening, so how it ended went
-            // unrecorded. (Not "yet to be registered": a connection is
-            // activated before its handle is given out.)
-            sink.on_closed(conn_id, false);
-            return;
-        }
-        // A full inbound queue may have paused reading; from here on
-        // only the sink does.
-        inner.read_paused.store(!wants_more, Ordering::Release);
-        if wants_more {
-            self.pump_read(token, scratch);
-        } else {
-            self.sink_paused.insert(token);
-            self.rearm(token);
-        }
-    }
-
     fn pump_read(&mut self, token: usize, scratch: &mut [u8]) {
         let outcome = {
             let Some(sc) = self.conns.get_mut(&token) else {
@@ -717,13 +645,12 @@ impl ShardRt {
         }
         inner.token.store(TOKEN_NONE, Ordering::Release);
         let was_closed = inner.closed.swap(true, Ordering::AcqRel);
-        // Sample local_close BEFORE waking consumers: a woken consumer
-        // can drop (and thereby close()) the connection between the
-        // notify and a later load, making a remote disconnect look
-        // locally initiated and suppressing its trace event.
+        // Sample local_close BEFORE telling the sink: whoever it tells
+        // can drop (and thereby close()) the connection before a later
+        // load, making a remote disconnect look locally initiated and
+        // suppressing its trace event.
         let was_local = inner.local_close.load(Ordering::Acquire);
         let _ = inner.stream.shutdown(Shutdown::Both);
-        inner.inbound.close();
         if !was_closed && !was_local {
             corona_trace::record(
                 corona_trace::Hop::Disconnect,
@@ -866,15 +793,19 @@ fn advance(batch: &mut VecDeque<Frame>, done: &mut usize, mut written: usize) ->
 }
 
 /// Parses complete frames out of `sc.rbuf`, delivering each to the
-/// sink (push mode) or inbound queue (pull mode). A frame is verified
-/// where it lies in the reassembly buffer and its body copied out once,
-/// into the [`Bytes`] handed on. Returns `Err(())` on framing
-/// corruption, `Ok(true)` if reading should pause.
+/// sink. A frame is verified where it lies in the reassembly buffer and
+/// its body copied out once, into the [`Bytes`] handed on. Returns
+/// `Err(())` on framing corruption, `Ok(true)` if reading should pause.
 fn parse_frames(
     sc: &mut ShardConn,
     metrics: Option<&ReactorMetrics>,
     sink_paused: &mut HashSet<usize>,
 ) -> Result<bool, ()> {
+    let inner = &sc.inner;
+    // A registered connection has its sink.
+    let Some((conn_id, sink)) = inner.sink.get() else {
+        return Err(());
+    };
     let mut pos = 0usize;
     let mut paused = false;
     while let Some(header) = sc.rbuf[pos..].first_chunk::<FRAME_HEADER_LEN>() {
@@ -892,25 +823,10 @@ fn parse_frames(
         };
         let frame = Bytes::copy_from_slice(body);
         pos = end;
-        let inner = &sc.inner;
-        match inner.sink.get() {
-            Some((conn_id, sink)) => {
-                if !sink.on_frame(*conn_id, frame) {
-                    inner.read_paused.store(true, Ordering::Release);
-                    sink_paused.insert(inner.token.load(Ordering::Acquire));
-                    paused = true;
-                }
-            }
-            None => {
-                // High-water mark: pause before reading any further.
-                // (A closed queue refuses; so will the next pump.)
-                if inner.inbound.push(frame, usize::MAX) == Ok(true) {
-                    inner.read_paused.store(true, Ordering::Release);
-                    paused = true;
-                }
-            }
-        }
-        if paused {
+        if !sink.on_frame(*conn_id, frame) {
+            inner.read_paused.store(true, Ordering::Release);
+            sink_paused.insert(inner.token.load(Ordering::Acquire));
+            paused = true;
             if let Some(m) = metrics {
                 m.read_paused.inc();
             }
@@ -970,7 +886,6 @@ fn read_pump(
 pub struct Reactor {
     shards: Vec<ShardHandle>,
     next_conn: AtomicU64,
-    inbound_capacity: usize,
     metrics: Option<Arc<ReactorMetrics>>,
 }
 
@@ -1041,7 +956,6 @@ impl Reactor {
         Ok(Reactor {
             shards: handles,
             next_conn: AtomicU64::new(0),
-            inbound_capacity: DEFAULT_INBOUND_CAPACITY,
             metrics,
         })
     }
@@ -1052,12 +966,12 @@ impl Reactor {
     }
 
     /// Multiplexes an established stream onto its shard
-    /// (`conn_id % shards`), in push mode when `sink` is given.
+    /// (`conn_id % shards`), delivering to `sink` if one is given.
     ///
     /// The connection is inert until [`Reactor::activate`] registers
-    /// it with its shard — push-mode callers deliver the connection to
-    /// the sink *first*, so no `on_frame` can ever precede its
-    /// `on_accept`.
+    /// it with its shard — an accept delivers the connection to the
+    /// sink *first*, so no `on_frame` can ever precede its
+    /// `on_accept` — and a dialled one until it is given a sink.
     fn attach(
         &self,
         stream: TcpStream,
@@ -1082,7 +996,6 @@ impl Reactor {
             send_capacity: AtomicUsize::new(DEFAULT_SEND_CAPACITY),
             outstanding: AtomicUsize::new(0),
             write: Mutex::default(),
-            inbound: Fifo::new(self.inbound_capacity),
             sink: sink.map_or_else(OnceLock::new, |sink| OnceLock::from((conn_id, sink))),
             inbox: Arc::clone(&shard.inbox),
             metrics: self.metrics.clone(),
@@ -1122,9 +1035,8 @@ impl Drop for Reactor {
 /// A TCP listener whose accepted connections run on a sharded reactor
 /// instead of per-connection threads.
 ///
-/// Supports both pull mode ([`Listener::accept`]) and push mode
-/// ([`Listener::attach_sink`]); a server attaching a sink runs with
-/// O(shards) transport threads regardless of population.
+/// [`Listener::attach_sink`] starts its one accept thread; a server on
+/// it runs with O(shards) transport threads regardless of population.
 #[derive(Debug)]
 pub struct ReactorListener {
     listener: TcpListener,
@@ -1244,22 +1156,6 @@ fn try_accept(listener: &TcpListener) -> Result<Option<TcpStream>, TransportErro
 }
 
 impl Listener for ReactorListener {
-    fn accept(&self) -> Result<Box<dyn Connection>, TransportError> {
-        loop {
-            if self.gate.is_shut_down() {
-                return Err(TransportError::Closed);
-            }
-            match try_accept(&self.listener)? {
-                Some(stream) => {
-                    let conn = self.reactor.attach(stream, None)?;
-                    Reactor::activate(&conn.inner);
-                    return Ok(Box::new(conn));
-                }
-                None => self.gate.wait(),
-            }
-        }
-    }
-
     fn local_addr(&self) -> String {
         self.addr.clone()
     }
@@ -1323,9 +1219,10 @@ impl Drop for ReactorListener {
 /// Dials TCP endpoints onto the reactor — the dial-side counterpart of
 /// [`ReactorListener`], and the only way a TCP connection is dialled.
 ///
-/// A unit value: every connection dialled in this process runs, in
-/// pull mode, on the one shared [dial loop](self#the-dial-loop), so a
-/// dialled connection owns no thread.
+/// A unit value: every connection dialled in this process runs on the
+/// one shared [dial loop](self#the-dial-loop), so a dialled connection
+/// owns no thread. It is read from once it is given a sink
+/// ([`Connection::attach_sink`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpDialer;
 
@@ -1361,11 +1258,7 @@ impl Dialer for TcpDialer {
                 return Err(TransportError::Timeout);
             }
             match TcpStream::connect_timeout(&sockaddr, left) {
-                Ok(stream) => {
-                    let conn = dial_loop()?.attach(stream, None)?;
-                    Reactor::activate(&conn.inner);
-                    return Ok(Box::new(conn));
-                }
+                Ok(stream) => return Ok(Box::new(dial_loop()?.attach(stream, None)?)),
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => {
                     failure = TransportError::Timeout;
                 }
@@ -1396,6 +1289,32 @@ mod tests {
         // socket owned by the caller for the duration of the call.
         let rc = unsafe { setsockopt(fd, SOL_SOCKET, name, &bytes, 4) };
         assert_eq!(rc, 0, "setsockopt: {}", io::Error::last_os_error());
+    }
+
+    /// Hands every frame it is told of to a channel, and holds the
+    /// connections it accepts open.
+    struct Frames(
+        std::sync::mpsc::Sender<Bytes>,
+        Mutex<Vec<Box<dyn Connection>>>,
+    );
+
+    fn frames() -> (Arc<Frames>, std::sync::mpsc::Receiver<Bytes>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Arc::new(Frames(tx, Mutex::default())), rx)
+    }
+
+    impl FrameSink for Frames {
+        fn on_accept(&self, _: u64, conn: Box<dyn Connection>) {
+            lock(&self.1).push(conn);
+        }
+        fn on_frame(&self, _: u64, frame: Bytes) -> bool {
+            let _ = self.0.send(frame);
+            true
+        }
+        fn ready_for_more(&self) -> bool {
+            true
+        }
+        fn on_closed(&self, _: u64, _: bool) {}
     }
 
     /// Drains the socket in small, odd-sized reads, so the sender keeps
@@ -1481,7 +1400,7 @@ mod tests {
         let registry = Registry::new();
         let reactor = Reactor::with_registry(1, Some(&registry)).unwrap();
         let conn = reactor.attach(stream, None).unwrap();
-        Reactor::activate(&conn.inner);
+        conn.attach_sink(1, frames().0);
         conn.set_send_capacity(CAP);
 
         // Reader stalled: the pipe fills, then the queue, then `Full`
@@ -1535,77 +1454,37 @@ mod tests {
         assert_eq!(snap.counter("server.reactor.frames_out"), u64::from(FRAMES));
     }
 
-    /// Regression (unbounded inbound buffering): a peer flooding frames
-    /// faster than the consumer drains must not buffer unlimited memory
-    /// on the receiver. At the cap the shard stops pulling frames off
-    /// the socket, and TCP flow control throttles the peer.
-    #[test]
-    fn flooding_peer_cannot_grow_inbound_queue_past_cap() {
-        const CAP: usize = 64;
-        const FLOOD: u32 = 1000;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        let mut reactor = Reactor::new(1).unwrap();
-        reactor.inbound_capacity = CAP;
-        let conn = reactor.attach(stream, None).unwrap();
-        Reactor::activate(&conn.inner);
-
-        // Flood tiny frames from a bare socket; nobody calls recv(), so
-        // without the bound every frame would pile up in the queue.
-        let mut wire = Vec::new();
-        for i in 0..FLOOD {
-            corona_types::frame::write_frame(&mut wire, &i.to_le_bytes()).unwrap();
-        }
-        raw.write_all(&wire).unwrap();
-
-        // Let the shard ingest as much as it ever will.
-        let buffered = || conn.inner.inbound.len();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while buffered() < CAP {
-            assert!(Instant::now() < deadline, "the queue never filled");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(buffered() <= CAP, "inbound queue grew to {}", buffered());
-
-        // The backpressure is released, not fatal: draining the queue
-        // resumes reading and every flooded frame arrives in order.
-        for i in 0..FLOOD {
-            let frame = conn.recv().unwrap();
-            assert_eq!(u32::from_le_bytes(frame.as_ref().try_into().unwrap()), i);
-        }
-    }
-
-    /// Regression (shutdown relied on dialing ourselves): unblocking
-    /// `accept` by connecting to the listener's own address is not
+    /// Regression (shutdown relied on dialing ourselves): waking the
+    /// accept thread by connecting to the listener's own address is not
     /// portably possible for a wildcard bind (`0.0.0.0` / `::`) and
     /// never succeeds once the backlog is full. Shutdown must need no
-    /// network traffic at all.
+    /// network traffic at all to stop and join it.
     #[test]
-    fn shutdown_unblocks_accept_on_wildcard_bind() {
-        let listener = Arc::new(ReactorListener::bind("0.0.0.0:0", 1).unwrap());
-        let accepting = Arc::clone(&listener);
+    fn shutdown_joins_the_accept_thread_of_a_wildcard_bind() {
+        let listener = ReactorListener::bind("0.0.0.0:0", 1).unwrap();
+        assert!(listener.attach_sink(frames().0));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = done_tx.send(accepting.accept().err());
+            std::thread::sleep(Duration::from_millis(50));
+            listener.shutdown();
+            let _ = done_tx.send(());
         });
-        std::thread::sleep(Duration::from_millis(50));
-        listener.shutdown();
-        let result = done_rx
+        done_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("accept thread still blocked after shutdown of a wildcard bind");
-        assert_eq!(result, Some(TransportError::Closed));
     }
 
     #[test]
     fn wildcard_bind_still_accepts_loopback_dials() {
         let listener = ReactorListener::bind("0.0.0.0:0", 1).unwrap();
+        let (sink, frames) = frames();
+        assert!(listener.attach_sink(sink));
+        assert!(!listener.attach_sink(self::frames().0), "serves one sink");
         let addr = listener.local_addr();
         let port = addr.rsplit(':').next().unwrap();
         let client = TcpStream::connect(format!("127.0.0.1:{port}")).unwrap();
         corona_types::frame::write_frame(&mut &client, b"via-wildcard").unwrap();
-        let conn = listener.accept().unwrap();
-        assert_eq!(conn.recv().unwrap().as_ref(), b"via-wildcard");
+        let frame = frames.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(frame.as_ref(), b"via-wildcard");
     }
 }

@@ -2,20 +2,25 @@
 //! connections.
 //!
 //! The Corona server and client are written against these traits so
-//! the same code runs over real TCP (deployment, loopback benchmarks)
-//! and over the deterministic in-memory network (unit/integration
-//! tests with fault injection).
+//! the same code runs over real TCP (deployment, tests, loopback
+//! benchmarks) and over `corona-sim`'s virtual-time pipe.
 //!
 //! Semantics are those of the paper's point-to-point TCP connections:
 //! reliable, ordered, connection-oriented; a partition or crash
 //! surfaces as a closed connection, never as silent reordering.
+//!
+//! There is one delivery mode: **push**. Nothing is ever read off a
+//! connection by its holder. Every inbound frame, and finally the
+//! close, is handed to the [`FrameSink`] the connection was attached to
+//! — by the listener that accepted it, or by [`Connection::attach_sink`]
+//! for one that was dialled — from the transport's own event loop.
 
 use bytes::Bytes;
 use corona_metrics::{Counter, Histogram, Registry};
 use corona_types::frame::Frame;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default transmit-queue bound (in frames) applied by the in-tree
 /// transports until [`Connection::set_send_capacity`] overrides it.
@@ -23,19 +28,12 @@ use std::time::{Duration, Instant};
 /// stalled peer cannot buffer unbounded memory on the sender.
 pub const DEFAULT_SEND_CAPACITY: usize = 4096;
 
-/// Default bound (in frames) on a connection's *inbound* queue: frames
-/// decoded off the wire but not yet consumed by `recv`. Once the queue
-/// is full the transport stops reading the socket, so a peer that
-/// sends faster than the consumer drains is throttled by ordinary TCP
-/// backpressure instead of buffering unbounded memory on the receiver.
-pub const DEFAULT_INBOUND_CAPACITY: usize = 1024;
-
 /// Transport-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The connection (or listener) is closed.
     Closed,
-    /// A receive wait timed out.
+    /// A dial did not complete in time.
     Timeout,
     /// The transmit queue is at capacity; the frame was not enqueued.
     /// Explicit backpressure: the caller decides whether to retry,
@@ -67,7 +65,7 @@ impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransportError::Closed => f.write_str("connection closed"),
-            TransportError::Timeout => f.write_str("receive timed out"),
+            TransportError::Timeout => f.write_str("timed out"),
             TransportError::Full => f.write_str("transmit queue full"),
             TransportError::Io(e) => write!(f, "transport i/o error: {e}"),
         }
@@ -97,8 +95,9 @@ pub enum FlushBy {
 /// A reliable, ordered, duplex connection carrying opaque frames.
 ///
 /// All methods take `&self`: implementations are internally
-/// synchronised so a connection can be shared between a reader thread
-/// and writer callers.
+/// synchronised so a connection can be shared between the transport's
+/// event loop and writer callers. What arrives is pushed to the
+/// connection's [`FrameSink`]; there is no receive call.
 pub trait Connection: Send + Sync + fmt::Debug {
     /// Appends an already-framed body to the transmit queue and wakes
     /// nobody: the frame leaves with the next [`Connection::flush`] (or
@@ -118,7 +117,7 @@ pub trait Connection: Send + Sync + fmt::Debug {
 
     /// Starts transmission of everything queued, in queue order, and
     /// returns without waiting for it. The default suits a transport
-    /// whose queue *is* the link (the in-memory pipe).
+    /// whose queue *is* the link (the simulator's pipe).
     fn flush(&self, by: FlushBy) {
         let _ = by;
     }
@@ -156,59 +155,14 @@ pub trait Connection: Send + Sync + fmt::Debug {
     /// concurrent senders can never overshoot the configured capacity.
     fn set_send_capacity(&self, cap: usize);
 
-    /// Blocks until a frame arrives or `deadline`, if given, passes —
-    /// the one receive the three below are made of.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] once the peer closes and all pending
-    /// frames have been drained; [`TransportError::Timeout`] at the
-    /// deadline.
-    fn recv_until(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError>;
-
-    /// Blocks until a frame arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`], as for [`Connection::recv_until`].
-    fn recv(&self) -> Result<Bytes, TransportError> {
-        self.recv_until(None)
-    }
-
-    /// Blocks up to `timeout` for a frame.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Connection::recv_until`].
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
-        self.recv_until(Some(Instant::now() + timeout))
-    }
-
-    /// Returns a pending frame without blocking, or `None`.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] once closed and drained.
-    fn try_recv(&self) -> Result<Option<Bytes>, TransportError> {
-        match self.recv_until(Some(Instant::now())) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TransportError::Timeout) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Offers the connection a push-mode [`FrameSink`]: an evented
-    /// transport returns `true` and from then on reports every inbound
-    /// frame — those already waiting for a `recv` first, in order — and
-    /// finally the close to `sink` as `conn_id`, from its own event
-    /// loop; the caller must then *not* call `recv`. There is no
-    /// `on_accept`: the caller holds the connection. The default
-    /// declines (`false`): the caller reads the connection itself, as
-    /// [`pump`](crate::pump) does.
-    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>) -> bool {
-        let _ = (conn_id, sink);
-        false
-    }
+    /// Starts delivery to `sink`: from now on every inbound frame, and
+    /// finally the close, reaches it as `conn_id`, from the transport's
+    /// event loop. There is no `on_accept`: the caller holds the
+    /// connection. A dialled connection reads nothing before this —
+    /// what the peer sends meanwhile waits in the socket — so attach
+    /// before sending anything that is answered. Only the first attach
+    /// counts; an accepted connection already has its listener's sink.
+    fn attach_sink(&self, conn_id: u64, sink: Arc<dyn FrameSink>);
 
     /// Number of outbound frames accepted by [`Connection::send`] but
     /// not yet handed to the peer (transmit backlog). The QoS-adaptive
@@ -216,8 +170,8 @@ pub trait Connection: Send + Sync + fmt::Debug {
     /// clients.
     fn backlog(&self) -> usize;
 
-    /// Closes both directions. Idempotent. Pending inbound frames stay
-    /// readable until drained.
+    /// Closes both directions. Idempotent. The sink hears of the close
+    /// once, whoever closed.
     fn close(&self);
 
     /// Whether the connection is closed (locally or by the peer).
@@ -227,25 +181,23 @@ pub trait Connection: Send + Sync + fmt::Debug {
     fn peer_label(&self) -> String;
 }
 
-/// Receives connections and inbound frames *pushed* by an evented
-/// transport, instead of the server pulling them through per-connection
-/// reader threads.
+/// Receives connections and inbound frames *pushed* by the transport.
 ///
-/// A listener that accepts a sink (see [`Listener::attach_sink`])
-/// delivers every accepted connection through [`FrameSink::on_accept`]
-/// and every decoded frame through [`FrameSink::on_frame`] from its own
-/// event loops — server thread count goes from O(connections) to
-/// O(reactor shards). For any other listener [`serve`](crate::serve())
-/// makes the same calls from an accept thread and per-connection readers.
+/// A listener serving a sink (see [`Listener::attach_sink`]) delivers
+/// every accepted connection through [`FrameSink::on_accept`] and every
+/// decoded frame through [`FrameSink::on_frame`] from its own event
+/// loops — a server's thread count is O(reactor shards), not
+/// O(connections); a dialled connection does the same for the sink
+/// given to [`Connection::attach_sink`].
 ///
 /// Calls for one connection arrive in wire order, but calls for
 /// different connections may come from different reactor shard threads
 /// concurrently — implementations must be internally synchronised (in
-/// practice: a channel sender).
+/// practice: a channel sender). They run on an event loop that other
+/// connections share, so they must not block.
 pub trait FrameSink: Send + Sync {
-    /// A new connection was accepted. `conn` supports the full
-    /// [`Connection`] API except that inbound frames flow through
-    /// [`FrameSink::on_frame`] rather than `recv`.
+    /// A new connection was accepted; it is already attached to this
+    /// sink, and its first [`FrameSink::on_frame`] comes after this.
     fn on_accept(&self, conn_id: u64, conn: Box<dyn Connection>);
 
     /// A frame arrived on `conn_id`. Returns `false` to ask the
@@ -264,34 +216,20 @@ pub trait FrameSink: Send + Sync {
     fn on_closed(&self, conn_id: u64, clean: bool);
 }
 
-/// Accepts inbound connections.
-///
-/// `accept` and `shutdown` may be called concurrently from different
-/// threads (shutdown unblocks a pending accept), hence `Sync`.
+/// Accepts inbound connections, each into the one [`FrameSink`] the
+/// listener serves.
 pub trait Listener: Send + Sync {
-    /// Blocks until a connection arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] after [`Listener::shutdown`].
-    fn accept(&self) -> Result<Box<dyn Connection>, TransportError>;
-
     /// The address clients dial to reach this listener.
     fn local_addr(&self) -> String;
 
-    /// Stops accepting; concurrent and future `accept` calls return
-    /// [`TransportError::Closed`]. Idempotent.
+    /// Stops accepting. Idempotent.
     fn shutdown(&self);
 
-    /// Offers the listener a push-mode [`FrameSink`]. Evented
-    /// transports take ownership of accepting and reading and return
-    /// `true`; the caller must then *not* call [`Listener::accept`].
-    /// The default declines (`false`), meaning the caller pulls
-    /// connections and frames itself, as [`serve`](crate::serve()) does.
-    fn attach_sink(&self, sink: std::sync::Arc<dyn FrameSink>) -> bool {
-        let _ = sink;
-        false
-    }
+    /// Starts serving `sink`: from now on every accepted connection and
+    /// everything it carries reaches it, from the transport's own
+    /// threads. `false` if the listener is already serving a sink or
+    /// has shut down; the sink is then not used.
+    fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool;
 }
 
 /// The bound [`Dialer::dial`] puts on a connect. Long enough for any
@@ -307,7 +245,8 @@ pub const DEFAULT_DIAL_TIMEOUT: Duration = Duration::from_secs(10);
 /// the kernel's minutes-long retry budget.
 pub trait Dialer: Send + Sync {
     /// Connects to `addr`, giving up after `timeout`. Transports whose
-    /// dial cannot block (the in-memory network) may ignore it.
+    /// dial cannot block (the simulator's) may ignore it. The
+    /// connection reads nothing until [`Connection::attach_sink`].
     ///
     /// # Errors
     ///

@@ -1,42 +1,41 @@
 //! Transport conformance battery.
 //!
 //! What a TCP connection promises through the [`Connection`] /
-//! [`Listener`] / [`Dialer`] trait objects — ordering, timeouts, close
-//! propagation, accept shutdown, exact bounded transmit queues,
-//! bounded dials, disconnect trace events — checked on the one TCP
-//! implementation from both ends: a [`ReactorListener`]'s accepted
-//! connections and the ones [`TcpDialer`] attaches to the shared dial
-//! loop. Both send entry points are covered: `send` (frames the body
-//! itself) and `send_frame` (pre-framed, the multicast path). Both
-//! read modes — push, into a [`FrameSink`], and pull, through `recv` —
-//! must treat a corrupt stream alike: every frame before the
-//! corruption, nothing after it, an error close.
-//!
-//! The corked send — `queue_frame`, then one `flush` — is checked on
-//! the in-memory pipe as well: order, the exact cap with unflushed
-//! frames counted, and queue order under concurrent flushers. (What a
-//! flush does when the socket pushes back needs a socket with a 2 KiB
-//! buffer: `reactor::tests::short_vectored_writes_keep_order_and_the_exact_cap`.)
+//! [`Listener`] / [`Dialer`] trait objects — ordering, close
+//! propagation, exact bounded transmit queues, bounded dials,
+//! disconnect trace events — checked on the one TCP implementation from
+//! both ends: a [`ReactorListener`]'s accepted connections and the ones
+//! [`TcpDialer`] attaches to the shared dial loop. Both send entry
+//! points are covered: `send` (frames the body itself) and `send_frame`
+//! (pre-framed, the multicast path), and the corked send — `queue_frame`,
+//! then one `flush`. Everything that arrives is pushed into a
+//! [`FrameSink`]; an accepted connection and a dialled one must treat a
+//! corrupt stream alike: every frame before the corruption, nothing
+//! after it, an error close. (What a flush does when the socket pushes
+//! back needs a socket with a 2 KiB buffer:
+//! `reactor::tests::short_vectored_writes_keep_order_and_the_exact_cap`.)
 
 use bytes::Bytes;
 use corona_transport::reactor::{DISCONNECT_CLEAN, DISCONNECT_ERROR};
 use corona_transport::{
-    Connection, Dialer, FlushBy, FrameSink, Listener, MemNetwork, ReactorListener, TcpDialer,
-    TransportError,
+    Connection, Dialer, FlushBy, FrameSink, Listener, ReactorListener, TcpDialer, TransportError,
 };
 use corona_types::frame::{write_frame, Frame, FRAME_HEADER_LEN};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+const WAIT: Duration = Duration::from_secs(10);
 
 /// Tracing is process-wide: the tests that switch it on take turns.
 static TRACING: Mutex<()> = Mutex::new(());
 
 /// Polls the trace buffer until a disconnect span with `arg` shows up.
 fn await_disconnect_span(arg: u64, why: &str) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let spans = corona_trace::drain();
         if spans
@@ -45,21 +44,127 @@ fn await_disconnect_span(arg: u64, why: &str) {
         {
             return;
         }
-        assert!(std::time::Instant::now() < deadline, "{why}");
+        assert!(Instant::now() < deadline, "{why}");
         std::thread::sleep(Duration::from_millis(5));
     }
 }
 
-/// The pairing under test, as trait objects. Two shards exercise
-/// multi-shard dispatch even for single-connection cases.
-fn pairing() -> (Box<dyn Listener>, Box<dyn Dialer>) {
-    (
-        Box::new(ReactorListener::bind("127.0.0.1:0", 2).unwrap()),
-        Box::new(TcpDialer),
-    )
+/// What a sink is told about one connection, in the order it is told.
+#[derive(Debug, PartialEq)]
+enum Told {
+    Frame(Bytes),
+    Closed { clean: bool },
 }
 
-/// A dialled connection and the bare accepted socket it talks to.
+/// Reports each connection's frames and close to that connection's own
+/// channel, and hands every accepted connection over with its channel.
+#[derive(Default)]
+struct Tell {
+    accepted: Mutex<Option<Sender<End>>>,
+    ends: Mutex<HashMap<u64, Sender<Told>>>,
+}
+
+impl Tell {
+    fn open(&self, conn_id: u64) -> Receiver<Told> {
+        let (tx, rx) = mpsc::channel();
+        self.ends.lock().unwrap().insert(conn_id, tx);
+        rx
+    }
+
+    fn tell(&self, conn_id: u64, told: Told) {
+        if let Some(end) = self.ends.lock().unwrap().get(&conn_id) {
+            let _ = end.send(told);
+        }
+    }
+}
+
+impl FrameSink for Tell {
+    fn on_accept(&self, conn_id: u64, conn: Box<dyn Connection>) {
+        let told = self.open(conn_id);
+        if let Some(accepted) = self.accepted.lock().unwrap().as_ref() {
+            let _ = accepted.send(End { conn, told });
+        }
+    }
+    fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
+        self.tell(conn_id, Told::Frame(frame));
+        true
+    }
+    fn ready_for_more(&self) -> bool {
+        true
+    }
+    fn on_closed(&self, conn_id: u64, clean: bool) {
+        self.tell(conn_id, Told::Closed { clean });
+    }
+}
+
+/// One end of a connection, and what its sink is told.
+struct End {
+    conn: Box<dyn Connection>,
+    told: Receiver<Told>,
+}
+
+impl std::ops::Deref for End {
+    type Target = dyn Connection;
+    fn deref(&self) -> &Self::Target {
+        self.conn.as_ref()
+    }
+}
+
+impl End {
+    /// Attaches a dialled connection to a sink of its own, as `conn_id`.
+    fn attached(conn: Box<dyn Connection>, conn_id: u64) -> End {
+        let sink = Arc::new(Tell::default());
+        let told = sink.open(conn_id);
+        conn.attach_sink(conn_id, sink);
+        End { conn, told }
+    }
+
+    fn next(&self) -> Told {
+        self.told
+            .recv_timeout(WAIT)
+            .expect("the sink was told nothing")
+    }
+
+    /// The next frame's body; panics at a close.
+    fn frame(&self) -> Bytes {
+        match self.next() {
+            Told::Frame(frame) => frame,
+            closed => panic!("expected a frame, got {closed:?}"),
+        }
+    }
+
+    fn assert_closed(&self) {
+        match self.next() {
+            Told::Closed { .. } => {}
+            frame => panic!("expected the close, got {frame:?}"),
+        }
+    }
+}
+
+/// A listener serving a [`Tell`] and the connections it accepts. Two
+/// shards exercise multi-shard dispatch even for single-connection
+/// cases.
+fn listen() -> (ReactorListener, Receiver<End>) {
+    let listener = ReactorListener::bind("127.0.0.1:0", 2).unwrap();
+    let (tx, accepted) = mpsc::channel();
+    let sink = Tell {
+        accepted: Mutex::new(Some(tx)),
+        ..Tell::default()
+    };
+    assert!(listener.attach_sink(Arc::new(sink)));
+    (listener, accepted)
+}
+
+/// A dialled, attached connection and the accepted end it talks to.
+fn link() -> (End, End, ReactorListener) {
+    let (listener, accepted) = listen();
+    let dialled = End::attached(TcpDialer.dial(&listener.local_addr()).unwrap(), 1);
+    let accepted = accepted.recv_timeout(WAIT).unwrap();
+    (dialled, accepted, listener)
+}
+
+/// A dialled connection, not yet attached, and the bare accepted
+/// socket it talks to.
 fn dial_raw() -> (Box<dyn Connection>, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let client = TcpDialer
@@ -68,40 +173,31 @@ fn dial_raw() -> (Box<dyn Connection>, TcpStream) {
     (client, listener.accept().unwrap().0)
 }
 
+/// A frame that carries its number.
+fn numbered(i: u32) -> Frame {
+    Frame::new(Bytes::from(i.to_le_bytes().to_vec())).unwrap()
+}
+
+fn number_of(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame[..4].try_into().unwrap())
+}
+
 #[test]
 fn roundtrip_echo() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        let frame = conn.recv().unwrap();
-        conn.send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())).unwrap())
-            .unwrap();
-        let _ = conn.recv(); // hold until the client hangs up
-    });
-    let client = dialer.dial(&addr).unwrap();
+    let (client, server, _listener) = link();
     client.send(Bytes::from_static(b"hello")).unwrap();
-    assert_eq!(client.recv().unwrap().as_ref(), b"echo:hello");
+    let frame = server.frame();
+    server
+        .send_frame(Frame::new(Bytes::from([b"echo:", frame.as_ref()].concat())).unwrap())
+        .unwrap();
+    assert_eq!(client.frame().as_ref(), b"echo:hello");
     client.close();
-    server.join().unwrap();
+    server.assert_closed();
 }
 
 #[test]
 fn many_frames_preserve_order() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        for i in 0..500u32 {
-            let frame = conn.recv().unwrap();
-            assert_eq!(
-                u32::from_le_bytes(frame[..4].try_into().unwrap()),
-                i,
-                "frame order"
-            );
-        }
-    });
-    let client = dialer.dial(&addr).unwrap();
+    let (client, server, _listener) = link();
     for i in 0..500u32 {
         // Vary sizes so frames straddle read-chunk boundaries.
         let mut body = vec![0u8; 4 + (i as usize * 37) % 4096];
@@ -122,102 +218,31 @@ fn many_frames_preserve_order() {
             }
         }
     }
-    server.join().unwrap();
-    client.close();
+    for i in 0..500u32 {
+        assert_eq!(number_of(&server.frame()), i, "frame order");
+    }
 }
 
 #[test]
 fn peer_close_surfaces_as_closed() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        conn.send(Bytes::from_static(b"parting gift")).unwrap();
-        // Wait for the frame to actually leave before closing.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while conn.backlog() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        conn.close();
-    });
-    let client = dialer.dial(&addr).unwrap();
-    // The pending frame must stay readable, then Closed.
-    assert_eq!(client.recv().unwrap().as_ref(), b"parting gift");
-    assert_eq!(client.recv().unwrap_err(), TransportError::Closed);
-    server.join().unwrap();
-}
-
-#[test]
-fn recv_timeout_expires() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        let _ = conn.recv(); // idle until the client leaves
-    });
-    let client = dialer.dial(&addr).unwrap();
-    let start = std::time::Instant::now();
-    assert_eq!(
-        client.recv_timeout(Duration::from_millis(50)).unwrap_err(),
-        TransportError::Timeout
-    );
-    assert!(start.elapsed() >= Duration::from_millis(50));
-    client.close();
-    server.join().unwrap();
-}
-
-#[test]
-fn try_recv_is_nonblocking() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        conn.send(Bytes::from_static(b"queued")).unwrap();
-        let _ = conn.recv();
-    });
-    let client = dialer.dial(&addr).unwrap();
-    // Eventually the queued frame arrives; until then None.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        match client.try_recv().unwrap() {
-            Some(frame) => {
-                assert_eq!(frame.as_ref(), b"queued");
-                break;
-            }
-            None => {
-                assert!(std::time::Instant::now() < deadline, "never arrived");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+    let (client, server, _listener) = link();
+    server.send(Bytes::from_static(b"parting gift")).unwrap();
+    // Wait for the frame to actually leave before closing.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.backlog() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(client.try_recv().unwrap(), None);
-    client.close();
-    server.join().unwrap();
-}
-
-#[test]
-fn shutdown_unblocks_accept() {
-    let (listener, _dialer) = pairing();
-    let listener = Arc::new(listener);
-    let l2 = Arc::clone(&listener);
-    let accepting = std::thread::spawn(move || l2.accept().err());
-    std::thread::sleep(Duration::from_millis(30));
-    listener.shutdown();
-    assert_eq!(accepting.join().unwrap(), Some(TransportError::Closed));
+    server.close();
+    // The frame sent first is delivered, then the close.
+    assert_eq!(client.frame().as_ref(), b"parting gift");
+    assert_eq!(client.next(), Told::Closed { clean: true });
+    assert!(client.is_closed());
 }
 
 #[test]
 fn bounded_send_queue_is_exact() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-    let server = std::thread::spawn(move || {
-        // Accept but never read: the client's flush path stalls.
-        let conn = listener.accept().unwrap();
-        let _ = stop_rx.recv();
-        drop(conn);
-    });
-    let client = dialer.dial(&addr).unwrap();
+    // The accepted socket is never read: the client's flush path stalls.
+    let (client, _unread) = dial_raw();
     client.set_send_capacity(4);
     // Framed once, cloned per send — the multicast shape. (It also
     // keeps the sender faster than any flush path, so the cap is
@@ -236,54 +261,45 @@ fn bounded_send_queue_is_exact() {
     }
     assert!(saw_full, "queue never reported Full");
     assert_eq!(client.backlog(), 4, "cap must be exact at Full");
-    let _ = stop_tx.send(());
     client.close();
-    server.join().unwrap();
 }
 
 #[test]
 fn backlog_drains_toward_zero() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        for _ in 0..32 {
-            let _ = conn.recv();
-        }
-    });
-    let client = dialer.dial(&addr).unwrap();
+    let (client, server, _listener) = link();
     for _ in 0..32 {
         client.send(Bytes::from(vec![1u8; 1024])).unwrap();
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     while client.backlog() > 0 {
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "backlog stuck at {}",
             client.backlog()
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    server.join().unwrap();
-    client.close();
+    for _ in 0..32 {
+        server.frame();
+    }
 }
 
 #[test]
 fn send_after_close_fails() {
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        let _ = conn.recv();
-    });
-    let client = dialer.dial(&addr).unwrap();
+    let (client, server, _listener) = link();
     client.close();
     assert!(client.is_closed());
     assert_eq!(
         client.send(Bytes::from_static(b"too late")).unwrap_err(),
         TransportError::Closed
     );
-    server.join().unwrap();
+    // Its sink hears of the close once.
+    client.assert_closed();
+    server.assert_closed();
+    assert!(client
+        .told
+        .recv_timeout(Duration::from_millis(100))
+        .is_err());
 }
 
 #[test]
@@ -298,23 +314,11 @@ fn disconnects_are_recorded_as_trace_events() {
     corona_trace::set_enabled(true);
 
     // An accepted connection whose peer hangs up at a frame boundary.
-    let (listener, dialer) = pairing();
-    let addr = listener.local_addr();
-    let server = std::thread::spawn(move || {
-        let conn = listener.accept().unwrap();
-        // recv until Closed so the server observes the hang-up.
-        while conn.recv().is_ok() {}
-        listener
-    });
-    let client = dialer.dial(&addr).unwrap();
+    let (client, server, listener) = link();
     client.send(Bytes::from_static(b"bye")).unwrap();
-    // Drain before closing so the close lands at a frame boundary.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while client.backlog() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_eq!(server.frame().as_ref(), b"bye");
     client.close();
-    let listener = server.join().unwrap();
+    assert_eq!(server.next(), Told::Closed { clean: true });
     await_disconnect_span(
         DISCONNECT_CLEAN,
         "accepted: no clean-disconnect trace event",
@@ -323,12 +327,16 @@ fn disconnects_are_recorded_as_trace_events() {
 
     // A dialled connection whose peer hangs up between frames, then
     // one whose stream dies half-way through a frame header.
-    for (sent, arg) in [(&[][..], DISCONNECT_CLEAN), (&[9, 0, 0], DISCONNECT_ERROR)] {
+    for (sent, arg, clean) in [
+        (&[][..], DISCONNECT_CLEAN, true),
+        (&[9, 0, 0], DISCONNECT_ERROR, false),
+    ] {
         let (client, mut raw) = dial_raw();
+        let client = End::attached(client, 1);
         raw.write_all(sent).unwrap();
         drop(raw);
         await_disconnect_span(arg, &format!("dialled: no disconnect span with arg {arg}"));
-        assert_eq!(client.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(client.next(), Told::Closed { clean });
     }
     corona_trace::set_enabled(false);
 }
@@ -384,114 +392,51 @@ fn concurrent_senders_cannot_overshoot_capacity() {
     client.close();
 }
 
-/// A connected pair: the end that sends, the end that receives through
-/// `recv`, and the listener that keeps them connected.
-struct Link {
-    backend: &'static str,
-    sender: Box<dyn Connection>,
-    receiver: Box<dyn Connection>,
-    _listener: Box<dyn Listener>,
-}
-
-/// One [`Link`] on each backend.
-fn links() -> Vec<Link> {
-    let (listener, dialer) = pairing();
-    let dialled = dialer.dial(&listener.local_addr()).unwrap();
-    let accepted = listener.accept().unwrap();
-    let net = MemNetwork::new();
-    let mem = net.listen("server").unwrap();
-    let mem_dialled = net.dial_from("client", "server").unwrap();
-    let mem_accepted = mem.accept().unwrap();
-    vec![
-        Link {
-            backend: "reactor",
-            sender: dialled,
-            receiver: accepted,
-            _listener: listener,
-        },
-        Link {
-            backend: "mem",
-            sender: Box::new(mem_dialled),
-            receiver: mem_accepted,
-            _listener: Box::new(mem),
-        },
-    ]
-}
-
-/// A frame that carries its number.
-fn numbered(i: u32) -> Frame {
-    Frame::new(Bytes::from(i.to_le_bytes().to_vec())).unwrap()
-}
-
-fn number_of(frame: &[u8]) -> u32 {
-    u32::from_le_bytes(frame.try_into().unwrap())
-}
-
 #[test]
 fn queued_frames_leave_with_the_flush_in_order() {
     const ROUND: u32 = 150;
-    for Link {
-        backend,
-        sender,
-        receiver,
-        ..
-    } in links()
-    {
-        // More than a transport would hold back unasked, and fewer.
-        let mut next = 0;
-        for (burst, by) in [
-            (ROUND, FlushBy::Caller),
-            (ROUND, FlushBy::Transport),
-            (3, FlushBy::Caller),
-        ] {
-            for i in next..next + burst {
-                sender.queue_frame(numbered(i)).unwrap();
-            }
-            sender.flush(by);
-            for i in next..next + burst {
-                let frame = receiver.recv_timeout(Duration::from_secs(10));
-                assert_eq!(number_of(&frame.unwrap()), i, "{backend}, flushed {by:?}");
-            }
-            next += burst;
+    let (sender, receiver, _listener) = link();
+    // More than a transport would hold back unasked, and fewer.
+    let mut next = 0;
+    for (burst, by) in [
+        (ROUND, FlushBy::Caller),
+        (ROUND, FlushBy::Transport),
+        (3, FlushBy::Caller),
+    ] {
+        for i in next..next + burst {
+            sender.queue_frame(numbered(i)).unwrap();
         }
+        sender.flush(by);
+        for i in next..next + burst {
+            assert_eq!(number_of(&receiver.frame()), i, "flushed {by:?}");
+        }
+        next += burst;
     }
 }
 
 #[test]
 fn unflushed_frames_count_towards_the_exact_cap() {
     const CAP: usize = 8;
-    for Link {
-        backend,
-        sender,
-        receiver,
-        ..
-    } in links()
-    {
-        sender.set_send_capacity(CAP);
-        for i in 0..CAP as u32 {
-            sender.queue_frame(numbered(i)).unwrap();
-            assert_eq!(sender.backlog(), i as usize + 1, "{backend}");
-        }
-        assert_eq!(
-            sender.queue_frame(numbered(99)).unwrap_err(),
-            TransportError::Full,
-            "{backend}"
-        );
-        assert_eq!(sender.backlog(), CAP, "{backend}: refused frame counted");
-        sender.flush(FlushBy::Caller);
-        for i in 0..CAP as u32 {
-            let frame = receiver.recv_timeout(Duration::from_secs(10));
-            assert_eq!(number_of(&frame.unwrap()), i, "{backend}");
-        }
-        // Room again, once the frames have left.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while sender.queue_frame(numbered(CAP as u32)).is_err() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{backend}: still full"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    let (sender, receiver, _listener) = link();
+    sender.set_send_capacity(CAP);
+    for i in 0..CAP as u32 {
+        sender.queue_frame(numbered(i)).unwrap();
+        assert_eq!(sender.backlog(), i as usize + 1);
+    }
+    assert_eq!(
+        sender.queue_frame(numbered(99)).unwrap_err(),
+        TransportError::Full
+    );
+    assert_eq!(sender.backlog(), CAP, "refused frame counted");
+    sender.flush(FlushBy::Caller);
+    for i in 0..CAP as u32 {
+        assert_eq!(number_of(&receiver.frame()), i);
+    }
+    // Room again, once the frames have left.
+    let deadline = Instant::now() + WAIT;
+    while sender.queue_frame(numbered(CAP as u32)).is_err() {
+        assert!(Instant::now() < deadline, "still full");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -501,59 +446,27 @@ fn unflushed_frames_count_towards_the_exact_cap() {
 #[test]
 fn concurrent_flushers_keep_queue_order() {
     const EACH: u32 = 2000;
-    for Link {
-        backend,
-        sender,
-        receiver,
-        ..
-    } in links()
-    {
-        let next = Mutex::new(0u32);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for _ in 0..EACH {
-                        let mut next = next.lock().unwrap();
-                        while sender.queue_frame(numbered(*next)).is_err() {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        *next += 1;
-                        drop(next);
-                        sender.flush(FlushBy::Caller);
+    let (sender, receiver, _listener) = link();
+    let sender: &dyn Connection = &*sender;
+    let next = Mutex::new(0u32);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for _ in 0..EACH {
+                    let mut next = next.lock().unwrap();
+                    while sender.queue_frame(numbered(*next)).is_err() {
+                        std::thread::sleep(Duration::from_millis(1));
                     }
-                });
-            }
-            for i in 0..2 * EACH {
-                let frame = receiver.recv_timeout(Duration::from_secs(10));
-                assert_eq!(number_of(&frame.unwrap()), i, "{backend}");
-            }
-        });
-    }
-}
-
-/// What a [`FrameSink`] is told, in the order it is told.
-#[derive(Debug, PartialEq)]
-enum Told {
-    Frame(u64, u32),
-    Closed(u64),
-}
-
-struct Teller(mpsc::Sender<Told>);
-
-impl FrameSink for Teller {
-    fn on_accept(&self, _: u64, _: Box<dyn Connection>) {
-        unreachable!("a connection that is attached to was not accepted");
-    }
-    fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
-        let _ = self.0.send(Told::Frame(conn_id, number_of(&frame)));
-        true
-    }
-    fn ready_for_more(&self) -> bool {
-        true
-    }
-    fn on_closed(&self, conn_id: u64, _clean: bool) {
-        let _ = self.0.send(Told::Closed(conn_id));
-    }
+                    *next += 1;
+                    drop(next);
+                    sender.flush(FlushBy::Caller);
+                }
+            });
+        }
+        for i in 0..2 * EACH {
+            assert_eq!(number_of(&receiver.frame()), i);
+        }
+    });
 }
 
 /// Frames `from..to` as they go over the wire, in one piece.
@@ -566,55 +479,48 @@ fn wire(numbers: std::ops::Range<u32>) -> Vec<u8> {
 }
 
 #[test]
-fn a_dialled_connection_pushes_to_an_attached_sink() {
+fn a_dialled_connection_reads_nothing_until_its_sink_is_attached() {
     const ID: u64 = 77;
-    let wait = Duration::from_secs(10);
-    let teller = || {
-        let (tx, told) = mpsc::channel();
-        (Arc::new(Teller(tx)), told)
-    };
 
-    // A link that already holds unread frames: they come first.
+    // What the peer sends first waits in the socket and comes first.
     let (client, mut raw) = dial_raw();
     raw.write_all(&wire(0..4)).unwrap();
-    // Frame 0 read, the rest of that segment is behind it in the queue
-    // by the time the shard looks at its mailbox again.
-    assert_eq!(number_of(&client.recv_timeout(wait).unwrap()), 0);
-    let (sink, told) = teller();
-    assert!(client.attach_sink(ID, sink));
+    std::thread::sleep(Duration::from_millis(50));
+    let client = End::attached(client, ID);
     raw.write_all(&wire(4..6)).unwrap();
-    for i in 1..6 {
-        assert_eq!(told.recv_timeout(wait), Ok(Told::Frame(ID, i)));
+    for i in 0..6 {
+        assert_eq!(number_of(&client.frame()), i);
     }
     drop(raw);
-    assert_eq!(told.recv_timeout(wait), Ok(Told::Closed(ID)));
-    // Once: the client's own close adds nothing.
+    assert_eq!(client.next(), Told::Closed { clean: true });
+    // Once: the client's own close, and a second attach, add nothing.
     client.close();
-    assert!(told.recv_timeout(Duration::from_millis(100)).is_err());
+    client.attach_sink(ID, Arc::new(Tell::default()));
+    assert!(client
+        .told
+        .recv_timeout(Duration::from_millis(100))
+        .is_err());
 
     // A link the peer has already closed: every frame, then the close.
     let (client, mut raw) = dial_raw();
     raw.write_all(&wire(0..3)).unwrap();
     drop(raw);
-    let deadline = std::time::Instant::now() + wait;
-    while !client.is_closed() {
-        assert!(std::time::Instant::now() < deadline, "close never seen");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let (sink, told) = teller();
-    assert!(client.attach_sink(ID, sink));
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!client.is_closed(), "nobody has read the socket yet");
+    let client = End::attached(client, ID);
     for i in 0..3 {
-        assert_eq!(told.recv_timeout(wait), Ok(Told::Frame(ID, i)));
+        assert_eq!(number_of(&client.frame()), i);
     }
-    assert_eq!(told.recv_timeout(wait), Ok(Told::Closed(ID)));
+    assert_eq!(client.next(), Told::Closed { clean: true });
     drop(client);
-    assert!(told.recv_timeout(Duration::from_millis(100)).is_err());
 
-    // The in-memory pipe has no loop to push from, and says so.
-    let net = MemNetwork::new();
-    let _listener = net.listen("server").unwrap();
-    let mem = net.dial_from("client", "server").unwrap();
-    assert!(!mem.attach_sink(ID, teller().0));
+    // A link closed locally before its sink is attached: the sink
+    // hears of the close, and of nothing else.
+    let (client, mut raw) = dial_raw();
+    raw.write_all(&wire(0..2)).unwrap();
+    client.close();
+    let client = End::attached(client, ID);
+    client.assert_closed();
 }
 
 /// A byte stream that opens with one good frame, [`INTACT`], and goes
@@ -689,53 +595,26 @@ fn feed(mut socket: TcpStream, stream: &CorruptStream) {
     let _ = socket.read(&mut [0u8; 1]);
 }
 
+/// The intact frame, then an error close — never a corrupt frame.
+fn assert_rejects(end: &End, what: &str) {
+    match end.next() {
+        Told::Frame(frame) => assert_eq!(&frame[..], INTACT, "{what}"),
+        closed => panic!("{what}: the intact frame was not delivered: {closed:?}"),
+    }
+    match end.next() {
+        Told::Closed { clean } => assert!(!clean, "{what}: clean close"),
+        Told::Frame(_) => panic!("{what}: delivered a corrupt frame"),
+    }
+}
+
 #[test]
 fn corrupt_frame_closes_an_accepted_connection_with_an_error() {
-    enum Seen {
-        Frame(Bytes),
-        Closed(bool),
-    }
-    struct Recorder {
-        seen: mpsc::Sender<Seen>,
-        held: Mutex<Vec<Box<dyn Connection>>>,
-    }
-    impl FrameSink for Recorder {
-        fn on_accept(&self, _: u64, conn: Box<dyn Connection>) {
-            self.held.lock().unwrap().push(conn);
-        }
-        fn on_frame(&self, _: u64, frame: Bytes) -> bool {
-            let _ = self.seen.send(Seen::Frame(frame));
-            true
-        }
-        fn ready_for_more(&self) -> bool {
-            true
-        }
-        fn on_closed(&self, _: u64, clean: bool) {
-            let _ = self.seen.send(Seen::Closed(clean));
-        }
-    }
-    let wait = Duration::from_secs(10);
     for stream in corrupt_streams() {
-        // The reactor reading in push mode, as under a server.
-        let listener = ReactorListener::bind("127.0.0.1:0", 2).unwrap();
-        let (seen_tx, seen) = mpsc::channel();
-        let recorder = Recorder {
-            seen: seen_tx,
-            held: Mutex::new(Vec::new()),
-        };
-        assert!(listener.attach_sink(Arc::new(recorder)));
+        let (listener, accepted) = listen();
         let socket = TcpStream::connect(listener.local_addr()).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| feed(socket, &stream));
-            match seen.recv_timeout(wait) {
-                Ok(Seen::Frame(frame)) => assert_eq!(&frame[..], INTACT, "{}", stream.what),
-                _ => panic!("{}: the intact frame was not delivered", stream.what),
-            }
-            match seen.recv_timeout(wait) {
-                Ok(Seen::Closed(clean)) => assert!(!clean, "{}: clean close", stream.what),
-                Ok(Seen::Frame(_)) => panic!("{}: delivered a corrupt frame", stream.what),
-                Err(_) => panic!("{}: connection left open", stream.what),
-            }
+            assert_rejects(&accepted.recv_timeout(WAIT).unwrap(), stream.what);
         });
     }
 }
@@ -743,21 +622,15 @@ fn corrupt_frame_closes_an_accepted_connection_with_an_error() {
 #[test]
 fn corrupt_frame_closes_a_dialled_connection_with_an_error() {
     let _tracing = TRACING.lock().unwrap();
-    let wait = Duration::from_secs(10);
     for stream in corrupt_streams() {
-        // The reactor reading in pull mode, as under a client.
         let why = stream.what;
         corona_trace::clear();
         corona_trace::set_enabled(true);
         let (conn, raw) = dial_raw();
+        let conn = End::attached(conn, 1);
         std::thread::scope(|s| {
             s.spawn(|| feed(raw, &stream));
-            assert_eq!(&conn.recv_timeout(wait).unwrap()[..], INTACT, "{why}");
-            assert_eq!(
-                conn.recv_timeout(wait).unwrap_err(),
-                TransportError::Closed,
-                "{why}"
-            );
+            assert_rejects(&conn, why);
             await_disconnect_span(DISCONNECT_ERROR, &format!("{why}: no error close"));
         });
         corona_trace::set_enabled(false);

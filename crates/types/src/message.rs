@@ -329,6 +329,9 @@ wire! {
     }
 }
 
+// Tags 5 and 12 are retired (a membership delta and a checkpoint
+// announcement that nothing ever sent); a decoder of an older peer
+// would misread them, so they must not be reused.
 wire! {
     /// Messages exchanged between server replicas and the coordinator in
     /// the star-topology replicated architecture (§4).
@@ -390,15 +393,6 @@ wire! {
             /// `true` when the server starts hosting, `false` when its last
             /// member leaves.
             hosting: bool,
-        },
-        /// Membership delta propagated between replicas.
-        5 => MembershipSync {
-            /// The group.
-            group: GroupId,
-            /// The change.
-            change: MembershipChange,
-            /// Display info of the affected client.
-            info: MemberInfo,
         },
         /// A replica asks a peer for a group's state (used when a server
         /// starts hosting a group it has no copy of, and as the hot-standby
@@ -513,15 +507,6 @@ wire! {
             coordinator: ServerId,
             /// All live servers in startup order.
             servers: Vec<ServerId>,
-        },
-        /// A replica announces a checkpoint so peers can reduce their logs
-        /// consistently (used by partition merge to find the last globally
-        /// consistent state).
-        12 => CheckpointAnnounce {
-            /// The group.
-            group: GroupId,
-            /// Checkpointed through this sequence number.
-            through: SeqNo,
         },
         /// A follower acknowledges a coordinator heartbeat. The coordinator
         /// counts fresh acks to maintain its quorum lease: without acks
@@ -848,14 +833,6 @@ mod tests {
                 "04 020101",
             ),
             (
-                PeerMessage::MembershipSync {
-                    group: GroupId::new(1),
-                    change: MembershipChange::Joined(ClientId::new(4)),
-                    info: MemberInfo::new(ClientId::new(4), MemberRole::Principal, "d"),
-                },
-                "05 01000404000164",
-            ),
-            (
                 PeerMessage::GroupStateQuery {
                     from: ServerId::new(3),
                     group: GroupId::new(1),
@@ -943,13 +920,6 @@ mod tests {
                     servers: vec![ServerId::new(2), ServerId::new(3)],
                 },
                 "0b 0402020203",
-            ),
-            (
-                PeerMessage::CheckpointAnnounce {
-                    group: GroupId::new(1),
-                    through: SeqNo::new(50),
-                },
-                "0c 0132",
             ),
             (
                 PeerMessage::HeartbeatAck {

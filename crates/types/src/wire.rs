@@ -3,7 +3,7 @@
 //! All Corona wire traffic and all stable-storage records are encoded
 //! with the little-endian, length-prefixed primitives defined here. The
 //! format is deliberately simple and self-delimiting so the same codec
-//! serves the TCP transport, the in-memory transport, and the on-disk
+//! serves the TCP transport, the simulator's transport, and the on-disk
 //! log (whose records must be replayable after a torn tail write).
 //!
 //! Variable-length integers use LEB128 (7 bits per byte), which keeps

@@ -12,7 +12,7 @@
 //! ```
 
 use corona::prelude::*;
-use corona::transport::Nemesis;
+use corona::transport::{Nemesis, ReactorListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,24 +20,25 @@ const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 
 fn main() -> corona::types::Result<()> {
-    let net = MemNetwork::new();
-    let peers: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("s{i}-peer")))
-        .collect();
-    let client_addrs: Vec<(ServerId, String)> = (1..=3)
-        .map(|i| (ServerId::new(i), format!("s{i}-client")))
-        .collect();
-
     // Every fault goes through the nemesis around the peer mesh; server
-    // `i` is the node `s{i}`, named before anyone dials.
+    // `i` is the node `s{i}`, its loopback addresses named before
+    // anyone dials.
     let nem = Nemesis::new(0, &Registry::new());
-    for (id, addr) in &peers {
-        nem.register_addr(addr, &format!("s{}", id.raw()));
-    }
+    let bind = |i: u64| {
+        let listener = ReactorListener::bind("127.0.0.1:0", 1).expect("bind");
+        nem.register_addr(&listener.local_addr(), &format!("s{i}"));
+        listener
+    };
+    let listeners: Vec<_> = (1..=3).map(|i| (i, bind(i), bind(i))).collect();
+    let addrs = |pick: fn(&(u64, ReactorListener, ReactorListener)) -> &ReactorListener| {
+        let addr = |l: &(u64, _, _)| (ServerId::new(l.0), pick(l).local_addr());
+        listeners.iter().map(addr).collect::<Vec<_>>()
+    };
+    let (client_addrs, peers) = (addrs(|l| &l.1), addrs(|l| &l.2));
 
     println!("starting 3 replicated servers (s1 = initial coordinator)...");
     let mut servers = Vec::new();
-    for i in 1..=3u64 {
+    for (i, client, peer) in listeners {
         let node = format!("s{i}");
         let config = ReplicatedConfig {
             servers: peers.clone(),
@@ -47,22 +48,19 @@ fn main() -> corona::types::Result<()> {
             server_config: ServerConfig::stateful(ServerId::new(i)),
         };
         servers.push(ReplicatedServer::start(
-            Box::new(net.listen(&format!("s{i}-client")).expect("listen")),
-            nem.wrap_listener(
-                &node,
-                Box::new(net.listen(&format!("s{i}-peer")).expect("listen")),
-            ),
-            Arc::from(nem.wrap_dialer(&node, Box::new(net.dialer(&node)))),
+            Box::new(client),
+            nem.wrap_listener(&node, Box::new(peer)),
+            Arc::from(nem.wrap_dialer(&node, Box::new(TcpDialer))),
             config,
         )?);
     }
 
     // Clients on two different member servers.
     let connect = |name: &str, srv: u64| -> corona::types::Result<CoronaClient> {
-        let conn = net
-            .dial_from(name, &format!("s{srv}-client"))
+        let conn = TcpDialer
+            .dial(&client_addrs[srv as usize - 1].1)
             .expect("dial");
-        let mut c = CoronaClient::connect(Box::new(conn), name, None)?;
+        let mut c = CoronaClient::connect(conn, name, None)?;
         c.set_call_timeout(Duration::from_secs(15));
         Ok(c)
     };

@@ -34,12 +34,12 @@ done
 
 echo "==> chaos matrix: partition/heal/flap/storm under fixed chaos seeds"
 # Partition-heal, divergent-suffix heal reconciliation, flapping links,
-# duplicate/reorder storms: each scenario is one body that runs on both
-# backends — the in-memory pipe and reactor TCP — with every fault a
-# nemesis event (the asymmetric partition runs on mem only). The seed
-# feeds the nemesis fault generator; the assertions are
-# seed-independent invariants (quorum fencing, epoch fencing, gap- and
-# duplicate-free client streams).
+# duplicate/reorder storms over reactor TCP, with every fault a nemesis
+# event (the asymmetric partition is the sweep's `asymmetric` scenario
+# below: an accepted socket cannot be blocked one way). The seed feeds
+# the nemesis fault generator; the assertions are seed-independent
+# invariants (quorum fencing, epoch fencing, gap- and duplicate-free
+# client streams).
 for seed in 1 2 3; do
     echo "    -- CORONA_CHAOS_SEED=$seed"
     CORONA_CHAOS_SEED=$seed cargo test -q --offline --test chaos_matrix

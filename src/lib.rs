@@ -16,7 +16,7 @@
 //! * [`types`] — identifiers, shared-state model, wire protocol, codec;
 //! * [`statelog`] — in-memory group logs, stable storage, log reduction;
 //! * [`membership`] — groups, roles, locks, session policy;
-//! * [`transport`] — TCP and fault-injectable in-memory transports;
+//! * [`transport`] — the TCP transport and its fault plane;
 //! * [`service`] — the stateful server and the client library;
 //! * [`replication`] — coordinator sequencing, elections, partition
 //!   merge;
@@ -34,13 +34,10 @@
 //! use corona::prelude::*;
 //!
 //! # fn main() -> corona::types::Result<()> {
-//! // An in-memory network (in production: `CoronaServer::bind` + `TcpDialer`).
-//! let net = MemNetwork::new();
-//! let listener = net.listen("server").expect("listen");
-//! let server = CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1)))?;
-//!
+//! // A server on a loopback port, and a client dialled to it.
+//! let server = CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1)))?;
 //! let alice = CoronaClient::connect(
-//!     Box::new(net.dial_from("alice", "server").expect("dial")),
+//!     TcpDialer.dial(&server.local_addr()).expect("dial"),
 //!     "alice",
 //!     None,
 //! )?;
@@ -66,7 +63,7 @@ pub use corona_statelog as statelog;
 /// Group membership, roles, locks, session-manager policy.
 pub use corona_membership as membership;
 
-/// Framed transports: TCP and the fault-injectable in-memory network.
+/// The framed TCP transport and the fault plane around it.
 pub use corona_transport as transport;
 
 /// The Corona stateful server and client library.
@@ -95,14 +92,14 @@ pub use corona_sim as sim;
 /// The most common imports, in one place.
 pub mod prelude {
     pub use corona_core::{
-        client::CoronaClient, config::ServerConfig, mirror::GroupMirror, rawwire::RawMember,
-        server::CoronaServer, ApplyOutcome, EventClass, FailoverConfig, LockResult, QosPolicy,
-        RosterView, SharedMirror, Statefulness,
+        client::CoronaClient, config::ServerConfig, mirror::GroupMirror, server::CoronaServer,
+        ApplyOutcome, EventClass, FailoverConfig, LockResult, QosPolicy, RosterView, SharedMirror,
+        Statefulness,
     };
     pub use corona_metrics::{MetricsSnapshot, Registry};
     pub use corona_replication::{ReplicatedConfig, ReplicatedServer};
     pub use corona_statelog::{ReductionPolicy, SyncPolicy};
-    pub use corona_transport::{Connection, Dialer, Listener, MemNetwork, TcpDialer};
+    pub use corona_transport::{Connection, Dialer, Listener, TcpDialer};
     pub use corona_types::{
         id::{ClientId, GroupId, ObjectId, SeqNo, ServerId},
         message::{ServerEvent, StateTransfer},
@@ -122,6 +119,6 @@ mod tests {
         use crate::prelude::*;
         let _ = GroupId::new(1);
         let _ = SharedState::new();
-        let _ = MemNetwork::new();
+        let _: &dyn Dialer = &TcpDialer;
     }
 }

@@ -1,8 +1,8 @@
-//! Seeded chaos matrix against the replicated service: symmetric and
-//! asymmetric partitions, partition-with-divergence, flapping links,
-//! and duplicate/reorder storms. Every scenario is one body, generic
-//! over the transport backend, and runs on the in-memory pipe and on
-//! reactor TCP sockets; every fault is a nemesis event.
+//! Seeded chaos matrix against the replicated service over reactor TCP
+//! sockets: symmetric partitions, partition-with-divergence, flapping
+//! links, and duplicate/reorder storms; every fault is a nemesis event.
+//! (The asymmetric partition needs both ends of a peer link named, which
+//! an accepted socket is not: it is the sweep's `asymmetric` scenario.)
 //!
 //! `CORONA_CHAOS_SEED` seeds the fault generator; the ci.sh chaos step
 //! runs the matrix under several seeds. The assertions are invariant
@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{node, wait, Backend, Cluster, Tcp};
+use common::{node, wait, Cluster};
 use corona::prelude::*;
 use corona::transport::LinkFaults;
 use std::collections::{BTreeMap, HashSet};
@@ -23,14 +23,14 @@ const O: ObjectId = ObjectId(1);
 
 // ---------------------------------------------------------------- harness
 
-/// Three servers over `backend`, the fault generator seeded from
+/// Three servers, the fault generator seeded from
 /// `CORONA_CHAOS_SEED`.
-fn start(backend: impl Backend + 'static, heartbeat_ms: u64, base_timeout_ms: u64) -> Cluster {
+fn start(heartbeat_ms: u64, base_timeout_ms: u64) -> Cluster {
     let seed = std::env::var("CORONA_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
-    Cluster::start(backend, seed, heartbeat_ms, base_timeout_ms, |c| c)
+    Cluster::start(seed, heartbeat_ms, base_timeout_ms, |c| c)
 }
 
 fn join(c: &CoronaClient) {
@@ -125,8 +125,8 @@ fn assert_contiguous(view: &[(u64, String)], what: &str) {
 /// lease, fence itself (explicit `Unavailable` to writers, zero
 /// entries sequenced), and — after the heal — rejoin as a follower
 /// with the missed suffix replayed to its local clients.
-fn partition_fences_minority_coordinator_and_heals(backend: impl Backend + 'static) {
-    let cluster = start(backend, 30, 250);
+fn partition_fences_minority_coordinator_and_heals() {
+    let cluster = start(30, 250);
     let alice = cluster.client("alice", 1);
     let bob = cluster.client("bob", 2);
     let mut a_stream = Vec::new();
@@ -209,8 +209,8 @@ fn partition_fences_minority_coordinator_and_heals(backend: impl Backend + 'stat
 /// never saw), the majority moves on, and the heal must retract the
 /// stale suffix via the merge policies — surfaced as a
 /// `divergence_repaired` ops event — and converge every client.
-fn stale_suffix_discarded_and_repaired_after_heal(backend: impl Backend + 'static) {
-    let cluster = start(backend, 30, 600);
+fn stale_suffix_discarded_and_repaired_after_heal() {
+    let cluster = start(30, 600);
     let alice = cluster.client("alice", 1);
     let bob = cluster.client("bob", 2);
     let mut a_stream = Vec::new();
@@ -288,80 +288,12 @@ fn stale_suffix_discarded_and_repaired_after_heal(backend: impl Backend + 'stati
     cluster.shutdown();
 }
 
-/// Asymmetric partition: followers still hear the coordinator's
-/// heartbeats (so nobody elects), but its acks are gone, so the lease
-/// lapses. The coordinator must fence — making the outage explicit
-/// rather than silent — and un-fence in place once acks return,
-/// without an epoch change.
-fn asymmetric_partition_fences_coordinator_without_election(backend: impl Backend + 'static) {
-    let cluster = start(backend, 30, 250);
-    let alice = cluster.client("alice", 1);
-    let bob = cluster.client("bob", 2);
-    let mut a_stream = Vec::new();
-    let mut b_stream = Vec::new();
-
-    alice
-        .create_group(G, Persistence::Persistent, SharedState::new())
-        .unwrap();
-    join(&alice);
-    join(&bob);
-    bcast(&alice, "pre;");
-    wait_payload(&alice, "pre;", Duration::from_secs(10), &mut a_stream);
-    wait_payload(&bob, "pre;", Duration::from_secs(10), &mut b_stream);
-    let epoch_before = cluster.server(2).status().unwrap().epoch;
-
-    // Deafen s1: its own heartbeats still reach everyone, but nothing
-    // — in particular no heartbeat ack — reaches it.
-    for other in [2, 3] {
-        cluster.nem.block(&node(other), &node(1));
-    }
-    wait("s1 to fence itself", Duration::from_secs(10), || {
-        cluster.fenced(1)
-    });
-    assert!(cluster.has_event(1, "quorum_lost"));
-    assert!(cluster.injected("dropped") > 0, "no ack was swallowed");
-    // Heartbeats still flow outward, so the followers never elect.
-    let st2 = cluster.server(2).status().unwrap();
-    assert_eq!(st2.coordinator, Some(ServerId::new(1)));
-    assert_eq!(st2.epoch, epoch_before, "spurious election under deafness");
-
-    bcast(&alice, "dead;");
-    wait_error(
-        &alice,
-        ErrorCode::Unavailable,
-        Duration::from_secs(10),
-        &mut a_stream,
-    );
-
-    cluster.nem.heal();
-    wait("s1 to regain its lease", Duration::from_secs(10), || {
-        !cluster.fenced(1)
-    });
-    assert!(
-        cluster.has_event(1, "quorum_regained"),
-        "no quorum_regained ops event"
-    );
-    let st2 = cluster.server(2).status().unwrap();
-    assert_eq!(st2.coordinator, Some(ServerId::new(1)));
-    assert_eq!(st2.epoch, epoch_before, "heal should not change the epoch");
-
-    bcast(&alice, "post;");
-    wait_payload(&alice, "post;", Duration::from_secs(15), &mut a_stream);
-    wait_payload(&bob, "post;", Duration::from_secs(15), &mut b_stream);
-    let a_view = last_wins(&a_stream);
-    let b_view = last_wins(&b_stream);
-    assert_eq!(a_view, b_view);
-    assert_contiguous(&a_view, "asymmetric");
-    assert_eq!(a_view.len(), 2, "fenced entry leaked: {a_view:?}");
-    cluster.shutdown();
-}
-
 /// Flapping links: the acting coordinator is repeatedly partitioned
 /// away and healed. Each cycle forces a fence, an election, and a heal
 /// reconciliation; after the storm every client converges on one
 /// gap-free stream containing everybody's liveness marker.
-fn flapping_partitions_converge_to_identical_streams(backend: impl Backend + 'static) {
-    let cluster = start(backend, 30, 150);
+fn flapping_partitions_converge_to_identical_streams() {
+    let cluster = start(30, 150);
     let clients = [
         cluster.client("alice", 1),
         cluster.client("bob", 2),
@@ -471,8 +403,8 @@ fn flapping_partitions_converge_to_identical_streams(backend: impl Backend + 'st
 /// sequenced-append suppression at the replicas) and reorders healed
 /// by the gap-refresh path, leaving every client stream exactly-once
 /// and in order.
-fn duplicate_reorder_storm_keeps_streams_exact(backend: impl Backend + 'static) {
-    let cluster = start(backend, 30, 300);
+fn duplicate_reorder_storm_keeps_streams_exact() {
+    let cluster = start(30, 300);
     let clients = [
         cluster.client("alice", 1),
         cluster.client("bob", 2),
@@ -546,43 +478,23 @@ fn duplicate_reorder_storm_keeps_streams_exact(backend: impl Backend + 'static) 
 
 // ------------------------------------------------------------------ matrix
 
-/// Runs each scenario as the test `<backend>::<scenario>`.
-macro_rules! run_on {
-    ($module:ident, $backend:expr, [$($scenario:ident),+ $(,)?]) => {
-        mod $module {
-            use super::*;
+/// Runs each scenario as the test `tcp::<scenario>`.
+macro_rules! run_on_tcp {
+    ($($scenario:ident),+ $(,)?) => {
+        mod tcp {
             $(
                 #[test]
                 fn $scenario() {
-                    super::$scenario($backend);
+                    super::$scenario();
                 }
             )+
         }
     };
 }
 
-run_on!(
-    mem,
-    MemNetwork::new(),
-    [
-        partition_fences_minority_coordinator_and_heals,
-        stale_suffix_discarded_and_repaired_after_heal,
-        asymmetric_partition_fences_coordinator_without_election,
-        flapping_partitions_converge_to_identical_streams,
-        duplicate_reorder_storm_keeps_streams_exact,
-    ]
-);
-
-// An accepted TCP link's peer is an ephemeral port, not a node, so the
-// nemesis cannot block one direction of it: the asymmetric scenario
-// cannot be expressed over sockets. Everything else runs there too.
-run_on!(
-    tcp,
-    Tcp,
-    [
-        partition_fences_minority_coordinator_and_heals,
-        stale_suffix_discarded_and_repaired_after_heal,
-        flapping_partitions_converge_to_identical_streams,
-        duplicate_reorder_storm_keeps_streams_exact,
-    ]
+run_on_tcp!(
+    partition_fences_minority_coordinator_and_heals,
+    stale_suffix_discarded_and_repaired_after_heal,
+    flapping_partitions_converge_to_identical_streams,
+    duplicate_reorder_storm_keeps_streams_exact,
 );

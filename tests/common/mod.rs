@@ -1,9 +1,9 @@
 //! One replicated-cluster harness for every integration test that
-//! injects faults: three replicated servers over a plain transport
-//! backend — the in-memory pipe or reactor TCP — whose peer mesh and
-//! client dialers are wrapped by one [`Nemesis`]. Each server is one
-//! node, `s{id}`; every fault a test injects is a nemesis event naming
-//! nodes, so one scenario body runs unchanged on either backend.
+//! injects faults: three replicated servers over loopback TCP — reactor
+//! listeners, connections dialled onto the shared dial loop — whose
+//! peer mesh and client dialers are wrapped by one [`Nemesis`]. Each
+//! server is one node, `s{id}`; every fault a test injects is a nemesis
+//! event naming nodes.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -11,37 +11,6 @@ use corona::prelude::*;
 use corona::transport::{Nemesis, ReactorListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A plain transport the harness can build a cluster over.
-pub trait Backend {
-    /// Binds a listener; `name` is its address where the backend lets
-    /// the caller choose one.
-    fn listen(&self, name: &str) -> Box<dyn Listener>;
-    /// A dialer for connections originating at `node`.
-    fn dialer(&self, node: &str) -> Box<dyn Dialer>;
-}
-
-impl Backend for MemNetwork {
-    fn listen(&self, name: &str) -> Box<dyn Listener> {
-        Box::new(MemNetwork::listen(self, name).unwrap())
-    }
-    fn dialer(&self, node: &str) -> Box<dyn Dialer> {
-        Box::new(MemNetwork::dialer(self, node))
-    }
-}
-
-/// Loopback sockets: reactor listeners, connections dialled onto the
-/// shared dial loop.
-pub struct Tcp;
-
-impl Backend for Tcp {
-    fn listen(&self, _name: &str) -> Box<dyn Listener> {
-        Box::new(ReactorListener::bind("127.0.0.1:0", 1).unwrap())
-    }
-    fn dialer(&self, _node: &str) -> Box<dyn Dialer> {
-        Box::new(TcpDialer)
-    }
-}
 
 /// Servers per cluster: the smallest roster with a strict majority.
 const SERVERS: u64 = 3;
@@ -52,7 +21,6 @@ pub struct Cluster {
     registry: Arc<Registry>,
     /// Live servers (a killed one is removed).
     servers: Vec<ReplicatedServer>,
-    backend: Box<dyn Backend>,
     client_addrs: Vec<String>,
 }
 
@@ -61,7 +29,6 @@ impl Cluster {
     /// initial coordinator) with the nemesis seeded by `seed` and
     /// every server's configuration passed through `tune`.
     pub fn start(
-        backend: impl Backend + 'static,
         seed: u64,
         heartbeat_ms: u64,
         base_timeout_ms: u64,
@@ -71,15 +38,15 @@ impl Cluster {
         let nem = Nemesis::new(seed, &registry);
         // Bind everything and name every address before any server
         // can dial: a link's remote node is fixed when it is made.
-        let bind = |plane: &str| -> Vec<Box<dyn Listener>> {
-            let listen = |id| {
-                let listener = backend.listen(&format!("{}-{plane}", node(id)));
+        let bind = || -> Vec<Box<dyn Listener>> {
+            let listen = |id| -> Box<dyn Listener> {
+                let listener = ReactorListener::bind("127.0.0.1:0", 1).unwrap();
                 nem.register_addr(&listener.local_addr(), &node(id));
-                listener
+                Box::new(listener)
             };
             (1..=SERVERS).map(listen).collect()
         };
-        let (client_listeners, peer_listeners) = (bind("client"), bind("peer"));
+        let (client_listeners, peer_listeners) = (bind(), bind());
         let addrs = |listeners: &[Box<dyn Listener>]| -> Vec<(ServerId, String)> {
             let ids = (1..).map(ServerId::new);
             ids.zip(listeners.iter().map(|l| l.local_addr())).collect()
@@ -102,7 +69,7 @@ impl Cluster {
                 ReplicatedServer::start(
                     client_listener,
                     nem.wrap_listener(&node, peer_listener),
-                    Arc::from(nem.wrap_dialer(&node, backend.dialer(&node))),
+                    Arc::from(nem.wrap_dialer(&node, Box::new(TcpDialer))),
                     config,
                 )
                 .unwrap()
@@ -112,7 +79,6 @@ impl Cluster {
             nem,
             registry,
             servers,
-            backend: Box::new(backend),
             client_addrs: client_addrs.into_iter().map(|(_, addr)| addr).collect(),
         }
     }
@@ -125,7 +91,7 @@ impl Cluster {
     /// A dialer for node `name`, through the fault plane (so a test
     /// can sever or block a client's link by naming the client).
     pub fn dialer(&self, name: &str) -> Arc<dyn Dialer> {
-        Arc::from(self.nem.wrap_dialer(name, self.backend.dialer(name)))
+        Arc::from(self.nem.wrap_dialer(name, Box::new(TcpDialer)))
     }
 
     /// Connects a client named `name` to server `id`.

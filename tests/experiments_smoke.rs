@@ -106,20 +106,12 @@ fn table2_replication_wins_and_gap_widens() {
 /// g1, three into g2, all sender-inclusive) against a server built
 /// from `config` and returns its metrics snapshot.
 fn metered_workload(config: ServerConfig) -> MetricsSnapshot {
-    let net = MemNetwork::new();
-    let server = CoronaServer::start(Box::new(net.listen("server").unwrap()), config).unwrap();
-    let alice = CoronaClient::connect(
-        Box::new(net.dial_from("alice", "server").unwrap()),
-        "alice",
-        None,
-    )
-    .unwrap();
-    let bea = CoronaClient::connect(
-        Box::new(net.dial_from("bea", "server").unwrap()),
-        "bea",
-        None,
-    )
-    .unwrap();
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
+    let connect = |name: &str| {
+        let conn = TcpDialer.dial(&server.local_addr()).unwrap();
+        CoronaClient::connect(conn, name, None).unwrap()
+    };
+    let (alice, bea) = (connect("alice"), connect("bea"));
 
     let (g1, g2) = (GroupId::new(1), GroupId::new(2));
     for g in [g1, g2] {

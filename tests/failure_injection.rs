@@ -10,32 +10,39 @@ use corona::prelude::*;
 use corona::replication::{find_divergence, merge, MergeResolution, Side};
 use corona::statelog::{GroupLog, StableStore, SyncPolicy};
 use corona::transport::Nemesis;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const G: GroupId = GroupId(1);
 const O: ObjectId = ObjectId(1);
 
-/// A single server at "server" on an in-memory network, and a fault
+/// A single server, the node "server", on a loopback port, and a fault
 /// plane through which [`connect`] dials it.
-fn single_server() -> (MemNetwork, Nemesis, CoronaServer) {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
+fn single_server() -> (Nemesis, CoronaServer) {
     let server =
-        CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1))).unwrap();
-    (net, Nemesis::new(0, &Registry::new()), server)
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let nem = Nemesis::new(0, &Registry::new());
+    nem.register_addr(&server.local_addr(), "server");
+    (nem, server)
 }
 
 /// Connects `name` (also its node name) with an optional old identity.
-fn connect(net: &MemNetwork, nem: &Nemesis, name: &str, resume: Option<ClientId>) -> CoronaClient {
-    let dialer = nem.wrap_dialer(name, Box::new(net.dialer(name)));
-    CoronaClient::connect(dialer.dial("server").unwrap(), name, resume).unwrap()
+fn connect(
+    server: &CoronaServer,
+    nem: &Nemesis,
+    name: &str,
+    resume: Option<ClientId>,
+) -> CoronaClient {
+    let dialer = nem.wrap_dialer(name, Box::new(TcpDialer));
+    let conn = dialer.dial(&server.local_addr()).unwrap();
+    CoronaClient::connect(conn, name, resume).unwrap()
 }
 
 #[test]
 fn client_crash_releases_locks_and_membership() {
-    let (net, nem, server) = single_server();
-    let stable = connect(&net, &nem, "stable", None);
-    let flaky = connect(&net, &nem, "flaky", None);
+    let (nem, server) = single_server();
+    let stable = connect(&server, &nem, "stable", None);
+    let flaky = connect(&server, &nem, "flaky", None);
 
     stable
         .create_group(G, Persistence::Persistent, SharedState::new())
@@ -87,8 +94,8 @@ fn client_crash_releases_locks_and_membership() {
 
 #[test]
 fn reconnecting_client_catches_up_after_link_failure() {
-    let (net, nem, server) = single_server();
-    let writer = connect(&net, &nem, "writer", None);
+    let (nem, server) = single_server();
+    let writer = connect(&server, &nem, "writer", None);
     writer
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -96,7 +103,7 @@ fn reconnecting_client_catches_up_after_link_failure() {
         .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
         .unwrap();
 
-    let roaming = connect(&net, &nem, "roaming", None);
+    let roaming = connect(&server, &nem, "roaming", None);
     let roaming_id = roaming.client_id();
     let (_, mut mirror) = roaming
         .join_mirrored(G, MemberRole::Observer, false)
@@ -124,7 +131,7 @@ fn reconnecting_client_catches_up_after_link_failure() {
 
     // Reconnect with the old identity, rejoin with incremental
     // catch-up from the mirror's last seq, resync the mirror.
-    let reconnected = connect(&net, &nem, "roaming", Some(roaming_id));
+    let reconnected = connect(&server, &nem, "roaming", Some(roaming_id));
     assert_eq!(reconnected.client_id(), roaming_id);
     let (_, transfer) = reconnected
         .join(G, MemberRole::Observer, mirror.catch_up_policy(), false)
@@ -156,7 +163,7 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
     std::env::set_var("CORONA_TRACE_DIR", &dump_dir);
     corona::trace::set_enabled(true);
 
-    let cluster = Cluster::start(MemNetwork::new(), 0, 30, 150, |c| c);
+    let cluster = Cluster::start(0, 30, 150, |c| c);
     let bob = cluster.client("bob", 2);
     let carol = cluster.client("carol", 3);
 
@@ -300,6 +307,40 @@ fn coordinator_partition_mid_stream_failover_is_gap_free_and_metered() {
     let _ = std::fs::remove_dir_all(&dump_dir);
 }
 
+/// A seed that accepts and never answers costs `connect_failover` one
+/// `connect_timeout` for its `Welcome`, and the next seed is tried.
+#[test]
+fn a_silent_seed_costs_connect_failover_one_connect_timeout() {
+    const TIMEOUT: Duration = Duration::from_millis(500);
+    // The kernel completes the handshake; nobody ever reads or writes.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let server =
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let seeds = vec![
+        silent.local_addr().unwrap().to_string(),
+        server.local_addr(),
+    ];
+    // On a helper thread: a client that hangs fails the test, not the
+    // suite.
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let config = FailoverConfig {
+            connect_timeout: TIMEOUT,
+            ..FailoverConfig::default()
+        };
+        let started = Instant::now();
+        let client = CoronaClient::connect_failover(Arc::new(TcpDialer), seeds, "patient", config);
+        let _ = done.send((client.map(|c| c.server_id()), started.elapsed()));
+    });
+    let (connected, took) = outcome
+        .recv_timeout(2 * TIMEOUT)
+        .expect("connect_failover is still waiting on the silent seed");
+    assert_eq!(connected.unwrap(), ServerId::new(1), "the second seed");
+    assert!(took >= TIMEOUT, "gave the silent seed {took:?}");
+    drop(silent);
+    server.shutdown();
+}
+
 /// Polls a supervised mirror until it has applied `want` sequenced
 /// updates (or panics after a generous deadline).
 fn wait_mirror(mirror: &SharedMirror, want: u64) {
@@ -339,7 +380,7 @@ fn supervised_clients_survive_server_kill() {
         "unknown CORONA_FAULT_SEED {fault}"
     );
 
-    let mut cluster = Cluster::start(MemNetwork::new(), 0, 30, 150, |c| c);
+    let mut cluster = Cluster::start(0, 30, 150, |c| c);
 
     // A plain writer on s2, which no fault touches.
     let writer = cluster.client("w", 2);
@@ -500,17 +541,15 @@ fn supervised_clients_survive_server_kill() {
 /// shuts it down, and returns the recovered group log — one partition
 /// side's history.
 fn run_partition_side(dir: &std::path::Path, create: bool, edits: &[&str]) -> GroupLog {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
-    let server = CoronaServer::start(
-        Box::new(listener),
+    let server = CoronaServer::bind(
+        "127.0.0.1:0",
         ServerConfig::stateful(ServerId::new(1))
             .with_storage(dir)
             .with_sync_policy(SyncPolicy::EveryRecord),
     )
     .unwrap();
-    let c =
-        CoronaClient::connect(Box::new(net.dial_from("c", "server").unwrap()), "c", None).unwrap();
+    let conn = TcpDialer.dial(&server.local_addr()).unwrap();
+    let c = CoronaClient::connect(conn, "c", None).unwrap();
     if create {
         c.create_group(G, Persistence::Persistent, SharedState::new())
             .unwrap();

@@ -13,16 +13,6 @@ use std::time::{Duration, Instant};
 const G: GroupId = GroupId(1);
 const DOC: ObjectId = ObjectId(1);
 
-fn mem_server(net: &MemNetwork, config: ServerConfig) -> CoronaServer {
-    let listener = net.listen("server").unwrap();
-    CoronaServer::start(Box::new(listener), config).unwrap()
-}
-
-fn mem_connect(net: &MemNetwork, name: &str) -> CoronaClient {
-    let conn = net.dial_from(name, "server").unwrap();
-    CoronaClient::connect(Box::new(conn), name, None).unwrap()
-}
-
 /// A snapshot taken once `counter` has stopped moving: the dispatcher
 /// bumps its counters just *after* a client can observe the frame they
 /// count, so a metric window opened right after a reply would catch
@@ -58,8 +48,11 @@ fn moved_by(
 }
 
 fn tcp_server() -> (CoronaServer, Arc<Registry>, String) {
-    let server =
-        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    tcp_server_with(ServerConfig::stateful(ServerId::new(1)))
+}
+
+fn tcp_server_with(config: ServerConfig) -> (CoronaServer, Arc<Registry>, String) {
+    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
     let (registry, addr) = (server.metrics_registry(), server.local_addr());
     (server, registry, addr)
 }
@@ -98,27 +91,12 @@ fn expect_multicast(client: &CoronaClient, payload: &[u8]) {
 #[test]
 fn broadcast_to_fifty_subscribers_encodes_once() {
     const RECEIVERS: usize = 50;
-    let net = MemNetwork::new();
-    let server = mem_server(&net, ServerConfig::stateful(ServerId::new(1)));
-
-    let sender = mem_connect(&net, "sender");
-    sender
-        .create_group(G, Persistence::Transient, SharedState::new())
-        .unwrap();
-    sender
-        .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
-        .unwrap();
-    let receivers: Vec<CoronaClient> = (0..RECEIVERS)
-        .map(|i| {
-            let c = mem_connect(&net, &format!("r{i}"));
-            c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
-                .unwrap();
-            c
-        })
-        .collect();
+    let (server, registry, addr) = tcp_server();
+    let mut members = tcp_group(&addr, RECEIVERS + 1);
+    let sender = members.remove(0);
+    let receivers = members;
 
     // Only the broadcast traffic in the metric window below.
-    let registry = server.metrics_registry();
     let before = quiesced(&registry, "server.fanout.enqueues");
 
     let payload = vec![0xabu8; 512];
@@ -330,80 +308,60 @@ fn a_narrow_paced_broadcast_wakes_no_shard() {
 /// disconnected and reaped from the session maps: later broadcasts
 /// skip it, membership drops it, and the connection table shrinks.
 ///
-/// The laggard speaks the wire protocol over a raw connection — the
-/// facade client's reader thread would drain the server-side queue —
-/// and simply stops reading after its join completes.
+/// The laggard speaks the wire protocol over a bare socket and simply
+/// stops reading after its join completes.
 #[test]
 fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
+    use corona::types::frame::{read_frame, write_frame};
     use corona::types::wire::decode_traced;
     use corona::types::{ClientRequest, Encode, PROTOCOL_VERSION};
 
-    let net = MemNetwork::new();
-    // Capacity 1: a subscriber that never drains its queue overflows
-    // on the second frame.
-    let server = mem_server(
-        &net,
-        ServerConfig::stateful(ServerId::new(1)).with_send_queue_capacity(1),
-    );
+    // Capacity 1: once the socket buffers of a subscriber that never
+    // reads are full, its next frame overflows the queue.
+    let config = ServerConfig::stateful(ServerId::new(1)).with_send_queue_capacity(1);
+    let (server, registry, addr) = tcp_server_with(config);
+    let mut members = tcp_group(&addr, 2);
+    let (live, sender) = (members.pop().unwrap(), members.pop().unwrap());
 
-    let sender = mem_connect(&net, "sender");
-    let live = mem_connect(&net, "live");
-    sender
-        .create_group(G, Persistence::Transient, SharedState::new())
-        .unwrap();
-    for c in [&sender, &live] {
-        c.join(G, MemberRole::Principal, StateTransferPolicy::None, false)
-            .unwrap();
-    }
-
-    let raw = net.dial_from("dead", "server").unwrap();
-    raw.send(
-        ClientRequest::Hello {
-            version: PROTOCOL_VERSION,
-            display_name: "dead".into(),
-            resume: None,
-        }
-        .encode_to_bytes(),
-    )
-    .unwrap();
-    let dead_id = match decode_traced::<ServerEvent>(&raw.recv().unwrap())
-        .unwrap()
-        .0
-    {
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    let mut exchange = |request: ClientRequest| {
+        write_frame(&mut raw, &request.encode_to_bytes()).unwrap();
+        let reply = read_frame(&mut raw).unwrap().expect("server hung up");
+        decode_traced::<ServerEvent>(&reply).unwrap().0
+    };
+    let dead_id = match exchange(ClientRequest::Hello {
+        version: PROTOCOL_VERSION,
+        display_name: "dead".into(),
+        resume: None,
+    }) {
         ServerEvent::Welcome { client, .. } => client,
         other => panic!("expected welcome, got {other:?}"),
     };
-    raw.send(
-        ClientRequest::Join {
-            group: G,
-            role: MemberRole::Principal,
-            policy: StateTransferPolicy::None,
-            notify_membership: false,
-        }
-        .encode_to_bytes(),
-    )
-    .unwrap();
-    match decode_traced::<ServerEvent>(&raw.recv().unwrap())
-        .unwrap()
-        .0
-    {
-        ServerEvent::Joined { .. } => {}
-        other => panic!("expected joined, got {other:?}"),
-    }
+    let joined = exchange(ClientRequest::Join {
+        group: G,
+        role: MemberRole::Principal,
+        policy: StateTransferPolicy::None,
+        notify_membership: false,
+    });
+    assert!(matches!(joined, ServerEvent::Joined { .. }), "{joined:?}");
     // From here on the laggard never reads another frame.
     assert_eq!(server.stats().unwrap().open_conns, 3);
 
-    // First broadcast: fills the laggard's queue. Second broadcast:
-    // its transmit queue is full; a multicast is Data class — a gap
-    // would desync its mirror — so the server disconnects it instead
-    // of shedding. The live subscriber reads each frame before the
-    // next send, so its capacity-1 queue is empty at every enqueue:
-    // only the laggard can overflow.
-    for expect in [&b"one"[..], &b"two"[..]] {
+    // Broadcasts fill the laggard's socket, then its transmit queue;
+    // at the next one a multicast is Data class — a gap would desync
+    // its mirror — so the server disconnects it instead of shedding.
+    // The live subscriber reads each frame before the next send, so its
+    // capacity-1 queue is empty at every enqueue: only the laggard can
+    // overflow.
+    let payload = vec![0x5au8; 128 * 1024];
+    let mut sent = 0;
+    while registry.snapshot().counter("server.fanout.dead_conn") == 0 {
+        assert!(sent < 400, "laggard survived {sent} broadcasts");
         sender
-            .bcast_update(G, DOC, expect, DeliveryScope::SenderExclusive)
+            .bcast_update(G, DOC, payload.clone(), DeliveryScope::SenderExclusive)
             .unwrap();
-        expect_multicast(&live, expect);
+        expect_multicast(&live, &payload);
+        sent += 1;
     }
 
     // The dispatcher reaps in the same step as the failed enqueue, so
@@ -411,13 +369,7 @@ fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
     let stats = server.stats().unwrap();
     assert_eq!(stats.dead_conns, 1, "send failure must be counted");
     assert_eq!(stats.open_conns, 2, "dead connection must leave the map");
-    assert_eq!(
-        server
-            .metrics_registry()
-            .snapshot()
-            .counter("server.fanout.dead_conn"),
-        1
-    );
+    assert_eq!(registry.snapshot().counter("server.fanout.dead_conn"), 1);
     let members = sender.membership(G).unwrap();
     assert!(
         members.iter().all(|m| m.client != dead_id),
@@ -428,7 +380,6 @@ fn dead_subscriber_is_reaped_and_later_broadcasts_skip_it() {
     // enqueue exactly one frame — nothing is addressed to the corpse.
     // Let the counters quiesce first; the increment for a frame trails
     // the client's read by a beat.
-    let registry = server.metrics_registry();
     let before = quiesced(&registry, "server.fanout.enqueues");
     sender
         .bcast_update(G, DOC, &b"three"[..], DeliveryScope::SenderExclusive)

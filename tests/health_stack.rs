@@ -26,23 +26,13 @@ fn json_u64(json: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn health_snapshot_over_the_wire_and_stats_satellites() {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
     let server =
-        CoronaServer::start(Box::new(listener), ServerConfig::stateful(ServerId::new(1))).unwrap();
-
-    let alice = CoronaClient::connect(
-        Box::new(net.dial_from("alice", "server").unwrap()),
-        "alice",
-        None,
-    )
-    .unwrap();
-    let bob = CoronaClient::connect(
-        Box::new(net.dial_from("bob", "server").unwrap()),
-        "bob",
-        None,
-    )
-    .unwrap();
+        CoronaServer::bind("127.0.0.1:0", ServerConfig::stateful(ServerId::new(1))).unwrap();
+    let connect = |name: &str| {
+        let conn = TcpDialer.dial(&server.local_addr()).unwrap();
+        CoronaClient::connect(conn, name, None).unwrap()
+    };
+    let (alice, bob) = (connect("alice"), connect("bob"));
     alice
         .create_group(G, Persistence::Persistent, SharedState::new())
         .unwrap();
@@ -122,9 +112,7 @@ fn coordinator_kill_mid_broadcast_trips_stall_then_heals() {
     // stall threshold: with a fast timeout the surviving replica can
     // win and resume sequencing before the watchdog ever sees a 150 ms
     // quiet window, and the trip is a race.
-    let mut cluster = common::Cluster::start(MemNetwork::new(), 0, 30, 450, |config| {
-        config.with_watchdog(watchdog)
-    });
+    let mut cluster = common::Cluster::start(0, 30, 450, |config| config.with_watchdog(watchdog));
 
     // The writer sits on s2 — the replica that survives the fault and
     // whose health plane we watch.

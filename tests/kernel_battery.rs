@@ -1,15 +1,17 @@
 //! One battery for the one runtime kernel: the client-plane rules the
 //! kernel owns — Hello-first, malformed-frame handling, pre-Hello
 //! `GetHealth`, `Goodbye`, the bounded transmit queue, the frame size
-//! limit on what it sends, the `transport.*` traffic counts — checked by the same helper against both
-//! server types, each over a pull-mode listener (in-memory, read by the
-//! pump) and a push-mode one (`ReactorListener`).
+//! limit on what it sends, the `transport.*` traffic counts — checked by
+//! the same helper against both server types over loopback TCP. The
+//! rules about raw frames are driven from bare sockets.
 
 use corona::prelude::*;
-use corona::transport::{ReactorListener, TransportError};
-use corona::types::frame::MAX_FRAME_LEN;
+use corona::transport::ReactorListener;
+use corona::types::frame::{read_frame, write_frame, MAX_FRAME_LEN};
 use corona::types::wire::decode_traced;
 use corona::types::{ClientRequest, CoronaError, Encode, ErrorCode, PROTOCOL_VERSION};
+use std::io::ErrorKind;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,96 +25,95 @@ fn config(id: u64) -> ServerConfig {
     ServerConfig::stateful(ServerId::new(id)).with_send_queue_capacity(CAPACITY)
 }
 
-fn next_event(conn: &dyn Connection) -> ServerEvent {
-    let frame = conn.recv_timeout(WAIT).expect("server event");
+/// A bare socket to `addr` that gives up on a read after [`WAIT`].
+fn socket(addr: &str) -> TcpStream {
+    let socket = TcpStream::connect(addr).unwrap();
+    socket.set_read_timeout(Some(WAIT)).unwrap();
+    socket
+}
+
+fn send(mut socket: &TcpStream, request: &ClientRequest) {
+    write_frame(&mut socket, &request.encode_to_bytes()).unwrap();
+}
+
+fn next_event(mut socket: &TcpStream) -> ServerEvent {
+    let frame = read_frame(&mut socket).unwrap().expect("server event");
     decode_traced::<ServerEvent>(&frame).unwrap().0
 }
 
-fn hello(conn: &dyn Connection, name: &str) -> ClientId {
+fn hello(socket: &TcpStream, name: &str) -> ClientId {
     let hello = ClientRequest::Hello {
         version: PROTOCOL_VERSION,
         display_name: name.into(),
         resume: None,
     };
-    conn.send(hello.encode_to_bytes()).unwrap();
-    match next_event(conn) {
+    send(socket, &hello);
+    match next_event(socket) {
         ServerEvent::Welcome { client, .. } => client,
         other => panic!("expected welcome, got {other:?}"),
     }
 }
 
-fn assert_closed_by_server(conn: &dyn Connection, why: &str) {
+fn assert_closed_by_server(mut socket: &TcpStream, why: &str) {
     loop {
-        match conn.recv_timeout(WAIT) {
+        match read_frame(&mut socket) {
             // A replica's roster push may precede the close.
-            Ok(_) => continue,
-            Err(e) => return assert_eq!(e, TransportError::Closed, "{why}"),
+            Ok(Some(_)) => continue,
+            Ok(None) => return,
+            Err(e) => {
+                let waited = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+                return assert!(!waited, "{why}: still open after {WAIT:?}");
+            }
         }
     }
 }
 
-/// A member of `G` that never reads what the server sends it. Over TCP
-/// it must be a bare socket: the dial loop reads a dialled connection
-/// whether or not anyone calls `recv`, draining the server's queue
-/// into the connection's own 1024-frame inbound queue.
-fn laggard(dialer: &dyn Dialer, addr: &str, tcp: bool) -> Box<dyn std::any::Any> {
-    if tcp {
-        let mut member = RawMember::connect(addr, "laggard").unwrap();
-        member.join(G).unwrap();
-        return Box::new(member);
-    }
-    let conn = dialer.dial(addr).unwrap();
-    hello(&*conn, "laggard");
+/// A member of `G` that never reads what the server sends it once it
+/// has joined.
+fn laggard(addr: &str) -> TcpStream {
+    let laggard = socket(addr);
+    hello(&laggard, "laggard");
     let join = ClientRequest::Join {
         group: G,
         role: MemberRole::Principal,
         policy: StateTransferPolicy::None,
         notify_membership: false,
     };
-    conn.send(join.encode_to_bytes()).unwrap();
-    while !matches!(next_event(&*conn), ServerEvent::Joined { .. }) {}
-    Box::new(conn)
+    send(&laggard, &join);
+    while !matches!(next_event(&laggard), ServerEvent::Joined { .. }) {}
+    laggard
 }
 
-/// The battery. `metrics` reads the registry of the server at `addr`;
-/// `tcp` says whether `addr` is a socket address.
-fn kernel_battery(
-    dialer: &dyn Dialer,
-    addr: &str,
-    tcp: bool,
-    metrics: &dyn Fn() -> MetricsSnapshot,
-) {
-    let dial = || dialer.dial(addr).unwrap();
+/// The battery. `metrics` reads the registry of the server at `addr`.
+fn kernel_battery(addr: &str, metrics: &dyn Fn() -> MetricsSnapshot) {
+    let dial = || TcpDialer.dial(addr).unwrap();
 
     // First frame not `Hello`: closed.
-    let conn = dial();
-    let leave = ClientRequest::Leave { group: G };
-    conn.send(leave.encode_to_bytes()).unwrap();
-    assert_closed_by_server(&*conn, "first frame must be Hello");
+    let conn = socket(addr);
+    send(&conn, &ClientRequest::Leave { group: G });
+    assert_closed_by_server(&conn, "first frame must be Hello");
     assert_eq!(metrics().counter("server.decode_errors"), 0);
 
     // Malformed (well-framed, undecodable) frame: closed and counted.
-    let conn = dial();
-    conn.send(bytes::Bytes::from_static(b"\xff\xfe not a request"))
-        .unwrap();
-    assert_closed_by_server(&*conn, "malformed frame must close");
+    let conn = socket(addr);
+    write_frame(&mut &conn, b"\xff\xfe not a request").unwrap();
+    assert_closed_by_server(&conn, "malformed frame must close");
     assert_eq!(metrics().counter("server.decode_errors"), 1);
 
     // `GetHealth` is answered before `Hello`; the session then proceeds,
     // and `Goodbye` closes it.
-    let conn = dial();
-    conn.send(ClientRequest::GetHealth.encode_to_bytes())
-        .unwrap();
-    match next_event(&*conn) {
+    let conn = socket(addr);
+    send(&conn, &ClientRequest::GetHealth);
+    match next_event(&conn) {
         ServerEvent::Health { schema, json } => {
             assert_eq!(schema, corona::health::SCHEMA_VERSION);
             assert!(json.starts_with("{\"schema\":"), "health json: {json}");
         }
         other => panic!("expected health, got {other:?}"),
     }
-    hello(&*conn, "prober");
-    conn.send(ClientRequest::Goodbye.encode_to_bytes()).unwrap();
-    assert_closed_by_server(&*conn, "Goodbye must close");
+    hello(&conn, "prober");
+    send(&conn, &ClientRequest::Goodbye);
+    assert_closed_by_server(&conn, "Goodbye must close");
     // Inbound traffic is counted at the sink and summed over the
     // connections: one frame on each of the first two, three on this.
     assert_eq!(metrics().counter("transport.frames_in"), 5);
@@ -128,7 +129,7 @@ fn kernel_battery(
     sender
         .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
         .unwrap();
-    let _laggard = laggard(dialer, addr, tcp);
+    let _laggard = laggard(addr);
     let payload = vec![0x5au8; 128 * 1024];
     let mut sent = 0;
     while metrics().counter("server.fanout.dead_conn") == 0 {
@@ -235,36 +236,21 @@ fn kernel_battery(
 }
 
 #[test]
-fn single_server_over_mem() {
-    let net = MemNetwork::new();
-    let listener = net.listen("server").unwrap();
-    let server = CoronaServer::start(Box::new(listener), config(1)).unwrap();
-    let registry = server.metrics_registry();
-    kernel_battery(&net.dialer("battery"), "server", false, &|| {
-        registry.snapshot()
-    });
-    server.shutdown();
-}
-
-#[test]
 fn single_server_over_reactor() {
     let server = CoronaServer::bind("127.0.0.1:0", config(1)).unwrap();
     let registry = server.metrics_registry();
-    kernel_battery(&TcpDialer, &server.local_addr(), true, &|| {
-        registry.snapshot()
-    });
+    kernel_battery(&server.local_addr(), &|| registry.snapshot());
     server.shutdown();
 }
 
-/// Starts three replicas on the given listeners (client, peer) and
-/// runs the battery against the second one, a follower. The metrics
-/// are the cluster's: a reply can be refused at the coordinator.
-fn replicated_battery(
-    listeners: Vec<(Box<dyn Listener>, Box<dyn Listener>)>,
-    peer_dialer: impl Fn(u64) -> Arc<dyn Dialer>,
-    client_dialer: &dyn Dialer,
-    tcp: bool,
-) {
+/// Starts three replicas on reactor listeners and runs the battery
+/// against the second one, a follower. The metrics are the cluster's:
+/// a reply can be refused at the coordinator.
+#[test]
+fn replicated_server_over_reactor() {
+    let listen =
+        || -> Box<dyn Listener> { Box::new(ReactorListener::bind("127.0.0.1:0", 1).unwrap()) };
+    let listeners: Vec<_> = (1..=3).map(|_| (listen(), listen())).collect();
     let ids = (1..).map(ServerId::new);
     let peers: Vec<(ServerId, String)> = ids
         .clone()
@@ -283,10 +269,10 @@ fn replicated_battery(
             ..ReplicatedConfig::new(ServerId::new(id), peers.clone())
         }
         .with_client_addrs(client_addrs.clone());
-        servers.push(ReplicatedServer::start(client, peer, peer_dialer(id), cluster).unwrap());
+        servers.push(ReplicatedServer::start(client, peer, Arc::new(TcpDialer), cluster).unwrap());
     }
     let follower = &servers[1];
-    kernel_battery(client_dialer, &follower.client_addr(), tcp, &|| {
+    kernel_battery(&follower.client_addr(), &|| {
         let mut cluster = MetricsSnapshot::default();
         servers.iter().for_each(|s| cluster.merge(&s.metrics()));
         cluster
@@ -294,27 +280,4 @@ fn replicated_battery(
     for server in servers {
         server.shutdown();
     }
-}
-
-#[test]
-fn replicated_server_over_mem() {
-    let net = MemNetwork::new();
-    let listen = |name: String| -> Box<dyn Listener> { Box::new(net.listen(&name).unwrap()) };
-    let listeners = (1..=3)
-        .map(|i| (listen(format!("s{i}-client")), listen(format!("s{i}-peer"))))
-        .collect();
-    replicated_battery(
-        listeners,
-        |id| Arc::new(net.dialer(&format!("s{id}-node"))),
-        &net.dialer("battery"),
-        false,
-    );
-}
-
-#[test]
-fn replicated_server_over_reactor() {
-    let listen =
-        || -> Box<dyn Listener> { Box::new(ReactorListener::bind("127.0.0.1:0", 1).unwrap()) };
-    let listeners = (1..=3).map(|_| (listen(), listen())).collect();
-    replicated_battery(listeners, |_| Arc::new(TcpDialer), &TcpDialer, true);
 }

@@ -1,9 +1,9 @@
 //! Full-stack tests of the sharded reactor transport: the regular
 //! client library running end-to-end over real TCP against the
 //! listener [`CoronaServer::bind`] binds, the C5k smoke test — five
-//! thousand concurrent members on one server whose thread count is
-//! shards + 2 — and the same census on the dial side: no transport
-//! thread per dialled connection either.
+//! thousand concurrent clients on one server whose thread count is
+//! shards + 2 — and the same census on the dial side: no thread per
+//! dialled connection either, transport's or client's.
 
 mod common;
 
@@ -112,7 +112,7 @@ fn thread_names() -> Vec<String> {
         "full_stack_over_reactor_transport",
         "metrics_dump_runs_on_no_thread_of_its_own",
         "c5k_reactor_sustains_five_thousand_members",
-        "dialled_clients_cost_one_thread_each",
+        "dialled_clients_cost_no_thread",
         "replicated_thread_count_is_independent_of_member_count",
         "a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled",
     ];
@@ -126,12 +126,12 @@ fn thread_names() -> Vec<String> {
 
 /// The fault plane does not change who reads: a nemesis-wrapped
 /// reactor listener still pushes, and so does a wrapped dialled link —
-/// no `serve` accept thread, no reader per connection — so a chaos
-/// scenario "on reactor TCP" runs the production ingress path.
+/// no thread per connection — so a chaos scenario runs the production
+/// ingress path.
 #[test]
 fn a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled() {
     let _census = census_lock();
-    let cluster = common::Cluster::start(common::Tcp, 1, 30, 250, |c| c);
+    let cluster = common::Cluster::start(1, 30, 250, |c| c);
     // A member on a follower: its traffic crosses the wrapped peer mesh.
     let alice = cluster.client("alice", 2);
     alice
@@ -145,12 +145,12 @@ fn a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled() {
         .unwrap();
     let echo = alice.next_event_timeout(Duration::from_secs(10)).unwrap();
     assert!(matches!(echo, ServerEvent::Multicast { .. }), "{echo:?}");
-    let pulled = |name: &String| name.contains("-accept") || name.contains("-conn-");
-    let pulled: Vec<String> = thread_names()
+    let per_conn: Vec<String> = thread_names()
         .into_iter()
-        .filter(|name| name.starts_with("repl-") && pulled(name))
+        // The kernel keeps 15 bytes of a name: `repl-s1-dispatc`.
+        .filter(|name| name.starts_with("repl-") && !name.contains("-dispatc"))
         .collect();
-    assert!(pulled.is_empty(), "pulled through {pulled:?}");
+    assert!(per_conn.is_empty(), "threads of their own: {per_conn:?}");
     cluster.shutdown();
 }
 
@@ -203,15 +203,53 @@ fn fd_limit_allows(test: &str, members: usize) -> bool {
     }
 }
 
-/// C5k smoke test: 5000 concurrent members against a single reactor
+/// `count` clients of `addrs` (round robin), all joined to `G`, which
+/// the first creates. Every join must see one more member.
+fn population(addrs: &[String], count: usize) -> Vec<CoronaClient> {
+    let mut members: Vec<CoronaClient> = Vec::with_capacity(count);
+    for i in 0..count {
+        let m = tcp_connect(&addrs[i % addrs.len()], &format!("m{i}"));
+        if i == 0 {
+            m.create_group(G, Persistence::Transient, SharedState::new())
+                .unwrap();
+        }
+        let (seen, _) = m
+            .join(G, MemberRole::Principal, StateTransferPolicy::None, false)
+            .unwrap();
+        assert_eq!(seen.len(), i + 1, "member {i} saw wrong membership size");
+        members.push(m);
+    }
+    members
+}
+
+/// One broadcast of the first member reaches every member.
+fn broadcast_reaches_all(members: &[CoronaClient]) {
+    let payload = vec![0x42u8; 256];
+    members[0]
+        .bcast_update(G, DOC, payload.clone(), DeliveryScope::SenderInclusive)
+        .unwrap();
+    for m in members {
+        match m.next_event_timeout(Duration::from_secs(60)).unwrap() {
+            ServerEvent::Multicast { logged, .. } => {
+                assert_eq!(logged.update.payload.as_ref(), payload.as_slice());
+            }
+            other => panic!("expected multicast, got {other:?}"),
+        }
+    }
+}
+
+/// C5k smoke test: 5000 concurrent clients against a single reactor
 /// server in this process. Every member receives a broadcast, and the
-/// server's thread population is exactly the shard loops plus the
-/// dispatcher and the accept thread — nowhere near the O(2 × clients)
-/// a thread-per-connection transport would need.
+/// thread population is exactly the server's shard loops, dispatcher
+/// and accept thread plus the one dial loop every client rides —
+/// nowhere near the O(2 × clients) a thread-per-connection transport
+/// would need.
 #[test]
 fn c5k_reactor_sustains_five_thousand_members() {
     const MEMBERS: usize = 5000;
     const SHARDS: usize = 4;
+    /// The server's, and the dial loop.
+    const THREADS: usize = SHARDS + 2 + 1;
 
     if !fd_limit_allows("c5k_reactor_sustains_five_thousand_members", MEMBERS) {
         return;
@@ -224,48 +262,28 @@ fn c5k_reactor_sustains_five_thousand_members() {
         ServerConfig::stateful(ServerId::new(1)).with_reactor_shards(SHARDS),
     )
     .unwrap();
-    let addr = server.local_addr();
+    let members = population(&[server.local_addr()], MEMBERS);
 
-    let mut members: Vec<RawMember> = Vec::with_capacity(MEMBERS);
-    for i in 0..MEMBERS {
-        let mut m = RawMember::connect(&addr, &format!("m{i}")).unwrap();
-        m.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        if i == 0 {
-            m.create_group(G).unwrap();
-        }
-        let seen = m.join(G).unwrap();
-        assert_eq!(seen, i + 1, "member {i} saw wrong membership size");
-        members.push(m);
-    }
-
-    // Thread count is the shard loops + dispatcher + accept thread,
     // NOT a function of the 5000 connections: with thread-per-
     // connection this process would be past 10_000 threads here.
     let with_load = thread_count();
-    let server_threads = with_load.saturating_sub(baseline);
+    let threads = with_load.saturating_sub(baseline);
     assert!(
-        server_threads <= SHARDS + 2,
-        "server spawned {server_threads} threads for {MEMBERS} members \
-         (baseline {baseline}, loaded {with_load}) — expected {SHARDS} shards + 2"
+        threads <= THREADS,
+        "{MEMBERS} members and their server run {threads} threads \
+         (baseline {baseline}, loaded {with_load}) — expected at most {THREADS}"
     );
 
-    let payload = vec![0x42u8; 256];
-    members[0].broadcast(G, DOC, payload.clone()).unwrap();
-    for m in members.iter_mut() {
-        let got = m.await_multicast(G).unwrap();
-        assert_eq!(got.as_ref(), payload.as_slice());
-    }
-
+    broadcast_reaches_all(&members);
     drop(members);
     server.shutdown();
 }
 
 /// The dial side is as flat: every connection [`TcpDialer`] makes runs
-/// on the one shared dial loop, so a [`CoronaClient`] costs its own
-/// reader thread and nothing else — no transport thread per
-/// connection.
+/// on the one shared dial loop and pushes into its client's router, so
+/// a plain [`CoronaClient`] costs no thread at all.
 #[test]
-fn dialled_clients_cost_one_thread_each() {
+fn dialled_clients_cost_no_thread() {
     const CLIENTS: usize = 200;
     const SHARDS: usize = 1;
     /// The server as in the C5k census, plus the dial loop — which an
@@ -286,9 +304,9 @@ fn dialled_clients_cost_one_thread_each() {
 
     let threads = thread_count().saturating_sub(baseline);
     assert!(
-        threads <= CLIENTS + SHARED,
+        threads <= SHARED,
         "{CLIENTS} dialled clients and their server run {threads} threads \
-         — expected one per client + {SHARED}"
+         — expected {SHARED}"
     );
 
     for c in clients {
@@ -302,7 +320,8 @@ fn dialled_clients_cost_one_thread_each() {
 /// one-shard reactor listeners hold 5000 members (C5k) with a constant
 /// number of threads — event loops, accept threads, dispatchers — none
 /// per client, and none per peer link either: the links the servers
-/// dial each other on push their frames from the shared dial loop.
+/// dial each other on, like the clients' own, push their frames from
+/// the shared dial loop.
 #[test]
 fn replicated_thread_count_is_independent_of_member_count() {
     use corona::transport::ReactorListener;
@@ -313,10 +332,7 @@ fn replicated_thread_count_is_independent_of_member_count() {
     /// Per replica: a client and a peer listener, each one shard loop
     /// plus one accept thread; and the dispatcher.
     const PER_REPLICA: usize = 2 * (1 + 1) + 1;
-    /// A dialled link is attached to the kernel's sink: no reader
-    /// thread, no transport thread.
-    const DIALLED_READERS: usize = 0;
-    /// The process-wide dial loop those links share.
+    /// The process-wide dial loop the peer links and the clients share.
     const DIALER_LOOP: usize = 1;
 
     if !fd_limit_allows(
@@ -352,31 +368,16 @@ fn replicated_thread_count_is_independent_of_member_count() {
         })
         .collect();
 
-    let mut members: Vec<RawMember> = Vec::with_capacity(MEMBERS);
-    for i in 0..MEMBERS {
-        let addr = servers[i % REPLICAS].client_addr();
-        let mut m = RawMember::connect(&addr, &format!("m{i}")).unwrap();
-        m.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        if i == 0 {
-            m.create_group(G).unwrap();
-        }
-        m.join(G).unwrap();
-        members.push(m);
-    }
-
-    let payload = vec![0x42u8; 256];
-    members[0].broadcast(G, DOC, payload.clone()).unwrap();
-    for m in members.iter_mut() {
-        let got = m.await_multicast(G).unwrap();
-        assert_eq!(got.as_ref(), payload.as_slice());
-    }
+    let addrs: Vec<String> = servers.iter().map(|s| s.client_addr()).collect();
+    let members = population(&addrs, MEMBERS);
+    broadcast_reaches_all(&members);
 
     let with_load = thread_count();
-    let server_threads = with_load.saturating_sub(baseline);
-    let bound = REPLICAS * PER_REPLICA + DIALLED_READERS + DIALER_LOOP;
+    let threads = with_load.saturating_sub(baseline);
+    let bound = REPLICAS * PER_REPLICA + DIALER_LOOP;
     assert!(
-        server_threads <= bound,
-        "{REPLICAS} replicas spawned {server_threads} threads for {MEMBERS} members \
+        threads <= bound,
+        "{REPLICAS} replicas and their {MEMBERS} members run {threads} threads \
          (baseline {baseline}, loaded {with_load}) — expected at most {bound}"
     );
 
