@@ -1,11 +1,13 @@
-//! Server configuration.
+//! Server configuration, and a supervised client's reconnect policy.
 
 use crate::qos::QosPolicy;
 use corona_membership::{AllowAll, SessionPolicy};
+use corona_metrics::Registry;
 use corona_statelog::{ReductionPolicy, SyncPolicy};
 use corona_types::id::ServerId;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Whether the server maintains group shared state (the paper's
 /// stateful service) or acts as a pure sequencer (the stateless
@@ -171,6 +173,41 @@ impl std::fmt::Debug for ServerConfig {
             .field("send_queue_capacity", &self.send_queue_capacity)
             .field("reactor_shards", &self.reactor_shards)
             .finish_non_exhaustive()
+    }
+}
+
+/// Reconnect policy for a supervised client
+/// ([`CoronaClient::connect_failover`](crate::CoronaClient::connect_failover)).
+#[derive(Debug, Clone)]
+pub struct FailoverConfig {
+    /// First-round backoff; later rounds double it.
+    pub base_backoff: Duration,
+    /// Cap on the exponential component of the backoff.
+    pub max_backoff: Duration,
+    /// Consecutive reconnect rounds (each walks every candidate
+    /// address) before the driver gives up and the client reports
+    /// [`CoronaError::Disconnected`](corona_types::error::CoronaError::Disconnected).
+    pub max_rounds: u32,
+    /// Per-address dial (and handshake-step) timeout.
+    pub connect_timeout: Duration,
+    /// Seed for the deterministic backoff jitter, so tests (and
+    /// coordinated fleets) can fix or spread their retry phase.
+    pub jitter_seed: u64,
+    /// Metrics sink for `client.reconnects` / `client.backoff_ms`; a
+    /// private registry is used when absent.
+    pub registry: Option<Arc<Registry>>,
+}
+
+impl Default for FailoverConfig {
+    fn default() -> Self {
+        FailoverConfig {
+            base_backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_secs(2),
+            max_rounds: 10,
+            connect_timeout: Duration::from_secs(2),
+            jitter_seed: 0x5EED,
+            registry: None,
+        }
     }
 }
 

@@ -16,12 +16,15 @@
 //! * disk logging happens on a dedicated thread, off the multicast
 //!   critical path.
 //!
-//! The protocol logic lives in the I/O-free [`ServerCore`] state
-//! machine; [`server::CoronaServer`] wraps it in the runtime
-//! [`kernel`] (which the replicated service's servers run too). Time
-//! is an argument of that kernel, so the `corona-sim` crate steps the
-//! very same code, whole replicated clusters of it, under a
-//! discrete-event clock and checks it seed by seed.
+//! The protocol logic lives in two I/O-free state machines: the
+//! server's [`ServerCore`], which [`server::CoronaServer`] wraps in the
+//! runtime [`kernel`] (which the replicated service's servers run too),
+//! and the client's [`session::ClientSession`], which
+//! [`client::CoronaClient`] wraps in a lock, a condition variable and —
+//! when supervised — one driver thread. Time is an argument of both,
+//! so the `corona-sim` crate steps the very same code, whole replicated
+//! clusters of it and their clients, under a discrete-event clock and
+//! checks it seed by seed.
 //!
 //! ## Quickstart
 //!
@@ -66,6 +69,7 @@ pub mod kernel;
 pub mod mirror;
 pub mod qos;
 pub mod server;
+pub mod session;
 
 pub use client::{CoronaClient, FailoverConfig, LockResult, RosterView, SharedMirror};
 pub use config::{ServerConfig, Statefulness};

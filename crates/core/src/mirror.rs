@@ -13,6 +13,7 @@ use corona_types::message::{ServerEvent, StateTransfer};
 use corona_types::policy::StateTransferPolicy;
 use corona_types::state::{SharedState, StateUpdate};
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 /// Outcome of feeding one event to the mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +32,10 @@ pub enum ApplyOutcome {
         got: SeqNo,
     },
 }
+
+/// A mirror the application reads and a client session keeps current
+/// ([`CoronaClient::join_supervised`](crate::CoronaClient::join_supervised)).
+pub type SharedMirror = Arc<Mutex<GroupMirror>>;
 
 /// A client-side materialised view of a group's shared state.
 #[derive(Debug, Clone)]

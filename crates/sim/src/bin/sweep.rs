@@ -1,7 +1,8 @@
 //! `sweep <scenario|all> <first-seed> <count>`: runs each scenario of
 //! [`corona_sim::SCENARIOS`] under `count` consecutive seeds and prints
-//! the seeds per second and the first failing schedule. Exits 1 if an
-//! invariant broke; what a `hunt_*` scenario finds is printed only.
+//! each scenario's counts and wall time, the seeds per second and the
+//! first failing schedule. Exits 1 if an invariant broke; what a
+//! `hunt_*` scenario finds is printed only.
 
 use corona_sim::{run, scenario, Failure, SCENARIOS};
 use std::time::Instant;
@@ -28,6 +29,7 @@ fn main() {
     let mut broken = 0;
     for name in &names {
         let (mut failed, mut unmet, mut shown) = (0, 0, false);
+        let began = Instant::now();
         for seed in first..first + count {
             let scenario = scenario(name, seed).expect("listed scenario");
             let report = match run(&scenario, seed) {
@@ -45,7 +47,10 @@ fn main() {
                 println!("{name}: first finding: {report}");
             }
         }
-        println!("{name}: {count} seeds, {failed} failed, {unmet} with unmet expectations");
+        println!(
+            "{name}: {count} seeds, {failed} failed, {unmet} with unmet expectations, {:.1?}",
+            began.elapsed()
+        );
         broken += failed;
     }
     let seeds = count * names.len() as u64;

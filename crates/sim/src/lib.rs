@@ -6,12 +6,14 @@
 //! [`scenarios`]): whole clusters of the real, stepped
 //! `ReplicatedServer` — the kernel, the election, lease, fence and
 //! quarantine → merge logic that ships — over a virtual-time network
-//! wrapped by the real `Nemesis`, driven by scripted clients and a
-//! schedule of the chaos matrix's own `NemesisEvent`s, with every
-//! invariant checked after every event. A run is a pure function of its
-//! seed; `cargo run --release -p corona-sim --bin sweep -- all 1 1000`
-//! runs eight thousand of them in seconds. There is no model of the
-//! protocol here to drift from it.
+//! wrapped by the real `Nemesis`, with the real client protocol (one
+//! stepped `ClientSession` per client, supervised ones reconnecting by
+//! themselves), driven by a script of client commands and the chaos
+//! matrix's own `NemesisEvent`s, with every invariant checked after
+//! every event. A run is a pure function of its seed; `cargo run
+//! --release -p corona-sim --bin sweep -- all 1 1000` runs ten thousand
+//! of them in seconds. There is no model of either protocol here to
+//! drift from it.
 //!
 //! **The paper's evaluation** ([`paper`], [`hosts`]): the same
 //! servers — a stepped `CoronaServer`, or a replicated star of stepped

@@ -327,6 +327,11 @@ impl SimNet {
         self.inner.now.store(now, Ordering::Relaxed);
     }
 
+    /// What time the loop's owner last said it was.
+    pub fn now(&self) -> SimTime {
+        self.inner.now.load(Ordering::Relaxed)
+    }
+
     /// Everything that came due to be scheduled since the last call.
     pub fn take_outbox(&self) -> Vec<(SimTime, Delivery)> {
         std::mem::take(&mut *lock(&self.inner.outbox))

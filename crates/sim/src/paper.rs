@@ -22,20 +22,22 @@
 //! measuring client joins last, so that its server hands it each
 //! broadcast last.
 
-use crate::cluster::Wire;
 use crate::engine::{Scheduler, SimModel, SimTime, Simulation};
 use crate::hosts::{HostProfile, NetworkProfile};
-use crate::net::{Delivery, Host, SimNet};
+use crate::net::{lock, Delivery, Host, SimNet};
+use bytes::Bytes;
 use corona_core::{CoronaServer, ServerConfig};
 use corona_health::{CapacityModel, CapacityPoint};
 use corona_metrics::MetricsSnapshot;
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
+use corona_transport::{Connection, Dialer, FrameSink};
 use corona_types::id::{ClientId, GroupId, ObjectId, ServerId};
 use corona_types::message::{ClientRequest, ServerEvent, PROTOCOL_VERSION};
 use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
 use corona_types::state::{SharedState, StateUpdate};
 use corona_types::wire::decode_traced;
-use std::sync::Arc;
+use corona_types::wire::encode_traced;
+use std::sync::{Arc, Mutex};
 
 const G: GroupId = GroupId(1);
 
@@ -163,6 +165,47 @@ impl Server {
     }
 }
 
+/// A receiver's end: frames wait here until the lab reads them, right
+/// after the delivery that brought them.
+#[derive(Default)]
+struct Mailbox(Mutex<Vec<Bytes>>);
+
+impl FrameSink for Mailbox {
+    fn on_accept(&self, _conn_id: u64, _conn: Box<dyn Connection>) {}
+    fn on_frame(&self, _conn_id: u64, frame: Bytes) -> bool {
+        lock(&self.0).push(frame);
+        true
+    }
+    fn ready_for_more(&self) -> bool {
+        true
+    }
+    fn on_closed(&self, _conn_id: u64, _clean: bool) {}
+}
+
+/// A scripted client's connection: encoded requests out, a mailbox in.
+struct Wire {
+    conn: Box<dyn Connection>,
+    mailbox: Arc<Mailbox>,
+}
+
+impl Wire {
+    fn dial(dialer: &dyn Dialer, addr: &str) -> Wire {
+        let conn = dialer.dial(addr).expect("servers listen");
+        let mailbox = Arc::new(Mailbox::default());
+        conn.attach_sink(0, Arc::clone(&mailbox) as Arc<dyn FrameSink>);
+        Wire { conn, mailbox }
+    }
+
+    fn send(&self, request: &ClientRequest) {
+        let _ = self.conn.send(encode_traced(request, None));
+    }
+
+    /// What has arrived since the last call.
+    fn take(&self) -> Vec<Bytes> {
+        std::mem::take(&mut *lock(&self.mailbox.0))
+    }
+}
+
 #[derive(Default)]
 struct Client {
     wire: Option<Wire>,
@@ -276,7 +319,7 @@ impl Lab {
         // from the coordinator.
         let home = format!("s{}", (c + 1) % self.servers.len() + 1);
         let dialer = self.net.dialer(&format!("c{c}"));
-        let wire = Wire::dial(&dialer, &format!("{home}-client")).expect("servers listen");
+        let wire = Wire::dial(&dialer, &format!("{home}-client"));
         wire.send(&ClientRequest::Hello {
             version: PROTOCOL_VERSION,
             display_name: format!("c{c}"),
@@ -337,7 +380,7 @@ impl Lab {
         let Some(wire) = &self.clients[c].wire else {
             return;
         };
-        let (frames, _) = wire.take();
+        let frames = wire.take();
         // A receiver's copies of the measuring client's broadcasts are
         // nobody's business.
         let counts = self.window.is_some() || c == 0;

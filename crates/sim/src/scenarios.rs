@@ -10,13 +10,14 @@ use corona_transport::{FaultRng, LinkFaults, NemesisEvent};
 /// Every scenario [`scenario`] knows, in sweep order. The `hunt_*`
 /// ones chase losses ROADMAP records as known and unfixed: their
 /// end-of-run expectation is reported, not required.
-pub const SCENARIOS: [&str; 9] = [
+pub const SCENARIOS: [&str; 10] = [
     "partition_heal",
     "asymmetric",
     "blip",
     "storm",
     "fresh_host_reorder",
     "failover",
+    "client_failover",
     "fence_before_elect",
     "hunt_partition_mid_stream",
     "hunt_election_during_joins",
@@ -166,6 +167,20 @@ pub fn scenario(name: &str, seed: u64) -> Option<Scenario> {
             s.writes(1, 210, 10, 80);
             s.at(800, Action::Connect(0, 2));
             s.at(810, Action::Join(0));
+        }
+        // The same crash, with a client that fails over by itself: it
+        // connects with s1, s2, s3 as its seeds, and nothing in the
+        // script reconnects it. It walks the roster and the seeds with
+        // its seeded backoff until a survivor completes its resume.
+        "client_failover" => {
+            s.steps.push((1000, Action::ConnectFailover(0)));
+            s.steps.push((1001, Action::Connect(1, 2)));
+            s.steps.push((3000, Action::Create(0)));
+            s.steps.push((5000, Action::Join(0)));
+            s.steps.push((6000, Action::Join(1)));
+            s.writes(1, 20, 10, 17);
+            s.at(200, Action::Kill(1));
+            s.writes(1, 210, 10, 80);
         }
         // Five servers; the coordinator is cut off and the first
         // follower dies, so the winner is one that waited two base

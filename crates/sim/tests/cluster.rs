@@ -112,6 +112,30 @@ fn coordinator_crash_then_resume_with_updates_since_is_each_update_once_in_order
     );
 }
 
+/// The same crash with a client that fails over by itself: nothing in
+/// the script reconnects it after the kill, yet its session walks its
+/// candidates with its seeded backoff, resumes on a survivor, and is
+/// handed every update once, in order — as the writer saw them.
+#[test]
+fn a_supervised_session_resumes_on_a_survivor_with_no_scripted_connect() {
+    for seed in 1..=20 {
+        let script = scenario("client_failover", seed).unwrap().script;
+        let kill = script.iter().find(|(_, a)| matches!(a, Action::Kill(_)));
+        let kill = kill.expect("the coordinator dies").0;
+        let connects = |(at, a): &&(u64, Action)| *at > kill && matches!(a, Action::Connect(..));
+        assert_eq!(script.iter().filter(connects).count(), 0);
+
+        let outcome = ok("client_failover", seed);
+        assert_eq!(outcome.reconnects[0], 1, "seed {seed}: one resume");
+        let n = outcome.views[1].len() as u64;
+        assert!(n > 40, "the stream went on past the crash: {n}");
+        let handed: Vec<u64> = outcome.raw[0].iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(handed, (1..=n).collect::<Vec<_>>(), "seed {seed}");
+        assert_eq!(outcome.applied[0], handed, "seed {seed}");
+        assert_eq!(outcome.views[0], outcome.views[1], "seed {seed}");
+    }
+}
+
 #[test]
 fn a_run_is_a_pure_function_of_scenario_and_seed() {
     for name in SCENARIOS {

@@ -74,6 +74,23 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+impl From<TransportError> for corona_types::error::CoronaError {
+    fn from(e: TransportError) -> Self {
+        use corona_types::error::CoronaError;
+        match e {
+            TransportError::Closed => CoronaError::Disconnected,
+            TransportError::Timeout => CoronaError::Timeout {
+                operation: "transport",
+            },
+            TransportError::Full => CoronaError::Io(std::io::Error::new(
+                std::io::ErrorKind::WouldBlock,
+                "transmit queue full",
+            )),
+            TransportError::Io(msg) => CoronaError::Io(std::io::Error::other(msg)),
+        }
+    }
+}
+
 impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
         TransportError::Io(e.to_string())

@@ -329,6 +329,50 @@ wire! {
     }
 }
 
+impl ServerEvent {
+    /// Whether this event is the reply to `request`: an `Error` (which
+    /// names no request), or the reply of its kind that names the same
+    /// group — and lock object, and ping nonce.
+    pub fn answers(&self, request: &ClientRequest) -> bool {
+        use ClientRequest as Q;
+        use ServerEvent as E;
+        let lock = |group, object| match self {
+            E::LockGranted {
+                group: g,
+                object: o,
+            }
+            | E::LockDenied {
+                group: g,
+                object: o,
+                ..
+            }
+            | E::LockReleased {
+                group: g,
+                object: o,
+            } => (g, o) == (group, object),
+            _ => false,
+        };
+        match (request, self) {
+            (_, E::Error { .. }) | (Q::Hello { .. }, E::Welcome { .. }) => true,
+            (Q::GetHealth, E::Health { .. }) => true,
+            (Q::CreateGroup { group, .. }, E::GroupCreated { group: g })
+            | (Q::DeleteGroup { group }, E::GroupDeleted { group: g })
+            | (Q::Leave { group }, E::Left { group: g })
+            | (Q::GetMembership { group }, E::Membership { group: g, .. })
+            | (Q::ReduceLog { group, .. }, E::LogReduced { group: g, .. }) => group == g,
+            (Q::Join { group, .. }, E::Joined { transfer: t, .. })
+            | (Q::GetState { group, .. }, E::State { transfer: t }) => *group == t.group,
+            (
+                Q::AcquireLock { group, object, .. },
+                E::LockGranted { .. } | E::LockDenied { .. },
+            )
+            | (Q::ReleaseLock { group, object }, E::LockReleased { .. }) => lock(group, object),
+            (Q::Ping { nonce }, E::Pong { nonce: n, .. }) => nonce == n,
+            _ => false,
+        }
+    }
+}
+
 // Tags 5 and 12 are retired (a membership delta and a checkpoint
 // announcement that nothing ever sent); a decoder of an older peer
 // would misread them, so they must not be reused.
