@@ -1,12 +1,12 @@
 //! Capacity model: "how many clients can one replica sustain?"
 //!
-//! Fed by the simulator's population sweeps (`fig3_roundtrip`,
-//! `table2_replicated`): each sweep point contributes an observed
-//! (client count, p99 latency) pair, and the model reports the
-//! largest sustainable population whose p99 stays within the latency
-//! budget, interpolating linearly between the last passing and first
-//! breaching points. The rendered JSON is spooled into `BENCH_*.json`
-//! by `scripts/bench.sh` as a regression baseline.
+//! Fed by the simulator's population sweeps (`corona-sim`'s `paper`
+//! bin, its FIG3 and TAB2 runs): each sweep point contributes an
+//! observed (client count, p99 latency) pair, and the model reports
+//! the largest sustainable population whose p99 stays within the
+//! latency budget, interpolating linearly between the last passing and
+//! first breaching points. `paper --json` writes the rendered JSON into
+//! `BENCH_*.json` as a regression baseline.
 
 use std::fmt::Write;
 

@@ -30,6 +30,9 @@
 //! * Table 2: the replicated star beats the single server at 100–300
 //!   clients, with a widening gap.
 //!
+//! `cargo run --release -p corona-sim --bin paper` prints
+//! EXPERIMENTS.md's result blocks from these runs, byte for byte.
+//!
 //! ```
 //! use corona_sim::{roundtrip, ExperimentConfig};
 //!
@@ -60,7 +63,7 @@ pub use hosts::{
     ULTRASPARC_1,
 };
 pub use paper::{
-    capacity_sweep, p99_us, roundtrip, roundtrip_with_metrics, throughput, ExperimentConfig,
-    RoundTripResults, ThroughputResults,
+    p99_us, roundtrip, roundtrip_with_metrics, throughput, ExperimentConfig, RoundTripResults,
+    ThroughputResults,
 };
 pub use scenarios::{scenario, SCENARIOS};

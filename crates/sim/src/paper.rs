@@ -27,7 +27,6 @@ use crate::hosts::{HostProfile, NetworkProfile};
 use crate::net::{lock, Delivery, Host, SimNet};
 use bytes::Bytes;
 use corona_core::{CoronaServer, ServerConfig};
-use corona_health::{CapacityModel, CapacityPoint};
 use corona_metrics::MetricsSnapshot;
 use corona_replication::{ReplicatedConfig, ReplicatedServer};
 use corona_transport::{Connection, Dialer, FrameSink};
@@ -102,24 +101,13 @@ pub struct RoundTripResults {
     pub rtts_us: Vec<SimTime>,
     /// Mean in milliseconds (the paper's unit).
     pub mean_ms: f64,
-    /// Standard deviation in milliseconds.
-    pub stddev_ms: f64,
 }
 
 impl RoundTripResults {
     fn from_samples(rtts_us: Vec<SimTime>) -> Self {
         let n = rtts_us.len().max(1) as f64;
-        let mean = rtts_us.iter().sum::<u64>() as f64 / n / 1000.0;
-        let var = rtts_us
-            .iter()
-            .map(|&r| (r as f64 / 1000.0 - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        RoundTripResults {
-            rtts_us,
-            mean_ms: mean,
-            stddev_ms: var.sqrt(),
-        }
+        let mean_ms = rtts_us.iter().sum::<u64>() as f64 / n / 1000.0;
+        RoundTripResults { rtts_us, mean_ms }
     }
 }
 
@@ -521,28 +509,6 @@ pub fn p99_us(samples: &[SimTime]) -> u64 {
     sorted[idx.clamp(1, sorted.len()) - 1]
 }
 
-/// Sweeps the round-trip experiment over `populations` and fits a
-/// capacity model against `budget_us`: the estimated largest client
-/// population a server sustains with p99 round trip inside the budget.
-pub fn capacity_sweep(
-    base: ExperimentConfig,
-    budget_us: u64,
-    populations: &[usize],
-) -> CapacityModel {
-    let mut model = CapacityModel::new(budget_us);
-    for &n in populations {
-        let results = roundtrip(ExperimentConfig {
-            n_clients: n,
-            ..base
-        });
-        model.push(CapacityPoint {
-            clients: n as u64,
-            p99_us: p99_us(&results.rtts_us),
-        });
-    }
-    model
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,21 +545,5 @@ mod tests {
             let encodes = metrics.counter("server.fanout.encodes");
             assert_eq!(encodes, 10 * n_servers as u64);
         }
-    }
-
-    #[test]
-    fn capacity_sweep_produces_monotone_points() {
-        let base = ExperimentConfig {
-            messages: 10,
-            ..ExperimentConfig::default()
-        };
-        let model = capacity_sweep(base, 50_000, &[5, 15, 30]);
-        let points: Vec<(u64, u64)> = model
-            .points()
-            .iter()
-            .map(|p| (p.clients, p.p99_us))
-            .collect();
-        assert_eq!(points.iter().map(|p| p.0).collect::<Vec<_>>(), [5, 15, 30]);
-        assert!(points.windows(2).all(|w| w[0].1 <= w[1].1), "{points:?}");
     }
 }

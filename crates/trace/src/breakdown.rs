@@ -7,8 +7,8 @@
 //! round trip is last-minus-first. Per-trace the contributions sum to
 //! the round trip *exactly*; across many messages the per-hop p50s
 //! therefore sum close to the round-trip p50 whenever the stage mix
-//! is stable — which is the consistency check `fig3_roundtrip`'s
-//! `TRACE` line exposes.
+//! is stable — the consistency check the repo benchmark reports as
+//! `trace.hop_sum_share` (`crates/e2e-bench`, on real sockets).
 
 use crate::{Hop, SpanEvent, TraceId};
 use std::collections::BTreeMap;
@@ -106,8 +106,7 @@ impl Breakdown {
         self.hops.iter().map(|h| h.p50_us).sum()
     }
 
-    /// Renders the breakdown as one JSON object (the payload of the
-    /// benches' `TRACE {json}` lines).
+    /// Renders the breakdown as one JSON object.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"hops\":[");

@@ -1,7 +1,7 @@
 //! Smoke tests asserting that every experiment harness reproduces the
 //! paper's qualitative result (the EXPERIMENTS.md claims, enforced in
-//! CI). The full sweeps live in `corona-bench`; these runs are scaled
-//! down to keep the suite fast.
+//! CI). The full sweeps are `corona-sim`'s `paper` bin; these runs are
+//! scaled down to keep the suite fast.
 
 use corona::prelude::*;
 use corona::sim::{roundtrip, throughput, ExperimentConfig, PENTIUM_II_200, ULTRASPARC_1};
