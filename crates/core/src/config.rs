@@ -42,8 +42,9 @@ pub struct ServerConfig {
     /// QoS-adaptive delivery policy (§5.3 extension): load-shed
     /// expendable event classes to clients that cannot keep up.
     pub qos: QosPolicy,
-    /// If set, a background thread dumps the server's metric registry
-    /// as one JSON line to stderr at this interval.
+    /// If set, the dispatcher prints the server's metric registry as one
+    /// `corona-metrics <addr> {json}` line to stderr on its first tick
+    /// after each interval; no thread of its own does it.
     pub metrics_dump_interval: Option<std::time::Duration>,
     /// Per-connection transmit-queue bound (frames). A send that would
     /// exceed it fails with an explicit `Full` instead of buffering

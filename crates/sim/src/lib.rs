@@ -8,12 +8,13 @@
 //! quarantine → merge logic that ships — over a virtual-time network
 //! wrapped by the real `Nemesis`, with the real client protocol (one
 //! stepped `ClientSession` per client, supervised ones reconnecting by
-//! themselves), driven by a script of client commands and the chaos
-//! matrix's own `NemesisEvent`s, with every invariant checked after
+//! themselves), driven by a script of client commands and the fault
+//! plane's own `NemesisEvent`s, with every invariant checked after
 //! every event. A run is a pure function of its seed; `cargo run
-//! --release -p corona-sim --bin sweep -- all 1 1000` runs ten thousand
-//! of them in seconds. There is no model of either protocol here to
-//! drift from it.
+//! --release -p corona-sim --bin sweep -- all 1 1000` runs eleven
+//! thousand of them in about half a minute. There is no model of either
+//! protocol here to drift from it. The same servers on real sockets are
+//! one [`loopback`] cluster, which the workspace's TCP tests share.
 //!
 //! **The paper's evaluation** ([`paper`], [`hosts`]): the same
 //! servers — a stepped `CoronaServer`, or a replicated star of stepped
@@ -52,6 +53,7 @@
 pub mod cluster;
 pub mod engine;
 pub mod hosts;
+pub mod loopback;
 pub mod net;
 pub mod paper;
 pub mod scenarios;

@@ -6,9 +6,10 @@
 //! expressed. Every fault is a [`NemesisEvent`]: partitions and
 //! one-direction blocks that heal, severed links, crashed nodes, and
 //! seeded per-link mixes of dropped, delayed, duplicated, and reordered
-//! frames. A whole chaos run is therefore one list of timed
-//! `NemesisEvent`s, and the same schedule drives a reactor-TCP cluster
-//! and — on its scheduler, at virtual times — a `corona-sim` cluster.
+//! frames. A whole fault run is therefore one list of timed
+//! `NemesisEvent`s: `corona-sim`'s scenarios apply theirs on its
+//! scheduler, at virtual times. Over real TCP a test applies events by
+//! hand; no schedule is replayed on sockets yet.
 //!
 //! Faults are decided by a [`FaultRng`] seeded at construction, so a
 //! chaos run is reproducible from its seed. Every injected fault is

@@ -51,23 +51,12 @@ for seed in 1 2 3; do
         supervised_clients_survive_server_kill -- --exact
 done
 
-echo "==> chaos matrix: partition/heal/flap/storm under fixed chaos seeds"
-# Partition-heal, divergent-suffix heal reconciliation, flapping links,
-# duplicate/reorder storms over reactor TCP, with every fault a nemesis
-# event (the asymmetric partition is the sweep's `asymmetric` scenario
-# below: an accepted socket cannot be blocked one way). The seed feeds
-# the nemesis fault generator; the assertions are seed-independent
-# invariants (quorum fencing, epoch fencing, gap- and duplicate-free
-# client streams).
-for seed in 1 2 3; do
-    echo "    -- CORONA_CHAOS_SEED=$seed"
-    CORONA_CHAOS_SEED=$seed cargo test -q --offline --test chaos_matrix
-done
-
 echo "==> sweep: the replication kernel itself under the DES clock, 1000 seeds a scenario"
 # The real ReplicatedServers, stepped, over a virtual-time network
 # wrapped by the real Nemesis (crates/sim/src/cluster.rs): every
-# scenario of corona_sim::SCENARIOS under seeds 1..=1000, every
+# scenario of corona_sim::SCENARIOS (partitions and heals, a flapping
+# coordinator, duplicate/reorder storms, crashes, client failover) under
+# seeds 1..=1000, every
 # invariant checked after every event. Prints the seeds per second and
 # the first failing schedule; the hunt_* scenarios report what they
 # find of the known, unfixed losses (ROADMAP) without failing. The
