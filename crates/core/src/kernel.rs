@@ -35,7 +35,21 @@
 //! bounded transmit queue ([`Connection::queue_frame`] never blocks
 //! and wakes nobody). One enqueuing thread means per-connection FIFO by
 //! construction; a full queue is shed or disconnected at the enqueue
-//! site, so a slow client can never OOM the server.
+//! site, so a slow client can never OOM the server. A frame costs one
+//! buffer: its [`encoded_len`](corona_types::wire::Encode::encoded_len)
+//! sizes it exactly, and a reply no frame can carry is refused from
+//! that length, before anything is encoded. A replica's peer plane
+//! does the same for a `Sequenced`: encoded once, queued on every
+//! follower link that hosts its group.
+//!
+//! **A decoded byte string is a slice of its received frame.** The
+//! client frames and the peer frames the kernel hands on are decoded
+//! [over the frame](corona_types::wire::Reader::over_frame): a
+//! broadcast's payload is never copied out, and what keeps it — a
+//! state log, a standby copy — keeps its frame alive with it. That
+//! costs no more than the payload: the transport hands over one
+//! exact-size copy per inbound frame (the reactor copies each frame
+//! out of its read buffer), so a frame holds nothing but itself.
 //!
 //! Output is **corked per batch**: a connection is marked dirty by the
 //! first frame a batch of commands queues on it, and the dirty set is
@@ -60,7 +74,7 @@ use corona_types::frame::Frame;
 use corona_types::id::{ClientId, GroupId};
 use corona_types::message::{ClientRequest, ServerEvent};
 use corona_types::state::Timestamp;
-use corona_types::wire::{decode_traced, encode_traced, Encode, TraceToken};
+use corona_types::wire::{decode_traced_frame, encode_frame, TraceToken};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -109,8 +123,10 @@ pub trait Protocol: Send + 'static {
     /// Periodic work.
     fn tick(&mut self, _io: &mut Io) {}
 
-    /// A frame arrived on peer connection `conn_id`.
-    fn peer_frame(&mut self, _conn_id: u64, _frame: &[u8], _io: &mut Io) {}
+    /// A frame body arrived on peer connection `conn_id` — the
+    /// refcounted buffer the transport handed over, so that what is
+    /// decoded from it can share it.
+    fn peer_frame(&mut self, _conn_id: u64, _frame: &Bytes, _io: &mut Io) {}
 
     /// Peer connection `conn_id` closed and left the table.
     fn peer_closed(&mut self, _conn_id: u64, _io: &mut Io) {}
@@ -290,7 +306,7 @@ impl Io {
 
     fn send_on(&mut self, conn_id: u64, event: &ServerEvent) {
         let joined = matches!(event, ServerEvent::Joined { .. }).then(Instant::now);
-        let frame = match Frame::new(event.encode_to_bytes()) {
+        let frame = match encode_frame(event, None) {
             Ok(frame) => frame,
             Err(cause) => return self.refuse(conn_id, &cause),
         };
@@ -298,8 +314,22 @@ impl Io {
             self.join_transfer_bytes.record(frame.body().len() as u64);
             self.join_frame_us.record_duration(started.elapsed());
         }
+        let body_len = frame.body().len();
         let accepted = self.enqueue(conn_id, frame, classify(event), None);
-        if let (true, ServerEvent::Multicast { group, logged }) = (accepted, event) {
+        self.note_enqueued(u64::from(accepted), body_len, event);
+    }
+
+    /// Accounts the copies of one frame a send accepted, once for all
+    /// of them: the `server.fanout.enqueues` and outbound transport
+    /// counters, and a multicast's delivery progress in its group's
+    /// health cell.
+    fn note_enqueued(&mut self, accepted: u64, body_len: usize, event: &ServerEvent) {
+        if accepted == 0 {
+            return;
+        }
+        self.enqueues.add(accepted);
+        self.transport_metrics.record_frames_out(accepted, body_len);
+        if let ServerEvent::Multicast { group, logged } = event {
             self.health.group(*group).note_delivered(logged.seq.raw());
         }
     }
@@ -328,7 +358,8 @@ impl Io {
     /// and framed ONCE: each transmit queue gets a clone of the
     /// refcounted body and its computed header. The step's trace token
     /// is the same for every recipient, so the traced frame is shared
-    /// too. `group` selects per-group shed accounting.
+    /// too. `group` selects per-group shed accounting. What the
+    /// recipients accepted is accounted once, not per recipient.
     pub fn multicast(
         &mut self,
         group: Option<GroupId>,
@@ -343,7 +374,7 @@ impl Io {
             let width = recipients.len() as u64;
             record(Hop::FanoutEnqueue, TraceId(t.id), 0, width);
         }
-        let frame = match Frame::new(encode_traced(event, self.trace)) {
+        let frame = match encode_frame(event, self.trace) {
             Ok(frame) => frame,
             Err(cause) => {
                 for to in recipients {
@@ -356,34 +387,27 @@ impl Io {
         };
         self.fanout_encodes.inc();
         let class = classify(event);
-        // The group's health cell is resolved once per broadcast (one
-        // registry lock), then shared lock-free by every enqueue.
-        let delivered = match event {
-            ServerEvent::Multicast { group, logged } => {
-                Some((self.health.group(*group), logged.seq.raw()))
-            }
-            _ => None,
-        };
-        let mut dispatched = 0u64;
+        let body_len = frame.body().len();
+        let (mut dispatched, mut accepted) = (0u64, 0u64);
         for to in recipients {
             let Some(&conn_id) = self.client_conn.get(to) else {
                 continue;
             };
             dispatched += 1;
-            let accepted = self.enqueue(conn_id, frame.clone(), class, group);
-            if let (true, Some((cell, seq))) = (accepted, &delivered) {
-                cell.note_delivered(*seq);
-            }
+            accepted += u64::from(self.enqueue(conn_id, frame.clone(), class, group));
         }
+        self.note_enqueued(accepted, body_len, event);
         if dispatched > 1 {
             self.fanout_bytes_saved
-                .add((dispatched - 1) * frame.body().len() as u64);
+                .add((dispatched - 1) * body_len as u64);
         }
     }
 
     /// The enqueue site every outbound client frame passes: applies the
     /// QoS shed-vs-disconnect policy against the live backlog and keeps
-    /// the `server.fanout.*` / health accounting. `true` if accepted.
+    /// the per-connection accounting (queue depths, sheds, reaps).
+    /// `true` if accepted: the caller accounts what was accepted
+    /// ([`Io::note_enqueued`]).
     fn enqueue(
         &mut self,
         conn_id: u64,
@@ -401,7 +425,6 @@ impl Io {
         self.fanout_queue_depth.record(backlog as u64);
         self.fanout_queue_hwm.set_max(backlog as i64);
         self.health.note_queue_depth(backlog as u64);
-        let body_len = frame.body().len();
         let sent = if self.qos.should_deliver(class, backlog) {
             state.conn.queue_frame(frame)
         } else {
@@ -412,8 +435,6 @@ impl Io {
                 if !std::mem::replace(&mut state.dirty, true) {
                     self.dirty.push((Plane::Client, conn_id));
                 }
-                self.enqueues.inc();
-                self.transport_metrics.record_frame_out(body_len);
                 return true;
             }
             // QoS said shed, or a bounded queue it did not relieve:
@@ -728,8 +749,8 @@ impl<P: Protocol> Dispatcher<P> {
         })
     }
 
-    fn client_frame(&mut self, conn_id: u64, frame: &[u8]) {
-        let Ok((request, trace)) = decode_traced::<ClientRequest>(frame) else {
+    fn client_frame(&mut self, conn_id: u64, frame: &Bytes) {
+        let Ok((request, trace)) = decode_traced_frame::<ClientRequest>(frame) else {
             // Malformed frame: drop the connection (it may be
             // version-skewed or hostile).
             self.io.decode_errors.inc();

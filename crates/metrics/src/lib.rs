@@ -184,15 +184,24 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of the same value `v`: what `n` calls of
+    /// [`Histogram::record`] would, in one update of each field.
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         // Count last: a concurrent snapshot that sees the new count
         // also sees the bucket (monotonicity is per-field anyway; the
         // proptest suite checks sum/count conservation on quiescent
         // histograms).
-        self.count.fetch_add(1, Ordering::Release);
+        self.count.fetch_add(n, Ordering::Release);
     }
 
     /// Records a duration in microseconds.

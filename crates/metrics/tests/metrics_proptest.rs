@@ -16,6 +16,19 @@ fn recorded(samples: &[u64]) -> HistogramSnapshot {
 }
 
 proptest! {
+    /// `record_n(v, n)` is `n` calls of `record(v)`, field for field.
+    #[test]
+    fn record_n_is_n_records(v in any::<u64>(), n in 0u64..64, before in vec(any::<u64>(), 0..8)) {
+        let h = Histogram::new();
+        for &b in &before {
+            h.record(b);
+        }
+        h.record_n(v, n);
+        let mut each = before.clone();
+        each.extend(std::iter::repeat_n(v, n as usize));
+        prop_assert_eq!(h.snapshot(), recorded(&each));
+    }
+
     /// Any quantile estimate stays within the recorded [min, max]
     /// range, and the estimates are monotone in q.
     #[test]

@@ -269,19 +269,18 @@ impl CoordinatorCore {
         match self.core.sequence_broadcast(sender, group, update, now) {
             Ok((logged, side_effects)) => {
                 let mut effects = self.route_effects(side_effects, None);
-                for server in self.hosting_servers(group) {
-                    effects.push(CoordEffect::ToServer {
-                        to: server,
-                        msg: PeerMessage::Sequenced {
-                            group,
-                            epoch: self.epoch,
-                            logged: logged.clone(),
-                            scope,
-                            origin,
-                            local_tag,
-                        },
-                    });
-                }
+                let hosting = self.hosting.get(&group).into_iter().flatten();
+                effects.extend(hosting.map(|&to| CoordEffect::ToServer {
+                    to,
+                    msg: PeerMessage::Sequenced {
+                        group,
+                        epoch: self.epoch,
+                        logged: logged.clone(),
+                        scope,
+                        origin,
+                        local_tag,
+                    },
+                }));
                 effects
             }
             Err((code, detail)) => {

@@ -99,6 +99,9 @@ pub struct ReplicaCore {
     pending: HashMap<u64, ClientRequest>,
     groups: BTreeMap<GroupId, LocalGroup>,
     clients: HashMap<ClientId, String>,
+    /// A recipient list handed back by the runtime once its fan-out
+    /// went out ([`ReplicaCore::recycle_recipients`]), for the next.
+    spare_recipients: Vec<ClientId>,
 }
 
 impl ReplicaCore {
@@ -111,7 +114,16 @@ impl ReplicaCore {
             pending: HashMap::new(),
             groups: BTreeMap::new(),
             clients: HashMap::new(),
+            spare_recipients: Vec::new(),
         }
+    }
+
+    /// Takes back the recipient list of a [`ReplicaEffect::ToClients`]
+    /// that has been carried out: the next local fan-out fills it
+    /// rather than allocating its own.
+    pub fn recycle_recipients(&mut self, mut recipients: Vec<ClientId>) {
+        recipients.clear();
+        self.spare_recipients = recipients;
     }
 
     /// This server's id.
@@ -571,15 +583,13 @@ impl ReplicaCore {
             // `GroupStateReply` repair below delivers the whole missed
             // window (this update included) in sequence order instead.
             if !needs_refresh && !duplicate {
-                let recipients: Vec<ClientId> = local
-                    .members
-                    .keys()
-                    .filter(|member| {
-                        !(scope == DeliveryScope::SenderExclusive && **member == logged.sender)
-                    })
-                    .copied()
-                    .collect();
-                if !recipients.is_empty() {
+                let mut recipients = std::mem::take(&mut self.spare_recipients);
+                recipients.extend(local.members.keys().filter(|member| {
+                    !(scope == DeliveryScope::SenderExclusive && **member == logged.sender)
+                }));
+                if recipients.is_empty() {
+                    self.spare_recipients = recipients;
+                } else {
                     effects.push(ReplicaEffect::ToClients {
                         recipients,
                         event: ServerEvent::Multicast { group, logged },

@@ -22,6 +22,13 @@
 //! whose iteration order reaches a wire is ordered, so a
 //! [`ReplicatedServer::stepped`] cluster replays from its inputs alone.
 //!
+//! The peer plane encodes once, like the client plane: the coordinator
+//! routes one `Sequenced` per hosting follower, and the frame of the
+//! first is queued on every follower link (`Replica::peer_frame_of`).
+//! A peer frame is decoded as slices of itself, so a payload that a
+//! standby log keeps keeps its received frame alive — one exact-size
+//! buffer per frame, as the kernel's module docs describe.
+//!
 //! Clients speak the *same* wire protocol as against a single server.
 //! A trace token is honoured on the local hops but not threaded through
 //! [`PeerMessage`]: replication hops record as infrastructure spans.
@@ -30,6 +37,7 @@ use crate::coordinator::{CoordEffect, CoordinatorCore};
 use crate::election::{ElectionCore, ElectionEffect};
 use crate::merge::{find_divergence, merge, MergeResolution, Side};
 use crate::replica::{ReplicaCore, ReplicaEffect};
+use bytes::Bytes;
 use corona_core::kernel::{Io, Kernel, Protocol};
 use corona_core::ServerConfig;
 use corona_health::{HealthRegistry, Watchdogs};
@@ -37,12 +45,12 @@ use corona_metrics::{Counter, Histogram, MetricsSnapshot, Registry};
 use corona_statelog::GroupLog;
 use corona_trace::{record, Hop, TraceId};
 use corona_transport::{Dialer, Listener};
-use corona_types::error::{CoronaError, ErrorCode, Result};
+use corona_types::error::{CodecError, CoronaError, ErrorCode, Result};
 use corona_types::frame::Frame;
 use corona_types::id::{ClientId, Epoch, GroupId, SeqNo, ServerId};
 use corona_types::message::{ClientRequest, PeerMessage, ServerEvent};
 use corona_types::state::Timestamp;
-use corona_types::wire::{Decode, Encode};
+use corona_types::wire::{encode_frame, Decode, Encode};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -349,6 +357,13 @@ struct Replica {
     /// Group logs quarantined at demotion, awaiting reconciliation
     /// against the live coordinator's authoritative copies.
     reconciling: BTreeMap<GroupId, GroupLog>,
+    /// [`Replica::drain`]'s work queue, kept between calls (empty) so
+    /// that a step allocates none.
+    work: VecDeque<Work>,
+    /// The last `Sequenced` sent to a follower, and its frame: the
+    /// coordinator sends the same message to every follower hosting the
+    /// group, one after another, and it is encoded and checksummed once.
+    sequenced: Option<(PeerMessage, Frame)>,
 }
 
 impl Protocol for Replica {
@@ -381,7 +396,7 @@ impl Protocol for Replica {
     }
 
     fn execute(&mut self, effects: Vec<ReplicaEffect>, io: &mut Io) {
-        self.drain(effects.into_iter().map(Work::Replica).collect(), io);
+        self.drain(effects.into_iter().map(Work::Replica), io);
     }
 
     fn refresh_health(&self, health: &HealthRegistry) {
@@ -400,7 +415,7 @@ impl Protocol for Replica {
 
     fn tick(&mut self, io: &mut Io) {
         let now = io.now_ms();
-        let mut work: VecDeque<Work> = self
+        let mut work: Vec<Work> = self
             .election
             .on_tick(now)
             .into_iter()
@@ -418,8 +433,8 @@ impl Protocol for Replica {
         self.drain(work, io);
     }
 
-    fn peer_frame(&mut self, conn_id: u64, frame: &[u8], io: &mut Io) {
-        let Ok(msg) = PeerMessage::decode_exact(frame) else {
+    fn peer_frame(&mut self, conn_id: u64, frame: &Bytes, io: &mut Io) {
+        let Ok(msg) = PeerMessage::decode_frame(frame) else {
             // Version-skewed or hostile: dropped, like a client's.
             self.metrics.peer_decode_errors.inc();
             io.close_peer(conn_id);
@@ -430,7 +445,7 @@ impl Protocol for Replica {
             self.peer_conns.insert(server, conn_id);
             return;
         }
-        self.drain(VecDeque::from([Work::Local(msg)]), io);
+        self.drain([Work::Local(msg)], io);
     }
 
     fn peer_closed(&mut self, conn_id: u64, io: &mut Io) {
@@ -445,7 +460,7 @@ impl Protocol for Replica {
             if self.election.is_coordinator() {
                 if let Some(coord) = &mut self.coordinator {
                     let effects = coord.server_crashed(server);
-                    self.drain(effects.into_iter().map(Work::Coord).collect(), io);
+                    self.drain(effects.into_iter().map(Work::Coord), io);
                 }
             }
             // A follower that lost its coordinator link relies on the
@@ -485,6 +500,8 @@ impl Replica {
             last_ack_ms: BTreeMap::new(),
             fenced: false,
             reconciling: BTreeMap::new(),
+            work: VecDeque::new(),
+            sequenced: None,
             config,
         };
         if replica.coordinator.is_some() {
@@ -495,7 +512,11 @@ impl Replica {
     }
 
     /// Processes work items iteratively, expanding effects in place.
-    fn drain(&mut self, mut queue: VecDeque<Work>, io: &mut Io) {
+    fn drain(&mut self, work: impl IntoIterator<Item = Work>, io: &mut Io) {
+        // Taken, so that a nested drain (a message to ourselves) runs
+        // on a queue of its own.
+        let mut queue = std::mem::take(&mut self.work);
+        queue.extend(work);
         let mut steps = 0u32;
         while let Some(item) = queue.pop_front() {
             steps += 1;
@@ -503,7 +524,8 @@ impl Replica {
                 // Defensive: a routing loop would otherwise spin the
                 // dispatcher forever.
                 eprintln!("corona-replication: work queue runaway, dropping remainder");
-                return;
+                queue.clear();
+                break;
             }
             match item {
                 Work::Local(msg) => self.handle_local_peer(msg, &mut queue, io),
@@ -512,6 +534,7 @@ impl Replica {
                 Work::Election(eff) => self.exec_election(eff, &mut queue, io),
             }
         }
+        self.work = queue;
     }
 
     fn handle_local_peer(&mut self, msg: PeerMessage, queue: &mut VecDeque<Work>, io: &mut Io) {
@@ -874,6 +897,7 @@ impl Replica {
                     _ => None,
                 };
                 io.multicast(group, &recipients, &event);
+                self.replica.recycle_recipients(recipients);
             }
             ReplicaEffect::ToCoordinator(msg) => {
                 if self.election.is_coordinator() {
@@ -980,7 +1004,7 @@ impl Replica {
     /// request (a `Joined` with a large group's state), the requester
     /// gets the refusal in its place.
     fn send_peer(&mut self, to: ServerId, msg: PeerMessage, io: &mut Io) {
-        let frame = match Frame::new(msg.encode_to_bytes()) {
+        let frame = match self.peer_frame_of(&msg) {
             Ok(frame) => frame,
             Err(cause) => {
                 let PeerMessage::RequestOutcome {
@@ -1018,7 +1042,7 @@ impl Replica {
         self.metrics.peer_sent.inc();
         if to == self.me {
             // Shouldn't normally happen; handle locally to be safe.
-            self.drain(VecDeque::from([Work::Local(msg)]), io);
+            self.drain([Work::Local(msg)], io);
             return;
         }
         let link = self.peer_conns.get(&to).copied();
@@ -1030,6 +1054,24 @@ impl Replica {
             io.close_peer(conn_id);
         }
         self.metrics.peer_send_failed.inc();
+    }
+
+    /// The frame that carries `msg` to a peer. A `Sequenced` reuses the
+    /// frame of the last one when it is the same message: the peer
+    /// plane encodes a broadcast once, however many followers host its
+    /// group, as the client plane does for its members.
+    fn peer_frame_of(&mut self, msg: &PeerMessage) -> std::result::Result<Frame, CodecError> {
+        if !matches!(msg, PeerMessage::Sequenced { .. }) {
+            return encode_frame(msg, None);
+        }
+        if let Some((last, frame)) = &self.sequenced {
+            if last == msg {
+                return Ok(frame.clone());
+            }
+        }
+        let frame = encode_frame(msg, None)?;
+        self.sequenced = Some((msg.clone(), frame.clone()));
+        Ok(frame)
     }
 
     /// Dials `to`, introduces this server, and hands the link to the
@@ -1094,5 +1136,56 @@ fn fenced_reject(msg: &PeerMessage) -> Option<(ServerId, PeerMessage)> {
             mutates.then(|| (*origin, unavailable(*origin, *local_tag, *client)))
         }
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corona_transport::TcpDialer;
+    use corona_types::id::ObjectId;
+    use corona_types::policy::DeliveryScope;
+    use corona_types::state::{LoggedUpdate, StateUpdate};
+
+    fn sequenced(seq: u64) -> PeerMessage {
+        PeerMessage::Sequenced {
+            group: GroupId::new(1),
+            epoch: Epoch::ZERO,
+            logged: LoggedUpdate {
+                seq: SeqNo::new(seq),
+                sender: ClientId::new(7),
+                timestamp: Timestamp::from_micros(5),
+                update: StateUpdate::incremental(ObjectId::new(1), vec![1u8; 256]),
+            },
+            scope: DeliveryScope::SenderInclusive,
+            origin: ServerId::new(2),
+            local_tag: seq,
+        }
+    }
+
+    #[test]
+    fn a_sequenced_is_framed_once_for_every_follower() {
+        let me = ServerId::new(1);
+        let config = ReplicatedConfig::new(me, vec![(me, "s1".to_string())]);
+        let mut replica = Replica::new(config, Arc::new(TcpDialer), Registry::new());
+        let body = |msg: &PeerMessage, replica: &mut Replica| {
+            replica.peer_frame_of(msg).unwrap().into_body()
+        };
+        let first = body(&sequenced(1), &mut replica);
+        assert_eq!(first, sequenced(1).encode_to_bytes());
+        let again = body(&sequenced(1), &mut replica);
+        assert_eq!(first.as_ptr(), again.as_ptr(), "the same frame, shared");
+        let next = body(&sequenced(2), &mut replica);
+        assert_eq!(next, sequenced(2).encode_to_bytes());
+        assert_ne!(next.as_ptr(), first.as_ptr());
+        // Any other message is encoded for its one send.
+        let heartbeat = PeerMessage::Heartbeat {
+            from: me,
+            epoch: Epoch::ZERO,
+        };
+        let a = body(&heartbeat, &mut replica);
+        let b = body(&heartbeat, &mut replica);
+        assert_eq!(a, b);
+        assert_ne!(a.as_ptr(), b.as_ptr());
     }
 }

@@ -333,8 +333,10 @@ impl SimNet {
     }
 
     /// Everything that came due to be scheduled since the last call.
+    /// The outbox keeps its capacity: a server queueing a frame
+    /// allocates nothing here.
     pub fn take_outbox(&self) -> Vec<(SimTime, Delivery)> {
-        std::mem::take(&mut *lock(&self.inner.outbox))
+        lock(&self.inner.outbox).drain(..).collect()
     }
 
     /// Sets the extra latency of frames between `a` and `b`, both ways.

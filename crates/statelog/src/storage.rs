@@ -168,10 +168,11 @@ impl StableStore {
             sync: self.sync,
             unsynced: 0,
             metrics: self.metrics.clone(),
+            record: BytesMut::new(),
         };
         let mut body = BytesMut::new();
         encode_created_record(persistence, initial, &mut body);
-        store.append_record(&body)?;
+        write_frame(&mut store.writer, &body)?;
         store.flush_and_maybe_sync(true)?;
         Ok(store)
     }
@@ -327,6 +328,7 @@ impl StableStore {
             sync: self.sync,
             unsynced: 0,
             metrics: self.metrics.clone(),
+            record: BytesMut::new(),
         };
         if let Some(m) = &self.metrics {
             m.replay_us.record_duration(replay_started.elapsed());
@@ -435,6 +437,10 @@ pub struct GroupStore {
     sync: SyncPolicy,
     unsynced: u32,
     metrics: Option<StorageMetrics>,
+    /// The record being appended, encoded here: kept between appends,
+    /// so that an append allocates nothing once it has held the
+    /// largest record so far.
+    record: BytesMut,
 }
 
 impl GroupStore {
@@ -445,10 +451,10 @@ impl GroupStore {
     /// Any I/O error from the underlying file.
     pub fn append_update(&mut self, update: &LoggedUpdate) -> io::Result<()> {
         let started = Instant::now();
-        let mut body = BytesMut::new();
-        encode_update_record(update, &mut body);
-        let bytes = body.len() as u64;
-        self.append_record(&body)?;
+        self.record.clear();
+        encode_update_record(update, &mut self.record);
+        let bytes = self.record.len() as u64;
+        write_frame(&mut self.writer, &self.record)?;
         self.flush_and_maybe_sync(false)?;
         if let Some(m) = &self.metrics {
             m.append_us.record_duration(started.elapsed());
@@ -462,10 +468,6 @@ impl GroupStore {
             bytes,
         );
         Ok(())
-    }
-
-    fn append_record(&mut self, body: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.writer, body)
     }
 
     fn flush_and_maybe_sync(&mut self, force_sync: bool) -> io::Result<()> {
@@ -536,9 +538,9 @@ impl GroupStore {
         {
             let mut f = BufWriter::new(File::create(&log_tmp)?);
             for u in suffix {
-                let mut body = BytesMut::new();
-                encode_update_record(u, &mut body);
-                write_frame(&mut f, &body)?;
+                self.record.clear();
+                encode_update_record(u, &mut self.record);
+                write_frame(&mut f, &self.record)?;
             }
             f.flush()?;
             f.get_ref().sync_all()?;

@@ -26,8 +26,11 @@
 //!
 //! Timestamps from [`now_us`] are *monotonic microseconds since the
 //! first use in this process* — comparable within a process (which is
-//! where span chains are assembled), not across machines. The
-//! simulator produces the same schema with virtual-clock timestamps.
+//! where span chains are assembled), not across machines. There is no
+//! virtual-clock variant: `corona-sim` steps the shipping servers and
+//! client sessions, which record through these same call sites, so a
+//! simulated run's spans carry this process clock too — they say where
+//! the host's time went, not where virtual time did.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -219,9 +222,9 @@ pub fn record(hop: Hop, trace: TraceId, dur_us: u64, arg: u64) {
     });
 }
 
-/// Records a span with an explicit timestamp (used by replay and
-/// by tests; the simulator builds its span vectors directly). Gated
-/// on [`enabled`] like [`record`].
+/// Records a span with an explicit timestamp (used by the client
+/// session, which stamps a frame with the time it read it, and by
+/// tests). Gated on [`enabled`] like [`record`].
 #[inline]
 pub fn record_at(event: SpanEvent) {
     if !enabled() {

@@ -322,10 +322,11 @@ impl TransportMetrics {
         self.frame_in_bytes.record(bytes as u64);
     }
 
-    /// Accounts one frame of `bytes` body bytes accepted for sending.
-    pub fn record_frame_out(&self, bytes: usize) {
-        self.frames_out.inc();
-        self.bytes_out.add(bytes as u64);
-        self.frame_out_bytes.record(bytes as u64);
+    /// Accounts `frames` copies of one frame of `bytes` body bytes
+    /// accepted for sending — a multicast's, in one update per metric.
+    pub fn record_frames_out(&self, frames: u64, bytes: usize) {
+        self.frames_out.add(frames);
+        self.bytes_out.add(frames * bytes as u64);
+        self.frame_out_bytes.record_n(bytes as u64, frames);
     }
 }

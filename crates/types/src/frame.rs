@@ -43,7 +43,7 @@ pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
 /// Refuses a body length over [`MAX_FRAME_LEN`] — on the way out, so
 /// an oversize body fails at its sender, and on the way in, before
 /// anything is allocated for it.
-fn check_len(len: u64) -> Result<usize, CodecError> {
+pub(crate) fn check_len(len: u64) -> Result<usize, CodecError> {
     if len > u64::from(MAX_FRAME_LEN) {
         return Err(CodecError::LengthOverflow {
             declared: len,

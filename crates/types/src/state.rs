@@ -17,7 +17,7 @@
 
 use crate::error::CodecError;
 use crate::id::{ClientId, ObjectId, SeqNo};
-use crate::wire::{wire, Decode, Encode, Reader, WriteExt};
+use crate::wire::{len_bytes_len, varint_len, wire, Decode, Encode, Reader, WriteExt};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -203,6 +203,10 @@ impl Encode for ObjectState {
         buf.put_len_bytes(&self.base);
         self.increments.encode(buf);
     }
+
+    fn encoded_len(&self) -> usize {
+        len_bytes_len(self.base.len()) + self.increments.encoded_len()
+    }
 }
 
 impl Decode for ObjectState {
@@ -338,6 +342,11 @@ impl Encode for SharedState {
             id.encode(buf);
             st.encode(buf);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let len = |(id, st): (&ObjectId, &ObjectState)| id.encoded_len() + st.encoded_len();
+        varint_len(self.objects.len() as u64) + self.objects.iter().map(len).sum::<usize>()
     }
 }
 

@@ -11,6 +11,7 @@
 //! allowing the full `u64` range.
 
 use crate::error::CodecError;
+use crate::frame::{check_len, Frame};
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Upper bound on any single declared length (bytes, string, or
@@ -23,19 +24,33 @@ pub trait Encode {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
+    /// The number of bytes [`Encode::encode`] appends, exactly: a
+    /// buffer of this capacity is filled without ever growing.
+    fn encoded_len(&self) -> usize;
+
     /// Encodes `self` into a fresh buffer.
     fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.to_vec()
+        self.encode_to_bytes().to_vec()
     }
 
-    /// Encodes `self` into owned [`Bytes`].
+    /// Encodes `self` into owned [`Bytes`], allocated once at its
+    /// exact size.
     fn encode_to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf.freeze()
     }
+}
+
+/// Bytes [`WriteExt::put_varint`] writes for `value`.
+pub(crate) const fn varint_len(value: u64) -> usize {
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
+/// Bytes [`WriteExt::put_len_bytes`] writes for `len` bytes of data.
+pub(crate) const fn len_bytes_len(len: usize) -> usize {
+    varint_len(len as u64) + len
 }
 
 /// Deserialises a value from the Corona wire format.
@@ -57,14 +72,18 @@ pub trait Decode: Sized {
     /// [`CodecError::TrailingBytes`] if the buffer contains more than
     /// one value.
     fn decode_exact(input: &[u8]) -> Result<Self, CodecError> {
-        let mut reader = Reader::new(input);
-        let value = Self::decode(&mut reader)?;
-        if reader.remaining() != 0 {
-            return Err(CodecError::TrailingBytes {
-                remaining: reader.remaining(),
-            });
-        }
-        Ok(value)
+        Reader::new(input).read_exact()
+    }
+
+    /// [`Decode::decode_exact`] over a received frame body: every byte
+    /// string the value holds is a slice of `frame`, not a copy (see
+    /// [`Reader::over_frame`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Decode::decode_exact`].
+    fn decode_frame(frame: &Bytes) -> Result<Self, CodecError> {
+        Reader::over_frame(frame).read_exact()
     }
 }
 
@@ -73,12 +92,42 @@ pub trait Decode: Sized {
 pub struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
+    /// The buffer `input` is, when the reader was made over one: byte
+    /// strings are then read as slices of it.
+    frame: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader over `input`.
+    /// Creates a reader over `input`. Byte strings are copied out.
     pub fn new(input: &'a [u8]) -> Self {
-        Reader { input, pos: 0 }
+        Reader {
+            input,
+            pos: 0,
+            frame: None,
+        }
+    }
+
+    /// Creates a reader over a received frame body. A byte string read
+    /// from it is a [`Bytes::slice`] of `frame` — no allocation, no
+    /// copy — and so keeps the whole frame alive for as long as it is
+    /// held.
+    pub fn over_frame(frame: &'a Bytes) -> Self {
+        Reader {
+            input: frame,
+            pos: 0,
+            frame: Some(frame),
+        }
+    }
+
+    /// Reads one `T` that must end exactly where the input does.
+    fn read_exact<T: Decode>(mut self) -> Result<T, CodecError> {
+        let value = T::decode(&mut self)?;
+        if self.remaining() != 0 {
+            return Err(CodecError::TrailingBytes {
+                remaining: self.remaining(),
+            });
+        }
+        Ok(value)
     }
 
     /// Bytes not yet consumed.
@@ -167,10 +216,17 @@ impl<'a> Reader<'a> {
         Ok(declared as usize)
     }
 
-    /// Reads a length-prefixed byte string as owned [`Bytes`].
+    /// Reads a length-prefixed byte string as owned [`Bytes`]: a slice
+    /// of the frame for a reader [over one](Reader::over_frame), a copy
+    /// otherwise.
     pub fn read_bytes(&mut self) -> Result<Bytes, CodecError> {
         let len = self.read_len()?;
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+        let start = self.pos;
+        let data = self.take(len)?;
+        Ok(match self.frame {
+            Some(frame) => frame.slice(start..start + len),
+            None => Bytes::copy_from_slice(data),
+        })
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -251,10 +307,17 @@ pub struct TraceToken {
     pub origin_us: u64,
 }
 
+/// Bytes [`encode_traced`] writes for `value` and `token`.
+fn traced_len<T: Encode>(value: &T, token: Option<TraceToken>) -> usize {
+    let tail = token.map_or(0, |t| 1 + varint_len(t.id) + varint_len(t.origin_us));
+    value.encoded_len() + tail
+}
+
 /// Encodes a top-level message, optionally appending a trailing
-/// [`TraceToken`] (`TRACE_MARKER ∥ varint id ∥ varint origin_us`).
+/// [`TraceToken`] (`TRACE_MARKER ∥ varint id ∥ varint origin_us`),
+/// into one buffer allocated at its exact size.
 pub fn encode_traced<T: Encode>(value: &T, token: Option<TraceToken>) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(traced_len(value, token));
     value.encode(&mut buf);
     if let Some(t) = token {
         buf.put_u8(TRACE_MARKER);
@@ -262,6 +325,20 @@ pub fn encode_traced<T: Encode>(value: &T, token: Option<TraceToken>) -> Bytes {
         buf.put_varint(t.origin_us);
     }
     buf.freeze()
+}
+
+/// [`encode_traced`] straight into a [`Frame`]: the one way a server
+/// puts a message on a connection. A message over
+/// [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN) is
+/// refused from its [`Encode::encoded_len`], before anything is
+/// allocated or encoded for it.
+///
+/// # Errors
+///
+/// [`CodecError::LengthOverflow`] for a message no frame can carry.
+pub fn encode_frame<T: Encode>(value: &T, token: Option<TraceToken>) -> Result<Frame, CodecError> {
+    check_len(traced_len(value, token) as u64)?;
+    Frame::new(encode_traced(value, token))
 }
 
 /// Decodes a complete top-level message buffer that may carry a
@@ -273,7 +350,22 @@ pub fn encode_traced<T: Encode>(value: &T, token: Option<TraceToken>) -> Bytes {
 /// Message decode errors; [`CodecError::TrailingBytes`] if the tail is
 /// present but malformed or followed by further bytes.
 pub fn decode_traced<T: Decode>(input: &[u8]) -> Result<(T, Option<TraceToken>), CodecError> {
-    let mut reader = Reader::new(input);
+    read_traced(Reader::new(input))
+}
+
+/// [`decode_traced`] over a received frame body: every byte string
+/// the message holds is a slice of `frame` (see [`Reader::over_frame`]).
+///
+/// # Errors
+///
+/// As [`decode_traced`].
+pub fn decode_traced_frame<T: Decode>(
+    frame: &Bytes,
+) -> Result<(T, Option<TraceToken>), CodecError> {
+    read_traced(Reader::over_frame(frame))
+}
+
+fn read_traced<T: Decode>(mut reader: Reader<'_>) -> Result<(T, Option<TraceToken>), CodecError> {
     let value = T::decode(&mut reader)?;
     if reader.remaining() == 0 {
         return Ok((value, None));
@@ -298,6 +390,10 @@ macro_rules! impl_id_codec {
             impl Encode for $ty {
                 fn encode(&self, buf: &mut BytesMut) {
                     buf.put_varint(self.0);
+                }
+
+                fn encoded_len(&self) -> usize {
+                    varint_len(self.0)
                 }
             }
 
@@ -324,6 +420,10 @@ impl Encode for u16 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u16_le(*self);
     }
+
+    fn encoded_len(&self) -> usize {
+        2
+    }
 }
 
 impl Decode for u16 {
@@ -335,6 +435,10 @@ impl Decode for u16 {
 impl Encode for u64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_varint(*self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(*self)
     }
 }
 
@@ -348,6 +452,10 @@ impl Encode for bool {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_bool(*self);
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Decode for bool {
@@ -359,6 +467,10 @@ impl Decode for bool {
 impl Encode for Bytes {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_len_bytes(self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        len_bytes_len(self.len())
     }
 }
 
@@ -372,6 +484,10 @@ impl Encode for String {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_len_str(self);
     }
+
+    fn encoded_len(&self) -> usize {
+        len_bytes_len(self.len())
+    }
 }
 
 impl Decode for String {
@@ -384,6 +500,10 @@ impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
         self.1.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 
@@ -400,6 +520,10 @@ impl<T: Encode> Encode for Option<T> {
         if let Some(value) = self {
             value.encode(buf);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Encode::encoded_len)
     }
 }
 
@@ -420,6 +544,11 @@ impl<T: Encode> Encode for Vec<T> {
         for item in self {
             item.encode(buf);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let items: usize = self.iter().map(Encode::encoded_len).sum();
+        varint_len(self.len() as u64) + items
     }
 }
 
@@ -465,6 +594,13 @@ macro_rules! wire {
         $($(#[$meta:meta])* $field:ident: $ty:ty),* $(,)?
     }) => { $($crate::wire::Encode::encode($field, $buf);)* };
 
+    // The bytes `@put` writes.
+    (@len $value:ident) => { 0 };
+    (@len $value:ident ($ty:ty)) => { $crate::wire::Encode::encoded_len($value) };
+    (@len $value:ident {
+        $($(#[$meta:meta])* $field:ident: $ty:ty),* $(,)?
+    }) => { 0 $(+ $crate::wire::Encode::encoded_len($field))* };
+
     // Reads one variant's fields back, in declaration order.
     (@get $reader:ident $variant:ident) => { Self::$variant };
     (@get $reader:ident $variant:ident ($ty:ty)) => {
@@ -496,6 +632,14 @@ macro_rules! wire {
                     $($crate::wire::wire!(@pat $variant value $(($($tuple)*))? $({$($named)*})?) => {
                         ::bytes::BufMut::put_u8(buf, $tag);
                         $crate::wire::wire!(@put buf value $(($($tuple)*))? $({$($named)*})?);
+                    })*
+                }
+            }
+
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $($crate::wire::wire!(@pat $variant value $(($($tuple)*))? $({$($named)*})?) => {
+                        1 + $crate::wire::wire!(@len value $(($($tuple)*))? $({$($named)*})?)
                     })*
                 }
             }
@@ -534,6 +678,10 @@ macro_rules! wire {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $($crate::wire::Encode::encode(&self.$field, buf);)*
             }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::Encode::encoded_len(&self.$field))*
+            }
         }
 
         impl $crate::wire::Decode for $name {
@@ -550,7 +698,9 @@ pub(crate) use wire;
 
 /// The golden-bytes check behind every codec table in this crate: each
 /// row's value must encode to exactly its hex (spaces only group the
-/// digits for reading), and the hex must decode back to the value.
+/// digits for reading), its [`Encode::encoded_len`] must be the hex's
+/// byte length, and the hex must decode back to the value — copied
+/// out of a slice, and sliced out of a frame.
 #[cfg(test)]
 pub(crate) fn assert_golden<T>(rows: Vec<(T, &str)>)
 where
@@ -558,6 +708,11 @@ where
 {
     for (value, hex) in rows {
         let want = hex.replace(' ', "");
+        assert_eq!(
+            value.encoded_len() * 2,
+            want.len(),
+            "encoded_len of {value:?}"
+        );
         let got: String = value
             .encode_to_vec()
             .iter()
@@ -569,12 +724,15 @@ where
             .map(|i| u8::from_str_radix(&want[i..i + 2], 16).unwrap())
             .collect();
         assert_eq!(T::decode_exact(&bytes).unwrap(), value, "decoding {hex}");
+        let frame = Bytes::from(bytes);
+        assert_eq!(T::decode_frame(&frame).unwrap(), value, "decoding {hex}");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_FRAME_LEN;
     use crate::id::{GroupId, SeqNo};
 
     fn roundtrip_varint(v: u64) {
@@ -778,6 +936,79 @@ mod tests {
         assert_eq!(
             decode_traced::<u64>(&buf).unwrap_err(),
             CodecError::TrailingBytes { remaining: 1 }
+        );
+    }
+
+    #[test]
+    fn varint_len_matches_what_is_written() {
+        let mut v = 1u64;
+        for value in [0, 127, 128, 16383, 16384, u64::MAX]
+            .into_iter()
+            .chain(std::iter::from_fn(|| {
+                v = v.checked_mul(3)?;
+                Some(v)
+            }))
+        {
+            let mut buf = BytesMut::new();
+            buf.put_varint(value);
+            assert_eq!(varint_len(value), buf.len(), "{value}");
+        }
+    }
+
+    #[test]
+    fn byte_strings_read_over_a_frame_are_slices_of_it() {
+        let mut buf = BytesMut::new();
+        buf.put_len_bytes(b"first");
+        buf.put_len_bytes(b"second");
+        let frame = buf.freeze();
+        let mut r = Reader::over_frame(&frame);
+        let first = r.read_bytes().unwrap();
+        let second = r.read_bytes().unwrap();
+        assert_eq!((&first[..], &second[..]), (&b"first"[..], &b"second"[..]));
+        assert_eq!(first.as_ptr(), frame[1..].as_ptr());
+        assert_eq!(second.as_ptr(), frame[7..].as_ptr());
+        // Over a plain slice the same read copies.
+        let copied = Reader::new(&frame).read_bytes().unwrap();
+        assert_eq!(copied, first);
+        assert_ne!(copied.as_ptr(), first.as_ptr());
+    }
+
+    #[test]
+    fn traced_encoding_has_its_exact_length() {
+        let token = TraceToken {
+            id: u64::MAX,
+            origin_us: 300,
+        };
+        for token in [None, Some(token)] {
+            let value = vec![Bytes::from(vec![7u8; 300]); 3];
+            let traced = encode_traced(&value, token);
+            assert_eq!(traced.len(), traced_len(&value, token));
+            let frame = encode_frame(&value, token).unwrap();
+            assert_eq!(frame.body(), &traced);
+            let (back, tail) = decode_traced_frame::<Vec<Bytes>>(&traced).unwrap();
+            assert_eq!((back, tail), (value, token));
+        }
+    }
+
+    #[test]
+    fn an_oversize_message_is_refused_before_it_is_encoded() {
+        // Declares a length past the frame limit while holding almost
+        // nothing: refusing it must not encode (or allocate) it.
+        struct Huge;
+        impl Encode for Huge {
+            fn encode(&self, _: &mut BytesMut) {
+                unreachable!("refused from its length");
+            }
+            fn encoded_len(&self) -> usize {
+                MAX_FRAME_LEN as usize + 1
+            }
+        }
+        assert_eq!(
+            encode_frame(&Huge, None).unwrap_err(),
+            CodecError::LengthOverflow {
+                declared: u64::from(MAX_FRAME_LEN) + 1,
+                limit: u64::from(MAX_FRAME_LEN),
+            }
         );
     }
 

@@ -308,29 +308,34 @@ fn arb_peer_message() -> impl Strategy<Value = PeerMessage> {
     ]
 }
 
+/// Encodes `value` — to exactly its `encoded_len` — and decodes it
+/// back, both copied out of a slice and sliced out of a frame.
+fn roundtrips<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
+    let bytes = value.encode_to_bytes();
+    prop_assert_eq!(bytes.len(), value.encoded_len());
+    prop_assert_eq!(T::decode_exact(&bytes).unwrap(), value);
+    prop_assert_eq!(T::decode_frame(&bytes).unwrap(), value);
+}
+
 proptest! {
     #[test]
     fn client_requests_roundtrip(req in arb_client_request()) {
-        let bytes = req.encode_to_vec();
-        prop_assert_eq!(ClientRequest::decode_exact(&bytes).unwrap(), req);
+        roundtrips(req);
     }
 
     #[test]
     fn server_events_roundtrip(ev in arb_server_event()) {
-        let bytes = ev.encode_to_vec();
-        prop_assert_eq!(ServerEvent::decode_exact(&bytes).unwrap(), ev);
+        roundtrips(ev);
     }
 
     #[test]
     fn peer_messages_roundtrip(msg in arb_peer_message()) {
-        let bytes = msg.encode_to_vec();
-        prop_assert_eq!(PeerMessage::decode_exact(&bytes).unwrap(), msg);
+        roundtrips(msg);
     }
 
     #[test]
     fn shared_state_roundtrips(state in arb_shared_state()) {
-        let bytes = state.encode_to_vec();
-        prop_assert_eq!(SharedState::decode_exact(&bytes).unwrap(), state);
+        roundtrips(state);
     }
 
     #[test]
