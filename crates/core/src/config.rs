@@ -59,6 +59,10 @@ pub struct ServerConfig {
     pub watchdog: corona_health::WatchdogConfig,
     /// Number of reactor shard event loops behind the listener
     /// [`CoronaServer::bind`](crate::server::CoronaServer::bind) binds.
+    /// Defaults to the processors this process may run on: a shard
+    /// also turns the dispatcher for what it reads, and with more event
+    /// loops than processors the thread holding the dispatcher gets
+    /// preempted while the others wait for it.
     pub reactor_shards: usize,
 }
 
@@ -77,7 +81,7 @@ impl ServerConfig {
             send_queue_capacity: corona_transport::DEFAULT_SEND_CAPACITY,
             slo: corona_health::SloConfig::default(),
             watchdog: corona_health::WatchdogConfig::default(),
-            reactor_shards: 4,
+            reactor_shards: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 

@@ -9,8 +9,8 @@
 //! One runtime drives it, the [`kernel`](crate::kernel), under two
 //! clocks:
 //!
-//! * the wall clock, on the dispatcher thread of a [`crate::server`]
-//!   or of a replica (real transports), and
+//! * the wall clock, on whichever thread turns the dispatcher of a
+//!   [`crate::server`] or of a replica (real transports), and
 //! * the DES clock of `corona-sim`, which steps the same kernel —
 //!   inside each replica of a simulated cluster, where this core is the
 //!   coordinator's authoritative state — at virtual times.

@@ -14,20 +14,36 @@
 //!   link a replica dials ([`Connection::attach_sink`]): O(shards)
 //!   reactor event loops, none per connection. Per-connection frame
 //!   order is preserved, giving sender-FIFO;
-//! * **dispatcher thread** — owns the protocol and the connection
-//!   table; processing commands one at a time yields the per-group
-//!   total order. The transport threads hand it commands through one
-//!   [`Inbox`]: it swaps out whatever has queued up and works through
-//!   that batch. Watchdogs, the protocol's tick and the metrics dump
+//! * **the dispatcher** — owns the protocol and the connection table;
+//!   processing commands one at a time yields the per-group total
+//!   order. The transport threads hand it commands through one
+//!   [`Inbox`], waking nobody: whoever turns the dispatcher swaps out
+//!   whatever has queued up and works through that batch. The
+//!   dispatcher is one value behind one lock, not a thread: *one
+//!   dispatcher at a time*, on whichever thread holds the lock;
+//! * **who turns it** — the transport thread that queued the work. At
+//!   the end of its poll pass a reactor shard calls
+//!   [`FrameSink::on_drained`], and the kernel's sink takes the lock if
+//!   it is free and runs the batch on that thread — the sequencer is
+//!   run by the thread that read the request, with no hand-off between
+//!   them (flat combining). A shard that finds the lock taken leaves:
+//!   the holder looks at the queue again after unlocking, so nothing
+//!   pushed meanwhile waits. A shard's turn is bounded
+//!   ([`TRANSPORT_TURN_MAX`] commands); what is left goes to the
+//!   dispatcher thread;
+//! * **the dispatcher thread** — which [`Kernel::start`] spawns — is
+//!   woken only for such a hand-off, for [`Kernel::call`], for the tick
+//!   and for close. Watchdogs, the protocol's tick and the metrics dump
 //!   run off its park timeout — there is no timer thread.
 //!
 //! **Time is an argument.** The dispatcher's whole body is
 //! `Dispatcher::run_pending(now_ms)`: the protocol, the watchdogs and
-//! the tick cadence see no clock but that number ([`Io::now_ms`]). The
-//! dispatcher thread is a loop that reads the time since start, calls
-//! it, and parks; [`Kernel::stepped`] hands the same dispatcher to a
+//! the tick cadence see no clock but that number ([`Io::now_ms`]). A
+//! started kernel's turns read the time since it started;
+//! [`Kernel::stepped`] keeps the same dispatcher in the same slot for a
 //! caller that owns the loop — and the clock — itself, which is how
-//! `corona-sim` runs whole clusters under virtual time.
+//! `corona-sim` runs whole clusters under virtual time. Its sinks never
+//! turn the dispatcher, and it has no thread.
 //!
 //! A group broadcast is encoded *and framed* **once** into a shared
 //! [`Frame`]; the dispatcher pushes a clone of the handle — not the
@@ -56,8 +72,9 @@
 //! flushed once the batch is done (and after a tick that fires inside
 //! one) — so a connection costs one flush per batch however many
 //! frames the batch gave it. Up to [`FLUSH_INLINE_MAX`] dirty
-//! connections the dispatcher writes itself, waking no thread; a wider
-//! set goes to the transport's own threads, one wake-up each.
+//! connections the dispatcher writes itself, on whichever thread turns
+//! it, waking no thread; a wider set goes to the transport's own
+//! threads, one wake-up each.
 
 use crate::config::ServerConfig;
 use crate::lock;
@@ -76,7 +93,7 @@ use corona_types::message::{ClientRequest, ServerEvent};
 use corona_types::state::Timestamp;
 use corona_types::wire::{decode_traced_frame, encode_frame, TraceToken};
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,13 +162,20 @@ pub const SINK_QUEUE_HWM: usize = 8192;
 /// looked at inside a batch too: a batch can be [`SINK_QUEUE_HWM`] long.
 const TICK_CHECK_STRIDE: usize = 64;
 
+/// Commands a transport thread handles in one turn of the dispatcher
+/// before it hands the rest to the dispatcher thread: the shard that
+/// took the turn has sockets of its own to read, and a burst from one
+/// connection must not keep the others on its event loop waiting.
+pub const TRANSPORT_TURN_MAX: usize = 4 * TICK_CHECK_STRIDE;
+
 /// The widest dirty set the dispatcher flushes by itself. Writing a
 /// socket costs the dispatcher a few microseconds, waking a transport
-/// thread to do it costs tens: up to two connections per default
-/// reactor shard (the rule Redis keeps for its I/O threads) the writes
-/// are cheaper than the wake-ups they save; a wider fan-out is work
-/// worth spreading, and the dispatcher has the next batch to sequence.
-/// Not configurable: 4, 8 and 16 were compared on the repo benchmark.
+/// thread to do it costs tens: up to a handful of connections (the
+/// rule Redis keeps for its I/O threads: about two per event loop,
+/// fixed when four shards were the default) the writes are cheaper
+/// than the wake-ups they save; a wider fan-out is work worth
+/// spreading, and the dispatcher has the next batch to sequence. Not
+/// configurable: 4, 8 and 16 were compared on the repo benchmark.
 pub const FLUSH_INLINE_MAX: usize = 8;
 
 /// Dialled peer links are numbered from here, clear of listener ids.
@@ -175,10 +199,12 @@ enum Command<P> {
 }
 
 /// Adapts the [`FrameSink`] calls of one listener (or of the dialled
-/// peer links) onto the dispatcher command queue. A closed queue
-/// drops what it is offered: the kernel is shutting down.
+/// peer links) onto the dispatcher command queue, waking nobody: the
+/// transport thread turns the dispatcher itself once its pass is over
+/// ([`FrameSink::on_drained`]). A closed queue drops what it is
+/// offered: the kernel is shutting down.
 struct Sink<P> {
-    commands: Arc<Inbox<Command<P>>>,
+    shared: Arc<Shared<P>>,
     plane: Plane,
     transport_metrics: TransportMetrics,
     send_queue_capacity: usize,
@@ -192,7 +218,7 @@ impl<P: Protocol> FrameSink for Sink<P> {
             conn.set_send_capacity(self.send_queue_capacity);
         }
         let accepted = Command::Accepted(self.plane, conn_id, conn);
-        self.commands.push(accepted);
+        self.shared.commands.push_unwoken(accepted);
     }
 
     fn on_frame(&self, conn_id: u64, frame: Bytes) -> bool {
@@ -200,17 +226,23 @@ impl<P: Protocol> FrameSink for Sink<P> {
             self.transport_metrics.record_frame_in(frame.len());
         }
         let depth = self
+            .shared
             .commands
-            .push(Command::Frame(self.plane, conn_id, frame));
+            .push_unwoken(Command::Frame(self.plane, conn_id, frame));
         depth.is_none_or(|depth| depth < SINK_QUEUE_HWM)
     }
 
     fn ready_for_more(&self) -> bool {
-        self.commands.depth() < SINK_QUEUE_HWM / 2
+        self.shared.commands.depth() < SINK_QUEUE_HWM / 2
     }
 
     fn on_closed(&self, conn_id: u64, _clean: bool) {
-        self.commands.push(Command::Closed(self.plane, conn_id));
+        let closed = Command::Closed(self.plane, conn_id);
+        self.shared.commands.push_unwoken(closed);
+    }
+
+    fn on_drained(&self) {
+        self.shared.turn_inline();
     }
 }
 
@@ -585,9 +617,10 @@ fn health_snapshot<P: Protocol>(proto: &P, io: &Io) -> String {
 }
 
 /// The protocol, the I/O half and the command queue: all the
-/// dispatcher is, less a thread. Whoever calls
-/// [`Dispatcher::run_pending`] is the dispatcher — the thread
-/// [`Kernel::start`] spawns, or the owner of a [`Kernel::stepped`].
+/// dispatcher is, less a thread. Whoever holds it in [`Shared::slot`]
+/// and calls [`Dispatcher::run_pending`] is the dispatcher — a
+/// transport thread or the dispatcher thread of a [`Kernel::start`],
+/// or the owner of a [`Kernel::stepped`].
 struct Dispatcher<P> {
     proto: P,
     io: Io,
@@ -601,46 +634,49 @@ struct Dispatcher<P> {
 }
 
 impl<P: Protocol> Dispatcher<P> {
-    /// The dispatcher thread: reads the clock, takes a turn, and sleeps
-    /// once a turn finds nothing to do.
-    fn run(mut self) {
-        let started = Instant::now();
-        while self.open || !self.batch.is_empty() {
-            if !self.run_pending(started.elapsed().as_millis() as u64) {
-                let next_tick = started + Duration::from_millis(self.next_tick_ms);
-                self.commands.park(Some(next_tick));
-            }
-        }
-    }
-
     /// One turn at `now_ms`: the tick if it is due, then up to
     /// [`TICK_CHECK_STRIDE`] commands — of the batch in hand or, with
     /// none, of whatever has queued up since, swapped out without
     /// blocking — and, once a batch is done, the flush of what it
-    /// queued. `false` if there was nothing to handle: the next thing
-    /// to happen is a push, or `next_tick_ms`.
-    fn run_pending(&mut self, now_ms: u64) -> bool {
+    /// queued. Returns how many commands it handled; with none, the
+    /// next thing to happen is a push, or `next_tick_ms`.
+    fn run_pending(&mut self, now_ms: u64) -> usize {
         self.io.now_ms = now_ms;
         self.tick_if_due();
         if self.batch.is_empty() {
             self.open = self.commands.drain_into(&mut self.batch);
             self.io.queue_depth.set(self.batch.len() as i64);
             if self.batch.is_empty() {
-                return false;
+                return 0;
             }
             self.io.queue_batch.record(self.batch.len() as u64);
             self.batch.reverse();
         }
-        for _ in 0..TICK_CHECK_STRIDE {
+        let mut handled = 0;
+        while handled < TICK_CHECK_STRIDE {
             let Some(cmd) = self.batch.pop() else { break };
             self.handle(cmd);
+            handled += 1;
         }
         if self.batch.is_empty() {
             // What the batch queued leaves now, before the next one is
             // looked for — or slept for.
             self.io.flush();
         }
-        true
+        handled
+    }
+
+    /// Turns until nothing is left, or until `budget` commands are
+    /// handled; returns how many were.
+    fn run_until_idle(&mut self, now_ms: impl Fn() -> u64, budget: usize) -> usize {
+        let mut handled = 0;
+        while handled < budget {
+            match self.run_pending(now_ms()) {
+                0 => break,
+                n => handled += n,
+            }
+        }
+        handled
     }
 
     /// Once `next_tick_ms` has passed: polls the watchdogs, runs the
@@ -856,6 +892,94 @@ pub(crate) fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinH
         .expect("spawn server thread")
 }
 
+/// The dispatcher's one home, shared by the kernel handle, its sinks
+/// and its dispatcher thread. Whoever holds `slot` is the dispatcher.
+struct Shared<P> {
+    /// Emptied at shutdown, which closes every connection — and with
+    /// them the links back to here from the sinks they hold.
+    slot: Mutex<Option<Dispatcher<P>>>,
+    /// The dispatcher's command queue; closing it ends the dispatcher.
+    commands: Arc<Inbox<Command<P>>>,
+    /// What a started kernel's clock counts from. `None` on a stepped
+    /// kernel: its owner turns it, at the time it says it is.
+    started: Option<Instant>,
+    /// `server.dispatch.turns_inline` / `.turns_thread`: turns that
+    /// handled commands, taken by transport threads and by the
+    /// dispatcher thread; `.handoffs`: transport turns that reached
+    /// [`TRANSPORT_TURN_MAX`] and woke the dispatcher thread for the
+    /// rest.
+    turns_inline: Arc<Counter>,
+    turns_thread: Arc<Counter>,
+    handoffs: Arc<Counter>,
+}
+
+impl<P: Protocol> Shared<P> {
+    fn now_ms(started: Instant) -> u64 {
+        started.elapsed().as_millis() as u64
+    }
+
+    /// A transport thread's turn, at the end of its poll pass: runs the
+    /// dispatcher here if no other thread is, until nothing is queued
+    /// or [`TRANSPORT_TURN_MAX`] commands are handled — then wakes the
+    /// dispatcher thread for what is left. A push that finds the lock
+    /// taken leaves its command to the holder, so the holder looks at
+    /// the queue again once it has let go.
+    fn turn_inline(&self) {
+        let Some(started) = self.started else {
+            return;
+        };
+        let mut budget = TRANSPORT_TURN_MAX;
+        loop {
+            let mut slot = match self.slot.try_lock() {
+                Ok(slot) => slot,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            let Some(dispatcher) = slot.as_mut() else {
+                return;
+            };
+            let handled = dispatcher.run_until_idle(|| Self::now_ms(started), budget);
+            if handled > 0 {
+                self.turns_inline.inc();
+            }
+            budget = budget.saturating_sub(handled);
+            let unfinished = !dispatcher.batch.is_empty();
+            drop(slot);
+            if budget == 0 && (unfinished || self.commands.has_pending()) {
+                self.handoffs.inc();
+                self.commands.wake();
+                return;
+            }
+            if !self.commands.has_pending() {
+                return;
+            }
+        }
+    }
+
+    /// The dispatcher thread of a started kernel: takes a turn whenever
+    /// it is woken — by a call, a hand-off or close — or the tick is
+    /// due, and sleeps until one of them. Ends once the queue is closed
+    /// and drained.
+    fn run_thread(&self, started: Instant) {
+        loop {
+            let next_tick = {
+                let mut slot = lock(&self.slot);
+                let Some(dispatcher) = slot.as_mut() else {
+                    return;
+                };
+                if dispatcher.run_until_idle(|| Self::now_ms(started), usize::MAX) > 0 {
+                    self.turns_thread.inc();
+                }
+                if !dispatcher.open {
+                    return;
+                }
+                started + Duration::from_millis(dispatcher.next_tick_ms)
+            };
+            self.commands.park(Some(next_tick));
+        }
+    }
+}
+
 /// A kernel: the handle a server type wraps. Dropping it shuts the
 /// kernel down.
 pub struct Kernel<P> {
@@ -864,15 +988,13 @@ pub struct Kernel<P> {
     pub registry: Arc<Registry>,
     /// The live health registry (watchdog trips, per-group cells).
     pub health: Arc<HealthRegistry>,
-    /// The dispatcher's command queue; closing it ends the dispatcher.
-    commands: Arc<Inbox<Command<P>>>,
+    shared: Arc<Shared<P>>,
     listeners: Vec<Box<dyn Listener>>,
-    /// Joined in order at shutdown: the dispatcher, then whatever
+    /// A started kernel's dispatcher thread.
+    dispatcher_thread: Option<JoinHandle<()>>,
+    /// Joined at shutdown once the protocol is dropped: whatever
     /// [`Kernel::join_after`] added.
     threads: Vec<JoinHandle<()>>,
-    /// The dispatcher itself, if the caller owns the loop (boxed: the
-    /// handle of a started kernel should not carry its size).
-    stepped: Option<Box<Mutex<Dispatcher<P>>>>,
 }
 
 impl<P: Protocol> Kernel<P> {
@@ -894,16 +1016,27 @@ impl<P: Protocol> Kernel<P> {
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
     ) -> Result<Kernel<P>> {
-        let (mut kernel, dispatcher) =
-            Self::assemble(config, registry, proto, client_listener, peer_listener)?;
-        let dispatch = spawn(format!("{name}-dispatcher"), move || dispatcher.run());
-        kernel.threads.push(dispatch);
+        let started = Instant::now();
+        let mut kernel = Self::assemble(
+            config,
+            registry,
+            proto,
+            client_listener,
+            peer_listener,
+            Some(started),
+        )?;
+        let shared = Arc::clone(&kernel.shared);
+        let dispatch = spawn(format!("{name}-dispatcher"), move || {
+            shared.run_thread(started);
+        });
+        kernel.dispatcher_thread = Some(dispatch);
         Ok(kernel)
     }
 
-    /// [`Kernel::start`] without a thread: the same dispatcher, turned
-    /// by whoever calls [`Kernel::run_pending`] at whatever time that
-    /// caller says it is.
+    /// [`Kernel::start`] without a thread, and with sinks that never
+    /// turn the dispatcher: the same dispatcher, turned by whoever
+    /// calls [`Kernel::run_pending`] at whatever time that caller says
+    /// it is.
     ///
     /// # Errors
     ///
@@ -915,28 +1048,42 @@ impl<P: Protocol> Kernel<P> {
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
     ) -> Result<Kernel<P>> {
-        let (mut kernel, dispatcher) =
-            Self::assemble(config, registry, proto, client_listener, peer_listener)?;
-        kernel.stepped = Some(Box::new(Mutex::new(dispatcher)));
-        Ok(kernel)
+        Self::assemble(
+            config,
+            registry,
+            proto,
+            client_listener,
+            peer_listener,
+            None,
+        )
     }
 
-    /// What both constructors share: the handle and the dispatcher,
-    /// with every listener pushing into the dispatcher's queue.
+    /// What both constructors share: the handle, with the dispatcher in
+    /// its slot and every listener pushing into the dispatcher's queue.
+    /// `started`: when the clock of a started kernel began.
     fn assemble(
         config: &ServerConfig,
         registry: Arc<Registry>,
         proto: P,
         client_listener: Box<dyn Listener>,
         peer_listener: Option<Box<dyn Listener>>,
-    ) -> Result<(Kernel<P>, Dispatcher<P>)> {
+        started: Option<Instant>,
+    ) -> Result<Kernel<P>> {
         let health = HealthRegistry::new(config.slo);
         health.set_queue_capacity(config.send_queue_capacity as u64);
         let commands = Arc::new(Inbox::<Command<P>>::parked());
+        let shared = Arc::new(Shared {
+            slot: Mutex::new(None),
+            commands: Arc::clone(&commands),
+            started,
+            turns_inline: registry.counter("server.dispatch.turns_inline"),
+            turns_thread: registry.counter("server.dispatch.turns_thread"),
+            handoffs: registry.counter("server.dispatch.handoffs"),
+        });
         let transport_metrics = TransportMetrics::new(&registry);
         let sink = |plane| -> Arc<dyn FrameSink> {
             Arc::new(Sink {
-                commands: Arc::clone(&commands),
+                shared: Arc::clone(&shared),
                 plane,
                 transport_metrics: transport_metrics.clone(),
                 send_queue_capacity: config.send_queue_capacity,
@@ -986,24 +1133,24 @@ impl<P: Protocol> Kernel<P> {
         };
         let tick_every = proto.tick_every().unwrap_or(WATCHDOG_POLL);
         let tick_every_ms = (tick_every.as_millis() as u64).max(1);
-        let dispatcher = Dispatcher {
+        *lock(&shared.slot) = Some(Dispatcher {
             proto,
             io,
-            commands: Arc::clone(&commands),
+            commands,
             batch: Vec::new(),
             open: true,
             tick_every_ms,
             next_tick_ms: tick_every_ms,
-        };
+        });
         let planes = std::iter::once((client_listener, Plane::Client))
             .chain(peer_listener.map(|listener| (listener, Plane::Peer)));
         let mut kernel = Kernel {
             registry,
             health,
-            commands: Arc::clone(&commands),
+            shared: Arc::clone(&shared),
             listeners: Vec::new(),
+            dispatcher_thread: None,
             threads: Vec::new(),
-            stepped: None,
         };
         for (listener, plane) in planes {
             if !listener.attach_sink(sink(plane)) {
@@ -1014,7 +1161,7 @@ impl<P: Protocol> Kernel<P> {
             }
             kernel.listeners.push(listener);
         }
-        Ok((kernel, dispatcher))
+        Ok(kernel)
     }
 
     /// One turn of a [`Kernel::stepped`] dispatcher at `now_ms`,
@@ -1027,9 +1174,10 @@ impl<P: Protocol> Kernel<P> {
     /// # Panics
     ///
     /// Panics on a kernel that was [started](Kernel::start): its
-    /// dispatcher belongs to its thread.
+    /// transport threads and its dispatcher thread turn it, on their
+    /// own clock.
     pub fn run_pending(&self, now_ms: u64) -> bool {
-        self.dispatcher().run_pending(now_ms)
+        self.with_stepped(|dispatcher| dispatcher.run_pending(now_ms) > 0)
     }
 
     /// When a [`Kernel::stepped`] dispatcher's next tick is due.
@@ -1038,16 +1186,19 @@ impl<P: Protocol> Kernel<P> {
     ///
     /// As [`Kernel::run_pending`].
     pub fn next_tick_ms(&self) -> u64 {
-        self.dispatcher().next_tick_ms
+        self.with_stepped(|dispatcher| dispatcher.next_tick_ms)
     }
 
-    fn dispatcher(&self) -> MutexGuard<'_, Dispatcher<P>> {
-        lock(self.stepped.as_ref().expect("kernel is not stepped"))
+    /// Runs `f` on the dispatcher of a [`Kernel::stepped`].
+    fn with_stepped<R>(&self, f: impl FnOnce(&mut Dispatcher<P>) -> R) -> R {
+        assert!(self.shared.started.is_none(), "kernel is not stepped");
+        f(lock(&self.shared.slot).as_mut().expect("kernel is open"))
     }
 
     /// Runs `query` on the dispatcher, between two protocol steps, so
-    /// everything it reads is mutually consistent: as a command to the
-    /// dispatcher thread, or at once on a stepped kernel.
+    /// everything it reads is mutually consistent: as a command, which
+    /// wakes the dispatcher thread (the caller's thread never turns the
+    /// dispatcher), or at once on a stepped kernel.
     ///
     /// # Errors
     ///
@@ -1057,15 +1208,17 @@ impl<P: Protocol> Kernel<P> {
         &self,
         query: impl FnOnce(&mut P, &mut Io) -> R + Send + 'static,
     ) -> Result<R> {
-        if let Some(dispatcher) = &self.stepped {
-            let dispatcher = &mut *lock(dispatcher);
-            return Ok(query(&mut dispatcher.proto, &mut dispatcher.io));
+        if self.shared.started.is_none() {
+            return Ok(
+                self.with_stepped(|dispatcher| query(&mut dispatcher.proto, &mut dispatcher.io))
+            );
         }
         let (tx, rx) = mpsc::channel();
         let query = move |proto: &mut P, io: &mut Io| {
             let _ = tx.send(query(proto, io));
         };
-        self.commands
+        self.shared
+            .commands
             .push(Command::Call(Box::new(query)))
             .ok_or(CoronaError::Closed)?;
         rx.recv_timeout(Duration::from_secs(5))
@@ -1096,16 +1249,110 @@ impl<P> std::fmt::Debug for Kernel<P> {
     }
 }
 
-/// Orderly shutdown: stop accepting, close every connection (which
-/// drops the protocol), join every thread.
+/// Orderly shutdown: stop accepting, let the dispatcher drain what
+/// was queued, close every connection (which drops the protocol), join
+/// every thread.
 impl<P> Drop for Kernel<P> {
     fn drop(&mut self) {
         for listener in &self.listeners {
             listener.shutdown();
         }
-        self.commands.close();
+        self.shared.commands.close();
+        if let Some(thread) = self.dispatcher_thread.take() {
+            let _ = thread.join();
+        }
+        let dispatcher = lock(&self.shared.slot).take();
+        drop(dispatcher);
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corona_types::id::ServerId;
+    use std::sync::{Barrier, OnceLock};
+
+    /// A protocol with nothing to do: the commands under test are
+    /// frames that fail to decode, each counted as a decode error.
+    struct Idle;
+
+    impl Protocol for Idle {
+        type Effect = ();
+        fn client_hello(&mut self, _: String, _: Option<ClientId>) -> (ClientId, Vec<()>) {
+            (ClientId::new(1), Vec::new())
+        }
+        fn handle_request(&mut self, _: ClientId, _: ClientRequest, _: Timestamp) -> Vec<()> {
+            Vec::new()
+        }
+        fn client_disconnected(&mut self, _: ClientId) -> Vec<()> {
+            Vec::new()
+        }
+        fn execute(&mut self, _: Vec<()>, _: &mut Io) {}
+        fn refresh_health(&self, _: &HealthRegistry) {}
+    }
+
+    /// A listener that hands its sink to the test, which plays the
+    /// transport.
+    #[derive(Clone, Default)]
+    struct Handover(Arc<OnceLock<Arc<dyn FrameSink>>>);
+
+    impl Listener for Handover {
+        fn local_addr(&self) -> String {
+            "handover".into()
+        }
+        fn shutdown(&self) {}
+        fn attach_sink(&self, sink: Arc<dyn FrameSink>) -> bool {
+            self.0.set(sink).is_ok()
+        }
+    }
+
+    /// Transport threads push at once and end their passes at once, with
+    /// no dispatcher thread to fall back on: whichever takes the turn,
+    /// everything pushed before the last pass ended is handled by the
+    /// time it has — a push that found the dispatcher taken is picked up
+    /// by the thread that held it.
+    #[test]
+    fn no_push_is_left_waiting_once_every_pass_has_ended() {
+        const THREADS: usize = 4;
+        const ROUNDS: u64 = 20_000;
+        let config = ServerConfig::stateful(ServerId::new(1));
+        let registry = Registry::new();
+        let listener = Handover::default();
+        let started = Some(Instant::now());
+        let kernel = Kernel::assemble(
+            &config,
+            Arc::clone(&registry),
+            Idle,
+            Box::new(listener.clone()),
+            None,
+            started,
+        )
+        .unwrap();
+        let sink = listener.0.get().expect("attached");
+        let handled = registry.counter("server.decode_errors");
+        let lockstep = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for round in 1..=ROUNDS {
+                        lockstep.wait();
+                        sink.on_frame(1, Bytes::new());
+                        sink.on_drained();
+                        lockstep.wait();
+                        assert_eq!(handled.get(), round * THREADS as u64, "round {round}");
+                        lockstep.wait();
+                    }
+                });
+            }
+        });
+        let turns = registry.counter("server.dispatch.turns_inline").get();
+        assert!(
+            (ROUNDS..=ROUNDS * THREADS as u64).contains(&turns),
+            "{turns} turns"
+        );
+        drop(kernel);
     }
 }

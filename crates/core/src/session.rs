@@ -19,7 +19,7 @@ use corona_trace::Hop;
 use corona_types::error::{CoronaError, ErrorCode, Result};
 use corona_types::id::{ClientId, Epoch, GroupId, ServerId};
 use corona_types::message::{ClientRequest, ServerEvent, StateTransfer, PROTOCOL_VERSION};
-use corona_types::wire::{decode_traced, encode_traced, TraceToken};
+use corona_types::wire::{decode_traced_frame, encode_traced, TraceToken};
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -175,8 +175,10 @@ impl ClientSession {
     }
 
     /// A frame arrived on `link`. Returns [`wants_more`](Self::wants_more).
-    pub fn on_frame(&mut self, now_ms: u64, link: u64, frame: &[u8]) -> bool {
-        match decode_traced::<ServerEvent>(frame) {
+    /// The event is decoded over the frame: a payload it carries is a
+    /// slice of `frame`, not a copy.
+    pub fn on_frame(&mut self, now_ms: u64, link: u64, frame: &Bytes) -> bool {
+        match decode_traced_frame::<ServerEvent>(frame) {
             _ if self.link != Some(link) => {}
             Ok((event, token)) => {
                 if let Some(token) = token {

@@ -136,6 +136,22 @@ fn a_reply_answers_a_call_only_if_it_names_what_the_call_asked() {
     assert!(matches!(failed, Some(Err(CoronaError::Protocol { .. }))));
 }
 
+/// A delivered multicast's payload is a slice of the frame it came in,
+/// not a copy: the session decodes over the frame it is handed.
+#[test]
+fn a_delivered_payload_is_a_slice_of_its_frame() {
+    let mut session = up();
+    let frame = multicast(7).encode_to_bytes();
+    session.on_frame(0, 1, &frame);
+    let Some(E::Multicast { logged, .. }) = session.next_event() else {
+        panic!("no multicast delivered");
+    };
+    let payload = logged.update.payload;
+    assert_eq!(payload.as_ref(), b"7;");
+    let within = frame.as_ref().as_ptr_range();
+    assert!(within.contains(&payload.as_ptr()), "the payload was copied");
+}
+
 /// A plain session stops reading at the mark — unless it awaits a
 /// reply: then it reads on, drops the notices past the mark, and takes
 /// its reply.

@@ -16,7 +16,8 @@
 //! the quorum lease and write fence, and quarantine → merge
 //! reconciliation after a heal. It spawns no thread: ticks come from
 //! the dispatcher, and dialled peer links push their frames to the
-//! kernel from the transport's dial loop. What one dispatcher batch
+//! kernel from the transport's dial loop, which then turns the
+//! dispatcher for them. What one dispatcher batch
 //! sends a peer leaves in one flush — one `writev` on TCP. It reads no
 //! clock either: every timer runs on [`Io::now_ms`], and every table
 //! whose iteration order reaches a wire is ordered, so a
@@ -1081,6 +1082,10 @@ impl Replica {
     /// each attempt that, not the kernel's minutes of SYN retries, and
     /// a heartbeat round to the live peers slips by a period per dead
     /// one rather than past the failure detector's `base_timeout_ms`.
+    /// The dispatcher may be turned by a transport thread — a reactor
+    /// shard, or the dial loop every dialled link in the process shares
+    /// — so a dead peer can hold that thread, and the connections it
+    /// serves, for up to the same heartbeat period.
     fn connect_peer(&mut self, to: ServerId, io: &mut Io) -> Option<u64> {
         let (_, addr) = self.config.servers.iter().find(|(id, _)| *id == to)?;
         let bound = Duration::from_millis(self.config.heartbeat_ms.max(1));

@@ -7,7 +7,10 @@
 //! and the wake is whatever the consumer sleeps in: a reactor shard's
 //! eventfd ([`Inbox::new`]) or `Thread::unpark` for a consumer that
 //! parks ([`Inbox::parked`]: the kernel's dispatcher thread, the
-//! logger). A consumer that is stepped, not woken, just drains.
+//! logger). A consumer that is stepped, not woken, just drains; and a
+//! producer that will see to its items itself — a reactor shard that
+//! turns the kernel's dispatcher at the end of its poll pass — pushes
+//! [without waking](Inbox::push_unwoken) anyone.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
@@ -67,18 +70,6 @@ impl<T> Inbox<T> {
         Self::with_wake(Wake::Unpark(OnceLock::new()))
     }
 
-    fn wake(&self) {
-        match &self.wake {
-            Wake::Hook(hook) => hook(),
-            // Unset: the consumer has yet to drain for the first time.
-            Wake::Unpark(consumer) => {
-                if let Some(thread) = consumer.get() {
-                    thread.unpark();
-                }
-            }
-        }
-    }
-
     /// Queues `item` and returns the depth — items pushed and not yet
     /// handled, the consumer's current batch included. `None` once the
     /// inbox is closed: the item is dropped.
@@ -95,6 +86,38 @@ impl<T> Inbox<T> {
             self.wake();
         }
         Some(depth)
+    }
+
+    /// [`Inbox::push`] without the wake-up: for a producer that makes
+    /// sure by itself that the item is handled, by draining the inbox
+    /// or by [`Inbox::wake`]-ing the consumer later. A later
+    /// [`Inbox::push`] wakes as if this one had not been made.
+    pub fn push_unwoken(&self, item: T) -> Option<usize> {
+        let mut state = lock(&self.state);
+        if state.closed {
+            return None;
+        }
+        state.items.push(item);
+        Some(state.items.len() + state.in_hand)
+    }
+
+    /// Wakes the consumer whether or not anything is queued — for one
+    /// that is to take over a batch another thread began.
+    pub fn wake(&self) {
+        match &self.wake {
+            Wake::Hook(hook) => hook(),
+            // Unset: the consumer has yet to drain for the first time.
+            Wake::Unpark(consumer) => {
+                if let Some(thread) = consumer.get() {
+                    thread.unpark();
+                }
+            }
+        }
+    }
+
+    /// Whether anything was pushed since the last drain.
+    pub fn has_pending(&self) -> bool {
+        !lock(&self.state).items.is_empty()
     }
 
     /// What the next [`Inbox::push`] would return, less one.
@@ -166,6 +189,27 @@ mod tests {
             seen.extend_from_slice(&batch);
         }
         assert_eq!(seen, (0..seen.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_unwoken_push_wakes_nobody_and_leaves_the_next_push_to_wake() {
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&wakes);
+        let inbox = Inbox::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(inbox.push_unwoken(1), Some(1));
+        assert!(inbox.has_pending());
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+        assert_eq!(inbox.push(2), Some(2));
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        let mut batch = Vec::new();
+        assert!(inbox.drain_into(&mut batch));
+        assert_eq!((batch, inbox.has_pending()), (vec![1, 2], false));
+        inbox.wake();
+        assert_eq!(wakes.load(Ordering::SeqCst), 2);
+        inbox.close();
+        assert_eq!(inbox.push_unwoken(3), None);
     }
 
     /// Drains, parking whenever a drain comes back empty, until the

@@ -634,6 +634,9 @@ impl FrameSink for AcceptWrapper {
     fn on_closed(&self, conn_id: u64, clean: bool) {
         self.sink.on_closed(conn_id, clean);
     }
+    fn on_drained(&self) {
+        self.sink.on_drained();
+    }
 }
 
 impl Listener for NemesisListener {

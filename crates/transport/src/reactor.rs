@@ -22,7 +22,11 @@
 //! a dialled one reads nothing before: what its peer sends waits in the
 //! socket. A sink returning `false` from `on_frame` pauses reading —
 //! TCP flow control then throttles the peer — until
-//! [`FrameSink::ready_for_more`] reports `true`.
+//! [`FrameSink::ready_for_more`] reports `true`. Once a shard's poll
+//! pass is over, every sink it handed frames or closes to in that pass
+//! is told so, once, by [`FrameSink::on_drained`] — on the shard's
+//! thread, which is where a server's kernel then sequences them — and
+//! the accept loop does the same after each accepted connection.
 //!
 //! Outbound frames reserve a slot in an exact atomic counter before
 //! enqueueing (concurrent senders can never overshoot the cap), and
@@ -444,8 +448,40 @@ struct ShardRt {
     /// Tokens paused by a [`FrameSink::on_frame`] push-back, polled
     /// against [`FrameSink::ready_for_more`].
     sink_paused: HashSet<usize>,
+    touched: Touched,
     next_token: usize,
     metrics: Option<Arc<ReactorMetrics>>,
+}
+
+/// The sinks a shard handed frames or closes to in its current poll
+/// pass, each to be told [`FrameSink::on_drained`] once the pass is
+/// over.
+#[derive(Default)]
+struct Touched(Vec<Arc<dyn FrameSink>>);
+
+impl Touched {
+    fn note(&mut self, sink: &Arc<dyn FrameSink>) {
+        // Frames come in runs per sink: looking at the last one noted
+        // keeps the list about as long as the sinks are many.
+        let addr = sink_addr(sink);
+        if self.0.last().is_none_or(|last| sink_addr(last) != addr) {
+            self.0.push(Arc::clone(sink));
+        }
+    }
+
+    /// Tells each sink noted since the last call, once.
+    fn hand_on(&mut self) {
+        self.0.sort_unstable_by_key(sink_addr);
+        self.0.dedup_by_key(|sink| sink_addr(sink));
+        for sink in self.0.drain(..) {
+            sink.on_drained();
+        }
+    }
+}
+
+/// A sink's identity: the address of what it points at.
+fn sink_addr(sink: &Arc<dyn FrameSink>) -> usize {
+    Arc::as_ptr(sink).cast::<()>() as usize
 }
 
 impl ShardRt {
@@ -505,6 +541,7 @@ impl ShardRt {
                 }
             }
             self.resume_sink_paused(&mut scratch);
+            self.touched.hand_on();
             if !open {
                 break;
             }
@@ -518,6 +555,7 @@ impl ShardRt {
             }
             self.teardown(token, true);
         }
+        self.touched.hand_on();
     }
 
     fn register(&mut self, inner: Arc<ConnInner>, scratch: &mut [u8]) {
@@ -603,7 +641,14 @@ impl ShardRt {
             if sc.inner.closed.load(Ordering::Acquire) {
                 PumpEnd::PeerClosed(true)
             } else {
-                read_pump(sc, scratch, self.metrics.as_deref(), &mut self.sink_paused)
+                let metrics = self.metrics.as_deref();
+                read_pump(
+                    sc,
+                    scratch,
+                    metrics,
+                    &mut self.sink_paused,
+                    &mut self.touched,
+                )
             }
         };
         match outcome {
@@ -665,6 +710,7 @@ impl ShardRt {
         }
         if let Some((conn_id, sink)) = inner.sink.get() {
             sink.on_closed(*conn_id, clean);
+            self.touched.note(sink);
         }
         if let Some(m) = &self.metrics {
             m.conns.dec();
@@ -800,6 +846,7 @@ fn parse_frames(
     sc: &mut ShardConn,
     metrics: Option<&ReactorMetrics>,
     sink_paused: &mut HashSet<usize>,
+    touched: &mut Touched,
 ) -> Result<bool, ()> {
     let inner = &sc.inner;
     // A registered connection has its sink.
@@ -823,6 +870,7 @@ fn parse_frames(
         };
         let frame = Bytes::copy_from_slice(body);
         pos = end;
+        touched.note(sink);
         if !sink.on_frame(*conn_id, frame) {
             inner.read_paused.store(true, Ordering::Release);
             sink_paused.insert(inner.token.load(Ordering::Acquire));
@@ -848,11 +896,12 @@ fn read_pump(
     scratch: &mut [u8],
     metrics: Option<&ReactorMetrics>,
     sink_paused: &mut HashSet<usize>,
+    touched: &mut Touched,
 ) -> PumpEnd {
     let mut read_bytes = 0usize;
     let mut emptied = false;
     loop {
-        match parse_frames(sc, metrics, sink_paused) {
+        match parse_frames(sc, metrics, sink_paused, touched) {
             Err(()) => return PumpEnd::Error,
             Ok(true) => return PumpEnd::Keep, // paused; interest re-armed by caller
             Ok(false) => {}
@@ -941,6 +990,7 @@ impl Reactor {
                 inbox: Arc::clone(&inbox),
                 conns: HashMap::new(),
                 sink_paused: HashSet::new(),
+                touched: Touched::default(),
                 next_token: 0,
                 metrics: metrics.clone(),
             };
@@ -1193,6 +1243,7 @@ impl Listener for ReactorListener {
                                 // its first `on_frame`.
                                 sink.on_accept(conn_id, Box::new(conn));
                                 Reactor::activate(&inner);
+                                sink.on_drained();
                             }
                         }
                         Ok(None) => gate.wait(),
@@ -1315,6 +1366,68 @@ mod tests {
             true
         }
         fn on_closed(&self, _: u64, _: bool) {}
+    }
+
+    /// Counts the frames and the ends of passes it is told of.
+    #[derive(Default)]
+    struct Passes {
+        frames: AtomicUsize,
+        drained: AtomicUsize,
+        conns: Mutex<Vec<Box<dyn Connection>>>,
+    }
+
+    impl FrameSink for Passes {
+        fn on_accept(&self, _: u64, conn: Box<dyn Connection>) {
+            lock(&self.conns).push(conn);
+        }
+        fn on_frame(&self, _: u64, _: Bytes) -> bool {
+            self.frames.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+        fn ready_for_more(&self) -> bool {
+            true
+        }
+        fn on_closed(&self, _: u64, _: bool) {}
+        fn on_drained(&self) {
+            self.drained.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A burst read in one pass is handed on once, after its last
+    /// frame, not once per frame: whatever the sink does at the end of
+    /// a pass — the kernel sequences — is done for the whole burst.
+    #[test]
+    fn a_pass_ends_once_for_all_the_frames_it_read() {
+        const BURST: usize = 200;
+        let listener = ReactorListener::bind("127.0.0.1:0", 1).unwrap();
+        let sink = Arc::new(Passes::default());
+        assert!(listener.attach_sink(Arc::clone(&sink) as Arc<dyn FrameSink>));
+        let mut client = TcpStream::connect(listener.local_addr()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        // The accept loop hands the accept on by itself.
+        while sink.drained.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the accept was not handed on");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let accepted = sink.drained.load(Ordering::SeqCst);
+        let mut wire = Vec::new();
+        for i in 0..BURST {
+            corona_types::frame::write_frame(&mut wire, &[i as u8; 9]).unwrap();
+        }
+        client.write_all(&wire).unwrap();
+        let ended = || {
+            let frames = sink.frames.load(Ordering::SeqCst);
+            frames == BURST && sink.drained.load(Ordering::SeqCst) > accepted
+        };
+        while !ended() {
+            assert!(Instant::now() < deadline, "the burst was not handed on");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let passes = sink.drained.load(Ordering::SeqCst) - accepted;
+        assert!(
+            (1..=BURST / 10).contains(&passes),
+            "{passes} ends of passes for {BURST} frames"
+        );
     }
 
     /// Drains the socket in small, odd-sized reads, so the sender keeps

@@ -212,6 +212,11 @@ pub trait Connection: Send + Sync + fmt::Debug {
 /// concurrently — implementations must be internally synchronised (in
 /// practice: a channel sender). They run on an event loop that other
 /// connections share, so they must not block.
+///
+/// After a pass over its ready sockets, a transport thread calls
+/// [`FrameSink::on_drained`] once on every sink it made one of the
+/// other calls on in that pass, so a sink can leave its consumer
+/// asleep while the calls come and hand the whole pass on at its end.
 pub trait FrameSink: Send + Sync {
     /// A new connection was accepted; it is already attached to this
     /// sink, and its first [`FrameSink::on_frame`] comes after this.
@@ -231,6 +236,14 @@ pub trait FrameSink: Send + Sync {
     /// close). `clean` distinguishes an orderly close at a frame
     /// boundary from an abnormal teardown.
     fn on_closed(&self, conn_id: u64, clean: bool);
+
+    /// The transport thread is done, for now, with what it has handed
+    /// this sink: the calls of one pass are over. A sink may do bounded
+    /// work here on that thread — the kernel's runs its dispatcher, the
+    /// thread that read a request sequencing it — but the connections
+    /// of the same event loop wait meanwhile, so the bound is the
+    /// sink's to keep: what is left over goes to a thread of its own.
+    fn on_drained(&self) {}
 }
 
 /// Accepts inbound connections, each into the one [`FrameSink`] the

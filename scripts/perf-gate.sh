@@ -15,8 +15,11 @@
 # seed), from which it prints the counts a change to the threading or
 # the reactor is judged by: process.threads,
 # transport.reactor_wakeups_per_delivery and
-# transport.reactor_events_per_poll. One run each: read them as counts,
-# not as timings.
+# transport.reactor_events_per_poll; and beside them the per-layer
+# times such a change moves: trace.hop.server_ingress_p50_us (reactor
+# read to sequencing), trace.hop.client_deliver_p50_us and
+# core.hop_residual_us. One run each: read the counts as counts and
+# the times as a hint, not a measurement.
 #
 # Exit 1: a run was not `correct` or had failed operations, or a median
 # is worse than the base's by more than its BENCHMARK.json bound.
@@ -81,7 +84,8 @@ import json, statistics, sys
 runs_dir, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 counts = ["process.threads", "transport.reactor_wakeups_per_delivery",
-          "transport.reactor_events_per_poll"]
+          "transport.reactor_events_per_poll", "trace.hop.server_ingress_p50_us",
+          "trace.hop.client_deliver_p50_us", "core.hop_residual_us"]
 failed = False
 
 def load(workload, side):
@@ -134,7 +138,7 @@ for workload in workloads:
                 traced[side] = json.loads(f.readline())["metrics"]
         except (OSError, ValueError, KeyError):
             traced[side] = {}
-    print("\n| count (one traced run) | base | change |")
+    print("\n| traced (one run) | base | change |")
     print("|---|---|---|")
     for name in counts:
         cells = [f"{traced[side][name]['value']:.4g}" if name in traced[side] else "-"

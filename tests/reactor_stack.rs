@@ -128,7 +128,8 @@ fn thread_names() -> Vec<String> {
 /// The fault plane does not change who reads: a nemesis-wrapped
 /// reactor listener still pushes, and so does a wrapped dialled link —
 /// no thread per connection — so a faulted cluster runs the production
-/// ingress path.
+/// ingress path, down to who sequences: the shard that read a frame,
+/// told the end of its pass through the wrapper.
 #[test]
 fn a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled() {
     let _census = census_lock();
@@ -152,6 +153,22 @@ fn a_nemesis_wrapped_reactor_cluster_is_pushed_not_pulled() {
         .filter(|name| name.starts_with("repl-") && !name.contains("-dispatc"))
         .collect();
     assert!(per_conn.is_empty(), "threads of their own: {per_conn:?}");
+    // s3 has no client and dials no peer while s1 leads: all it hears
+    // comes in on links its wrapped peer listener accepted. Its shard
+    // turns its dispatcher only if the wrapper hands on the end of each
+    // pass; otherwise everything waits for s3's tick.
+    let inline = || {
+        let metrics = cluster.server(3).metrics();
+        metrics.counter("server.dispatch.turns_inline")
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while inline() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "s3 took no inline turn"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     cluster.shutdown();
 }
 
