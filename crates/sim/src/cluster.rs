@@ -1,15 +1,15 @@
-//! Whole replicated clusters under the DES clock: the real
-//! [`ReplicatedServer`]s, stepped, over the virtual-time [`SimNet`]
-//! wrapped by the real [`Nemesis`], with the real client protocol (a
-//! stepped [`ClientSession`] per client) and a checker that runs after
-//! every event.
+//! The sweep: whole replicated clusters under the DES clock, on the
+//! [stepped harness](crate::stepped) — the real, stepped
+//! `ReplicatedServer`s over the virtual-time [`SimNet`] wrapped by the
+//! real [`Nemesis`], with the real client protocol (a [`ClientSession`]
+//! per client).
 //!
 //! Nothing here decides anything the protocol decides — no lease, no
-//! fence, no election, no merge, no reconnect. The harness schedules (a
-//! [`Scenario`] is a list of timed [`Action`]s: client commands and the
-//! fault plane's own [`NemesisEvent`]s), delivers (frames, accepts,
-//! closes, each server's next tick, each session's deadlines and dials,
-//! in virtual-time order) and checks what the sessions hand over:
+//! fence, no election, no merge, no reconnect. What is the sweep's own
+//! is the schedule (a [`Scenario`] is a list of timed [`Action`]s:
+//! client commands and the fault plane's own [`NemesisEvent`]s) and a
+//! checker that runs after every event the harness delivers, and checks
+//! what the sessions hand over:
 //!
 //! * every client is handed its group's updates in sequence order, each
 //!   once — a lower number again only from a server that reconciled a
@@ -27,25 +27,25 @@
 //! backoff, and [`Outcome::trace_hash`] covers every event. A
 //! [`Failure`] prints the schedule it ran, which with the seed replays it.
 
-use crate::engine::{Scheduler, SimModel, SimTime, Simulation};
-use crate::net::{lock, Delivery, SimNet};
+use crate::engine::SimTime;
+use crate::net::{lock, SimNet};
+use crate::stepped::{self, addr, addrs, node, Driver, Ev, Lab, Run, SteppedServer, CALL_MS};
 use bytes::Bytes;
 use corona_core::kernel::SINK_QUEUE_HWM;
-use corona_core::{client::Link, session::ClientSession};
-use corona_core::{FailoverConfig, ServerConfig};
+use corona_core::session::ClientSession;
+use corona_core::FailoverConfig;
 use corona_health::OpsEvent;
 use corona_metrics::{Counter, Gauge, MetricsSnapshot, Registry};
-use corona_replication::{ReplicaStatus, ReplicatedConfig, ReplicatedServer};
-use corona_transport::{Connection, FrameSink, LinkFaults, Nemesis, NemesisEvent, TransportError};
+use corona_replication::{ReplicaStatus, ReplicatedConfig};
+use corona_transport::{LinkFaults, Nemesis, NemesisEvent, DEFAULT_SEND_CAPACITY};
 use corona_types::error::{CoronaError, ErrorCode};
-use corona_types::id::{GroupId, ObjectId, ServerId};
-use corona_types::message::{ClientRequest, ServerEvent};
-use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
-use corona_types::state::{LoggedUpdate, SharedState, StateUpdate};
+use corona_types::id::{GroupId, ObjectId};
+use corona_types::message::ServerEvent;
+use corona_types::policy::Persistence;
+use corona_types::state::LoggedUpdate;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The one group and object every scenario uses, its clients `c0..`,
@@ -55,11 +55,10 @@ const O: ObjectId = ObjectId(1);
 const CLIENTS: usize = 3;
 const HEARTBEAT_MS: u64 = 30;
 
-/// A session's call and handshake timeout, longer than any run; and a
-/// failover session's dial and handshake-step timeout: many link
+/// A failover session's dial and handshake-step timeout: many link
 /// latencies, yet a candidate that does not answer (one still following
-/// a dead coordinator) is given up well within the run.
-const CALL_MS: u64 = 10_000;
+/// a dead coordinator) is given up well within the run. (A plain
+/// session's call and handshake timeout is longer than any run.)
 const CONNECT_TIMEOUT_MS: u64 = 100;
 
 /// One more invariant for [`run_with`]: called with a client's index
@@ -199,32 +198,11 @@ pub struct Outcome {
     pub nemesis: MetricsSnapshot,
 }
 
-/// A client's connection's sink: what arrives goes straight to its
-/// session, at the net's time.
-struct Feed(Arc<Mutex<ClientSession>>, SimNet);
-
-impl FrameSink for Feed {
-    fn on_accept(&self, _conn_id: u64, _conn: Box<dyn Connection>) {}
-    fn on_frame(&self, link: u64, frame: Bytes) -> bool {
-        lock(&self.0).on_frame(self.1.now() / 1000, link, &frame)
-    }
-    fn ready_for_more(&self) -> bool {
-        true
-    }
-    fn on_closed(&self, link: u64, _clean: bool) {
-        lock(&self.0).on_closed(self.1.now() / 1000, link);
-    }
-}
-
-/// A client: its session, the connection the session uses and its next
-/// deadline; whether it has asked to join, and whether it reconnects by
-/// itself; and what the checker saw of it — the last update handed
-/// over, and everything handed.
+/// What the checker saw of a client: whether it has asked to join, and
+/// whether it reconnects by itself; the last update handed over, and
+/// everything handed.
 #[derive(Default)]
 struct Client {
-    session: Arc<Mutex<ClientSession>>,
-    conn: Link,
-    wake: Option<SimTime>,
     asked: bool,
     supervised: bool,
     registry: Arc<Registry>,
@@ -249,46 +227,28 @@ impl Client {
     }
 }
 
+/// What the checker watches of a live server.
 struct Server {
-    server: ReplicatedServer,
     sequenced: Arc<Counter>,
     rejected: Arc<Counter>,
     reconciled: Arc<Counter>,
     inbox_depth: Arc<Gauge>,
     queue_hwm: Arc<Gauge>,
-    send_capacity: i64,
     /// As of its last step.
     status: ReplicaStatus,
     sequenced_then: u64,
 }
 
-enum Ev {
-    Net(Delivery),
-    Wake(usize),
-    Act(usize),
-    /// Client `c`'s session's deadline, and a dial it asked for.
-    Tick(usize),
-    Dial(usize, String),
-}
-
+/// The sweep's driver: the script, and the checker.
 struct World<'a> {
     scenario: &'a Scenario,
     seed: u64,
     extra: &'a Invariant,
-    net: SimNet,
-    nem: Nemesis,
     servers: Vec<Option<Server>>,
     outcomes: Vec<ServerOutcome>,
     clients: Vec<Client>,
-    trace: DefaultHasher,
-    failed: Option<(SimTime, String)>,
     /// Scripted actions that found nothing to act on.
     misfired: Vec<String>,
-}
-
-/// The node name of server `server`.
-pub(crate) fn node(server: u64) -> String {
-    format!("s{server}")
 }
 
 /// A partition of `s{alone}` from the other `servers - 1`.
@@ -297,8 +257,13 @@ pub(crate) fn isolation(alone: u64, servers: u64) -> NemesisEvent {
     NemesisEvent::Partition(vec![vec![node(alone)], rest.collect()])
 }
 
+/// The sweep's fault plane.
+fn nem(lab: &Lab<usize>) -> &Nemesis {
+    lab.nem.as_ref().expect("the sweep's lab is faulted")
+}
+
 impl World<'_> {
-    fn act(&mut self, action: &Action, now_ms: u64) {
+    fn act_on(&mut self, lab: &mut Lab<usize>, action: &Action, now_ms: u64) {
         match action {
             Action::Fault(event) => {
                 // The delay is the pipe's to model, per pair (no
@@ -310,7 +275,7 @@ impl World<'_> {
                 };
                 let event = match event {
                     NemesisEvent::SetLinkFaults { a, b, faults } => {
-                        self.net.set_delay(a, b, faults.delay_ms * 1000);
+                        lab.net.set_delay(a, b, faults.delay_ms * 1000);
                         NemesisEvent::SetLinkFaults {
                             a: a.clone(),
                             b: b.clone(),
@@ -322,7 +287,7 @@ impl World<'_> {
                     }
                     other => other.clone(),
                 };
-                self.nem.apply(event);
+                nem(lab).apply(event);
             }
             Action::IsolateCoordinator => {
                 let live = self.servers.iter().flatten().map(|s| &s.status);
@@ -331,18 +296,19 @@ impl World<'_> {
                     .max_by_key(|st| st.epoch);
                 if let Some(acting) = acting {
                     let alone = acting.me.raw();
-                    self.nem.apply(isolation(alone, self.scenario.servers));
+                    nem(lab).apply(isolation(alone, self.scenario.servers));
                 } else {
                     let what = format!("no coordinator to isolate at {now_ms} ms");
                     self.misfired.push(what);
                 }
             }
             Action::Kill(s) => {
-                self.nem.apply(NemesisEvent::Crash(node(*s)));
+                nem(lab).apply(NemesisEvent::Crash(node(*s)));
                 self.servers[*s as usize - 1] = None;
+                lab.servers[*s as usize - 1] = None;
             }
             // Nothing listens at a killed server's address.
-            Action::Connect(c, s) => drop(self.dial(*c, &format!("{}-client", node(*s)), now_ms)),
+            Action::Connect(c, s) => drop(lab.dial(*c, &addr(*s, "client"), now_ms)),
             Action::ConnectFailover(c) => {
                 let client = &mut self.clients[*c];
                 let config = FailoverConfig {
@@ -351,145 +317,27 @@ impl World<'_> {
                     registry: Some(Arc::clone(&client.registry)),
                     ..FailoverConfig::default()
                 };
-                let seeds = (1..=self.scenario.servers).map(|s| format!("{}-client", node(s)));
+                let seeds = (1..=self.scenario.servers).map(|s| addr(s, "client"));
                 let session =
                     ClientSession::supervised(format!("c{c}"), seeds.collect(), config, now_ms);
-                *lock(&client.session) = session;
+                *lab.session(*c) = session;
                 client.supervised = true;
             }
             Action::Create(c) => {
-                let create = ClientRequest::CreateGroup {
-                    group: G,
-                    persistence: Persistence::Persistent,
-                    initial_state: SharedState::new(),
-                };
-                let _ = lock(&self.clients[*c].session).call(now_ms, create, CALL_MS);
+                let create = stepped::create(G, Persistence::Persistent);
+                let _ = lab.session(*c).call(now_ms, create, CALL_MS);
             }
             Action::Join(c) => {
-                let client = &mut self.clients[*c];
-                client.asked = true;
-                let join = ClientRequest::Join {
-                    group: G,
-                    role: MemberRole::Principal,
-                    policy: StateTransferPolicy::None,
-                    notify_membership: false,
-                };
-                let _ = lock(&client.session).join_supervised(now_ms, join, CALL_MS);
+                self.clients[*c].asked = true;
+                let _ = lab
+                    .session(*c)
+                    .join_supervised(now_ms, stepped::join(G), CALL_MS);
             }
             Action::Broadcast(c, tag) => {
-                let broadcast = ClientRequest::Broadcast {
-                    group: G,
-                    update: StateUpdate::incremental(O, format!("c{c}-{tag};")),
-                    scope: DeliveryScope::SenderInclusive,
-                };
-                let _ = lock(&self.clients[*c].session).broadcast(&broadcast);
+                let broadcast = stepped::broadcast(G, O, format!("c{c}-{tag};"));
+                let _ = lab.session(*c).broadcast(&broadcast);
             }
         }
-    }
-
-    /// Client `c` dials `addr` and hands its session the connection.
-    fn dial(&mut self, c: usize, addr: &str, now_ms: u64) -> Result<(), TransportError> {
-        let name = format!("c{c}");
-        let dialer = self
-            .nem
-            .wrap_dialer(&name, Box::new(self.net.dialer(&name)));
-        let conn = dialer.dial(addr)?;
-        let client = &mut self.clients[c];
-        let link = lock(&client.session).connected(now_ms);
-        let feed = Feed(Arc::clone(&client.session), self.net.clone());
-        client.conn.install(link, conn, Arc::new(feed));
-        Ok(())
-    }
-
-    /// Carries out what client `c`'s session asked for — sends its
-    /// frames, closes what it is done with, schedules its deadline and
-    /// its dial — and checks what it handed the application.
-    fn settle(&mut self, c: usize, sched: &mut Scheduler<Ev>) -> Result<(), String> {
-        let session = Arc::clone(&self.clients[c].session);
-        let mut session = lock(&session);
-        // Only a server that reconciled a divergent copy may hand a
-        // client a number it has been handed before: the retraction.
-        let home = (session.server_id().raw() as usize).checked_sub(1);
-        let home = home.and_then(|s| self.servers[s].as_ref());
-        let reconciled = home.is_some_and(|s| s.reconciled.get() > 0);
-        let client = &mut self.clients[c];
-        let _ = client.conn.settle(&mut session, true);
-        if let Some(dial) = session.poll_dial() {
-            sched.at(dial.not_before_ms * 1000, Ev::Dial(c, dial.addr));
-        }
-        let wake = session.next_wake_ms().map(|ms| ms * 1000);
-        if let Some(at) = wake.filter(|at| client.wake != Some(*at)) {
-            client.wake = Some(at);
-            sched.at(at, Ev::Tick(c));
-        }
-        if let Some(CoronaError::Codec(e)) = session.take_failure() {
-            return Err(format!("c{c} cannot decode a server frame: {e}"));
-        }
-        let kept = session.mirror(G).map(|m| lock(&m).last_seq().0);
-        let reply = session.take_reply().and_then(Result::ok);
-        let mut events: Vec<ServerEvent> = reply.into_iter().collect();
-        events.extend(std::iter::from_fn(|| session.next_event()));
-        drop(session);
-        let handed = client.raw.len();
-        for event in &events {
-            match event {
-                ServerEvent::Multicast { logged, .. } => client.hand(c, logged, reconciled)?,
-                ServerEvent::Error { code, .. } if *code == ErrorCode::Unavailable.to_wire() => {
-                    client.unavailable += 1;
-                }
-                // A join's or a catch-up's transfer — one the session
-                // applied, not a duplicating link's second answer to a
-                // join: what the client was not handed yet is handed
-                // over like live traffic, and it goes on from its end.
-                ServerEvent::Joined { transfer, .. } | ServerEvent::State { transfer }
-                    if kept >= Some(transfer.through.0) =>
-                {
-                    let had = client.last;
-                    for update in transfer.updates.iter().filter(|u| u.seq.0 > had) {
-                        client.hand(c, update, reconciled)?;
-                    }
-                    client.last = client.last.max(transfer.through.0);
-                }
-                _ => {}
-            }
-        }
-        for k in handed..client.raw.len() {
-            let (seq, payload) = &client.raw[k];
-            (c, seq, payload).hash(&mut self.trace);
-            (self.extra)(c, &client.raw[..=k])?;
-        }
-        Ok(())
-    }
-
-    /// Turns server `i`'s dispatcher until it has nothing to do, then
-    /// checks what only a step of that server can have changed.
-    fn step(&mut self, i: usize, now: SimTime) -> Result<(), String> {
-        let Some(s) = self.servers[i].as_mut() else {
-            return Ok(());
-        };
-        while s.server.run_pending(now / 1000) {}
-        let status = s.server.status().map_err(|e| e.to_string())?;
-        let sequenced = s.sequenced.get();
-        if s.status.fenced && status.fenced && sequenced > s.sequenced_then {
-            return Err(format!("s{} sequenced while fenced", i + 1));
-        }
-        if s.inbox_depth.get() > SINK_QUEUE_HWM as i64 {
-            return Err(format!("s{}'s inbox is past its bound", i + 1));
-        }
-        if s.queue_hwm.get() > s.send_capacity {
-            return Err(format!("a transmit queue of s{} is past its bound", i + 1));
-        }
-        let (was, out) = (s.status.clone(), &mut self.outcomes[i]);
-        s.sequenced_then = sequenced;
-        s.status = status.clone();
-        if status.fenced && !was.fenced {
-            out.fenced_at.get_or_insert(now);
-        }
-        if status.is_coordinator && !was.is_coordinator {
-            out.elected_at.get_or_insert(now);
-            return self.check_fence_before_elect(i, &status);
-        }
-        Ok(())
     }
 
     /// Server `i` has just won `won.epoch`. If it had to wait longer
@@ -529,7 +377,7 @@ impl World<'_> {
     /// stream, seen to its end — from wherever they joined it — by every
     /// client that is still a connected member; and every client that
     /// reconnects by itself connected, its mirror the whole stream.
-    fn unconverged(&self) -> Vec<String> {
+    fn unconverged(&self, lab: &Lab<usize>) -> Vec<String> {
         let views = self.views();
         let tail = |c: usize| self.clients[c].last;
         let longest = (0..views.len())
@@ -544,7 +392,7 @@ impl World<'_> {
             }
         }
         for (c, client) in self.clients.iter().enumerate() {
-            let session = lock(&client.session);
+            let session = lab.session(c);
             if client.supervised && !session.is_up() {
                 unmet.push(format!("c{c} is not connected"));
             }
@@ -573,60 +421,97 @@ impl World<'_> {
     }
 }
 
-impl SimModel for World<'_> {
-    type Event = Ev;
+impl Driver for World<'_> {
+    /// A step of the script, by its index.
+    type Act = usize;
 
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
-        if self.failed.is_some() {
-            return;
-        }
-        let now = sched.now();
-        self.net.set_now(now);
-        now.hash(&mut self.trace);
-        let checked = match event {
-            Ev::Net(delivery) => {
-                let to = delivery.node();
-                let index = to[1..].parse::<usize>().expect("nodes are s<n> and c<n>");
-                let server = to.starts_with('s');
-                delivery.hash(&mut self.trace);
-                delivery.run();
-                if server {
-                    self.step(index - 1, now)
-                } else {
-                    self.settle(index, sched)
-                }
-            }
-            Ev::Wake(i) => {
-                let stepped = self.step(i, now);
-                if let Some(s) = &self.servers[i] {
-                    sched.at(s.server.next_tick_ms() * 1000, Ev::Wake(i));
-                }
-                stepped
-            }
-            Ev::Act(k) => {
-                (k, "act").hash(&mut self.trace);
-                self.act(&self.scenario.script[k].1, now / 1000);
-                (0..CLIENTS).try_for_each(|c| self.settle(c, sched))
-            }
-            Ev::Tick(c) => {
-                (c, "tick").hash(&mut self.trace);
-                lock(&self.clients[c].session).tick(now / 1000);
-                self.settle(c, sched)
-            }
-            Ev::Dial(c, addr) => {
-                (c, &addr).hash(&mut self.trace);
-                if let Err(e) = self.dial(c, &addr, now / 1000) {
-                    lock(&self.clients[c].session).dial_failed(now / 1000, e.into());
-                }
-                self.settle(c, sched)
-            }
+    fn act(&mut self, lab: &mut Lab<usize>, k: usize) -> Result<(), String> {
+        self.act_on(lab, &self.scenario.script[k].1, lab.sched.now() / 1000);
+        (0..CLIENTS).try_for_each(|c| {
+            lab.settle(c);
+            self.settled(lab, c)
+        })
+    }
+
+    /// Checks what only a step of server `i` can have changed.
+    fn stepped(&mut self, lab: &Lab<usize>, i: usize) -> Result<(), String> {
+        let now = lab.sched.now();
+        let Some(s) = self.servers[i].as_mut() else {
+            return Ok(());
         };
-        if let Err(what) = checked {
-            self.failed = Some((now, what));
+        let Some(SteppedServer::Replica(replica)) = lab.servers[i].as_ref() else {
+            unreachable!("a sweep's servers are replicas");
+        };
+        let status = replica.status().map_err(|e| e.to_string())?;
+        let sequenced = s.sequenced.get();
+        if s.status.fenced && status.fenced && sequenced > s.sequenced_then {
+            return Err(format!("s{} sequenced while fenced", i + 1));
         }
-        for (at, delivery) in self.net.take_outbox() {
-            sched.at(at, Ev::Net(delivery));
+        if s.inbox_depth.get() > SINK_QUEUE_HWM as i64 {
+            return Err(format!("s{}'s inbox is past its bound", i + 1));
         }
+        if s.queue_hwm.get() > DEFAULT_SEND_CAPACITY as i64 {
+            return Err(format!("a transmit queue of s{} is past its bound", i + 1));
+        }
+        let (was, out) = (s.status.clone(), &mut self.outcomes[i]);
+        s.sequenced_then = sequenced;
+        s.status = status.clone();
+        if status.fenced && !was.fenced {
+            out.fenced_at.get_or_insert(now);
+        }
+        if status.is_coordinator && !was.is_coordinator {
+            out.elected_at.get_or_insert(now);
+            return self.check_fence_before_elect(i, &status);
+        }
+        Ok(())
+    }
+
+    /// Checks what client `c`'s session handed the application.
+    fn settled(&mut self, lab: &mut Lab<usize>, c: usize) -> Result<(), String> {
+        let mut session = lab.session(c);
+        // Only a server that reconciled a divergent copy may hand a
+        // client a number it has been handed before: the retraction.
+        let home = (session.server_id().raw() as usize).checked_sub(1);
+        let home = home.and_then(|s| self.servers[s].as_ref());
+        let reconciled = home.is_some_and(|s| s.reconciled.get() > 0);
+        if let Some(CoronaError::Codec(e)) = session.take_failure() {
+            return Err(format!("c{c} cannot decode a server frame: {e}"));
+        }
+        let kept = session.mirror(G).map(|m| lock(&m).last_seq().0);
+        let reply = session.take_reply().and_then(Result::ok);
+        let mut events: Vec<ServerEvent> = reply.into_iter().collect();
+        events.extend(std::iter::from_fn(|| session.next_event()));
+        drop(session);
+        let client = &mut self.clients[c];
+        let handed = client.raw.len();
+        for event in &events {
+            match event {
+                ServerEvent::Multicast { logged, .. } => client.hand(c, logged, reconciled)?,
+                ServerEvent::Error { code, .. } if *code == ErrorCode::Unavailable.to_wire() => {
+                    client.unavailable += 1;
+                }
+                // A join's or a catch-up's transfer — one the session
+                // applied, not a duplicating link's second answer to a
+                // join: what the client was not handed yet is handed
+                // over like live traffic, and it goes on from its end.
+                ServerEvent::Joined { transfer, .. } | ServerEvent::State { transfer }
+                    if kept >= Some(transfer.through.0) =>
+                {
+                    let had = client.last;
+                    for update in transfer.updates.iter().filter(|u| u.seq.0 > had) {
+                        client.hand(c, update, reconciled)?;
+                    }
+                    client.last = client.last.max(transfer.through.0);
+                }
+                _ => {}
+            }
+        }
+        for k in handed..client.raw.len() {
+            let (seq, payload) = &client.raw[k];
+            lab.trace((c, seq, payload));
+            (self.extra)(c, &client.raw[..=k])?;
+        }
+        Ok(())
     }
 }
 
@@ -648,98 +533,67 @@ pub fn run(scenario: &Scenario, seed: u64) -> Result<Outcome, Failure> {
 pub fn run_with(scenario: &Scenario, seed: u64, extra: &Invariant) -> Result<Outcome, Failure> {
     let faults = Registry::new();
     let nem = Nemesis::new(seed, &faults);
-    let net = SimNet::new(seed);
-    let ids = || (1..=scenario.servers).map(ServerId::new);
-    let addrs = |plane: &str| -> Vec<(ServerId, String)> {
-        ids()
-            .map(|id| (id, format!("{}-{plane}", node(id.raw()))))
-            .collect()
+    let n = scenario.servers;
+    let tune = |config| ReplicatedConfig {
+        client_addrs: addrs(n, "client"),
+        heartbeat_ms: HEARTBEAT_MS,
+        base_timeout_ms: scenario.base_timeout_ms,
+        ..config
     };
-    // Every address is named before anything can dial it.
-    for (id, addr) in addrs("client").iter().chain(&addrs("peer")) {
-        nem.register_addr(addr, &node(id.raw()));
-    }
-    let start = |id: ServerId| -> Option<Server> {
-        let name = node(id.raw());
-        let listen = |plane: &str| {
-            let listener = net.listen(&name, &format!("{name}-{plane}"));
-            nem.wrap_listener(&name, Box::new(listener))
+    let lab = Lab::start(SimNet::new(seed), Some(nem), n, CLIENTS, tune);
+    let watch = |i: usize| -> Option<Server> {
+        let Some(SteppedServer::Replica(replica)) = lab.servers[i].as_ref() else {
+            return None;
         };
-        let config = ReplicatedConfig {
-            servers: addrs("peer"),
-            client_addrs: addrs("client"),
-            heartbeat_ms: HEARTBEAT_MS,
-            base_timeout_ms: scenario.base_timeout_ms,
-            server_config: ServerConfig::stateful(id),
-        };
-        let send_capacity = config.server_config.send_queue_capacity as i64;
-        let dialer = nem.wrap_dialer(&name, Box::new(net.dialer(&name)));
-        let server =
-            ReplicatedServer::stepped(listen("client"), listen("peer"), Arc::from(dialer), config)
-                .expect("the sim's listeners push");
-        let metrics = server.metrics_registry();
+        let metrics = replica.metrics_registry();
         Some(Server {
-            status: server.status().expect("stepped servers answer at once"),
-            server,
+            status: replica.status().expect("stepped servers answer at once"),
             sequenced: metrics.counter("core.broadcasts"),
             rejected: metrics.counter("repl.fenced.rejects"),
             reconciled: metrics.counter("repl.reconciled.groups"),
             inbox_depth: metrics.gauge("server.queue.depth"),
             queue_hwm: metrics.gauge("server.fanout.queue_hwm"),
-            send_capacity,
             sequenced_then: 0,
         })
     };
-    let servers: Vec<Option<Server>> = ids().map(start).collect();
-    let client = |c: usize| Client {
-        session: Arc::new(Mutex::new(ClientSession::new(
-            format!("c{c}"),
-            None,
-            CALL_MS,
-        ))),
-        ..Client::default()
-    };
-    let mut sim = Simulation::new(World {
+    let servers: Vec<Option<Server>> = (0..lab.servers.len()).map(watch).collect();
+    let world = World {
         scenario,
         seed,
         extra,
-        net,
-        nem,
         outcomes: vec![ServerOutcome::default(); servers.len()],
-        clients: (0..CLIENTS).map(client).collect(),
+        clients: (0..CLIENTS).map(|_| Client::default()).collect(),
         servers,
-        trace: DefaultHasher::new(),
-        failed: None,
         misfired: Vec::new(),
-    });
-    for i in 0..scenario.servers as usize {
-        sim.seed(0, Ev::Wake(i));
-    }
+    };
+    let mut run = Run::new(lab, world);
     for (k, (at, _)) in scenario.script.iter().enumerate() {
-        sim.seed(*at, Ev::Act(k));
+        run.lab.sched.at(*at, Ev::Act(k));
     }
-    sim.run_until(scenario.end);
-    let mut world = sim.into_model();
-    let unmet = world.unconverged();
-    if let (None, true, Some(first)) = (&world.failed, scenario.converges, unmet.first()) {
-        world.failed = Some((scenario.end, first.clone()));
+    run.run_until(scenario.end);
+    let (lab, mut world, mut failed) = (run.lab, run.driver, run.failed);
+    let unmet = world.unconverged(&lab);
+    if let (None, true, Some(first)) = (&failed, scenario.converges, unmet.first()) {
+        failed = Some((scenario.end, first.clone()));
     }
-    if let Some((at, what)) = world.failed {
+    if let Some((at, what)) = failed {
         return Err(Failure::new(scenario, seed, at, what));
     }
-    for (out, server) in world.outcomes.iter_mut().zip(&world.servers) {
-        let Some(s) = server else { continue };
+    for (i, (out, server)) in world.outcomes.iter_mut().zip(&world.servers).enumerate() {
+        let (Some(s), Some(live)) = (server, lab.servers[i].as_ref()) else {
+            continue;
+        };
         out.status = Some(s.status.clone());
         out.rejected = s.rejected.get();
-        out.ops = s.server.health_registry().ops_events();
+        out.ops = live.health_registry().ops_events();
         let repaired = out.ops.iter().filter(|e| e.kind == "divergence_repaired");
         out.discarded = repaired.map(|e| e.value).sum();
     }
     let reconnects = |c: &Client| c.registry.counter("client.reconnects").get();
     // What a mirror applied is its object's increments, each named by
     // the update that carried it (no two carry the same payload).
-    let applied = |c: &Client| -> Vec<u64> {
-        let mirror = lock(&c.session).mirror(G);
+    let applied = |(i, c): (usize, &Client)| -> Vec<u64> {
+        let mirror = lab.session(i).mirror(G);
         let object = mirror.and_then(|m| lock(&m).state().object(O).cloned());
         let named = |p: &Bytes| {
             c.raw
@@ -751,10 +605,10 @@ pub fn run_with(scenario: &Scenario, seed: u64, extra: &Invariant) -> Result<Out
         increments.iter().map(|p| named(p).unwrap_or(0)).collect()
     };
     Ok(Outcome {
-        trace_hash: world.trace.finish(),
+        trace_hash: lab.trace_hash(),
         views: world.views(),
         raw: world.clients.iter().map(|c| c.raw.clone()).collect(),
-        applied: world.clients.iter().map(applied).collect(),
+        applied: world.clients.iter().enumerate().map(applied).collect(),
         reconnects: world.clients.iter().map(reconnects).collect(),
         unavailable: world.clients.iter().map(|c| c.unavailable).collect(),
         nemesis: faults.snapshot(),

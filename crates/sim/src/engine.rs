@@ -1,6 +1,8 @@
-//! A small deterministic discrete-event simulation engine.
+//! A small deterministic discrete-event simulation engine: the event
+//! queue the [stepped harness](crate::stepped) runs on, and the shared
+//! resources the [net](crate::net) charges.
 //!
-//! Events carry a model-defined payload; the scheduler orders them by
+//! Events carry a caller-defined payload; the scheduler orders them by
 //! virtual time (microseconds) with a monotone tiebreaker so equal
 //! timestamps replay in scheduling order — the whole simulation is a
 //! pure function of its inputs, which the determinism tests rely on.
@@ -42,13 +44,26 @@ pub struct Scheduler<E> {
     now: SimTime,
 }
 
-impl<E> Scheduler<E> {
-    fn new() -> Self {
+impl<E> Default for Scheduler<E> {
+    fn default() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: 0,
         }
+    }
+}
+
+impl<E> Scheduler<E> {
+    /// The next event due by `horizon`, its time now; `None` if there
+    /// is none.
+    pub fn pop(&mut self, horizon: SimTime) -> Option<E> {
+        if self.heap.peek()?.at > horizon {
+            return None;
+        }
+        let entry = self.heap.pop()?;
+        self.now = entry.at;
+        Some(entry.event)
     }
 
     /// Current virtual time.
@@ -63,68 +78,6 @@ impl<E> Scheduler<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
-    }
-}
-
-/// A simulation model: state plus an event handler.
-pub trait SimModel {
-    /// The event payload type.
-    type Event;
-
-    /// Handles one event at virtual time `sched.now()`, scheduling
-    /// follow-ups through `sched`.
-    fn handle(&mut self, event: Self::Event, sched: &mut Scheduler<Self::Event>);
-}
-
-/// Drives a model to completion (or a time horizon).
-pub struct Simulation<M: SimModel> {
-    model: M,
-    sched: Scheduler<M::Event>,
-}
-
-impl<M: SimModel> Simulation<M> {
-    /// Creates a simulation around `model`.
-    pub fn new(model: M) -> Self {
-        Simulation {
-            model,
-            sched: Scheduler::new(),
-        }
-    }
-
-    /// Schedules an initial event.
-    pub fn seed(&mut self, at: SimTime, event: M::Event) {
-        self.sched.at(at, event);
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now
-    }
-
-    /// Borrows the model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Consumes the simulation, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
-    /// Runs until the queue drains or virtual time would exceed
-    /// `horizon`. Returns the number of events processed.
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(entry) = self.sched.heap.peek() {
-            if entry.at > horizon {
-                break;
-            }
-            let entry = self.sched.heap.pop().expect("peeked");
-            self.sched.now = entry.at;
-            self.model.handle(entry.event, &mut self.sched);
-            n += 1;
-        }
-        n
     }
 }
 
@@ -161,56 +114,57 @@ impl Resource {
 mod tests {
     use super::*;
 
-    struct Counter {
-        fired: Vec<(SimTime, u32)>,
+    /// Pops every event due by `horizon`, in order; each handled by
+    /// `handle`, which may schedule more.
+    fn drain<E>(
+        s: &mut Scheduler<E>,
+        horizon: SimTime,
+        mut handle: impl FnMut(&mut Scheduler<E>, E),
+    ) {
+        while let Some(event) = s.pop(horizon) {
+            handle(s, event);
+        }
     }
 
-    impl SimModel for Counter {
-        type Event = u32;
-        fn handle(&mut self, event: u32, sched: &mut Scheduler<u32>) {
-            self.fired.push((sched.now(), event));
+    /// Fires `(now, event)` and schedules `event + 1` 10 µs on, up to 3.
+    fn count(fired: &mut Vec<(SimTime, u32)>) -> impl FnMut(&mut Scheduler<u32>, u32) + '_ {
+        |s, event| {
+            fired.push((s.now(), event));
             if event < 3 {
-                sched.at(sched.now() + 10, event + 1);
+                s.at(s.now() + 10, event + 1);
             }
         }
     }
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim = Simulation::new(Counter { fired: vec![] });
-        sim.seed(100, 0);
-        sim.seed(5, 100);
-        sim.run_until(SimTime::MAX);
-        let times: Vec<SimTime> = sim.model().fired.iter().map(|(t, _)| *t).collect();
+        let (mut s, mut fired) = (Scheduler::default(), Vec::new());
+        s.at(100, 0);
+        s.at(5, 100);
+        drain(&mut s, SimTime::MAX, count(&mut fired));
+        let times: Vec<SimTime> = fired.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![5, 100, 110, 120, 130]);
     }
 
     #[test]
     fn equal_times_replay_in_schedule_order() {
-        struct Order(Vec<u32>);
-        impl SimModel for Order {
-            type Event = u32;
-            fn handle(&mut self, e: u32, _s: &mut Scheduler<u32>) {
-                self.0.push(e);
-            }
-        }
-        let mut sim = Simulation::new(Order(vec![]));
+        let (mut s, mut order) = (Scheduler::default(), Vec::new());
         for i in 0..50 {
-            sim.seed(42, i);
+            s.at(42, i);
         }
-        sim.run_until(SimTime::MAX);
-        assert_eq!(sim.model().0, (0..50).collect::<Vec<_>>());
+        drain(&mut s, SimTime::MAX, |_, e| order.push(e));
+        assert_eq!(order, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
     fn horizon_stops_the_run() {
-        let mut sim = Simulation::new(Counter { fired: vec![] });
-        sim.seed(0, 0);
-        sim.run_until(15);
-        assert_eq!(sim.model().fired.len(), 2, "events at 0 and 10 only");
-        assert!(sim.now() <= 15);
+        let (mut s, mut fired) = (Scheduler::default(), Vec::new());
+        s.at(0, 0);
+        drain(&mut s, 15, count(&mut fired));
+        assert_eq!(fired.len(), 2, "events at 0 and 10 only");
+        assert!(s.now() <= 15);
         // Remaining events still pending.
-        assert!(sim.run_until(SimTime::MAX) > 0);
+        assert!(s.pop(SimTime::MAX).is_some());
     }
 
     #[test]
@@ -224,19 +178,14 @@ mod tests {
 
     #[test]
     fn scheduling_in_the_past_clamps_to_now() {
-        struct Clamp(Vec<SimTime>);
-        impl SimModel for Clamp {
-            type Event = bool;
-            fn handle(&mut self, first: bool, s: &mut Scheduler<bool>) {
-                self.0.push(s.now());
-                if first {
-                    s.at(0, false); // in the past
-                }
+        let (mut s, mut fired) = (Scheduler::default(), Vec::new());
+        s.at(100, true);
+        drain(&mut s, SimTime::MAX, |s, first| {
+            fired.push(s.now());
+            if first {
+                s.at(0, false); // in the past
             }
-        }
-        let mut sim = Simulation::new(Clamp(vec![]));
-        sim.seed(100, true);
-        sim.run_until(SimTime::MAX);
-        assert_eq!(sim.model().0, vec![100, 100]);
+        });
+        assert_eq!(fired, vec![100, 100]);
     }
 }

@@ -1,28 +1,28 @@
 //! # corona-sim
 //!
-//! One discrete-event [`engine`], two things run on it.
+//! One discrete-event [`engine`], one [`stepped`] harness on it — the
+//! shipping servers, stepped, over the virtual-time [`net`], every
+//! client a stepped `ClientSession` — and three things driven on it.
 //!
-//! **The replication protocol itself** ([`cluster`], [`net`],
-//! [`scenarios`]): whole clusters of the real, stepped
-//! `ReplicatedServer` — the kernel, the election, lease, fence and
-//! quarantine → merge logic that ships — over a virtual-time network
-//! wrapped by the real `Nemesis`, with the real client protocol (one
-//! stepped `ClientSession` per client, supervised ones reconnecting by
-//! themselves), driven by a script of client commands and the fault
-//! plane's own `NemesisEvent`s, with every invariant checked after
-//! every event. A run is a pure function of its seed; `cargo run
-//! --release -p corona-sim --bin sweep -- all 1 1000` runs eleven
-//! thousand of them in about half a minute. There is no model of either
-//! protocol here to drift from it. The same servers on real sockets are
-//! one [`loopback`] cluster, which the workspace's TCP tests share.
+//! **The replication protocol itself** ([`cluster`], [`scenarios`]):
+//! whole clusters of the real `ReplicatedServer` — the kernel, the
+//! election, lease, fence and quarantine → merge logic that ships —
+//! with the net wrapped by the real `Nemesis`, supervised clients
+//! reconnecting by themselves, driven by a script of client commands
+//! and the fault plane's own `NemesisEvent`s, with every invariant
+//! checked after every event. A run is a pure function of its seed;
+//! `cargo run --release -p corona-sim --bin sweep -- all 1 1000` runs
+//! eleven thousand of them in about half a minute. There is no model of
+//! either protocol here to drift from it. The same servers on real
+//! sockets are one [`loopback`] cluster, which the workspace's TCP tests
+//! share.
 //!
-//! **The paper's evaluation** ([`paper`], [`hosts`]): the same
-//! servers — a stepped `CoronaServer`, or a replicated star of stepped
-//! `ReplicatedServer`s — with the 1999 testbed (Sparc / UltraSparc /
-//! Pentium II hosts on 10 Mbps Ethernet) as calibrated cost profiles
-//! that [`net`] charges to every frame they send and receive. The
-//! paper's qualitative results are reproduced by the code that ships,
-//! or reported where it does not reproduce them:
+//! **The paper's evaluation** ([`paper`], [`hosts`]): a stepped
+//! `CoronaServer`, or a replicated star, with the 1999 testbed (Sparc /
+//! UltraSparc / Pentium II hosts on 10 Mbps Ethernet) as calibrated
+//! cost profiles that [`net`] charges to every frame sent and received.
+//! The paper's qualitative results are reproduced by the code that
+//! ships, or reported where it does not reproduce them:
 //!
 //! * Figure 3: round-trip delay linear in #clients; stateful ≈
 //!   stateless;
@@ -33,6 +33,10 @@
 //!
 //! `cargo run --release -p corona-sim --bin paper` prints
 //! EXPERIMENTS.md's result blocks from these runs, byte for byte.
+//!
+//! **The allocation count** (the workspace's `tests/alloc_budget.rs`):
+//! the allocator calls a broadcast costs the servers, and a delivery
+//! the clients.
 //!
 //! ```
 //! use corona_sim::{roundtrip, ExperimentConfig};
@@ -57,9 +61,10 @@ pub mod loopback;
 pub mod net;
 pub mod paper;
 pub mod scenarios;
+pub mod stepped;
 
 pub use cluster::{run, run_with, Action, Failure, Outcome, Scenario, ServerOutcome};
-pub use engine::{Resource, Scheduler, SimModel, SimTime, Simulation};
+pub use engine::{Resource, Scheduler, SimTime};
 pub use hosts::{
     HostProfile, NetworkProfile, CAMPUS_BACKBONE, ETHERNET_10MBPS, PENTIUM_II_200, SPARC_20_CLIENT,
     ULTRASPARC_1,

@@ -5,7 +5,8 @@
 //! injects is a nemesis event naming nodes. Every integration test and
 //! tool that needs a live replicated cluster starts this one.
 
-use crate::cluster::{isolation, node};
+use crate::cluster::isolation;
+use crate::stepped::node;
 use corona_core::{CoronaClient, ServerConfig};
 use corona_metrics::Registry;
 use corona_replication::{ReplicatedConfig, ReplicatedServer};

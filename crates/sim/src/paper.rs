@@ -1,10 +1,11 @@
-//! The paper's evaluation (§5.2) run on the shipping servers: stepped
-//! [`CoronaServer`]s and [`ReplicatedServer`]s under the DES clock,
-//! over a [`SimNet`] that charges the 1999 testbed's costs
-//! ([`hosts`](crate::hosts)) to every frame they send and receive.
-//! Nothing here models the protocol: fan-out, state apply, forwarding
-//! and sequencing are the kernel's own, and what they cost is what the
-//! net charges for the frames they queue.
+//! The paper's evaluation (§5.2) on the shipping servers and client:
+//! the [stepped harness](crate::stepped)'s servers under the DES clock,
+//! every client a `ClientSession`, over a [`SimNet`] that charges the
+//! 1999 testbed's costs ([`hosts`](crate::hosts)) to every frame they
+//! send and receive. Nothing here models the protocol: fan-out, state
+//! apply, forwarding and sequencing are the kernel's own, and what they
+//! cost is what the net charges for the frames they queue. What is
+//! measured is what the sessions hand over.
 //!
 //! * [`roundtrip`] — Figure 3 / Table 2: one sender+receiver
 //!   ("measuring") client and N−1 pure receivers; the round trip is the
@@ -13,30 +14,26 @@
 //! * [`throughput`] — Table 1: every client multicasts "as fast as
 //!   possible" (closed loop); aggregate delivered bytes per second.
 //!
-//! One server is a [`CoronaServer`], stateful or stateless. More are a
+//! One server is a `CoronaServer`, stateful or stateless. More are a
 //! replicated star: `s1` coordinates, the clients are spread over all of
 //! them round-robin, and the measuring client sits on `s2`, a forward
-//! away from the sequencer. Clients are scripted at the codec level.
-//! They join one at a time before anything is timed — a burst of joins
-//! at 1999 costs backs a coordinator up past its quorum lease — and the
-//! measuring client joins last, so that its server hands it each
-//! broadcast last.
+//! away from the sequencer. A client joins by its session's handshake
+//! (`Hello`, answered by `Welcome`), then a `CreateGroup` if it is the
+//! first, then a `Join`, each call waiting for the last one's answer.
+//! Clients join one at a time before anything is timed — a burst of
+//! joins at 1999 costs backs a coordinator up past its quorum lease —
+//! and the measuring client joins last, so that its server hands it
+//! each broadcast last.
 
-use crate::engine::{Scheduler, SimModel, SimTime, Simulation};
+use crate::engine::SimTime;
 use crate::hosts::{HostProfile, NetworkProfile};
-use crate::net::{lock, Delivery, Host, SimNet};
-use bytes::Bytes;
-use corona_core::{CoronaServer, ServerConfig};
+use crate::net::{Host, SimNet};
+use crate::stepped::{self, node, Driver, Ev, Lab, Run};
+use corona_core::Statefulness;
 use corona_metrics::MetricsSnapshot;
-use corona_replication::{ReplicatedConfig, ReplicatedServer};
-use corona_transport::{Connection, Dialer, FrameSink};
-use corona_types::id::{ClientId, GroupId, ObjectId, ServerId};
-use corona_types::message::{ClientRequest, ServerEvent, PROTOCOL_VERSION};
-use corona_types::policy::{DeliveryScope, MemberRole, Persistence, StateTransferPolicy};
-use corona_types::state::{SharedState, StateUpdate};
-use corona_types::wire::decode_traced;
-use corona_types::wire::encode_traced;
-use std::sync::{Arc, Mutex};
+use corona_replication::ReplicatedConfig;
+use corona_types::id::{GroupId, ObjectId};
+use corona_types::message::ServerEvent;
 
 const G: GroupId = GroupId(1);
 
@@ -125,97 +122,9 @@ pub struct ThroughputResults {
     pub server_utilization: f64,
 }
 
-enum Server {
-    Single(CoronaServer),
-    Replica(ReplicatedServer),
-}
-
-impl Server {
-    fn run_pending(&self, now_ms: u64) -> bool {
-        match self {
-            Server::Single(s) => s.run_pending(now_ms),
-            Server::Replica(s) => s.run_pending(now_ms),
-        }
-    }
-
-    fn next_tick_ms(&self) -> u64 {
-        match self {
-            Server::Single(s) => s.next_tick_ms(),
-            Server::Replica(s) => s.next_tick_ms(),
-        }
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        match self {
-            Server::Single(s) => s.metrics_registry().snapshot(),
-            Server::Replica(s) => s.metrics(),
-        }
-    }
-}
-
-/// A receiver's end: frames wait here until the lab reads them, right
-/// after the delivery that brought them.
-#[derive(Default)]
-struct Mailbox(Mutex<Vec<Bytes>>);
-
-impl FrameSink for Mailbox {
-    fn on_accept(&self, _conn_id: u64, _conn: Box<dyn Connection>) {}
-    fn on_frame(&self, _conn_id: u64, frame: Bytes) -> bool {
-        lock(&self.0).push(frame);
-        true
-    }
-    fn ready_for_more(&self) -> bool {
-        true
-    }
-    fn on_closed(&self, _conn_id: u64, _clean: bool) {}
-}
-
-/// A scripted client's connection: encoded requests out, a mailbox in.
-struct Wire {
-    conn: Box<dyn Connection>,
-    mailbox: Arc<Mailbox>,
-}
-
-impl Wire {
-    fn dial(dialer: &dyn Dialer, addr: &str) -> Wire {
-        let conn = dialer.dial(addr).expect("servers listen");
-        let mailbox = Arc::new(Mailbox::default());
-        conn.attach_sink(0, Arc::clone(&mailbox) as Arc<dyn FrameSink>);
-        Wire { conn, mailbox }
-    }
-
-    fn send(&self, request: &ClientRequest) {
-        let _ = self.conn.send(encode_traced(request, None));
-    }
-
-    /// What has arrived since the last call.
-    fn take(&self) -> Vec<Bytes> {
-        std::mem::take(&mut *lock(&self.mailbox.0))
-    }
-}
-
-#[derive(Default)]
-struct Client {
-    wire: Option<Wire>,
-    id: Option<ClientId>,
-    joined: bool,
-}
-
-enum Ev {
-    Net(Delivery),
-    Wake(usize),
-    Join,
-    Emit(usize),
-}
-
-/// The testbed: the servers, the clients and the net between them.
-struct Lab {
+/// The measuring loop, driving the testbed's clients.
+struct Measure {
     cfg: ExperimentConfig,
-    net: SimNet,
-    servers: Vec<Server>,
-    clients: Vec<Client>,
-    /// Who joins next (last first).
-    joiners: Vec<usize>,
     /// What is timed once everyone has joined: every client's closed
     /// loop for this long, or (`None`) the measuring client's round
     /// trips.
@@ -229,119 +138,20 @@ struct Lab {
     done: bool,
 }
 
-impl Lab {
-    fn new(cfg: ExperimentConfig, window: Option<SimTime>) -> Lab {
-        let net = SimNet::costed(cfg.backbone);
-        let n = cfg.n_servers.max(1);
-        let config = |i: usize| {
-            let id = ServerId::new(i as u64 + 1);
-            match cfg.stateful {
-                true => ServerConfig::stateful(id),
-                false => ServerConfig::stateless(id),
-            }
-        };
-        let addrs = |plane: &str| -> Vec<(ServerId, String)> {
-            let addr = |i| (ServerId::new(i as u64 + 1), format!("s{}-{plane}", i + 1));
-            (0..n).map(addr).collect()
-        };
-        let server = |i: usize| {
-            let name = format!("s{}", i + 1);
-            let host = Host {
-                cpu: cfg.server_profile,
-                stateful: cfg.stateful,
-                lan: Some(cfg.lan),
-            };
-            net.set_host(&name, host);
-            let listen = |plane: &str| Box::new(net.listen(&name, &format!("{name}-{plane}")));
-            let started = match n {
-                1 => CoronaServer::stepped(listen("client"), config(i)).map(Server::Single),
-                _ => {
-                    let config = ReplicatedConfig {
-                        server_config: config(i),
-                        ..ReplicatedConfig::new(ServerId::new(i as u64 + 1), addrs("peer"))
-                    };
-                    let dialer = Arc::new(net.dialer(&name));
-                    ReplicatedServer::stepped(listen("client"), listen("peer"), dialer, config)
-                        .map(Server::Replica)
-                }
-            };
-            started.expect("the sim's listeners push")
-        };
-        let servers = (0..n).map(server).collect();
-        let client = Host {
-            cpu: cfg.client_profile,
-            stateful: false,
-            lan: None,
-        };
-        for c in 0..cfg.n_clients {
-            net.set_host(&format!("c{c}"), client);
-        }
-        // The measuring client (of a round trip) joins last.
-        let mut joiners: Vec<usize> = (0..cfg.n_clients).rev().collect();
-        if window.is_none() && cfg.n_clients > 1 {
-            joiners.rotate_right(1);
-        }
-        Lab {
-            cfg,
-            net,
-            servers,
-            clients: (0..cfg.n_clients).map(|_| Client::default()).collect(),
-            joiners,
-            window,
-            start: HORIZON,
-            busy_from: 0,
-            emitted: Vec::new(),
-            rtts: Vec::new(),
-            delivered_bytes: 0,
-            done: false,
-        }
-    }
-
-    /// Connects the next client to join — the first creates the group —
-    /// or, once all have joined, starts the measurement.
-    fn next_join(&mut self, sched: &mut Scheduler<Ev>) {
-        let Some(c) = self.joiners.pop() else {
-            return self.start(sched);
-        };
-        // Round-robin from s2: the measuring client is a forward away
-        // from the coordinator.
-        let home = format!("s{}", (c + 1) % self.servers.len() + 1);
-        let dialer = self.net.dialer(&format!("c{c}"));
-        let wire = Wire::dial(&dialer, &format!("{home}-client"));
-        wire.send(&ClientRequest::Hello {
-            version: PROTOCOL_VERSION,
-            display_name: format!("c{c}"),
-            resume: None,
-        });
-        if self.clients.iter().all(|c| c.wire.is_none()) {
-            wire.send(&ClientRequest::CreateGroup {
-                group: G,
-                persistence: Persistence::Persistent,
-                initial_state: SharedState::new(),
-            });
-        }
-        wire.send(&ClientRequest::Join {
-            group: G,
-            role: MemberRole::Principal,
-            policy: StateTransferPolicy::None,
-            notify_membership: false,
-        });
-        self.clients[c].wire = Some(wire);
-    }
-
-    fn start(&mut self, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
-        (self.start, self.busy_from) = (now, self.net.busy_us("s1"));
+impl Measure {
+    fn start(&mut self, lab: &mut Lab<usize>) {
+        let now = lab.sched.now();
+        (self.start, self.busy_from) = (now, lab.net.busy_us("s1"));
         let senders = if self.window.is_some() {
-            self.clients.len()
+            self.cfg.n_clients
         } else {
             1
         };
-        (0..senders).for_each(|c| sched.at(now, Ev::Emit(c)));
+        (0..senders).for_each(|c| lab.sched.at(now, Ev::Act(c)));
     }
 
-    fn emit(&mut self, c: usize, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
+    fn emit(&mut self, lab: &mut Lab<usize>, c: usize) {
+        let now = lab.sched.now();
         match self.window {
             Some(window) if now >= self.start + window => return,
             Some(_) => {}
@@ -349,61 +159,25 @@ impl Lab {
                 self.emitted.push(now);
                 let more = (self.emitted.len() as u64) < self.cfg.messages;
                 if !self.cfg.closed_loop && more {
-                    sched.at(now + self.cfg.interval_us, Ev::Emit(0));
+                    lab.sched.at(now + self.cfg.interval_us, Ev::Act(0));
                 }
             }
         }
-        let broadcast = ClientRequest::Broadcast {
-            group: G,
-            update: StateUpdate::incremental(ObjectId(1), vec![0u8; self.cfg.payload]),
-            scope: DeliveryScope::SenderInclusive,
-        };
-        if let Some(wire) = &self.clients[c].wire {
-            wire.send(&broadcast);
-        }
-    }
-
-    /// Reads what a delivery brought client `c`.
-    fn read(&mut self, c: usize, sched: &mut Scheduler<Ev>) {
-        let Some(wire) = &self.clients[c].wire else {
-            return;
-        };
-        let frames = wire.take();
-        // A receiver's copies of the measuring client's broadcasts are
-        // nobody's business.
-        let counts = self.window.is_some() || c == 0;
-        if self.clients[c].joined && !counts {
-            return;
-        }
-        for frame in frames {
-            let Ok((event, _)) = decode_traced::<ServerEvent>(&frame) else {
-                continue;
-            };
-            match event {
-                ServerEvent::Welcome { client, .. } => self.clients[c].id = Some(client),
-                ServerEvent::Joined { .. } => {
-                    self.clients[c].joined = true;
-                    self.next_join(sched);
-                }
-                ServerEvent::Multicast { logged, .. } => {
-                    let own = Some(logged.sender) == self.clients[c].id;
-                    self.delivered(c, own, logged.seq.raw(), sched);
-                }
-                _ => {}
-            }
-        }
+        let broadcast = stepped::broadcast(G, ObjectId(1), vec![0u8; self.cfg.payload]);
+        let _ = lab.session(c).broadcast(&broadcast);
+        lab.settle(c);
     }
 
     /// Client `c` has received a multicast — its `own`, or not.
-    fn delivered(&mut self, c: usize, own: bool, seq: u64, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
+    fn delivered(&mut self, lab: &mut Lab<usize>, c: usize, own: bool, seq: u64) {
+        let now = lab.sched.now();
         if let Some(window) = self.window {
             let end = self.start + window;
             if now <= end {
                 self.delivered_bytes += self.cfg.payload as u64;
             }
             if own && now < end {
-                sched.at(now, Ev::Emit(c));
+                lab.sched.at(now, Ev::Act(c));
             }
             self.done = now >= end;
             return;
@@ -412,62 +186,84 @@ impl Lab {
         self.rtts.push(now - sent);
         let more = (self.rtts.len() as u64) < self.cfg.messages;
         if self.cfg.closed_loop && more {
-            sched.at((sent + self.cfg.interval_us).max(now), Ev::Emit(0));
+            let next = (sent + self.cfg.interval_us).max(now);
+            lab.sched.at(next, Ev::Act(0));
         }
         self.done = !more;
     }
 
-    /// Turns server `i`'s dispatcher until it has nothing to do.
-    fn step(&self, i: usize, now: SimTime) {
-        while self.servers[i].run_pending(now / 1000) {}
-    }
-
-    fn run(self) -> Lab {
-        let servers = self.servers.len();
-        let mut sim = Simulation::new(self);
-        sim.seed(0, Ev::Join);
-        (0..servers).for_each(|i| sim.seed(0, Ev::Wake(i)));
-        sim.run_until(HORIZON);
-        sim.into_model()
-    }
-
-    /// Every server's registry, merged.
-    fn metrics(&self) -> MetricsSnapshot {
-        let mut merged = MetricsSnapshot::default();
-        self.servers.iter().for_each(|s| merged.merge(&s.metrics()));
-        merged
+    /// Runs one experiment: `window` as in [`Measure::window`].
+    fn run(cfg: ExperimentConfig, window: Option<SimTime>) -> (Lab<usize>, Measure) {
+        let net = SimNet::costed(cfg.backbone);
+        let n = cfg.n_servers.max(1) as u64;
+        let server = Host {
+            cpu: cfg.server_profile,
+            stateful: cfg.stateful,
+            lan: Some(cfg.lan),
+        };
+        (1..=n).for_each(|s| net.set_host(&node(s), server));
+        let client = Host {
+            cpu: cfg.client_profile,
+            stateful: false,
+            lan: None,
+        };
+        (0..cfg.n_clients).for_each(|c| net.set_host(&format!("c{c}"), client));
+        let tune = |mut config: ReplicatedConfig| {
+            if !cfg.stateful {
+                config.server_config.statefulness = Statefulness::Stateless;
+            }
+            config
+        };
+        let measure = Measure {
+            cfg,
+            window,
+            start: HORIZON,
+            busy_from: 0,
+            emitted: Vec::new(),
+            rtts: Vec::new(),
+            delivered_bytes: 0,
+            done: false,
+        };
+        let mut run = Run::new(Lab::start(net, None, n, cfg.n_clients, tune), measure);
+        // The measuring client (of a round trip) joins last.
+        let mut joiners: Vec<usize> = (0..cfg.n_clients).collect();
+        if window.is_none() {
+            joiners.rotate_left(1);
+        }
+        run.join_all(joiners, G);
+        run.driver.start(&mut run.lab);
+        run.run_until(HORIZON);
+        (run.lab, run.driver)
     }
 }
 
-impl SimModel for Lab {
-    type Event = Ev;
+impl Driver for Measure {
+    /// Client `c` sends.
+    type Act = usize;
 
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
-        self.net.set_now(now);
-        match event {
-            Ev::Net(delivery) => {
-                let to = delivery.node().to_string();
-                let index = to[1..].parse::<usize>().expect("nodes are s<n> and c<n>");
-                if delivery.run() {
-                    match to.starts_with('s') {
-                        true => self.step(index - 1, now),
-                        false => self.read(index, sched),
-                    }
-                }
+    fn act(&mut self, lab: &mut Lab<usize>, c: usize) -> Result<(), String> {
+        self.emit(lab, c);
+        Ok(())
+    }
+
+    /// Reads what client `c` was handed.
+    fn settled(&mut self, lab: &mut Lab<usize>, c: usize) -> Result<(), String> {
+        // A receiver's copies of the measuring client's broadcasts are
+        // nobody's business.
+        let counts = self.window.is_some() || c == 0;
+        let me = lab.session(c).client_id();
+        loop {
+            let Some(event) = lab.session(c).next_event() else {
+                return Ok(());
+            };
+            if let (ServerEvent::Multicast { logged, .. }, true) = (event, counts) {
+                self.delivered(lab, c, Some(logged.sender) == me, logged.seq.raw());
             }
-            Ev::Wake(i) => {
-                self.step(i, now);
-                if !self.done {
-                    sched.at(self.servers[i].next_tick_ms() * 1000, Ev::Wake(i));
-                }
-            }
-            Ev::Join => self.next_join(sched),
-            Ev::Emit(c) => self.emit(c, sched),
         }
-        for (at, delivery) in self.net.take_outbox() {
-            sched.at(at, Ev::Net(delivery));
-        }
+    }
+
+    fn done(&self) -> bool {
+        self.done
     }
 }
 
@@ -478,18 +274,16 @@ pub fn roundtrip(cfg: ExperimentConfig) -> RoundTripResults {
 
 /// [`roundtrip`], with every server's metric registry, merged.
 pub fn roundtrip_with_metrics(cfg: ExperimentConfig) -> (RoundTripResults, MetricsSnapshot) {
-    let lab = Lab::new(cfg, None).run();
-    (
-        RoundTripResults::from_samples(lab.rtts.clone()),
-        lab.metrics(),
-    )
+    let (lab, measure) = Measure::run(cfg, None);
+    (RoundTripResults::from_samples(measure.rtts), lab.metrics())
 }
 
 /// Runs the throughput experiment (Table 1 configuration): `n_clients`
 /// closed-loop senders blasting for `window_us` of virtual time.
 pub fn throughput(cfg: ExperimentConfig, window_us: SimTime) -> ThroughputResults {
-    let lab = Lab::new(cfg, Some(window_us)).run();
-    let (delivered_bytes, busy) = (lab.delivered_bytes, lab.net.busy_us("s1") - lab.busy_from);
+    let (lab, measure) = Measure::run(cfg, Some(window_us));
+    let delivered_bytes = measure.delivered_bytes;
+    let busy = lab.net.busy_us("s1") - measure.busy_from;
     ThroughputResults {
         delivered_bytes,
         window_us,

@@ -18,8 +18,10 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline
 
 echo "==> paper: EXPERIMENTS.md's result blocks are what it prints; BENCH_*.json checked"
-# `paper` reruns the paper's evaluation on the stepped servers (FIG3,
-# FIG3-10K, TAB1, TAB2; deterministic, ~2 s) and prints the page's four
+# `paper` reruns the paper's evaluation on the stepped harness
+# (crates/sim/src/stepped.rs: the shipping servers and ClientSession
+# clients; FIG3, FIG3-10K, TAB1, TAB2; deterministic, ~3 s) and prints
+# the page's four
 # fenced blocks: any byte of difference fails. --json adds the real-TCP
 # conn sweep and partition-heal cycles (~15 s), checks what
 # BENCH_fig3.json / BENCH_table2.json carry (monotone histogram
@@ -52,8 +54,9 @@ for seed in 1 2 3; do
 done
 
 echo "==> sweep: the replication kernel itself under the DES clock, 1000 seeds a scenario"
-# The real ReplicatedServers, stepped, over a virtual-time network
-# wrapped by the real Nemesis (crates/sim/src/cluster.rs): every
+# The real ReplicatedServers and ClientSessions on the stepped harness
+# (crates/sim/src/stepped.rs), over a virtual-time network wrapped by
+# the real Nemesis, scripted and checked by crates/sim/src/cluster.rs: every
 # scenario of corona_sim::SCENARIOS (partitions and heals, a flapping
 # coordinator, duplicate/reorder storms, crashes, client failover) under
 # seeds 1..=1000, every

@@ -4,6 +4,8 @@
 //! scaled down to keep the suite fast.
 
 use corona::prelude::*;
+use corona::sim::net::SimNet;
+use corona::sim::stepped::{self, Lab, Run};
 use corona::sim::{roundtrip, throughput, ExperimentConfig, PENTIUM_II_200, ULTRASPARC_1};
 
 #[test]
@@ -103,46 +105,36 @@ fn table2_replication_wins_and_gap_widens() {
 }
 
 /// Runs a fixed two-group workload (two members, five broadcasts into
-/// g1, three into g2, all sender-inclusive) against a server built
-/// from `config` and returns its metrics snapshot.
+/// g1, three into g2, all sender-inclusive) against a stepped server
+/// built from `config`, settled until idle, and returns its metrics
+/// snapshot.
 fn metered_workload(config: ServerConfig) -> MetricsSnapshot {
-    let server = CoronaServer::bind("127.0.0.1:0", config).unwrap();
-    let connect = |name: &str| {
-        let conn = TcpDialer.dial(&server.local_addr()).unwrap();
-        CoronaClient::connect(conn, name, None).unwrap()
+    let tune = |replicated| ReplicatedConfig {
+        server_config: config.clone(),
+        ..replicated
     };
-    let (alice, bea) = (connect("alice"), connect("bea"));
+    let mut run = Run::new(Lab::start(SimNet::new(1), None, 1, 2, tune), ());
+    let (alice, bea) = (0, 1);
+    run.connect(alice, 1);
+    run.connect(bea, 1);
 
     let (g1, g2) = (GroupId::new(1), GroupId::new(2));
     for g in [g1, g2] {
-        alice
-            .create_group(g, Persistence::Transient, SharedState::new())
+        run.call(alice, stepped::create(g, Persistence::Transient))
             .unwrap();
-        alice
-            .join(g, MemberRole::Principal, StateTransferPolicy::None, false)
-            .unwrap();
-        bea.join(g, MemberRole::Principal, StateTransferPolicy::None, false)
-            .unwrap();
+        run.call(alice, stepped::join(g)).unwrap();
+        run.call(bea, stepped::join(g)).unwrap();
     }
     let o = ObjectId::new(1);
-    for i in 0..5u8 {
-        alice
-            .bcast_update(g1, o, vec![i], DeliveryScope::SenderInclusive)
-            .unwrap();
+    let bcasts = (0..5u8)
+        .map(|i| (alice, g1, i))
+        .chain((0..3).map(|i| (bea, g2, i)));
+    for (c, group, i) in bcasts {
+        let broadcast = stepped::broadcast(group, o, vec![i]);
+        run.with_session(c, |session, _| session.broadcast(&broadcast).unwrap());
     }
-    for i in 0..3u8 {
-        bea.bcast_update(g2, o, vec![i], DeliveryScope::SenderInclusive)
-            .unwrap();
-    }
-    // A ping per client syncs the dispatcher past each one's requests.
-    alice.ping().unwrap();
-    bea.ping().unwrap();
-
-    let snap = server.metrics().unwrap();
-    alice.close();
-    bea.close();
-    server.shutdown();
-    snap
+    run.settle();
+    run.lab.metrics()
 }
 
 #[test]
